@@ -1,18 +1,20 @@
-"""Command-line interface: scene / synth / denoise / eval / bench."""
+"""Command-line interface: scene / synth / denoise / eval.
+
+Performance is measured by the `perfbench` harness, not by a subcommand.
+"""
 
 from __future__ import annotations
 
 import argparse
 import json
 import sys
-from pathlib import Path
 
 import numpy as np
 
 from .frames import DenoiseConfig
-from .metrics import bench_pass, mse, ssim, write_report
+from .metrics import mse, ssim, write_report
 from .pipeline import PRESETS, preset_config, run_pipeline, synthesize_sequence
-from .scenes import PRESET_NAMES, load_scene, preset_scene, scene_from_dict
+from .scenes import PRESET_NAMES, load_scene, preset_scene
 from .store import load_sequence, save_sequence
 
 
@@ -101,38 +103,6 @@ def _cmd_eval(args) -> int:
     return 0
 
 
-def _cmd_bench(args) -> int:
-    from .frames import ChannelKind
-    from .spatial import EdgeParams, atrous_dense, atrous_separable
-    from . import temporal
-
-    seq = load_sequence(args.input)
-    cfg = _load_config(args)
-    gbuf = seq.gbuffer(0)
-    shadow = seq.frames[0]["shadow_1spp"].astype(np.float64)
-    hist, var = temporal.temporal_step(shadow, gbuf, None, None, cfg)
-    channel = hist.color
-    params = EdgeParams.from_config(cfg)
-
-    records = []
-    for mode, fn in (("dense", atrous_dense), ("separable", atrous_separable)):
-        for level in range(cfg.iterations):
-            def run(fn=fn, level=level):
-                stats = {}
-                fn(channel, var, gbuf, level, params, stats=stats)
-                return stats["taps"]
-            r = bench_pass(run, args.reps)
-            records.append({"pass": f"atrous_{mode}", "level": level,
-                            "min_ms": r["min_s"] * 1e3, "avg_ms": r["avg_s"] * 1e3,
-                            "max_ms": r["max_s"] * 1e3, "taps": r["taps"]})
-    if args.report:
-        write_report(records, args.report)
-    for r in records:
-        print(f"{r['pass']} level {r['level']}: min {r['min_ms']:.2f} ms, "
-              f"avg {r['avg_ms']:.2f} ms, taps {r['taps']}")
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="rtdenoise",
                                 description="Synthesize, denoise and evaluate "
@@ -181,15 +151,6 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--channel", help="compare this channel on both sides")
     ev.add_argument("--report", help="JSON or CSV path")
     ev.set_defaults(fn=_cmd_eval)
-
-    be = sub.add_parser("bench", help="time the a-trous passes on a sequence")
-    be.add_argument("--in", dest="input", required=True)
-    be.add_argument("--config", help="DenoiseConfig JSON file")
-    be.add_argument("--preset", choices=list(PRESETS))
-    be.add_argument("--set", action="append", metavar="KEY=JSON")
-    be.add_argument("--reps", type=int, default=5)
-    be.add_argument("--report", help="report JSON/CSV path")
-    be.set_defaults(fn=_cmd_bench)
 
     return p
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .frames import GBufferFrame
+from .stencil import bilinear_sample
 from .temporal import rectify_history
 
 
@@ -40,34 +41,6 @@ def composite(direct: np.ndarray, shadow_denoised: np.ndarray,
     return np.where(fg[..., None], out, sky)
 
 
-def _bilinear_reproject(prev_img: np.ndarray, motion: np.ndarray):
-    """Motion-vector bilinear sample of the previous frame; (values, valid)."""
-    h, w = prev_img.shape[:2]
-    xs = np.arange(w)[None, :]
-    ys = np.arange(h)[:, None]
-    px = xs + motion[:, :, 0].astype(np.float64)
-    py = ys + motion[:, :, 1].astype(np.float64)
-    x0 = np.floor(px).astype(np.int64)
-    y0 = np.floor(py).astype(np.int64)
-    fx = px - x0
-    fy = py - y0
-    acc = np.zeros_like(prev_img, dtype=np.float64)
-    wsum = np.zeros((h, w))
-    for dy in (0, 1):
-        for dx in (0, 1):
-            xt = x0 + dx
-            yt = y0 + dy
-            weight = (fx if dx else 1.0 - fx) * (fy if dy else 1.0 - fy)
-            inb = (xt >= 0) & (xt < w) & (yt >= 0) & (yt < h)
-            tw = weight * inb
-            vals = prev_img[np.clip(yt, 0, h - 1), np.clip(xt, 0, w - 1)]
-            acc += tw[..., None] * vals
-            wsum += tw
-    valid = wsum > 1e-8
-    norm = np.where(valid, wsum, 1.0)
-    return acc / norm[..., None], valid
-
-
 def taa(curr: np.ndarray, prev_taa: np.ndarray | None, gbuf: GBufferFrame,
         gamma: float = 1.0, blend: float = 0.1) -> np.ndarray:
     """Simplified temporal antialiasing.
@@ -82,8 +55,10 @@ def taa(curr: np.ndarray, prev_taa: np.ndarray | None, gbuf: GBufferFrame,
     curr = np.asarray(curr, dtype=np.float64)
     if prev_taa is None:
         return curr.copy()
-    hist, valid = _bilinear_reproject(np.asarray(prev_taa, dtype=np.float64),
-                                      gbuf.motion)
+    (hist,), wsum = bilinear_sample((np.asarray(prev_taa, dtype=np.float64),),
+                                    gbuf.motion)
+    valid = wsum > 1e-8
+    hist = hist / np.where(valid, wsum, 1.0)[..., None]
     rect, _mu, _sigma = rectify_history(hist, curr, gamma, "clamp")
     out = rect + blend * (curr - rect)
     return np.where(valid[..., None], out, curr)

@@ -8,7 +8,8 @@ and writes fresh arrays.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, asdict
+import math
+from dataclasses import asdict, dataclass, field, fields
 from enum import Enum
 
 import numpy as np
@@ -41,8 +42,6 @@ CHANNELS = {
 def is_known_channel(name: str) -> bool:
     """Channels outside the registry are allowed under the debug_ prefix."""
     return name in CHANNELS or name.startswith("debug_")
-
-GBUFFER_CHANNELS = ("depth", "normal", "motion", "object_id", "albedo", "roughness", "emissive")
 
 
 class ChannelKind(Enum):
@@ -93,56 +92,58 @@ class TemporalHistory:
     history_len: np.ndarray  # (H, W) int32
 
 
+def _ranged(default, lo, hi=math.inf, open_lo=False, open_hi=False):
+    """A numeric config field valid from `lo` to `hi`; open ends are excluded."""
+    return field(default=default,
+                 metadata={"range": (lo, hi, open_lo, open_hi or hi == math.inf)})
+
+
 @dataclass
 class DenoiseConfig:
     """Every tunable of the denoising pipeline.
 
     Defaults follow common SVGF practice where the technique itself leaves
     them open; the two adaptive-start thresholds and the Reinhard symbols are
-    the documented values of the corresponding techniques.
+    the documented values of the corresponding techniques. Each numeric
+    field declares its valid range, which excludes values that would
+    silently switch a stage off (such as a consistency test no reprojection
+    can pass).
     """
 
-    alpha: float = 0.2
-    moments_alpha: float = 0.2
-    clamp_gamma: float = 1.0
+    alpha: float = _ranged(0.2, 0.0, 1.0, open_lo=True)
+    moments_alpha: float = _ranged(0.2, 0.0, 1.0, open_lo=True)
+    clamp_gamma: float = _ranged(1.0, 0.0, open_lo=True)
     rectify_mode: str = "off"  # off | clamp | clip
-    sigma_z: float = 1.0
-    sigma_n: float = 128.0
-    sigma_l: float = 4.0
-    iterations: int = 4
+    sigma_z: float = _ranged(1.0, 0.0, open_lo=True)
+    sigma_n: float = _ranged(128.0, 0.0, open_lo=True)
+    sigma_l: float = _ranged(4.0, 0.0, open_lo=True)
+    iterations: int = _ranged(4, 0, 8)
     adaptive_start: bool = False
-    roughness_start_threshold: float = 0.2
-    shadow_angle_start_threshold: float = 6.0
+    roughness_start_threshold: float = _ranged(0.2, 0.0, 1.0)
+    shadow_angle_start_threshold: float = _ranged(6.0, 0.0)
     separable: bool = False
     reinhard: bool = False
-    luma_multiplier: float = 1.0
-    reinhard_weight: float = 1.0
+    luma_multiplier: float = _ranged(1.0, 0.0)
+    reinhard_weight: float = _ranged(1.0, 0.0)
     ibl_adaptive_iterations: bool = False
-    spatial_variance_min_history: int = 4
+    spatial_variance_min_history: int = _ranged(4, 1)
     feedback: str = "first_iteration"  # first_iteration | none
-    depth_consistency: float = 0.1
-    normal_consistency: float = 0.9
-    history_cap: int = 256
+    depth_consistency: float = _ranged(0.1, 0.0, open_lo=True)
+    normal_consistency: float = _ranged(0.9, -1.0, 1.0, open_hi=True)
+    history_cap: int = _ranged(256, 1)
 
     def validate(self) -> None:
         problems = []
-        if not 0.0 < self.alpha <= 1.0:
-            problems.append(f"alpha {self.alpha} outside (0, 1]")
-        if not 0.0 < self.moments_alpha <= 1.0:
-            problems.append(f"moments_alpha {self.moments_alpha} outside (0, 1]")
-        if self.clamp_gamma <= 0:
-            problems.append(f"clamp_gamma {self.clamp_gamma} must be > 0")
+        for f in fields(self):
+            if "range" not in f.metadata:
+                continue
+            lo, hi, open_lo, open_hi = f.metadata["range"]
+            v = getattr(self, f.name)
+            if not ((lo < v if open_lo else lo <= v) and (v < hi if open_hi else v <= hi)):
+                problems.append(f"{f.name} {v!r} outside {'(' if open_lo else '['}{lo}, "
+                                f"{hi}{')' if open_hi else ']'}")
         if self.rectify_mode not in ("off", "clamp", "clip"):
             problems.append(f"rectify_mode {self.rectify_mode!r} not one of off/clamp/clip")
-        for name in ("sigma_z", "sigma_n", "sigma_l"):
-            if getattr(self, name) <= 0:
-                problems.append(f"{name} must be > 0")
-        if not 0 <= self.iterations <= 8:
-            problems.append(f"iterations {self.iterations} outside [0, 8]")
-        if self.luma_multiplier < 0 or self.reinhard_weight < 0:
-            problems.append("reinhard parameters must be >= 0")
-        if self.spatial_variance_min_history < 1:
-            problems.append("spatial_variance_min_history must be >= 1")
         if self.feedback not in ("first_iteration", "none"):
             problems.append(f"feedback {self.feedback!r} not one of first_iteration/none")
         if problems:
@@ -194,11 +195,6 @@ class FrameSequence:
             roughness=f["roughness"],
             emissive=f["emissive"],
         )
-
-    def noisy(self, index: int, kind: ChannelKind) -> NoisyChannel:
-        name = "shadow_1spp" if kind is ChannelKind.SHADOW else "specular_1spp"
-        return NoisyChannel(kind=kind, data=self.frames[index][name],
-                            spp=int(self.manifest.get("spp", 1)))
 
 
 def _first_bad_pixel(mask: np.ndarray) -> tuple:

@@ -1,4 +1,4 @@
-"""Quality (SSIM, MSE) and performance (timing, tap counts) measurement.
+"""Quality measurement (SSIM, MSE) and report writing.
 
 SSIM runs on tone-mapped luminance (x/(1+x), clipped to [0,1]) with uniform
 8x8 sliding windows and population moments; HDR SSIM is otherwise ill-defined
@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 import json
-import time
 
 import numpy as np
 
@@ -22,12 +21,7 @@ _C2 = 0.03**2
 
 
 def _to_graded_luma(img: np.ndarray) -> np.ndarray:
-    arr = np.asarray(img, dtype=np.float64)
-    if arr.ndim == 3 and arr.shape[2] == 3:
-        arr = luma(arr)
-    elif arr.ndim == 3:
-        arr = arr[:, :, 0]
-    return np.clip(exposure_curve(np.maximum(arr, 0.0)), 0.0, 1.0)
+    return np.clip(exposure_curve(np.maximum(luma(img), 0.0)), 0.0, 1.0)
 
 
 def _window_sums(x: np.ndarray, k: int) -> np.ndarray:
@@ -62,26 +56,6 @@ def mse(img_a: np.ndarray, img_b: np.ndarray) -> float:
     if a.shape != b.shape:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
     return float(np.mean((a - b) ** 2))
-
-
-def bench_pass(pass_fn, repetitions: int) -> dict:
-    """Time a pass closure; one warm-up run is discarded.
-
-    The closure returns its tap count (or None); counts must be identical
-    across repetitions while wall times of course vary.
-    """
-    if repetitions < 3:
-        raise ValueError("repetitions must be >= 3")
-    taps = pass_fn()  # warm-up
-    times = []
-    for _ in range(repetitions):
-        t0 = time.perf_counter()
-        t = pass_fn()
-        times.append(time.perf_counter() - t0)
-        if t != taps:
-            raise RuntimeError(f"tap count changed between runs: {t} vs {taps}")
-    return {"min_s": min(times), "avg_s": sum(times) / len(times),
-            "max_s": max(times), "taps": taps, "repetitions": repetitions}
 
 
 def write_report(records: list, path, fmt: str | None = None) -> None:

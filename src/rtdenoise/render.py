@@ -342,13 +342,7 @@ def render_frame(scene: Scene, frame_index: int, spp: int, seed: int,
             NoisyChannel(ChannelKind.INDIRECT_SPECULAR, specular.astype(np.float32), spp))
 
 
-REFERENCE_SPP = 1024
-
-
-def render_reference(scene: Scene, frame_index: int, seed: int,
-                     spp: int = REFERENCE_SPP, ibl_secondary: bool = False):
-    """Ground-truth channels: the identical estimator at high spp."""
-    return render_frame(scene, frame_index, spp, seed, ibl_secondary=ibl_secondary)
+REFERENCE_SPP = 1024  # ground truth: the identical estimator at high spp
 
 
 def render_sky(scene: Scene, frame_index: int) -> np.ndarray:

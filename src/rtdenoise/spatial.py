@@ -6,11 +6,17 @@ modulated by edge-stopping weights on depth, normal and luminance; the
 luminance weight is scaled by the estimated noise deviation so flat noisy
 regions blur aggressively while converged regions keep their detail.
 
-Two execution forms are provided: the dense 5x5 gather (25 taps per pixel)
+Two execution forms are provided: the dense 5x5 stencil (25 taps per pixel)
 and the separable 5+5 split (10 taps) where the horizontal pass updates the
 color only and the variance is updated once, in the vertical pass. The two
 are equivalent where the edge weights are uniform and intentionally diverge
 across edges, which shows up as slightly stronger blur.
+
+Both forms read their taps as slices of planes padded once per pass with
+edge values (`stencil.shifted`), which is clamp-to-border indexing. A
+per-pixel level map runs one uniform pass per level in use and keeps each
+pixel's result at its own level; a pixel's result depends only on its own
+step, so this is exact.
 
 The start level can shift up by one where material features predict heavy
 noise (roughness over 0.2, shadow angles over 6 degrees), keeping the
@@ -25,6 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .frames import ChannelKind, DenoiseConfig, GBufferFrame
+from .stencil import as_planes, shifted
+from .tonemap import luma
 
 KERNEL_1D = np.array([1.0 / 16, 1.0 / 4, 3.0 / 8, 1.0 / 4, 1.0 / 16])
 _OFFSETS = (-2, -1, 0, 1, 2)
@@ -57,34 +65,86 @@ def edge_weight(center: dict, tap: dict, center_variance: float,
     return float(w_z * w_n * w_l)
 
 
-def _luma_of(channel: np.ndarray) -> np.ndarray:
-    if channel.shape[2] == 3:
-        return channel @ np.array([0.2126, 0.7152, 0.0722])
-    return channel[:, :, 0]
+def check_level(top, height: int, width: int) -> None:
+    """Reject a-trous level `top` when its taps spread over half the image."""
+    if 2 ** int(top) >= min(height, width) / 2:
+        raise ValueError(f"a-trous level {top} too large for {width}x{height}")
 
 
-def _prep(channel, variance, gbuf):
-    data = np.asarray(channel, dtype=np.float64)
-    if data.ndim == 2:
-        data = data[:, :, None]
-    var = np.asarray(variance, dtype=np.float64)
-    depth = gbuf.depth.astype(np.float64)
-    normal = gbuf.normal.astype(np.float64)
-    fg = gbuf.object_id != 0
-    return data, var, depth, normal, gbuf.object_id, fg
-
-
-def _tap_weights(depth, normal, l_img, denom_l, oid, yc, xc, z_c, n_c, l_c, dist,
-                 params):
-    z_t = depth[yc, xc]
+def _tap_weights(z_c, n_c, l_c, denom_l, z_t, n_t, l_t, fg_t, dist, params):
     with np.errstate(invalid="ignore"):
         w_z = np.exp(-np.abs(z_c - z_t) / (params.sigma_z * np.abs(z_c) * dist
                                            + params.epsilon))
-    ndot = np.maximum(0.0, np.sum(n_c * normal[yc, xc], axis=-1))
+    ndot = np.maximum(0.0, np.sum(n_c * n_t, axis=-1))
     w_n = ndot ** params.sigma_n
-    w_l = np.exp(-np.abs(l_c - l_img[yc, xc]) / denom_l)
-    w = w_z * w_n * w_l * (oid[yc, xc] != 0)
+    w_l = np.exp(-np.abs(l_c - l_t) / denom_l)
+    w = w_z * w_n * w_l * fg_t
     return np.where(np.isfinite(w), w, 0.0)
+
+
+# unit tap offsets (dy, dx, kernel weight, distance); pixel offsets scale by the step
+_DENSE = [(j, i, KERNEL_1D[i + 2] * KERNEL_1D[j + 2], np.hypot(i, j))
+          for j in _OFFSETS for i in _OFFSETS]
+_COLUMN = [(k, 0, KERNEL_1D[k + 2], abs(k)) for k in _OFFSETS]
+_ROW = [(0, k, KERNEL_1D[k + 2], abs(k)) for k in _OFFSETS]
+
+
+def _filter(data, var, gbuf: GBufferFrame, level, offsets, axis, params,
+            with_variance):
+    """Edge-stopped weighted mean of `data` over `offsets` at each pixel's level.
+
+    Every plane a tap reads is padded once (along `axis` alone when set); one
+    uniform pass runs per level some pixel uses, and each pixel keeps the
+    result at its own level. Returns (mean,) or (mean, variance of the mean).
+    """
+    h, w, c = data.shape
+    level = np.asarray(level, dtype=np.int64)
+    used = np.unique(level)
+    reach = 2 * 2 ** int(used[-1])
+    z_c = gbuf.depth.astype(np.float64)
+    n_c = gbuf.normal.astype(np.float64)
+    l_c = luma(data)
+    denom_l = params.sigma_l * np.sqrt(np.maximum(var, 0.0)) + params.epsilon
+    taps = [shifted(p, reach, axis)
+            for p in (gbuf.depth, gbuf.normal, l_c, gbuf.foreground, data)]
+    var_at = shifted(var, reach, axis) if with_variance else None
+
+    def run(step):
+        acc = np.zeros((h, w, c))
+        acc_w = np.zeros((h, w))
+        acc_w2v = np.zeros((h, w))
+        for j, i, k, dist in offsets:
+            z_t, n_t, l_t, fg_t, d_t = (t(j * step, i * step) for t in taps)
+            if i == j == 0:
+                ew = 1.0
+            else:
+                ew = _tap_weights(z_c, n_c, l_c, denom_l, z_t, n_t, l_t, fg_t,
+                                  step * dist, params)
+            wgt = k * ew
+            acc += wgt[..., None] * d_t if np.ndim(wgt) else wgt * d_t
+            acc_w += wgt
+            if with_variance:
+                acc_w2v += wgt * wgt * var_at(j * step, i * step)
+        out = acc / acc_w[..., None]
+        return (out, acc_w2v / (acc_w * acc_w)) if with_variance else (out,)
+
+    result = run(2 ** int(used[0]))
+    for lv in used[1:]:
+        mask = level == lv
+        result = tuple(np.where(mask if r.ndim == 2 else mask[..., None], new, r)
+                       for new, r in zip(run(2 ** int(lv)), result))
+    return result
+
+
+def _finish(channel, data, var, gbuf, out, out_var, stats, taps_per_pixel):
+    """Keep background pixels unfiltered, count taps, restore the input shape."""
+    fg = gbuf.foreground
+    out = np.where(fg[..., None], out, data)
+    out_var = np.where(fg, out_var, var)
+    if stats is not None:
+        stats["taps"] = stats.get("taps", 0) + fg.size * taps_per_pixel
+        stats["taps_per_pixel"] = taps_per_pixel
+    return (out[:, :, 0] if np.ndim(channel) == 2 else out), out_var
 
 
 def atrous_dense(channel, variance, gbuf: GBufferFrame, level, params: EdgeParams,
@@ -95,80 +155,10 @@ def atrous_dense(channel, variance, gbuf: GBufferFrame, level, params: EdgeParam
     weighted mean. Taps are clamped to the image border; the center tap always
     participates with edge weight 1, so the output stays a convex combination.
     """
-    data, var, depth, normal, oid, fg = _prep(channel, variance, gbuf)
-    h, w, c = data.shape
-    step = (2 ** np.asarray(level, dtype=np.int64)) * np.ones((h, w), dtype=np.int64)
-    if np.any(2 ** np.asarray(level) >= min(h, w) / 2):
-        raise ValueError(f"a-trous level {np.max(level)} too large for {w}x{h}")
-
-    xs = np.arange(w)[None, :]
-    ys = np.arange(h)[:, None]
-    l_img = _luma_of(data)
-    denom_l = params.sigma_l * np.sqrt(np.maximum(var, 0.0)) + params.epsilon
-    z_c = depth
-    n_c = normal
-    l_c = l_img
-
-    acc = np.zeros((h, w, c))
-    acc_w = np.zeros((h, w))
-    acc_w2v = np.zeros((h, w))
-    for j in _OFFSETS:
-        for i in _OFFSETS:
-            k2 = KERNEL_1D[i + 2] * KERNEL_1D[j + 2]
-            xc = np.clip(xs + i * step, 0, w - 1)
-            yc = np.clip(ys + j * step, 0, h - 1)
-            if i == 0 and j == 0:
-                ew = 1.0
-            else:
-                dist = step * np.hypot(i, j)
-                ew = _tap_weights(depth, normal, l_img, denom_l, oid,
-                                  yc, xc, z_c, n_c, l_c, dist, params)
-            wgt = k2 * ew
-            acc += wgt[..., None] * data[yc, xc] if np.ndim(wgt) else wgt * data[yc, xc]
-            acc_w += wgt
-            acc_w2v += wgt * wgt * var[yc, xc]
-    out = acc / acc_w[..., None]
-    out_var = acc_w2v / (acc_w * acc_w)
-    out = np.where(fg[..., None], out, data)
-    out_var = np.where(fg, out_var, var)
-    if stats is not None:
-        stats["taps"] = stats.get("taps", 0) + h * w * 25
-        stats["taps_per_pixel"] = 25
-    return (out[:, :, 0] if np.asarray(channel).ndim == 2 else out), out_var
-
-
-def _separable_pass(data, var_guide, var_taps, depth, normal, oid, step, axis, params,
-                    update_variance):
-    h, w, c = data.shape
-    xs = np.arange(w)[None, :]
-    ys = np.arange(h)[:, None]
-    l_img = _luma_of(data)
-    denom_l = params.sigma_l * np.sqrt(np.maximum(var_guide, 0.0)) + params.epsilon
-
-    acc = np.zeros((h, w, c))
-    acc_w = np.zeros((h, w))
-    acc_w2v = np.zeros((h, w)) if update_variance else None
-    for k in _OFFSETS:
-        if axis == 0:
-            xc = np.clip(xs + k * step, 0, w - 1)
-            yc = np.broadcast_to(ys, (h, w))
-        else:
-            xc = np.broadcast_to(xs, (h, w))
-            yc = np.clip(ys + k * step, 0, h - 1)
-        if k == 0:
-            ew = 1.0
-        else:
-            dist = step * abs(k)
-            ew = _tap_weights(depth, normal, l_img, denom_l, oid,
-                              yc, xc, depth, normal, l_img, dist, params)
-        wgt = KERNEL_1D[k + 2] * ew
-        acc += (wgt[..., None] if np.ndim(wgt) else wgt) * data[yc, xc]
-        acc_w += wgt
-        if update_variance:
-            acc_w2v += wgt * wgt * var_taps[yc, xc]
-    out = acc / acc_w[..., None]
-    out_var = acc_w2v / (acc_w * acc_w) if update_variance else None
-    return out, out_var
+    data, var = as_planes(channel), np.asarray(variance, dtype=np.float64)
+    check_level(np.max(level), *var.shape)
+    out, out_var = _filter(data, var, gbuf, level, _DENSE, None, params, True)
+    return _finish(channel, data, var, gbuf, out, out_var, stats, 25)
 
 
 def atrous_separable(channel, variance, gbuf: GBufferFrame, level, params: EdgeParams,
@@ -177,24 +167,15 @@ def atrous_separable(channel, variance, gbuf: GBufferFrame, level, params: EdgeP
 
     The variance buffer passes through the horizontal stage untouched and is
     updated only by the vertical pass, which is what makes the separable form
-    blur slightly more than the dense one across edges.
+    blur slightly more than the dense one across edges. With per-pixel levels
+    the vertical pass reads horizontal results computed at each neighbor's
+    own level.
     """
-    data, var, depth, normal, oid, fg = _prep(channel, variance, gbuf)
-    h, w, _c = data.shape
-    step = (2 ** np.asarray(level, dtype=np.int64)) * np.ones((h, w), dtype=np.int64)
-    if np.any(2 ** np.asarray(level) >= min(h, w) / 2):
-        raise ValueError(f"a-trous level {np.max(level)} too large for {w}x{h}")
-
-    horiz, _ = _separable_pass(data, var, var, depth, normal, oid, step, axis=0,
-                               params=params, update_variance=False)
-    out, out_var = _separable_pass(horiz, var, var, depth, normal, oid, step, axis=1,
-                                   params=params, update_variance=True)
-    out = np.where(fg[..., None], out, data)
-    out_var = np.where(fg, out_var, var)
-    if stats is not None:
-        stats["taps"] = stats.get("taps", 0) + h * w * 10
-        stats["taps_per_pixel"] = 10
-    return (out[:, :, 0] if np.asarray(channel).ndim == 2 else out), out_var
+    data, var = as_planes(channel), np.asarray(variance, dtype=np.float64)
+    check_level(np.max(level), *var.shape)
+    horiz, = _filter(data, var, gbuf, level, _ROW, 1, params, False)
+    out, out_var = _filter(horiz, var, gbuf, level, _COLUMN, 0, params, True)
+    return _finish(channel, data, var, gbuf, out, out_var, stats, 10)
 
 
 def select_start_level(kind: ChannelKind, feature, cfg: DenoiseConfig):
@@ -253,11 +234,7 @@ def denoise_channel(channel, variance, gbuf: GBufferFrame, cfg: DenoiseConfig,
     filt = atrous_separable if cfg.separable else atrous_dense
 
     if max_count > 0:
-        top = int((start + np.maximum(max_count - 1, 0)).max())
-        if 2 ** top >= min(gbuf.depth.shape) / 2:
-            raise ValueError(
-                f"iterations/levels overflow image size: top level {top} on "
-                f"{gbuf.width}x{gbuf.height}")
+        check_level(np.max(start) + max_count - 1, *gbuf.depth.shape)
 
     for i in range(max_count):
         level = start + i

@@ -1,0 +1,73 @@
+"""Neighborhood access shared by the temporal, spatial and composition passes.
+
+`shifted` serves every fixed-offset loop: a plane is padded once per pass,
+with its edge values (which is exactly clamp-to-border indexing) or with a
+constant, and each tap is a slice view of the padded plane. `bilinear_sample`
+serves the motion-vector reprojections, whose offsets differ per pixel.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+
+def as_planes(data) -> np.ndarray:
+    """float64 (H, W, C) view of an (H, W) or (H, W, C) image."""
+    arr = np.asarray(data, dtype=np.float64)
+    return arr[:, :, None] if arr.ndim == 2 else arr
+
+
+def shifted(plane: np.ndarray, reach: int, axis: int | None = None, fill=None):
+    """Pad `plane` by `reach` pixels and return tap(dy, dx) -> (H, W, ...) view.
+
+    The view at pixel (y, x) reads plane[y + dy, x + dx], clamped to the border
+    (or `fill` outside it when given). Only `axis` (0 rows, 1 columns) is
+    padded when set, so taps then shift along that axis alone; |offset| <= reach.
+    """
+    h, w = plane.shape[:2]
+    ry = reach if axis in (None, 0) else 0
+    rx = reach if axis in (None, 1) else 0
+    widths = ((ry, ry), (rx, rx)) + ((0, 0),) * (plane.ndim - 2)
+    if fill is None:
+        padded = np.pad(plane, widths, mode="edge")
+    else:
+        padded = np.pad(plane, widths, mode="constant", constant_values=fill)
+    return lambda dy, dx: padded[ry + dy:ry + dy + h, rx + dx:rx + dx + w]
+
+
+def inside(shape, reach: int):
+    """tap(dy, dx) -> bool (H, W): whether pixel + (dy, dx) lies in the image."""
+    return shifted(np.ones(shape, dtype=bool), reach, fill=False)
+
+
+def bilinear_sample(planes, motion: np.ndarray, accept=None):
+    """Bilinearly sample each plane at pixel + motion; returns (sums, wsum).
+
+    Each of the four enclosing texels has its bilinear weight, or 0 where it
+    lies outside the image or `accept(yc, xc)` (index arrays) is false. `sums`
+    holds each plane's weighted sum, unnormalized; `wsum` the weight total.
+    """
+    h, w = motion.shape[:2]
+    px = np.arange(w)[None, :] + motion[:, :, 0].astype(np.float64)
+    py = np.arange(h)[:, None] + motion[:, :, 1].astype(np.float64)
+    x0 = np.floor(px).astype(np.int64)
+    y0 = np.floor(py).astype(np.int64)
+    fx = px - x0
+    fy = py - y0
+    sums = [np.zeros(p.shape) for p in planes]
+    wsum = np.zeros((h, w))
+    for dy in (0, 1):
+        for dx in (0, 1):
+            xt = x0 + dx
+            yt = y0 + dy
+            weight = (fx if dx else 1.0 - fx) * (fy if dy else 1.0 - fy)
+            ok = (xt >= 0) & (xt < w) & (yt >= 0) & (yt < h)
+            xc = np.clip(xt, 0, w - 1)
+            yc = np.clip(yt, 0, h - 1)
+            if accept is not None:
+                ok = ok & accept(yc, xc)
+            tw = weight * ok
+            wsum += tw
+            for s, p in zip(sums, planes):
+                s += (tw[..., None] if p.ndim == 3 else tw) * p[yc, xc]
+    return sums, wsum

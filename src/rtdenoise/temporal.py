@@ -5,7 +5,10 @@ history through the motion vectors with a per-tap geometry consistency test,
 (2) optionally rectifies the history color against the statistics of the
 current noisy neighborhood, (3) blends it with the current sample, and
 (4) estimates per-pixel luminance variance, falling back to spatial moments
-while the history is too short to trust.
+while the history is too short to trust. The fixed-offset neighborhoods
+(the rectification box, the spatial variance) read their taps as slices of
+edge-padded planes, with a zero-padded mask counting in-bounds taps; the
+reprojection uses the shared bilinear sampler of `stencil`.
 
 Rectification runs on the reprojected color *before* the blend, and its
 bounding box comes from the current frame's noisy channel; history length is
@@ -18,22 +21,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .frames import ChannelKind, DenoiseConfig, GBufferFrame, TemporalHistory
+from .frames import DenoiseConfig, GBufferFrame, TemporalHistory
+from .stencil import as_planes, bilinear_sample, inside, shifted
 from .tonemap import luma
-
-HISTORY_CAP = 256
-
-
-def channel_luma(data: np.ndarray) -> np.ndarray:
-    """Per-pixel luminance: Rec.709 for RGB, identity for scalar channels."""
-    if data.ndim == 3 and data.shape[2] == 3:
-        return luma(data)
-    return np.asarray(data, dtype=np.float64).reshape(data.shape[0], data.shape[1], -1)[:, :, 0]
-
-
-def _as_planes(data: np.ndarray) -> np.ndarray:
-    arr = np.asarray(data, dtype=np.float64)
-    return arr[:, :, None] if arr.ndim == 2 else arr
 
 
 def consistency_test(prev_depth, prev_normal, prev_oid, curr_depth, curr_normal,
@@ -62,48 +52,19 @@ def reproject(prev: TemporalHistory, prev_gbuf: GBufferFrame, curr_gbuf: GBuffer
     current pixel; the bilinear weights of the passing texels are
     renormalized. Returns arrays: valid, color, moment1, moment2, history_len.
     """
-    h, w = curr_gbuf.depth.shape
-    c = prev.color.shape[2]
-    xs = np.arange(w)[None, :]
-    ys = np.arange(h)[:, None]
-    # sample position in texel coordinates (pixel center + motion - half texel)
-    px = xs + curr_gbuf.motion[:, :, 0].astype(np.float64)
-    py = ys + curr_gbuf.motion[:, :, 1].astype(np.float64)
-    x0 = np.floor(px).astype(np.int64)
-    y0 = np.floor(py).astype(np.int64)
-    fx = px - x0
-    fy = py - y0
-
     curr_depth = curr_gbuf.depth.astype(np.float64)
     curr_normal = curr_gbuf.normal.astype(np.float64)
     curr_oid = curr_gbuf.object_id
 
-    wsum = np.zeros((h, w))
-    color = np.zeros((h, w, c))
-    m1 = np.zeros((h, w))
-    m2 = np.zeros((h, w))
-    hist = np.zeros((h, w))
+    def consistent(yc, xc):
+        return consistency_test(
+            prev_gbuf.depth[yc, xc], prev_gbuf.normal[yc, xc],
+            prev_gbuf.object_id[yc, xc], curr_depth, curr_normal, curr_oid,
+            cfg.depth_consistency, cfg.normal_consistency)
 
-    for dy in (0, 1):
-        for dx in (0, 1):
-            xt = x0 + dx
-            yt = y0 + dy
-            weight = (fx if dx else 1.0 - fx) * (fy if dy else 1.0 - fy)
-            inb = (xt >= 0) & (xt < w) & (yt >= 0) & (yt < h)
-            xc = np.clip(xt, 0, w - 1)
-            yc = np.clip(yt, 0, h - 1)
-            ok = inb & consistency_test(
-                prev_gbuf.depth[yc, xc], prev_gbuf.normal[yc, xc],
-                prev_gbuf.object_id[yc, xc],
-                curr_depth, curr_normal, curr_oid,
-                cfg.depth_consistency, cfg.normal_consistency)
-            tw = weight * ok
-            wsum += tw
-            color += tw[..., None] * prev.color[yc, xc]
-            m1 += tw * prev.moment1[yc, xc]
-            m2 += tw * prev.moment2[yc, xc]
-            hist += tw * prev.history_len[yc, xc]
-
+    (color, m1, m2, hist), wsum = bilinear_sample(
+        (prev.color, prev.moment1, prev.moment2, prev.history_len),
+        curr_gbuf.motion, accept=consistent)
     valid = (wsum > 1e-8) & (curr_oid != 0)
     norm = np.where(valid, wsum, 1.0)
     color = np.where(valid[..., None], color / norm[..., None], 0.0)
@@ -116,19 +77,17 @@ def reproject(prev: TemporalHistory, prev_gbuf: GBufferFrame, curr_gbuf: GBuffer
 
 def neighborhood_stats(channel: np.ndarray, radius: int = 1):
     """Componentwise mean/stddev over the in-bounds (2r+1)^2 neighborhood."""
-    data = _as_planes(channel)
+    data = as_planes(channel)
     h, w, c = data.shape
-    xs = np.arange(w)[None, :]
-    ys = np.arange(h)[:, None]
+    vals_at = shifted(data, radius)
+    inb_at = inside((h, w), radius)
     s0 = np.zeros((h, w))
     s1 = np.zeros((h, w, c))
     s2 = np.zeros((h, w, c))
     for dy in range(-radius, radius + 1):
         for dx in range(-radius, radius + 1):
-            xt = xs + dx
-            yt = ys + dy
-            inb = (xt >= 0) & (xt < w) & (yt >= 0) & (yt < h)
-            vals = data[np.clip(yt, 0, h - 1), np.clip(xt, 0, w - 1)]
+            inb = inb_at(dy, dx)
+            vals = vals_at(dy, dx)
             s0 += inb
             s1 += inb[..., None] * vals
             s2 += inb[..., None] * vals * vals
@@ -148,7 +107,7 @@ def rectify_history(tap_color: np.ndarray, curr_channel: np.ndarray, gamma: floa
     Returns (rectified, mu, sigma); mu/sigma are exposed so callers can assert
     the containment property.
     """
-    tap = _as_planes(tap_color)
+    tap = as_planes(tap_color)
     mu, sigma = neighborhood_stats(curr_channel)
     half = gamma * sigma
     if mode == "clamp":
@@ -180,13 +139,13 @@ def rectify_moments(m1: np.ndarray, m2: np.ndarray, rect_luma: np.ndarray):
 
 def accumulate(curr_value: np.ndarray, curr_luma: np.ndarray, tap: dict,
                alpha: float, moments_alpha: float,
-               cap: int = HISTORY_CAP) -> TemporalHistory:
+               cap: int = DenoiseConfig.history_cap) -> TemporalHistory:
     """Exponential blend of the current sample into the reprojected history.
 
     While the history is short the blend degenerates to a plain running mean
     (a = max(alpha, 1/(N+1))); invalid taps restart the history at length 1.
     """
-    curr = _as_planes(curr_value)
+    curr = as_planes(curr_value)
     valid = tap["valid"]
     n = tap["history_len"].astype(np.float64)
     a = np.maximum(alpha, 1.0 / (n + 1.0))
@@ -208,30 +167,27 @@ def estimate_variance(history: TemporalHistory, curr_luma: np.ndarray,
 
     Temporal (moment2 - moment1^2) once at least `min_history` frames have
     been integrated; otherwise spatial moments of the current luminance over
-    the 7x7 neighborhood restricted to geometry-consistent pixels.
+    the 7x7 neighborhood restricted to in-bounds, geometry-consistent pixels.
+    The neighborhood is read through padded-slice taps of the stored G-buffer.
     """
     temporal = np.maximum(0.0, history.moment2 - history.moment1**2)
 
     h, w = curr_luma.shape
-    xs = np.arange(w)[None, :]
-    ys = np.arange(h)[:, None]
     depth = curr_gbuf.depth.astype(np.float64)
     normal = curr_gbuf.normal.astype(np.float64)
     oid = curr_gbuf.object_id
+    inb_at = inside((h, w), 3)
+    depth_at, normal_at, oid_at, luma_at = (
+        shifted(p, 3) for p in (curr_gbuf.depth, curr_gbuf.normal, oid, curr_luma))
     s0 = np.zeros((h, w))
     s1 = np.zeros((h, w))
     s2 = np.zeros((h, w))
     for dy in range(-3, 4):
         for dx in range(-3, 4):
-            xt = xs + dx
-            yt = ys + dy
-            inb = (xt >= 0) & (xt < w) & (yt >= 0) & (yt < h)
-            xc = np.clip(xt, 0, w - 1)
-            yc = np.clip(yt, 0, h - 1)
-            ok = inb & consistency_test(depth[yc, xc], normal[yc, xc], oid[yc, xc],
-                                        depth, normal, oid,
-                                        cfg.depth_consistency, cfg.normal_consistency)
-            lv = curr_luma[yc, xc]
+            ok = inb_at(dy, dx) & consistency_test(
+                depth_at(dy, dx), normal_at(dy, dx), oid_at(dy, dx),
+                depth, normal, oid, cfg.depth_consistency, cfg.normal_consistency)
+            lv = luma_at(dy, dx)
             s0 += ok
             s1 += ok * lv
             s2 += ok * lv * lv
@@ -244,10 +200,10 @@ def estimate_variance(history: TemporalHistory, curr_luma: np.ndarray,
 
 def temporal_step(curr_data: np.ndarray, curr_gbuf: GBufferFrame,
                   prev: TemporalHistory | None, prev_gbuf: GBufferFrame | None,
-                  cfg: DenoiseConfig, debug: dict | None = None):
+                  cfg: DenoiseConfig):
     """One full temporal update for a channel; returns (history, variance)."""
-    curr = _as_planes(curr_data)
-    curr_l = channel_luma(curr_data)
+    curr = as_planes(curr_data)
+    curr_l = luma(curr_data)
     h, w, c = curr.shape
 
     if prev is None or prev_gbuf is None:
@@ -258,20 +214,14 @@ def temporal_step(curr_data: np.ndarray, curr_gbuf: GBufferFrame,
         tap = reproject(prev, prev_gbuf, curr_gbuf, cfg)
 
     if cfg.rectify_mode != "off" and np.any(tap["valid"]):
-        rect, mu, sigma = rectify_history(tap["color"], curr, cfg.clamp_gamma,
-                                          cfg.rectify_mode)
+        rect, _mu, _sigma = rectify_history(tap["color"], curr, cfg.clamp_gamma,
+                                            cfg.rectify_mode)
         rect = np.where(tap["valid"][..., None], rect, tap["color"])
-        rl = channel_luma(rect if c > 1 else rect[:, :, 0])
-        rm1, rm2 = rectify_moments(tap["moment1"], tap["moment2"], rl)
+        rm1, rm2 = rectify_moments(tap["moment1"], tap["moment2"], luma(rect))
         tap = dict(tap)
         tap["color"] = rect
         tap["moment1"] = np.where(tap["valid"], rm1, tap["moment1"])
         tap["moment2"] = np.where(tap["valid"], rm2, tap["moment2"])
-        if debug is not None:
-            debug["rectified"] = rect
-            debug["box_mu"] = mu
-            debug["box_sigma"] = sigma
-            debug["tap_valid"] = tap["valid"]
 
     history = accumulate(curr, curr_l, tap, cfg.alpha, cfg.moments_alpha,
                          cap=cfg.history_cap)

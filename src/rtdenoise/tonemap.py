@@ -14,12 +14,17 @@ import numpy as np
 _LUMA_W = np.array([0.2126, 0.7152, 0.0722])
 
 
-def luma(rgb) -> np.ndarray:
-    """Rec.709 luminance. Scalar (shadow-style) inputs pass through unchanged."""
-    arr = np.asarray(rgb, dtype=np.float64)
-    if arr.shape and arr.shape[-1] == 3:
-        return arr @ _LUMA_W
-    return arr
+def luma(img) -> np.ndarray:
+    """Rec.709 luminance of RGB values, (H, W) for an (H, W, 3) image.
+
+    Scalar (shadow-style) channels, (H, W) or (H, W, 1), pass through as (H, W).
+    """
+    arr = np.asarray(img, dtype=np.float64)
+    if arr.ndim == 2:
+        return arr
+    if arr.ndim == 3 and arr.shape[2] == 1:
+        return arr[:, :, 0]
+    return arr @ _LUMA_W
 
 
 def reinhard_forward(c, luma_multiplier: float) -> np.ndarray:

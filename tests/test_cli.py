@@ -64,18 +64,6 @@ def test_eval_between_sequences(workspace):
     assert "ssim" in text.splitlines()[0]
 
 
-def test_bench_reports_taps(workspace):
-    root, _scene, synth = workspace
-    rep = root / "bench.json"
-    assert main(["bench", "--in", str(synth), "--set", "iterations=2",
-                 "--reps", "3", "--report", str(rep)]) == 0
-    rows = json.loads(rep.read_text())
-    dense = [r for r in rows if r["pass"] == "atrous_dense"]
-    sep = [r for r in rows if r["pass"] == "atrous_separable"]
-    assert all(r["taps"] == 32 * 32 * 25 for r in dense)
-    assert all(r["taps"] == 32 * 32 * 10 for r in sep)
-
-
 def test_synth_rerun_bit_identical(workspace, tmp_path):
     root, scene, synth = workspace
     again = tmp_path / "again"

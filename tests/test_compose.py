@@ -90,6 +90,35 @@ def test_taa_static_constant_fixed_point():
         assert np.allclose(out, 0.37, atol=1e-12)
 
 
+def test_taa_half_pixel_motion_blends_neighbors():
+    # every pixel samples halfway to its right neighbor in the previous
+    # output; in the last column that neighbor lies outside and is dropped
+    g = _gbuf()
+    g.motion[:, :, 0] = 0.5
+    rs = np.random.default_rng(3)
+    prev = rs.random((8, 8, 3))
+    curr = rs.random((8, 8, 3))
+    out = taa(curr, prev, g, gamma=1e9)  # a box so wide that clamping never acts
+    hist = prev.copy()
+    hist[:, :-1] = 0.5 * (prev[:, :-1] + prev[:, 1:])
+    assert np.allclose(out, hist + 0.1 * (curr - hist), atol=1e-12)
+
+
+def test_taa_motion_past_border_passes_current_through():
+    g = _gbuf()
+    g.motion[:, :, 0] = -3.0
+    rs = np.random.default_rng(4)
+    prev = rs.random((8, 8, 3))
+    curr = rs.random((8, 8, 3))
+    out = taa(curr, prev, g, gamma=1e9)
+    # columns 0-2 come from outside the previous frame: no history there
+    assert np.array_equal(out[:, :3], curr[:, :3])
+    hist = prev[:, :-3]
+    assert np.allclose(out[:, 3:], hist + 0.1 * (curr[:, 3:] - hist), atol=1e-12)
+    g.motion[:, :, 1] = 100.0  # every pixel leaves the image
+    assert np.array_equal(taa(curr, prev, g), curr)
+
+
 def test_taa_damps_alternating_noise():
     # one pixel alternates c +/- d on a constant background; the steady-state
     # output amplitude must fall below d, matching a direct recurrence oracle

@@ -100,5 +100,11 @@ def test_config_validation():
         DenoiseConfig(iterations=9).validate()
     with pytest.raises(ValueError, match="rectify_mode"):
         DenoiseConfig(rectify_mode="sometimes").validate()
+    # values that would silently switch the temporal stage off
+    for bad in ({"history_cap": 0}, {"depth_consistency": 0.0},
+                {"depth_consistency": -1.0}, {"normal_consistency": 1.0},
+                {"normal_consistency": 2.0}):
+        with pytest.raises(ValueError, match=next(iter(bad))):
+            DenoiseConfig(**bad).validate()
     with pytest.raises(ValueError, match="unknown"):
         DenoiseConfig.from_dict({"alpha": 0.5, "bogus": 1})

@@ -1,9 +1,7 @@
-import time
-
 import numpy as np
 import pytest
 
-from rtdenoise.metrics import bench_pass, mse, ssim, write_report
+from rtdenoise.metrics import mse, ssim, write_report
 
 
 def test_ssim_identical_is_exactly_one():
@@ -64,18 +62,6 @@ def test_mse_single_pixel_oracle():
     b = a.copy()
     b[3, 7, 1] = 0.5
     assert mse(a, b) == pytest.approx(0.5**2 / (10 * 10 * 3), abs=1e-15)
-
-
-def test_bench_pass_ordering_and_taps():
-    def closure():
-        time.sleep(0.001)
-        return 12345
-
-    r = bench_pass(closure, 4)
-    assert r["min_s"] <= r["avg_s"] <= r["max_s"]
-    assert r["taps"] == 12345
-    with pytest.raises(ValueError):
-        bench_pass(closure, 2)
 
 
 def test_write_report_json_and_csv(tmp_path):

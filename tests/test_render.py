@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from rtdenoise.frames import validate_frame
-from rtdenoise.render import (camera_basis, camera_rays, inject_fireflies,
-                              render_frame, render_reference)
+from rtdenoise.render import (REFERENCE_SPP, camera_basis, camera_rays,
+                              inject_fireflies, render_frame)
 from rtdenoise.scenes import preset_scene, scene_from_dict
 
 
@@ -108,8 +108,8 @@ def test_full_umbra_is_black():
 
 def test_reference_bernoulli_consistency():
     scene = _scene(width=16, height=16, shadow_angle=8.0)
-    a = render_reference(scene, 0, seed=0)[1].data
-    b = render_reference(scene, 0, seed=1)[1].data
+    a = render_frame(scene, 0, REFERENCE_SPP, 0)[1].data
+    b = render_frame(scene, 0, REFERENCE_SPP, 1)[1].data
     # each pixel is a mean of 1024 Bernoulli draws: SE <= 0.5/sqrt(1024)
     assert np.abs(a - b).max() < 0.1
     assert np.abs(a - b).mean() < 0.02
@@ -142,7 +142,7 @@ def test_point_light_reference_equals_1spp():
 
 def test_unbiased_at_probe_pixel():
     scene = _scene(width=16, height=16, shadow_angle=10.0)
-    ref = render_reference(scene, 0, seed=100)[1].data
+    ref = render_frame(scene, 0, REFERENCE_SPP, 100)[1].data
     probes = np.argwhere((ref > 0.15) & (ref < 0.85))
     assert len(probes) > 0  # the wide penumbra must be visible
     y, x = probes[len(probes) // 2]

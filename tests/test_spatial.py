@@ -24,13 +24,14 @@ def _flat_gbuf(h=16, w=16, depth=5.0):
 
 def dense_oracle(channel, variance, gbuf, level, params):
     """Independent direct bilateral convolution with the same contract,
-    written as explicit per-pixel loops over the 25 dilated taps."""
+    written as explicit per-pixel loops over the 25 dilated taps. `level`
+    is a scalar or a per-pixel level map."""
     h, w = gbuf.depth.shape
     data = np.asarray(channel, dtype=np.float64).reshape(h, w, -1)
     var = np.asarray(variance, dtype=np.float64)
+    levels = np.broadcast_to(level, (h, w))
     out = data.copy()
     out_var = var.copy()
-    step = 2 ** level
     lum_w = np.array([0.2126, 0.7152, 0.0722])
 
     def lum(v):
@@ -40,6 +41,7 @@ def dense_oracle(channel, variance, gbuf, level, params):
         for x in range(w):
             if gbuf.object_id[y, x] == 0:
                 continue
+            step = 2 ** int(levels[y, x])
             center = {"depth": float(gbuf.depth[y, x]),
                       "normal": gbuf.normal[y, x].astype(np.float64),
                       "luma": lum(data[y, x]),
@@ -68,6 +70,62 @@ def dense_oracle(channel, variance, gbuf, level, params):
             out[y, x] = sc / sw
             out_var[y, x] = sv / (sw * sw)
     return (out[:, :, 0] if np.asarray(channel).ndim == 2 else out), out_var
+
+
+def separable_oracle(channel, variance, gbuf, level_map, params):
+    """Per-pixel loops of the separable contract: a color-only horizontal
+    pass, then a vertical pass over the horizontal results that updates the
+    variance. Each pixel filters at its own step, so the vertical pass reads
+    horizontal results that its neighbors computed at their own steps."""
+    h, w = gbuf.depth.shape
+    data = np.asarray(channel, dtype=np.float64).reshape(h, w, -1)
+    var = np.asarray(variance, dtype=np.float64)
+    lum_w = np.array([0.2126, 0.7152, 0.0722])
+
+    def attrs(img, y, x):
+        v = img[y, x]
+        return {"depth": float(gbuf.depth[y, x]),
+                "normal": gbuf.normal[y, x].astype(np.float64),
+                "luma": float(v @ lum_w) if v.shape[0] == 3 else float(v[0]),
+                "object_id": int(gbuf.object_id[y, x])}
+
+    def one_pass(img, vertical):
+        out = np.empty_like(img)
+        out_var = np.empty((h, w))
+        for y in range(h):
+            for x in range(w):
+                step = 2 ** int(level_map[y, x])
+                center = attrs(img, y, x)
+                sw, sc, sv = 0.0, np.zeros(img.shape[2]), 0.0
+                for k in (-2, -1, 0, 1, 2):
+                    yt = min(max(y + k * step, 0), h - 1) if vertical else y
+                    xt = x if vertical else min(max(x + k * step, 0), w - 1)
+                    ew = 1.0 if k == 0 else edge_weight(
+                        center, attrs(img, yt, xt), float(var[y, x]), params,
+                        distance=step * abs(k))
+                    wgt = KERNEL_1D[k + 2] * ew
+                    sw += wgt
+                    sc += wgt * img[yt, xt]
+                    sv += wgt * wgt * var[yt, xt]
+                out[y, x] = sc / sw
+                out_var[y, x] = sv / (sw * sw)
+        return out, out_var
+
+    horiz, _ = one_pass(data, vertical=False)
+    out, out_var = one_pass(horiz, vertical=True)
+    fg = gbuf.object_id != 0
+    out = np.where(fg[..., None], out, data)
+    out_var = np.where(fg, out_var, var)
+    return (out[:, :, 0] if np.asarray(channel).ndim == 2 else out), out_var
+
+
+def _random_gbuf(rs, h, w):
+    gbuf = _flat_gbuf(h, w)
+    gbuf.depth[:] = 4.0 + rs.random((h, w)).astype(np.float32)
+    n = rs.normal(size=(h, w, 3)) + np.array([0.0, 3.0, 0.0])
+    gbuf.normal[:] = (n / np.linalg.norm(n, axis=2, keepdims=True)).astype(np.float32)
+    gbuf.object_id[rs.random((h, w)) < 0.07] = 0
+    return gbuf
 
 
 # ---------------------------------------------------------------------------
@@ -122,15 +180,12 @@ def test_impulse_preserved_at_zero_variance():
 def test_dense_matches_oracle_level0_and_1():
     rs = np.random.default_rng(0)
     h = w = 24
-    gbuf = _flat_gbuf(h, w)
-    gbuf.depth[:] = 4.0 + rs.random((h, w)).astype(np.float32)
-    n = rs.normal(size=(h, w, 3)) + np.array([0.0, 3.0, 0.0])
-    gbuf.normal[:] = (n / np.linalg.norm(n, axis=2, keepdims=True)).astype(np.float32)
-    gbuf.object_id[rs.random((h, w)) < 0.07] = 0
+    gbuf = _random_gbuf(rs, h, w)
     channel = rs.random((h, w, 3)) * 2.0
     variance = rs.random((h, w)) * 0.3
     params = EdgeParams()
-    for level in (0, 1):
+    mixed = (rs.random((h, w)) < 0.5).astype(np.int64)  # per-pixel levels 0 and 1
+    for level in (0, 1, mixed):
         got, got_var = atrous_dense(channel, variance, gbuf, level, params)
         want, want_var = dense_oracle(channel, variance, gbuf, level, params)
         assert np.abs(got - want).max() <= 1e-6
@@ -185,6 +240,24 @@ def test_separable_diverges_across_luminance_edge():
     d, _ = atrous_dense(channel, variance, gbuf, 0, params)
     s, _ = atrous_separable(channel, variance, gbuf, 0, params)
     assert np.abs(d - s).max() > 1e-4
+
+
+def test_separable_mixed_levels_match_oracle():
+    rs = np.random.default_rng(9)
+    h = w = 16
+    gbuf = _random_gbuf(rs, h, w)
+    channel = rs.random((h, w, 3)) * 2.0
+    variance = rs.random((h, w)) * 0.3
+    params = EdgeParams()
+    levels = (rs.random((h, w)) < 0.5).astype(np.int64)
+    got, got_var = atrous_separable(channel, variance, gbuf, levels, params)
+    want, want_var = separable_oracle(channel, variance, gbuf, levels, params)
+    assert np.abs(got - want).max() <= 1e-9
+    assert np.abs(got_var - want_var).max() <= 1e-9
+    # picking each pixel's level only after both passes is a different filter
+    both = [atrous_separable(channel, variance, gbuf, lv, params)[0] for lv in (0, 1)]
+    per_pass = np.where(levels[..., None] == 1, both[1], both[0])
+    assert np.abs(per_pass - want).max() > 1e-6
 
 
 def test_tap_counts():
