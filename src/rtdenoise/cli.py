@@ -14,7 +14,8 @@ import numpy as np
 from .frames import DenoiseConfig
 from .metrics import mse, ssim, write_report
 from .pipeline import PRESETS, preset_config, run_pipeline, synthesize_sequence
-from .scenes import PRESET_NAMES, load_scene, preset_scene
+from .render import REFERENCE_SPP
+from .scenes import MOVEMENTS, PRESET_NAMES, load_scene, preset_scene
 from .store import load_sequence, save_sequence
 
 
@@ -49,10 +50,7 @@ def _load_config(args) -> DenoiseConfig:
         cfg = preset_config(args.preset, base=cfg)
     for item in getattr(args, "set", None) or []:
         key, _, value = item.partition("=")
-        if key not in DenoiseConfig.__dataclass_fields__:
-            raise ValueError(f"unknown config key {key!r}")
         cfg = DenoiseConfig.from_dict({**cfg.to_dict(), key: json.loads(value)})
-    cfg.validate()
     return cfg
 
 
@@ -116,7 +114,7 @@ def build_parser() -> argparse.ArgumentParser:
     sc.add_argument("--roughness", type=float, default=0.3)
     sc.add_argument("--shadow-angle", type=float, default=4.0)
     sc.add_argument("--movement", default="static",
-                    choices=["static", "camera", "lights-objects", "light-teleport"])
+                    choices=MOVEMENTS)
     sc.add_argument("--teleport-frame", type=int, default=32)
     sc.add_argument("--out", required=True)
     sc.set_defaults(fn=_cmd_scene)
@@ -131,7 +129,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="shade secondary hits with the prefiltered env map")
     sy.add_argument("--reference", action="store_true",
                     help="also render high-spp reference channels")
-    sy.add_argument("--reference-spp", type=int, default=1024)
+    sy.add_argument("--reference-spp", type=int, default=REFERENCE_SPP)
     sy.set_defaults(fn=_cmd_synth)
 
     dn = sub.add_parser("denoise", help="run the denoising pipeline")

@@ -33,8 +33,6 @@ def composite(direct: np.ndarray, shadow_denoised: np.ndarray,
     """Blend: emissive + direct*shadow + specular on geometry, sky elsewhere."""
     fg = gbuf.foreground
     shade = np.asarray(shadow_denoised, dtype=np.float64)
-    if shade.ndim == 3:
-        shade = shade[:, :, 0]
     out = (gbuf.emissive.astype(np.float64)
            + direct * shade[..., None]
            + np.asarray(specular_denoised, dtype=np.float64))

@@ -13,8 +13,10 @@ from __future__ import annotations
 import numpy as np
 
 from . import compose, metrics, render, spatial, temporal, tonemap
-from .frames import ChannelKind, DenoiseConfig, FrameSequence
+from .envmap import prefilter_env
+from .frames import ChannelKind, DenoiseConfig, FrameSequence, GBufferFrame
 from .scenes import Scene, scene_from_dict
+from .store import check_sequence
 
 # cumulative technique stacks, in the order they build on one another
 PRESETS = {
@@ -46,6 +48,15 @@ def reconstruct_positions(scene: Scene, frame_index: int, depth: np.ndarray) -> 
     return origins + dirs * t[..., None]
 
 
+def lighting(scene: Scene, frame_index: int, gbuf: GBufferFrame) -> tuple:
+    """Unshadowed direct light on the frame's geometry and its sky plate,
+    the inputs `compose.composite` blends the channels with: (direct, sky)."""
+    positions = reconstruct_positions(scene, frame_index, gbuf.depth.astype(np.float64))
+    direct = compose.shade_direct(gbuf, positions, scene.light.center_at(frame_index),
+                                  scene.light.intensity)
+    return direct, render.render_sky(scene, frame_index)
+
+
 def run_pipeline(seq: FrameSequence, cfg: DenoiseConfig, scene: Scene | None = None,
                  dump_intermediates: bool = False):
     """Denoise a sequence; returns (output FrameSequence, report dict).
@@ -55,10 +66,14 @@ def run_pipeline(seq: FrameSequence, cfg: DenoiseConfig, scene: Scene | None = N
     a-trous records (steps and tap counts).
     """
     cfg.validate()
+    check_sequence(seq)
     if scene is None:
         if "scene" not in seq.manifest:
             raise ValueError("sequence manifest carries no scene descriptor")
         scene = scene_from_dict(seq.manifest["scene"])
+    if (scene.width, scene.height) != (seq.width, seq.height):
+        raise ValueError(f"scene resolution {scene.width}x{scene.height} differs from "
+                         f"the sequence's {seq.width}x{seq.height}")
 
     trace = []
     frames_out = []
@@ -111,12 +126,9 @@ def run_pipeline(seq: FrameSequence, cfg: DenoiseConfig, scene: Scene | None = N
             den_spec_out = den_spec
 
         trace.append(f"{f}:shade_direct")
-        positions = reconstruct_positions(scene, f, gbuf.depth.astype(np.float64))
-        light_c = scene.light.center_at(f)
-        direct = compose.shade_direct(gbuf, positions, light_c, scene.light.intensity)
+        direct, sky = lighting(scene, f, gbuf)
 
         trace.append(f"{f}:composite")
-        sky = render.render_sky(scene, f)
         den_shadow_img = den_shadow[:, :, 0]
         comp = compose.composite(direct, den_shadow_img, den_spec_out, gbuf, sky)
         comp_noisy = compose.composite(direct, shadow_raw, spec_raw, gbuf, sky)
@@ -173,10 +185,7 @@ def synthesize_sequence(scene: Scene, frames: int, spp: int, seed: int,
                         ibl_secondary: bool = False, reference: bool = False,
                         reference_spp: int = render.REFERENCE_SPP) -> FrameSequence:
     """Render a sequence of G-buffers and noisy channels (plus references)."""
-    prefiltered = None
-    if ibl_secondary:
-        from .envmap import prefilter_env
-        prefiltered = prefilter_env(scene.env, 5)
+    prefiltered = prefilter_env(scene.env, render.ENV_LEVELS) if ibl_secondary else None
 
     out = []
     channels = None
@@ -197,15 +206,13 @@ def synthesize_sequence(scene: Scene, frames: int, spp: int, seed: int,
             "specular_1spp": spec.data,
         }
         if reference:
+            # starting after the input's samples keeps the reference independent
             _g, sref, cref = render.render_frame(
                 scene, f, reference_spp, seed, ibl_secondary=ibl_secondary,
-                prefiltered=prefiltered)
+                prefiltered=prefiltered, sample_offset=spp)
             frame["shadow_ref"] = sref.data
             frame["specular_ref"] = cref.data
-            positions = reconstruct_positions(scene, f, gbuf.depth.astype(np.float64))
-            direct = compose.shade_direct(gbuf, positions, scene.light.center_at(f),
-                                          scene.light.intensity)
-            sky = render.render_sky(scene, f)
+            direct, sky = lighting(scene, f, gbuf)
             ref = compose.composite(direct, sref.data.astype(np.float64),
                                     cref.data.astype(np.float64), gbuf, sky)
             frame["reference"] = ref.astype(np.float32)

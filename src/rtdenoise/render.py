@@ -4,7 +4,9 @@ Plays the role of the rasterized G-buffer plus the 1spp shadow and indirect
 specular ray tracers, and of the high-spp ground-truth renderer. Everything
 is vectorized over the pixel grid and all randomness comes from the
 counter-based stream in `rng`, so images are bit-identical for fixed
-(scene, frame, spp, seed) regardless of scheduling.
+(scene, frame, spp, seed) regardless of scheduling. Both scene queries, the
+nearest hit and the occlusion test, walk one list of surfaces (`_surfaces`:
+the ground plane, then each sphere and box placed at the frame).
 """
 
 from __future__ import annotations
@@ -14,12 +16,14 @@ import math
 import numpy as np
 
 from . import rng
-from .envmap import PrefilteredEnvMap, sample_latlong
+from .envmap import PrefilteredEnvMap, prefilter_env, sample_latlong
 from .frames import ChannelKind, GBufferFrame, NoisyChannel
 from .scenes import Scene
 
 _EPS = 1e-4
 _MIRROR_ROUGHNESS = 1e-6  # below this the lobe is treated as a perfect mirror
+_UP = np.array([0.0, 1.0, 0.0])  # the ground's normal
+ENV_LEVELS = 5  # roughness levels of the prefiltered env map for IBL secondaries
 
 
 def _normalize(v: np.ndarray) -> np.ndarray:
@@ -112,15 +116,26 @@ def _intersect_plane(origins, dirs, height):
     return np.where((np.abs(dy) > 1e-12) & (t > _EPS), t, np.inf)
 
 
-def _resolved_objects(scene: Scene, frame: float):
-    out = []
+def _surfaces(origins, dirs, scene: Scene, frame: float):
+    """Yield (t, oid, material, normal_fn) for the ground, then each object.
+
+    `t` is the per-ray hit distance (inf on a miss) and `normal_fn(points)`
+    the surface normal at hit points; objects are placed at `frame`.
+    """
+    if scene.ground is not None:
+        g = scene.ground
+        yield (_intersect_plane(origins, dirs, g.height), g.oid, g.material,
+               lambda pts: _UP)
     for obj in scene.objects:
         off = obj.offset_at(frame)
         if obj.kind == "sphere":
-            out.append(("sphere", obj.center + off, obj.radius, obj))
+            c = obj.center + off
+            yield (_intersect_sphere(origins, dirs, c, obj.radius), obj.oid,
+                   obj.material, lambda pts, c=c: _normalize(pts - c))
         else:
-            out.append(("box", obj.lo + off, obj.hi + off, obj))
-    return out
+            lo, hi = obj.lo + off, obj.hi + off
+            yield (_intersect_box(origins, dirs, lo, hi), obj.oid, obj.material,
+                   lambda pts, lo=lo, hi=hi: _box_normal(pts, lo, hi))
 
 
 def trace_nearest(origins, dirs, scene: Scene, frame: float):
@@ -132,49 +147,23 @@ def trace_nearest(origins, dirs, scene: Scene, frame: float):
     albedo = np.zeros(shape + (3,))
     rough = np.ones(shape)
     emissive = np.zeros(shape + (3,))
-
-    def commit(t, mask, this_oid, mat, normal_fn):
-        closer = mask & (t < best_t)
+    for t, this_oid, mat, normal_fn in _surfaces(origins, dirs, scene, frame):
+        closer = t < best_t  # hit distances are > _EPS or inf
         if not np.any(closer):
-            return
+            continue
         best_t[closer] = t[closer]
         oid[closer] = this_oid
-        pts = origins[closer] + dirs[closer] * t[closer][..., None]
-        normal[closer] = normal_fn(pts)
+        normal[closer] = normal_fn(origins[closer] + dirs[closer] * t[closer][..., None])
         albedo[closer] = mat.albedo
         rough[closer] = mat.roughness
         emissive[closer] = mat.emissive
-
-    if scene.ground is not None:
-        t = _intersect_plane(origins, dirs, scene.ground.height)
-        commit(t, np.isfinite(t), scene.ground.oid, scene.ground.material,
-               lambda pts: np.array([0.0, 1.0, 0.0]))
-
-    for kind, p0, p1, obj in _resolved_objects(scene, frame):
-        if kind == "sphere":
-            t = _intersect_sphere(origins, dirs, p0, p1)
-            commit(t, np.isfinite(t), obj.oid, obj.material,
-                   lambda pts, c=p0: _normalize(pts - c))
-        else:
-            t = _intersect_box(origins, dirs, p0, p1)
-            commit(t, np.isfinite(t), obj.oid, obj.material,
-                   lambda pts, lo=p0, hi=p1: _box_normal(pts, lo, hi))
-
     return best_t, oid, normal, albedo, rough, emissive
 
 
 def occluded(origins, dirs, max_dist, scene: Scene, frame: float):
     """True where any geometry lies between origin and origin + dirs*max_dist."""
-    shape = origins.shape[:-1]
-    blocked = np.zeros(shape, dtype=bool)
-    if scene.ground is not None:
-        t = _intersect_plane(origins, dirs, scene.ground.height)
-        blocked |= t < max_dist
-    for kind, p0, p1, _obj in _resolved_objects(scene, frame):
-        if kind == "sphere":
-            t = _intersect_sphere(origins, dirs, p0, p1)
-        else:
-            t = _intersect_box(origins, dirs, p0, p1)
+    blocked = np.zeros(origins.shape[:-1], dtype=bool)
+    for t, _oid, _mat, _normal_fn in _surfaces(origins, dirs, scene, frame):
         blocked |= t < max_dist
     return blocked
 
@@ -240,8 +229,7 @@ def render_frame(scene: Scene, frame_index: int, spp: int, seed: int,
         raise ValueError(f"frame {frame_index} beyond scene animation length "
                          f"{scene.frame_count}")
     if ibl_secondary and prefiltered is None:
-        from .envmap import prefilter_env
-        prefiltered = prefilter_env(scene.env, 5)
+        prefiltered = prefilter_env(scene.env, ENV_LEVELS)
 
     h, w = scene.height, scene.width
     origins, dirs = camera_rays(scene, frame_index)

@@ -43,12 +43,6 @@ def _kf_eval(keyframes, frame: float) -> np.ndarray:
     return keyframes[-1][1]
 
 
-def _kf_dump(keyframes):
-    if len(keyframes) == 1:
-        return list(keyframes[0][1])
-    return {"keyframes": [[f, list(v)] for f, v in keyframes]}
-
-
 @dataclass
 class Material:
     albedo: np.ndarray
@@ -252,6 +246,9 @@ def load_scene(path) -> Scene:
 # ---------------------------------------------------------------------------
 # presets
 
+MOVEMENTS = ("static", "camera", "lights-objects", "light-teleport")
+
+
 def _movement_kf(base, movement: str, delta, frames=64, teleport_frame=32):
     base = np.asarray(base, dtype=np.float64)
     delta = np.asarray(delta, dtype=np.float64)
@@ -267,8 +264,12 @@ def preset_scene(name: str, width=96, height=96, roughness=0.3, shadow_angle=4.0
                  movement="static", teleport_frame=32) -> dict:
     """Build a preset scene document.
 
-    movement: static | camera | lights-objects | light-teleport
+    movement: static | camera | lights-objects | light-teleport; `pillars`
+    has no camera path.
     """
+    if movement not in MOVEMENTS or (name == "pillars" and movement == "camera"):
+        raise ValueError(f"movement {movement!r} not available for preset {name!r}; "
+                         f"have {', '.join(MOVEMENTS)} (pillars: no camera)")
     mv_cam = movement == "camera"
     mv_obj = movement == "lights-objects"
     mv_tel = movement == "light-teleport"

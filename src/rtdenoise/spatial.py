@@ -183,12 +183,12 @@ def select_start_level(kind: ChannelKind, feature, cfg: DenoiseConfig):
     noise (specular roughness > 0.2, shadow angle > 6.0 degrees), else 0."""
     feature = np.asarray(feature, dtype=np.float64)
     if not cfg.adaptive_start:
-        return np.zeros_like(feature, dtype=np.int64) if feature.ndim else 0
+        return np.zeros_like(feature, dtype=np.int64)
     if kind is ChannelKind.INDIRECT_SPECULAR:
         lvl = feature > cfg.roughness_start_threshold
     else:
         lvl = feature > cfg.shadow_angle_start_threshold
-    return lvl.astype(np.int64) if feature.ndim else int(lvl)
+    return lvl.astype(np.int64)
 
 
 def select_iteration_count(roughness, ibl_adaptive: bool, default_iterations: int):
@@ -196,10 +196,8 @@ def select_iteration_count(roughness, ibl_adaptive: bool, default_iterations: in
     0 at roughness 0, 1 up to 0.05, otherwise 4."""
     r = np.asarray(roughness, dtype=np.float64)
     if not ibl_adaptive:
-        out = np.full_like(r, default_iterations, dtype=np.int64)
-        return out if r.ndim else int(default_iterations)
-    out = np.where(r <= 0.0, 0, np.where(r <= 0.05, 1, 4))
-    return out.astype(np.int64) if r.ndim else int(out)
+        return np.full_like(r, default_iterations, dtype=np.int64)
+    return np.where(r <= 0.0, 0, np.where(r <= 0.05, 1, 4)).astype(np.int64)
 
 
 def denoise_channel(channel, variance, gbuf: GBufferFrame, cfg: DenoiseConfig,
@@ -209,10 +207,11 @@ def denoise_channel(channel, variance, gbuf: GBufferFrame, cfg: DenoiseConfig,
 
     Iteration i filters at level start+i; the output of iteration 0 becomes
     the color fed back into the temporal history (unless feedback is off).
-    Returns (final_channel, feedback_channel, iteration_records).
+    The SHADOW kind needs the per-pixel `shadow_angle` map. Returns
+    (final_channel, feedback_channel, iteration_records), channels (H, W, C)
+    even for an (H, W) input.
     """
-    data = np.asarray(channel, dtype=np.float64)
-    scalar_in = data.ndim == 2
+    data = as_planes(channel)
     records = record if record is not None else []
 
     if kind is ChannelKind.INDIRECT_SPECULAR:
@@ -221,7 +220,7 @@ def denoise_channel(channel, variance, gbuf: GBufferFrame, cfg: DenoiseConfig,
                                         cfg.iterations)
     else:
         if shadow_angle is None:
-            shadow_angle = np.zeros_like(gbuf.depth, dtype=np.float64)
+            raise ValueError("denoise_channel(kind=SHADOW) needs shadow_angle")
         feature = np.asarray(shadow_angle, dtype=np.float64)
         counts = np.full(gbuf.depth.shape, cfg.iterations, dtype=np.int64)
     start = select_start_level(kind, feature, cfg)
@@ -241,10 +240,7 @@ def denoise_channel(channel, variance, gbuf: GBufferFrame, cfg: DenoiseConfig,
         stats = {}
         filtered, fvar = filt(out, var, gbuf, level, params, stats=stats)
         active = counts > i
-        if scalar_in:
-            out = np.where(active, filtered, out)
-        else:
-            out = np.where(active[..., None], filtered, out)
+        out = np.where(active[..., None], filtered, out)
         var = np.where(active, fvar, var)
         records.append({"iteration": i, "level_min": int(level.min()),
                         "level_max": int(level.max()),

@@ -5,10 +5,12 @@ history through the motion vectors with a per-tap geometry consistency test,
 (2) optionally rectifies the history color against the statistics of the
 current noisy neighborhood, (3) blends it with the current sample, and
 (4) estimates per-pixel luminance variance, falling back to spatial moments
-while the history is too short to trust. The fixed-offset neighborhoods
-(the rectification box, the spatial variance) read their taps as slices of
-edge-padded planes, with a zero-padded mask counting in-bounds taps; the
-reprojection uses the shared bilinear sampler of `stencil`.
+while the history is too short to trust. Both neighborhood moments, the
+3x3 box that bounds rectification and the 7x7 geometry-restricted window of
+the spatial variance, come from one masked box loop (`_box_moments`) that
+reads its taps as slices of edge-padded planes, with a zero-padded mask
+counting in-bounds taps; the reprojection uses the shared bilinear sampler
+of `stencil`.
 
 Rectification runs on the reprojected color *before* the blend, and its
 bounding box comes from the current frame's noisy channel; history length is
@@ -27,7 +29,8 @@ from .tonemap import luma
 
 
 def consistency_test(prev_depth, prev_normal, prev_oid, curr_depth, curr_normal,
-                     curr_oid, depth_threshold=0.1, normal_threshold=0.9):
+                     curr_oid, depth_threshold=DenoiseConfig.depth_consistency,
+                     normal_threshold=DenoiseConfig.normal_consistency):
     """Geometry agreement between a previous-frame texel and a current pixel.
 
     Accepts scalars or broadcastable arrays; true iff the object ids match,
@@ -75,24 +78,36 @@ def reproject(prev: TemporalHistory, prev_gbuf: GBufferFrame, curr_gbuf: GBuffer
             "history_len": hist_len}
 
 
-def neighborhood_stats(channel: np.ndarray, radius: int = 1):
-    """Componentwise mean/stddev over the in-bounds (2r+1)^2 neighborhood."""
-    data = as_planes(channel)
-    h, w, c = data.shape
-    vals_at = shifted(data, radius)
+def _box_moments(values: np.ndarray, radius: int, accept=None):
+    """Masked mean and variance over the in-bounds (2r+1)^2 box of each pixel.
+
+    `values` is (H, W, C). A tap counts where it lies inside the image and,
+    when given, `accept(dy, dx)` (bool (H, W)) holds; the count is clamped at
+    1. Returns (mean, variance), each (H, W, C).
+    """
+    h, w, c = values.shape
+    vals_at = shifted(values, radius)
     inb_at = inside((h, w), radius)
     s0 = np.zeros((h, w))
     s1 = np.zeros((h, w, c))
     s2 = np.zeros((h, w, c))
     for dy in range(-radius, radius + 1):
         for dx in range(-radius, radius + 1):
-            inb = inb_at(dy, dx)
+            ok = inb_at(dy, dx)
+            if accept is not None:
+                ok = ok & accept(dy, dx)
             vals = vals_at(dy, dx)
-            s0 += inb
-            s1 += inb[..., None] * vals
-            s2 += inb[..., None] * vals * vals
-    mu = s1 / s0[..., None]
-    var = np.maximum(0.0, s2 / s0[..., None] - mu * mu)
+            s0 += ok
+            s1 += ok[..., None] * vals
+            s2 += ok[..., None] * vals * vals
+    s0 = np.maximum(s0, 1.0)[..., None]
+    mean = s1 / s0
+    return mean, np.maximum(0.0, s2 / s0 - mean * mean)
+
+
+def neighborhood_stats(channel: np.ndarray, radius: int = 1):
+    """Componentwise mean/stddev over the in-bounds (2r+1)^2 neighborhood."""
+    mu, var = _box_moments(as_planes(channel), radius)
     return mu, np.sqrt(var)
 
 
@@ -172,30 +187,19 @@ def estimate_variance(history: TemporalHistory, curr_luma: np.ndarray,
     """
     temporal = np.maximum(0.0, history.moment2 - history.moment1**2)
 
-    h, w = curr_luma.shape
     depth = curr_gbuf.depth.astype(np.float64)
     normal = curr_gbuf.normal.astype(np.float64)
     oid = curr_gbuf.object_id
-    inb_at = inside((h, w), 3)
-    depth_at, normal_at, oid_at, luma_at = (
-        shifted(p, 3) for p in (curr_gbuf.depth, curr_gbuf.normal, oid, curr_luma))
-    s0 = np.zeros((h, w))
-    s1 = np.zeros((h, w))
-    s2 = np.zeros((h, w))
-    for dy in range(-3, 4):
-        for dx in range(-3, 4):
-            ok = inb_at(dy, dx) & consistency_test(
-                depth_at(dy, dx), normal_at(dy, dx), oid_at(dy, dx),
-                depth, normal, oid, cfg.depth_consistency, cfg.normal_consistency)
-            lv = luma_at(dy, dx)
-            s0 += ok
-            s1 += ok * lv
-            s2 += ok * lv * lv
-    s0 = np.maximum(s0, 1.0)
-    m1 = s1 / s0
-    spatial = np.maximum(0.0, s2 / s0 - m1 * m1)
+    depth_at, normal_at, oid_at = (
+        shifted(p, 3) for p in (curr_gbuf.depth, curr_gbuf.normal, oid))
 
-    return np.where(history.history_len >= min_history, temporal, spatial)
+    def consistent(dy, dx):
+        return consistency_test(depth_at(dy, dx), normal_at(dy, dx), oid_at(dy, dx),
+                                depth, normal, oid, cfg.depth_consistency,
+                                cfg.normal_consistency)
+
+    _mean, spatial = _box_moments(as_planes(curr_luma), 3, accept=consistent)
+    return np.where(history.history_len >= min_history, temporal, spatial[:, :, 0])
 
 
 def temporal_step(curr_data: np.ndarray, curr_gbuf: GBufferFrame,
@@ -214,14 +218,11 @@ def temporal_step(curr_data: np.ndarray, curr_gbuf: GBufferFrame,
         tap = reproject(prev, prev_gbuf, curr_gbuf, cfg)
 
     if cfg.rectify_mode != "off" and np.any(tap["valid"]):
+        # accumulate reads a tap only where it is valid, so the rest need no mask
         rect, _mu, _sigma = rectify_history(tap["color"], curr, cfg.clamp_gamma,
                                             cfg.rectify_mode)
-        rect = np.where(tap["valid"][..., None], rect, tap["color"])
         rm1, rm2 = rectify_moments(tap["moment1"], tap["moment2"], luma(rect))
-        tap = dict(tap)
-        tap["color"] = rect
-        tap["moment1"] = np.where(tap["valid"], rm1, tap["moment1"])
-        tap["moment2"] = np.where(tap["valid"], rm2, tap["moment2"])
+        tap = {**tap, "color": rect, "moment1": rm1, "moment2": rm2}
 
     history = accumulate(curr, curr_l, tap, cfg.alpha, cfg.moments_alpha,
                          cap=cfg.history_cap)

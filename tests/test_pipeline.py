@@ -99,6 +99,32 @@ def test_feedback_changes_history_but_not_first_output():
     assert diff.max() > 0.0
 
 
+def test_synthesized_reference_is_independent_of_input():
+    # the reference's samples start after the input's, so it never contains them
+    scene = scene_from_dict(preset_scene("shadow-objects", width=16, height=16,
+                                         movement="camera"))
+    seq = synthesize_sequence(scene, frames=2, spp=1, seed=5, reference=True,
+                              reference_spp=4)
+    for f, frame in enumerate(seq.frames):
+        _g, shadow, specular = render.render_frame(scene, f, 4, 5, sample_offset=1)
+        assert frame["shadow_ref"].tobytes() == shadow.data.tobytes()
+        assert frame["specular_ref"].tobytes() == specular.data.tobytes()
+
+
+def test_run_pipeline_rejects_nonfinite_input():
+    _scene, seq = _make_seq(frames=2)
+    seq.frames[1]["specular_1spp"][5, 7, 1] = np.nan
+    with pytest.raises(ValueError, match=r"frame 1 .*'specular_1spp' at pixel \(7, 5\)"):
+        run_pipeline(seq, preset_config("svgf"))
+
+
+def test_run_pipeline_rejects_scene_of_other_size():
+    _scene, seq = _make_seq(frames=1)
+    other = scene_from_dict(preset_scene("shadow-objects", width=40, height=40))
+    with pytest.raises(ValueError, match="40x40 differs from the sequence's 32x32"):
+        run_pipeline(seq, preset_config("svgf"), scene=other)
+
+
 def test_synth_reference_channels_present():
     scene = scene_from_dict(preset_scene("pillars", width=24, height=24))
     seq = synthesize_sequence(scene, frames=1, spp=1, seed=1, reference=True,

@@ -5,8 +5,8 @@ import pytest
 
 from rtdenoise.frames import validate_frame
 from rtdenoise.render import (REFERENCE_SPP, camera_basis, camera_rays,
-                              inject_fireflies, render_frame)
-from rtdenoise.scenes import preset_scene, scene_from_dict
+                              inject_fireflies, occluded, render_frame, trace_nearest)
+from rtdenoise.scenes import PRESET_NAMES, preset_scene, scene_from_dict
 
 
 def _scene(name="shadow-objects", **kw):
@@ -42,6 +42,27 @@ def test_point_light_binary_shadow():
     assert scene.light.radius == 0.0
     _g, shadow, _s = render_frame(scene, 0, spp=5, seed=2)
     assert set(np.unique(shadow.data)) <= {0.0, 1.0}
+
+
+@pytest.mark.parametrize("name,movement", [("cubes-distance", "camrea"),
+                                           ("pillars", "camera")])
+def test_preset_scene_rejects_unavailable_movement(name, movement):
+    with pytest.raises(ValueError, match=f"movement '{movement}'.*'{name}'"):
+        preset_scene(name, movement=movement)
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_occluded_agrees_with_nearest_hit(name):
+    # moving objects, so both queries must place them at the same frame
+    scene = _scene(name, width=8, height=8, movement="lights-objects")
+    rs = np.random.default_rng(4)
+    origins = rs.uniform((-4.0, 0.05, -4.0), (4.0, 4.0, 4.0), (2000, 3))
+    dirs = rs.normal(size=(2000, 3))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    max_dist = rs.uniform(0.0, 12.0, 2000)
+    blocked = occluded(origins, dirs, max_dist, scene, 40)
+    assert np.array_equal(blocked, trace_nearest(origins, dirs, scene, 40)[0] < max_dist)
+    assert 0 < np.count_nonzero(blocked) < blocked.size
 
 
 def test_mirror_lobe_seed_independent():

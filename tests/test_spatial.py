@@ -332,6 +332,26 @@ def test_driver_count_zero_identity():
     assert recs == []
 
 
+def test_driver_shadow_needs_angle():
+    with pytest.raises(ValueError, match="shadow_angle"):
+        denoise_channel(np.zeros((16, 16, 1)), np.zeros((16, 16)), _flat_gbuf(),
+                        DenoiseConfig(), ChannelKind.SHADOW)
+
+
+def test_driver_plane_input_returns_planes():
+    # an (H, W) channel is filtered as (H, W, 1), not broadcast against W
+    gbuf = _flat_gbuf()
+    channel = np.random.default_rng(9).random((16, 16))
+    args = (np.full((16, 16), 0.1), gbuf, DenoiseConfig(iterations=2),
+            ChannelKind.SHADOW)
+    out, feedback, _recs = denoise_channel(channel, *args,
+                                           shadow_angle=np.zeros((16, 16)))
+    want, want_fb, _recs = denoise_channel(channel[:, :, None], *args,
+                                           shadow_angle=np.zeros((16, 16)))
+    assert out.shape == feedback.shape == (16, 16, 1)
+    assert np.array_equal(out, want) and np.array_equal(feedback, want_fb)
+
+
 def test_driver_levels_in_order():
     gbuf = _flat_gbuf(64, 64)
     cfg = DenoiseConfig(iterations=4)

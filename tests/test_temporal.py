@@ -188,6 +188,40 @@ def test_variance_spatial_fallback_checkerboard():
     assert oracle == pytest.approx(600.0 / 2401.0)
 
 
+def test_variance_spatial_fallback_across_object_boundary():
+    # two objects, a depth step inside the first and a turned patch of
+    # normals inside the second, so many taps fail the consistency test
+    h = w = 12
+    gbuf = _flat_gbuf(h, w)
+    gbuf.object_id[:, 6:] = 2
+    gbuf.depth[8:, :6] = 8.0
+    gbuf.normal[:3, 6:] = (0.0, 0.0, 1.0)
+    luma = np.random.default_rng(11).random((h, w))
+    hist = _const_history(h, w, 1, 0.0, length=1)  # below min_history -> spatial
+    var = estimate_variance(hist, luma, gbuf, 4, CFG)
+
+    # per-pixel loop oracle over the 7x7 window, counting consistent taps only
+    depth = gbuf.depth.astype(np.float64)
+    normal = gbuf.normal.astype(np.float64)
+    rejected = 0
+    for y in range(h):
+        for x in range(w):
+            vals = []
+            for ty in range(max(0, y - 3), min(h, y + 4)):
+                for tx in range(max(0, x - 3), min(w, x + 4)):
+                    if (gbuf.object_id[ty, tx] == gbuf.object_id[y, x]
+                            and abs(depth[ty, tx] - depth[y, x]) / depth[y, x]
+                            < CFG.depth_consistency
+                            and normal[ty, tx] @ normal[y, x] > CFG.normal_consistency):
+                        vals.append(luma[ty, tx])
+                    else:
+                        rejected += 1
+            m1 = sum(vals) / len(vals)
+            m2 = sum(v * v for v in vals) / len(vals)
+            assert var[y, x] == pytest.approx(max(0.0, m2 - m1 * m1), abs=1e-12)
+    assert rejected > 0
+
+
 def test_variance_never_negative():
     rs = np.random.default_rng(0)
     hist = _const_history(8, 8, 1, 0.0, length=10)
