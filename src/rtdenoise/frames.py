@@ -16,26 +16,26 @@ import numpy as np
 
 FORMAT_VERSION = 1
 
-# canonical channel set: name -> (stored arity, in-memory arity)
+# canonical channel set: name -> in-memory arity (store._to_disk pads motion)
 CHANNELS = {
-    "depth": (1, 1),
-    "normal": (3, 3),
-    "motion": (3, 2),  # 2-vector padded to 3 channels on disk
-    "object_id": (1, 1),
-    "albedo": (3, 3),
-    "roughness": (1, 1),
-    "emissive": (3, 3),
-    "shadow_angle": (1, 1),
-    "shadow_1spp": (1, 1),
-    "specular_1spp": (3, 3),
-    "shadow_ref": (1, 1),
-    "specular_ref": (3, 3),
-    "reference": (3, 3),
+    "depth": 1,
+    "normal": 3,
+    "motion": 2,
+    "object_id": 1,
+    "albedo": 3,
+    "roughness": 1,
+    "emissive": 3,
+    "shadow_angle": 1,
+    "shadow_1spp": 1,
+    "specular_1spp": 3,
+    "shadow_ref": 1,
+    "specular_ref": 3,
+    "reference": 3,
     # pipeline outputs
-    "shadow_denoised": (1, 1),
-    "specular_denoised": (3, 3),
-    "composite": (3, 3),
-    "composite_noisy": (3, 3),
+    "shadow_denoised": 1,
+    "specular_denoised": 3,
+    "composite": 3,
+    "composite_noisy": 3,
 }
 
 
@@ -58,8 +58,6 @@ class GBufferFrame:
     current pixel center to its position in the previous frame.
     """
 
-    width: int
-    height: int
     depth: np.ndarray      # (H, W) float32
     normal: np.ndarray     # (H, W, 3) float32
     motion: np.ndarray     # (H, W, 2) float32
@@ -185,8 +183,6 @@ class FrameSequence:
     def gbuffer(self, index: int) -> GBufferFrame:
         f = self.frames[index]
         return GBufferFrame(
-            width=self.width,
-            height=self.height,
             depth=f["depth"],
             normal=f["normal"],
             motion=f["motion"],
@@ -210,9 +206,8 @@ def validate_frame(frame: dict, width: int, height: int) -> list:
     """
     violations = []
     for name, arr in frame.items():
-        expect = CHANNELS.get(name)
-        if expect is not None:
-            arity = expect[1]
+        arity = CHANNELS.get(name)
+        if arity is not None:
             want = (height, width) if arity == 1 else (height, width, arity)
             if arr.shape != want:
                 violations.append(f"channel '{name}' has shape {arr.shape}, expected {want}")

@@ -58,19 +58,15 @@ def mse(img_a: np.ndarray, img_b: np.ndarray) -> float:
     return float(np.mean((a - b) ** 2))
 
 
-def write_report(records: list, path, fmt: str | None = None) -> None:
-    """Emit measurement records as JSON (default) or a CSV table."""
+def write_report(records: list, path) -> None:
+    """Emit measurement records as a CSV table to a `.csv` path, else as JSON."""
     path = str(path)
-    if fmt is None:
-        fmt = "csv" if path.endswith(".csv") else "json"
-    if fmt == "json":
-        with open(path, "w") as f:
-            json.dump(records, f, indent=2, sort_keys=True)
-    elif fmt == "csv":
+    if path.endswith(".csv"):
         keys = sorted({k for r in records for k in r})
         with open(path, "w", newline="") as f:
             writer = csv.DictWriter(f, fieldnames=keys)
             writer.writeheader()
             writer.writerows(records)
     else:
-        raise ValueError(f"unknown report format {fmt!r}")
+        with open(path, "w") as f:
+            json.dump(records, f, indent=2, sort_keys=True)

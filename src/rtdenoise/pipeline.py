@@ -74,6 +74,9 @@ def run_pipeline(seq: FrameSequence, cfg: DenoiseConfig, scene: Scene | None = N
     if (scene.width, scene.height) != (seq.width, seq.height):
         raise ValueError(f"scene resolution {scene.width}x{scene.height} differs from "
                          f"the sequence's {seq.width}x{seq.height}")
+    if cfg.iterations > 0:
+        # the last iteration's level, one higher where adaptive start shifts it
+        spatial.check_level(cfg.iterations - 1 + cfg.adaptive_start, seq.height, seq.width)
 
     trace = []
     frames_out = []
@@ -105,17 +108,14 @@ def run_pipeline(seq: FrameSequence, cfg: DenoiseConfig, scene: Scene | None = N
             spec_in, gbuf, hist_spec, prev_gbuf, cfg)
 
         trace.append(f"{f}:atrous:shadow")
-        shadow_recs = []
-        den_shadow, fb_shadow, _ = spatial.denoise_channel(
+        den_shadow, fb_shadow, shadow_recs = spatial.denoise_channel(
             hist_shadow.color, var_shadow, gbuf, cfg, ChannelKind.SHADOW,
-            shadow_angle=shadow_angle, record=shadow_recs)
+            shadow_angle=shadow_angle)
         hist_shadow.color = fb_shadow
 
         trace.append(f"{f}:atrous:specular")
-        spec_recs = []
-        den_spec, fb_spec, _ = spatial.denoise_channel(
-            hist_spec.color, var_spec, gbuf, cfg, ChannelKind.INDIRECT_SPECULAR,
-            record=spec_recs)
+        den_spec, fb_spec, spec_recs = spatial.denoise_channel(
+            hist_spec.color, var_spec, gbuf, cfg, ChannelKind.INDIRECT_SPECULAR)
         hist_spec.color = fb_spec
         records.append({"frame": f, "shadow": shadow_recs, "specular": spec_recs})
 

@@ -267,7 +267,6 @@ def render_frame(scene: Scene, frame_index: int, spp: int, seed: int,
         motion[..., 1] = np.where(needs_projection, my, 0.0)
 
     gbuf = GBufferFrame(
-        width=w, height=h,
         depth=depth.astype(np.float32),
         normal=np.where(fg[..., None], normal, 0.0).astype(np.float32),
         motion=motion.astype(np.float32),
@@ -338,18 +337,3 @@ def render_sky(scene: Scene, frame_index: int) -> np.ndarray:
     _origins, dirs = camera_rays(scene, frame_index)
     return sample_latlong(scene.env, dirs)
 
-
-def inject_fireflies(channel: np.ndarray, rate: float, magnitude, seed: int) -> np.ndarray:
-    """Add `magnitude` to a deterministic pseudo-random ~rate fraction of pixels."""
-    if not 0.0 <= rate <= 1.0:
-        raise ValueError("rate must be in [0, 1]")
-    arr = np.asarray(channel, dtype=np.float64)
-    h, w = arr.shape[:2]
-    xs = np.broadcast_to(np.arange(w)[None, :], (h, w))
-    ys = np.broadcast_to(np.arange(h)[:, None], (h, w))
-    u = rng.uniform(seed, 0x66697265, xs, ys)
-    mask = u < rate
-    add = np.asarray(magnitude, dtype=np.float64)
-    if arr.ndim == 3:
-        return arr + mask[..., None] * add
-    return arr + mask * add

@@ -7,7 +7,12 @@ linear interpolation, clamped outside the keyframed range.
 
 Four presets mirror the usual test structure for this kind of denoiser:
 `cubes-distance` (roughness-graded reflectors), `shadow-objects` (floating
-occluders over a ground plane), `pillars` and `breakfast-lite`.
+occluders over a ground plane), `pillars` and `breakfast-lite`. Each preset
+is a document at rest plus three offsets, and one rule applies a movement:
+`camera` pans the camera linearly over frames 0-63 (`pillars` has no camera
+path), `lights-objects` moves the light and the preset's one moving object
+linearly over the same frames, and `light-teleport` jumps the light by its
+offset between `teleport_frame - 1` and `teleport_frame`.
 """
 
 from __future__ import annotations
@@ -247,17 +252,96 @@ def load_scene(path) -> Scene:
 # presets
 
 MOVEMENTS = ("static", "camera", "lights-objects", "light-teleport")
+_LINEAR_END = 63  # a linear path runs over frames 0-63, then holds
 
 
-def _movement_kf(base, movement: str, delta, frames=64, teleport_frame=32):
+def _path(base, offset, first: int, last: int) -> dict:
+    """Keyframes from `base` at frame `first` to `base + offset` at `last`."""
     base = np.asarray(base, dtype=np.float64)
-    delta = np.asarray(delta, dtype=np.float64)
-    if movement == "linear":
-        return {"keyframes": [[0, list(base)], [frames - 1, list(base + delta)]]}
-    if movement == "teleport":
-        return {"keyframes": [[teleport_frame - 1, list(base)],
-                              [teleport_frame, list(base + delta)]]}
-    return list(base)
+    return {"keyframes": [[first, base.tolist()], [last, (base + offset).tolist()]]}
+
+
+def _cubes_distance(roughness):
+    # reflectors float above the floor so their penumbrae are wide and
+    # visible; the light is bright enough that shadow noise matters in the
+    # composite alongside the reflections
+    cubes = [{"type": "box", "min": [x - 0.65, 0.8, z - 0.65], "max": [x + 0.65, 2.1, z + 0.65],
+              "albedo": list(alb), "roughness": roughness, "id": 2 + i}
+             for i, (x, z, alb) in enumerate([(-1.9, 0.3, (0.75, 0.22, 0.18)),
+                                              (0.0, -1.4, (0.20, 0.65, 0.25)),
+                                              (1.9, -3.1, (0.22, 0.32, 0.80))])]
+    doc = {
+        "camera": {"position": [0.0, 2.6, 6.8], "look_at": [0, 0.9, -1], "vfov_deg": 42.0},
+        "objects": cubes,
+        "ground": {"height": 0.0, "albedo": [0.42, 0.42, 0.44], "roughness": roughness,
+                   "id": 1},
+        "light": {"center": [3.5, 6.5, 4.0], "intensity": [220.0, 214.0, 200.0]},
+        "reference_point": [0.0, 0.0, 0.0],
+        "env": {"kind": "gradient", "scale": 1.0},
+    }
+    return doc, (([1.8, 0, 0], [1.8, 0, 0]), (1, [1.4, 0.0, 0.0]), [-6.0, 0.0, 0.0])
+
+
+def _shadow_objects(roughness):
+    doc = {
+        "camera": {"position": [0, 4.2, 7.5], "look_at": [0.0, 0.8, -0.5], "vfov_deg": 46.0},
+        "objects": [
+            {"type": "sphere", "center": [-1.3, 1.6, 0.2], "radius": 0.75,
+             "albedo": [0.70, 0.55, 0.35], "roughness": 0.8, "id": 2},
+            {"type": "box", "min": [0.4, 0.9, -0.3], "max": [1.7, 1.8, 0.8],
+             "albedo": [0.35, 0.55, 0.70], "roughness": 0.7, "id": 3},
+            {"type": "sphere", "center": [0.1, 2.6, -1.3], "radius": 0.5,
+             "albedo": [0.60, 0.60, 0.60], "roughness": 0.6, "id": 4},
+        ],
+        "ground": {"height": 0.0, "albedo": [0.50, 0.48, 0.45], "roughness": 0.85, "id": 1},
+        "light": {"center": [2.8, 7.5, 3.2], "intensity": [75.0, 73.0, 70.0]},
+        "reference_point": [0.0, 0.0, 0.0],
+        "env": {"kind": "gradient", "scale": 0.8},
+    }
+    return doc, (([1.5, 0, 0], None), (0, [1.2, 0.0, 0.6]), [-5.6, 0.0, 0.0])
+
+
+def _pillars(roughness):
+    doc = {
+        "camera": {"position": [0.0, 3.6, 8.5], "look_at": [0.0, 1.0, 0.0], "vfov_deg": 44.0},
+        "objects": [{"type": "box", "min": [x - 0.35, 0.0, -0.35], "max": [x + 0.35, 2.6, 0.35],
+                     "albedo": [0.55, 0.52, 0.48], "roughness": 0.75, "id": 2 + i}
+                    for i, x in enumerate([-2.4, -0.8, 0.8, 2.4])],
+        "ground": {"height": 0.0, "albedo": [0.46, 0.46, 0.44], "roughness": 0.9, "id": 1},
+        "light": {"center": [6.0, 3.5, 2.0], "intensity": [55.0, 53.0, 50.0]},
+        "reference_point": [0.0, 0.0, 0.0],
+        "env": {"kind": "gradient", "scale": 0.7},
+    }
+    return doc, (None, None, [-9.0, 2.0, 0.0])
+
+
+def _breakfast_lite(roughness):
+    doc = {
+        "camera": {"position": [0.2, 2.2, 4.6], "look_at": [0.0, 1.0, -0.6], "vfov_deg": 48.0},
+        "objects": [
+            {"type": "box", "min": [-4.0, 0.0, -3.2], "max": [4.0, 3.2, -3.0],
+             "albedo": [0.70, 0.66, 0.58], "roughness": 0.9, "id": 2},  # back wall
+            {"type": "box", "min": [-1.4, 0.0, -1.2], "max": [1.4, 1.0, 0.8],
+             "albedo": [0.50, 0.34, 0.22], "roughness": max(roughness, 0.05), "id": 3},  # table
+            {"type": "sphere", "center": [-0.5, 1.35, -0.3], "radius": 0.35,
+             "albedo": [0.85, 0.85, 0.88], "roughness": roughness, "id": 4},
+            {"type": "sphere", "center": [0.6, 1.28, 0.1], "radius": 0.28,
+             "albedo": [0.80, 0.40, 0.25], "roughness": 0.5, "id": 5},
+        ],
+        "ground": {"height": 0.0, "albedo": [0.40, 0.38, 0.36], "roughness": 0.8, "id": 1},
+        "light": {"center": [1.8, 4.5, 2.5], "intensity": [34.0, 33.0, 31.0]},
+        "reference_point": [0.0, 1.0, 0.0],
+        "env": {"kind": "gradient", "scale": 0.6},
+    }
+    return doc, (([1.0, 0, 0], None), (3, [-0.9, 0.0, 0.4]), [-3.4, 0.0, 0.0])
+
+
+# name -> builder(roughness) -> (document at rest, paths); paths are the
+# camera's (position, look-at or None) offsets or None, the (index, offset)
+# of the one object that moves or None, and the light's offset
+_PRESETS = {"cubes-distance": _cubes_distance, "shadow-objects": _shadow_objects,
+            "pillars": _pillars, "breakfast-lite": _breakfast_lite}
+PRESET_NAMES = tuple(_PRESETS)
 
 
 def preset_scene(name: str, width=96, height=96, roughness=0.3, shadow_angle=4.0,
@@ -267,142 +351,29 @@ def preset_scene(name: str, width=96, height=96, roughness=0.3, shadow_angle=4.0
     movement: static | camera | lights-objects | light-teleport; `pillars`
     has no camera path.
     """
-    if movement not in MOVEMENTS or (name == "pillars" and movement == "camera"):
-        raise ValueError(f"movement {movement!r} not available for preset {name!r}; "
-                         f"have {', '.join(MOVEMENTS)} (pillars: no camera)")
-    mv_cam = movement == "camera"
-    mv_obj = movement == "lights-objects"
-    mv_tel = movement == "light-teleport"
+    unavailable = ValueError(f"movement {movement!r} not available for preset {name!r}; "
+                             f"have {', '.join(MOVEMENTS)} (pillars: no camera)")
+    if movement not in MOVEMENTS:
+        raise unavailable
+    if name not in _PRESETS:
+        raise ValueError(f"unknown preset {name!r}; have {', '.join(PRESET_NAMES)}")
+    doc, (camera, moving, light) = _PRESETS[name](roughness)
+    doc.update(name=name, resolution=[width, height], shadow_angle_deg=shadow_angle)
 
-    if name == "cubes-distance":
-        # reflectors float above the floor so their penumbrae are wide and
-        # visible; the light is bright enough that shadow noise matters in
-        # the composite alongside the reflections
-        cubes = []
-        for i, (x, z, alb) in enumerate([(-1.9, 0.3, (0.75, 0.22, 0.18)),
-                                         (0.0, -1.4, (0.20, 0.65, 0.25)),
-                                         (1.9, -3.1, (0.22, 0.32, 0.80))]):
-            cube = {"type": "box", "min": [x - 0.65, 0.8, z - 0.65],
-                    "max": [x + 0.65, 2.1, z + 0.65],
-                    "albedo": list(alb), "roughness": roughness, "id": 2 + i}
-            if mv_obj and i == 1:
-                cube["motion"] = _movement_kf([0, 0, 0], "linear", [1.4, 0.0, 0.0])
-            cubes.append(cube)
-        cam_pos = [0.0, 2.6, 6.8]
-        doc = {
-            "name": "cubes-distance",
-            "resolution": [width, height],
-            "camera": {
-                "position": _movement_kf(cam_pos, "linear", [1.8, 0, 0]) if mv_cam else cam_pos,
-                "look_at": _movement_kf([0, 0.9, -1], "linear", [1.8, 0, 0]) if mv_cam else [0, 0.9, -1],
-                "vfov_deg": 42.0,
-            },
-            "objects": cubes,
-            "ground": {"height": 0.0, "albedo": [0.42, 0.42, 0.44],
-                       "roughness": roughness, "id": 1},
-            "light": {"center": [3.5, 6.5, 4.0], "intensity": [220.0, 214.0, 200.0]},
-            "shadow_angle_deg": shadow_angle,
-            "reference_point": [0.0, 0.0, 0.0],
-            "env": {"kind": "gradient", "scale": 1.0},
-        }
-        if mv_obj or mv_tel:
-            doc["light"]["center"] = _movement_kf(
-                [3.5, 6.5, 4.0], "teleport" if mv_tel else "linear",
-                [-6.0, 0.0, 0.0], teleport_frame=teleport_frame)
-        return doc
-
-    if name == "shadow-objects":
-        objs = [
-            {"type": "sphere", "center": [-1.3, 1.6, 0.2], "radius": 0.75,
-             "albedo": [0.70, 0.55, 0.35], "roughness": 0.8, "id": 2},
-            {"type": "box", "min": [0.4, 0.9, -0.3], "max": [1.7, 1.8, 0.8],
-             "albedo": [0.35, 0.55, 0.70], "roughness": 0.7, "id": 3},
-            {"type": "sphere", "center": [0.1, 2.6, -1.3], "radius": 0.5,
-             "albedo": [0.60, 0.60, 0.60], "roughness": 0.6, "id": 4},
-        ]
-        if mv_obj:
-            objs[0]["motion"] = _movement_kf([0, 0, 0], "linear", [1.2, 0.0, 0.6])
-        doc = {
-            "name": "shadow-objects",
-            "resolution": [width, height],
-            "camera": {
-                "position": _movement_kf([0, 4.2, 7.5], "linear", [1.5, 0, 0]) if mv_cam else [0, 4.2, 7.5],
-                "look_at": [0.0, 0.8, -0.5],
-                "vfov_deg": 46.0,
-            },
-            "objects": objs,
-            "ground": {"height": 0.0, "albedo": [0.50, 0.48, 0.45],
-                       "roughness": 0.85, "id": 1},
-            "light": {"center": [2.8, 7.5, 3.2], "intensity": [75.0, 73.0, 70.0]},
-            "shadow_angle_deg": shadow_angle,
-            "reference_point": [0.0, 0.0, 0.0],
-            "env": {"kind": "gradient", "scale": 0.8},
-        }
-        if mv_obj or mv_tel:
-            doc["light"]["center"] = _movement_kf(
-                [2.8, 7.5, 3.2], "teleport" if mv_tel else "linear",
-                [-5.6, 0.0, 0.0], teleport_frame=teleport_frame)
-        return doc
-
-    if name == "pillars":
-        pillars = [{"type": "box", "min": [x - 0.35, 0.0, -0.35], "max": [x + 0.35, 2.6, 0.35],
-                    "albedo": [0.55, 0.52, 0.48], "roughness": 0.75, "id": 2 + i}
-                   for i, x in enumerate([-2.4, -0.8, 0.8, 2.4])]
-        doc = {
-            "name": "pillars",
-            "resolution": [width, height],
-            "camera": {"position": [0.0, 3.6, 8.5], "look_at": [0.0, 1.0, 0.0],
-                       "vfov_deg": 44.0},
-            "objects": pillars,
-            "ground": {"height": 0.0, "albedo": [0.46, 0.46, 0.44],
-                       "roughness": 0.9, "id": 1},
-            "light": {"center": [6.0, 3.5, 2.0], "intensity": [55.0, 53.0, 50.0]},
-            "shadow_angle_deg": shadow_angle,
-            "reference_point": [0.0, 0.0, 0.0],
-            "env": {"kind": "gradient", "scale": 0.7},
-        }
-        if mv_obj or mv_tel:
-            doc["light"]["center"] = _movement_kf(
-                [6.0, 3.5, 2.0], "teleport" if mv_tel else "linear",
-                [-9.0, 2.0, 0.0], teleport_frame=teleport_frame)
-        return doc
-
-    if name == "breakfast-lite":
-        objs = [
-            {"type": "box", "min": [-4.0, 0.0, -3.2], "max": [4.0, 3.2, -3.0],
-             "albedo": [0.70, 0.66, 0.58], "roughness": 0.9, "id": 2},  # back wall
-            {"type": "box", "min": [-1.4, 0.0, -1.2], "max": [1.4, 1.0, 0.8],
-             "albedo": [0.50, 0.34, 0.22], "roughness": max(roughness, 0.05), "id": 3},  # table
-            {"type": "sphere", "center": [-0.5, 1.35, -0.3], "radius": 0.35,
-             "albedo": [0.85, 0.85, 0.88], "roughness": roughness, "id": 4},
-            {"type": "sphere", "center": [0.6, 1.28, 0.1], "radius": 0.28,
-             "albedo": [0.80, 0.40, 0.25], "roughness": 0.5, "id": 5},
-        ]
-        if mv_obj:
-            objs[3]["motion"] = _movement_kf([0, 0, 0], "linear", [-0.9, 0.0, 0.4])
-        doc = {
-            "name": "breakfast-lite",
-            "resolution": [width, height],
-            "camera": {
-                "position": _movement_kf([0.2, 2.2, 4.6], "linear", [1.0, 0, 0]) if mv_cam else [0.2, 2.2, 4.6],
-                "look_at": [0.0, 1.0, -0.6],
-                "vfov_deg": 48.0,
-            },
-            "objects": objs,
-            "ground": {"height": 0.0, "albedo": [0.40, 0.38, 0.36],
-                       "roughness": 0.8, "id": 1},
-            "light": {"center": [1.8, 4.5, 2.5], "intensity": [34.0, 33.0, 31.0]},
-            "shadow_angle_deg": shadow_angle,
-            "reference_point": [0.0, 1.0, 0.0],
-            "env": {"kind": "gradient", "scale": 0.6},
-        }
-        if mv_tel:
-            doc["light"]["center"] = _movement_kf(
-                [1.8, 4.5, 2.5], "teleport", [-3.4, 0.0, 0.0], teleport_frame=teleport_frame)
-        return doc
-
-    raise ValueError(f"unknown preset {name!r}; have cubes-distance, shadow-objects, "
-                     "pillars, breakfast-lite")
-
-
-PRESET_NAMES = ("cubes-distance", "shadow-objects", "pillars", "breakfast-lite")
+    if movement == "camera":
+        if camera is None:
+            raise unavailable
+        position, look_at = camera
+        cam = doc["camera"]
+        cam["position"] = _path(cam["position"], position, 0, _LINEAR_END)
+        if look_at is not None:
+            cam["look_at"] = _path(cam["look_at"], look_at, 0, _LINEAR_END)
+    elif movement == "lights-objects":
+        doc["light"]["center"] = _path(doc["light"]["center"], light, 0, _LINEAR_END)
+        if moving is not None:
+            index, offset = moving
+            doc["objects"][index]["motion"] = _path([0, 0, 0], offset, 0, _LINEAR_END)
+    elif movement == "light-teleport":
+        doc["light"]["center"] = _path(doc["light"]["center"], light,
+                                       teleport_frame - 1, teleport_frame)
+    return doc

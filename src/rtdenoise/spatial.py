@@ -193,16 +193,16 @@ def select_start_level(kind: ChannelKind, feature, cfg: DenoiseConfig):
 
 def select_iteration_count(roughness, ibl_adaptive: bool, default_iterations: int):
     """Iteration count per roughness when secondary shading is noise-free:
-    0 at roughness 0, 1 up to 0.05, otherwise 4."""
+    0 at roughness 0, at most 1 up to 0.05, otherwise `default_iterations`."""
     r = np.asarray(roughness, dtype=np.float64)
     if not ibl_adaptive:
         return np.full_like(r, default_iterations, dtype=np.int64)
-    return np.where(r <= 0.0, 0, np.where(r <= 0.05, 1, 4)).astype(np.int64)
+    return np.where(r <= 0.0, 0, np.where(r <= 0.05, min(1, default_iterations),
+                                          default_iterations)).astype(np.int64)
 
 
 def denoise_channel(channel, variance, gbuf: GBufferFrame, cfg: DenoiseConfig,
-                    kind: ChannelKind, shadow_angle=None,
-                    record: list | None = None):
+                    kind: ChannelKind, shadow_angle=None):
     """Run the configured a-trous iterations for one channel.
 
     Iteration i filters at level start+i; the output of iteration 0 becomes
@@ -212,7 +212,7 @@ def denoise_channel(channel, variance, gbuf: GBufferFrame, cfg: DenoiseConfig,
     even for an (H, W) input.
     """
     data = as_planes(channel)
-    records = record if record is not None else []
+    records = []
 
     if kind is ChannelKind.INDIRECT_SPECULAR:
         feature = gbuf.roughness.astype(np.float64)

@@ -9,7 +9,6 @@ def _gbuf(h=8, w=8, oid=1):
     normal = np.zeros((h, w, 3), dtype=np.float32)
     normal[:, :, 1] = 1.0
     return GBufferFrame(
-        width=w, height=h,
         depth=np.full((h, w), 2.0, dtype=np.float32),
         normal=normal,
         motion=np.zeros((h, w, 2), dtype=np.float32),

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from rtdenoise import compose, render
+from rtdenoise import compose, render, temporal
 from rtdenoise.frames import DenoiseConfig
 from rtdenoise.pipeline import (PRESETS, preset_config, reconstruct_positions,
                                 run_pipeline, synthesize_sequence)
@@ -132,3 +132,38 @@ def test_synth_reference_channels_present():
     f = seq.frames[0]
     assert {"shadow_ref", "specular_ref", "reference"} <= set(f)
     assert f["reference"].shape == (24, 24, 3)
+
+
+def test_ibl_adaptive_iterations_keep_configured_count():
+    _scene, seq = _make_seq("cubes-distance", frames=2, movement="camera")
+    cfg = DenoiseConfig(iterations=2, adaptive_start=True, ibl_adaptive_iterations=True)
+    _out, report = run_pipeline(seq, cfg)
+    assert [len(rec["specular"]) for rec in report["iterations"]] == [2, 2]
+
+
+def test_run_pipeline_checks_atrous_level_before_any_frame(monkeypatch):
+    _scene, seq = _make_seq(frames=2)
+    calls = []
+    step = temporal.temporal_step
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return step(*args, **kwargs)
+
+    monkeypatch.setattr(temporal, "temporal_step", counted)
+    with pytest.raises(ValueError, match="a-trous level 4 too large for 32x32"):
+        run_pipeline(seq, preset_config("svgf+rectify+adaptive"))
+    assert calls == []
+
+
+def test_ibl_secondary_adds_to_specular_only():
+    scene = scene_from_dict(preset_scene("cubes-distance", width=16, height=16,
+                                         roughness=0.0))
+    plain = synthesize_sequence(scene, frames=2, spp=1, seed=3)
+    ibl = synthesize_sequence(scene, frames=2, spp=1, seed=3, ibl_secondary=True)
+    for a, b in zip(plain.frames, ibl.frames):
+        for name in a:
+            if name != "specular_1spp":
+                assert a[name].tobytes() == b[name].tobytes(), name
+        assert np.all(b["specular_1spp"] >= a["specular_1spp"])
+        assert np.any(b["specular_1spp"] > a["specular_1spp"])

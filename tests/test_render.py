@@ -5,8 +5,8 @@ import pytest
 
 from rtdenoise.frames import validate_frame
 from rtdenoise.render import (REFERENCE_SPP, camera_basis, camera_rays,
-                              inject_fireflies, occluded, render_frame, trace_nearest)
-from rtdenoise.scenes import PRESET_NAMES, preset_scene, scene_from_dict
+                              occluded, render_frame, trace_nearest)
+from rtdenoise.scenes import MOVEMENTS, PRESET_NAMES, preset_scene, scene_from_dict
 
 
 def _scene(name="shadow-objects", **kw):
@@ -49,6 +49,32 @@ def test_point_light_binary_shadow():
 def test_preset_scene_rejects_unavailable_movement(name, movement):
     with pytest.raises(ValueError, match=f"movement '{movement}'.*'{name}'"):
         preset_scene(name, movement=movement)
+
+
+def _keyframes(value):
+    return [f for f, _v in value["keyframes"]] if isinstance(value, dict) else None
+
+
+@pytest.mark.parametrize("name,movement", [(n, m) for n in PRESET_NAMES for m in MOVEMENTS
+                                           if (n, m) != ("pillars", "camera")])
+def test_movement_matrix(name, movement):
+    # every preset follows the one movement rule; pillars has no moving object
+    doc = preset_scene(name, movement=movement, teleport_frame=5)
+    cam = doc["camera"]
+    keyed = {part for part, frames in [
+        ("camera", _keyframes(cam["position"]) or _keyframes(cam["look_at"])),
+        ("light", _keyframes(doc["light"]["center"])),
+        ("objects", [_keyframes(o["motion"]) for o in doc["objects"] if "motion" in o])]
+        if frames}
+    want = {"static": set(), "camera": {"camera"}, "lights-objects": {"light", "objects"},
+            "light-teleport": {"light"}}[movement]
+    assert keyed == (want - {"objects"} if name == "pillars" else want)
+    if movement == "camera":
+        assert _keyframes(cam["position"]) == [0, 63]
+    elif movement == "lights-objects":
+        assert _keyframes(doc["light"]["center"]) == [0, 63]
+    elif movement == "light-teleport":
+        assert _keyframes(doc["light"]["center"]) == [4, 5]
 
 
 @pytest.mark.parametrize("name", PRESET_NAMES)
@@ -219,21 +245,3 @@ def test_camera_translation_recovers_previous_ids():
     # previous frame: motion (current -> previous) is about +1 pixel in x
     assert abs(np.median(g1.motion[interior][:, 0]) - 1.0) < 0.1
 
-
-# ---------------------------------------------------------------------------
-# fireflies
-
-def test_fireflies_rate_zero_and_one():
-    img = np.full((16, 16, 3), 0.25, dtype=np.float64)
-    assert np.array_equal(inject_fireflies(img, 0.0, 50.0, 7), img)
-    lit = inject_fireflies(img, 1.0, 50.0, 7)
-    assert np.allclose(lit, img + 50.0)
-
-
-def test_fireflies_count_within_3_sigma():
-    img = np.zeros((512, 512), dtype=np.float64)
-    out = inject_fireflies(img, 0.01, 1.0, 123)
-    count = int((out > 0).sum())
-    n, p = 512 * 512, 0.01
-    sigma = math.sqrt(n * p * (1 - p))
-    assert abs(count - n * p) < 3 * sigma

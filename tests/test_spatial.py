@@ -11,7 +11,6 @@ def _flat_gbuf(h=16, w=16, depth=5.0):
     normal = np.zeros((h, w, 3), dtype=np.float32)
     normal[:, :, 1] = 1.0
     return GBufferFrame(
-        width=w, height=h,
         depth=np.full((h, w), depth, dtype=np.float32),
         normal=normal,
         motion=np.zeros((h, w, 2), dtype=np.float32),
@@ -312,6 +311,12 @@ def test_iteration_count_adaptive(rough, expect):
     assert select_iteration_count(rough, True, 4) == expect
 
 
+def test_iteration_count_adaptive_keeps_configured_count():
+    rough = np.array([0.0, 0.03, 0.5])
+    assert select_iteration_count(rough, True, 2).tolist() == [0, 1, 2]
+    assert select_iteration_count(rough, True, 0).tolist() == [0, 0, 0]
+
+
 def test_iteration_count_fixed_by_default():
     assert select_iteration_count(0.0, False, 4) == 4
     assert select_iteration_count(0.7, False, 2) == 2
@@ -356,9 +361,8 @@ def test_driver_levels_in_order():
     gbuf = _flat_gbuf(64, 64)
     cfg = DenoiseConfig(iterations=4)
     channel = np.random.default_rng(4).random((64, 64, 1))
-    recs = []
-    denoise_channel(channel, np.full((64, 64), 0.1), gbuf, cfg, ChannelKind.SHADOW,
-                    shadow_angle=np.zeros((64, 64)), record=recs)
+    _out, _fb, recs = denoise_channel(channel, np.full((64, 64), 0.1), gbuf, cfg,
+                                      ChannelKind.SHADOW, shadow_angle=np.zeros((64, 64)))
     assert [r["level_min"] for r in recs] == [0, 1, 2, 3]
     assert [r["step_min"] for r in recs] == [1, 2, 4, 8]
 
@@ -368,9 +372,8 @@ def test_driver_adaptive_start_shifts_all_levels():
     gbuf.roughness[:] = 0.5  # above the 0.2 threshold everywhere
     cfg = DenoiseConfig(iterations=4, adaptive_start=True)
     channel = np.random.default_rng(5).random((64, 64, 3))
-    recs = []
-    denoise_channel(channel, np.full((64, 64), 0.1), gbuf, cfg,
-                    ChannelKind.INDIRECT_SPECULAR, record=recs)
+    _out, _fb, recs = denoise_channel(channel, np.full((64, 64), 0.1), gbuf, cfg,
+                                      ChannelKind.INDIRECT_SPECULAR)
     assert [r["step_min"] for r in recs] == [2, 4, 8, 16]
     assert [r["step_max"] for r in recs] == [2, 4, 8, 16]
 

@@ -14,7 +14,6 @@ def _flat_gbuf(h=8, w=8, depth=5.0, oid=1):
     normal = np.zeros((h, w, 3), dtype=np.float32)
     normal[:, :, 1] = 1.0
     return GBufferFrame(
-        width=w, height=h,
         depth=np.full((h, w), depth, dtype=np.float32),
         normal=normal,
         motion=np.zeros((h, w, 2), dtype=np.float32),
