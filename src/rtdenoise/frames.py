@@ -1,9 +1,13 @@
 """Per-frame data model shared by the synthesizer, the pipeline and the tools.
 
-A frame is a set of named float images (the G-buffer channels plus the noisy
-1spp signals); a sequence is an ordered list of frames plus a JSON manifest.
-All buffers are immutable value data once built: every pass reads its inputs
-and writes fresh arrays.
+A frame is a set of named images; a sequence is an ordered list of frames
+plus a JSON manifest. `CHANNELS` is the one table of channel names and their
+in-memory arities (1 for (H, W), n for (H, W, n)): the G-buffer, whose names
+are `GBufferFrame`'s fields, the noisy 1spp signals and their references,
+the pipeline's outputs and the `debug_*` intermediates it dumps on request.
+Per-scene values, such as the light's shadow angle, live in the manifest's
+scene descriptor. All buffers are immutable value data once built: every
+pass reads its inputs and writes fresh arrays.
 """
 
 from __future__ import annotations
@@ -14,18 +18,44 @@ from enum import Enum
 
 import numpy as np
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
-# canonical channel set: name -> in-memory arity (store._to_disk pads motion)
+
+class ChannelKind(Enum):
+    SHADOW = "shadow"
+    INDIRECT_SPECULAR = "specular"
+
+
+def _arity(n: int):
+    return field(metadata={"arity": n})
+
+
+@dataclass
+class GBufferFrame:
+    """Per-pixel geometric attributes from the primary visibility pass.
+
+    depth is linear view-space distance (+inf where no geometry was hit),
+    normals are unit world-space vectors, motion is the pixel offset from the
+    current pixel center to its position in the previous frame. Each field is
+    a frame channel of the same name.
+    """
+
+    depth: np.ndarray = _arity(1)      # float32
+    normal: np.ndarray = _arity(3)     # float32
+    motion: np.ndarray = _arity(2)     # float32
+    object_id: np.ndarray = _arity(1)  # int32, 0 = background
+    albedo: np.ndarray = _arity(3)     # float32
+    roughness: np.ndarray = _arity(1)  # float32
+    emissive: np.ndarray = _arity(3)   # float32
+
+    @property
+    def foreground(self) -> np.ndarray:
+        return self.object_id != 0
+
+
+# name -> in-memory arity (store._to_disk pads motion)
 CHANNELS = {
-    "depth": 1,
-    "normal": 3,
-    "motion": 2,
-    "object_id": 1,
-    "albedo": 3,
-    "roughness": 1,
-    "emissive": 3,
-    "shadow_angle": 1,
+    **{f.name: f.metadata["arity"] for f in fields(GBufferFrame)},
     "shadow_1spp": 1,
     "specular_1spp": 3,
     "shadow_ref": 1,
@@ -36,39 +66,14 @@ CHANNELS = {
     "specular_denoised": 3,
     "composite": 3,
     "composite_noisy": 3,
+    # pipeline intermediates (run_pipeline(dump_intermediates=True))
+    "debug_accum_shadow": 1,
+    "debug_accum_specular": 3,
+    "debug_variance_shadow": 1,
+    "debug_variance_specular": 1,
+    "debug_history_len_shadow": 1,
+    "debug_composite_pre_taa": 3,
 }
-
-
-def is_known_channel(name: str) -> bool:
-    """Channels outside the registry are allowed under the debug_ prefix."""
-    return name in CHANNELS or name.startswith("debug_")
-
-
-class ChannelKind(Enum):
-    SHADOW = "shadow"
-    INDIRECT_SPECULAR = "specular"
-
-
-@dataclass
-class GBufferFrame:
-    """Per-pixel geometric attributes from the primary visibility pass.
-
-    depth is linear view-space distance (+inf where no geometry was hit),
-    normals are unit world-space vectors, motion is the pixel offset from the
-    current pixel center to its position in the previous frame.
-    """
-
-    depth: np.ndarray      # (H, W) float32
-    normal: np.ndarray     # (H, W, 3) float32
-    motion: np.ndarray     # (H, W, 2) float32
-    object_id: np.ndarray  # (H, W) int32, 0 = background
-    albedo: np.ndarray     # (H, W, 3) float32
-    roughness: np.ndarray  # (H, W) float32
-    emissive: np.ndarray   # (H, W, 3) float32
-
-    @property
-    def foreground(self) -> np.ndarray:
-        return self.object_id != 0
 
 
 @dataclass
@@ -181,16 +186,8 @@ class FrameSequence:
         return list(self.manifest["channels"])
 
     def gbuffer(self, index: int) -> GBufferFrame:
-        f = self.frames[index]
-        return GBufferFrame(
-            depth=f["depth"],
-            normal=f["normal"],
-            motion=f["motion"],
-            object_id=f["object_id"].astype(np.int32),
-            albedo=f["albedo"],
-            roughness=f["roughness"],
-            emissive=f["emissive"],
-        )
+        frame = self.frames[index]
+        return GBufferFrame(**{f.name: frame[f.name] for f in fields(GBufferFrame)})
 
 
 def _first_bad_pixel(mask: np.ndarray) -> tuple:
@@ -202,16 +199,18 @@ def validate_frame(frame: dict, width: int, height: int) -> list:
     """Collect every violated frame invariant; an empty list means valid.
 
     Never raises: a violation is reported as one message naming the channel
-    and an example pixel.
+    and, for a bad value, an example pixel.
     """
     violations = []
     for name, arr in frame.items():
         arity = CHANNELS.get(name)
-        if arity is not None:
-            want = (height, width) if arity == 1 else (height, width, arity)
-            if arr.shape != want:
-                violations.append(f"channel '{name}' has shape {arr.shape}, expected {want}")
-                continue
+        if arity is None:  # a channel outside the table: any arity, the frame's size
+            got, want = arr.shape[:2], (height, width)
+        else:
+            got, want = arr.shape, (height, width) if arity == 1 else (height, width, arity)
+        if got != want:
+            violations.append(f"channel '{name}' has shape {arr.shape}, expected {want}")
+            continue
         bad = ~np.isfinite(arr)
         if name == "depth":
             bad = bad & ~np.isposinf(arr)  # +inf marks background misses
@@ -221,8 +220,11 @@ def validate_frame(frame: dict, width: int, height: int) -> list:
 
     oid = frame.get("object_id")
     fg = None
-    if oid is not None:
-        fg = oid.reshape(height, width) != 0
+    if oid is not None and oid.shape == (height, width):
+        if not np.issubdtype(oid.dtype, np.integer):
+            violations.append(f"channel 'object_id' has dtype {oid.dtype}, "
+                              "expected an integer type")
+        fg = oid != 0
 
     normal = frame.get("normal")
     if normal is not None and fg is not None and normal.shape == (height, width, 3):

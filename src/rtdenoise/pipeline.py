@@ -10,6 +10,8 @@ names is recorded so the ordering is testable.
 
 from __future__ import annotations
 
+from dataclasses import fields
+
 import numpy as np
 
 from . import compose, metrics, render, spatial, temporal, tonemap
@@ -29,6 +31,8 @@ PRESETS = {
         "rectify_mode": "clamp", "adaptive_start": True, "separable": True,
         "reinhard": True},
 }
+
+ENV_LEVELS = 5  # roughness levels of the prefiltered env map for IBL secondaries
 
 
 def preset_config(name: str, base: DenoiseConfig | None = None) -> DenoiseConfig:
@@ -57,20 +61,20 @@ def lighting(scene: Scene, frame_index: int, gbuf: GBufferFrame) -> tuple:
     return direct, render.render_sky(scene, frame_index)
 
 
-def run_pipeline(seq: FrameSequence, cfg: DenoiseConfig, scene: Scene | None = None,
-                 dump_intermediates: bool = False):
+def run_pipeline(seq: FrameSequence, cfg: DenoiseConfig, dump_intermediates: bool = False):
     """Denoise a sequence; returns (output FrameSequence, report dict).
 
-    The report carries the pass trace, per-frame metrics against the
-    `reference` channel when the input provides one, and the per-iteration
-    a-trous records (steps and tap counts).
+    The scene, including the shadow angle that picks the shadow channel's
+    adaptive start level, comes from the manifest's descriptor and must match
+    the sequence's resolution. The report carries the pass trace, per-frame
+    metrics against the `reference` channel when the input provides one, and
+    the per-iteration a-trous records (steps and tap counts).
     """
     cfg.validate()
     check_sequence(seq)
-    if scene is None:
-        if "scene" not in seq.manifest:
-            raise ValueError("sequence manifest carries no scene descriptor")
-        scene = scene_from_dict(seq.manifest["scene"])
+    if "scene" not in seq.manifest:
+        raise ValueError("sequence manifest carries no scene descriptor")
+    scene = scene_from_dict(seq.manifest["scene"])
     if (scene.width, scene.height) != (seq.width, seq.height):
         raise ValueError(f"scene resolution {scene.width}x{scene.height} differs from "
                          f"the sequence's {seq.width}x{seq.height}")
@@ -90,9 +94,6 @@ def run_pipeline(seq: FrameSequence, cfg: DenoiseConfig, scene: Scene | None = N
         gbuf = seq.gbuffer(f)
         shadow_raw = frame["shadow_1spp"].astype(np.float64)
         spec_raw = frame["specular_1spp"].astype(np.float64)
-        shadow_angle = frame.get("shadow_angle")
-        if shadow_angle is None:
-            shadow_angle = np.full(gbuf.depth.shape, scene.shadow_angle_deg)
 
         if cfg.reinhard:
             trace.append(f"{f}:reinhard_forward")
@@ -110,7 +111,7 @@ def run_pipeline(seq: FrameSequence, cfg: DenoiseConfig, scene: Scene | None = N
         trace.append(f"{f}:atrous:shadow")
         den_shadow, fb_shadow, shadow_recs = spatial.denoise_channel(
             hist_shadow.color, var_shadow, gbuf, cfg, ChannelKind.SHADOW,
-            shadow_angle=shadow_angle)
+            shadow_angle=scene.shadow_angle_deg)
         hist_shadow.color = fb_shadow
 
         trace.append(f"{f}:atrous:specular")
@@ -185,31 +186,18 @@ def synthesize_sequence(scene: Scene, frames: int, spp: int, seed: int,
                         ibl_secondary: bool = False, reference: bool = False,
                         reference_spp: int = render.REFERENCE_SPP) -> FrameSequence:
     """Render a sequence of G-buffers and noisy channels (plus references)."""
-    prefiltered = prefilter_env(scene.env, render.ENV_LEVELS) if ibl_secondary else None
+    prefiltered = prefilter_env(scene.env, ENV_LEVELS) if ibl_secondary else None
 
     out = []
     channels = None
     for f in range(frames):
-        gbuf, shadow, spec = render.render_frame(
-            scene, f, spp, seed, ibl_secondary=ibl_secondary, prefiltered=prefiltered)
-        frame = {
-            "depth": gbuf.depth,
-            "normal": gbuf.normal,
-            "motion": gbuf.motion,
-            "object_id": gbuf.object_id,
-            "albedo": gbuf.albedo,
-            "roughness": gbuf.roughness,
-            "emissive": gbuf.emissive,
-            "shadow_angle": np.full(gbuf.depth.shape, scene.shadow_angle_deg,
-                                    dtype=np.float32),
-            "shadow_1spp": shadow.data,
-            "specular_1spp": spec.data,
-        }
+        gbuf, shadow, spec = render.render_frame(scene, f, spp, seed, prefiltered=prefiltered)
+        frame = {**{g.name: getattr(gbuf, g.name) for g in fields(gbuf)},
+                 "shadow_1spp": shadow.data, "specular_1spp": spec.data}
         if reference:
             # starting after the input's samples keeps the reference independent
             _g, sref, cref = render.render_frame(
-                scene, f, reference_spp, seed, ibl_secondary=ibl_secondary,
-                prefiltered=prefiltered, sample_offset=spp)
+                scene, f, reference_spp, seed, prefiltered=prefiltered, sample_offset=spp)
             frame["shadow_ref"] = sref.data
             frame["specular_ref"] = cref.data
             direct, sky = lighting(scene, f, gbuf)

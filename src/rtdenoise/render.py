@@ -16,14 +16,13 @@ import math
 import numpy as np
 
 from . import rng
-from .envmap import PrefilteredEnvMap, prefilter_env, sample_latlong
+from .envmap import PrefilteredEnvMap, sample_latlong
 from .frames import ChannelKind, GBufferFrame, NoisyChannel
 from .scenes import Scene
 
 _EPS = 1e-4
 _MIRROR_ROUGHNESS = 1e-6  # below this the lobe is treated as a perfect mirror
 _UP = np.array([0.0, 1.0, 0.0])  # the ground's normal
-ENV_LEVELS = 5  # roughness levels of the prefiltered env map for IBL secondaries
 
 
 def _normalize(v: np.ndarray) -> np.ndarray:
@@ -216,20 +215,21 @@ def _direct_at(points, normals, albedo, emissive, scene, frame, light_center):
 
 
 def render_frame(scene: Scene, frame_index: int, spp: int, seed: int,
-                 ibl_secondary: bool = False,
                  prefiltered: PrefilteredEnvMap | None = None,
                  sample_offset: int = 0):
     """Render one frame: G-buffer plus 1spp-style shadow and specular channels.
 
     The per-pixel RNG stream is keyed by (seed, frame, x, y, sample), so the
     spp-sample estimate equals the mean of single-sample renders with matching
-    sample offsets.
+    sample offsets. A `prefiltered` environment map (`envmap.prefilter_env`)
+    turns on image-based lighting of secondary hits: the environment along
+    their mirror direction, prefiltered at their roughness and weighted by
+    their albedo, adds to their direct light. Without one they get direct
+    light only.
     """
     if scene.frame_count is not None and frame_index >= scene.frame_count:
         raise ValueError(f"frame {frame_index} beyond scene animation length "
                          f"{scene.frame_count}")
-    if ibl_secondary and prefiltered is None:
-        prefiltered = prefilter_env(scene.env, ENV_LEVELS)
 
     h, w = scene.height, scene.width
     origins, dirs = camera_rays(scene, frame_index)
@@ -317,7 +317,7 @@ def render_frame(scene: Scene, frame_index: int, spp: int, seed: int,
         radiance = sample_latlong(scene.env, lobe)
         if np.any(hit2):
             lit = _direct_at(p2, n2, alb2, emis2, scene, frame_index, light_c)
-            if ibl_secondary:
+            if prefiltered is not None:
                 refl2 = lobe - 2.0 * np.sum(lobe * n2, axis=-1, keepdims=True) * n2
                 lit = lit + alb2 * prefiltered.sample(_normalize(refl2), rough2)
             radiance = np.where(hit2[..., None], lit, radiance)

@@ -100,9 +100,7 @@ class Scene:
     ground: GroundPlane
     light: AreaLight
     shadow_angle_deg: float
-    reference_point: np.ndarray
     env: np.ndarray       # (He, We, 3) lat-long radiance
-    env_spec: dict
     frame_count: int = None
     raw: dict = None
 
@@ -218,7 +216,6 @@ def scene_from_dict(doc: dict) -> Scene:
         dist = np.linalg.norm(_kf_eval(center_kf, 0) - reference_point)
         radius = dist * math.tan(math.radians(shadow_angle) / 2.0)
 
-    env_spec = doc.get("env", {"kind": "gradient"})
     width, height = doc["resolution"]
     scene = Scene(
         name=doc.get("name", "unnamed"),
@@ -233,9 +230,7 @@ def scene_from_dict(doc: dict) -> Scene:
                         intensity=np.asarray(ldoc["intensity"], dtype=np.float64),
                         radius=radius),
         shadow_angle_deg=float(shadow_angle),
-        reference_point=reference_point,
-        env=_build_env(env_spec),
-        env_spec=env_spec,
+        env=_build_env(doc.get("env", {"kind": "gradient"})),
         frame_count=doc.get("frame_count"),
         raw=doc,
     )

@@ -26,8 +26,6 @@ itself adapts to roughness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .frames import ChannelKind, DenoiseConfig, GBufferFrame
@@ -36,32 +34,21 @@ from .tonemap import luma
 
 KERNEL_1D = np.array([1.0 / 16, 1.0 / 4, 3.0 / 8, 1.0 / 4, 1.0 / 16])
 _OFFSETS = (-2, -1, 0, 1, 2)
-
-
-@dataclass
-class EdgeParams:
-    sigma_z: float = 1.0
-    sigma_n: float = 128.0
-    sigma_l: float = 4.0
-    epsilon: float = 1e-8
-
-    @classmethod
-    def from_config(cls, cfg: DenoiseConfig) -> "EdgeParams":
-        return cls(sigma_z=cfg.sigma_z, sigma_n=cfg.sigma_n, sigma_l=cfg.sigma_l)
+_EPSILON = 1e-8  # keeps the depth and luminance stops finite at zero spread
 
 
 def edge_weight(center: dict, tap: dict, center_variance: float,
-                params: EdgeParams, distance: float = 1.0) -> float:
+                cfg: DenoiseConfig, distance: float = 1.0) -> float:
     """Scalar reference form of the edge-stopping weight; taps of the
     background get weight 0. `distance` is the tap offset length in pixels."""
     if tap["object_id"] == 0:
         return 0.0
     w_z = np.exp(-abs(center["depth"] - tap["depth"])
-                 / (params.sigma_z * abs(center["depth"]) * distance + params.epsilon))
+                 / (cfg.sigma_z * abs(center["depth"]) * distance + _EPSILON))
     ndot = float(np.dot(center["normal"], tap["normal"]))
-    w_n = max(0.0, ndot) ** params.sigma_n
+    w_n = max(0.0, ndot) ** cfg.sigma_n
     w_l = np.exp(-abs(center["luma"] - tap["luma"])
-                 / (params.sigma_l * np.sqrt(max(center_variance, 0.0)) + params.epsilon))
+                 / (cfg.sigma_l * np.sqrt(max(center_variance, 0.0)) + _EPSILON))
     return float(w_z * w_n * w_l)
 
 
@@ -71,12 +58,11 @@ def check_level(top, height: int, width: int) -> None:
         raise ValueError(f"a-trous level {top} too large for {width}x{height}")
 
 
-def _tap_weights(z_c, n_c, l_c, denom_l, z_t, n_t, l_t, fg_t, dist, params):
+def _tap_weights(z_c, n_c, l_c, denom_l, z_t, n_t, l_t, fg_t, dist, cfg):
     with np.errstate(invalid="ignore"):
-        w_z = np.exp(-np.abs(z_c - z_t) / (params.sigma_z * np.abs(z_c) * dist
-                                           + params.epsilon))
+        w_z = np.exp(-np.abs(z_c - z_t) / (cfg.sigma_z * np.abs(z_c) * dist + _EPSILON))
     ndot = np.maximum(0.0, np.sum(n_c * n_t, axis=-1))
-    w_n = ndot ** params.sigma_n
+    w_n = ndot ** cfg.sigma_n
     w_l = np.exp(-np.abs(l_c - l_t) / denom_l)
     w = w_z * w_n * w_l * fg_t
     return np.where(np.isfinite(w), w, 0.0)
@@ -89,7 +75,7 @@ _COLUMN = [(k, 0, KERNEL_1D[k + 2], abs(k)) for k in _OFFSETS]
 _ROW = [(0, k, KERNEL_1D[k + 2], abs(k)) for k in _OFFSETS]
 
 
-def _filter(data, var, gbuf: GBufferFrame, level, offsets, axis, params,
+def _filter(data, var, gbuf: GBufferFrame, level, offsets, axis, cfg: DenoiseConfig,
             with_variance):
     """Edge-stopped weighted mean of `data` over `offsets` at each pixel's level.
 
@@ -104,7 +90,7 @@ def _filter(data, var, gbuf: GBufferFrame, level, offsets, axis, params,
     z_c = gbuf.depth.astype(np.float64)
     n_c = gbuf.normal.astype(np.float64)
     l_c = luma(data)
-    denom_l = params.sigma_l * np.sqrt(np.maximum(var, 0.0)) + params.epsilon
+    denom_l = cfg.sigma_l * np.sqrt(np.maximum(var, 0.0)) + _EPSILON
     taps = [shifted(p, reach, axis)
             for p in (gbuf.depth, gbuf.normal, l_c, gbuf.foreground, data)]
     var_at = shifted(var, reach, axis) if with_variance else None
@@ -119,7 +105,7 @@ def _filter(data, var, gbuf: GBufferFrame, level, offsets, axis, params,
                 ew = 1.0
             else:
                 ew = _tap_weights(z_c, n_c, l_c, denom_l, z_t, n_t, l_t, fg_t,
-                                  step * dist, params)
+                                  step * dist, cfg)
             wgt = k * ew
             acc += wgt[..., None] * d_t if np.ndim(wgt) else wgt * d_t
             acc_w += wgt
@@ -147,7 +133,7 @@ def _finish(channel, data, var, gbuf, out, out_var, stats, taps_per_pixel):
     return (out[:, :, 0] if np.ndim(channel) == 2 else out), out_var
 
 
-def atrous_dense(channel, variance, gbuf: GBufferFrame, level, params: EdgeParams,
+def atrous_dense(channel, variance, gbuf: GBufferFrame, level, cfg: DenoiseConfig,
                  stats: dict | None = None):
     """One dense 5x5 iteration; `level` may be a scalar or a per-pixel array.
 
@@ -157,11 +143,11 @@ def atrous_dense(channel, variance, gbuf: GBufferFrame, level, params: EdgeParam
     """
     data, var = as_planes(channel), np.asarray(variance, dtype=np.float64)
     check_level(np.max(level), *var.shape)
-    out, out_var = _filter(data, var, gbuf, level, _DENSE, None, params, True)
+    out, out_var = _filter(data, var, gbuf, level, _DENSE, None, cfg, True)
     return _finish(channel, data, var, gbuf, out, out_var, stats, 25)
 
 
-def atrous_separable(channel, variance, gbuf: GBufferFrame, level, params: EdgeParams,
+def atrous_separable(channel, variance, gbuf: GBufferFrame, level, cfg: DenoiseConfig,
                      stats: dict | None = None):
     """One separable 5+5 iteration: horizontal color-only, then vertical.
 
@@ -173,8 +159,8 @@ def atrous_separable(channel, variance, gbuf: GBufferFrame, level, params: EdgeP
     """
     data, var = as_planes(channel), np.asarray(variance, dtype=np.float64)
     check_level(np.max(level), *var.shape)
-    horiz, = _filter(data, var, gbuf, level, _ROW, 1, params, False)
-    out, out_var = _filter(horiz, var, gbuf, level, _COLUMN, 0, params, True)
+    horiz, = _filter(data, var, gbuf, level, _ROW, 1, cfg, False)
+    out, out_var = _filter(horiz, var, gbuf, level, _COLUMN, 0, cfg, True)
     return _finish(channel, data, var, gbuf, out, out_var, stats, 10)
 
 
@@ -207,7 +193,8 @@ def denoise_channel(channel, variance, gbuf: GBufferFrame, cfg: DenoiseConfig,
 
     Iteration i filters at level start+i; the output of iteration 0 becomes
     the color fed back into the temporal history (unless feedback is off).
-    The SHADOW kind needs the per-pixel `shadow_angle` map. Returns
+    The SHADOW kind needs the light's `shadow_angle` in degrees, one scalar
+    for the frame or a per-pixel map. Returns
     (final_channel, feedback_channel, iteration_records), channels (H, W, C)
     even for an (H, W) input.
     """
@@ -229,7 +216,6 @@ def denoise_channel(channel, variance, gbuf: GBufferFrame, cfg: DenoiseConfig,
     out = data.copy()
     var = np.asarray(variance, dtype=np.float64).copy()
     feedback = data.copy()
-    params = EdgeParams.from_config(cfg)
     filt = atrous_separable if cfg.separable else atrous_dense
 
     if max_count > 0:
@@ -238,7 +224,7 @@ def denoise_channel(channel, variance, gbuf: GBufferFrame, cfg: DenoiseConfig,
     for i in range(max_count):
         level = start + i
         stats = {}
-        filtered, fvar = filt(out, var, gbuf, level, params, stats=stats)
+        filtered, fvar = filt(out, var, gbuf, level, cfg, stats=stats)
         active = counts > i
         out = np.where(active[..., None], filtered, out)
         var = np.where(active, fvar, var)

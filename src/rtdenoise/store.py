@@ -1,4 +1,7 @@
-"""Sequence directory format: manifest.json plus frame_%04d/<channel>.pfm."""
+"""Sequence directory format: manifest.json plus frame_%04d/<channel>.pfm.
+
+Only sequences of the current `FORMAT_VERSION` load.
+"""
 
 from __future__ import annotations
 
@@ -7,12 +10,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .frames import FORMAT_VERSION, FrameSequence, is_known_channel, validate_frame
+from .frames import CHANNELS, FORMAT_VERSION, FrameSequence, validate_frame
 from .pfm import read_pfm, write_pfm
 
 
 class SequenceError(ValueError):
     """Invalid sequence contents or layout."""
+
+
+_REQUIRED_KEYS = ("format_version", "width", "height", "channels", "frame_count")
 
 
 def _frame_dir(index: int) -> str:
@@ -42,7 +48,7 @@ def check_sequence(seq: FrameSequence) -> None:
         raise SequenceError("empty sequence")
     channels = seq.channels
     for name in channels:
-        if not is_known_channel(name):
+        if name not in CHANNELS:
             raise SequenceError(f"unknown channel '{name}' in manifest")
     for i, frame in enumerate(seq.frames):
         for name in channels:
@@ -78,6 +84,12 @@ def load_sequence(path) -> FrameSequence:
         raise SequenceError(f"missing manifest: {manifest_path}")
     with open(manifest_path) as f:
         manifest = json.load(f)
+    missing = [k for k in _REQUIRED_KEYS if k not in manifest]
+    if missing:
+        raise SequenceError(f"manifest {manifest_path} lacks required keys: {', '.join(missing)}")
+    if manifest["format_version"] != FORMAT_VERSION:
+        raise SequenceError(f"manifest {manifest_path} has format_version "
+                            f"{manifest['format_version']!r}; this version reads {FORMAT_VERSION}")
     width, height = int(manifest["width"]), int(manifest["height"])
     frames = []
     for i in range(int(manifest["frame_count"])):

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,6 @@ def _tiny_frame(h=4, w=4):
         "albedo": np.full((h, w, 3), 0.5, dtype=np.float32),
         "roughness": np.full((h, w), 0.3, dtype=np.float32),
         "emissive": np.zeros((h, w, 3), dtype=np.float32),
-        "shadow_angle": np.full((h, w), 4.0, dtype=np.float32),
         "shadow_1spp": np.ones((h, w), dtype=np.float32),
         "specular_1spp": np.full((h, w, 3), 0.25, dtype=np.float32),
     }
@@ -90,6 +91,51 @@ def test_background_inf_depth_allowed():
     frame["object_id"][0, 0] = 0
     frame["depth"][0, 0] = np.inf
     assert validate_frame(frame, 4, 4) == []
+
+
+def test_validate_frame_reports_bad_shapes_without_raising():
+    # a wrong-sized object_id and a wrong-sized channel outside the table,
+    # one holding a NaN, are violations naming the channel, not numpy errors
+    frame = _tiny_frame()
+    frame["object_id"] = np.ones((3, 3), dtype=np.int32)
+    frame["mask"] = np.zeros((3, 3), dtype=np.float32)
+    frame["mask"][1, 1] = np.nan
+    out = validate_frame(frame, 4, 4)
+    assert len(out) == 2
+    assert "'object_id' has shape (3, 3)" in out[0]
+    assert "'mask' has shape (3, 3)" in out[1]
+
+
+def test_validate_frame_rejects_float_object_id(tmp_path):
+    seq = _tiny_seq()
+    seq.frames[0]["object_id"] = seq.frames[0]["object_id"].astype(np.float32)
+    out = validate_frame(seq.frames[0], 4, 4)
+    assert out == ["channel 'object_id' has dtype float32, expected an integer type"]
+    with pytest.raises(SequenceError, match="frame 0 .*'object_id' has dtype float32"):
+        save_sequence(seq, tmp_path / "seq")
+
+
+def _edit_manifest(root, edit):
+    path = root / "manifest.json"
+    manifest = json.loads(path.read_text())
+    edit(manifest)
+    path.write_text(json.dumps(manifest))
+
+
+@pytest.mark.parametrize("key", ["format_version", "width", "height", "channels",
+                                 "frame_count"])
+def test_manifest_missing_key_named(tmp_path, key):
+    save_sequence(_tiny_seq(), tmp_path / "seq")
+    _edit_manifest(tmp_path / "seq", lambda m: m.pop(key))
+    with pytest.raises(SequenceError, match=f"lacks required keys: {key}$"):
+        load_sequence(tmp_path / "seq")
+
+
+def test_manifest_of_other_format_version_rejected(tmp_path):
+    save_sequence(_tiny_seq(), tmp_path / "seq")
+    _edit_manifest(tmp_path / "seq", lambda m: m.update(format_version=1))
+    with pytest.raises(SequenceError, match="format_version 1; this version reads 2"):
+        load_sequence(tmp_path / "seq")
 
 
 def test_config_validation():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from rtdenoise import compose, render, temporal
-from rtdenoise.frames import DenoiseConfig
+from rtdenoise.frames import DenoiseConfig, FrameSequence
 from rtdenoise.pipeline import (PRESETS, preset_config, reconstruct_positions,
                                 run_pipeline, synthesize_sequence)
 from rtdenoise.scenes import preset_scene, scene_from_dict
@@ -120,9 +120,26 @@ def test_run_pipeline_rejects_nonfinite_input():
 
 def test_run_pipeline_rejects_scene_of_other_size():
     _scene, seq = _make_seq(frames=1)
-    other = scene_from_dict(preset_scene("shadow-objects", width=40, height=40))
+    seq.manifest["scene"] = preset_scene("shadow-objects", width=40, height=40)
     with pytest.raises(ValueError, match="40x40 differs from the sequence's 32x32"):
-        run_pipeline(seq, preset_config("svgf"), scene=other)
+        run_pipeline(seq, preset_config("svgf"))
+
+
+def test_run_pipeline_is_causal():
+    # frame k's output depends only on frames 0..k: denoising a prefix gives
+    # the first frames of the full run bit for bit
+    _scene, seq = _make_seq("breakfast-lite", w=48, h=48, frames=5, roughness=0.1,
+                            movement="camera")
+    cfg = preset_config("svgf+rectify+adaptive+separable+reinhard",
+                        base=DenoiseConfig(iterations=3))
+    full, full_report = run_pipeline(seq, cfg)
+    for k in (1, 3):
+        part, report = run_pipeline(FrameSequence(seq.manifest, seq.frames[:k]), cfg)
+        assert report["iterations"] == full_report["iterations"][:k]
+        for got, want in zip(part.frames, full.frames[:k], strict=True):
+            assert got.keys() == want.keys()
+            for name in got:
+                assert got[name].tobytes() == want[name].tobytes(), (k, name)
 
 
 def test_synth_reference_channels_present():

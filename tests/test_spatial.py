@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from rtdenoise.frames import ChannelKind, DenoiseConfig, GBufferFrame
-from rtdenoise.spatial import (KERNEL_1D, EdgeParams, atrous_dense,
+from rtdenoise.spatial import (KERNEL_1D, atrous_dense,
                                atrous_separable, denoise_channel, edge_weight,
                                select_iteration_count, select_start_level)
 
@@ -21,7 +21,7 @@ def _flat_gbuf(h=16, w=16, depth=5.0):
     )
 
 
-def dense_oracle(channel, variance, gbuf, level, params):
+def dense_oracle(channel, variance, gbuf, level, cfg):
     """Independent direct bilateral convolution with the same contract,
     written as explicit per-pixel loops over the 25 dilated taps. `level`
     is a scalar or a per-pixel level map."""
@@ -60,7 +60,7 @@ def dense_oracle(channel, variance, gbuf, level, params):
                                "normal": gbuf.normal[yt, xt].astype(np.float64),
                                "luma": lum(data[yt, xt]),
                                "object_id": int(gbuf.object_id[yt, xt])}
-                        ew = edge_weight(center, tap, float(var[y, x]), params,
+                        ew = edge_weight(center, tap, float(var[y, x]), cfg,
                                          distance=step * float(np.hypot(i, j)))
                     wgt = k2 * ew
                     sw += wgt
@@ -71,7 +71,7 @@ def dense_oracle(channel, variance, gbuf, level, params):
     return (out[:, :, 0] if np.asarray(channel).ndim == 2 else out), out_var
 
 
-def separable_oracle(channel, variance, gbuf, level_map, params):
+def separable_oracle(channel, variance, gbuf, level_map, cfg):
     """Per-pixel loops of the separable contract: a color-only horizontal
     pass, then a vertical pass over the horizontal results that updates the
     variance. Each pixel filters at its own step, so the vertical pass reads
@@ -100,7 +100,7 @@ def separable_oracle(channel, variance, gbuf, level_map, params):
                     yt = min(max(y + k * step, 0), h - 1) if vertical else y
                     xt = x if vertical else min(max(x + k * step, 0), w - 1)
                     ew = 1.0 if k == 0 else edge_weight(
-                        center, attrs(img, yt, xt), float(var[y, x]), params,
+                        center, attrs(img, yt, xt), float(var[y, x]), cfg,
                         distance=step * abs(k))
                     wgt = KERNEL_1D[k + 2] * ew
                     sw += wgt
@@ -133,25 +133,25 @@ def _random_gbuf(rs, h, w):
 def test_edge_weight_identical_is_one():
     attrs = {"depth": 4.0, "normal": np.array([0.0, 1.0, 0.0]), "luma": 0.3,
              "object_id": 1}
-    assert edge_weight(attrs, dict(attrs), 0.5, EdgeParams()) == pytest.approx(1.0)
+    assert edge_weight(attrs, dict(attrs), 0.5, DenoiseConfig()) == pytest.approx(1.0)
 
 
 def test_edge_weight_opposite_normals_zero():
     c = {"depth": 4.0, "normal": np.array([0.0, 1.0, 0.0]), "luma": 0.3, "object_id": 1}
     t = dict(c, normal=np.array([0.0, -1.0, 0.0]))
-    assert edge_weight(c, t, 0.5, EdgeParams()) == 0.0
+    assert edge_weight(c, t, 0.5, DenoiseConfig()) == 0.0
 
 
 def test_edge_weight_zero_variance_blocks_luminance():
     c = {"depth": 4.0, "normal": np.array([0.0, 1.0, 0.0]), "luma": 0.0, "object_id": 1}
     t = dict(c, luma=1.0)
-    assert edge_weight(c, t, 0.0, EdgeParams()) == pytest.approx(0.0, abs=1e-300)
+    assert edge_weight(c, t, 0.0, DenoiseConfig()) == pytest.approx(0.0, abs=1e-300)
 
 
 def test_edge_weight_background_tap_zero():
     c = {"depth": 4.0, "normal": np.array([0.0, 1.0, 0.0]), "luma": 0.3, "object_id": 1}
     t = dict(c, object_id=0)
-    assert edge_weight(c, t, 0.5, EdgeParams()) == 0.0
+    assert edge_weight(c, t, 0.5, DenoiseConfig()) == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -161,7 +161,7 @@ def test_constant_channel_unchanged_variance_scaled():
     gbuf = _flat_gbuf()
     channel = np.full((16, 16), 0.7)
     variance = np.full((16, 16), 0.2)
-    out, out_var = atrous_dense(channel, variance, gbuf, 0, EdgeParams())
+    out, out_var = atrous_dense(channel, variance, gbuf, 0, DenoiseConfig())
     assert np.allclose(out, 0.7, atol=1e-12)
     factor = float(np.sum(KERNEL_1D**2)) ** 2  # 2D kernel energy
     assert np.allclose(out_var, 0.2 * factor, atol=1e-9)
@@ -171,7 +171,7 @@ def test_impulse_preserved_at_zero_variance():
     gbuf = _flat_gbuf()
     channel = np.zeros((16, 16))
     channel[8, 8] = 5.0
-    out, _v = atrous_dense(channel, np.zeros((16, 16)), gbuf, 0, EdgeParams())
+    out, _v = atrous_dense(channel, np.zeros((16, 16)), gbuf, 0, DenoiseConfig())
     assert out[8, 8] == pytest.approx(5.0, rel=1e-9)
     assert np.abs(out - channel).max() < 1e-9
 
@@ -182,11 +182,11 @@ def test_dense_matches_oracle_level0_and_1():
     gbuf = _random_gbuf(rs, h, w)
     channel = rs.random((h, w, 3)) * 2.0
     variance = rs.random((h, w)) * 0.3
-    params = EdgeParams()
+    cfg = DenoiseConfig()
     mixed = (rs.random((h, w)) < 0.5).astype(np.int64)  # per-pixel levels 0 and 1
     for level in (0, 1, mixed):
-        got, got_var = atrous_dense(channel, variance, gbuf, level, params)
-        want, want_var = dense_oracle(channel, variance, gbuf, level, params)
+        got, got_var = atrous_dense(channel, variance, gbuf, level, cfg)
+        want, want_var = dense_oracle(channel, variance, gbuf, level, cfg)
         assert np.abs(got - want).max() <= 1e-6
         assert np.abs(got_var - want_var).max() <= 1e-6
 
@@ -195,7 +195,7 @@ def test_output_is_convex_combination():
     rs = np.random.default_rng(1)
     gbuf = _flat_gbuf()
     channel = rs.random((16, 16))
-    out, _v = atrous_dense(channel, np.full((16, 16), 0.5), gbuf, 1, EdgeParams())
+    out, _v = atrous_dense(channel, np.full((16, 16), 0.5), gbuf, 1, DenoiseConfig())
     assert out.max() <= channel.max() + 1e-12
     assert out.min() >= channel.min() - 1e-12
 
@@ -203,7 +203,7 @@ def test_output_is_convex_combination():
 def test_level_overflow_rejected():
     gbuf = _flat_gbuf(8, 8)
     with pytest.raises(ValueError, match="level"):
-        atrous_dense(np.zeros((8, 8)), np.zeros((8, 8)), gbuf, 2, EdgeParams())
+        atrous_dense(np.zeros((8, 8)), np.zeros((8, 8)), gbuf, 2, DenoiseConfig())
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +212,7 @@ def test_level_overflow_rejected():
 def test_separable_constant_unchanged():
     gbuf = _flat_gbuf()
     out, _v = atrous_separable(np.full((16, 16), 0.4), np.full((16, 16), 0.1),
-                               gbuf, 0, EdgeParams())
+                               gbuf, 0, DenoiseConfig())
     assert np.allclose(out, 0.4, atol=1e-12)
 
 
@@ -221,10 +221,10 @@ def test_separable_equals_dense_with_uniform_weights():
     gbuf = _flat_gbuf()
     channel = rs.random((16, 16, 3))
     variance = rs.random((16, 16)) * 0.2
-    params = EdgeParams(sigma_l=1e12)  # luminance stop effectively disabled
+    cfg = DenoiseConfig(sigma_l=1e12)  # luminance stop effectively disabled
     for level in (0, 1):
-        d, _ = atrous_dense(channel, variance, gbuf, level, params)
-        s, _ = atrous_separable(channel, variance, gbuf, level, params)
+        d, _ = atrous_dense(channel, variance, gbuf, level, cfg)
+        s, _ = atrous_separable(channel, variance, gbuf, level, cfg)
         assert np.abs(d - s).max() <= 1e-5
 
 
@@ -235,9 +235,9 @@ def test_separable_diverges_across_luminance_edge():
     ys, xs = np.mgrid[0:16, 0:16]
     channel = (xs + ys >= 16).astype(np.float64)
     variance = np.full((16, 16), 0.25)
-    params = EdgeParams()
-    d, _ = atrous_dense(channel, variance, gbuf, 0, params)
-    s, _ = atrous_separable(channel, variance, gbuf, 0, params)
+    cfg = DenoiseConfig()
+    d, _ = atrous_dense(channel, variance, gbuf, 0, cfg)
+    s, _ = atrous_separable(channel, variance, gbuf, 0, cfg)
     assert np.abs(d - s).max() > 1e-4
 
 
@@ -247,14 +247,14 @@ def test_separable_mixed_levels_match_oracle():
     gbuf = _random_gbuf(rs, h, w)
     channel = rs.random((h, w, 3)) * 2.0
     variance = rs.random((h, w)) * 0.3
-    params = EdgeParams()
+    cfg = DenoiseConfig()
     levels = (rs.random((h, w)) < 0.5).astype(np.int64)
-    got, got_var = atrous_separable(channel, variance, gbuf, levels, params)
-    want, want_var = separable_oracle(channel, variance, gbuf, levels, params)
+    got, got_var = atrous_separable(channel, variance, gbuf, levels, cfg)
+    want, want_var = separable_oracle(channel, variance, gbuf, levels, cfg)
     assert np.abs(got - want).max() <= 1e-9
     assert np.abs(got_var - want_var).max() <= 1e-9
     # picking each pixel's level only after both passes is a different filter
-    both = [atrous_separable(channel, variance, gbuf, lv, params)[0] for lv in (0, 1)]
+    both = [atrous_separable(channel, variance, gbuf, lv, cfg)[0] for lv in (0, 1)]
     per_pass = np.where(levels[..., None] == 1, both[1], both[0])
     assert np.abs(per_pass - want).max() > 1e-6
 
@@ -264,10 +264,10 @@ def test_tap_counts():
     channel = np.zeros((16, 16))
     variance = np.zeros((16, 16))
     stats = {}
-    atrous_dense(channel, variance, gbuf, 0, EdgeParams(), stats=stats)
+    atrous_dense(channel, variance, gbuf, 0, DenoiseConfig(), stats=stats)
     assert stats["taps"] == 16 * 16 * 25
     stats = {}
-    atrous_separable(channel, variance, gbuf, 0, EdgeParams(), stats=stats)
+    atrous_separable(channel, variance, gbuf, 0, DenoiseConfig(), stats=stats)
     assert stats["taps"] == 16 * 16 * 10
 
 
@@ -277,7 +277,7 @@ def test_separable_variance_updated_once():
     gbuf = _flat_gbuf()
     variance = np.full((16, 16), 0.2)
     _, out_var = atrous_separable(np.full((16, 16), 0.7), variance, gbuf, 0,
-                                  EdgeParams())
+                                  DenoiseConfig())
     factor_1d = float(np.sum(KERNEL_1D**2))
     assert np.allclose(out_var, 0.2 * factor_1d, atol=1e-9)
 
@@ -388,7 +388,7 @@ def test_driver_start1_iteration0_matches_level1_footprint():
     cfg = DenoiseConfig(iterations=1, adaptive_start=True)
     out, _fb, _recs = denoise_channel(channel, variance, gbuf, cfg,
                                       ChannelKind.INDIRECT_SPECULAR)
-    want, _v = atrous_dense(channel, variance, gbuf, 1, EdgeParams.from_config(cfg))
+    want, _v = atrous_dense(channel, variance, gbuf, 1, cfg)
     assert np.allclose(out, want)
 
 
@@ -416,9 +416,8 @@ def test_driver_monotone_total_variation_on_flat_geometry():
     out = channel
     var = variance
     tvs = []
-    params = EdgeParams.from_config(cfg)
     for level in range(4):
-        out, var = atrous_dense(out, var, gbuf, level, params)
+        out, var = atrous_dense(out, var, gbuf, level, cfg)
         tv = np.abs(np.diff(out[:, :, 0], axis=0)).sum() \
             + np.abs(np.diff(out[:, :, 0], axis=1)).sum()
         tvs.append(tv)
