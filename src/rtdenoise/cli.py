@@ -105,6 +105,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="rtdenoise",
                                 description="Synthesize, denoise and evaluate "
                                             "1spp ray-traced frame sequences.")
+    p.add_argument("--debug", action="store_true",
+                   help="let errors propagate with their traceback")
     sub = p.add_subparsers(dest="command", required=True)
 
     sc = sub.add_parser("scene", help="write a preset scene JSON")
@@ -158,6 +160,8 @@ def main(argv=None) -> int:
     try:
         return args.fn(args)
     except Exception as e:  # diagnostics to stderr, nonzero exit
+        if args.debug:
+            raise
         print(f"error: {e}", file=sys.stderr)
         return 1
 

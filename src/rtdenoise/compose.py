@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .frames import GBufferFrame
-from .stencil import bilinear_sample
+from .stencil import bilinear_sample, dot3
 from .temporal import rectify_history
 
 
@@ -18,9 +18,9 @@ def shade_direct(gbuf: GBufferFrame, positions: np.ndarray, light_center,
     """
     fg = gbuf.foreground
     to_l = np.asarray(light_center, dtype=np.float64) - positions
-    dist2 = np.sum(to_l * to_l, axis=-1)
+    dist2 = dot3(to_l, to_l)
     ldir = to_l / np.sqrt(np.maximum(dist2, 1e-12))[..., None]
-    cos = np.maximum(0.0, np.sum(gbuf.normal.astype(np.float64) * ldir, axis=-1))
+    cos = np.maximum(0.0, dot3(gbuf.normal.astype(np.float64), ldir))
     out = (gbuf.albedo.astype(np.float64) / np.pi
            * np.asarray(intensity, dtype=np.float64)
            * (cos / np.maximum(dist2, 1e-12))[..., None])

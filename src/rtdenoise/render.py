@@ -19,6 +19,7 @@ from . import rng
 from .envmap import PrefilteredEnvMap, sample_latlong
 from .frames import ChannelKind, GBufferFrame, NoisyChannel
 from .scenes import Scene
+from .stencil import dot3
 
 _EPS = 1e-4
 _MIRROR_ROUGHNESS = 1e-6  # below this the lobe is treated as a perfect mirror
@@ -76,8 +77,8 @@ def project_to_pixel(points: np.ndarray, scene: Scene, frame: float):
 
 def _intersect_sphere(origins, dirs, center, radius):
     oc = origins - center
-    b = np.sum(oc * dirs, axis=-1)
-    c = np.sum(oc * oc, axis=-1) - radius * radius
+    b = dot3(oc, dirs)
+    c = dot3(oc, oc) - radius * radius
     disc = b * b - c
     sq = np.sqrt(np.maximum(disc, 0.0))
     t0 = -b - sq
@@ -208,7 +209,7 @@ def _direct_at(points, normals, albedo, emissive, scene, frame, light_center):
     to_l = light_center - points
     dist = np.linalg.norm(to_l, axis=-1)
     ldir = to_l / np.maximum(dist, 1e-12)[..., None]
-    cos = np.maximum(0.0, np.sum(normals * ldir, axis=-1))
+    cos = np.maximum(0.0, dot3(normals, ldir))
     vis = ~occluded(points + normals * _EPS, ldir, dist - 2 * _EPS, scene, frame)
     falloff = scene.light.intensity / np.maximum(dist * dist, 1e-12)[..., None]
     return emissive + albedo / np.pi * falloff * (cos * vis)[..., None]
@@ -294,7 +295,7 @@ def render_frame(scene: Scene, frame_index: int, spp: int, seed: int,
         visible += 1.0 - blocked
     shadow = np.where(fg, visible / spp, 1.0)
 
-    mirror = dirs - 2.0 * np.sum(dirs * normal, axis=-1, keepdims=True) * normal
+    mirror = dirs - 2.0 * dot3(dirs, normal)[..., None] * normal
     mirror = np.where(fg[..., None], _normalize(mirror), dirs)
     with np.errstate(divide="ignore"):
         exponent = np.where(rough > _MIRROR_ROUGHNESS,
@@ -308,7 +309,7 @@ def render_frame(scene: Scene, frame_index: int, spp: int, seed: int,
         u2 = rng.pixel_uniform(seed, frame_index, xs, ys, s, 3)
         lobe = _phong_lobe(mirror, np.where(is_mirror, 1.0, exponent), u1, u2)
         lobe = np.where(is_mirror[..., None], mirror, lobe)
-        above = np.sum(lobe * normal, axis=-1) > 0.0
+        above = dot3(lobe, normal) > 0.0
 
         t2, oid2, n2, alb2, rough2, emis2 = trace_nearest(shadow_origin, lobe, scene, frame_index)
         hit2 = oid2 != 0
@@ -318,7 +319,7 @@ def render_frame(scene: Scene, frame_index: int, spp: int, seed: int,
         if np.any(hit2):
             lit = _direct_at(p2, n2, alb2, emis2, scene, frame_index, light_c)
             if prefiltered is not None:
-                refl2 = lobe - 2.0 * np.sum(lobe * n2, axis=-1, keepdims=True) * n2
+                refl2 = lobe - 2.0 * dot3(lobe, n2)[..., None] * n2
                 lit = lit + alb2 * prefiltered.sample(_normalize(refl2), rough2)
             radiance = np.where(hit2[..., None], lit, radiance)
         spec += radiance * above[..., None]

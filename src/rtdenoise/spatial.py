@@ -13,7 +13,8 @@ are equivalent where the edge weights are uniform and intentionally diverge
 across edges, which shows up as slightly stronger blur.
 
 Both forms read their taps as slices of planes padded once per pass with
-edge values (`stencil.shifted`), which is clamp-to-border indexing. A
+edge values (`stencil.shifted`), which is clamp-to-border indexing, and
+compute each tap's edge weight into scratch planes allocated once per pass. A
 per-pixel level map runs one uniform pass per level in use and keeps each
 pixel's result at its own level; a pixel's result depends only on its own
 step, so this is exact.
@@ -29,7 +30,7 @@ from __future__ import annotations
 import numpy as np
 
 from .frames import ChannelKind, DenoiseConfig, GBufferFrame
-from .stencil import as_planes, shifted
+from .stencil import as_planes, channel_major, dot3, shifted
 from .tonemap import luma
 
 KERNEL_1D = np.array([1.0 / 16, 1.0 / 4, 3.0 / 8, 1.0 / 4, 1.0 / 16])
@@ -58,14 +59,35 @@ def check_level(top, height: int, width: int) -> None:
         raise ValueError(f"a-trous level {top} too large for {width}x{height}")
 
 
-def _tap_weights(z_c, n_c, l_c, denom_l, z_t, n_t, l_t, fg_t, dist, cfg):
+def _tap_weights(center, tap, dist, cfg, out, tmp):
+    """`edge_weight` over the whole frame for one tap, written into `out` with
+    `tmp` as scratch. `center` is (depth, sigma_z * |depth|, normal, luma,
+    luminance stop's denominator); `tap` is (depth, normal, luma, foreground)."""
+    z_c, sz_c, n_c, l_c, denom_l = center
+    z_t, n_t, l_t, fg_t = tap
     with np.errstate(invalid="ignore"):
-        w_z = np.exp(-np.abs(z_c - z_t) / (cfg.sigma_z * np.abs(z_c) * dist + _EPSILON))
-    ndot = np.maximum(0.0, np.sum(n_c * n_t, axis=-1))
-    w_n = ndot ** cfg.sigma_n
-    w_l = np.exp(-np.abs(l_c - l_t) / denom_l)
-    w = w_z * w_n * w_l * fg_t
-    return np.where(np.isfinite(w), w, 0.0)
+        np.subtract(z_c, z_t, out=out)
+        np.abs(out, out=out)
+        np.negative(out, out=out)
+        np.multiply(sz_c, dist, out=tmp)
+        tmp += _EPSILON
+        out /= tmp
+        np.exp(out, out=out)
+    ndot = np.maximum(0.0, dot3(n_c, n_t), out=tmp)
+    # 0 and 1 are their own powers for sigma_n > 0; most taps share a plane
+    # or face away, so only the rest pay for the pow
+    rest = (ndot != 0.0) & (ndot != 1.0)
+    ndot[rest] **= cfg.sigma_n
+    out *= ndot
+    np.subtract(l_c, l_t, out=tmp)
+    np.abs(tmp, out=tmp)
+    np.negative(tmp, out=tmp)
+    tmp /= denom_l
+    np.exp(tmp, out=tmp)
+    out *= tmp
+    out *= fg_t
+    np.copyto(out, 0.0, where=~np.isfinite(out))
+    return out
 
 
 # unit tap offsets (dy, dx, kernel weight, distance); pixel offsets scale by the step
@@ -88,30 +110,34 @@ def _filter(data, var, gbuf: GBufferFrame, level, offsets, axis, cfg: DenoiseCon
     used = np.unique(level)
     reach = 2 * 2 ** int(used[-1])
     z_c = gbuf.depth.astype(np.float64)
-    n_c = gbuf.normal.astype(np.float64)
     l_c = luma(data)
-    denom_l = cfg.sigma_l * np.sqrt(np.maximum(var, 0.0)) + _EPSILON
+    center = (z_c, cfg.sigma_z * np.abs(z_c), channel_major(gbuf.normal), l_c,
+              cfg.sigma_l * np.sqrt(np.maximum(var, 0.0)) + _EPSILON)
     taps = [shifted(p, reach, axis)
             for p in (gbuf.depth, gbuf.normal, l_c, gbuf.foreground, data)]
     var_at = shifted(var, reach, axis) if with_variance else None
+    wgt, tmp = np.empty((h, w)), np.empty((h, w))
 
     def run(step):
-        acc = np.zeros((h, w, c))
+        acc = np.zeros((c, h, w))  # one plane per channel, as `shifted` pads them
         acc_w = np.zeros((h, w))
         acc_w2v = np.zeros((h, w))
         for j, i, k, dist in offsets:
-            z_t, n_t, l_t, fg_t, d_t = (t(j * step, i * step) for t in taps)
-            if i == j == 0:
-                ew = 1.0
+            *tap, d_t = (t(j * step, i * step) for t in taps)
+            if i == j == 0:  # the center tap's edge weight is 1
+                wgt.fill(1.0)
             else:
-                ew = _tap_weights(z_c, n_c, l_c, denom_l, z_t, n_t, l_t, fg_t,
-                                  step * dist, cfg)
-            wgt = k * ew
-            acc += wgt[..., None] * d_t if np.ndim(wgt) else wgt * d_t
+                _tap_weights(center, tap, step * dist, cfg, wgt, tmp)
+            np.multiply(wgt, k, out=wgt)
+            for acc_ch, d_ch in zip(acc, np.moveaxis(d_t, -1, 0)):
+                acc_ch += np.multiply(wgt, d_ch, out=tmp)
             acc_w += wgt
             if with_variance:
-                acc_w2v += wgt * wgt * var_at(j * step, i * step)
-        out = acc / acc_w[..., None]
+                np.multiply(wgt, wgt, out=tmp)
+                acc_w2v += np.multiply(tmp, var_at(j * step, i * step), out=tmp)
+        # returned in the C layout callers expect: `luma`'s `@` may take
+        # another BLAS path, so other rounding, on another layout
+        out = np.divide(np.moveaxis(acc, 0, -1), acc_w[..., None], out=np.empty((h, w, c)))
         return (out, acc_w2v / (acc_w * acc_w)) if with_variance else (out,)
 
     result = run(2 ** int(used[0]))

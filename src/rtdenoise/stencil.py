@@ -4,6 +4,7 @@
 with its edge values (which is exactly clamp-to-border indexing) or with a
 constant, and each tap is a slice view of the padded plane. `bilinear_sample`
 serves the motion-vector reprojections, whose offsets differ per pixel.
+`dot3` is the one dot product of 3-vectors, for normals and directions.
 """
 
 from __future__ import annotations
@@ -17,21 +18,46 @@ def as_planes(data) -> np.ndarray:
     return arr[:, :, None] if arr.ndim == 2 else arr
 
 
+def dot3(a, b):
+    """Dot product over the last axis of length 3, broadcasting the rest.
+
+    Adds the three products left to right, as `np.sum(a * b, axis=-1)` does,
+    and like it yields +0.0 for a sum of -0.0 terms, so the two agree bit for
+    bit (dtypes too, under NumPy 2's promotion rules); it skips the generic
+    reduction, which is several times slower.
+    """
+    out = a[..., 0] * b[..., 0]
+    out += a[..., 1] * b[..., 1]
+    out += a[..., 2] * b[..., 2]
+    out += 0.0
+    return out
+
+
+def channel_major(arr) -> np.ndarray:
+    """float64 copy of (H, W, C) `arr`, same shape, laid out one channel plane
+    after another, so elementwise work on one channel reads contiguous rows."""
+    return np.moveaxis(np.moveaxis(arr, -1, 0).astype(np.float64, order="C"), 0, -1)
+
+
 def shifted(plane: np.ndarray, reach: int, axis: int | None = None, fill=None):
     """Pad `plane` by `reach` pixels and return tap(dy, dx) -> (H, W, ...) view.
 
     The view at pixel (y, x) reads plane[y + dy, x + dx], clamped to the border
     (or `fill` outside it when given). Only `axis` (0 rows, 1 columns) is
     padded when set, so taps then shift along that axis alone; |offset| <= reach.
+    Trailing channels are padded as one plane each (the layout of
+    `channel_major`), which keeps broadcasting a weight over them fast.
     """
     h, w = plane.shape[:2]
     ry = reach if axis in (None, 0) else 0
     rx = reach if axis in (None, 1) else 0
-    widths = ((ry, ry), (rx, rx)) + ((0, 0),) * (plane.ndim - 2)
+    planes = np.moveaxis(plane, (0, 1), (-2, -1))
+    widths = ((0, 0),) * (plane.ndim - 2) + ((ry, ry), (rx, rx))
     if fill is None:
-        padded = np.pad(plane, widths, mode="edge")
+        padded = np.pad(planes, widths, mode="edge")
     else:
-        padded = np.pad(plane, widths, mode="constant", constant_values=fill)
+        padded = np.pad(planes, widths, mode="constant", constant_values=fill)
+    padded = np.moveaxis(padded, (-2, -1), (0, 1))
     return lambda dy, dx: padded[ry + dy:ry + dy + h, rx + dx:rx + dx + w]
 
 

@@ -19,6 +19,13 @@ class SequenceError(ValueError):
 
 
 _REQUIRED_KEYS = ("format_version", "width", "height", "channels", "frame_count")
+_SHAPE_KEYS = ("width", "height", "channels")  # what a sequence in memory needs
+
+
+def _check_keys(manifest: dict, keys, where: str) -> None:
+    missing = [k for k in keys if k not in manifest]
+    if missing:
+        raise SequenceError(f"{where} lacks required keys: {', '.join(missing)}")
 
 
 def _frame_dir(index: int) -> str:
@@ -44,6 +51,7 @@ def _from_disk(name: str, arr: np.ndarray) -> np.ndarray:
 
 def check_sequence(seq: FrameSequence) -> None:
     """Re-validate a sequence against the frame/-manifest invariants; raises."""
+    _check_keys(seq.manifest, _SHAPE_KEYS, "sequence manifest")
     if not seq.frames:
         raise SequenceError("empty sequence")
     channels = seq.channels
@@ -84,9 +92,7 @@ def load_sequence(path) -> FrameSequence:
         raise SequenceError(f"missing manifest: {manifest_path}")
     with open(manifest_path) as f:
         manifest = json.load(f)
-    missing = [k for k in _REQUIRED_KEYS if k not in manifest]
-    if missing:
-        raise SequenceError(f"manifest {manifest_path} lacks required keys: {', '.join(missing)}")
+    _check_keys(manifest, _REQUIRED_KEYS, f"manifest {manifest_path}")
     if manifest["format_version"] != FORMAT_VERSION:
         raise SequenceError(f"manifest {manifest_path} has format_version "
                             f"{manifest['format_version']!r}; this version reads {FORMAT_VERSION}")

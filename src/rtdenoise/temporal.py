@@ -5,12 +5,14 @@ history through the motion vectors with a per-tap geometry consistency test,
 (2) optionally rectifies the history color against the statistics of the
 current noisy neighborhood, (3) blends it with the current sample, and
 (4) estimates per-pixel luminance variance, falling back to spatial moments
-while the history is too short to trust. Both neighborhood moments, the
-3x3 box that bounds rectification and the 7x7 geometry-restricted window of
-the spatial variance, come from one masked box loop (`_box_moments`) that
-reads its taps as slices of edge-padded planes, with a zero-padded mask
-counting in-bounds taps; the reprojection uses the shared bilinear sampler
-of `stencil`.
+while the history is too short to trust. The spatial moments are computed
+only where they are kept: over the bounding box of the short-history
+foreground, and not at all once every foreground history is long. Both
+neighborhood moments, the 3x3 box that bounds rectification and the 7x7
+geometry-restricted window of the spatial variance, come from one masked
+box loop (`_box_moments`) that reads its taps as slices of edge-padded
+planes, with a zero-padded mask counting in-bounds taps; the reprojection
+uses the shared bilinear sampler of `stencil`.
 
 Rectification runs on the reprojected color *before* the blend, and its
 bounding box comes from the current frame's noisy channel; history length is
@@ -24,7 +26,7 @@ from __future__ import annotations
 import numpy as np
 
 from .frames import DenoiseConfig, GBufferFrame, TemporalHistory
-from .stencil import as_planes, bilinear_sample, inside, shifted
+from .stencil import as_planes, bilinear_sample, channel_major, dot3, inside, shifted
 from .tonemap import luma
 
 
@@ -42,8 +44,8 @@ def consistency_test(prev_depth, prev_normal, prev_oid, curr_depth, curr_normal,
         rel = np.abs(np.asarray(prev_depth, dtype=np.float64) - curr_depth) \
             / np.maximum(np.abs(np.asarray(curr_depth, dtype=np.float64)), 1e-8)
         depth_ok = rel < depth_threshold
-    ndot = np.sum(np.asarray(prev_normal, dtype=np.float64)
-                  * np.asarray(curr_normal, dtype=np.float64), axis=-1)
+    ndot = dot3(np.asarray(prev_normal, dtype=np.float64),
+                np.asarray(curr_normal, dtype=np.float64))
     return id_ok & depth_ok & (ndot > normal_threshold)
 
 
@@ -175,6 +177,9 @@ def accumulate(curr_value: np.ndarray, curr_luma: np.ndarray, tap: dict,
     return TemporalHistory(color=color, moment1=m1, moment2=m2, history_len=length)
 
 
+_SPATIAL_RADIUS = 3  # of the spatial variance's 7x7 window
+
+
 def estimate_variance(history: TemporalHistory, curr_luma: np.ndarray,
                       curr_gbuf: GBufferFrame, min_history: int,
                       cfg: DenoiseConfig) -> np.ndarray:
@@ -183,23 +188,42 @@ def estimate_variance(history: TemporalHistory, curr_luma: np.ndarray,
     Temporal (moment2 - moment1^2) once at least `min_history` frames have
     been integrated; otherwise spatial moments of the current luminance over
     the 7x7 neighborhood restricted to in-bounds, geometry-consistent pixels.
-    The neighborhood is read through padded-slice taps of the stored G-buffer.
+    The spatial moments are computed only where they are kept: over the
+    bounding box of the short-history foreground, grown by the window radius
+    and clamped to the image, so each kept pixel sees its whole neighborhood
+    and the true image border. Background pixels get 0, which is what their
+    +inf depth gives them, since it fails every consistency test.
     """
     temporal = np.maximum(0.0, history.moment2 - history.moment1**2)
+    short = history.history_len < min_history
+    keep = short & curr_gbuf.foreground
+    variance = np.where(short, 0.0, temporal)
+    rows = np.flatnonzero(keep.any(axis=1))
+    if rows.size:
+        cols = np.flatnonzero(keep.any(axis=0))
+        r = _SPATIAL_RADIUS
+        box = (slice(max(rows[0] - r, 0), rows[-1] + r + 1),
+               slice(max(cols[0] - r, 0), cols[-1] + r + 1))
+        spatial = _spatial_variance(curr_luma[box], curr_gbuf.depth[box],
+                                    curr_gbuf.normal[box], curr_gbuf.object_id[box], cfg)
+        variance[box] = np.where(keep[box], spatial, variance[box])
+    return variance
 
-    depth = curr_gbuf.depth.astype(np.float64)
-    normal = curr_gbuf.normal.astype(np.float64)
-    oid = curr_gbuf.object_id
-    depth_at, normal_at, oid_at = (
-        shifted(p, 3) for p in (curr_gbuf.depth, curr_gbuf.normal, oid))
+
+def _spatial_variance(curr_luma, depth, normal, oid, cfg: DenoiseConfig):
+    """Luminance variance over each pixel's 7x7 window of in-bounds pixels
+    that pass the consistency test against it."""
+    depth_at, normal_at, oid_at = (shifted(p, _SPATIAL_RADIUS) for p in (depth, normal, oid))
+    depth = depth.astype(np.float64)
+    normal = channel_major(normal)
 
     def consistent(dy, dx):
         return consistency_test(depth_at(dy, dx), normal_at(dy, dx), oid_at(dy, dx),
                                 depth, normal, oid, cfg.depth_consistency,
                                 cfg.normal_consistency)
 
-    _mean, spatial = _box_moments(as_planes(curr_luma), 3, accept=consistent)
-    return np.where(history.history_len >= min_history, temporal, spatial[:, :, 0])
+    _mean, var = _box_moments(as_planes(curr_luma), _SPATIAL_RADIUS, accept=consistent)
+    return var[:, :, 0]
 
 
 def temporal_step(curr_data: np.ndarray, curr_gbuf: GBufferFrame,

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from rtdenoise.cli import main
-from rtdenoise.store import load_sequence
+from rtdenoise.store import SequenceError, load_sequence
 
 
 def _dir_digest(path: Path) -> str:
@@ -79,3 +79,12 @@ def test_error_paths_nonzero_exit(tmp_path, capsys):
     assert main(["denoise", "--in", str(tmp_path / "nothing"),
                  "--out", str(tmp_path / "y")]) == 1
     assert main(["eval", "--a", str(tmp_path / "a"), "--b", str(tmp_path / "b")]) == 1
+
+
+def test_debug_flag_reraises(tmp_path, capsys):
+    args = ["denoise", "--in", str(tmp_path / "nothing"), "--out", str(tmp_path / "y")]
+    assert main(args) == 1
+    assert "error: missing manifest" in capsys.readouterr().err
+    with pytest.raises(SequenceError, match="missing manifest"):
+        main(["--debug"] + args)
+    assert capsys.readouterr().err == ""

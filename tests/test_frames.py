@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from rtdenoise.frames import DenoiseConfig, FrameSequence, validate_frame
-from rtdenoise.store import SequenceError, load_sequence, save_sequence
+from rtdenoise.pipeline import run_pipeline
+from rtdenoise.store import SequenceError, check_sequence, load_sequence, save_sequence
 
 
 def _tiny_frame(h=4, w=4):
@@ -129,6 +130,26 @@ def test_manifest_missing_key_named(tmp_path, key):
     _edit_manifest(tmp_path / "seq", lambda m: m.pop(key))
     with pytest.raises(SequenceError, match=f"lacks required keys: {key}$"):
         load_sequence(tmp_path / "seq")
+
+
+_ENTRY_POINTS = {
+    "check_sequence": lambda seq, _root: check_sequence(seq),
+    "save_sequence": lambda seq, root: save_sequence(seq, root / "seq"),
+    "run_pipeline": lambda seq, _root: run_pipeline(seq, DenoiseConfig()),
+}
+
+
+@pytest.mark.parametrize("entry", list(_ENTRY_POINTS))
+@pytest.mark.parametrize("keys", [("width",), ("height",), ("channels",),
+                                  ("width", "channels")])
+def test_in_memory_manifest_missing_keys_named(tmp_path, entry, keys):
+    seq = _tiny_seq()
+    for key in keys:
+        del seq.manifest[key]
+    with pytest.raises(SequenceError,
+                       match=f"sequence manifest lacks required keys: {', '.join(keys)}$"):
+        _ENTRY_POINTS[entry](seq, tmp_path)
+    assert not (tmp_path / "seq").exists()
 
 
 def test_manifest_of_other_format_version_rejected(tmp_path):

@@ -3,9 +3,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rtdenoise.frames import DenoiseConfig, GBufferFrame, TemporalHistory
-from rtdenoise.temporal import (accumulate, consistency_test, estimate_variance,
-                                rectify_history, rectify_moments, reproject,
-                                temporal_step)
+from rtdenoise.stencil import shifted
+from rtdenoise.temporal import (_box_moments, accumulate, consistency_test,
+                                estimate_variance, rectify_history, rectify_moments,
+                                reproject, temporal_step)
 
 CFG = DenoiseConfig()
 
@@ -219,6 +220,72 @@ def test_variance_spatial_fallback_across_object_boundary():
             m2 = sum(v * v for v in vals) / len(vals)
             assert var[y, x] == pytest.approx(max(0.0, m2 - m1 * m1), abs=1e-12)
     assert rejected > 0
+
+
+def _full_frame_spatial_variance(luma, gbuf):
+    """The 7x7 spatial variance of every pixel of the frame, with no box."""
+    depth = gbuf.depth.astype(np.float64)
+    normal = gbuf.normal.astype(np.float64)
+    at = [shifted(p, 3) for p in (gbuf.depth, gbuf.normal, gbuf.object_id)]
+    _mean, var = _box_moments(luma[..., None], 3, accept=lambda dy, dx: consistency_test(
+        *(t(dy, dx) for t in at), depth, normal, gbuf.object_id))
+    return var[:, :, 0]
+
+
+def _mixed_frame(h=20, w=24):
+    """Two objects with a depth step and turned normals, over +inf background."""
+    gbuf = _flat_gbuf(h, w)
+    gbuf.object_id[:, w // 2:] = 2
+    gbuf.depth[h // 2:, :w // 2] = 8.0
+    gbuf.normal[:4, w // 2:] = (0.0, 0.0, 1.0)
+    gbuf.object_id[:, :3] = 0
+    gbuf.object_id[-2:, :] = 0
+    gbuf.depth[gbuf.object_id == 0] = np.inf
+    gbuf.normal[gbuf.object_id == 0] = 0.0
+    return gbuf
+
+
+@pytest.mark.parametrize("short_at", [
+    [(slice(5, 9), slice(8, 15))],        # inside, straddling both objects
+    [(0, 23), (slice(0, 2), slice(20, 24))],  # touching the top and right borders
+    [(slice(17, 20), slice(0, 24))],      # along the bottom, background included
+    [(3, 5), (12, 20)],                   # two lone pixels far apart
+    [],                                   # none short
+])
+def test_variance_spatial_only_where_kept_matches_full_frame(short_at):
+    h, w = 20, 24
+    gbuf = _mixed_frame(h, w)
+    rs = np.random.default_rng(3)
+    luma = rs.random((h, w))
+    hist = _const_history(h, w, 1, 0.0, length=10)
+    hist.moment1[:] = rs.random((h, w))
+    hist.moment2[:] = hist.moment1 ** 2 + rs.random((h, w))
+    for at in short_at:
+        hist.history_len[at] = 2
+    var = estimate_variance(hist, luma, gbuf, 4, CFG)
+
+    short = hist.history_len < 4
+    fg = gbuf.object_id != 0
+    full = _full_frame_spatial_variance(luma, gbuf)
+    temporal = np.maximum(0.0, hist.moment2 - hist.moment1 ** 2)
+    assert np.array_equal(var[short & fg], full[short & fg])
+    assert np.array_equal(var[~short], temporal[~short])
+    assert np.all(var[short & ~fg] == 0.0)
+    assert np.all(full[~fg] == 0.0)  # what the full frame gives the background
+
+
+def test_variance_skips_spatial_when_only_background_is_short(monkeypatch):
+    def fail(*_args, **_kwargs):
+        raise AssertionError("spatial moments computed with no short foreground")
+
+    monkeypatch.setattr("rtdenoise.temporal._box_moments", fail)
+    hist = _const_history(8, 8, 1, 0.6, length=10)
+    hist.history_len[2, 2] = 1
+    gbuf = _flat_gbuf()
+    gbuf.object_id[2, 2] = 0  # the one short pixel is background
+    gbuf.depth[2, 2] = np.inf
+    var = estimate_variance(hist, np.full((8, 8), 0.6), gbuf, 4, CFG)
+    assert var[2, 2] == 0.0
 
 
 def test_variance_never_negative():
