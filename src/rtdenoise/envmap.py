@@ -70,11 +70,14 @@ def _convolve_cosine_power(env: np.ndarray, exponent: float) -> np.ndarray:
     return out.reshape(h, w, 3)
 
 
-def lobe_exponent(roughness: float) -> float:
-    """Cosine-power exponent for a given roughness; inf at roughness 0."""
-    if roughness <= 0.0:
-        return np.inf
-    return max(1.0, 2.0 / roughness**2 - 2.0)
+_MIRROR_ROUGHNESS = 1e-6
+
+
+def lobe_exponent(roughness):
+    """Cosine-power exponent max(1, 2/r^2 - 2) per roughness value r; inf,
+    a perfect mirror, where r <= _MIRROR_ROUGHNESS."""
+    r = np.maximum(roughness, _MIRROR_ROUGHNESS)
+    return np.where(roughness > _MIRROR_ROUGHNESS, np.maximum(1.0, 2.0 / r**2 - 2.0), np.inf)
 
 
 @dataclass

@@ -107,8 +107,9 @@ class DenoiseConfig:
 
     Defaults follow common SVGF practice where the technique itself leaves
     them open; the two adaptive-start thresholds and the Reinhard symbols are
-    the documented values of the corresponding techniques. Each numeric
-    field declares its valid range, which excludes values that would
+    the documented values of the corresponding techniques. Each field takes
+    values of its default's type (a float field also takes an int). Each
+    numeric field declares its valid range, which excludes values that would
     silently switch a stage off (such as a consistency test no reprojection
     can pass).
     """
@@ -138,10 +139,16 @@ class DenoiseConfig:
     def validate(self) -> None:
         problems = []
         for f in fields(self):
+            v = getattr(self, f.name)
+            # a value of its default's type; bool is an int but counts as no number
+            want = type(f.default)
+            if (not isinstance(v, (int, float) if want is float else want)
+                    or (isinstance(v, bool) and want is not bool)):
+                problems.append(f"{f.name} {v!r} is not a {want.__name__}")
+                continue
             if "range" not in f.metadata:
                 continue
             lo, hi, open_lo, open_hi = f.metadata["range"]
-            v = getattr(self, f.name)
             if not ((lo < v if open_lo else lo <= v) and (v < hi if open_hi else v <= hi)):
                 problems.append(f"{f.name} {v!r} outside {'(' if open_lo else '['}{lo}, "
                                 f"{hi}{')' if open_hi else ']'}")

@@ -1,10 +1,12 @@
 """Per-frame pass orchestration and the named technique presets.
 
-Frame order is strictly sequential (the temporal stage carries state);
-within a frame the passes run in the fixed order: optional Reinhard forward
-on the raw specular samples, temporal accumulation per channel, a-trous
-filtering per channel, optional Reinhard inverse, direct shading and
-composition with sky fill, and finally the simplified TAA. A trace of pass
+Frame order is strictly sequential (the temporal stage carries state).
+Within a frame each denoising phase is one loop over `ChannelKind`, shadow
+then specular: temporal accumulation, then a-trous filtering, whose first
+iteration feeds back into the channel's history. Reinhard brackets the two
+on specular alone: forward on the raw samples before the temporal phase,
+inverse on the filtered result after the a-trous phase. Direct shading,
+composition with sky fill and the simplified TAA follow. A trace of pass
 names is recorded so the ordering is testable.
 """
 
@@ -18,7 +20,9 @@ from . import compose, metrics, render, spatial, temporal, tonemap
 from .envmap import prefilter_env
 from .frames import ChannelKind, DenoiseConfig, FrameSequence, GBufferFrame
 from .scenes import Scene, scene_from_dict
-from .store import check_sequence
+from .store import SequenceError, check_sequence
+
+SHADOW, SPECULAR = ChannelKind
 
 # cumulative technique stacks, in the order they build on one another
 PRESETS = {
@@ -64,6 +68,7 @@ def lighting(scene: Scene, frame_index: int, gbuf: GBufferFrame) -> tuple:
 def run_pipeline(seq: FrameSequence, cfg: DenoiseConfig, dump_intermediates: bool = False):
     """Denoise a sequence; returns (output FrameSequence, report dict).
 
+    The input must carry the G-buffer and each kind's `<kind>_1spp` channel.
     The scene, including the shadow angle that picks the shadow channel's
     adaptive start level, comes from the manifest's descriptor and must match
     the sequence's resolution. The report carries the pass trace, per-frame
@@ -72,6 +77,10 @@ def run_pipeline(seq: FrameSequence, cfg: DenoiseConfig, dump_intermediates: boo
     """
     cfg.validate()
     check_sequence(seq)
+    needed = [g.name for g in fields(GBufferFrame)] + [f"{k.value}_1spp" for k in ChannelKind]
+    missing = [name for name in needed if name not in seq.channels]
+    if missing:
+        raise SequenceError(f"sequence lacks the input channels: {', '.join(missing)}")
     if "scene" not in seq.manifest:
         raise ValueError("sequence manifest carries no scene descriptor")
     scene = scene_from_dict(seq.manifest["scene"])
@@ -82,95 +91,75 @@ def run_pipeline(seq: FrameSequence, cfg: DenoiseConfig, dump_intermediates: boo
         # the last iteration's level, one higher where adaptive start shifts it
         spatial.check_level(cfg.iterations - 1 + cfg.adaptive_start, seq.height, seq.width)
 
-    trace = []
-    frames_out = []
-    records = []
-    hist_shadow = hist_spec = None
-    prev_gbuf = None
-    prev_taa = None
+    trace, frames_out, records = [], [], []
+    history = dict.fromkeys(ChannelKind)
+    prev_gbuf = prev_taa = None
 
-    for f in range(len(seq.frames)):
-        frame = seq.frames[f]
+    for f, frame in enumerate(seq.frames):
         gbuf = seq.gbuffer(f)
-        shadow_raw = frame["shadow_1spp"].astype(np.float64)
-        spec_raw = frame["specular_1spp"].astype(np.float64)
-
+        # shadow stays (H, W) and specular (H, W, 3); the filters work on planes
+        raw = {kind: frame[f"{kind.value}_1spp"].astype(np.float64) for kind in ChannelKind}
+        signal = dict(raw)
         if cfg.reinhard:
             trace.append(f"{f}:reinhard_forward")
-            spec_in = tonemap.reinhard_forward(spec_raw, cfg.luma_multiplier)
-        else:
-            spec_in = spec_raw
+            signal[SPECULAR] = tonemap.reinhard_forward(raw[SPECULAR], cfg.luma_multiplier)
 
-        trace.append(f"{f}:temporal:shadow")
-        hist_shadow, var_shadow = temporal.temporal_step(
-            shadow_raw, gbuf, hist_shadow, prev_gbuf, cfg)
-        trace.append(f"{f}:temporal:specular")
-        hist_spec, var_spec = temporal.temporal_step(
-            spec_in, gbuf, hist_spec, prev_gbuf, cfg)
+        variance = {}
+        for kind in ChannelKind:
+            trace.append(f"{f}:temporal:{kind.value}")
+            history[kind], variance[kind] = temporal.temporal_step(
+                signal[kind], gbuf, history[kind], prev_gbuf, cfg)
 
-        trace.append(f"{f}:atrous:shadow")
-        den_shadow, fb_shadow, shadow_recs = spatial.denoise_channel(
-            hist_shadow.color, var_shadow, gbuf, cfg, ChannelKind.SHADOW,
-            shadow_angle=scene.shadow_angle_deg)
-        hist_shadow.color = fb_shadow
-
-        trace.append(f"{f}:atrous:specular")
-        den_spec, fb_spec, spec_recs = spatial.denoise_channel(
-            hist_spec.color, var_spec, gbuf, cfg, ChannelKind.INDIRECT_SPECULAR)
-        hist_spec.color = fb_spec
-        records.append({"frame": f, "shadow": shadow_recs, "specular": spec_recs})
+        den, rec = {}, {"frame": f}
+        for kind in ChannelKind:
+            trace.append(f"{f}:atrous:{kind.value}")
+            planes, history[kind].color, rec[kind.value] = spatial.denoise_channel(
+                history[kind].color, variance[kind], gbuf, cfg, kind,
+                shadow_angle=scene.shadow_angle_deg)
+            den[kind] = planes.reshape(raw[kind].shape)
+        records.append(rec)
 
         if cfg.reinhard:
             trace.append(f"{f}:reinhard_inverse")
-            den_spec_out = tonemap.reinhard_inverse_paper(den_spec, cfg.reinhard_weight)
-        else:
-            den_spec_out = den_spec
+            den[SPECULAR] = tonemap.reinhard_inverse_paper(den[SPECULAR], cfg.reinhard_weight)
 
         trace.append(f"{f}:shade_direct")
         direct, sky = lighting(scene, f, gbuf)
 
         trace.append(f"{f}:composite")
-        den_shadow_img = den_shadow[:, :, 0]
-        comp = compose.composite(direct, den_shadow_img, den_spec_out, gbuf, sky)
-        comp_noisy = compose.composite(direct, shadow_raw, spec_raw, gbuf, sky)
+        comp = compose.composite(direct, den[SHADOW], den[SPECULAR], gbuf, sky)
+        comp_noisy = compose.composite(direct, raw[SHADOW], raw[SPECULAR], gbuf, sky)
 
         trace.append(f"{f}:taa")
-        taa_out = compose.taa(comp, prev_taa, gbuf)
-        prev_taa = taa_out
+        taa_out = prev_taa = compose.taa(comp, prev_taa, gbuf)
         prev_gbuf = gbuf
 
-        out = {
-            "shadow_denoised": den_shadow_img.astype(np.float32),
-            "specular_denoised": den_spec_out.astype(np.float32),
-            "composite": taa_out.astype(np.float32),
-            "composite_noisy": comp_noisy.astype(np.float32),
-        }
+        out = {f"{kind.value}_denoised": den[kind] for kind in ChannelKind}
+        out.update(composite=taa_out, composite_noisy=comp_noisy)
         if dump_intermediates:
             trace.append(f"{f}:debug_dump")
-            out["debug_accum_shadow"] = hist_shadow.color[:, :, 0].astype(np.float32)
-            out["debug_accum_specular"] = hist_spec.color.astype(np.float32)
-            out["debug_variance_shadow"] = var_shadow.astype(np.float32)
-            out["debug_variance_specular"] = var_spec.astype(np.float32)
-            out["debug_history_len_shadow"] = hist_shadow.history_len.astype(np.float32)
-            out["debug_composite_pre_taa"] = comp.astype(np.float32)
-        frames_out.append(out)
+            out.update({f"debug_accum_{k.value}": history[k].color.reshape(raw[k].shape)
+                        for k in ChannelKind})
+            out.update({f"debug_variance_{k.value}": variance[k] for k in ChannelKind})
+            # every channel shares the G-buffer's reprojection, so one length serves all
+            out.update(debug_history_len_shadow=history[SHADOW].history_len,
+                       debug_composite_pre_taa=comp)
+        frames_out.append({name: img.astype(np.float32) for name, img in out.items()})
 
     quality = []
-    for f in range(len(seq.frames)):
-        if "reference" in seq.frames[f]:
-            ref = seq.frames[f]["reference"]
-            quality.append({
-                "frame": f,
-                "ssim": metrics.ssim(frames_out[f]["composite"], ref),
-                "mse": metrics.mse(frames_out[f]["composite"], ref),
-                "ssim_noisy": metrics.ssim(frames_out[f]["composite_noisy"], ref),
-                "mse_noisy": metrics.mse(frames_out[f]["composite_noisy"], ref),
-            })
+    for f, (frame, out) in enumerate(zip(seq.frames, frames_out)):
+        if "reference" in frame:
+            ref = frame["reference"]
+            quality.append({"frame": f,
+                            "ssim": metrics.ssim(out["composite"], ref),
+                            "mse": metrics.mse(out["composite"], ref),
+                            "ssim_noisy": metrics.ssim(out["composite_noisy"], ref),
+                            "mse_noisy": metrics.mse(out["composite_noisy"], ref)})
 
     manifest = {
         "width": seq.width,
         "height": seq.height,
-        "channels": sorted(frames_out[0].keys()) if frames_out else [],
+        "channels": sorted(frames_out[0].keys()),
         "scene": seq.manifest.get("scene"),
         "seed": seq.manifest.get("seed"),
         "spp": seq.manifest.get("spp"),
@@ -191,18 +180,17 @@ def synthesize_sequence(scene: Scene, frames: int, spp: int, seed: int,
     out = []
     channels = None
     for f in range(frames):
-        gbuf, shadow, spec = render.render_frame(scene, f, spp, seed, prefiltered=prefiltered)
+        gbuf, *noisy = render.render_frame(scene, f, spp, seed, prefiltered=prefiltered)
         frame = {**{g.name: getattr(gbuf, g.name) for g in fields(gbuf)},
-                 "shadow_1spp": shadow.data, "specular_1spp": spec.data}
+                 **{f"{ch.kind.value}_1spp": ch.data for ch in noisy}}
         if reference:
             # starting after the input's samples keeps the reference independent
-            _g, sref, cref = render.render_frame(
+            _g, *refs = render.render_frame(
                 scene, f, reference_spp, seed, prefiltered=prefiltered, sample_offset=spp)
-            frame["shadow_ref"] = sref.data
-            frame["specular_ref"] = cref.data
+            frame.update({f"{ch.kind.value}_ref": ch.data for ch in refs})
             direct, sky = lighting(scene, f, gbuf)
-            ref = compose.composite(direct, sref.data.astype(np.float64),
-                                    cref.data.astype(np.float64), gbuf, sky)
+            ref = compose.composite(direct, *(ch.data.astype(np.float64) for ch in refs),
+                                    gbuf, sky)
             frame["reference"] = ref.astype(np.float32)
         if channels is None:
             channels = sorted(frame.keys())

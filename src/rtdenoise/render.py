@@ -16,13 +16,12 @@ import math
 import numpy as np
 
 from . import rng
-from .envmap import PrefilteredEnvMap, sample_latlong
+from .envmap import PrefilteredEnvMap, lobe_exponent, sample_latlong
 from .frames import ChannelKind, GBufferFrame, NoisyChannel
 from .scenes import Scene
 from .stencil import dot3
 
 _EPS = 1e-4
-_MIRROR_ROUGHNESS = 1e-6  # below this the lobe is treated as a perfect mirror
 _UP = np.array([0.0, 1.0, 0.0])  # the ground's normal
 
 
@@ -297,10 +296,7 @@ def render_frame(scene: Scene, frame_index: int, spp: int, seed: int,
 
     mirror = dirs - 2.0 * dot3(dirs, normal)[..., None] * normal
     mirror = np.where(fg[..., None], _normalize(mirror), dirs)
-    with np.errstate(divide="ignore"):
-        exponent = np.where(rough > _MIRROR_ROUGHNESS,
-                            np.maximum(1.0, 2.0 / np.maximum(rough, _MIRROR_ROUGHNESS) ** 2 - 2.0),
-                            np.inf)
+    exponent = lobe_exponent(rough)
     is_mirror = ~(exponent < np.inf)
 
     spec = np.zeros((h, w, 3))

@@ -88,3 +88,16 @@ def test_debug_flag_reraises(tmp_path, capsys):
     with pytest.raises(SequenceError, match="missing manifest"):
         main(["--debug"] + args)
     assert capsys.readouterr().err == ""
+
+
+def test_denoise_names_missing_input_channels(workspace, tmp_path, capsys):
+    # a denoised output carries no G-buffer and no 1spp channels to denoise
+    _root, _scene, synth = workspace
+    out = tmp_path / "denoised"
+    assert main(["denoise", "--in", str(synth), "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["denoise", "--in", str(out), "--out", str(tmp_path / "x"),
+                 "--set", "iterations=2"]) == 1
+    err = capsys.readouterr().err
+    assert "error: sequence lacks the input channels:" in err
+    assert "depth" in err and "shadow_1spp" in err

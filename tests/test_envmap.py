@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from rtdenoise.envmap import (env_total_energy, latlong_directions,
-                              latlong_solid_angles, prefilter_env, sample_latlong)
+from rtdenoise.envmap import (env_total_energy, latlong_directions, latlong_solid_angles,
+                              lobe_exponent, prefilter_env, sample_latlong)
 
 
 def test_solid_angles_cover_sphere():
@@ -90,3 +90,11 @@ def test_sample_interpolates_levels():
     mid = pre.sample(d, np.array([0.125, 0.125]))  # halfway level 0 and 1
     expect = 0.5 * (sample_latlong(pre.levels[0], d) + sample_latlong(pre.levels[1], d))
     assert np.allclose(mid, expect)
+
+
+def test_lobe_exponent_values():
+    # a mirror up to 1e-6, then max(1, 2/r^2 - 2); scalars give the same values
+    r = np.array([0.0, 1e-7, 1e-6, 2e-6, 0.5, 1.0])
+    want = [np.inf, np.inf, np.inf, 2.0 / 2e-6**2 - 2.0, 6.0, 1.0]
+    assert lobe_exponent(r).tolist() == want
+    assert [float(lobe_exponent(v)) for v in r] == want

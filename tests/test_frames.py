@@ -175,3 +175,12 @@ def test_config_validation():
             DenoiseConfig(**bad).validate()
     with pytest.raises(ValueError, match="unknown"):
         DenoiseConfig.from_dict({"alpha": 0.5, "bogus": 1})
+    # each value must have its default's type; a float field also takes an int
+    DenoiseConfig(alpha=1, sigma_n=64).validate()
+    for name, bad in (("separable", "no"), ("adaptive_start", 1), ("iterations", 2.5),
+                      ("iterations", True), ("history_cap", 4.0), ("sigma_n", "x"),
+                      ("alpha", False), ("rectify_mode", 3), ("feedback", None)):
+        with pytest.raises(ValueError, match=f"{name} {bad!r} is not a "):
+            DenoiseConfig(**{name: bad}).validate()
+        with pytest.raises(ValueError, match=name):
+            DenoiseConfig.from_dict({name: bad})

@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 from rtdenoise import compose, render, temporal
-from rtdenoise.frames import DenoiseConfig, FrameSequence
+from rtdenoise.frames import CHANNELS, DenoiseConfig, FrameSequence
 from rtdenoise.pipeline import (PRESETS, preset_config, reconstruct_positions,
                                 run_pipeline, synthesize_sequence)
 from rtdenoise.scenes import preset_scene, scene_from_dict
-from rtdenoise.store import load_sequence, save_sequence
+from rtdenoise.store import SequenceError, load_sequence, save_sequence
 
 
 def _make_seq(name="shadow-objects", w=32, h=32, frames=2, seed=3, **kw):
@@ -158,8 +158,9 @@ def test_ibl_adaptive_iterations_keep_configured_count():
     assert [len(rec["specular"]) for rec in report["iterations"]] == [2, 2]
 
 
-def test_run_pipeline_checks_atrous_level_before_any_frame(monkeypatch):
-    _scene, seq = _make_seq(frames=2)
+@pytest.fixture
+def temporal_calls(monkeypatch):
+    """The calls of `temporal.temporal_step` made while the test runs."""
     calls = []
     step = temporal.temporal_step
 
@@ -168,9 +169,14 @@ def test_run_pipeline_checks_atrous_level_before_any_frame(monkeypatch):
         return step(*args, **kwargs)
 
     monkeypatch.setattr(temporal, "temporal_step", counted)
+    return calls
+
+
+def test_run_pipeline_checks_atrous_level_before_any_frame(temporal_calls):
+    _scene, seq = _make_seq(frames=2)
     with pytest.raises(ValueError, match="a-trous level 4 too large for 32x32"):
         run_pipeline(seq, preset_config("svgf+rectify+adaptive"))
-    assert calls == []
+    assert temporal_calls == []
 
 
 def test_ibl_secondary_adds_to_specular_only():
@@ -184,3 +190,48 @@ def test_ibl_secondary_adds_to_specular_only():
                 assert a[name].tobytes() == b[name].tobytes(), name
         assert np.all(b["specular_1spp"] >= a["specular_1spp"])
         assert np.any(b["specular_1spp"] > a["specular_1spp"])
+
+
+def test_run_pipeline_writes_exactly_its_channels():
+    _scene, seq = _make_seq(frames=2)
+    outputs = {"shadow_denoised", "specular_denoised", "composite", "composite_noisy"}
+    debug = {name for name in CHANNELS if name.startswith("debug_")}
+    assert len(debug) == 6
+    for dump, want in ((False, outputs), (True, outputs | debug)):
+        out, _report = run_pipeline(seq, DenoiseConfig(iterations=2), dump_intermediates=dump)
+        assert out.channels == sorted(want)
+        for frame in out.frames:
+            assert frame.keys() == want
+            for name, img in frame.items():
+                arity = CHANNELS[name]
+                assert img.shape == ((32, 32) if arity == 1 else (32, 32, arity)), name
+                assert img.dtype == np.float32, name
+
+
+def test_run_pipeline_names_missing_input_channels_before_any_frame(temporal_calls):
+    _scene, seq = _make_seq(frames=2)
+    for name in ("depth", "albedo", "shadow_1spp"):
+        seq.manifest["channels"].remove(name)
+        for frame in seq.frames:
+            del frame[name]
+    with pytest.raises(SequenceError,
+                       match="lacks the input channels: depth, albedo, shadow_1spp$"):
+        run_pipeline(seq, preset_config("svgf"))
+    assert temporal_calls == []
+
+
+def test_history_len_is_the_same_for_every_channel():
+    # history length follows the G-buffer alone, so one debug channel serves both
+    _scene, seq = _make_seq("cubes-distance", frames=4, movement="camera")
+    cfg = DenoiseConfig(rectify_mode="clamp")
+    shadow = specular = prev_gbuf = None
+    for f, frame in enumerate(seq.frames):
+        gbuf = seq.gbuffer(f)
+        assert frame["shadow_1spp"].ndim == 2 and frame["specular_1spp"].shape[2] == 3
+        shadow, _v = temporal.temporal_step(frame["shadow_1spp"].astype(np.float64), gbuf,
+                                            shadow, prev_gbuf, cfg)
+        specular, _v = temporal.temporal_step(frame["specular_1spp"].astype(np.float64),
+                                              gbuf, specular, prev_gbuf, cfg)
+        prev_gbuf = gbuf
+        assert np.array_equal(shadow.history_len, specular.history_len), f
+    assert shadow.history_len.max() == 4
