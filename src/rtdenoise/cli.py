@@ -49,8 +49,14 @@ def _load_config(args) -> DenoiseConfig:
     if getattr(args, "preset", None):
         cfg = preset_config(args.preset, base=cfg)
     for item in getattr(args, "set", None) or []:
-        key, _, value = item.partition("=")
-        cfg = DenoiseConfig.from_dict({**cfg.to_dict(), key: json.loads(value)})
+        key, eq, value = item.partition("=")
+        if not eq:
+            raise ValueError(f"--set {item!r}: expected KEY=JSON, e.g. {key}=true")
+        try:
+            parsed = json.loads(value)
+        except json.JSONDecodeError as e:
+            raise ValueError(f"--set {key}: value {value!r} is not JSON ({e.msg})") from None
+        cfg = DenoiseConfig.from_dict({**cfg.to_dict(), key: parsed})
     return cfg
 
 

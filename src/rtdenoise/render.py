@@ -6,7 +6,15 @@ is vectorized over the pixel grid and all randomness comes from the
 counter-based stream in `rng`, so images are bit-identical for fixed
 (scene, frame, spp, seed) regardless of scheduling. Both scene queries, the
 nearest hit and the occlusion test, walk one list of surfaces (`_surfaces`:
-the ground plane, then each sphere and box placed at the frame).
+the ground plane, then each sphere and box placed at the frame); a query's
+inverse ray directions are computed once and shared by all its boxes.
+
+`render_frame` runs two loops over the samples, shadow then specular. What
+does not depend on the sample is computed once per frame and shared by every
+iteration: the primary hits and the shadow-ray origins, the pixels' RNG key
+prefix (`rng.pixel_key`, continued per sample by `rng.sample_uniform`), the
+light's center, and for the specular lobe the mirror directions, their
+orthonormal basis and the exponent's power 1 / (e + 1).
 """
 
 from __future__ import annotations
@@ -25,9 +33,14 @@ _EPS = 1e-4
 _UP = np.array([0.0, 1.0, 0.0])  # the ground's normal
 
 
+def _length(v: np.ndarray) -> np.ndarray:
+    """Euclidean length over the last axis, bit for bit `np.linalg.norm(v,
+    axis=-1)` (the square root of the left-to-right sum of squares)."""
+    return np.sqrt(dot3(v, v))
+
+
 def _normalize(v: np.ndarray) -> np.ndarray:
-    n = np.linalg.norm(v, axis=-1, keepdims=True)
-    return v / np.maximum(n, 1e-12)
+    return v / np.maximum(_length(v)[..., None], 1e-12)
 
 
 def camera_basis(scene: Scene, frame: float):
@@ -86,13 +99,17 @@ def _intersect_sphere(origins, dirs, center, radius):
     return np.where(disc >= 0.0, t, np.inf)
 
 
-def _intersect_box(origins, dirs, lo, hi):
-    with np.errstate(divide="ignore"):
-        inv = 1.0 / dirs
-    a = (lo - origins) * inv
-    b = (hi - origins) * inv
-    tmin = np.nanmax(np.minimum(a, b), axis=-1)
-    tmax = np.nanmin(np.maximum(a, b), axis=-1)
+def _intersect_box(origins, inv_dirs, lo, hi):
+    """Slab test on `inv_dirs = 1 / dirs`, the three slabs combined per
+    component in axis order. A slab is NaN where the ray lies in its plane
+    (0 * inf), and `fmax`/`fmin` skip it."""
+    with np.errstate(invalid="ignore"):
+        a = (lo - origins) * inv_dirs
+        b = (hi - origins) * inv_dirs
+    near = np.minimum(a, b)
+    far = np.maximum(a, b)
+    tmin = np.fmax(np.fmax(near[..., 0], near[..., 1]), near[..., 2])
+    tmax = np.fmin(np.fmin(far[..., 0], far[..., 1]), far[..., 2])
     hit = (tmax >= tmin) & (tmax > _EPS)
     t = np.where(tmin > _EPS, tmin, tmax)
     return np.where(hit, t, np.inf)
@@ -121,6 +138,7 @@ def _surfaces(origins, dirs, scene: Scene, frame: float):
     `t` is the per-ray hit distance (inf on a miss) and `normal_fn(points)`
     the surface normal at hit points; objects are placed at `frame`.
     """
+    inv_dirs = None
     if scene.ground is not None:
         g = scene.ground
         yield (_intersect_plane(origins, dirs, g.height), g.oid, g.material,
@@ -133,7 +151,10 @@ def _surfaces(origins, dirs, scene: Scene, frame: float):
                    obj.material, lambda pts, c=c: _normalize(pts - c))
         else:
             lo, hi = obj.lo + off, obj.hi + off
-            yield (_intersect_box(origins, dirs, lo, hi), obj.oid, obj.material,
+            if inv_dirs is None:
+                with np.errstate(divide="ignore"):
+                    inv_dirs = 1.0 / dirs
+            yield (_intersect_box(origins, inv_dirs, lo, hi), obj.oid, obj.material,
                    lambda pts, lo=lo, hi=hi: _box_normal(pts, lo, hi))
 
 
@@ -188,13 +209,14 @@ def _onb(axis):
     return t1, t2
 
 
-def _phong_lobe(mirror, exponent, u1, u2):
-    """Sample directions around `mirror` with pdf ~ cos^e; e is per-element."""
+def _phong_lobe(mirror, onb, power, u1, u2):
+    """Sample directions around `mirror` with pdf ~ cos^e; `onb` is
+    `_onb(mirror)` and `power` is 1 / (e + 1), both per element."""
+    t1, t2 = onb
     with np.errstate(over="ignore"):
-        cos_t = u1 ** (1.0 / (exponent + 1.0))
+        cos_t = u1 ** power
     sin_t = np.sqrt(np.maximum(0.0, 1.0 - cos_t * cos_t))
     phi = 2.0 * np.pi * u2
-    t1, t2 = _onb(mirror)
     return (t1 * (sin_t * np.cos(phi))[..., None]
             + t2 * (sin_t * np.sin(phi))[..., None]
             + mirror * cos_t[..., None])
@@ -206,7 +228,7 @@ def _phong_lobe(mirror, exponent, u1, u2):
 def _direct_at(points, normals, albedo, emissive, scene, frame, light_center):
     """Deterministic shading used at secondary hits: emissive + shadowed direct."""
     to_l = light_center - points
-    dist = np.linalg.norm(to_l, axis=-1)
+    dist = _length(to_l)
     ldir = to_l / np.maximum(dist, 1e-12)[..., None]
     cos = np.maximum(0.0, dot3(normals, ldir))
     vis = ~occluded(points + normals * _EPS, ldir, dist - 2 * _EPS, scene, frame)
@@ -227,6 +249,8 @@ def render_frame(scene: Scene, frame_index: int, spp: int, seed: int,
     their albedo, adds to their direct light. Without one they get direct
     light only.
     """
+    if spp < 1:
+        raise ValueError(f"spp must be >= 1, got {spp}")
     if scene.frame_count is not None and frame_index >= scene.frame_count:
         raise ValueError(f"frame {frame_index} beyond scene animation length "
                          f"{scene.frame_count}")
@@ -276,19 +300,18 @@ def render_frame(scene: Scene, frame_index: int, spp: int, seed: int,
         emissive=np.where(fg[..., None], emissive, 0.0).astype(np.float32),
     )
 
-    xs = np.broadcast_to(np.arange(w)[None, :], (h, w))
-    ys = np.broadcast_to(np.arange(h)[:, None], (h, w))
+    key = rng.pixel_key(seed, frame_index, np.arange(w)[None, :], np.arange(h)[:, None])
     light_c = scene.light.center_at(frame_index)
     radius = scene.light.radius
     shadow_origin = hit_p + normal * _EPS
 
     visible = np.zeros((h, w))
     for s in range(sample_offset, sample_offset + spp):
-        u1 = rng.pixel_uniform(seed, frame_index, xs, ys, s, 0)
-        u2 = rng.pixel_uniform(seed, frame_index, xs, ys, s, 1)
+        u1 = rng.sample_uniform(key, s, 0)
+        u2 = rng.sample_uniform(key, s, 1)
         point = light_c + radius * _sphere_point(u1, u2)
         to_l = point - shadow_origin
-        dist = np.linalg.norm(to_l, axis=-1)
+        dist = _length(to_l)
         ldir = to_l / np.maximum(dist, 1e-12)[..., None]
         blocked = occluded(shadow_origin, ldir, dist - _EPS, scene, frame_index)
         visible += 1.0 - blocked
@@ -298,12 +321,14 @@ def render_frame(scene: Scene, frame_index: int, spp: int, seed: int,
     mirror = np.where(fg[..., None], _normalize(mirror), dirs)
     exponent = lobe_exponent(rough)
     is_mirror = ~(exponent < np.inf)
+    onb = _onb(mirror)
+    power = 1.0 / (np.where(is_mirror, 1.0, exponent) + 1.0)
 
     spec = np.zeros((h, w, 3))
     for s in range(sample_offset, sample_offset + spp):
-        u1 = rng.pixel_uniform(seed, frame_index, xs, ys, s, 2)
-        u2 = rng.pixel_uniform(seed, frame_index, xs, ys, s, 3)
-        lobe = _phong_lobe(mirror, np.where(is_mirror, 1.0, exponent), u1, u2)
+        u1 = rng.sample_uniform(key, s, 2)
+        u2 = rng.sample_uniform(key, s, 3)
+        lobe = _phong_lobe(mirror, onb, power, u1, u2)
         lobe = np.where(is_mirror[..., None], mirror, lobe)
         above = dot3(lobe, normal) > 0.0
 

@@ -24,24 +24,43 @@ def _mix(z: np.ndarray) -> np.ndarray:
     return z ^ (z >> np.uint64(31))
 
 
-def hash_keys(*keys) -> np.ndarray:
-    """Fold integer keys (scalars or broadcastable arrays) into uint64 hashes.
-
-    Each key is absorbed through a mix round, so the result is sensitive to
-    both key values and their order. uint64 wrap-around is intended.
-    """
+def _fold(h, keys):
     with np.errstate(over="ignore"):
-        h = _INIT
         for k in keys:
             k64 = np.asarray(k).astype(np.int64).view(np.uint64)
             h = _mix((h + _INIT) ^ k64)
     return h
 
 
+def hash_keys(*keys) -> np.ndarray:
+    """Fold integer keys (scalars or broadcastable arrays) into uint64 hashes.
+
+    Each key is absorbed through a mix round, so the result is sensitive to
+    both key values and their order. uint64 wrap-around is intended.
+    """
+    return _fold(_INIT, keys)
+
+
+def _unit(bits: np.ndarray) -> np.ndarray:
+    return (bits >> np.uint64(11)).astype(np.float64) * _INV_2_53
+
+
 def uniform(*keys) -> np.ndarray:
     """Uniform floats in [0, 1), one per broadcast element of the keys."""
-    bits = hash_keys(*keys)
-    return (bits >> np.uint64(11)).astype(np.float64) * _INV_2_53
+    return _unit(hash_keys(*keys))
+
+
+def pixel_key(seed: int, frame: int, xs, ys) -> np.ndarray:
+    """Hash of the per-pixel key prefix (seed, frame, x, y); see `sample_uniform`."""
+    return hash_keys(seed, frame, xs, ys)
+
+
+def sample_uniform(key, sample: int, dim: int) -> np.ndarray:
+    """`pixel_uniform` continued from a `pixel_key`, so a renderer hashes the
+    pixel prefix once per frame instead of once per sample and dimension.
+    Keys are absorbed in order, so this equals `uniform(*prefix, sample, dim)`.
+    """
+    return _unit(_fold(key, (sample, dim)))
 
 
 def pixel_uniform(seed: int, frame: int, xs, ys, sample: int, dim: int) -> np.ndarray:
@@ -51,4 +70,4 @@ def pixel_uniform(seed: int, frame: int, xs, ys, sample: int, dim: int) -> np.nd
     the pixel and `dim` the dimension within the sample (0: first light
     uniform, 1: second, 2/3: lobe uniforms, ...).
     """
-    return uniform(seed, frame, xs, ys, sample, dim)
+    return sample_uniform(pixel_key(seed, frame, xs, ys), sample, dim)

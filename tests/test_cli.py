@@ -101,3 +101,25 @@ def test_denoise_names_missing_input_channels(workspace, tmp_path, capsys):
     err = capsys.readouterr().err
     assert "error: sequence lacks the input channels:" in err
     assert "depth" in err and "shadow_1spp" in err
+
+
+@pytest.mark.parametrize("flags", [["--spp", "0"], ["--reference", "--reference-spp", "0"]])
+def test_synth_rejects_spp_below_one(workspace, tmp_path, capsys, flags):
+    _root, scene, _synth = workspace
+    out = tmp_path / "zero"
+    assert main(["synth", "--scene", str(scene), "--frames", "1", "--out", str(out)]
+                + flags) == 1
+    assert "error: spp must be >= 1, got 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("item,names", [("separable=no", ["separable", "'no'", "not JSON"]),
+                                        ("separable", ["'separable'", "KEY=JSON"])])
+def test_bad_set_names_key_and_value(workspace, tmp_path, capsys, item, names):
+    _root, _scene, synth = workspace
+    assert main(["denoise", "--in", str(synth), "--out", str(tmp_path / "o"),
+                 "--set", item]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: --set ")
+    for name in names:
+        assert name in err

@@ -69,6 +69,14 @@ def test_presets_accumulate_techniques():
         preset_config("svgf+magic")
 
 
+@pytest.mark.parametrize("spp,reference_spp", [(0, 4), (1, 0)])
+def test_synthesize_sequence_rejects_spp_below_one(spp, reference_spp):
+    scene = scene_from_dict(preset_scene("shadow-objects", width=8, height=8))
+    with pytest.raises(ValueError, match="spp must be >= 1, got 0"):
+        synthesize_sequence(scene, frames=1, spp=spp, seed=0, reference=True,
+                            reference_spp=reference_spp)
+
+
 def test_quality_report_uses_reference():
     scene = scene_from_dict(preset_scene("shadow-objects", width=32, height=32))
     seq = synthesize_sequence(scene, frames=1, spp=1, seed=0, reference=True,

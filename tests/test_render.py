@@ -1,8 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from rtdenoise import render
 from rtdenoise.frames import validate_frame
 from rtdenoise.render import (REFERENCE_SPP, camera_basis, camera_rays,
                               occluded, render_frame, trace_nearest)
@@ -96,6 +98,76 @@ def test_mirror_lobe_seed_independent():
     _g1, _s1, spec1 = render_frame(scene, 0, spp=1, seed=1)
     _g2, _s2, spec2 = render_frame(scene, 0, spp=1, seed=999)
     assert np.array_equal(spec1.data, spec2.data)
+
+
+@pytest.mark.parametrize("spp", [0, -2])
+def test_render_frame_rejects_spp_below_one(spp):
+    # spp = 0 would divide the sample sums by zero into all-NaN channels
+    with pytest.raises(ValueError, match=rf"spp must be >= 1, got {spp}"):
+        render_frame(_scene(width=8, height=8), 0, spp, seed=0)
+
+
+# ---------------------------------------------------------------------------
+# the intersection primitives against the formulas they replaced
+
+def _box_t_nan_reductions(origins, dirs, lo, hi):
+    # the slab test as written with the generic NaN-skipping reductions
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inv = 1.0 / dirs
+        a = (lo - origins) * inv
+        b = (hi - origins) * inv
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        tmin = np.nanmax(np.minimum(a, b), axis=-1)
+        tmax = np.nanmin(np.maximum(a, b), axis=-1)
+    hit = (tmax >= tmin) & (tmax > render._EPS)
+    return np.where(hit, np.where(tmin > render._EPS, tmin, tmax), np.inf)
+
+
+@pytest.mark.parametrize("lo,hi", [((-1.0, -1.0, -1.0), (1.0, 1.0, 1.0)),
+                                   ((0.0, -0.5, 1.0), (1.5, 1.0, 3.0))])
+def test_intersect_box_matches_nan_reductions(lo, hi):
+    lo, hi = np.array(lo), np.array(hi)
+    # origins on every slab plane, inside, outside and on the far side, against
+    # directions built from {-1, -0.0, 0.0, 1} (axis-aligned and diagonal,
+    # signed zeros, rays parallel to faces) and a few random ones
+    coords = sorted({-3.0, -0.25, 0.5, 3.0, *lo, *hi})
+    origins = np.stack(np.meshgrid(coords, coords, coords, indexing="ij"), -1).reshape(-1, 3)
+    comps = [-1.0, -0.0, 0.0, 1.0]
+    dirs = np.stack(np.meshgrid(comps, comps, comps, indexing="ij"), -1).reshape(-1, 3)
+    dirs = dirs[np.any(dirs != 0.0, axis=-1)]
+    dirs = np.concatenate([dirs, np.random.default_rng(3).normal(size=(8, 3))])
+    o = np.repeat(origins, len(dirs), axis=0)
+    d = np.tile(dirs, (len(origins), 1))
+    with np.errstate(divide="ignore"):
+        inv = 1.0 / d
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        t = render._intersect_box(o, inv, lo, hi)
+    want = _box_t_nan_reductions(o, d, lo, hi)
+    assert t.dtype == want.dtype and t.tobytes() == want.tobytes()
+    # the adversarial cases are present: NaN slabs, inside origins, hits, misses
+    with np.errstate(divide="ignore", invalid="ignore"):
+        nan_slab = np.isnan((lo - o) * inv) | np.isnan((hi - o) * inv)
+    inside = np.all((o > lo) & (o < hi), axis=-1)
+    assert np.any(nan_slab, axis=-1).sum() > 100
+    assert np.isfinite(t[inside]).all()
+    assert 0 < np.isfinite(t).sum() < t.size
+
+
+def test_lengths_match_linalg_norm():
+    rs = np.random.default_rng(8)
+    v = rs.normal(size=(64, 3)) * np.exp(rs.uniform(-30.0, 30.0, (64, 1)))
+    v[:4] = [[0.0, 0.0, 0.0], [-0.0, -0.0, -0.0], [-0.0, 2.0, 0.0], [1e-200, -0.0, 1e-200]]
+    cases = [v, v.reshape(8, 8, 3), np.array([3.0, -4.0, -0.0]),
+             np.broadcast_to(np.array([0.5, -1.5, 2.5]), (5, 3)),
+             np.array([1.0, 2.0, 0.0]) - v]  # a (3,) operand broadcast, as the light sites do
+    for x in cases:
+        want = np.linalg.norm(x, axis=-1)
+        assert render._length(x).tobytes() == want.tobytes()
+        unit = x / np.maximum(np.linalg.norm(x, axis=-1, keepdims=True), 1e-12)
+        got = render._normalize(x)
+        assert got.shape == unit.shape and got.tobytes() == unit.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from rtdenoise import rng
 
@@ -29,3 +30,20 @@ def test_uniform_range_and_mean():
     assert u.min() >= 0.0 and u.max() < 1.0
     assert abs(u.mean() - 0.5) < 0.02
     assert abs(u.var() - 1.0 / 12.0) < 0.005
+
+
+@pytest.mark.parametrize("xs,ys", [
+    tuple(np.meshgrid(np.arange(9), np.arange(5))),
+    (np.arange(7)[None, :], np.arange(4)[:, None]),  # broadcast, as render_frame passes them
+    (3, 8),
+])
+def test_sample_uniform_continues_pixel_key(xs, ys):
+    key = rng.pixel_key(11, 6, xs, ys)
+    for sample in (0, 1, 17, 1023):
+        for dim in range(4):
+            want = np.asarray(rng.uniform(11, 6, xs, ys, sample, dim))
+            for got in (rng.sample_uniform(key, sample, dim),
+                        rng.pixel_uniform(11, 6, xs, ys, sample, dim)):
+                got = np.asarray(got)
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
