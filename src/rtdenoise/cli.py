@@ -85,7 +85,10 @@ def _pick_channel(frame: dict, prefer: list):
 def _cmd_eval(args) -> int:
     seq_a = load_sequence(args.a)
     seq_b = load_sequence(args.b)
-    n = min(len(seq_a.frames), len(seq_b.frames))
+    n = len(seq_a.frames)
+    if len(seq_b.frames) != n:
+        raise ValueError(f"--a has {n} frame(s) but --b has {len(seq_b.frames)}; "
+                         "eval compares sequences of the same length")
     records = []
     prefer_a = [args.channel] if args.channel else ["composite", "reference",
                                                     "composite_noisy"]

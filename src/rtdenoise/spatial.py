@@ -17,7 +17,11 @@ edge values (`stencil.shifted`), which is clamp-to-border indexing, and
 compute each tap's edge weight into scratch planes allocated once per pass. A
 per-pixel level map runs one uniform pass per level in use and keeps each
 pixel's result at its own level; a pixel's result depends only on its own
-step, so this is exact.
+step, so this is exact. Each pass filters only the bounding box of the
+foreground and copies its inputs elsewhere. That is exact too: every pixel
+outside the box is background, whose result is replaced by its input anyway,
+and a background tap has weight 0, so the vertical pass of the separable form
+never sees that a background neighbour's horizontal result is its input.
 
 The start level can shift up by one where material features predict heavy
 noise (roughness over 0.2, shadow angles over 6 degrees), keeping the
@@ -60,7 +64,7 @@ def check_level(top, height: int, width: int) -> None:
 
 
 def _tap_weights(center, tap, dist, cfg, out, tmp):
-    """`edge_weight` over the whole frame for one tap, written into `out` with
+    """`edge_weight` over the filtered box for one tap, written into `out` with
     `tmp` as scratch. `center` is (depth, sigma_z * |depth|, normal, luma,
     luminance stop's denominator); `tap` is (depth, normal, luma, foreground)."""
     z_c, sz_c, n_c, l_c, denom_l = center
@@ -101,20 +105,34 @@ def _filter(data, var, gbuf: GBufferFrame, level, offsets, axis, cfg: DenoiseCon
             with_variance):
     """Edge-stopped weighted mean of `data` over `offsets` at each pixel's level.
 
-    Every plane a tap reads is padded once (along `axis` alone when set); one
-    uniform pass runs per level some pixel uses, and each pixel keeps the
-    result at its own level. Returns (mean,) or (mean, variance of the mean).
+    Only the foreground's bounding box is filtered: every pixel outside it is
+    background, whose result `_finish` discards, so there the outputs are
+    copies of the inputs. Each tap is a full plane padded once (along `axis`
+    alone when set) and sliced to the box, so a kept pixel still sees its true
+    neighbours and the image border. One uniform pass runs per level some
+    pixel of the box uses, and each pixel keeps the result at its own level.
+    Returns (mean,) or (mean, variance of the mean).
     """
-    h, w, c = data.shape
+    inputs = (data, var) if with_variance else (data,)
+    fg = gbuf.foreground
+    rows = np.flatnonzero(fg.any(axis=1))
+    if not rows.size:
+        return tuple(a.copy() for a in inputs)
+    cols = np.flatnonzero(fg.any(axis=0))
+    box = (slice(rows[0], rows[-1] + 1), slice(cols[0], cols[-1] + 1))
     level = np.asarray(level, dtype=np.int64)
+    level = level[box] if level.ndim else level
     used = np.unique(level)
     reach = 2 * 2 ** int(used[-1])
-    z_c = gbuf.depth.astype(np.float64)
-    l_c = luma(data)
-    center = (z_c, cfg.sigma_z * np.abs(z_c), channel_major(gbuf.normal), l_c,
-              cfg.sigma_l * np.sqrt(np.maximum(var, 0.0)) + _EPSILON)
+    # luma of the whole plane, before cropping: `@` may take another BLAS
+    # path, so other rounding, on a non-contiguous view
+    l_all = luma(data)
+    z_c = gbuf.depth[box].astype(np.float64)
+    (h, w), c = z_c.shape, data.shape[2]
+    center = (z_c, cfg.sigma_z * np.abs(z_c), channel_major(gbuf.normal[box]), l_all[box],
+              cfg.sigma_l * np.sqrt(np.maximum(var[box], 0.0)) + _EPSILON)
     taps = [shifted(p, reach, axis)
-            for p in (gbuf.depth, gbuf.normal, l_c, gbuf.foreground, data)]
+            for p in (gbuf.depth, gbuf.normal, l_all, fg, data)]
     var_at = shifted(var, reach, axis) if with_variance else None
     wgt, tmp = np.empty((h, w)), np.empty((h, w))
 
@@ -123,7 +141,7 @@ def _filter(data, var, gbuf: GBufferFrame, level, offsets, axis, cfg: DenoiseCon
         acc_w = np.zeros((h, w))
         acc_w2v = np.zeros((h, w))
         for j, i, k, dist in offsets:
-            *tap, d_t = (t(j * step, i * step) for t in taps)
+            *tap, d_t = (t(j * step, i * step)[box] for t in taps)
             if i == j == 0:  # the center tap's edge weight is 1
                 wgt.fill(1.0)
             else:
@@ -134,10 +152,8 @@ def _filter(data, var, gbuf: GBufferFrame, level, offsets, axis, cfg: DenoiseCon
             acc_w += wgt
             if with_variance:
                 np.multiply(wgt, wgt, out=tmp)
-                acc_w2v += np.multiply(tmp, var_at(j * step, i * step), out=tmp)
-        # returned in the C layout callers expect: `luma`'s `@` may take
-        # another BLAS path, so other rounding, on another layout
-        out = np.divide(np.moveaxis(acc, 0, -1), acc_w[..., None], out=np.empty((h, w, c)))
+                acc_w2v += np.multiply(tmp, var_at(j * step, i * step)[box], out=tmp)
+        out = np.divide(np.moveaxis(acc, 0, -1), acc_w[..., None])
         return (out, acc_w2v / (acc_w * acc_w)) if with_variance else (out,)
 
     result = run(2 ** int(used[0]))
@@ -145,7 +161,12 @@ def _filter(data, var, gbuf: GBufferFrame, level, offsets, axis, cfg: DenoiseCon
         mask = level == lv
         result = tuple(np.where(mask if r.ndim == 2 else mask[..., None], new, r)
                        for new, r in zip(run(2 ** int(lv)), result))
-    return result
+    # written into copies of the inputs, so callers get the C layout they
+    # gave: `luma`'s `@` may round differently on another layout
+    outputs = tuple(a.copy() for a in inputs)
+    for out, r in zip(outputs, result):
+        out[box] = r
+    return outputs
 
 
 def _finish(channel, data, var, gbuf, out, out_var, stats, taps_per_pixel):

@@ -3,8 +3,12 @@
 `shifted` serves every fixed-offset loop: a plane is padded once per pass,
 with its edge values (which is exactly clamp-to-border indexing) or with a
 constant, and each tap is a slice view of the padded plane. `bilinear_sample`
-serves the motion-vector reprojections, whose offsets differ per pixel.
-`dot3` is the one dot product of 3-vectors, for normals and directions.
+serves the motion-vector reprojections, whose offsets differ per pixel: it
+turns each enclosing texel's clamped (row, column) into one flat row-major
+index and fetches every plane with `gather`, an `np.take` over the plane's
+pixels, which costs a fraction of 2-D fancy indexing `plane[yc, xc]` and
+returns the same values. `dot3` is the one dot product of 3-vectors, for
+normals and directions.
 """
 
 from __future__ import annotations
@@ -66,11 +70,20 @@ def inside(shape, reach: int):
     return shifted(np.ones(shape, dtype=bool), reach, fill=False)
 
 
+def gather(plane: np.ndarray, flat: np.ndarray) -> np.ndarray:
+    """plane[flat // W, flat % W] for row-major pixel indices `flat`: the
+    pixels of (H, W) or (H, W, ...) `plane` at those indices, shaped
+    flat.shape + plane.shape[2:]."""
+    h, w = plane.shape[:2]
+    return np.take(plane.reshape((h * w,) + plane.shape[2:]), flat, axis=0)
+
+
 def bilinear_sample(planes, motion: np.ndarray, accept=None):
     """Bilinearly sample each plane at pixel + motion; returns (sums, wsum).
 
     Each of the four enclosing texels has its bilinear weight, or 0 where it
-    lies outside the image or `accept(yc, xc)` (index arrays) is false. `sums`
+    lies outside the image or `accept(flat)` is false, where `flat` holds the
+    texels' clamped row-major indices, to read planes with `gather`. `sums`
     holds each plane's weighted sum, unnormalized; `wsum` the weight total.
     """
     h, w = motion.shape[:2]
@@ -88,12 +101,11 @@ def bilinear_sample(planes, motion: np.ndarray, accept=None):
             yt = y0 + dy
             weight = (fx if dx else 1.0 - fx) * (fy if dy else 1.0 - fy)
             ok = (xt >= 0) & (xt < w) & (yt >= 0) & (yt < h)
-            xc = np.clip(xt, 0, w - 1)
-            yc = np.clip(yt, 0, h - 1)
+            flat = np.clip(yt, 0, h - 1) * w + np.clip(xt, 0, w - 1)
             if accept is not None:
-                ok = ok & accept(yc, xc)
+                ok = ok & accept(flat)
             tw = weight * ok
             wsum += tw
             for s, p in zip(sums, planes):
-                s += (tw[..., None] if p.ndim == 3 else tw) * p[yc, xc]
+                s += (tw[..., None] if p.ndim == 3 else tw) * gather(p, flat)
     return sums, wsum

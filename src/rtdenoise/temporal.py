@@ -11,8 +11,11 @@ foreground, and not at all once every foreground history is long. Both
 neighborhood moments, the 3x3 box that bounds rectification and the 7x7
 geometry-restricted window of the spatial variance, come from one masked
 box loop (`_box_moments`) that reads its taps as slices of edge-padded
-planes, with a zero-padded mask counting in-bounds taps; the reprojection
-uses the shared bilinear sampler of `stencil`.
+planes, with a zero-padded mask counting in-bounds taps. The reprojection
+uses the shared bilinear sampler of `stencil`, which hands each enclosing
+texel's consistency test the texels' flat row-major indices; the test reads
+the previous depth, normal and object id at them with `stencil.gather`, one
+`np.take` per plane instead of 2-D fancy indexing.
 
 Rectification runs on the reprojected color *before* the blend, and its
 bounding box comes from the current frame's noisy channel; history length is
@@ -26,7 +29,8 @@ from __future__ import annotations
 import numpy as np
 
 from .frames import DenoiseConfig, GBufferFrame, TemporalHistory
-from .stencil import as_planes, bilinear_sample, channel_major, dot3, inside, shifted
+from .stencil import (as_planes, bilinear_sample, channel_major, dot3, gather, inside,
+                      shifted)
 from .tonemap import luma
 
 
@@ -61,10 +65,10 @@ def reproject(prev: TemporalHistory, prev_gbuf: GBufferFrame, curr_gbuf: GBuffer
     curr_normal = curr_gbuf.normal.astype(np.float64)
     curr_oid = curr_gbuf.object_id
 
-    def consistent(yc, xc):
+    def consistent(flat):
         return consistency_test(
-            prev_gbuf.depth[yc, xc], prev_gbuf.normal[yc, xc],
-            prev_gbuf.object_id[yc, xc], curr_depth, curr_normal, curr_oid,
+            gather(prev_gbuf.depth, flat), gather(prev_gbuf.normal, flat),
+            gather(prev_gbuf.object_id, flat), curr_depth, curr_normal, curr_oid,
             cfg.depth_consistency, cfg.normal_consistency)
 
     (color, m1, m2, hist), wsum = bilinear_sample(

@@ -64,6 +64,20 @@ def test_eval_between_sequences(workspace):
     assert "ssim" in text.splitlines()[0]
 
 
+def test_eval_rejects_sequences_of_different_lengths(workspace, tmp_path, capsys):
+    _root, scene, synth = workspace
+    three = tmp_path / "three"
+    assert main(["synth", "--scene", str(scene), "--frames", "3", "--spp", "1",
+                 "--seed", "5", "--out", str(three)]) == 0
+    capsys.readouterr()
+    rep = tmp_path / "eval.csv"
+    assert main(["eval", "--a", str(three), "--b", str(synth), "--channel", "shadow_1spp",
+                 "--report", str(rep)]) == 1
+    out, err = capsys.readouterr()
+    assert err.startswith("error: ") and "3 frame(s)" in err and "has 2" in err
+    assert out == "" and not rep.exists()
+
+
 def test_synth_rerun_bit_identical(workspace, tmp_path):
     root, scene, synth = workspace
     again = tmp_path / "again"

@@ -31,12 +31,13 @@ gbuf, shadow, specular = render_frame(scene, 1, 2, 9)
 for arr in [getattr(gbuf, f.name) for f in fields(gbuf)] + [shadow.data, specular.data]:
     digest.update(np.ascontiguousarray(arr).tobytes())
 seq = synthesize_sequence(scene, frames=3, spp=1, seed=9)
-cfg = preset_config("svgf+rectify+adaptive+separable+reinhard",
-                    base=DenoiseConfig(iterations=2))
-out, report = run_pipeline(seq, cfg, dump_intermediates=True)
-for frame in out.frames:
-    for name in sorted(frame):
-        digest.update(np.ascontiguousarray(frame[name]).tobytes())
+# the dense path (svgf) and the separable full stack
+for preset in ("svgf", "svgf+rectify+adaptive+separable+reinhard"):
+    cfg = preset_config(preset, base=DenoiseConfig(iterations=2))
+    out, report = run_pipeline(seq, cfg, dump_intermediates=True)
+    for frame in out.frames:
+        for name in sorted(frame):
+            digest.update(np.ascontiguousarray(frame[name]).tobytes())
 print(digest.hexdigest())
 """
 

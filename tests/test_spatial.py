@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -75,7 +77,9 @@ def separable_oracle(channel, variance, gbuf, level_map, cfg):
     """Per-pixel loops of the separable contract: a color-only horizontal
     pass, then a vertical pass over the horizontal results that updates the
     variance. Each pixel filters at its own step, so the vertical pass reads
-    horizontal results that its neighbors computed at their own steps."""
+    horizontal results that its neighbors computed at their own steps. As in
+    `dense_oracle`, background pixels keep their input: a background tap has
+    weight 0, so the vertical pass never uses their horizontal result."""
     h, w = gbuf.depth.shape
     data = np.asarray(channel, dtype=np.float64).reshape(h, w, -1)
     var = np.asarray(variance, dtype=np.float64)
@@ -89,10 +93,12 @@ def separable_oracle(channel, variance, gbuf, level_map, cfg):
                 "object_id": int(gbuf.object_id[y, x])}
 
     def one_pass(img, vertical):
-        out = np.empty_like(img)
-        out_var = np.empty((h, w))
+        out = img.copy()
+        out_var = var.copy()
         for y in range(h):
             for x in range(w):
+                if gbuf.object_id[y, x] == 0:
+                    continue
                 step = 2 ** int(level_map[y, x])
                 center = attrs(img, y, x)
                 sw, sc, sv = 0.0, np.zeros(img.shape[2]), 0.0
@@ -112,9 +118,6 @@ def separable_oracle(channel, variance, gbuf, level_map, cfg):
 
     horiz, _ = one_pass(data, vertical=False)
     out, out_var = one_pass(horiz, vertical=True)
-    fg = gbuf.object_id != 0
-    out = np.where(fg[..., None], out, data)
-    out_var = np.where(fg, out_var, var)
     return (out[:, :, 0] if np.asarray(channel).ndim == 2 else out), out_var
 
 
@@ -257,6 +260,64 @@ def test_separable_mixed_levels_match_oracle():
     both = [atrous_separable(channel, variance, gbuf, lv, cfg)[0] for lv in (0, 1)]
     per_pass = np.where(levels[..., None] == 1, both[1], both[0])
     assert np.abs(per_pass - want).max() > 1e-6
+
+
+def _boxed_gbuf(rs, h, w):
+    """Random geometry whose foreground box lies strictly inside the frame: a
+    background band on the top rows, a background column on the right and
+    holes inside, with +inf depth and zero normals as the renderer gives."""
+    gbuf = _random_gbuf(rs, h, w)  # ~7% background holes
+    bg = gbuf.object_id == 0
+    bg[:3] = True
+    bg[:, -2:] = True
+    gbuf.object_id[bg] = 0
+    gbuf.depth[bg] = np.inf
+    gbuf.normal[bg] = 0.0
+    return gbuf
+
+
+@pytest.mark.parametrize("filt,oracle", [(atrous_dense, dense_oracle),
+                                         (atrous_separable, separable_oracle)])
+@pytest.mark.parametrize("level", [0, 1, "mixed"])
+def test_foreground_box_matches_oracle_and_keeps_background(filt, oracle, level):
+    rs = np.random.default_rng(13)
+    h = w = 16
+    gbuf = _boxed_gbuf(rs, h, w)
+    bg = ~gbuf.foreground
+    assert bg[:3].all() and bg[:, -2:].all() and bg[3:, :-2].any()
+    channel = rs.random((h, w, 3)) * 2.0
+    variance = rs.random((h, w)) * 0.3
+    cfg = DenoiseConfig()
+    level = rs.integers(0, 3, (h, w)) if level == "mixed" else level
+    got, got_var = filt(channel, variance, gbuf, level, cfg)
+    want, want_var = oracle(channel, variance, gbuf, np.broadcast_to(level, (h, w)), cfg)
+    assert np.abs(got - want).max() <= 1e-9
+    assert np.abs(got_var - want_var).max() <= 1e-9
+    assert got[bg].tobytes() == channel[bg].tobytes()
+    assert got_var[bg].tobytes() == variance[bg].tobytes()
+
+
+@pytest.mark.parametrize("filt", [atrous_dense, atrous_separable])
+@pytest.mark.parametrize("shape", [(8, 8), (8, 8, 3)])
+def test_all_background_frame_returns_inputs(filt, shape):
+    gbuf = _flat_gbuf(8, 8)
+    gbuf.object_id[:] = 0
+    gbuf.depth[:] = np.inf
+    gbuf.normal[:] = 0.0
+    rs = np.random.default_rng(14)
+    channel, variance = rs.random(shape), rs.random((8, 8))
+    before = channel.copy(), variance.copy()
+    stats = {}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for level in (0, rs.integers(0, 2, (8, 8))):
+            out, out_var = filt(channel, variance, gbuf, level, DenoiseConfig(), stats=stats)
+            assert out.shape == shape
+            assert out.tobytes() == channel.tobytes()
+            assert out_var.tobytes() == variance.tobytes()
+    assert channel.tobytes() == before[0].tobytes()
+    assert variance.tobytes() == before[1].tobytes()
+    assert stats["taps"] == 2 * 8 * 8 * stats["taps_per_pixel"]  # nominal count
 
 
 def test_tap_counts():

@@ -1,7 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
-from rtdenoise.stencil import channel_major, dot3, shifted
+from rtdenoise.stencil import bilinear_sample, channel_major, dot3, gather, shifted
 
 
 def _reference_dot(a, b):
@@ -58,3 +60,68 @@ def test_shifted_multichannel_taps_clamp_to_border(axis):
         for dx in (-1, 0, 2) if axis != 0 else (0,):
             want = plane[np.clip(ys + dy, 0, 4), np.clip(xs + dx, 0, 6)]
             assert np.array_equal(tap(dy, dx), want)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64, np.int32, bool])
+@pytest.mark.parametrize("channels", [None, 1, 3])
+def test_gather_equals_fancy_indexing(dtype, channels):
+    rs = np.random.default_rng(7)
+    h, w = 6, 9
+    shape = (h, w) if channels is None else (h, w, channels)
+    plane = (rs.standard_normal(shape) * 50).astype(dtype)
+    yc, xc = rs.integers(0, h, (5, 4)), rs.integers(0, w, (5, 4))
+    got, want = gather(plane, yc * w + xc), plane[yc, xc]
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def test_gather_on_channel_major_plane():
+    rs = np.random.default_rng(8)
+    plane = channel_major(rs.standard_normal((7, 5, 3)))
+    yc, xc = rs.integers(0, 7, (7, 5)), rs.integers(0, 5, (7, 5))
+    assert gather(plane, yc * 5 + xc).tobytes() == plane[yc, xc].tobytes()
+
+
+def _bilinear_oracle(planes, motion, accept_texel=None):
+    """Per-pixel loops over the four enclosing texels; a texel counts where it
+    lies inside the image and `accept_texel(y, x, yt, xt)` holds."""
+    h, w = motion.shape[:2]
+    sums = [np.zeros(p.shape) for p in planes]
+    wsum = np.zeros((h, w))
+    for y in range(h):
+        for x in range(w):
+            px, py = x + float(motion[y, x, 0]), y + float(motion[y, x, 1])
+            x0, y0 = math.floor(px), math.floor(py)
+            fx, fy = px - x0, py - y0
+            for dy in (0, 1):
+                for dx in (0, 1):
+                    xt, yt = x0 + dx, y0 + dy
+                    if not (0 <= xt < w and 0 <= yt < h):
+                        continue
+                    if accept_texel is not None and not accept_texel(y, x, yt, xt):
+                        continue
+                    wgt = (fx if dx else 1.0 - fx) * (fy if dy else 1.0 - fy)
+                    wsum[y, x] += wgt
+                    for s, p in zip(sums, planes):
+                        s[y, x] += wgt * p[yt, xt]
+    return sums, wsum
+
+
+@pytest.mark.parametrize("with_accept", [False, True])
+def test_bilinear_sample_matches_loop_oracle(with_accept):
+    rs = np.random.default_rng(11)
+    h, w = 9, 11
+    # fractional offsets up to 4 pixels: taps land past every border
+    motion = rs.uniform(-4.0, 4.0, (h, w, 2)).astype(np.float32)
+    planes = (rs.standard_normal((h, w, 3)), rs.standard_normal((h, w)),
+              rs.integers(0, 9, (h, w)).astype(np.int32))
+    ids = rs.integers(0, 3, (h, w))
+    accept = (lambda flat: gather(ids, flat) == ids) if with_accept else None
+    oracle_accept = (lambda y, x, yt, xt: ids[yt, xt] == ids[y, x]) if with_accept else None
+    sums, wsum = bilinear_sample(planes, motion, accept=accept)
+    want_sums, want_wsum = _bilinear_oracle(planes, motion, oracle_accept)
+    assert wsum.tobytes() == want_wsum.tobytes()
+    for got, want in zip(sums, want_sums):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    # some pixels lose every texel past a border or to `accept`, others some
+    assert (wsum == 0.0).any() and ((wsum > 0.0) & (wsum < 1.0 - 1e-9)).any()
