@@ -5,6 +5,12 @@ against a normalized cosine-power lobe with exponent e_k = max(1, 2/r_k^2 - 2)
 where r_k = k / (levels - 1); level 0 is the source itself. The convolution
 is a direct sum over source texels weighted by solid angle, which keeps it
 exact, order-independent and BLAS-free (maps are low resolution).
+
+Lookups (`sample_latlong`, `PrefilteredEnvMap.sample`) gather each map
+channel with `stencil.gather` at flat row-major texel indices and weight it
+as one plane. Their output has the layout of the directions: channel-major
+directions from the renderer give channel-major radiance, C-order ones
+(`render.render_sky`) C-order radiance.
 """
 
 from __future__ import annotations
@@ -12,6 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+from .stencil import gather
 
 
 def latlong_directions(width: int, height: int) -> np.ndarray:
@@ -35,7 +43,8 @@ def latlong_solid_angles(width: int, height: int) -> np.ndarray:
 
 
 def sample_latlong(env: np.ndarray, dirs: np.ndarray) -> np.ndarray:
-    """Bilinear lookup of directions in a lat-long map; wraps in azimuth."""
+    """Bilinear lookup of directions in a lat-long map; wraps in azimuth,
+    clamps at the poles. The result has the layout of `dirs`."""
     h, w = env.shape[:2]
     d = np.asarray(dirs, dtype=np.float64)
     y = np.clip(d[..., 1], -1.0, 1.0)
@@ -51,9 +60,16 @@ def sample_latlong(env: np.ndarray, dirs: np.ndarray) -> np.ndarray:
     u0 = u0 % w
     v1 = np.clip(v0 + 1, 0, h - 1)
     v0 = np.clip(v0, 0, h - 1)
-    a = env[v0, u0] * (1 - tu)[..., None] + env[v0, u1] * tu[..., None]
-    b = env[v1, u0] * (1 - tu)[..., None] + env[v1, u1] * tu[..., None]
-    return a * (1 - tv)[..., None] + b * tv[..., None]
+    i00, i01 = v0 * w + u0, v0 * w + u1
+    i10, i11 = v1 * w + u0, v1 * w + u1
+    su, sv = 1 - tu, 1 - tv
+    out = np.empty_like(d)
+    for c in range(3):
+        plane = env[..., c]
+        a = gather(plane, i00) * su + gather(plane, i01) * tu
+        b = gather(plane, i10) * su + gather(plane, i11) * tu
+        out[..., c] = a * sv + b * tv
+    return out
 
 
 def _convolve_cosine_power(env: np.ndarray, exponent: float) -> np.ndarray:
@@ -91,17 +107,27 @@ class PrefilteredEnvMap:
         return len(self.levels)
 
     def sample(self, dirs: np.ndarray, roughness) -> np.ndarray:
-        """Lookup with linear interpolation across the roughness grid."""
+        """Lookup with linear interpolation across the roughness grid; one
+        roughness per direction. Each direction reads the two levels around
+        its roughness, and a level is looked up only at the directions that
+        read it."""
         n = self.num_levels
         if n == 1:
             return sample_latlong(self.levels[0], dirs)
+        d = np.asarray(dirs, dtype=np.float64)
         level_f = np.clip(np.asarray(roughness, dtype=np.float64), 0.0, 1.0) * (n - 1)
         l0 = np.floor(level_f).astype(np.int64)
         l1 = np.minimum(l0 + 1, n - 1)
         t = level_f - l0
-        per_level = np.stack([sample_latlong(lv, dirs) for lv in self.levels])
-        lo = np.take_along_axis(per_level, l0[None, ..., None], axis=0)[0]
-        hi = np.take_along_axis(per_level, l1[None, ..., None], axis=0)[0]
+        lo = np.empty_like(d)
+        hi = np.empty_like(d)
+        for k, level in enumerate(self.levels):
+            at0, at1 = l0 == k, l1 == k
+            used = at0 | at1
+            if np.any(used):
+                values = sample_latlong(level, d[used])
+                lo[at0] = values[at0[used]]
+                hi[at1] = values[at1[used]]
         return lo * (1 - t)[..., None] + hi * t[..., None]
 
 

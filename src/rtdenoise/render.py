@@ -15,6 +15,17 @@ iteration: the primary hits and the shadow-ray origins, the pixels' RNG key
 prefix (`rng.pixel_key`, continued per sample by `rng.sample_uniform`), the
 light's center, and for the specular lobe the mirror directions, their
 orthonormal basis and the exponent's power 1 / (e + 1).
+
+Inside `render_frame` every per-pixel 3-vector is channel-major: shape
+(..., 3), but each component one contiguous plane (`stencil.channel_major`,
+`_planar`). Elementwise results take their operands' layout, so a broadcast
+such as `v * s[..., None]` runs over whole planes instead of numpy's
+innermost loop over three components, and the slab test and the normal
+writes go plane by plane. Per element the formulas are unchanged, so the
+images are bit for bit those of C-order arrays; the queries accept either
+layout. C order is kept where it matters: for the operands of `@` (a
+threaded BLAS may round differently on another layout), for `camera_rays`
+and `render_sky`, and for every array `render_frame` returns.
 """
 
 from __future__ import annotations
@@ -27,7 +38,7 @@ from . import rng
 from .envmap import PrefilteredEnvMap, lobe_exponent, sample_latlong
 from .frames import ChannelKind, GBufferFrame, NoisyChannel
 from .scenes import Scene
-from .stencil import dot3
+from .stencil import channel_major, dot3
 
 _EPS = 1e-4
 _UP = np.array([0.0, 1.0, 0.0])  # the ground's normal
@@ -41,6 +52,22 @@ def _length(v: np.ndarray) -> np.ndarray:
 
 def _normalize(v: np.ndarray) -> np.ndarray:
     return v / np.maximum(_length(v)[..., None], 1e-12)
+
+
+def _planar(shape, zeros: bool = False) -> np.ndarray:
+    """float64 3-vectors of `shape`, uninitialized or zeroed, laid out
+    channel-major like `stencil.channel_major`."""
+    return np.moveaxis((np.zeros if zeros else np.empty)((3, *shape)), 0, -1)
+
+
+def _cross(a, b):
+    """np.cross over the last axis by its own formula (a1*b2 - a2*b1, ...),
+    so bit for bit equal, but channel-major where np.cross returns C order."""
+    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
+    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
+    return np.moveaxis(np.stack([a1 * b2 - a2 * b1,
+                                 a2 * b0 - a0 * b2,
+                                 a0 * b1 - a1 * b0]), 0, -1)
 
 
 def camera_basis(scene: Scene, frame: float):
@@ -100,16 +127,17 @@ def _intersect_sphere(origins, dirs, center, radius):
 
 
 def _intersect_box(origins, inv_dirs, lo, hi):
-    """Slab test on `inv_dirs = 1 / dirs`, the three slabs combined per
-    component in axis order. A slab is NaN where the ray lies in its plane
+    """Slab test on `inv_dirs = 1 / dirs`, one axis at a time, the slabs
+    combined in axis order. A slab is NaN where the ray lies in its plane
     (0 * inf), and `fmax`/`fmin` skip it."""
     with np.errstate(invalid="ignore"):
-        a = (lo - origins) * inv_dirs
-        b = (hi - origins) * inv_dirs
-    near = np.minimum(a, b)
-    far = np.maximum(a, b)
-    tmin = np.fmax(np.fmax(near[..., 0], near[..., 1]), near[..., 2])
-    tmax = np.fmin(np.fmin(far[..., 0], far[..., 1]), far[..., 2])
+        for k in range(3):
+            a = (lo[k] - origins[..., k]) * inv_dirs[..., k]
+            b = (hi[k] - origins[..., k]) * inv_dirs[..., k]
+            near = np.minimum(a, b)
+            far = np.maximum(a, b)
+            tmin = near if k == 0 else np.fmax(tmin, near)
+            tmax = far if k == 0 else np.fmin(tmax, far)
     hit = (tmax >= tmin) & (tmax > _EPS)
     t = np.where(tmin > _EPS, tmin, tmax)
     return np.where(hit, t, np.inf)
@@ -159,24 +187,33 @@ def _surfaces(origins, dirs, scene: Scene, frame: float):
 
 
 def trace_nearest(origins, dirs, scene: Scene, frame: float):
-    """Nearest-hit query returning per-ray t, object id and surface attrs."""
+    """Nearest-hit query returning per-ray t, object id and surface attrs;
+    the normal, albedo and emissive vectors are channel-major."""
     shape = origins.shape[:-1]
     best_t = np.full(shape, np.inf)
     oid = np.zeros(shape, dtype=np.int32)
-    normal = np.zeros(shape + (3,))
-    albedo = np.zeros(shape + (3,))
+    normal = _planar(shape, zeros=True)
+    albedo = _planar(shape, zeros=True)
     rough = np.ones(shape)
-    emissive = np.zeros(shape + (3,))
+    emissive = _planar(shape, zeros=True)
     for t, this_oid, mat, normal_fn in _surfaces(origins, dirs, scene, frame):
         closer = t < best_t  # hit distances are > _EPS or inf
-        if not np.any(closer):
+        hits = np.flatnonzero(closer)
+        if not hits.size:
             continue
-        best_t[closer] = t[closer]
-        oid[closer] = this_oid
-        normal[closer] = normal_fn(origins[closer] + dirs[closer] * t[closer][..., None])
-        albedo[closer] = mat.albedo
-        rough[closer] = mat.roughness
-        emissive[closer] = mat.emissive
+        np.copyto(best_t, t, where=closer)
+        np.copyto(oid, this_oid, where=closer)
+        np.copyto(albedo, mat.albedo, where=closer[..., None])
+        np.copyto(rough, mat.roughness, where=closer)
+        np.copyto(emissive, mat.emissive, where=closer[..., None])
+        # normals at the compacted hit points, written back one plane at a
+        # time (a `_planar` plane is contiguous, so its reshape is a view)
+        t_hit = np.take(t, hits)
+        points = np.stack([np.take(origins[..., k], hits) + np.take(dirs[..., k], hits) * t_hit
+                           for k in range(3)], axis=-1)
+        n = np.broadcast_to(normal_fn(points), points.shape)
+        for k in range(3):
+            normal[..., k].reshape(-1)[hits] = n[:, k]
     return best_t, oid, normal, albedo, rough, emissive
 
 
@@ -196,7 +233,7 @@ def _sphere_point(u1, u2):
     z = 1.0 - 2.0 * u1
     r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
     phi = 2.0 * np.pi * u2
-    return np.stack([r * np.cos(phi), r * np.sin(phi), z], axis=-1)
+    return np.moveaxis(np.stack([r * np.cos(phi), r * np.sin(phi), z]), 0, -1)
 
 
 def _onb(axis):
@@ -204,8 +241,8 @@ def _onb(axis):
     helper = np.where(np.abs(axis[..., 1:2]) < 0.9,
                       np.array([0.0, 1.0, 0.0]),
                       np.array([1.0, 0.0, 0.0]))
-    t1 = _normalize(np.cross(axis, helper))
-    t2 = np.cross(axis, t1)
+    t1 = _normalize(_cross(axis, helper))
+    t2 = _cross(axis, t1)
     return t1, t2
 
 
@@ -232,7 +269,9 @@ def _direct_at(points, normals, albedo, emissive, scene, frame, light_center):
     ldir = to_l / np.maximum(dist, 1e-12)[..., None]
     cos = np.maximum(0.0, dot3(normals, ldir))
     vis = ~occluded(points + normals * _EPS, ldir, dist - 2 * _EPS, scene, frame)
-    falloff = scene.light.intensity / np.maximum(dist * dist, 1e-12)[..., None]
+    # a (3,) over an (..., 1) operand would come out C-order
+    falloff = np.divide(scene.light.intensity, np.maximum(dist * dist, 1e-12)[..., None],
+                        out=_planar(dist.shape))
     return emissive + albedo / np.pi * falloff * (cos * vis)[..., None]
 
 
@@ -257,11 +296,13 @@ def render_frame(scene: Scene, frame_index: int, spp: int, seed: int,
 
     h, w = scene.height, scene.width
     origins, dirs = camera_rays(scene, frame_index)
+    _pos, fwd, _r, _u, _th = camera_basis(scene, frame_index)
+    along_fwd = dirs @ fwd  # on the C-order rays, before they are replaced
+    origins, dirs = channel_major(origins), channel_major(dirs)
     t, oid, normal, albedo, rough, emissive = trace_nearest(origins, dirs, scene, frame_index)
     fg = oid != 0
 
-    _pos, fwd, _r, _u, _th = camera_basis(scene, frame_index)
-    view_z = t * (dirs @ fwd)
+    view_z = t * along_fwd
     depth = np.where(fg, view_z, np.inf)
     hit_p = origins + dirs * np.where(fg, t, 0.0)[..., None]
 
@@ -273,7 +314,7 @@ def render_frame(scene: Scene, frame_index: int, spp: int, seed: int,
     cam_static = all(np.array_equal(a, b) for a, b in
                      zip(scene.camera_at(frame_index), scene.camera_at(frame_index - 1)))
     moved = np.zeros((h, w), dtype=bool)
-    prev_p = hit_p.copy()
+    prev_p = hit_p.copy(order="C")  # `project_to_pixel` applies `@` to it
     for obj in scene.objects:
         delta = obj.offset_at(frame_index) - obj.offset_at(frame_index - 1)
         if np.any(delta != 0.0):
@@ -292,12 +333,12 @@ def render_frame(scene: Scene, frame_index: int, spp: int, seed: int,
 
     gbuf = GBufferFrame(
         depth=depth.astype(np.float32),
-        normal=np.where(fg[..., None], normal, 0.0).astype(np.float32),
+        normal=np.where(fg[..., None], normal, 0.0).astype(np.float32, order="C"),
         motion=motion.astype(np.float32),
         object_id=oid.astype(np.int32),
-        albedo=np.where(fg[..., None], albedo, 0.0).astype(np.float32),
+        albedo=np.where(fg[..., None], albedo, 0.0).astype(np.float32, order="C"),
         roughness=np.where(fg, rough, 1.0).astype(np.float32),
-        emissive=np.where(fg[..., None], emissive, 0.0).astype(np.float32),
+        emissive=np.where(fg[..., None], emissive, 0.0).astype(np.float32, order="C"),
     )
 
     key = rng.pixel_key(seed, frame_index, np.arange(w)[None, :], np.arange(h)[:, None])
@@ -324,7 +365,7 @@ def render_frame(scene: Scene, frame_index: int, spp: int, seed: int,
     onb = _onb(mirror)
     power = 1.0 / (np.where(is_mirror, 1.0, exponent) + 1.0)
 
-    spec = np.zeros((h, w, 3))
+    spec = _planar((h, w), zeros=True)
     for s in range(sample_offset, sample_offset + spp):
         u1 = rng.sample_uniform(key, s, 2)
         u2 = rng.sample_uniform(key, s, 3)
@@ -348,7 +389,8 @@ def render_frame(scene: Scene, frame_index: int, spp: int, seed: int,
 
     return (gbuf,
             NoisyChannel(ChannelKind.SHADOW, shadow.astype(np.float32), spp),
-            NoisyChannel(ChannelKind.INDIRECT_SPECULAR, specular.astype(np.float32), spp))
+            NoisyChannel(ChannelKind.INDIRECT_SPECULAR,
+                         specular.astype(np.float32, order="C"), spp))
 
 
 REFERENCE_SPP = 1024  # ground truth: the identical estimator at high spp

@@ -2,7 +2,9 @@
 
 `rng` and `render` claim bit-identical images for fixed inputs regardless of
 scheduling, and `tonemap.luma` and the camera rays go through `@`, which a
-threaded BLAS may split differently. Each run is a fresh interpreter, since
+threaded BLAS may split differently. One frame is also rendered with
+image-based lighting, so the prefiltered map's lookups on channel-major
+directions are covered. Each run is a fresh interpreter, since
 the thread count is read when numpy loads.
 """
 
@@ -19,6 +21,7 @@ from dataclasses import fields
 
 import numpy as np
 
+from rtdenoise.envmap import prefilter_env
 from rtdenoise.frames import DenoiseConfig
 from rtdenoise.pipeline import preset_config, run_pipeline, synthesize_sequence
 from rtdenoise.render import render_frame
@@ -27,9 +30,10 @@ from rtdenoise.scenes import preset_scene, scene_from_dict
 digest = hashlib.sha256()
 scene = scene_from_dict(preset_scene("cubes-distance", width=24, height=24,
                                      movement="camera"))
-gbuf, shadow, specular = render_frame(scene, 1, 2, 9)
-for arr in [getattr(gbuf, f.name) for f in fields(gbuf)] + [shadow.data, specular.data]:
-    digest.update(np.ascontiguousarray(arr).tobytes())
+for prefiltered in (None, prefilter_env(scene.env, 3)):
+    gbuf, shadow, specular = render_frame(scene, 1, 2, 9, prefiltered=prefiltered)
+    for arr in [getattr(gbuf, f.name) for f in fields(gbuf)] + [shadow.data, specular.data]:
+        digest.update(np.ascontiguousarray(arr).tobytes())
 seq = synthesize_sequence(scene, frames=3, spp=1, seed=9)
 # the dense path (svgf) and the separable full stack
 for preset in ("svgf", "svgf+rectify+adaptive+separable+reinhard"):

@@ -3,6 +3,7 @@ import pytest
 
 from rtdenoise.envmap import (env_total_energy, latlong_directions, latlong_solid_angles,
                               lobe_exponent, prefilter_env, sample_latlong)
+from rtdenoise.stencil import channel_major
 
 
 def test_solid_angles_cover_sphere():
@@ -98,3 +99,86 @@ def test_lobe_exponent_values():
     want = [np.inf, np.inf, np.inf, 2.0 / 2e-6**2 - 2.0, 6.0, 1.0]
     assert lobe_exponent(r).tolist() == want
     assert [float(lobe_exponent(v)) for v in r] == want
+
+
+def _sample_latlong_fancy(env, dirs):
+    # the lookup as written with 2-D fancy indexing on the (H, W, 3) map
+    h, w = env.shape[:2]
+    d = np.asarray(dirs, dtype=np.float64)
+    theta = np.arccos(np.clip(d[..., 1], -1.0, 1.0))
+    phi = np.arctan2(d[..., 2], d[..., 0]) % (2.0 * np.pi)
+    fu = phi / (2.0 * np.pi) * w - 0.5
+    fv = theta / np.pi * h - 0.5
+    u0 = np.floor(fu).astype(np.int64)
+    v0 = np.floor(fv).astype(np.int64)
+    tu = fu - u0
+    tv = fv - v0
+    u1 = (u0 + 1) % w
+    u0 = u0 % w
+    v1 = np.clip(v0 + 1, 0, h - 1)
+    v0 = np.clip(v0, 0, h - 1)
+    a = env[v0, u0] * (1 - tu)[..., None] + env[v0, u1] * tu[..., None]
+    b = env[v1, u0] * (1 - tu)[..., None] + env[v1, u1] * tu[..., None]
+    return a * (1 - tv)[..., None] + b * tv[..., None]
+
+
+def _lookup_dirs():
+    rs = np.random.default_rng(5)
+    w = 16
+    # azimuths inside the last texel column and at 0, where u0 = w - 1 wraps
+    # to u1 = 0; directions at and near both poles, where v0 or v1 clamps;
+    # signed zeros; then random directions
+    phis = 2.0 * np.pi * np.array([(w - 0.5) / w, (w - 0.25) / w, 1.0 - 1e-12, 0.0])
+    special = [np.array([np.cos(p), 0.3, np.sin(p)]) for p in phis] + [
+        [0.0, 1.0, 0.0], [0.0, -1.0, 0.0], [1e-3, 1.0, 0.0], [-0.0, -1.0, -0.0],
+        [0.5, 0.0, -0.0], [-1.0, -0.0, 0.0], [-1.0, 0.0, -0.0]]
+    d = np.concatenate([np.array(special), rs.normal(size=(53, 3))])
+    return (d / np.linalg.norm(d, axis=-1, keepdims=True)).reshape(8, 8, 3)
+
+
+@pytest.mark.parametrize("planar", [False, True])
+def test_sample_latlong_matches_fancy_indexing(planar):
+    env = np.random.default_rng(6).random((8, 16, 3))
+    d = _lookup_dirs()
+    if planar:
+        d = channel_major(d)
+    got = sample_latlong(env, d)
+    want = _sample_latlong_fancy(env, d)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    # the output's layout follows the directions'
+    assert (got[..., 0].flags.c_contiguous if planar else got.flags.c_contiguous)
+    # the wrap and the pole clamps are exercised
+    fu = (np.arctan2(d[..., 2], d[..., 0]) % (2.0 * np.pi)) / (2.0 * np.pi) * 16 - 0.5
+    fv = np.arccos(np.clip(d[..., 1], -1.0, 1.0)) / np.pi * 8 - 0.5
+    assert np.any(np.floor(fu) == 15) and np.any(np.floor(fu) == -1)
+    assert np.any(fv < 0.0) and np.any(fv >= 7.0)
+
+
+def _sample_all_levels(pre, dirs, roughness):
+    # every level looked up at every direction, then the two levels picked
+    n = pre.num_levels
+    level_f = np.clip(np.asarray(roughness, dtype=np.float64), 0.0, 1.0) * (n - 1)
+    l0 = np.floor(level_f).astype(np.int64)
+    l1 = np.minimum(l0 + 1, n - 1)
+    t = level_f - l0
+    per_level = np.stack([sample_latlong(lv, dirs) for lv in pre.levels])
+    lo = np.take_along_axis(per_level, l0[None, ..., None], axis=0)[0]
+    hi = np.take_along_axis(per_level, l1[None, ..., None], axis=0)[0]
+    return lo * (1 - t)[..., None] + hi * t[..., None]
+
+
+@pytest.mark.parametrize("planar", [False, True])
+def test_prefiltered_sample_matches_all_levels(planar):
+    env = 0.2 + np.random.default_rng(7).random((8, 16, 3))
+    pre = prefilter_env(env, 5)
+    d = _lookup_dirs()
+    if planar:
+        d = channel_major(d)
+    # on the grid, between levels, past both ends (clamped) and a roughness
+    # band that reads only levels 1 and 2, as one material would
+    rough = np.random.default_rng(8).uniform(-0.2, 1.2, (8, 8))
+    rough[0, :6] = [0.0, 0.25, 0.5, 0.75, 1.0, 0.3]
+    for r in (rough, np.full((8, 8), 0.3)):
+        got = pre.sample(d, r)
+        want = _sample_all_levels(pre, d, r)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()

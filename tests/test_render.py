@@ -1,14 +1,17 @@
 import math
 import warnings
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from rtdenoise import render
+from rtdenoise.envmap import prefilter_env
 from rtdenoise.frames import validate_frame
 from rtdenoise.render import (REFERENCE_SPP, camera_basis, camera_rays,
-                              occluded, render_frame, trace_nearest)
+                              occluded, render_frame, render_sky, trace_nearest)
 from rtdenoise.scenes import MOVEMENTS, PRESET_NAMES, preset_scene, scene_from_dict
+from rtdenoise.stencil import channel_major
 
 
 def _scene(name="shadow-objects", **kw):
@@ -79,15 +82,19 @@ def test_movement_matrix(name, movement):
         assert _keyframes(doc["light"]["center"]) == [4, 5]
 
 
-@pytest.mark.parametrize("name", PRESET_NAMES)
-def test_occluded_agrees_with_nearest_hit(name):
-    # moving objects, so both queries must place them at the same frame
-    scene = _scene(name, width=8, height=8, movement="lights-objects")
+def _random_rays():
     rs = np.random.default_rng(4)
     origins = rs.uniform((-4.0, 0.05, -4.0), (4.0, 4.0, 4.0), (2000, 3))
     dirs = rs.normal(size=(2000, 3))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    max_dist = rs.uniform(0.0, 12.0, 2000)
+    return origins, dirs, rs.uniform(0.0, 12.0, 2000)
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_occluded_agrees_with_nearest_hit(name):
+    # moving objects, so both queries must place them at the same frame
+    scene = _scene(name, width=8, height=8, movement="lights-objects")
+    origins, dirs, max_dist = _random_rays()
     blocked = occluded(origins, dirs, max_dist, scene, 40)
     assert np.array_equal(blocked, trace_nearest(origins, dirs, scene, 40)[0] < max_dist)
     assert 0 < np.count_nonzero(blocked) < blocked.size
@@ -124,10 +131,10 @@ def _box_t_nan_reductions(origins, dirs, lo, hi):
     return np.where(hit, np.where(tmin > render._EPS, tmin, tmax), np.inf)
 
 
-@pytest.mark.parametrize("lo,hi", [((-1.0, -1.0, -1.0), (1.0, 1.0, 1.0)),
-                                   ((0.0, -0.5, 1.0), (1.5, 1.0, 3.0))])
-def test_intersect_box_matches_nan_reductions(lo, hi):
-    lo, hi = np.array(lo), np.array(hi)
+_BOXES = [((-1.0, -1.0, -1.0), (1.0, 1.0, 1.0)), ((0.0, -0.5, 1.0), (1.5, 1.0, 3.0))]
+
+
+def _slab_rays(lo, hi):
     # origins on every slab plane, inside, outside and on the far side, against
     # directions built from {-1, -0.0, 0.0, 1} (axis-aligned and diagonal,
     # signed zeros, rays parallel to faces) and a few random ones
@@ -137,8 +144,13 @@ def test_intersect_box_matches_nan_reductions(lo, hi):
     dirs = np.stack(np.meshgrid(comps, comps, comps, indexing="ij"), -1).reshape(-1, 3)
     dirs = dirs[np.any(dirs != 0.0, axis=-1)]
     dirs = np.concatenate([dirs, np.random.default_rng(3).normal(size=(8, 3))])
-    o = np.repeat(origins, len(dirs), axis=0)
-    d = np.tile(dirs, (len(origins), 1))
+    return np.repeat(origins, len(dirs), axis=0), np.tile(dirs, (len(origins), 1))
+
+
+@pytest.mark.parametrize("lo,hi", _BOXES)
+def test_intersect_box_matches_nan_reductions(lo, hi):
+    lo, hi = np.array(lo), np.array(hi)
+    o, d = _slab_rays(lo, hi)
     with np.errstate(divide="ignore"):
         inv = 1.0 / d
     with warnings.catch_warnings():
@@ -153,6 +165,87 @@ def test_intersect_box_matches_nan_reductions(lo, hi):
     assert np.any(nan_slab, axis=-1).sum() > 100
     assert np.isfinite(t[inside]).all()
     assert 0 < np.isfinite(t).sum() < t.size
+
+
+def _box_scene(lo, hi):
+    return scene_from_dict({
+        "name": "box", "resolution": [8, 8],
+        "camera": {"position": [0.0, 3.0, 6.0], "look_at": [0.0, 0.0, 0.0], "vfov_deg": 40.0},
+        "objects": [{"type": "box", "min": list(lo), "max": list(hi),
+                     "albedo": [0.5, 0.4, 0.3], "roughness": 0.2, "id": 2},
+                    {"type": "sphere", "center": [2.0, 1.0, -2.0], "radius": 0.8,
+                     "albedo": [0.2, 0.6, 0.2], "roughness": 0.5, "id": 3}],
+        "ground": {"height": -2.0, "albedo": [0.5, 0.5, 0.5], "roughness": 0.9, "id": 1},
+        "light": {"center": [0.0, 8.0, 0.0], "radius": 0.5, "intensity": [30.0, 30.0, 30.0]},
+        "env": {"kind": "constant", "value": [0.2, 0.2, 0.2]},
+    })
+
+
+@pytest.mark.parametrize("box,name", [(b, None) for b in _BOXES]
+                         + [(None, n) for n in PRESET_NAMES])
+def test_queries_independent_of_ray_layout(box, name):
+    # the renderer passes channel-major rays: every query result must equal,
+    # bit for bit, the result on C-order copies of the same rays. The
+    # adversarial slab rays run against a box scene, the random rays against
+    # every preset.
+    if box is not None:
+        scene, (o, d) = _box_scene(*box), _slab_rays(*box)
+        max_dist = np.full(len(o), 2.5)
+    else:
+        scene = _scene(name, width=8, height=8, movement="lights-objects")
+        o, d, max_dist = _random_rays()
+    n = len(o) - len(o) % 8  # (8, n/8) rays, so the queries see 2-D masks
+    o, d, max_dist = o[:n].reshape(8, -1, 3), d[:n].reshape(8, -1, 3), max_dist[:n].reshape(8, -1)
+    planar_o, planar_d = channel_major(o), channel_major(d)
+    assert o.flags.c_contiguous and planar_o[..., 0].flags.c_contiguous
+    for lo, hi in _BOXES:
+        with np.errstate(divide="ignore"):
+            want = render._intersect_box(o, 1.0 / d, np.array(lo), np.array(hi))
+            got = render._intersect_box(planar_o, 1.0 / planar_d, np.array(lo), np.array(hi))
+        assert got.tobytes() == want.tobytes()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        want = trace_nearest(o, d, scene, 40)
+        got = trace_nearest(planar_o, planar_d, scene, 40)
+        blocked = occluded(planar_o, planar_d, max_dist, scene, 40)
+    assert len(got) == len(want) == 6
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.shape == w.shape and g.tobytes() == w.tobytes()
+    assert blocked.tobytes() == occluded(o, d, max_dist, scene, 40).tobytes()
+    assert 0 < np.count_nonzero(want[1]) < want[1].size  # hits and misses
+    assert 0 < np.count_nonzero(blocked) < blocked.size
+
+
+def test_cross_matches_np_cross():
+    rs = np.random.default_rng(11)
+    a = rs.normal(size=(96, 3)) * 10.0 ** rs.uniform(-30.0, 30.0, (96, 1))
+    b = rs.normal(size=(96, 3)) * 10.0 ** rs.uniform(-30.0, 30.0, (96, 1))
+    a[:6] = [[0.0, 0.0, 0.0], [-0.0, -0.0, -0.0], [-0.0, 1.0, 0.0], [1.0, -0.0, -0.0],
+             [0.0, 0.0, 1.0], [-0.0, 0.0, 1e-30]]
+    b[:6] = [[-0.0, 1.0, 0.0], [0.0, 0.0, 0.0], [1.0, 0.0, -0.0], [-0.0, -1.0, 0.0],
+             [-0.0, -0.0, -1.0], [1e30, -0.0, 0.0]]
+    a, b = a.reshape(8, 12, 3), b.reshape(8, 12, 3)
+    helper = np.array([1.0, 0.0, 0.0])  # a (3,) operand broadcast, as `_onb` has
+    for x, y in [(a, b), (channel_major(a), channel_major(b)), (channel_major(a), b),
+                 (a, helper), (channel_major(a), helper)]:
+        got = render._cross(x, y)
+        want = np.cross(x, y)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert got[..., 0].flags.c_contiguous  # channel-major
+    assert np.signbit(np.cross(a, b).reshape(-1, 3)[:6]).any()  # signed zeros exercised
+
+
+def test_boundary_arrays_are_c_contiguous():
+    # channel-major stays inside the renderer; consumers such as luma's `@`
+    # see C order
+    scene = _scene("breakfast-lite", width=12, height=10, movement="camera", roughness=0.1)
+    gbuf, shadow, spec = render_frame(scene, 2, spp=2, seed=1,
+                                      prefiltered=prefilter_env(scene.env, 3))
+    arrays = {f.name: getattr(gbuf, f.name) for f in fields(gbuf)}
+    arrays.update(shadow=shadow.data, specular=spec.data, sky=render_sky(scene, 2),
+                  **dict(zip(("origins", "dirs"), camera_rays(scene, 2))))
+    for name, arr in arrays.items():
+        assert arr.flags.c_contiguous, name
 
 
 def test_lengths_match_linalg_norm():
