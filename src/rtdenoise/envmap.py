@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .stencil import gather
+from .stencil import gather, take3
 
 
 def latlong_directions(width: int, height: int) -> np.ndarray:
@@ -117,18 +117,24 @@ class PrefilteredEnvMap:
         d = np.asarray(dirs, dtype=np.float64)
         level_f = np.clip(np.asarray(roughness, dtype=np.float64), 0.0, 1.0) * (n - 1)
         l0 = np.floor(level_f).astype(np.int64)
-        l1 = np.minimum(l0 + 1, n - 1)
-        t = level_f - l0
-        lo = np.empty_like(d)
-        hi = np.empty_like(d)
+        t = (level_f - l0).reshape(-1)
+        # the values of levels l0 and l1 = min(l0 + 1, n - 1), one row per
+        # channel over the flat directions
+        lo = np.empty((3, t.size))
+        hi = np.empty((3, t.size))
         for k, level in enumerate(self.levels):
-            at0, at1 = l0 == k, l1 == k
-            used = at0 | at1
-            if np.any(used):
-                values = sample_latlong(level, d[used])
-                lo[at0] = values[at0[used]]
-                hi[at1] = values[at1[used]]
-        return lo * (1 - t)[..., None] + hi * t[..., None]
+            at0, at1 = np.flatnonzero(l0 == k), np.flatnonzero(l0 == k - 1)
+            if at0.size or at1.size:
+                values = sample_latlong(level, take3(d, np.concatenate([at0, at1])))
+                for c in range(3):
+                    lo[c, at0] = values[:at0.size, c]
+                    hi[c, at1] = values[at0.size:, c]
+        top = np.flatnonzero(l0 == n - 1)  # l1 == l0 there
+        hi[:, top] = lo[:, top]
+        out = np.empty_like(d)
+        for c in range(3):
+            out[..., c] = (lo[c] * (1 - t) + hi[c] * t).reshape(d.shape[:-1])
+        return out
 
 
 def prefilter_env(env: np.ndarray, levels: int) -> PrefilteredEnvMap:

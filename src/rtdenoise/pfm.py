@@ -46,6 +46,8 @@ def read_pfm(path) -> np.ndarray:
             raise PfmError(f"malformed PFM header in {path}: {e}") from e
         if width <= 0 or height <= 0:
             raise PfmError(f"bad PFM dimensions {width}x{height} in {path}")
+        if not np.isfinite(scale):
+            raise PfmError(f"non-finite PFM scale {scale} in {path}")
         if scale >= 0:
             raise PfmError(f"unsupported endianness (big-endian PFM, scale {scale}) in {path}")
         count = width * height * channels

@@ -2,21 +2,32 @@
 
 Plays the role of the rasterized G-buffer plus the 1spp shadow and indirect
 specular ray tracers, and of the high-spp ground-truth renderer. Everything
-is vectorized over the pixel grid and all randomness comes from the
-counter-based stream in `rng`, so images are bit-identical for fixed
-(scene, frame, spp, seed) regardless of scheduling. Both scene queries, the
-nearest hit and the occlusion test, walk one list of surfaces (`_surfaces`:
-the ground plane, then each sphere and box placed at the frame); a query's
-inverse ray directions are computed once and shared by all its boxes.
+is vectorized over rays and all randomness comes from the counter-based
+stream in `rng`, keyed per pixel, so images are bit-identical for fixed
+(scene, frame, spp, seed) regardless of scheduling or of which pixels share
+an array. Both scene queries, the nearest hit and the occlusion test, walk
+one list of surfaces (`_surfaces`: the ground plane, then each sphere and box
+placed at the frame); a query's inverse ray directions are computed once and
+shared by all its boxes.
 
-`render_frame` runs two loops over the samples, shadow then specular. What
-does not depend on the sample is computed once per frame and shared by every
-iteration: the primary hits and the shadow-ray origins, the pixels' RNG key
-prefix (`rng.pixel_key`, continued per sample by `rng.sample_uniform`), the
-light's center, and for the specular lobe the mirror directions, their
+`render_frame` traces the primary rays of the whole pixel grid, which give
+the G-buffer, and then spends rays only where a result is kept:
+- the shadow loop and the specular loop run over the samples on flat arrays
+  of the foreground pixels (`pix`, gathered by `stencil.take3`); background
+  pixels trace no ray and get shadow 1 and specular 0 when the loops'
+  results are scattered back (`_put`);
+- each specular bounce is split by its nearest hit: the shadowed direct light
+  (`_direct_at`, with its `occluded` query) and the prefiltered environment
+  term run on the bounce rays that hit geometry, the environment lookup
+  (`sample_latlong`) on those that miss.
+
+What does not depend on the sample is computed once per frame and shared by
+every iteration: the foreground pixels' shadow-ray origins, normals and RNG
+key prefix (`rng.pixel_key`, continued per sample by `rng.sample_uniform`),
+the light's center, and for the specular lobe the mirror directions, their
 orthonormal basis and the exponent's power 1 / (e + 1).
 
-Inside `render_frame` every per-pixel 3-vector is channel-major: shape
+Inside `render_frame` every per-ray 3-vector is channel-major: shape
 (..., 3), but each component one contiguous plane (`stencil.channel_major`,
 `_planar`). Elementwise results take their operands' layout, so a broadcast
 such as `v * s[..., None]` runs over whole planes instead of numpy's
@@ -38,7 +49,7 @@ from . import rng
 from .envmap import PrefilteredEnvMap, lobe_exponent, sample_latlong
 from .frames import ChannelKind, GBufferFrame, NoisyChannel
 from .scenes import Scene
-from .stencil import channel_major, dot3
+from .stencil import channel_major, dot3, take3
 
 _EPS = 1e-4
 _UP = np.array([0.0, 1.0, 0.0])  # the ground's normal
@@ -58,6 +69,12 @@ def _planar(shape, zeros: bool = False) -> np.ndarray:
     """float64 3-vectors of `shape`, uninitialized or zeroed, laid out
     channel-major like `stencil.channel_major`."""
     return np.moveaxis((np.zeros if zeros else np.empty)((3, *shape)), 0, -1)
+
+
+def _put(dst, idx, src):
+    """dst[idx] = src for (n, 3) arrays, one component plane at a time."""
+    for k in range(3):
+        dst[idx, k] = src[..., k]
 
 
 def _cross(a, b):
@@ -208,9 +225,7 @@ def trace_nearest(origins, dirs, scene: Scene, frame: float):
         np.copyto(emissive, mat.emissive, where=closer[..., None])
         # normals at the compacted hit points, written back one plane at a
         # time (a `_planar` plane is contiguous, so its reshape is a view)
-        t_hit = np.take(t, hits)
-        points = np.stack([np.take(origins[..., k], hits) + np.take(dirs[..., k], hits) * t_hit
-                           for k in range(3)], axis=-1)
+        points = take3(origins, hits) + take3(dirs, hits) * np.take(t, hits)[:, None]
         n = np.broadcast_to(normal_fn(points), points.shape)
         for k in range(3):
             normal[..., k].reshape(-1)[hits] = n[:, k]
@@ -341,12 +356,16 @@ def render_frame(scene: Scene, frame_index: int, spp: int, seed: int,
         emissive=np.where(fg[..., None], emissive, 0.0).astype(np.float32, order="C"),
     )
 
-    key = rng.pixel_key(seed, frame_index, np.arange(w)[None, :], np.arange(h)[:, None])
+    # the sample loops run over the foreground pixels only, flat; `pix` holds
+    # their row-major indices and scatters the results back
+    pix = np.flatnonzero(fg)
+    key = rng.pixel_key(seed, frame_index, pix % w, pix // w)
     light_c = scene.light.center_at(frame_index)
     radius = scene.light.radius
-    shadow_origin = hit_p + normal * _EPS
+    normal = take3(normal, pix)
+    shadow_origin = take3(hit_p, pix) + normal * _EPS
 
-    visible = np.zeros((h, w))
+    visible = np.zeros(pix.size)
     for s in range(sample_offset, sample_offset + spp):
         u1 = rng.sample_uniform(key, s, 0)
         u2 = rng.sample_uniform(key, s, 1)
@@ -356,16 +375,17 @@ def render_frame(scene: Scene, frame_index: int, spp: int, seed: int,
         ldir = to_l / np.maximum(dist, 1e-12)[..., None]
         blocked = occluded(shadow_origin, ldir, dist - _EPS, scene, frame_index)
         visible += 1.0 - blocked
-    shadow = np.where(fg, visible / spp, 1.0)
+    shadow = np.ones(h * w)
+    shadow[pix] = visible / spp
 
-    mirror = dirs - 2.0 * dot3(dirs, normal)[..., None] * normal
-    mirror = np.where(fg[..., None], _normalize(mirror), dirs)
-    exponent = lobe_exponent(rough)
+    dirs = take3(dirs, pix)
+    mirror = _normalize(dirs - 2.0 * dot3(dirs, normal)[..., None] * normal)
+    exponent = lobe_exponent(np.take(rough, pix))
     is_mirror = ~(exponent < np.inf)
     onb = _onb(mirror)
     power = 1.0 / (np.where(is_mirror, 1.0, exponent) + 1.0)
 
-    spec = _planar((h, w), zeros=True)
+    spec = _planar(pix.shape, zeros=True)
     for s in range(sample_offset, sample_offset + spp):
         u1 = rng.sample_uniform(key, s, 2)
         u2 = rng.sample_uniform(key, s, 3)
@@ -375,22 +395,26 @@ def render_frame(scene: Scene, frame_index: int, spp: int, seed: int,
 
         t2, oid2, n2, alb2, rough2, emis2 = trace_nearest(shadow_origin, lobe, scene, frame_index)
         hit2 = oid2 != 0
-        p2 = shadow_origin + lobe * np.where(hit2, t2, 0.0)[..., None]
-
-        radiance = sample_latlong(scene.env, lobe)
-        if np.any(hit2):
-            lit = _direct_at(p2, n2, alb2, emis2, scene, frame_index, light_c)
+        radiance = _planar(pix.shape)
+        miss = np.flatnonzero(~hit2)
+        _put(radiance, miss, sample_latlong(scene.env, take3(lobe, miss)))
+        hits = np.flatnonzero(hit2)
+        if hits.size:
+            lobe2, n2, alb2 = take3(lobe, hits), take3(n2, hits), take3(alb2, hits)
+            p2 = take3(shadow_origin, hits) + lobe2 * np.take(t2, hits)[..., None]
+            lit = _direct_at(p2, n2, alb2, take3(emis2, hits), scene, frame_index, light_c)
             if prefiltered is not None:
-                refl2 = lobe - 2.0 * dot3(lobe, n2)[..., None] * n2
-                lit = lit + alb2 * prefiltered.sample(_normalize(refl2), rough2)
-            radiance = np.where(hit2[..., None], lit, radiance)
+                refl2 = lobe2 - 2.0 * dot3(lobe2, n2)[..., None] * n2
+                lit = lit + alb2 * prefiltered.sample(_normalize(refl2), np.take(rough2, hits))
+            _put(radiance, hits, lit)
         spec += radiance * above[..., None]
-    specular = np.where(fg[..., None], spec / spp, 0.0)
+    specular = np.zeros((h * w, 3))
+    _put(specular, pix, spec / spp)
 
     return (gbuf,
-            NoisyChannel(ChannelKind.SHADOW, shadow.astype(np.float32), spp),
+            NoisyChannel(ChannelKind.SHADOW, shadow.reshape(h, w).astype(np.float32), spp),
             NoisyChannel(ChannelKind.INDIRECT_SPECULAR,
-                         specular.astype(np.float32, order="C"), spp))
+                         specular.reshape(h, w, 3).astype(np.float32), spp))
 
 
 REFERENCE_SPP = 1024  # ground truth: the identical estimator at high spp

@@ -8,7 +8,8 @@ turns each enclosing texel's clamped (row, column) into one flat row-major
 index and fetches every plane with `gather`, an `np.take` over the plane's
 pixels, which costs a fraction of 2-D fancy indexing `plane[yc, xc]` and
 returns the same values. `dot3` is the one dot product of 3-vectors, for
-normals and directions.
+normals and directions, and `take3` compacts 3-vectors to flat indices one
+component plane at a time, for the renderer's and the env map's ray lists.
 """
 
 from __future__ import annotations
@@ -41,6 +42,13 @@ def channel_major(arr) -> np.ndarray:
     """float64 copy of (H, W, C) `arr`, same shape, laid out one channel plane
     after another, so elementwise work on one channel reads contiguous rows."""
     return np.moveaxis(np.moveaxis(arr, -1, 0).astype(np.float64, order="C"), 0, -1)
+
+
+def take3(v, flat) -> np.ndarray:
+    """The 3-vectors of (..., 3) `v` at row-major indices `flat` over its
+    leading axes, shape flat.shape + (3,), gathered one component plane at a
+    time and laid out channel-major."""
+    return np.moveaxis(np.stack([np.take(v[..., k], flat) for k in range(3)]), 0, -1)
 
 
 def shifted(plane: np.ndarray, reach: int, axis: int | None = None, fill=None):

@@ -43,3 +43,12 @@ def test_bad_magic_and_truncation(tmp_path):
 def test_wrong_channel_count_rejected():
     with pytest.raises(PfmError, match="channels"):
         write_pfm("/tmp/never.pfm", np.zeros((2, 2, 2), dtype=np.float32))
+
+
+@pytest.mark.parametrize("scale", [b"nan", b"-nan", b"inf", b"-inf"])
+def test_non_finite_scale_rejected(tmp_path, scale):
+    # NaN compares False with 0, so a sign test alone reads it as little-endian
+    path = tmp_path / "nan.pfm"
+    path.write_bytes(b"Pf\n2 2\n" + scale + b"\n" + np.zeros(4, dtype="<f4").tobytes())
+    with pytest.raises(PfmError, match=f"non-finite PFM scale.*{path.name}"):
+        read_pfm(path)

@@ -5,13 +5,13 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from rtdenoise import render
-from rtdenoise.envmap import prefilter_env
+from rtdenoise import render, rng
+from rtdenoise.envmap import lobe_exponent, prefilter_env, sample_latlong
 from rtdenoise.frames import validate_frame
 from rtdenoise.render import (REFERENCE_SPP, camera_basis, camera_rays,
                               occluded, render_frame, render_sky, trace_nearest)
 from rtdenoise.scenes import MOVEMENTS, PRESET_NAMES, preset_scene, scene_from_dict
-from rtdenoise.stencil import channel_major
+from rtdenoise.stencil import channel_major, dot3
 
 
 def _scene(name="shadow-objects", **kw):
@@ -112,6 +112,129 @@ def test_render_frame_rejects_spp_below_one(spp):
     # spp = 0 would divide the sample sums by zero into all-NaN channels
     with pytest.raises(ValueError, match=rf"spp must be >= 1, got {spp}"):
         render_frame(_scene(width=8, height=8), 0, spp, seed=0)
+
+
+# ---------------------------------------------------------------------------
+# the sample loops trace only the foreground pixels and split each bounce
+
+def _full_frame_channels(scene, frame, spp, seed, prefiltered=None, sample_offset=0):
+    # reference: the sample loops over every pixel, each bounce shaded both
+    # ways and one of the two kept
+    h, w = scene.height, scene.width
+    origins, dirs = (channel_major(a) for a in camera_rays(scene, frame))
+    t, oid, normal, _alb, rough, _emis = trace_nearest(origins, dirs, scene, frame)
+    fg = oid != 0
+    origin = origins + dirs * np.where(fg, t, 0.0)[..., None] + normal * render._EPS
+    key = rng.pixel_key(seed, frame, np.arange(w)[None, :], np.arange(h)[:, None])
+    light_c = scene.light.center_at(frame)
+    samples = range(sample_offset, sample_offset + spp)
+    visible = np.zeros((h, w))
+    for s in samples:
+        point = light_c + scene.light.radius * render._sphere_point(
+            rng.sample_uniform(key, s, 0), rng.sample_uniform(key, s, 1))
+        to_l = point - origin
+        dist = render._length(to_l)
+        ldir = to_l / np.maximum(dist, 1e-12)[..., None]
+        visible += 1.0 - occluded(origin, ldir, dist - render._EPS, scene, frame)
+    mirror = dirs - 2.0 * dot3(dirs, normal)[..., None] * normal
+    mirror = np.where(fg[..., None], render._normalize(mirror), dirs)
+    exponent = lobe_exponent(rough)
+    is_mirror = ~(exponent < np.inf)
+    onb = render._onb(mirror)
+    power = 1.0 / (np.where(is_mirror, 1.0, exponent) + 1.0)
+    spec = np.zeros((h, w, 3))
+    for s in samples:
+        lobe = render._phong_lobe(mirror, onb, power, rng.sample_uniform(key, s, 2),
+                                  rng.sample_uniform(key, s, 3))
+        lobe = np.where(is_mirror[..., None], mirror, lobe)
+        t2, oid2, n2, alb2, rough2, emis2 = trace_nearest(origin, lobe, scene, frame)
+        hit2 = oid2 != 0
+        p2 = origin + lobe * np.where(hit2, t2, 0.0)[..., None]
+        lit = render._direct_at(p2, n2, alb2, emis2, scene, frame, light_c)
+        if prefiltered is not None:
+            refl2 = lobe - 2.0 * dot3(lobe, n2)[..., None] * n2
+            lit = lit + alb2 * prefiltered.sample(render._normalize(refl2), rough2)
+        radiance = np.where(hit2[..., None], lit, sample_latlong(scene.env, lobe))
+        spec += radiance * (dot3(lobe, normal) > 0.0)[..., None]
+    return (np.where(fg, visible / spp, 1.0).astype(np.float32),
+            np.where(fg[..., None], spec / spp, 0.0).astype(np.float32))
+
+
+@pytest.mark.parametrize("name,kw,ibl", [
+    ("cubes-distance", {"movement": "camera"}, False),
+    ("cubes-distance", {"movement": "camera", "roughness": 0.0}, True),
+    ("breakfast-lite", {"movement": "lights-objects", "roughness": 0.1}, True),
+    ("pillars", {"movement": "lights-objects"}, False),
+])
+def test_compacted_loops_match_full_frame(name, kw, ibl):
+    scene = _scene(name, width=24, height=20, **kw)
+    pre = prefilter_env(scene.env, 3) if ibl else None
+    gbuf, shadow, spec = render_frame(scene, 5, spp=3, seed=2, prefiltered=pre,
+                                      sample_offset=1)
+    assert 0 < np.count_nonzero(gbuf.object_id) < gbuf.object_id.size  # sky and geometry
+    want_shadow, want_spec = _full_frame_channels(scene, 5, 3, 2, pre, sample_offset=1)
+    assert shadow.data.tobytes() == want_shadow.tobytes()
+    assert spec.data.tobytes() == want_spec.tobytes()
+
+
+def _spy(monkeypatch, name, calls):
+    # wrap a module-level query; render_frame looks it up at every call
+    query = getattr(render, name)
+
+    def spied(origins, *args):
+        out = query(origins, *args)
+        calls.append((name, origins.shape[:-1], out))
+        return out
+
+    monkeypatch.setattr(render, name, spied)
+
+
+def test_rays_traced_only_where_kept(monkeypatch):
+    # shadow rays and bounces at the foreground pixels, a bounce's direct
+    # light only at that sample's bounce hits
+    scene = _scene("cubes-distance", width=24, height=20, movement="camera")
+    calls = []
+    _spy(monkeypatch, "trace_nearest", calls)
+    _spy(monkeypatch, "occluded", calls)
+    spp = 4
+    gbuf, _shadow, _spec = render_frame(scene, 5, spp=spp, seed=2)
+    n_fg = np.count_nonzero(gbuf.object_id)
+    assert 0 < n_fg < 24 * 20
+    assert [(c[0], c[1]) for c in calls[:1 + spp]] == (
+        [("trace_nearest", (20, 24))] + [("occluded", (n_fg,))] * spp)
+    bounces = iter(calls[1 + spp:])
+    hits = []
+    for name, shape, out in bounces:
+        assert name == "trace_nearest" and shape == (n_fg,)
+        hits.append(np.count_nonzero(out[1]))
+        if hits[-1]:
+            name, shape, _out = next(bounces)
+            assert name == "occluded" and shape == (hits[-1],)
+    assert len(hits) == spp
+    assert all(0 < n < n_fg for n in hits)  # bounces both hit and miss
+
+
+def test_all_sky_frame():
+    # no foreground pixel: the sample loops trace nothing and warn of nothing
+    doc = {"name": "sky", "resolution": [10, 8],
+           "camera": {"position": [0.0, 1.0, 0.0], "look_at": [0.0, 2.0, -1.0],
+                      "vfov_deg": 50.0},
+           "objects": [{"type": "sphere", "center": [0.0, -4.0, 4.0], "radius": 1.0,
+                        "id": 2}],  # behind the camera
+           "ground": None,
+           "light": {"center": [0.0, 8.0, 0.0], "radius": 0.5,
+                     "intensity": [30.0, 30.0, 30.0]},
+           "env": {"kind": "gradient"}}
+    scene = scene_from_dict(doc)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        gbuf, shadow, spec = render_frame(scene, 0, spp=2, seed=1,
+                                          prefiltered=prefilter_env(scene.env, 3))
+    assert not np.any(gbuf.object_id)
+    assert shadow.data.shape == (8, 10) and np.all(shadow.data == 1.0)
+    assert spec.data.shape == (8, 10, 3) and np.all(spec.data == 0.0)
+    assert not np.signbit(spec.data).any()
+    assert shadow.data.flags.c_contiguous and spec.data.flags.c_contiguous
 
 
 # ---------------------------------------------------------------------------

@@ -47,3 +47,17 @@ def test_sample_uniform_continues_pixel_key(xs, ys):
                 got = np.asarray(got)
                 assert got.dtype == want.dtype and got.shape == want.shape
                 assert got.tobytes() == want.tobytes()
+
+
+def test_subset_of_pixel_keys_draws_the_full_grid_stream():
+    # the renderer samples only its foreground pixels, flat: any subset of the
+    # grid, in any order, must draw the numbers the full grid draws there
+    h, w = 9, 13
+    grid = rng.pixel_key(5, 2, np.arange(w)[None, :], np.arange(h)[:, None])
+    pix = np.random.default_rng(1).permutation(h * w)[:40]
+    key = rng.pixel_key(5, 2, pix % w, pix // w)
+    assert key.tobytes() == np.take(grid, pix).tobytes()
+    for sample, dim in [(0, 0), (3, 1), (17, 2), (1023, 3)]:
+        want = np.take(rng.sample_uniform(grid, sample, dim), pix)
+        for k in (key, np.take(grid, pix)):
+            assert rng.sample_uniform(k, sample, dim).tobytes() == want.tobytes()
