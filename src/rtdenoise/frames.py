@@ -101,7 +101,7 @@ def _ranged(default, lo, hi=math.inf, open_lo=False, open_hi=False):
                  metadata={"range": (lo, hi, open_lo, open_hi or hi == math.inf)})
 
 
-@dataclass
+@dataclass(frozen=True)
 class DenoiseConfig:
     """Every tunable of the denoising pipeline.
 
@@ -111,7 +111,8 @@ class DenoiseConfig:
     values of its default's type (a float field also takes an int). Each
     numeric field declares its valid range, which excludes values that would
     silently switch a stage off (such as a consistency test no reprojection
-    can pass).
+    can pass). A config is checked when it is built and cannot be changed
+    afterwards, so every instance is valid.
     """
 
     alpha: float = _ranged(0.2, 0.0, 1.0, open_lo=True)
@@ -135,6 +136,9 @@ class DenoiseConfig:
     depth_consistency: float = _ranged(0.1, 0.0, open_lo=True)
     normal_consistency: float = _ranged(0.9, -1.0, 1.0, open_hi=True)
     history_cap: int = _ranged(256, 1)
+
+    def __post_init__(self):
+        self.validate()
 
     def validate(self) -> None:
         problems = []
@@ -168,9 +172,7 @@ class DenoiseConfig:
         unknown = set(d) - set(known)
         if unknown:
             raise ValueError(f"unknown DenoiseConfig keys: {sorted(unknown)}")
-        cfg = cls(**known)
-        cfg.validate()
-        return cfg
+        return cls(**known)
 
 
 @dataclass

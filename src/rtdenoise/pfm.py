@@ -7,6 +7,8 @@ as raw 32-bit floats.
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 
 
@@ -50,11 +52,12 @@ def read_pfm(path) -> np.ndarray:
             raise PfmError(f"non-finite PFM scale {scale} in {path}")
         if scale >= 0:
             raise PfmError(f"unsupported endianness (big-endian PFM, scale {scale}) in {path}")
-        count = width * height * channels
-        raw = f.read(4 * count)
-        if len(raw) != 4 * count:
+        size = 4 * width * height * channels
+        # checked before reading, so a header claiming more than the file
+        # holds fails here, not in allocating its payload
+        if size > os.fstat(f.fileno()).st_size - f.tell():
             raise PfmError(f"truncated PFM payload in {path}")
-        data = np.frombuffer(raw, dtype="<f4").reshape(height, width, channels)
+        data = np.frombuffer(f.read(size), dtype="<f4").reshape(height, width, channels)
     data = data[::-1].copy()  # bottom-to-top on disk
     return data[:, :, 0] if channels == 1 else data
 

@@ -42,9 +42,7 @@ ENV_LEVELS = 5  # roughness levels of the prefiltered env map for IBL secondarie
 def preset_config(name: str, base: DenoiseConfig | None = None) -> DenoiseConfig:
     if name not in PRESETS:
         raise ValueError(f"unknown preset {name!r}; have {', '.join(PRESETS)}")
-    cfg = DenoiseConfig(**{**(base.to_dict() if base else {}), **PRESETS[name]})
-    cfg.validate()
-    return cfg
+    return DenoiseConfig(**{**(base.to_dict() if base else {}), **PRESETS[name]})
 
 
 def reconstruct_positions(scene: Scene, frame_index: int, depth: np.ndarray) -> np.ndarray:
@@ -75,7 +73,6 @@ def run_pipeline(seq: FrameSequence, cfg: DenoiseConfig, dump_intermediates: boo
     metrics against the `reference` channel when the input provides one, and
     the per-iteration a-trous records (steps and tap counts).
     """
-    cfg.validate()
     check_sequence(seq)
     needed = [g.name for g in fields(GBufferFrame)] + [f"{k.value}_1spp" for k in ChannelKind]
     missing = [name for name in needed if name not in seq.channels]

@@ -116,8 +116,8 @@ class Scene:
             ids.append(self.ground.oid)
         if len(set(ids)) != len(ids) or any(i < 1 for i in ids):
             raise ValueError("object ids must be unique and >= 1")
-        if self.light.radius < 0:
-            raise ValueError("light radius must be >= 0")
+        if not 0 <= self.light.radius < math.inf:  # NaN fails this too
+            raise ValueError(f"light.radius {self.light.radius!r} must be finite and >= 0")
         if self.env.shape[0] < 4 or self.env.shape[1] < 8:
             raise ValueError("env map must be at least 8x4")
 
@@ -203,20 +203,28 @@ def scene_from_dict(doc: dict) -> Scene:
     center_kf = _kf_parse(ldoc["center"])
     reference_point = np.asarray(doc.get("reference_point", [0.0, 0.0, 0.0]), dtype=np.float64)
     shadow_angle = doc.get("shadow_angle_deg")
-    if "radius" in ldoc and ldoc["radius"] is not None:
+    # the cone the light subtends at the reference receiver, fixed at frame 0
+    # so a moving light keeps its size, ties its radius to the shadow angle
+    dist = np.linalg.norm(_kf_eval(center_kf, 0) - reference_point)
+    if ldoc.get("radius") is not None:
+        if shadow_angle is not None:
+            raise ValueError("light.radius and shadow_angle_deg both given; the one "
+                             "sets the other, so give only one")
         radius = float(ldoc["radius"])
-        if shadow_angle is None:
-            dist = np.linalg.norm(_kf_eval(center_kf, 0) - reference_point)
-            shadow_angle = math.degrees(2.0 * math.atan2(radius, dist))
+        shadow_angle = math.degrees(2.0 * math.atan2(radius, dist))
+    elif shadow_angle is None:
+        raise ValueError("light needs either a radius or a scene shadow_angle_deg")
+    elif not 0.0 <= shadow_angle < 180.0:  # NaN fails this too
+        raise ValueError(f"shadow_angle_deg {shadow_angle!r} outside [0, 180)")
     else:
-        if shadow_angle is None:
-            raise ValueError("light needs either a radius or a scene shadow_angle_deg")
-        # radius from the cone the light subtends at the reference receiver,
-        # fixed at frame 0 so a moving light keeps its size
-        dist = np.linalg.norm(_kf_eval(center_kf, 0) - reference_point)
         radius = dist * math.tan(math.radians(shadow_angle) / 2.0)
 
-    width, height = doc["resolution"]
+    res = doc["resolution"]
+    if not (isinstance(res, (list, tuple)) and len(res) == 2 and all(
+            isinstance(v, (int, np.integer)) and not isinstance(v, bool) and v > 0
+            for v in res)):
+        raise ValueError(f"resolution {res!r} is not two positive integers")
+    width, height = res
     scene = Scene(
         name=doc.get("name", "unnamed"),
         width=int(width), height=int(height),

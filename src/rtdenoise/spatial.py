@@ -6,22 +6,26 @@ modulated by edge-stopping weights on depth, normal and luminance; the
 luminance weight is scaled by the estimated noise deviation so flat noisy
 regions blur aggressively while converged regions keep their detail.
 
-Two execution forms are provided: the dense 5x5 stencil (25 taps per pixel)
-and the separable 5+5 split (10 taps) where the horizontal pass updates the
-color only and the variance is updated once, in the vertical pass. The two
-are equivalent where the edge weights are uniform and intentionally diverge
-across edges, which shows up as slightly stronger blur.
+Two execution forms are provided, each one list of unit tap tables run in
+order by one driver: the dense 5x5 stencil is one 25-tap pass, and the
+separable split is a 5-tap horizontal pass and then a 5-tap vertical one.
+Each pass filters the previous pass's result, and only the last updates the
+variance. The two forms are equivalent where the edge weights are uniform and
+intentionally diverge across edges, which shows up as slightly stronger blur.
 
-Both forms read their taps as slices of planes padded once per pass with
-edge values (`stencil.shifted`), which is clamp-to-border indexing, and
-compute each tap's edge weight into scratch planes allocated once per pass. A
-per-pixel level map runs one uniform pass per level in use and keeps each
-pixel's result at its own level; a pixel's result depends only on its own
-step, so this is exact. Each pass filters only the bounding box of the
-foreground and copies its inputs elsewhere. That is exact too: every pixel
-outside the box is background, whose result is replaced by its input anyway,
-and a background tap has weight 0, so the vertical pass of the separable form
-never sees that a background neighbour's horizontal result is its input.
+The driver sets up an iteration's G-buffer side once for all its passes: the
+foreground's bounding box, the level map cropped to it, the center depth and
+normals, the luminance stop's denominator and the depth, normal and
+foreground planes padded with edge values (`stencil.shifted`), which is
+clamp-to-border indexing. Each pass adds only its own luminance and data
+taps, and computes each tap's edge weight into scratch planes allocated once
+per iteration. A per-pixel level map runs one uniform pass per level in use
+and keeps each pixel's result at its own level; a pixel's result depends only
+on its own step, so this is exact. Only the foreground's bounding box is
+filtered. That is exact too: every pixel outside the box is background, whose
+result is replaced by its input anyway, and a background tap has weight 0, so
+the vertical pass of the separable form never sees that a background
+neighbour's horizontal result is its input.
 
 The start level can shift up by one where material features predict heavy
 noise (roughness over 0.2, shadow angles over 6 degrees), keeping the
@@ -101,80 +105,84 @@ _COLUMN = [(k, 0, KERNEL_1D[k + 2], abs(k)) for k in _OFFSETS]
 _ROW = [(0, k, KERNEL_1D[k + 2], abs(k)) for k in _OFFSETS]
 
 
-def _filter(data, var, gbuf: GBufferFrame, level, offsets, axis, cfg: DenoiseConfig,
-            with_variance):
-    """Edge-stopped weighted mean of `data` over `offsets` at each pixel's level.
+def _atrous(channel, variance, gbuf: GBufferFrame, level, cfg: DenoiseConfig, passes,
+            stats):
+    """One a-trous iteration at each pixel's level, run as `passes`, a list of
+    unit tap tables, over one G-buffer setup (see the module docstring).
 
-    Only the foreground's bounding box is filtered: every pixel outside it is
-    background, whose result `_finish` discards, so there the outputs are
-    copies of the inputs. Each tap is a full plane padded once (along `axis`
-    alone when set) and sliced to the box, so a kept pixel still sees its true
-    neighbours and the image border. One uniform pass runs per level some
-    pixel of the box uses, and each pixel keeps the result at its own level.
-    Returns (mean,) or (mean, variance of the mean).
+    Each pass filters the previous pass's result; the last also returns the
+    variance of the weighted mean. Each tap is a full padded plane sliced to
+    the foreground's box, so a kept pixel still sees its true neighbours and
+    the image border. Counts the nominal taps, the sum of the pass lengths
+    per pixel, into `stats` and restores the input's shape.
     """
-    inputs = (data, var) if with_variance else (data,)
+    data, var = as_planes(channel), np.asarray(variance, dtype=np.float64)
+    check_level(np.max(level), *var.shape)
     fg = gbuf.foreground
     rows = np.flatnonzero(fg.any(axis=1))
     if not rows.size:
-        return tuple(a.copy() for a in inputs)
-    cols = np.flatnonzero(fg.any(axis=0))
-    box = (slice(rows[0], rows[-1] + 1), slice(cols[0], cols[-1] + 1))
-    level = np.asarray(level, dtype=np.int64)
-    level = level[box] if level.ndim else level
-    used = np.unique(level)
-    reach = 2 * 2 ** int(used[-1])
-    # luma of the whole plane, before cropping: `@` may take another BLAS
-    # path, so other rounding, on a non-contiguous view
-    l_all = luma(data)
-    z_c = gbuf.depth[box].astype(np.float64)
-    (h, w), c = z_c.shape, data.shape[2]
-    center = (z_c, cfg.sigma_z * np.abs(z_c), channel_major(gbuf.normal[box]), l_all[box],
-              cfg.sigma_l * np.sqrt(np.maximum(var[box], 0.0)) + _EPSILON)
-    taps = [shifted(p, reach, axis)
-            for p in (gbuf.depth, gbuf.normal, l_all, fg, data)]
-    var_at = shifted(var, reach, axis) if with_variance else None
-    wgt, tmp = np.empty((h, w)), np.empty((h, w))
+        out, out_var = data.copy(), var.copy()
+    else:
+        cols = np.flatnonzero(fg.any(axis=0))
+        box = (slice(rows[0], rows[-1] + 1), slice(cols[0], cols[-1] + 1))
+        level = np.asarray(level, dtype=np.int64)
+        level = level[box] if level.ndim else level
+        used = np.unique(level)
+        reach = 2 * 2 ** int(used[-1])
+        z_c = gbuf.depth[box].astype(np.float64)
+        (h, w), c = z_c.shape, data.shape[2]
+        geometry = (z_c, cfg.sigma_z * np.abs(z_c), channel_major(gbuf.normal[box]))
+        denom_l = cfg.sigma_l * np.sqrt(np.maximum(var[box], 0.0)) + _EPSILON
+        depth_at, normal_at, fg_at = (shifted(p, reach) for p in (gbuf.depth, gbuf.normal, fg))
+        wgt, tmp = np.empty((h, w)), np.empty((h, w))
 
-    def run(step):
-        acc = np.zeros((c, h, w))  # one plane per channel, as `shifted` pads them
-        acc_w = np.zeros((h, w))
-        acc_w2v = np.zeros((h, w))
-        for j, i, k, dist in offsets:
-            *tap, d_t = (t(j * step, i * step)[box] for t in taps)
-            if i == j == 0:  # the center tap's edge weight is 1
-                wgt.fill(1.0)
-            else:
-                _tap_weights(center, tap, step * dist, cfg, wgt, tmp)
-            np.multiply(wgt, k, out=wgt)
-            for acc_ch, d_ch in zip(acc, np.moveaxis(d_t, -1, 0)):
-                acc_ch += np.multiply(wgt, d_ch, out=tmp)
-            acc_w += wgt
-            if with_variance:
-                np.multiply(wgt, wgt, out=tmp)
-                acc_w2v += np.multiply(tmp, var_at(j * step, i * step)[box], out=tmp)
-        out = np.divide(np.moveaxis(acc, 0, -1), acc_w[..., None])
-        return (out, acc_w2v / (acc_w * acc_w)) if with_variance else (out,)
+        def run(offsets, step, center, taps, var_at):
+            acc = np.zeros((c, h, w))  # one plane per channel, as `shifted` pads them
+            acc_w = np.zeros((h, w))
+            acc_w2v = np.zeros((h, w))
+            for j, i, k, dist in offsets:
+                *tap, d_t = (t(j * step, i * step)[box] for t in taps)
+                if i == j == 0:  # the center tap's edge weight is 1
+                    wgt.fill(1.0)
+                else:
+                    _tap_weights(center, tap, step * dist, cfg, wgt, tmp)
+                np.multiply(wgt, k, out=wgt)
+                for acc_ch, d_ch in zip(acc, np.moveaxis(d_t, -1, 0)):
+                    acc_ch += np.multiply(wgt, d_ch, out=tmp)
+                acc_w += wgt
+                if var_at is not None:
+                    np.multiply(wgt, wgt, out=tmp)
+                    acc_w2v += np.multiply(tmp, var_at(j * step, i * step)[box], out=tmp)
+            mean = np.divide(np.moveaxis(acc, 0, -1), acc_w[..., None])
+            return (mean,) if var_at is None else (mean, acc_w2v / (acc_w * acc_w))
 
-    result = run(2 ** int(used[0]))
-    for lv in used[1:]:
-        mask = level == lv
-        result = tuple(np.where(mask if r.ndim == 2 else mask[..., None], new, r)
-                       for new, r in zip(run(2 ** int(lv)), result))
-    # written into copies of the inputs, so callers get the C layout they
-    # gave: `luma`'s `@` may round differently on another layout
-    outputs = tuple(a.copy() for a in inputs)
-    for out, r in zip(outputs, result):
-        out[box] = r
-    return outputs
-
-
-def _finish(channel, data, var, gbuf, out, out_var, stats, taps_per_pixel):
-    """Keep background pixels unfiltered, count taps, restore the input shape."""
-    fg = gbuf.foreground
-    out = np.where(fg[..., None], out, data)
-    out_var = np.where(fg, out_var, var)
+        out = data
+        for n, offsets in enumerate(passes):
+            # luma of the whole plane, before cropping: `@` may take another
+            # BLAS path, so other rounding, on a non-contiguous view
+            l_all = luma(out)
+            center = (*geometry, l_all[box], denom_l)
+            taps = (depth_at, normal_at, shifted(l_all, reach), fg_at, shifted(out, reach))
+            var_at = shifted(var, reach) if n == len(passes) - 1 else None
+            result = run(offsets, 2 ** int(used[0]), center, taps, var_at)
+            for lv in used[1:]:
+                mask = level == lv
+                new = run(offsets, 2 ** int(lv), center, taps, var_at)
+                result = tuple(np.where(mask if r.ndim == 2 else mask[..., None], nr, r)
+                               for nr, r in zip(new, result))
+            # the first pass copies its input only now, so no run holds an
+            # extra frame; later passes read their input through padded copies
+            # and write in place. C order: `luma`'s `@` may round differently
+            if out is data:
+                out = data.copy()
+            out[box] = result[0]
+        out_var = var.copy()
+        out_var[box] = result[1]
+        # background pixels keep their inputs
+        np.copyto(out, data, where=~fg[..., None])
+        np.copyto(out_var, var, where=~fg)
     if stats is not None:
+        taps_per_pixel = sum(map(len, passes))
         stats["taps"] = stats.get("taps", 0) + fg.size * taps_per_pixel
         stats["taps_per_pixel"] = taps_per_pixel
     return (out[:, :, 0] if np.ndim(channel) == 2 else out), out_var
@@ -188,10 +196,7 @@ def atrous_dense(channel, variance, gbuf: GBufferFrame, level, cfg: DenoiseConfi
     weighted mean. Taps are clamped to the image border; the center tap always
     participates with edge weight 1, so the output stays a convex combination.
     """
-    data, var = as_planes(channel), np.asarray(variance, dtype=np.float64)
-    check_level(np.max(level), *var.shape)
-    out, out_var = _filter(data, var, gbuf, level, _DENSE, None, cfg, True)
-    return _finish(channel, data, var, gbuf, out, out_var, stats, 25)
+    return _atrous(channel, variance, gbuf, level, cfg, (_DENSE,), stats)
 
 
 def atrous_separable(channel, variance, gbuf: GBufferFrame, level, cfg: DenoiseConfig,
@@ -204,11 +209,7 @@ def atrous_separable(channel, variance, gbuf: GBufferFrame, level, cfg: DenoiseC
     the vertical pass reads horizontal results computed at each neighbor's
     own level.
     """
-    data, var = as_planes(channel), np.asarray(variance, dtype=np.float64)
-    check_level(np.max(level), *var.shape)
-    horiz, = _filter(data, var, gbuf, level, _ROW, 1, cfg, False)
-    out, out_var = _filter(horiz, var, gbuf, level, _COLUMN, 0, cfg, True)
-    return _finish(channel, data, var, gbuf, out, out_var, stats, 10)
+    return _atrous(channel, variance, gbuf, level, cfg, (_ROW, _COLUMN), stats)
 
 
 def select_start_level(kind: ChannelKind, feature, cfg: DenoiseConfig):

@@ -51,26 +51,23 @@ def take3(v, flat) -> np.ndarray:
     return np.moveaxis(np.stack([np.take(v[..., k], flat) for k in range(3)]), 0, -1)
 
 
-def shifted(plane: np.ndarray, reach: int, axis: int | None = None, fill=None):
+def shifted(plane: np.ndarray, reach: int, fill=None):
     """Pad `plane` by `reach` pixels and return tap(dy, dx) -> (H, W, ...) view.
 
     The view at pixel (y, x) reads plane[y + dy, x + dx], clamped to the border
-    (or `fill` outside it when given). Only `axis` (0 rows, 1 columns) is
-    padded when set, so taps then shift along that axis alone; |offset| <= reach.
-    Trailing channels are padded as one plane each (the layout of
-    `channel_major`), which keeps broadcasting a weight over them fast.
+    (or `fill` outside it when given); |dy|, |dx| <= reach. Trailing channels
+    are padded as one plane each (the layout of `channel_major`), which keeps
+    broadcasting a weight over them fast.
     """
     h, w = plane.shape[:2]
-    ry = reach if axis in (None, 0) else 0
-    rx = reach if axis in (None, 1) else 0
     planes = np.moveaxis(plane, (0, 1), (-2, -1))
-    widths = ((0, 0),) * (plane.ndim - 2) + ((ry, ry), (rx, rx))
+    widths = ((0, 0),) * (plane.ndim - 2) + ((reach, reach),) * 2
     if fill is None:
         padded = np.pad(planes, widths, mode="edge")
     else:
         padded = np.pad(planes, widths, mode="constant", constant_values=fill)
     padded = np.moveaxis(padded, (-2, -1), (0, 1))
-    return lambda dy, dx: padded[ry + dy:ry + dy + h, rx + dx:rx + dx + w]
+    return lambda dy, dx: padded[reach + dy:reach + dy + h, reach + dx:reach + dx + w]
 
 
 def inside(shape, reach: int):

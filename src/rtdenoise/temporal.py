@@ -111,12 +111,6 @@ def _box_moments(values: np.ndarray, radius: int, accept=None):
     return mean, np.maximum(0.0, s2 / s0 - mean * mean)
 
 
-def neighborhood_stats(channel: np.ndarray, radius: int = 1):
-    """Componentwise mean/stddev over the in-bounds (2r+1)^2 neighborhood."""
-    mu, var = _box_moments(as_planes(channel), radius)
-    return mu, np.sqrt(var)
-
-
 def rectify_history(tap_color: np.ndarray, curr_channel: np.ndarray, gamma: float,
                     mode: str):
     """Constrain history colors to the current 3x3 statistical bounding box.
@@ -129,7 +123,8 @@ def rectify_history(tap_color: np.ndarray, curr_channel: np.ndarray, gamma: floa
     the containment property.
     """
     tap = as_planes(tap_color)
-    mu, sigma = neighborhood_stats(curr_channel)
+    mu, var = _box_moments(as_planes(curr_channel), 1)
+    sigma = np.sqrt(var)
     half = gamma * sigma
     if mode == "clamp":
         rect = np.clip(tap, mu - half, mu + half)
@@ -137,11 +132,8 @@ def rectify_history(tap_color: np.ndarray, curr_channel: np.ndarray, gamma: floa
         dev = tap - mu
         with np.errstate(divide="ignore", invalid="ignore"):
             ratio = np.where(np.abs(dev) > 0.0, np.abs(dev) / half, 0.0)
-        ratio = np.where(np.isfinite(ratio), ratio, np.inf)
-        rmax = ratio.max(axis=2)
-        scale = np.where(rmax > 1.0, 1.0 / np.where(rmax > 1.0, rmax, 1.0), 1.0)
         # a zero-extent box along a deviating axis collapses onto the mean
-        scale = np.where(np.isinf(rmax), 0.0, scale)
+        scale = 1.0 / np.maximum(ratio.max(axis=2), 1.0)
         rect = mu + scale[..., None] * dev
     else:
         raise ValueError(f"unknown rectification mode {mode!r}")

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -157,6 +158,22 @@ def test_manifest_of_other_format_version_rejected(tmp_path):
     _edit_manifest(tmp_path / "seq", lambda m: m.update(format_version=1))
     with pytest.raises(SequenceError, match="format_version 1; this version reads 2"):
         load_sequence(tmp_path / "seq")
+
+
+def test_config_is_valid_by_construction():
+    # each invalid value of test_config_validation fails when the config is built
+    for bad in ({"alpha": 0.0}, {"iterations": 9}, {"rectify_mode": "sometimes"},
+                {"history_cap": 0}, {"depth_consistency": 0.0}, {"depth_consistency": -1.0},
+                {"normal_consistency": 1.0}, {"normal_consistency": 2.0},
+                {"separable": "no"}, {"adaptive_start": 1}, {"iterations": 2.5},
+                {"iterations": True}, {"history_cap": 4.0}, {"sigma_n": "x"},
+                {"alpha": False}, {"rectify_mode": 3}, {"feedback": None}):
+        with pytest.raises(ValueError, match=next(iter(bad))):
+            DenoiseConfig(**bad)
+    cfg = DenoiseConfig()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.history_cap = 0
+    assert cfg.history_cap == 256
 
 
 def test_config_validation():

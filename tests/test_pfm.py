@@ -40,6 +40,14 @@ def test_bad_magic_and_truncation(tmp_path):
         read_pfm(path)
 
 
+def test_header_larger_than_file_rejected_before_reading(tmp_path):
+    # the header claims 1.2e17 bytes of payload; only 16 follow it
+    path = tmp_path / "huge.pfm"
+    path.write_bytes(b"PF\n100000000 100000000\n-1.0\n" + bytes(16))
+    with pytest.raises(PfmError, match=f"^truncated PFM payload in {path}$"):
+        read_pfm(path)
+
+
 def test_wrong_channel_count_rejected():
     with pytest.raises(PfmError, match="channels"):
         write_pfm("/tmp/never.pfm", np.zeros((2, 2, 2), dtype=np.float32))

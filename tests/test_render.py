@@ -49,6 +49,37 @@ def test_point_light_binary_shadow():
     assert set(np.unique(shadow.data)) <= {0.0, 1.0}
 
 
+def test_scene_rejects_light_radius_and_shadow_angle_together():
+    doc = preset_scene("shadow-objects", width=24, height=24, shadow_angle=4.0)
+    doc["light"]["radius"] = 2.0
+    with pytest.raises(ValueError, match="light.radius and shadow_angle_deg both given"):
+        scene_from_dict(doc)
+
+
+@pytest.mark.parametrize("angle", [math.nan, math.inf, -1.0, 180.0, 200.0])
+def test_scene_rejects_shadow_angle_out_of_range(angle):
+    doc = preset_scene("shadow-objects", width=24, height=24, shadow_angle=angle)
+    with pytest.raises(ValueError, match=r"shadow_angle_deg .* outside \[0, 180\)"):
+        scene_from_dict(doc)
+
+
+@pytest.mark.parametrize("radius", [math.nan, math.inf, -0.5])
+def test_scene_rejects_light_radius_out_of_range(radius):
+    doc = preset_scene("shadow-objects", width=24, height=24)
+    del doc["shadow_angle_deg"]
+    doc["light"]["radius"] = radius
+    with pytest.raises(ValueError, match="light.radius .* must be finite and >= 0"):
+        scene_from_dict(doc)
+
+
+@pytest.mark.parametrize("res", [[0, 24], [24, -1], [24.0, 24], [True, 24], [24], "24"])
+def test_scene_rejects_resolution_not_two_positive_integers(res):
+    doc = preset_scene("shadow-objects", width=24, height=24)
+    doc["resolution"] = res
+    with pytest.raises(ValueError, match="resolution .* is not two positive integers"):
+        scene_from_dict(doc)
+
+
 @pytest.mark.parametrize("name,movement", [("cubes-distance", "camrea"),
                                            ("pillars", "camera")])
 def test_preset_scene_rejects_unavailable_movement(name, movement):

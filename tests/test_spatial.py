@@ -3,10 +3,12 @@ import warnings
 import numpy as np
 import pytest
 
+from rtdenoise import spatial
 from rtdenoise.frames import ChannelKind, DenoiseConfig, GBufferFrame
 from rtdenoise.spatial import (KERNEL_1D, atrous_dense,
                                atrous_separable, denoise_channel, edge_weight,
                                select_iteration_count, select_start_level)
+from rtdenoise.stencil import shifted
 
 
 def _flat_gbuf(h=16, w=16, depth=5.0):
@@ -330,6 +332,21 @@ def test_tap_counts():
     stats = {}
     atrous_separable(channel, variance, gbuf, 0, DenoiseConfig(), stats=stats)
     assert stats["taps"] == 16 * 16 * 10
+
+
+@pytest.mark.parametrize("filt", [atrous_dense, atrous_separable])
+def test_gbuffer_planes_padded_once_per_iteration(filt, monkeypatch):
+    # the G-buffer setup is shared by the passes of one iteration
+    gbuf = _flat_gbuf()
+    pads = []
+
+    def counting(plane, *args, **kwargs):
+        pads.append(plane)
+        return shifted(plane, *args, **kwargs)
+
+    monkeypatch.setattr(spatial, "shifted", counting)
+    filt(np.full((16, 16), 0.3), np.full((16, 16), 0.1), gbuf, 0, DenoiseConfig())
+    assert sum(p is gbuf.depth for p in pads) == 1
 
 
 def test_separable_variance_updated_once():

@@ -51,13 +51,12 @@ def test_channel_major_keeps_values_and_lays_channels_out_as_planes():
     assert y[..., 1].flags.c_contiguous
 
 
-@pytest.mark.parametrize("axis", [None, 0, 1])
-def test_shifted_multichannel_taps_clamp_to_border(axis):
+def test_shifted_multichannel_taps_clamp_to_border():
     plane = np.random.default_rng(6).random((5, 7, 3))
-    tap = shifted(plane, 2, axis)
+    tap = shifted(plane, 2)
     ys, xs = np.mgrid[0:5, 0:7]
-    for dy in (-2, 0, 1) if axis != 1 else (0,):
-        for dx in (-1, 0, 2) if axis != 0 else (0,):
+    for dy in (-2, 0, 1):
+        for dx in (-1, 0, 2):
             want = plane[np.clip(ys + dy, 0, 4), np.clip(xs + dx, 0, 6)]
             assert np.array_equal(tap(dy, dx), want)
 
