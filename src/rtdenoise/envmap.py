@@ -148,9 +148,3 @@ def prefilter_env(env: np.ndarray, levels: int) -> PrefilteredEnvMap:
         stack.append(_convolve_cosine_power(env, lobe_exponent(r_k)))
     return PrefilteredEnvMap(levels=stack)
 
-
-def env_total_energy(env: np.ndarray) -> np.ndarray:
-    """Solid-angle weighted energy integral, for the conservation check."""
-    h, w = env.shape[:2]
-    omega = latlong_solid_angles(w, h)
-    return (env * omega[:, :, None]).sum(axis=(0, 1))

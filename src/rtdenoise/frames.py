@@ -119,7 +119,9 @@ class DenoiseConfig:
     moments_alpha: float = _ranged(0.2, 0.0, 1.0, open_lo=True)
     clamp_gamma: float = _ranged(1.0, 0.0, open_lo=True)
     rectify_mode: str = "off"  # off | clamp | clip
-    sigma_z: float = _ranged(1.0, 0.0, open_lo=True)
+    # at 1e3 the depth stop is already ~1 between neighbours; the bound keeps
+    # sigma_z * |depth| * tap distance finite, so every edge weight is too
+    sigma_z: float = _ranged(1.0, 0.0, 1e3, open_lo=True)
     sigma_n: float = _ranged(128.0, 0.0, open_lo=True)
     sigma_l: float = _ranged(4.0, 0.0, open_lo=True)
     iterations: int = _ranged(4, 0, 8)
@@ -246,10 +248,11 @@ def validate_frame(frame: dict, width: int, height: int) -> list:
 
     depth = frame.get("depth")
     if depth is not None and fg is not None and depth.shape == (height, width):
-        bad = fg & ~(depth > 0)
+        bad = fg & ~((depth > 0) & (depth < np.inf))
         if np.any(bad):
             x, y = _first_bad_pixel(bad)
-            violations.append(f"channel 'depth' not positive on geometry at pixel ({x}, {y})")
+            violations.append(f"channel 'depth' not positive and finite on geometry "
+                              f"at pixel ({x}, {y})")
 
     rough = frame.get("roughness")
     if rough is not None and rough.shape == (height, width):

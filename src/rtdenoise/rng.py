@@ -64,7 +64,8 @@ def sample_uniform(key, sample: int, dim: int) -> np.ndarray:
 
 
 def pixel_uniform(seed: int, frame: int, xs, ys, sample: int, dim: int) -> np.ndarray:
-    """Per-pixel uniform stream used by the ray tracers.
+    """Per-pixel uniform stream: `pixel_key` composed with `sample_uniform`,
+    which the renderer calls separately; this is the tests' reference form.
 
     `xs`/`ys` are pixel coordinate arrays; `sample` is the sample index within
     the pixel and `dim` the dimension within the sample (0: first light

@@ -24,14 +24,40 @@ from dataclasses import dataclass, field
 import numpy as np
 
 
-def _kf_parse(value):
+def _vec3(value, path: str, nonnegative: bool = False) -> np.ndarray:
+    """`value` as a float64 3-vector; raises naming the field `path` unless it
+    has 3 finite components, each >= 0 if `nonnegative`."""
+    try:
+        v = np.asarray(value, dtype=np.float64)
+    except (TypeError, ValueError):
+        v = np.full(3, np.nan)
+    if v.shape != (3,) or not np.isfinite(v).all() or (nonnegative and (v < 0).any()):
+        raise ValueError(f"{path} {value!r} is not 3 finite"
+                         f"{' non-negative' if nonnegative else ''} numbers")
+    return v
+
+
+def _number(value, path: str, valid, want: str) -> float:
+    """`value` as a float; raises naming the field `path` unless `valid` holds
+    for it. NaN fails every comparison, so a range test rejects it too."""
+    try:
+        v = float(value)
+    except (TypeError, ValueError):
+        v = math.nan
+    if not valid(v):
+        raise ValueError(f"{path} {value!r} {want}")
+    return v
+
+
+def _kf_parse(value, path: str):
     """Normalize a constant or keyframed vec3 into [(frame, vec3), ...]."""
     if isinstance(value, dict):
-        kfs = [(int(f), np.asarray(v, dtype=np.float64)) for f, v in value["keyframes"]]
+        kfs = [(int(f), _vec3(v, f"{path}.keyframes[{i}]"))
+               for i, (f, v) in enumerate(value["keyframes"])]
         if not kfs:
-            raise ValueError("empty keyframe list")
+            raise ValueError(f"{path} has an empty keyframe list")
         return sorted(kfs, key=lambda kv: kv[0])
-    return [(0, np.asarray(value, dtype=np.float64))]
+    return [(0, _vec3(value, path))]
 
 
 def _kf_eval(keyframes, frame: float) -> np.ndarray:
@@ -120,6 +146,19 @@ class Scene:
             raise ValueError(f"light.radius {self.light.radius!r} must be finite and >= 0")
         if self.env.shape[0] < 4 or self.env.shape[1] < 8:
             raise ValueError("env map must be at least 8x4")
+        bad = ~((self.env >= 0) & (self.env < math.inf)).all(axis=2)  # NaN too
+        if bad.any():
+            y, x = np.argwhere(bad)[0]
+            raise ValueError(f"env radiance at texel ({x}, {y}) is not finite and >= 0")
+        for f in sorted({f for f, _v in self.camera_pos + self.camera_look}):
+            pos, look, up, _vfov = self.camera_at(f)
+            view = look - pos
+            if not view.any():
+                raise ValueError(f"camera.look_at equals camera.position at frame {f}")
+            if (np.linalg.norm(np.cross(view, up))
+                    <= 1e-9 * np.linalg.norm(view) * np.linalg.norm(up)):
+                raise ValueError(f"camera.up {up.tolist()} is parallel to the view "
+                                 f"direction at frame {f}")
 
 
 # ---------------------------------------------------------------------------
@@ -157,7 +196,10 @@ def _build_env(spec: dict) -> np.ndarray:
                             spec.get("width", 16), spec.get("height", 8))
     if kind == "gradient":
         keys = ("width", "height", "scale", "sun_dir", "sun_intensity", "sun_cos")
-        return env_gradient_sky(**{k: spec[k] for k in keys if k in spec})
+        args = {k: spec[k] for k in keys if k in spec}
+        if "sun_intensity" in args:  # an inf would be masked to NaN off the sun
+            args["sun_intensity"] = _vec3(args["sun_intensity"], "env.sun_intensity", True)
+        return env_gradient_sky(**args)
     if kind == "file":
         from .pfm import read_pfm
         arr = read_pfm(spec["path"]).astype(np.float64)
@@ -170,25 +212,28 @@ def _build_env(spec: dict) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # JSON (de)serialization
 
-def _material_from(d: dict) -> Material:
-    return Material(albedo=np.asarray(d.get("albedo", [0.5, 0.5, 0.5]), dtype=np.float64),
-                    roughness=float(d.get("roughness", 0.5)),
-                    emissive=np.asarray(d.get("emissive", [0.0, 0.0, 0.0]), dtype=np.float64))
+def _material_from(d: dict, path: str) -> Material:
+    return Material(albedo=_vec3(d.get("albedo", [0.5, 0.5, 0.5]), f"{path}.albedo", True),
+                    roughness=_number(d.get("roughness", 0.5), f"{path}.roughness",
+                                      lambda r: 0.0 <= r <= 1.0, "outside [0, 1]"),
+                    emissive=_vec3(d.get("emissive", [0.0, 0.0, 0.0]), f"{path}.emissive",
+                                   True))
 
 
 def scene_from_dict(doc: dict) -> Scene:
     cam = doc["camera"]
     objects = []
-    for od in doc["objects"]:
-        mat = _material_from(od)
-        obj = SceneObject(kind=od["type"], oid=int(od["id"]), material=mat,
-                          motion=_kf_parse(od.get("motion", [0.0, 0.0, 0.0])))
+    for i, od in enumerate(doc["objects"]):
+        path = f"objects[{i}]"
+        obj = SceneObject(kind=od["type"], oid=int(od["id"]), material=_material_from(od, path),
+                          motion=_kf_parse(od.get("motion", [0.0, 0.0, 0.0]), f"{path}.motion"))
         if od["type"] == "sphere":
-            obj.center = np.asarray(od["center"], dtype=np.float64)
-            obj.radius = float(od["radius"])
+            obj.center = _vec3(od["center"], f"{path}.center")
+            obj.radius = _number(od["radius"], f"{path}.radius",
+                                 lambda r: 0.0 < r < math.inf, "is not finite and > 0")
         elif od["type"] == "box":
-            obj.lo = np.asarray(od["min"], dtype=np.float64)
-            obj.hi = np.asarray(od["max"], dtype=np.float64)
+            obj.lo = _vec3(od["min"], f"{path}.min")
+            obj.hi = _vec3(od["max"], f"{path}.max")
         else:
             raise ValueError(f"unknown object type {od['type']!r}")
         objects.append(obj)
@@ -197,11 +242,11 @@ def scene_from_dict(doc: dict) -> Scene:
     if doc.get("ground"):
         g = doc["ground"]
         ground = GroundPlane(height=float(g.get("height", 0.0)), oid=int(g["id"]),
-                             material=_material_from(g))
+                             material=_material_from(g, "ground"))
 
     ldoc = doc["light"]
-    center_kf = _kf_parse(ldoc["center"])
-    reference_point = np.asarray(doc.get("reference_point", [0.0, 0.0, 0.0]), dtype=np.float64)
+    center_kf = _kf_parse(ldoc["center"], "light.center")
+    reference_point = _vec3(doc.get("reference_point", [0.0, 0.0, 0.0]), "reference_point")
     shadow_angle = doc.get("shadow_angle_deg")
     # the cone the light subtends at the reference receiver, fixed at frame 0
     # so a moving light keeps its size, ties its radius to the shadow angle
@@ -228,14 +273,15 @@ def scene_from_dict(doc: dict) -> Scene:
     scene = Scene(
         name=doc.get("name", "unnamed"),
         width=int(width), height=int(height),
-        camera_pos=_kf_parse(cam["position"]),
-        camera_look=_kf_parse(cam["look_at"]),
-        camera_up=np.asarray(cam.get("up", [0.0, 1.0, 0.0]), dtype=np.float64),
-        vfov_deg=float(cam.get("vfov_deg", 45.0)),
+        camera_pos=_kf_parse(cam["position"], "camera.position"),
+        camera_look=_kf_parse(cam["look_at"], "camera.look_at"),
+        camera_up=_vec3(cam.get("up", [0.0, 1.0, 0.0]), "camera.up"),
+        vfov_deg=_number(cam.get("vfov_deg", 45.0), "camera.vfov_deg",
+                         lambda v: 0.0 < v < 180.0, "outside (0, 180)"),
         objects=objects,
         ground=ground,
         light=AreaLight(center_kf=center_kf,
-                        intensity=np.asarray(ldoc["intensity"], dtype=np.float64),
+                        intensity=_vec3(ldoc["intensity"], "light.intensity", True),
                         radius=radius),
         shadow_angle_deg=float(shadow_angle),
         env=_build_env(doc.get("env", {"kind": "gradient"})),

@@ -15,17 +15,18 @@ intentionally diverge across edges, which shows up as slightly stronger blur.
 
 The driver sets up an iteration's G-buffer side once for all its passes: the
 foreground's bounding box, the level map cropped to it, the center depth and
-normals, the luminance stop's denominator and the depth, normal and
-foreground planes padded with edge values (`stencil.shifted`), which is
-clamp-to-border indexing. Each pass adds only its own luminance and data
-taps, and computes each tap's edge weight into scratch planes allocated once
-per iteration. A per-pixel level map runs one uniform pass per level in use
-and keeps each pixel's result at its own level; a pixel's result depends only
-on its own step, so this is exact. Only the foreground's bounding box is
-filtered. That is exact too: every pixel outside the box is background, whose
-result is replaced by its input anyway, and a background tap has weight 0, so
-the vertical pass of the separable form never sees that a background
-neighbour's horizontal result is its input.
+normals, the luminance stop's denominator and the depth and normal planes
+padded with edge values (`stencil.shifted`), which is clamp-to-border
+indexing. Those planes hold +inf depth and zero normals on the background, so
+a background tap's weight is exp(-inf) = 0 by construction; background centers
+filter at depth 0, so their results stay finite. Each pass adds only its own
+luminance and data taps, and computes each tap's edge weight into scratch
+planes allocated once per iteration. A per-pixel level map runs one uniform
+pass per level in use and keeps each pixel's result at its own level; a
+pixel's result depends only on its own step, so this is exact. Only the
+foreground's bounding box is filtered. That is exact too: every pixel outside
+the box is background, whose result is replaced by its input anyway, and its
+taps weigh 0, so the separable form's vertical pass never uses its result.
 
 The start level can shift up by one where material features predict heavy
 noise (roughness over 0.2, shadow angles over 6 degrees), keeping the
@@ -70,17 +71,17 @@ def check_level(top, height: int, width: int) -> None:
 def _tap_weights(center, tap, dist, cfg, out, tmp):
     """`edge_weight` over the filtered box for one tap, written into `out` with
     `tmp` as scratch. `center` is (depth, sigma_z * |depth|, normal, luma,
-    luminance stop's denominator); `tap` is (depth, normal, luma, foreground)."""
+    luminance stop's denominator); `tap` is (depth, normal, luma), with +inf
+    depth on the background, whose weight is thus 0 by construction."""
     z_c, sz_c, n_c, l_c, denom_l = center
-    z_t, n_t, l_t, fg_t = tap
-    with np.errstate(invalid="ignore"):
-        np.subtract(z_c, z_t, out=out)
-        np.abs(out, out=out)
-        np.negative(out, out=out)
-        np.multiply(sz_c, dist, out=tmp)
-        tmp += _EPSILON
-        out /= tmp
-        np.exp(out, out=out)
+    z_t, n_t, l_t = tap
+    np.subtract(z_c, z_t, out=out)
+    np.abs(out, out=out)
+    np.negative(out, out=out)
+    np.multiply(sz_c, dist, out=tmp)
+    tmp += _EPSILON
+    out /= tmp
+    np.exp(out, out=out)
     ndot = np.maximum(0.0, dot3(n_c, n_t), out=tmp)
     # 0 and 1 are their own powers for sigma_n > 0; most taps share a plane
     # or face away, so only the rest pay for the pow
@@ -93,8 +94,6 @@ def _tap_weights(center, tap, dist, cfg, out, tmp):
     tmp /= denom_l
     np.exp(tmp, out=tmp)
     out *= tmp
-    out *= fg_t
-    np.copyto(out, 0.0, where=~np.isfinite(out))
     return out
 
 
@@ -129,11 +128,12 @@ def _atrous(channel, variance, gbuf: GBufferFrame, level, cfg: DenoiseConfig, pa
         level = level[box] if level.ndim else level
         used = np.unique(level)
         reach = 2 * 2 ** int(used[-1])
-        z_c = gbuf.depth[box].astype(np.float64)
+        depth_at = shifted(np.where(fg, gbuf.depth, np.inf), reach)
+        normal_at = shifted(np.where(fg[..., None], gbuf.normal, 0.0), reach)
+        z_c = np.where(fg[box], gbuf.depth[box], 0.0).astype(np.float64)
         (h, w), c = z_c.shape, data.shape[2]
-        geometry = (z_c, cfg.sigma_z * np.abs(z_c), channel_major(gbuf.normal[box]))
+        geometry = (z_c, cfg.sigma_z * np.abs(z_c), channel_major(normal_at(0, 0)[box]))
         denom_l = cfg.sigma_l * np.sqrt(np.maximum(var[box], 0.0)) + _EPSILON
-        depth_at, normal_at, fg_at = (shifted(p, reach) for p in (gbuf.depth, gbuf.normal, fg))
         wgt, tmp = np.empty((h, w)), np.empty((h, w))
 
         def run(offsets, step, center, taps, var_at):
@@ -162,7 +162,7 @@ def _atrous(channel, variance, gbuf: GBufferFrame, level, cfg: DenoiseConfig, pa
             # BLAS path, so other rounding, on a non-contiguous view
             l_all = luma(out)
             center = (*geometry, l_all[box], denom_l)
-            taps = (depth_at, normal_at, shifted(l_all, reach), fg_at, shifted(out, reach))
+            taps = (depth_at, normal_at, shifted(l_all, reach), shifted(out, reach))
             var_at = shifted(var, reach) if n == len(passes) - 1 else None
             result = run(offsets, 2 ** int(used[0]), center, taps, var_at)
             for lv in used[1:]:

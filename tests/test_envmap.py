@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from rtdenoise.envmap import (env_total_energy, latlong_directions, latlong_solid_angles,
+from rtdenoise.envmap import (latlong_directions, latlong_solid_angles,
                               lobe_exponent, prefilter_env, sample_latlong)
 from rtdenoise.stencil import channel_major
 
@@ -29,6 +29,13 @@ def test_level_zero_is_source():
     pre = prefilter_env(env, 1)
     assert np.array_equal(pre.levels[0], env)
     assert pre.num_levels == 1
+
+
+def env_total_energy(env: np.ndarray) -> np.ndarray:
+    """Solid-angle weighted energy integral, for the conservation check."""
+    h, w = env.shape[:2]
+    omega = latlong_solid_angles(w, h)
+    return (env * omega[:, :, None]).sum(axis=(0, 1))
 
 
 def test_energy_conservation_within_2_percent():

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from rtdenoise.frames import DenoiseConfig, FrameSequence, validate_frame
-from rtdenoise.pipeline import run_pipeline
+from rtdenoise.pipeline import run_pipeline, synthesize_sequence
+from rtdenoise.scenes import preset_scene, scene_from_dict
 from rtdenoise.store import SequenceError, check_sequence, load_sequence, save_sequence
 
 
@@ -95,6 +96,24 @@ def test_background_inf_depth_allowed():
     assert validate_frame(frame, 4, 4) == []
 
 
+def test_validate_frame_rejects_inf_depth_on_geometry():
+    # +inf marks a miss; on a foreground pixel it would reach the filters
+    frame = _tiny_frame()
+    frame["depth"][2, 1] = np.inf
+    assert validate_frame(frame, 4, 4) == [
+        "channel 'depth' not positive and finite on geometry at pixel (1, 2)"]
+
+
+def test_run_pipeline_rejects_inf_depth_on_geometry():
+    scene = scene_from_dict(preset_scene("shadow-objects", width=24, height=24))
+    seq = synthesize_sequence(scene, 1, 1, 0)
+    y, x = np.argwhere(seq.frames[0]["object_id"] != 0)[0]
+    seq.frames[0]["depth"][y, x] = np.inf
+    with pytest.raises(SequenceError, match=r"frame 0 invalid: channel 'depth' not positive "
+                                            rf"and finite on geometry at pixel \({x}, {y}\)"):
+        run_pipeline(seq, DenoiseConfig())
+
+
 def test_validate_frame_reports_bad_shapes_without_raising():
     # a wrong-sized object_id and a wrong-sized channel outside the table,
     # one holding a NaN, are violations naming the channel, not numpy errors
@@ -174,6 +193,14 @@ def test_config_is_valid_by_construction():
     with pytest.raises(dataclasses.FrozenInstanceError):
         cfg.history_cap = 0
     assert cfg.history_cap == 256
+
+
+def test_config_sigma_z_bounded():
+    # at 1e3 the depth stop is ~1 already; above, sigma_z * |z| could overflow
+    assert DenoiseConfig(sigma_z=1e3).sigma_z == 1e3
+    for bad in (1e3 * (1 + 1e-12), 1e303, np.inf):
+        with pytest.raises(ValueError, match=r"sigma_z .* outside \(0.0, 1000.0\]"):
+            DenoiseConfig(sigma_z=bad)
 
 
 def test_config_validation():

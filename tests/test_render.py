@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 from dataclasses import fields
 
@@ -77,6 +78,55 @@ def test_scene_rejects_resolution_not_two_positive_integers(res):
     doc = preset_scene("shadow-objects", width=24, height=24)
     doc["resolution"] = res
     with pytest.raises(ValueError, match="resolution .* is not two positive integers"):
+        scene_from_dict(doc)
+
+
+def _set(path, value):
+    """Edit that sets the document field at `path`, a tuple of keys."""
+    def edit(doc):
+        *parents, last = path
+        for key in parents:
+            doc = doc[key]
+        doc[last] = value
+    return edit
+
+
+# (edit of a 16x16 shadow-objects document, the field its message names)
+_BAD_SCENES = {
+    "look_at at position": (_set(("camera", "look_at"), [0, 4.2, 7.5]), "camera.look_at"),
+    "up zero": (_set(("camera", "up"), [0, 0, 0]), "camera.up"),
+    "up along view": (_set(("camera", "up"), [0.0, -3.4, -8.0]), "camera.up"),
+    "vfov 0": (_set(("camera", "vfov_deg"), 0.0), "camera.vfov_deg"),
+    "vfov nan": (_set(("camera", "vfov_deg"), math.nan), "camera.vfov_deg"),
+    "vfov 180": (_set(("camera", "vfov_deg"), 180.0), "camera.vfov_deg"),
+    "position keyframe of 2": (_set(("camera", "position"), {"keyframes": [
+        [0, [0, 4.2, 7.5]], [4, [0, 4.2]]]}), "camera.position.keyframes[1]"),
+    "radius nan": (_set(("objects", 0, "radius"), math.nan), "objects[0].radius"),
+    "radius negative": (_set(("objects", 0, "radius"), -1.0), "objects[0].radius"),
+    "env constant nan": (_set(("env",), {"kind": "constant", "value": math.nan}), "env"),
+    "env constant negative": (_set(("env",), {"kind": "constant", "value": -0.5}), "env"),
+    "env scale negative": (_set(("env", "scale"), -1.0), "env"),
+    "env sun inf": (_set(("env", "sun_intensity"), [math.inf, 1.0, 1.0]),
+                    "env.sun_intensity"),
+    "intensity nan": (_set(("light", "intensity"), [math.nan, 1.0, 1.0]), "light.intensity"),
+    "intensity negative": (_set(("light", "intensity"), [75.0, -1.0, 70.0]),
+                           "light.intensity"),
+    "center of 2": (_set(("light", "center"), [2.8, 7.5]), "light.center"),
+    "albedo nan": (_set(("objects", 1, "albedo"), [math.nan, 0.5, 0.5]), "objects[1].albedo"),
+    "emissive negative": (_set(("objects", 2, "emissive"), [0.0, -1.0, 0.0]),
+                          "objects[2].emissive"),
+    "ground albedo of 2": (_set(("ground", "albedo"), [0.5, 0.5]), "ground.albedo"),
+    "roughness 2": (_set(("objects", 0, "roughness"), 2.0), "objects[0].roughness"),
+    "roughness nan": (_set(("objects", 0, "roughness"), math.nan), "objects[0].roughness"),
+}
+
+
+@pytest.mark.parametrize("case", list(_BAD_SCENES))
+def test_scene_rejects_invalid_value_naming_the_field(case):
+    edit, field = _BAD_SCENES[case]
+    doc = preset_scene("shadow-objects", width=16, height=16)
+    edit(doc)
+    with pytest.raises(ValueError, match="^" + re.escape(field) + " "):
         scene_from_dict(doc)
 
 

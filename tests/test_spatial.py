@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -5,6 +6,9 @@ import pytest
 
 from rtdenoise import spatial
 from rtdenoise.frames import ChannelKind, DenoiseConfig, GBufferFrame
+from rtdenoise.pipeline import PRESETS, preset_config
+from rtdenoise.render import render_frame
+from rtdenoise.scenes import preset_scene, scene_from_dict
 from rtdenoise.spatial import (KERNEL_1D, atrous_dense,
                                atrous_separable, denoise_channel, edge_weight,
                                select_iteration_count, select_start_level)
@@ -346,7 +350,81 @@ def test_gbuffer_planes_padded_once_per_iteration(filt, monkeypatch):
 
     monkeypatch.setattr(spatial, "shifted", counting)
     filt(np.full((16, 16), 0.3), np.full((16, 16), 0.1), gbuf, 0, DenoiseConfig())
-    assert sum(p is gbuf.depth for p in pads) == 1
+    # the padded depth plane may be a masked copy: find it by dtype and value
+    assert sum(p.dtype == gbuf.depth.dtype and np.array_equal(p, gbuf.depth)
+               for p in pads) == 1
+
+
+@pytest.mark.parametrize("filt", [atrous_dense, atrous_separable])
+def test_only_depth_and_normals_padded_from_the_gbuffer(filt, monkeypatch):
+    # the background is encoded in those two planes, so no foreground plane is
+    # padded; the channel's own planes are float64, the G-buffer's float32
+    pads = []
+
+    def counting(plane, *args, **kwargs):
+        pads.append(plane)
+        return shifted(plane, *args, **kwargs)
+
+    monkeypatch.setattr(spatial, "shifted", counting)
+    filt(np.full((16, 16), 0.3), np.full((16, 16), 0.1), _flat_gbuf(), 0, DenoiseConfig())
+    assert sorted(p.shape for p in pads if p.dtype != np.float64) == [(16, 16), (16, 16, 3)]
+
+
+@pytest.mark.parametrize("filt", [atrous_dense, atrous_separable])
+@pytest.mark.parametrize("level", [0, 1, 2, "mixed"])
+def test_nan_background_geometry_filters_like_renderer_background(filt, level):
+    # a direct caller's NaN depth and normals on the background count as the
+    # renderer's +inf depth and zero normals there, bit for bit
+    rs = np.random.default_rng(15)
+    h = w = 16
+    gbuf = _boxed_gbuf(rs, h, w)
+    bg = ~gbuf.foreground
+    near_fg = bg & (np.roll(~bg, 1, axis=0) | np.roll(~bg, -1, axis=1))
+    assert near_fg.any()
+    nan_gbuf = dataclasses.replace(gbuf, depth=gbuf.depth.copy(), normal=gbuf.normal.copy())
+    nan_gbuf.depth[bg] = np.nan
+    nan_gbuf.normal[bg] = np.nan
+    channel = rs.random((h, w, 3)) * 2.0
+    variance = rs.random((h, w)) * 0.3
+    level = rs.integers(0, 3, (h, w)) if level == "mixed" else level
+    want = filt(channel, variance, gbuf, level, DenoiseConfig())
+    got = filt(channel, variance, nan_gbuf, level, DenoiseConfig())
+    assert np.isfinite(want[0]).all() and np.isfinite(want[1]).all()
+    assert got[0].tobytes() == want[0].tobytes()
+    assert got[1].tobytes() == want[1].tobytes()
+
+
+@pytest.mark.parametrize("preset", list(PRESETS))
+def test_no_floating_point_fault_on_rendered_gbuffers(preset):
+    # the renderer's background (+inf depth, zero normals) needs no suppressed
+    # invalid, divide or overflow arithmetic in any preset's filters
+    scene = scene_from_dict(preset_scene("cubes-distance", width=32, height=32))
+    gbuf, shadow, specular = render_frame(scene, 0, spp=1, seed=4)
+    bg = ~gbuf.foreground
+    assert bg.any() and np.isposinf(gbuf.depth[bg]).all() and not gbuf.normal[bg].any()
+    cfg = preset_config(preset, base=DenoiseConfig(iterations=3))
+    rs = np.random.default_rng(16)
+    with np.errstate(invalid="raise", divide="raise", over="raise"):
+        for kind, channel in ((ChannelKind.SHADOW, shadow.data),
+                              (ChannelKind.INDIRECT_SPECULAR, specular.data)):
+            out, _fb, _recs = denoise_channel(channel, rs.random((32, 32)), gbuf, cfg, kind,
+                                              shadow_angle=scene.shadow_angle_deg)
+            assert np.isfinite(out).all()
+
+
+def test_weights_finite_at_largest_sigma_z_and_depth():
+    # the largest valid sigma_z times the largest float32 depth and the
+    # longest tap distance stays finite, so no weight overflows
+    rs = np.random.default_rng(17)
+    gbuf = _boxed_gbuf(rs, 32, 32)
+    fg = gbuf.foreground
+    gbuf.depth[fg & (rs.random((32, 32)) < 0.5)] = np.finfo(np.float32).max
+    cfg = DenoiseConfig(sigma_z=1e3)
+    channel, variance = rs.random((32, 32, 3)), rs.random((32, 32))
+    with np.errstate(invalid="raise", divide="raise", over="raise"):
+        for filt in (atrous_dense, atrous_separable):
+            out, out_var = filt(channel, variance, gbuf, 3, cfg)
+            assert np.isfinite(out).all() and np.isfinite(out_var).all()
 
 
 def test_separable_variance_updated_once():
