@@ -19,10 +19,13 @@ from .scenes import MOVEMENTS, PRESET_NAMES, load_scene, preset_scene
 from .store import load_sequence, save_sequence
 
 
+_SCENE_OPTIONS = ("width", "height", "roughness", "shadow_angle", "movement", "teleport_frame")
+
+
 def _cmd_scene(args) -> int:
-    doc = preset_scene(args.preset, width=args.width, height=args.height,
-                       roughness=args.roughness, shadow_angle=args.shadow_angle,
-                       movement=args.movement, teleport_frame=args.teleport_frame)
+    # only the options given; `preset_scene` owns every default
+    doc = preset_scene(args.preset, **{k: getattr(args, k) for k in _SCENE_OPTIONS
+                                       if hasattr(args, k)})
     with open(args.out, "w") as f:
         json.dump(doc, f, indent=2, sort_keys=True)
     print(f"wrote scene '{args.preset}' to {args.out}")
@@ -118,15 +121,15 @@ def build_parser() -> argparse.ArgumentParser:
                    help="let errors propagate with their traceback")
     sub = p.add_subparsers(dest="command", required=True)
 
-    sc = sub.add_parser("scene", help="write a preset scene JSON")
+    sc = sub.add_parser("scene", help="write a preset scene JSON",
+                        argument_default=argparse.SUPPRESS)
     sc.add_argument("--preset", required=True, choices=PRESET_NAMES)
-    sc.add_argument("--width", type=int, default=96)
-    sc.add_argument("--height", type=int, default=96)
-    sc.add_argument("--roughness", type=float, default=0.3)
-    sc.add_argument("--shadow-angle", type=float, default=4.0)
-    sc.add_argument("--movement", default="static",
-                    choices=MOVEMENTS)
-    sc.add_argument("--teleport-frame", type=int, default=32)
+    sc.add_argument("--width", type=int)
+    sc.add_argument("--height", type=int)
+    sc.add_argument("--roughness", type=float)
+    sc.add_argument("--shadow-angle", type=float)
+    sc.add_argument("--movement", choices=MOVEMENTS)
+    sc.add_argument("--teleport-frame", type=int)
     sc.add_argument("--out", required=True)
     sc.set_defaults(fn=_cmd_scene)
 

@@ -53,10 +53,7 @@ def taa(curr: np.ndarray, prev_taa: np.ndarray | None, gbuf: GBufferFrame,
     curr = np.asarray(curr, dtype=np.float64)
     if prev_taa is None:
         return curr.copy()
-    (hist,), wsum = bilinear_sample((np.asarray(prev_taa, dtype=np.float64),),
-                                    gbuf.motion)
-    valid = wsum > 1e-8
-    hist = hist / np.where(valid, wsum, 1.0)[..., None]
+    (hist,), valid = bilinear_sample((np.asarray(prev_taa, dtype=np.float64),), gbuf.motion)
     rect, _mu, _sigma = rectify_history(hist, curr, gamma, "clamp")
     out = rect + blend * (curr - rect)
     return np.where(valid[..., None], out, curr)

@@ -112,8 +112,6 @@ class PrefilteredEnvMap:
         its roughness, and a level is looked up only at the directions that
         read it."""
         n = self.num_levels
-        if n == 1:
-            return sample_latlong(self.levels[0], dirs)
         d = np.asarray(dirs, dtype=np.float64)
         level_f = np.clip(np.asarray(roughness, dtype=np.float64), 0.0, 1.0) * (n - 1)
         l0 = np.floor(level_f).astype(np.int64)

@@ -18,6 +18,8 @@ from enum import Enum
 
 import numpy as np
 
+from .stencil import dot3
+
 FORMAT_VERSION = 2
 
 
@@ -210,9 +212,11 @@ def validate_frame(frame: dict, width: int, height: int) -> list:
     """Collect every violated frame invariant; an empty list means valid.
 
     Never raises: a violation is reported as one message naming the channel
-    and, for a bad value, an example pixel.
+    and, for a bad value, an example pixel. Value rules apply only to
+    channels of the right shape.
     """
     violations = []
+    shaped = {}
     for name, arr in frame.items():
         arity = CHANNELS.get(name)
         if arity is None:  # a channel outside the table: any arity, the frame's size
@@ -222,6 +226,7 @@ def validate_frame(frame: dict, width: int, height: int) -> list:
         if got != want:
             violations.append(f"channel '{name}' has shape {arr.shape}, expected {want}")
             continue
+        shaped[name] = arr
         bad = ~np.isfinite(arr)
         if name == "depth":
             bad = bad & ~np.isposinf(arr)  # +inf marks background misses
@@ -229,50 +234,37 @@ def validate_frame(frame: dict, width: int, height: int) -> list:
             x, y = _first_bad_pixel(bad.reshape(height, width, -1).any(axis=2))
             violations.append(f"non-finite value in channel '{name}' at pixel ({x}, {y})")
 
-    oid = frame.get("object_id")
-    fg = None
-    if oid is not None and oid.shape == (height, width):
+    oid = shaped.get("object_id")
+    fg = np.zeros((height, width), dtype=bool)  # without ids, no pixel is geometry
+    if oid is not None:
         if not np.issubdtype(oid.dtype, np.integer):
             violations.append(f"channel 'object_id' has dtype {oid.dtype}, "
                               "expected an integer type")
         fg = oid != 0
 
-    normal = frame.get("normal")
-    if normal is not None and fg is not None and normal.shape == (height, width, 3):
-        norms = np.linalg.norm(normal.astype(np.float64), axis=2)
+    normal = shaped.get("normal")
+    if normal is not None:
+        n = normal.astype(np.float64)
+        norms = np.sqrt(dot3(n, n))
         bad = fg & (np.abs(norms - 1.0) > 1e-4)
         if np.any(bad):
             x, y = _first_bad_pixel(bad)
             violations.append(
                 f"channel 'normal' not unit length at pixel ({x}, {y}): |n| = {norms[y, x]:.6f}")
 
-    depth = frame.get("depth")
-    if depth is not None and fg is not None and depth.shape == (height, width):
-        bad = fg & ~((depth > 0) & (depth < np.inf))
+    # channel, what its bad values are, and its bad pixels
+    ranges = (("depth", "not positive and finite on geometry",
+               lambda a: fg & ~((a > 0) & (a < np.inf))),
+              ("roughness", "outside [0, 1]", lambda a: (a < 0) | (a > 1)),
+              ("shadow_1spp", "outside [0, 1]", lambda a: np.isfinite(a) & ((a < 0) | (a > 1))),
+              ("specular_1spp", "negative", lambda a: (np.isfinite(a) & (a < 0)).any(axis=2)))
+    for name, what, bad_at in ranges:
+        arr = shaped.get(name)
+        if arr is None:
+            continue
+        bad = bad_at(arr)
         if np.any(bad):
             x, y = _first_bad_pixel(bad)
-            violations.append(f"channel 'depth' not positive and finite on geometry "
-                              f"at pixel ({x}, {y})")
-
-    rough = frame.get("roughness")
-    if rough is not None and rough.shape == (height, width):
-        bad = (rough < 0) | (rough > 1)
-        if np.any(bad):
-            x, y = _first_bad_pixel(bad)
-            violations.append(f"channel 'roughness' outside [0, 1] at pixel ({x}, {y})")
-
-    shadow = frame.get("shadow_1spp")
-    if shadow is not None and shadow.shape == (height, width):
-        bad = np.isfinite(shadow) & ((shadow < 0) | (shadow > 1))
-        if np.any(bad):
-            x, y = _first_bad_pixel(bad)
-            violations.append(f"channel 'shadow_1spp' outside [0, 1] at pixel ({x}, {y})")
-
-    spec = frame.get("specular_1spp")
-    if spec is not None and spec.shape == (height, width, 3):
-        bad = np.isfinite(spec) & (spec < 0)
-        if np.any(bad):
-            x, y = _first_bad_pixel(bad.any(axis=2))
-            violations.append(f"channel 'specular_1spp' negative at pixel ({x}, {y})")
+            violations.append(f"channel '{name}' {what} at pixel ({x}, {y})")
 
     return violations

@@ -11,11 +11,13 @@ placed at the frame); a query's inverse ray directions are computed once and
 shared by all its boxes.
 
 `render_frame` traces the primary rays of the whole pixel grid, which give
-the G-buffer, and then spends rays only where a result is kept:
+the G-buffer (`trace_nearest` owns its background values: +inf distance,
+so depth, zero normal, albedo and emissive, and roughness 1), and then
+spends rays only where a result is kept:
 - the shadow loop and the specular loop run over the samples on flat arrays
   of the foreground pixels (`pix`, gathered by `stencil.take3`); background
   pixels trace no ray and get shadow 1 and specular 0 when the loops'
-  results are scattered back (`_put`);
+  results are scattered back (`stencil.put3`);
 - each specular bounce is split by its nearest hit: the shadowed direct light
   (`_direct_at`, with its `occluded` query) and the prefiltered environment
   term run on the bounce rays that hit geometry, the environment lookup
@@ -49,7 +51,7 @@ from . import rng
 from .envmap import PrefilteredEnvMap, lobe_exponent, sample_latlong
 from .frames import ChannelKind, GBufferFrame, NoisyChannel
 from .scenes import Scene
-from .stencil import channel_major, dot3, take3
+from .stencil import channel_major, dot3, put3, take3
 
 _EPS = 1e-4
 _UP = np.array([0.0, 1.0, 0.0])  # the ground's normal
@@ -69,12 +71,6 @@ def _planar(shape, zeros: bool = False) -> np.ndarray:
     """float64 3-vectors of `shape`, uninitialized or zeroed, laid out
     channel-major like `stencil.channel_major`."""
     return np.moveaxis((np.zeros if zeros else np.empty)((3, *shape)), 0, -1)
-
-
-def _put(dst, idx, src):
-    """dst[idx] = src for (n, 3) arrays, one component plane at a time."""
-    for k in range(3):
-        dst[idx, k] = src[..., k]
 
 
 def _cross(a, b):
@@ -205,7 +201,9 @@ def _surfaces(origins, dirs, scene: Scene, frame: float):
 
 def trace_nearest(origins, dirs, scene: Scene, frame: float):
     """Nearest-hit query returning per-ray t, object id and surface attrs;
-    the normal, albedo and emissive vectors are channel-major."""
+    the normal, albedo and emissive vectors are channel-major. A miss keeps
+    t = inf, object id 0, zero normal, albedo and emissive, and roughness 1,
+    the G-buffer's background values."""
     shape = origins.shape[:-1]
     best_t = np.full(shape, np.inf)
     oid = np.zeros(shape, dtype=np.int32)
@@ -223,12 +221,9 @@ def trace_nearest(origins, dirs, scene: Scene, frame: float):
         np.copyto(albedo, mat.albedo, where=closer[..., None])
         np.copyto(rough, mat.roughness, where=closer)
         np.copyto(emissive, mat.emissive, where=closer[..., None])
-        # normals at the compacted hit points, written back one plane at a
-        # time (a `_planar` plane is contiguous, so its reshape is a view)
+        # normals at the compacted hit points, written back plane by plane
         points = take3(origins, hits) + take3(dirs, hits) * np.take(t, hits)[:, None]
-        n = np.broadcast_to(normal_fn(points), points.shape)
-        for k in range(3):
-            normal[..., k].reshape(-1)[hits] = n[:, k]
+        put3(normal, hits, np.broadcast_to(normal_fn(points), points.shape))
     return best_t, oid, normal, albedo, rough, emissive
 
 
@@ -317,8 +312,7 @@ def render_frame(scene: Scene, frame_index: int, spp: int, seed: int,
     t, oid, normal, albedo, rough, emissive = trace_nearest(origins, dirs, scene, frame_index)
     fg = oid != 0
 
-    view_z = t * along_fwd
-    depth = np.where(fg, view_z, np.inf)
+    depth = t * along_fwd  # +inf on a miss, as every ray points ahead
     hit_p = origins + dirs * np.where(fg, t, 0.0)[..., None]
 
     # analytic motion: move the hit point back by the object's frame-to-frame
@@ -348,12 +342,12 @@ def render_frame(scene: Scene, frame_index: int, spp: int, seed: int,
 
     gbuf = GBufferFrame(
         depth=depth.astype(np.float32),
-        normal=np.where(fg[..., None], normal, 0.0).astype(np.float32, order="C"),
+        normal=normal.astype(np.float32, order="C"),
         motion=motion.astype(np.float32),
         object_id=oid.astype(np.int32),
-        albedo=np.where(fg[..., None], albedo, 0.0).astype(np.float32, order="C"),
-        roughness=np.where(fg, rough, 1.0).astype(np.float32),
-        emissive=np.where(fg[..., None], emissive, 0.0).astype(np.float32, order="C"),
+        albedo=albedo.astype(np.float32, order="C"),
+        roughness=rough.astype(np.float32),
+        emissive=emissive.astype(np.float32, order="C"),
     )
 
     # the sample loops run over the foreground pixels only, flat; `pix` holds
@@ -397,7 +391,7 @@ def render_frame(scene: Scene, frame_index: int, spp: int, seed: int,
         hit2 = oid2 != 0
         radiance = _planar(pix.shape)
         miss = np.flatnonzero(~hit2)
-        _put(radiance, miss, sample_latlong(scene.env, take3(lobe, miss)))
+        put3(radiance, miss, sample_latlong(scene.env, take3(lobe, miss)))
         hits = np.flatnonzero(hit2)
         if hits.size:
             lobe2, n2, alb2 = take3(lobe, hits), take3(n2, hits), take3(alb2, hits)
@@ -406,10 +400,10 @@ def render_frame(scene: Scene, frame_index: int, spp: int, seed: int,
             if prefiltered is not None:
                 refl2 = lobe2 - 2.0 * dot3(lobe2, n2)[..., None] * n2
                 lit = lit + alb2 * prefiltered.sample(_normalize(refl2), np.take(rough2, hits))
-            _put(radiance, hits, lit)
+            put3(radiance, hits, lit)
         spec += radiance * above[..., None]
     specular = np.zeros((h * w, 3))
-    _put(specular, pix, spec / spp)
+    put3(specular, pix, spec / spp)
 
     return (gbuf,
             NoisyChannel(ChannelKind.SHADOW, shadow.reshape(h, w).astype(np.float32), spp),

@@ -3,7 +3,10 @@
 Scenes are plain JSON documents. Any vec3-valued field that animates
 (camera position/look-at, light center, per-object offsets) accepts either a
 constant `[x, y, z]` or `{"keyframes": [[frame, [x, y, z]], ...]}` with
-linear interpolation, clamped outside the keyframed range.
+linear interpolation, clamped outside the keyframed range. The env map is
+a `gradient` sky, a `constant` or a `file`: a PFM lat-long map, a 1-channel
+one repeated to RGB, whose relative `path` resolves against the working
+directory, not the scene file's.
 
 Four presets mirror the usual test structure for this kind of denoiser:
 `cubes-distance` (roughness-graded reflectors), `shadow-objects` (floating
@@ -199,6 +202,8 @@ def _build_env(spec: dict) -> np.ndarray:
         args = {k: spec[k] for k in keys if k in spec}
         if "sun_intensity" in args:  # an inf would be masked to NaN off the sun
             args["sun_intensity"] = _vec3(args["sun_intensity"], "env.sun_intensity", True)
+        if "sun_dir" in args and not _vec3(args["sun_dir"], "env.sun_dir").any():
+            raise ValueError(f"env.sun_dir {args['sun_dir']!r} is the zero vector")
         return env_gradient_sky(**args)
     if kind == "file":
         from .pfm import read_pfm
@@ -234,6 +239,9 @@ def scene_from_dict(doc: dict) -> Scene:
         elif od["type"] == "box":
             obj.lo = _vec3(od["min"], f"{path}.min")
             obj.hi = _vec3(od["max"], f"{path}.max")
+            if not (obj.lo < obj.hi).all():
+                raise ValueError(f"{path}.min {od['min']!r} is not below {path}.max "
+                                 f"{od['max']!r} on every axis")
         else:
             raise ValueError(f"unknown object type {od['type']!r}")
         objects.append(obj)
@@ -241,7 +249,9 @@ def scene_from_dict(doc: dict) -> Scene:
     ground = None
     if doc.get("ground"):
         g = doc["ground"]
-        ground = GroundPlane(height=float(g.get("height", 0.0)), oid=int(g["id"]),
+        ground = GroundPlane(height=_number(g.get("height", 0.0), "ground.height",
+                                            math.isfinite, "is not finite"),
+                             oid=int(g["id"]),
                              material=_material_from(g, "ground"))
 
     ldoc = doc["light"]
@@ -310,7 +320,7 @@ def _path(base, offset, first: int, last: int) -> dict:
     return {"keyframes": [[first, base.tolist()], [last, (base + offset).tolist()]]}
 
 
-def _cubes_distance(roughness):
+def _cubes_distance(roughness=0.3):
     # reflectors float above the floor so their penumbrae are wide and
     # visible; the light is bright enough that shadow noise matters in the
     # composite alongside the reflections
@@ -331,7 +341,7 @@ def _cubes_distance(roughness):
     return doc, (([1.8, 0, 0], [1.8, 0, 0]), (1, [1.4, 0.0, 0.0]), [-6.0, 0.0, 0.0])
 
 
-def _shadow_objects(roughness):
+def _shadow_objects():
     doc = {
         "camera": {"position": [0, 4.2, 7.5], "look_at": [0.0, 0.8, -0.5], "vfov_deg": 46.0},
         "objects": [
@@ -350,7 +360,7 @@ def _shadow_objects(roughness):
     return doc, (([1.5, 0, 0], None), (0, [1.2, 0.0, 0.6]), [-5.6, 0.0, 0.0])
 
 
-def _pillars(roughness):
+def _pillars():
     doc = {
         "camera": {"position": [0.0, 3.6, 8.5], "look_at": [0.0, 1.0, 0.0], "vfov_deg": 44.0},
         "objects": [{"type": "box", "min": [x - 0.35, 0.0, -0.35], "max": [x + 0.35, 2.6, 0.35],
@@ -364,7 +374,7 @@ def _pillars(roughness):
     return doc, (None, None, [-9.0, 2.0, 0.0])
 
 
-def _breakfast_lite(roughness):
+def _breakfast_lite(roughness=0.3):
     doc = {
         "camera": {"position": [0.2, 2.2, 4.6], "look_at": [0.0, 1.0, -0.6], "vfov_deg": 48.0},
         "objects": [
@@ -385,20 +395,24 @@ def _breakfast_lite(roughness):
     return doc, (([1.0, 0, 0], None), (3, [-0.9, 0.0, 0.4]), [-3.4, 0.0, 0.0])
 
 
-# name -> builder(roughness) -> (document at rest, paths); paths are the
-# camera's (position, look-at or None) offsets or None, the (index, offset)
-# of the one object that moves or None, and the light's offset
+# name -> builder() -> (document at rest, paths); paths are the camera's
+# (position, look-at or None) offsets or None, the (index, offset) of the one
+# object that moves or None, and the light's offset. The builders of
+# _ROUGHNESS_PRESETS also take the roughness of their graded materials.
 _PRESETS = {"cubes-distance": _cubes_distance, "shadow-objects": _shadow_objects,
             "pillars": _pillars, "breakfast-lite": _breakfast_lite}
 PRESET_NAMES = tuple(_PRESETS)
+_ROUGHNESS_PRESETS = ("cubes-distance", "breakfast-lite")
 
 
-def preset_scene(name: str, width=96, height=96, roughness=0.3, shadow_angle=4.0,
+def preset_scene(name: str, width=96, height=96, roughness=None, shadow_angle=4.0,
                  movement="static", teleport_frame=32) -> dict:
     """Build a preset scene document.
 
     movement: static | camera | lights-objects | light-teleport; `pillars`
-    has no camera path.
+    has no camera path. `roughness` grades the materials of `cubes-distance`
+    and `breakfast-lite` (default 0.3); the other presets have fixed
+    materials and reject it.
     """
     unavailable = ValueError(f"movement {movement!r} not available for preset {name!r}; "
                              f"have {', '.join(MOVEMENTS)} (pillars: no camera)")
@@ -406,7 +420,11 @@ def preset_scene(name: str, width=96, height=96, roughness=0.3, shadow_angle=4.0
         raise unavailable
     if name not in _PRESETS:
         raise ValueError(f"unknown preset {name!r}; have {', '.join(PRESET_NAMES)}")
-    doc, (camera, moving, light) = _PRESETS[name](roughness)
+    graded = {} if roughness is None else {"roughness": roughness}
+    if graded and name not in _ROUGHNESS_PRESETS:
+        raise ValueError(f"preset {name!r} has fixed materials and takes no roughness; "
+                         f"{' and '.join(_ROUGHNESS_PRESETS)} do")
+    doc, (camera, moving, light) = _PRESETS[name](**graded)
     doc.update(name=name, resolution=[width, height], shadow_angle_deg=shadow_angle)
 
     if movement == "camera":

@@ -14,12 +14,13 @@ variance. The two forms are equivalent where the edge weights are uniform and
 intentionally diverge across edges, which shows up as slightly stronger blur.
 
 The driver sets up an iteration's G-buffer side once for all its passes: the
-foreground's bounding box, the level map cropped to it, the center depth and
-normals, the luminance stop's denominator and the depth and normal planes
-padded with edge values (`stencil.shifted`), which is clamp-to-border
-indexing. Those planes hold +inf depth and zero normals on the background, so
-a background tap's weight is exp(-inf) = 0 by construction; background centers
-filter at depth 0, so their results stay finite. Each pass adds only its own
+foreground's bounding box (`stencil.bounding_box`), the level map cropped to
+it, the center depth and normals, the luminance stop's denominator and the
+depth and normal planes padded with edge values (`stencil.shifted`), which
+is clamp-to-border indexing. Those planes hold +inf depth and zero normals
+on the background, so a background tap's weight is exp(-inf) = 0 by
+construction; background centers filter at depth 0, so their results stay
+finite. Each pass adds only its own
 luminance and data taps, and computes each tap's edge weight into scratch
 planes allocated once per iteration. A per-pixel level map runs one uniform
 pass per level in use and keeps each pixel's result at its own level; a
@@ -27,6 +28,8 @@ pixel's result depends only on its own step, so this is exact. Only the
 foreground's bounding box is filtered. That is exact too: every pixel outside
 the box is background, whose result is replaced by its input anyway, and its
 taps weigh 0, so the separable form's vertical pass never uses its result.
+The driver rejects a foreground pixel whose depth is not positive and finite
+or whose normal is not finite, since its weights would turn the frame NaN.
 
 The start level can shift up by one where material features predict heavy
 noise (roughness over 0.2, shadow angles over 6 degrees), keeping the
@@ -39,7 +42,7 @@ from __future__ import annotations
 import numpy as np
 
 from .frames import ChannelKind, DenoiseConfig, GBufferFrame
-from .stencil import as_planes, channel_major, dot3, shifted
+from .stencil import as_planes, bounding_box, channel_major, dot3, shifted
 from .tonemap import luma
 
 KERNEL_1D = np.array([1.0 / 16, 1.0 / 4, 3.0 / 8, 1.0 / 4, 1.0 / 16])
@@ -97,6 +100,18 @@ def _tap_weights(center, tap, dist, cfg, out, tmp):
     return out
 
 
+def _check_geometry(gbuf: GBufferFrame, fg) -> None:
+    """Reject the first foreground pixel whose depth is not positive and
+    finite or whose normal is not finite: its edge weights would spread NaN."""
+    depth_ok = (gbuf.depth > 0) & (gbuf.depth < np.inf)
+    finite = np.isfinite(gbuf.normal)  # combined per component: `all(axis=2)` is slow
+    bad = fg & ~(depth_ok & finite[..., 0] & finite[..., 1] & finite[..., 2])
+    if bad.any():
+        y, x = np.argwhere(bad)[0]
+        what = "normal not finite" if depth_ok[y, x] else "depth not positive and finite"
+        raise ValueError(f"G-buffer {what} at foreground pixel ({x}, {y})")
+
+
 # unit tap offsets (dy, dx, kernel weight, distance); pixel offsets scale by the step
 _DENSE = [(j, i, KERNEL_1D[i + 2] * KERNEL_1D[j + 2], np.hypot(i, j))
           for j in _OFFSETS for i in _OFFSETS]
@@ -118,12 +133,11 @@ def _atrous(channel, variance, gbuf: GBufferFrame, level, cfg: DenoiseConfig, pa
     data, var = as_planes(channel), np.asarray(variance, dtype=np.float64)
     check_level(np.max(level), *var.shape)
     fg = gbuf.foreground
-    rows = np.flatnonzero(fg.any(axis=1))
-    if not rows.size:
+    _check_geometry(gbuf, fg)
+    box = bounding_box(fg)
+    if box is None:
         out, out_var = data.copy(), var.copy()
     else:
-        cols = np.flatnonzero(fg.any(axis=0))
-        box = (slice(rows[0], rows[-1] + 1), slice(cols[0], cols[-1] + 1))
         level = np.asarray(level, dtype=np.int64)
         level = level[box] if level.ndim else level
         used = np.unique(level)

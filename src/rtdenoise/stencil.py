@@ -3,13 +3,17 @@
 `shifted` serves every fixed-offset loop: a plane is padded once per pass,
 with its edge values (which is exactly clamp-to-border indexing) or with a
 constant, and each tap is a slice view of the padded plane. `bilinear_sample`
-serves the motion-vector reprojections, whose offsets differ per pixel: it
-turns each enclosing texel's clamped (row, column) into one flat row-major
-index and fetches every plane with `gather`, an `np.take` over the plane's
-pixels, which costs a fraction of 2-D fancy indexing `plane[yc, xc]` and
-returns the same values. `dot3` is the one dot product of 3-vectors, for
-normals and directions, and `take3` compacts 3-vectors to flat indices one
-component plane at a time, for the renderer's and the env map's ray lists.
+is the one reprojection footprint, of the temporal filter and of the TAA,
+whose offsets differ per pixel: it turns each enclosing texel's clamped
+(row, column) into one flat row-major index and fetches every plane with
+`gather`, an `np.take` over the plane's pixels, which costs a fraction of
+2-D fancy indexing `plane[yc, xc]` and returns the same values. It returns
+each plane's mean over the accepted texels and where that mean is valid (a
+weight total above 1e-8), 0 elsewhere. `bounding_box` crops a pass to the
+pixels it keeps. `dot3` is the one dot product of 3-vectors, for normals and
+directions; `take3` compacts 3-vectors to flat indices one component plane
+at a time, and `put3` scatters them back, for the renderer's and the env
+map's ray lists.
 """
 
 from __future__ import annotations
@@ -51,6 +55,15 @@ def take3(v, flat) -> np.ndarray:
     return np.moveaxis(np.stack([np.take(v[..., k], flat) for k in range(3)]), 0, -1)
 
 
+def put3(dst, flat, src) -> None:
+    """dst[flat] = src for 3-vectors, the twin of `take3`, written one
+    component plane at a time. `dst` is flat (n, 3) or channel-major (see
+    `channel_major`): on a C-order (H, W, 3) array `dst[..., k].reshape(-1)`
+    is a copy, and the write would be lost."""
+    for k in range(3):
+        dst[..., k].reshape(-1)[flat] = src[..., k]
+
+
 def shifted(plane: np.ndarray, reach: int, fill=None):
     """Pad `plane` by `reach` pixels and return tap(dy, dx) -> (H, W, ...) view.
 
@@ -84,12 +97,13 @@ def gather(plane: np.ndarray, flat: np.ndarray) -> np.ndarray:
 
 
 def bilinear_sample(planes, motion: np.ndarray, accept=None):
-    """Bilinearly sample each plane at pixel + motion; returns (sums, wsum).
+    """Bilinearly sample each plane at pixel + motion; returns (means, valid).
 
     Each of the four enclosing texels has its bilinear weight, or 0 where it
     lies outside the image or `accept(flat)` is false, where `flat` holds the
-    texels' clamped row-major indices, to read planes with `gather`. `sums`
-    holds each plane's weighted sum, unnormalized; `wsum` the weight total.
+    texels' clamped row-major indices, to read planes with `gather`. `valid`
+    marks the pixels whose weight total exceeds 1e-8; there each mean is the
+    plane's weighted sum over that total, elsewhere it is 0.
     """
     h, w = motion.shape[:2]
     px = np.arange(w)[None, :] + motion[:, :, 0].astype(np.float64)
@@ -113,4 +127,20 @@ def bilinear_sample(planes, motion: np.ndarray, accept=None):
             wsum += tw
             for s, p in zip(sums, planes):
                 s += (tw[..., None] if p.ndim == 3 else tw) * gather(p, flat)
-    return sums, wsum
+    valid = wsum > 1e-8
+    norm = np.where(valid, wsum, 1.0)
+    means = [np.where(valid[..., None], s / norm[..., None], 0.0) if s.ndim == 3
+             else np.where(valid, s / norm, 0.0) for s in sums]
+    return means, valid
+
+
+def bounding_box(mask: np.ndarray, margin: int = 0):
+    """(rows, columns) slices of the pixels where (H, W) `mask` is true,
+    grown by `margin` and clamped to the image; None when none is."""
+    rows = np.flatnonzero(mask.any(axis=1))
+    if not rows.size:
+        return None
+    cols = np.flatnonzero(mask.any(axis=0))
+    h, w = mask.shape
+    return (slice(max(rows[0] - margin, 0), min(rows[-1] + margin + 1, h)),
+            slice(max(cols[0] - margin, 0), min(cols[-1] + margin + 1, w)))

@@ -105,10 +105,13 @@ def load_sequence(path) -> FrameSequence:
             if not fpath.exists():
                 raise SequenceError(f"manifest references absent file: {fpath}")
             arr = read_pfm(fpath)
-            if arr.shape[:2] != (height, width):
-                raise SequenceError(
-                    f"channel '{name}' of frame {i} has dimensions "
-                    f"{arr.shape[1]}x{arr.shape[0]}, manifest says {width}x{height}")
+            # on disk a channel of more than one component has three;
+            # check_sequence names a channel outside the table
+            want = (height, width) if CHANNELS.get(name) == 1 else (height, width, 3)
+            if name in CHANNELS and arr.shape != want:
+                raise SequenceError(f"channel '{name}' of frame {i} has on-disk shape "
+                                    f"{arr.shape}, expected {want} for a {width}x{height} "
+                                    "manifest")
             frame[name] = _from_disk(name, arr)
         frames.append(frame)
     seq = FrameSequence(manifest=manifest, frames=frames)

@@ -6,16 +6,18 @@ history through the motion vectors with a per-tap geometry consistency test,
 current noisy neighborhood, (3) blends it with the current sample, and
 (4) estimates per-pixel luminance variance, falling back to spatial moments
 while the history is too short to trust. The spatial moments are computed
-only where they are kept: over the bounding box of the short-history
-foreground, and not at all once every foreground history is long. Both
-neighborhood moments, the 3x3 box that bounds rectification and the 7x7
+only where they are kept: over the short-history foreground's bounding box
+(`stencil.bounding_box`), and not at all once every foreground history is
+long. Both neighborhood moments, the 3x3 box that bounds rectification and the 7x7
 geometry-restricted window of the spatial variance, come from one masked
 box loop (`_box_moments`) that reads its taps as slices of edge-padded
 planes, with a zero-padded mask counting in-bounds taps. The reprojection
 uses the shared bilinear sampler of `stencil`, which hands each enclosing
 texel's consistency test the texels' flat row-major indices; the test reads
 the previous depth, normal and object id at them with `stencil.gather`, one
-`np.take` per plane instead of 2-D fancy indexing.
+`np.take` per plane instead of 2-D fancy indexing. The sampler also
+renormalizes the passing texels' weights; the reprojection adds only the
+foreground mask and the rounding of the history length.
 
 Rectification runs on the reprojected color *before* the blend, and its
 bounding box comes from the current frame's noisy channel; history length is
@@ -29,8 +31,8 @@ from __future__ import annotations
 import numpy as np
 
 from .frames import DenoiseConfig, GBufferFrame, TemporalHistory
-from .stencil import (as_planes, bilinear_sample, channel_major, dot3, gather, inside,
-                      shifted)
+from .stencil import (as_planes, bilinear_sample, bounding_box, channel_major, dot3, gather,
+                      inside, shifted)
 from .tonemap import luma
 
 
@@ -58,28 +60,25 @@ def reproject(prev: TemporalHistory, prev_gbuf: GBufferFrame, curr_gbuf: GBuffer
     """Bilinearly sample the previous history through the motion vectors.
 
     Each of the four enclosing texels is consistency-tested against the
-    current pixel; the bilinear weights of the passing texels are
-    renormalized. Returns arrays: valid, color, moment1, moment2, history_len.
+    current pixel, and none is taken for a background pixel; the sampler
+    renormalizes the bilinear weights of the passing texels. Returns arrays:
+    valid, color, moment1, moment2, history_len.
     """
     curr_depth = curr_gbuf.depth.astype(np.float64)
     curr_normal = curr_gbuf.normal.astype(np.float64)
     curr_oid = curr_gbuf.object_id
+    fg = curr_gbuf.foreground
 
     def consistent(flat):
         return consistency_test(
             gather(prev_gbuf.depth, flat), gather(prev_gbuf.normal, flat),
             gather(prev_gbuf.object_id, flat), curr_depth, curr_normal, curr_oid,
-            cfg.depth_consistency, cfg.normal_consistency)
+            cfg.depth_consistency, cfg.normal_consistency) & fg
 
-    (color, m1, m2, hist), wsum = bilinear_sample(
+    (color, m1, m2, hist), valid = bilinear_sample(
         (prev.color, prev.moment1, prev.moment2, prev.history_len),
         curr_gbuf.motion, accept=consistent)
-    valid = (wsum > 1e-8) & (curr_oid != 0)
-    norm = np.where(valid, wsum, 1.0)
-    color = np.where(valid[..., None], color / norm[..., None], 0.0)
-    m1 = np.where(valid, m1 / norm, 0.0)
-    m2 = np.where(valid, m2 / norm, 0.0)
-    hist_len = np.where(valid, np.maximum(1, np.floor(hist / norm + 1e-9)), 0).astype(np.int32)
+    hist_len = np.where(valid, np.maximum(1, np.floor(hist + 1e-9)), 0).astype(np.int32)
     return {"valid": valid, "color": color, "moment1": m1, "moment2": m2,
             "history_len": hist_len}
 
@@ -194,12 +193,8 @@ def estimate_variance(history: TemporalHistory, curr_luma: np.ndarray,
     short = history.history_len < min_history
     keep = short & curr_gbuf.foreground
     variance = np.where(short, 0.0, temporal)
-    rows = np.flatnonzero(keep.any(axis=1))
-    if rows.size:
-        cols = np.flatnonzero(keep.any(axis=0))
-        r = _SPATIAL_RADIUS
-        box = (slice(max(rows[0] - r, 0), rows[-1] + r + 1),
-               slice(max(cols[0] - r, 0), cols[-1] + r + 1))
+    box = bounding_box(keep, _SPATIAL_RADIUS)
+    if box is not None:
         spatial = _spatial_variance(curr_luma[box], curr_gbuf.depth[box],
                                     curr_gbuf.normal[box], curr_gbuf.object_id[box], cfg)
         variance[box] = np.where(keep[box], spatial, variance[box])

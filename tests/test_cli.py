@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from rtdenoise.cli import main
+from rtdenoise.scenes import preset_scene
 from rtdenoise.store import SequenceError, load_sequence
 
 
@@ -137,3 +138,16 @@ def test_bad_set_names_key_and_value(workspace, tmp_path, capsys, item, names):
     assert err.startswith("error: --set ")
     for name in names:
         assert name in err
+
+
+def test_scene_passes_only_the_options_given(tmp_path):
+    # preset_scene owns every default, so the CLI's document is its own
+    out = tmp_path / "scene.json"
+    assert main(["scene", "--preset", "pillars", "--out", str(out)]) == 0
+    assert json.loads(out.read_text()) == preset_scene("pillars")
+    assert main(["scene", "--preset", "cubes-distance", "--roughness", "0.9",
+                 "--width", "40", "--out", str(out)]) == 0
+    assert json.loads(out.read_text()) == preset_scene("cubes-distance", width=40,
+                                                       roughness=0.9)
+    assert main(["scene", "--preset", "pillars", "--roughness", "0.9",
+                 "--out", str(out)]) == 1

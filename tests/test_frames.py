@@ -1,10 +1,12 @@
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
 
 from rtdenoise.frames import DenoiseConfig, FrameSequence, validate_frame
+from rtdenoise.pfm import write_pfm
 from rtdenoise.pipeline import run_pipeline, synthesize_sequence
 from rtdenoise.scenes import preset_scene, scene_from_dict
 from rtdenoise.store import SequenceError, check_sequence, load_sequence, save_sequence
@@ -62,6 +64,17 @@ def test_absent_file_reported(tmp_path):
     save_sequence(seq, tmp_path / "seq")
     (tmp_path / "seq" / "frame_0000" / "albedo.pfm").unlink()
     with pytest.raises(SequenceError, match="albedo.pfm"):
+        load_sequence(tmp_path / "seq")
+
+
+@pytest.mark.parametrize("name,on_disk,want", [("motion", (4, 4), (4, 4, 3)),
+                                               ("depth", (4, 4, 3), (4, 4))])
+def test_load_rejects_channel_of_wrong_on_disk_shape(tmp_path, name, on_disk, want):
+    # a 1-component motion file used to fail with a bare IndexError
+    save_sequence(_tiny_seq(), tmp_path / "seq")
+    write_pfm(tmp_path / "seq" / "frame_0000" / f"{name}.pfm", np.zeros(on_disk, np.float32))
+    with pytest.raises(SequenceError, match=re.escape(
+            f"channel '{name}' of frame 0 has on-disk shape {on_disk}, expected {want}")):
         load_sequence(tmp_path / "seq")
 
 

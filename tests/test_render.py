@@ -9,6 +9,7 @@ import pytest
 from rtdenoise import render, rng
 from rtdenoise.envmap import lobe_exponent, prefilter_env, sample_latlong
 from rtdenoise.frames import validate_frame
+from rtdenoise.pfm import write_pfm
 from rtdenoise.render import (REFERENCE_SPP, camera_basis, camera_rays,
                               occluded, render_frame, render_sky, trace_nearest)
 from rtdenoise.scenes import MOVEMENTS, PRESET_NAMES, preset_scene, scene_from_dict
@@ -118,6 +119,9 @@ _BAD_SCENES = {
     "ground albedo of 2": (_set(("ground", "albedo"), [0.5, 0.5]), "ground.albedo"),
     "roughness 2": (_set(("objects", 0, "roughness"), 2.0), "objects[0].roughness"),
     "roughness nan": (_set(("objects", 0, "roughness"), math.nan), "objects[0].roughness"),
+    "ground height nan": (_set(("ground", "height"), math.nan), "ground.height"),
+    "box min above max": (_set(("objects", 1, "min"), [1.8, 0.9, -0.3]), "objects[1].min"),
+    "sun dir zero": (_set(("env", "sun_dir"), [0, 0, 0]), "env.sun_dir"),
 }
 
 
@@ -135,6 +139,57 @@ def test_scene_rejects_invalid_value_naming_the_field(case):
 def test_preset_scene_rejects_unavailable_movement(name, movement):
     with pytest.raises(ValueError, match=f"movement '{movement}'.*'{name}'"):
         preset_scene(name, movement=movement)
+
+
+@pytest.mark.parametrize("name", ["shadow-objects", "pillars"])
+def test_preset_scene_rejects_roughness_of_fixed_materials(name):
+    # these presets' materials are fixed, so a roughness would be ignored
+    with pytest.raises(ValueError, match=f"preset '{name}' has fixed materials"):
+        preset_scene(name, roughness=0.9)
+
+
+@pytest.mark.parametrize("name", ["cubes-distance", "breakfast-lite"])
+def test_preset_scene_roughness_defaults_to_0_3(name):
+    assert preset_scene(name) == preset_scene(name, roughness=0.3)
+    assert preset_scene(name) != preset_scene(name, roughness=0.9)
+
+
+def _file_env_scene(path, img):
+    write_pfm(path, img)
+    doc = preset_scene("shadow-objects", width=16, height=16)
+    doc["env"] = {"kind": "file", "path": str(path)}
+    return scene_from_dict(doc)
+
+
+def test_file_env_one_channel_repeated_to_rgb(tmp_path):
+    img = np.random.default_rng(21).random((8, 16)).astype(np.float32)
+    env = _file_env_scene(tmp_path / "env.pfm", img).env
+    assert env.shape == (8, 16, 3) and env.dtype == np.float64
+    for k in range(3):
+        assert np.array_equal(env[..., k], img)
+
+
+def test_file_env_three_channels_load_unchanged(tmp_path):
+    img = np.random.default_rng(22).random((8, 16, 3)).astype(np.float32)
+    env = _file_env_scene(tmp_path / "env.pfm", img).env
+    assert env.dtype == np.float64 and np.array_equal(env, img)
+
+
+def test_file_env_negative_texel_rejected(tmp_path):
+    img = np.full((8, 16, 3), 0.5, dtype=np.float32)
+    img[2, 5, 1] = -0.25
+    with pytest.raises(ValueError, match=r"^env radiance at texel \(5, 2\) "):
+        _file_env_scene(tmp_path / "env.pfm", img)
+
+
+def test_file_env_relative_path_resolves_against_working_directory(tmp_path, monkeypatch):
+    img = np.random.default_rng(23).random((8, 16, 3)).astype(np.float32)
+    (tmp_path / "maps").mkdir()
+    write_pfm(tmp_path / "maps" / "env.pfm", img)
+    monkeypatch.chdir(tmp_path)
+    doc = preset_scene("shadow-objects", width=16, height=16)
+    doc["env"] = {"kind": "file", "path": "maps/env.pfm"}
+    assert np.array_equal(scene_from_dict(doc).env, img)
 
 
 def _keyframes(value):

@@ -394,6 +394,33 @@ def test_nan_background_geometry_filters_like_renderer_background(filt, level):
     assert got[1].tobytes() == want[1].tobytes()
 
 
+@pytest.mark.parametrize("field,value,want", [("depth", np.inf, "positive and finite"),
+                                              ("depth", np.nan, "positive and finite"),
+                                              ("depth", 0.0, "positive and finite"),
+                                              ("normal", np.nan, "finite")])
+def test_driver_rejects_bad_foreground_geometry(field, value, want):
+    # one such pixel used to make every output of the frame non-finite
+    scene = scene_from_dict(preset_scene("shadow-objects", width=24, height=24))
+    gbuf, _shadow, specular = render_frame(scene, 0, spp=1, seed=0)
+    y, x = np.argwhere(gbuf.foreground)[0]
+    getattr(gbuf, field)[y, x] = value
+    with pytest.raises(ValueError, match=rf"^G-buffer {field} not {want} at foreground "
+                                         rf"pixel \({x}, {y}\)$"):
+        denoise_channel(specular.data, np.zeros((24, 24)), gbuf, DenoiseConfig(),
+                        ChannelKind.INDIRECT_SPECULAR)
+
+
+def test_driver_names_the_first_bad_foreground_pixel():
+    scene = scene_from_dict(preset_scene("shadow-objects", width=24, height=24))
+    gbuf, _shadow, specular = render_frame(scene, 0, spp=1, seed=0)
+    (y0, x0), (y1, x1) = np.argwhere(gbuf.foreground)[[0, -1]]
+    gbuf.normal[y0, x0, 2] = np.inf
+    gbuf.depth[y1, x1] = -1.0
+    with pytest.raises(ValueError, match=rf"^G-buffer normal not finite at foreground "
+                                         rf"pixel \({x0}, {y0}\)$"):
+        atrous_dense(specular.data, np.zeros((24, 24)), gbuf, 0, DenoiseConfig())
+
+
 @pytest.mark.parametrize("preset", list(PRESETS))
 def test_no_floating_point_fault_on_rendered_gbuffers(preset):
     # the renderer's background (+inf depth, zero normals) needs no suppressed

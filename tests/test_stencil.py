@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from rtdenoise.stencil import bilinear_sample, channel_major, dot3, gather, shifted
+from rtdenoise.stencil import (bilinear_sample, bounding_box, channel_major, dot3, gather, put3,
+                               shifted, take3)
 
 
 def _reference_dot(a, b):
@@ -117,10 +118,39 @@ def test_bilinear_sample_matches_loop_oracle(with_accept):
     ids = rs.integers(0, 3, (h, w))
     accept = (lambda flat: gather(ids, flat) == ids) if with_accept else None
     oracle_accept = (lambda y, x, yt, xt: ids[yt, xt] == ids[y, x]) if with_accept else None
-    sums, wsum = bilinear_sample(planes, motion, accept=accept)
-    want_sums, want_wsum = _bilinear_oracle(planes, motion, oracle_accept)
-    assert wsum.tobytes() == want_wsum.tobytes()
-    for got, want in zip(sums, want_sums):
+    means, valid = bilinear_sample(planes, motion, accept=accept)
+    want_sums, wsum = _bilinear_oracle(planes, motion, oracle_accept)
+    assert np.array_equal(valid, wsum > 1e-8)
+    for got, want in zip(means, want_sums):
+        total = wsum if want.ndim == 2 else wsum[..., None]
+        want = np.where(total > 1e-8, want / np.where(total > 1e-8, total, 1.0), 0.0)
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
     # some pixels lose every texel past a border or to `accept`, others some
     assert (wsum == 0.0).any() and ((wsum > 0.0) & (wsum < 1.0 - 1e-9)).any()
+
+
+def test_bounding_box_grows_by_margin_and_clamps():
+    mask = np.zeros((10, 12), dtype=bool)
+    assert bounding_box(mask) is None
+    mask[3, 4] = mask[5, 10] = True
+    assert bounding_box(mask) == (slice(3, 6), slice(4, 11))
+    # the margin grows the box, clamped to the image on each side
+    assert bounding_box(mask, 2) == (slice(1, 8), slice(2, 12))
+    assert bounding_box(mask, 4) == (slice(0, 10), slice(0, 12))
+
+
+@pytest.mark.parametrize("layout", ["flat", "channel-major"])
+def test_put3_scatters_what_take3_gathers(layout):
+    rs = np.random.default_rng(12)
+    src = rs.standard_normal((5, 3))
+    flat = np.array([7, 0, 11, 3, 8])
+    want = np.zeros((12, 3))
+    want[flat] = src
+    if layout == "flat":
+        dst = np.zeros((12, 3))
+    else:
+        dst = channel_major(np.zeros((3, 4, 3)))
+        want = want.reshape(3, 4, 3)
+    put3(dst, flat, src)
+    assert np.array_equal(dst, want)
+    assert np.array_equal(take3(dst, flat), src)
