@@ -1,13 +1,15 @@
 """Per-frame pass orchestration and the named technique presets.
 
 Frame order is strictly sequential (the temporal stage carries state).
-Within a frame each denoising phase is one loop over `ChannelKind`, shadow
-then specular: temporal accumulation, then a-trous filtering, whose first
-iteration feeds back into the channel's history. Reinhard brackets the two
-on specular alone: forward on the raw samples before the temporal phase,
-inverse on the filtered result after the a-trous phase. Direct shading,
-composition with sky fill and the simplified TAA follow. A trace of pass
-names is recorded so the ordering is testable.
+Within a frame the temporal phase is one loop over `ChannelKind`, shadow
+then specular. The a-trous phase is one call of `spatial.denoise_frame`,
+which runs each iteration of both channels in one shared tap loop, so the
+G-buffer side of the edge weights is computed once per iteration and level,
+not once per channel; its first iteration feeds back into each channel's
+history. Reinhard brackets the two on specular alone: forward on the raw
+samples before the temporal phase, inverse on the filtered result after the
+a-trous phase. Direct shading, composition with sky fill and the simplified
+TAA follow. A trace of pass names is recorded so the ordering is testable.
 """
 
 from __future__ import annotations
@@ -107,12 +109,11 @@ def run_pipeline(seq: FrameSequence, cfg: DenoiseConfig, dump_intermediates: boo
             history[kind], variance[kind] = temporal.temporal_step(
                 signal[kind], gbuf, history[kind], prev_gbuf, cfg)
 
+        trace.extend(f"{f}:atrous:{kind.value}" for kind in ChannelKind)
         den, rec = {}, {"frame": f}
-        for kind in ChannelKind:
-            trace.append(f"{f}:atrous:{kind.value}")
-            planes, history[kind].color, rec[kind.value] = spatial.denoise_channel(
-                history[kind].color, variance[kind], gbuf, cfg, kind,
-                shadow_angle=scene.shadow_angle_deg)
+        for kind, (planes, history[kind].color, rec[kind.value]) in spatial.denoise_frame(
+                {kind: (history[kind].color, variance[kind]) for kind in ChannelKind}, gbuf,
+                cfg, shadow_angle=scene.shadow_angle_deg).items():
             den[kind] = planes.reshape(raw[kind].shape)
         records.append(rec)
 

@@ -406,18 +406,22 @@ _ROUGHNESS_PRESETS = ("cubes-distance", "breakfast-lite")
 
 
 def preset_scene(name: str, width=96, height=96, roughness=None, shadow_angle=4.0,
-                 movement="static", teleport_frame=32) -> dict:
+                 movement="static", teleport_frame=None) -> dict:
     """Build a preset scene document.
 
     movement: static | camera | lights-objects | light-teleport; `pillars`
     has no camera path. `roughness` grades the materials of `cubes-distance`
     and `breakfast-lite` (default 0.3); the other presets have fixed
-    materials and reject it.
+    materials and reject it. `teleport_frame` is the first frame after the
+    light's jump (default 32); only `light-teleport` takes it.
     """
     unavailable = ValueError(f"movement {movement!r} not available for preset {name!r}; "
                              f"have {', '.join(MOVEMENTS)} (pillars: no camera)")
     if movement not in MOVEMENTS:
         raise unavailable
+    if teleport_frame is not None and movement != "light-teleport":
+        raise ValueError(f"movement {movement!r} has no teleport and takes no "
+                         f"teleport_frame; light-teleport does")
     if name not in _PRESETS:
         raise ValueError(f"unknown preset {name!r}; have {', '.join(PRESET_NAMES)}")
     graded = {} if roughness is None else {"roughness": roughness}
@@ -441,6 +445,7 @@ def preset_scene(name: str, width=96, height=96, roughness=None, shadow_angle=4.
             index, offset = moving
             doc["objects"][index]["motion"] = _path([0, 0, 0], offset, 0, _LINEAR_END)
     elif movement == "light-teleport":
+        teleport_frame = 32 if teleport_frame is None else teleport_frame
         doc["light"]["center"] = _path(doc["light"]["center"], light,
                                        teleport_frame - 1, teleport_frame)
     return doc

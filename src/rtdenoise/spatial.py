@@ -13,23 +13,34 @@ Each pass filters the previous pass's result, and only the last updates the
 variance. The two forms are equivalent where the edge weights are uniform and
 intentionally diverge across edges, which shows up as slightly stronger blur.
 
-The driver sets up an iteration's G-buffer side once for all its passes: the
-foreground's bounding box (`stencil.bounding_box`), the level map cropped to
-it, the center depth and normals, the luminance stop's denominator and the
-depth and normal planes padded with edge values (`stencil.shifted`), which
-is clamp-to-border indexing. Those planes hold +inf depth and zero normals
-on the background, so a background tap's weight is exp(-inf) = 0 by
-construction; background centers filter at depth 0, so their results stay
-finite. Each pass adds only its own
-luminance and data taps, and computes each tap's edge weight into scratch
-planes allocated once per iteration. A per-pixel level map runs one uniform
-pass per level in use and keeps each pixel's result at its own level; a
-pixel's result depends only on its own step, so this is exact. Only the
-foreground's bounding box is filtered. That is exact too: every pixel outside
-the box is background, whose result is replaced by its input anyway, and its
-taps weigh 0, so the separable form's vertical pass never uses its result.
-The driver rejects a foreground pixel whose depth is not positive and finite
-or whose normal is not finite, since its weights would turn the frame NaN.
+The driver filters one or more signals in one shared tap loop. As in SVGF,
+every signal shares the depth and normal stops and only the luminance stop
+is its own, so a frame's shadow and specular channels run through one
+iteration together (`denoise_frame`). The driver sets up an iteration's
+G-buffer side once for all its signals and passes: the checks of the
+foreground's geometry, its bounding box (`stencil.bounding_box`), the center
+depth and normals and the depth and normal planes padded with edge values
+(`stencil.shifted`), which is clamp-to-border indexing. Those planes hold
++inf depth and zero normals on the background, so a background tap's weight
+is exp(-inf) = 0 by construction; background centers filter at depth 0, so
+their results stay finite. Each signal adds its cropped level map, the
+luminance stop's denominator and, per pass, its luminance and data taps.
+
+A per-pixel level map runs one uniform pass per level in use and keeps each
+pixel's result at its own level; a pixel's result depends only on its own
+step, so this is exact. Each level runs over the signals that use it, and
+for each tap computes the G-buffer weight w_z * w_n once, then each signal's
+(w_z * w_n) * w_l and sums. That is one signal's product in its own order,
+so a joint iteration gives each signal the bits it gets alone. The tap loop
+runs over row bands of at most `_BAND` pixels, with band-sized scratch
+planes, allocated once per iteration, that stay in a core's L2 cache. A pass
+writes its results straight into the box of each signal's output. Only the
+foreground's bounding box is filtered. That is exact too: every pixel
+outside the box is background, whose result is replaced by its input
+anyway, and its taps weigh 0, so the separable form's vertical pass never
+uses its result. The driver rejects a foreground pixel whose depth is not
+positive and finite or whose normal is not finite, since its weights would
+turn the frame NaN.
 
 The start level can shift up by one where material features predict heavy
 noise (roughness over 0.2, shadow angles over 6 degrees), keeping the
@@ -38,6 +49,8 @@ itself adapts to roughness.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -48,21 +61,7 @@ from .tonemap import luma
 KERNEL_1D = np.array([1.0 / 16, 1.0 / 4, 3.0 / 8, 1.0 / 4, 1.0 / 16])
 _OFFSETS = (-2, -1, 0, 1, 2)
 _EPSILON = 1e-8  # keeps the depth and luminance stops finite at zero spread
-
-
-def edge_weight(center: dict, tap: dict, center_variance: float,
-                cfg: DenoiseConfig, distance: float = 1.0) -> float:
-    """Scalar reference form of the edge-stopping weight; taps of the
-    background get weight 0. `distance` is the tap offset length in pixels."""
-    if tap["object_id"] == 0:
-        return 0.0
-    w_z = np.exp(-abs(center["depth"] - tap["depth"])
-                 / (cfg.sigma_z * abs(center["depth"]) * distance + _EPSILON))
-    ndot = float(np.dot(center["normal"], tap["normal"]))
-    w_n = max(0.0, ndot) ** cfg.sigma_n
-    w_l = np.exp(-abs(center["luma"] - tap["luma"])
-                 / (cfg.sigma_l * np.sqrt(max(center_variance, 0.0)) + _EPSILON))
-    return float(w_z * w_n * w_l)
+_BAND = 32768  # pixels per row band of the tap loop: 256 KB per scratch plane
 
 
 def check_level(top, height: int, width: int) -> None:
@@ -71,32 +70,25 @@ def check_level(top, height: int, width: int) -> None:
         raise ValueError(f"a-trous level {top} too large for {width}x{height}")
 
 
-def _tap_weights(center, tap, dist, cfg, out, tmp):
-    """`edge_weight` over the filtered box for one tap, written into `out` with
-    `tmp` as scratch. `center` is (depth, sigma_z * |depth|, normal, luma,
-    luminance stop's denominator); `tap` is (depth, normal, luma), with +inf
-    depth on the background, whose weight is thus 0 by construction."""
-    z_c, sz_c, n_c, l_c, denom_l = center
-    z_t, n_t, l_t = tap
+def _geometry_weight(center, tap, dist, cfg, out, tmp):
+    """The G-buffer half of the edge weight, w_z * w_n, for one tap, written
+    into `out` with `tmp` as scratch. `center` is (depth, sigma_z * |depth|,
+    normal); `tap` is (depth, normal), with +inf depth on the background,
+    whose weight is thus 0 by construction."""
+    z_c, sz_c, n_c = center
+    z_t, n_t = tap
     np.subtract(z_c, z_t, out=out)
     np.abs(out, out=out)
-    np.negative(out, out=out)
-    np.multiply(sz_c, dist, out=tmp)
-    tmp += _EPSILON
+    # the negated denominator: x / -y == -(x / y) exactly
+    np.multiply(sz_c, -dist, out=tmp)
+    tmp -= _EPSILON
     out /= tmp
     np.exp(out, out=out)
     ndot = np.maximum(0.0, dot3(n_c, n_t), out=tmp)
     # 0 and 1 are their own powers for sigma_n > 0; most taps share a plane
     # or face away, so only the rest pay for the pow
-    rest = (ndot != 0.0) & (ndot != 1.0)
-    ndot[rest] **= cfg.sigma_n
+    np.power(ndot, cfg.sigma_n, out=ndot, where=(ndot != 0.0) & (ndot != 1.0))
     out *= ndot
-    np.subtract(l_c, l_t, out=tmp)
-    np.abs(tmp, out=tmp)
-    np.negative(tmp, out=tmp)
-    tmp /= denom_l
-    np.exp(tmp, out=tmp)
-    out *= tmp
     return out
 
 
@@ -119,87 +111,176 @@ _COLUMN = [(k, 0, KERNEL_1D[k + 2], abs(k)) for k in _OFFSETS]
 _ROW = [(0, k, KERNEL_1D[k + 2], abs(k)) for k in _OFFSETS]
 
 
-def _atrous(channel, variance, gbuf: GBufferFrame, level, cfg: DenoiseConfig, passes,
-            stats):
-    """One a-trous iteration at each pixel's level, run as `passes`, a list of
-    unit tap tables, over one G-buffer setup (see the module docstring).
+class _Member(NamedTuple):
+    """One signal's side of a level pass: its negated luminance denominator
+    over the box, its padded luminance, data and, on the last pass, variance
+    (tap(dy, dx) -> view), the box views of its outputs that the pass
+    writes, and the pixels at the pass's level (None for all)."""
+    neg_denom: np.ndarray
+    luma_at: object
+    data_at: object
+    var_at: object
+    mean: np.ndarray
+    var: np.ndarray | None
+    mask: np.ndarray | None = None
+
+
+def _pass_member(out, out_var, var, neg_denom, box, reach, last) -> _Member:
+    """One signal's side of a pass over its current `out`. The pass writes
+    `out` in place, so it reads only padded copies. For a one-plane signal
+    the luminance is the data, so both read one padded plane."""
+    data_at = shifted(out, reach)
+    if out.shape[2] == 1:
+        def luma_at(dy, dx):
+            return data_at(dy, dx)[..., 0]
+    else:
+        # luma of the whole plane, before cropping: `@` may take another
+        # BLAS path, so other rounding, on a non-contiguous view
+        luma_at = shifted(luma(out), reach)
+    return _Member(neg_denom, luma_at, data_at, shifted(var, reach) if last else None,
+                   out[box], out_var[box] if last else None)
+
+
+def _level_pass(offsets, step, box, geometry, gtaps, members, scratch, cfg):
+    """One pass at one step over the box for `members`, the signals that use
+    this level, in row bands (see the module docstring).
+
+    `geometry` is the center's (depth, sigma_z * |depth|, normal) and `gtaps`
+    the padded (depth, normal) planes. `scratch` holds three band-sized
+    planes and, per member, band-sized accumulators of data, weight and
+    squared weight times variance. Each member's mean, and on the last pass
+    its variance, are written into its box views where its mask holds.
+    """
+    h = geometry[0].shape[0]
+    (g, wgt, tmp), slots = scratch
+    rows = g.shape[0]
+    accs = [(acc[:m.mean.shape[2]], acc_w, acc_w2v)
+            for m, (acc, acc_w, acc_w2v) in zip(members, slots)]
+    for r0 in range(0, h, rows):
+        band = slice(r0, min(r0 + rows, h))
+        hb = band.stop - r0
+        g_b, wgt_b, tmp_b = g[:hb], wgt[:hb], tmp[:hb]
+        center = tuple(c[band] for c in geometry)
+        for bufs in accs:
+            for buf in bufs:
+                buf.fill(0.0)
+        for j, i, k, dist in offsets:
+            dy, dx = j * step, i * step
+            if (i, j) != (0, 0):  # the center tap's edge weight is 1
+                tap = tuple(t(dy, dx)[box][band] for t in gtaps)
+                _geometry_weight(center, tap, step * dist, cfg, g_b, tmp_b)
+            for m, (acc, acc_w, acc_w2v) in zip(members, accs):
+                if (i, j) == (0, 0):
+                    wgt_b.fill(k)
+                else:
+                    np.subtract(m.luma_at(0, 0)[box][band], m.luma_at(dy, dx)[box][band],
+                                out=wgt_b)
+                    np.abs(wgt_b, out=wgt_b)
+                    wgt_b /= m.neg_denom[band]
+                    np.exp(wgt_b, out=wgt_b)
+                    wgt_b *= g_b  # (w_z * w_n) * w_l: IEEE products commute
+                    wgt_b *= k
+                d_t = m.data_at(dy, dx)[box][band]
+                for acc_ch, d_ch in zip(acc, np.moveaxis(d_t, -1, 0)):
+                    acc_ch[:hb] += np.multiply(wgt_b, d_ch, out=tmp_b)
+                acc_w[:hb] += wgt_b
+                if m.var_at is not None:
+                    np.multiply(wgt_b, wgt_b, out=tmp_b)
+                    acc_w2v[:hb] += np.multiply(tmp_b, m.var_at(dy, dx)[box][band], out=tmp_b)
+        # the weighted means, one plane at a time through scratch, so that
+        # no band-sized temporary is allocated
+        for m, (acc, acc_w, acc_w2v) in zip(members, accs):
+            acc_w_b = acc_w[:hb]
+            quotients = [(m.mean[band][..., c], acc_ch[:hb], acc_w_b)
+                         for c, acc_ch in enumerate(acc)]
+            if m.var is not None:
+                quotients.append((m.var[band], acc_w2v[:hb],
+                                  np.multiply(acc_w_b, acc_w_b, out=g_b)))
+            for dst, num, den in quotients:
+                if m.mask is None:
+                    np.divide(num, den, out=dst)
+                else:
+                    np.copyto(dst, np.divide(num, den, out=tmp_b), where=m.mask[band])
+
+
+def _atrous(signals, gbuf: GBufferFrame, cfg: DenoiseConfig, passes, stats):
+    """One a-trous iteration of each signal, a (channel, variance, level)
+    triple, at each pixel's level, run as `passes`, a list of unit tap
+    tables, over one G-buffer setup (see the module docstring).
 
     Each pass filters the previous pass's result; the last also returns the
     variance of the weighted mean. Each tap is a full padded plane sliced to
     the foreground's box, so a kept pixel still sees its true neighbours and
     the image border. Counts the nominal taps, the sum of the pass lengths
-    per pixel, into `stats` and restores the input's shape.
+    per pixel and signal, into `stats`. Returns one (channel', variance')
+    pair per signal, each in its input's shape.
     """
-    data, var = as_planes(channel), np.asarray(variance, dtype=np.float64)
-    check_level(np.max(level), *var.shape)
+    datas = [as_planes(channel) for channel, _v, _l in signals]
+    variances = [np.asarray(variance, dtype=np.float64) for _c, variance, _l in signals]
+    for (_c, _v, level), var in zip(signals, variances):
+        check_level(np.max(level), *var.shape)
     fg = gbuf.foreground
     _check_geometry(gbuf, fg)
+    outs = [(data.copy(), var.copy()) for data, var in zip(datas, variances)]
     box = bounding_box(fg)
-    if box is None:
-        out, out_var = data.copy(), var.copy()
-    else:
-        level = np.asarray(level, dtype=np.int64)
-        level = level[box] if level.ndim else level
-        used = np.unique(level)
-        reach = 2 * 2 ** int(used[-1])
-        depth_at = shifted(np.where(fg, gbuf.depth, np.inf), reach)
-        normal_at = shifted(np.where(fg[..., None], gbuf.normal, 0.0), reach)
+    if box is not None:
+        levels = []
+        for _c, _v, level in signals:
+            level = np.asarray(level, dtype=np.int64)
+            levels.append(level[box] if level.ndim else level)
+        used = [np.unique(level) for level in levels]
+        # each signal pads its planes as far as its own top level reaches
+        reaches = [2 * 2 ** int(u[-1]) for u in used]
+        gtaps = (shifted(np.where(fg, gbuf.depth, np.inf), max(reaches)),
+                 shifted(np.where(fg[..., None], gbuf.normal, 0.0), max(reaches)))
         z_c = np.where(fg[box], gbuf.depth[box], 0.0).astype(np.float64)
-        (h, w), c = z_c.shape, data.shape[2]
-        geometry = (z_c, cfg.sigma_z * np.abs(z_c), channel_major(normal_at(0, 0)[box]))
-        denom_l = cfg.sigma_l * np.sqrt(np.maximum(var[box], 0.0)) + _EPSILON
-        wgt, tmp = np.empty((h, w)), np.empty((h, w))
-
-        def run(offsets, step, center, taps, var_at):
-            acc = np.zeros((c, h, w))  # one plane per channel, as `shifted` pads them
-            acc_w = np.zeros((h, w))
-            acc_w2v = np.zeros((h, w))
-            for j, i, k, dist in offsets:
-                *tap, d_t = (t(j * step, i * step)[box] for t in taps)
-                if i == j == 0:  # the center tap's edge weight is 1
-                    wgt.fill(1.0)
-                else:
-                    _tap_weights(center, tap, step * dist, cfg, wgt, tmp)
-                np.multiply(wgt, k, out=wgt)
-                for acc_ch, d_ch in zip(acc, np.moveaxis(d_t, -1, 0)):
-                    acc_ch += np.multiply(wgt, d_ch, out=tmp)
-                acc_w += wgt
-                if var_at is not None:
-                    np.multiply(wgt, wgt, out=tmp)
-                    acc_w2v += np.multiply(tmp, var_at(j * step, i * step)[box], out=tmp)
-            mean = np.divide(np.moveaxis(acc, 0, -1), acc_w[..., None])
-            return (mean,) if var_at is None else (mean, acc_w2v / (acc_w * acc_w))
-
-        out = data
+        geometry = (z_c, cfg.sigma_z * np.abs(z_c), channel_major(gtaps[1](0, 0)[box]))
+        neg_denoms = [-(cfg.sigma_l * np.sqrt(np.maximum(var[box], 0.0)) + _EPSILON)
+                      for var in variances]
+        # band-sized scratch, allocated once for every pass and level, with
+        # accumulators for as many signals as share a level
+        union = np.unique(np.concatenate(used))
+        h, w = z_c.shape
+        rows = min(h, max(1, _BAND // w))
+        planes = max(data.shape[2] for data in datas)
+        scratch = (tuple(np.empty((rows, w)) for _ in range(3)),
+                   [(np.empty((planes, rows, w)), np.empty((rows, w)), np.empty((rows, w)))
+                    for _ in range(max(sum(lv in u for u in used) for lv in union))])
         for n, offsets in enumerate(passes):
-            # luma of the whole plane, before cropping: `@` may take another
-            # BLAS path, so other rounding, on a non-contiguous view
-            l_all = luma(out)
-            center = (*geometry, l_all[box], denom_l)
-            taps = (depth_at, normal_at, shifted(l_all, reach), shifted(out, reach))
-            var_at = shifted(var, reach) if n == len(passes) - 1 else None
-            result = run(offsets, 2 ** int(used[0]), center, taps, var_at)
-            for lv in used[1:]:
-                mask = level == lv
-                new = run(offsets, 2 ** int(lv), center, taps, var_at)
-                result = tuple(np.where(mask if r.ndim == 2 else mask[..., None], nr, r)
-                               for nr, r in zip(new, result))
-            # the first pass copies its input only now, so no run holds an
-            # extra frame; later passes read their input through padded copies
-            # and write in place. C order: `luma`'s `@` may round differently
-            if out is data:
-                out = data.copy()
-            out[box] = result[0]
-        out_var = var.copy()
-        out_var[box] = result[1]
+            last = n == len(passes) - 1
+            # a signal's padded planes live from its first level in the pass
+            # to its last, so signals on disjoint levels never hold both sets
+            members = [None] * len(signals)
+            for lv in union:
+                at = []
+                for s, (u, level) in enumerate(zip(used, levels)):
+                    if lv in u:
+                        if members[s] is None:
+                            (out, out_var), var = outs[s], variances[s]
+                            members[s] = _pass_member(out, out_var, var, neg_denoms[s], box,
+                                                      reaches[s], last)
+                        at.append(members[s] if len(u) == 1
+                                  else members[s]._replace(mask=level == lv))
+                        if lv == u[-1]:
+                            members[s] = None
+                _level_pass(offsets, 2 ** int(lv), box, geometry, gtaps, at, scratch, cfg)
         # background pixels keep their inputs
-        np.copyto(out, data, where=~fg[..., None])
-        np.copyto(out_var, var, where=~fg)
+        for (out, out_var), data, var in zip(outs, datas, variances):
+            np.copyto(out, data, where=~fg[..., None])
+            np.copyto(out_var, var, where=~fg)
     if stats is not None:
         taps_per_pixel = sum(map(len, passes))
-        stats["taps"] = stats.get("taps", 0) + fg.size * taps_per_pixel
+        stats["taps"] = stats.get("taps", 0) + fg.size * taps_per_pixel * len(signals)
         stats["taps_per_pixel"] = taps_per_pixel
-    return (out[:, :, 0] if np.ndim(channel) == 2 else out), out_var
+    return [(out[:, :, 0] if np.ndim(channel) == 2 else out, out_var)
+            for (out, out_var), (channel, _v, _l) in zip(outs, signals)]
+
+
+def _run_atrous(channel, variance, gbuf, level, cfg, passes, stats):
+    """One signal's iteration, or the joint one of list arguments."""
+    if isinstance(channel, list):
+        return _atrous(list(zip(channel, variance, level)), gbuf, cfg, passes, stats)
+    return _atrous([(channel, variance, level)], gbuf, cfg, passes, stats)[0]
 
 
 def atrous_dense(channel, variance, gbuf: GBufferFrame, level, cfg: DenoiseConfig,
@@ -209,8 +290,10 @@ def atrous_dense(channel, variance, gbuf: GBufferFrame, level, cfg: DenoiseConfi
     Returns (channel', variance') where variance' carries the variance of the
     weighted mean. Taps are clamped to the image border; the center tap always
     participates with edge weight 1, so the output stays a convex combination.
+    Given equal-length lists of channels, variances and levels, it filters
+    them jointly over one G-buffer setup and returns a list of such pairs.
     """
-    return _atrous(channel, variance, gbuf, level, cfg, (_DENSE,), stats)
+    return _run_atrous(channel, variance, gbuf, level, cfg, (_DENSE,), stats)
 
 
 def atrous_separable(channel, variance, gbuf: GBufferFrame, level, cfg: DenoiseConfig,
@@ -221,9 +304,9 @@ def atrous_separable(channel, variance, gbuf: GBufferFrame, level, cfg: DenoiseC
     updated only by the vertical pass, which is what makes the separable form
     blur slightly more than the dense one across edges. With per-pixel levels
     the vertical pass reads horizontal results computed at each neighbor's
-    own level.
+    own level. Takes lists for a joint iteration, as `atrous_dense` does.
     """
-    return _atrous(channel, variance, gbuf, level, cfg, (_ROW, _COLUMN), stats)
+    return _run_atrous(channel, variance, gbuf, level, cfg, (_ROW, _COLUMN), stats)
 
 
 def select_start_level(kind: ChannelKind, feature, cfg: DenoiseConfig):
@@ -249,54 +332,80 @@ def select_iteration_count(roughness, ibl_adaptive: bool, default_iterations: in
                                           default_iterations)).astype(np.int64)
 
 
-def denoise_channel(channel, variance, gbuf: GBufferFrame, cfg: DenoiseConfig,
-                    kind: ChannelKind, shadow_angle=None):
-    """Run the configured a-trous iterations for one channel.
+def denoise_frame(signals: dict, gbuf: GBufferFrame, cfg: DenoiseConfig,
+                  shadow_angle=None) -> dict:
+    """Run the configured a-trous iterations for each channel of one frame.
 
-    Iteration i filters at level start+i; the output of iteration 0 becomes
-    the color fed back into the temporal history (unless feedback is off).
-    The SHADOW kind needs the light's `shadow_angle` in degrees, one scalar
-    for the frame or a per-pixel map. Returns
+    `signals` maps a `ChannelKind` to its (channel, variance). Iteration i
+    filters a channel at level start+i, and filters every channel that has
+    an iteration i in one joint call of `atrous_dense` or `atrous_separable`,
+    so they share its G-buffer setup and edge weights. The output of
+    iteration 0 becomes the color fed back into the temporal history (unless
+    feedback is off). The SHADOW kind needs the light's `shadow_angle` in
+    degrees, one scalar for the frame or a per-pixel map. Returns, per kind,
     (final_channel, feedback_channel, iteration_records), channels (H, W, C)
     even for an (H, W) input.
     """
-    data = as_planes(channel)
-    records = []
+    plans = {}
+    for kind, (channel, variance) in signals.items():
+        if kind is ChannelKind.INDIRECT_SPECULAR:
+            feature = gbuf.roughness.astype(np.float64)
+            counts = select_iteration_count(feature, cfg.ibl_adaptive_iterations,
+                                            cfg.iterations)
+        else:
+            if shadow_angle is None:
+                raise ValueError("the SHADOW kind needs shadow_angle")
+            feature = np.asarray(shadow_angle, dtype=np.float64)
+            counts = np.full(gbuf.depth.shape, cfg.iterations, dtype=np.int64)
+        start = select_start_level(kind, feature, cfg)
+        max_count = int(counts.max()) if counts.size else 0
+        if max_count > 0:
+            check_level(np.max(start) + max_count - 1, *gbuf.depth.shape)
+        # the filters never write their inputs, so the state starts as the
+        # caller's arrays, which `_outputs` copies if no iteration replaced them
+        data = as_planes(channel)
+        plans[kind] = {"start": start, "counts": counts, "max_count": max_count,
+                       "data": data, "out": data, "feedback": None, "records": [],
+                       "var": np.asarray(variance, dtype=np.float64)}
 
-    if kind is ChannelKind.INDIRECT_SPECULAR:
-        feature = gbuf.roughness.astype(np.float64)
-        counts = select_iteration_count(feature, cfg.ibl_adaptive_iterations,
-                                        cfg.iterations)
-    else:
-        if shadow_angle is None:
-            raise ValueError("denoise_channel(kind=SHADOW) needs shadow_angle")
-        feature = np.asarray(shadow_angle, dtype=np.float64)
-        counts = np.full(gbuf.depth.shape, cfg.iterations, dtype=np.int64)
-    start = select_start_level(kind, feature, cfg)
-
-    max_count = int(counts.max()) if counts.size else 0
-    out = data.copy()
-    var = np.asarray(variance, dtype=np.float64).copy()
-    feedback = data.copy()
     filt = atrous_separable if cfg.separable else atrous_dense
-
-    if max_count > 0:
-        check_level(np.max(start) + max_count - 1, *gbuf.depth.shape)
-
-    for i in range(max_count):
-        level = start + i
+    for i in range(max((p["max_count"] for p in plans.values()), default=0)):
+        running = [p for p in plans.values() if p["max_count"] > i]
         stats = {}
-        filtered, fvar = filt(out, var, gbuf, level, cfg, stats=stats)
-        active = counts > i
-        out = np.where(active[..., None], filtered, out)
-        var = np.where(active, fvar, var)
-        records.append({"iteration": i, "level_min": int(level.min()),
-                        "level_max": int(level.max()),
-                        "step_min": int(2 ** level.min()),
-                        "step_max": int(2 ** level.max()),
-                        "taps": stats.get("taps", 0),
-                        "taps_per_pixel": stats.get("taps_per_pixel", 0)})
-        if i == 0 and cfg.feedback == "first_iteration":
-            feedback = out.copy()
+        results = filt([p["out"] for p in running], [p["var"] for p in running], gbuf,
+                       [p["start"] + i for p in running], cfg, stats=stats)
+        for p, (filtered, fvar) in zip(running, results):
+            level = p["start"] + i
+            # pixels past their iteration count keep their state
+            done = p["counts"] <= i
+            if done.any():
+                np.copyto(filtered, p["out"], where=done[..., None])
+                np.copyto(fvar, p["var"], where=done)
+            p["out"], p["var"] = filtered, fvar
+            p["records"].append({"iteration": i, "level_min": int(level.min()),
+                                 "level_max": int(level.max()),
+                                 "step_min": int(2 ** level.min()),
+                                 "step_max": int(2 ** level.max()),
+                                 "taps": gbuf.depth.size * stats["taps_per_pixel"],
+                                 "taps_per_pixel": stats["taps_per_pixel"]})
+            if i == 0 and cfg.feedback == "first_iteration":
+                p["feedback"] = p["out"]  # later iterations replace, not write, it
 
-    return out, feedback, records
+    return {kind: _outputs(p["data"], p["out"], p["feedback"], p["records"])
+            for kind, p in plans.items()}
+
+
+def _outputs(data, out, feedback, records):
+    """(final, feedback, records), each channel its own array, none of them
+    the caller's input; the input is the feedback when none was taken."""
+    feedback = data if feedback is None else feedback
+    out = out.copy() if out is data else out
+    return out, feedback.copy() if feedback is data or feedback is out else feedback, records
+
+
+def denoise_channel(channel, variance, gbuf: GBufferFrame, cfg: DenoiseConfig,
+                    kind: ChannelKind, shadow_angle=None):
+    """Run the configured a-trous iterations for one channel: `denoise_frame`
+    of that channel alone, returning its (final_channel, feedback_channel,
+    iteration_records)."""
+    return denoise_frame({kind: (channel, variance)}, gbuf, cfg, shadow_angle)[kind]

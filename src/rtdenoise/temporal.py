@@ -45,13 +45,29 @@ def consistency_test(prev_depth, prev_normal, prev_oid, curr_depth, curr_normal,
     relative depth differs by less than `depth_threshold` and the normals
     agree beyond `normal_threshold`.
     """
-    id_ok = np.asarray(prev_oid) == np.asarray(curr_oid)
+    return _consistent(prev_depth, prev_normal, prev_oid,
+                       _consistency_center(curr_depth, curr_normal, curr_oid),
+                       depth_threshold, normal_threshold)
+
+
+def _consistency_center(curr_depth, curr_normal, curr_oid):
+    """The current pixel's side of `consistency_test`, prepared once for the
+    many texels tested against it: (depth, the relative depth test's
+    denominator, normal, object id), depth and normal in float64."""
+    depth = np.asarray(curr_depth, dtype=np.float64)
+    return (depth, np.maximum(np.abs(depth), 1e-8), np.asarray(curr_normal, dtype=np.float64),
+            np.asarray(curr_oid))
+
+
+def _consistent(prev_depth, prev_normal, prev_oid, center, depth_threshold,
+                normal_threshold):
+    """`consistency_test` against a prepared `_consistency_center`."""
+    depth, scale, normal, oid = center
+    id_ok = np.asarray(prev_oid) == oid
     with np.errstate(invalid="ignore"):
-        rel = np.abs(np.asarray(prev_depth, dtype=np.float64) - curr_depth) \
-            / np.maximum(np.abs(np.asarray(curr_depth, dtype=np.float64)), 1e-8)
+        rel = np.abs(np.asarray(prev_depth, dtype=np.float64) - depth) / scale
         depth_ok = rel < depth_threshold
-    ndot = dot3(np.asarray(prev_normal, dtype=np.float64),
-                np.asarray(curr_normal, dtype=np.float64))
+    ndot = dot3(np.asarray(prev_normal, dtype=np.float64), normal)
     return id_ok & depth_ok & (ndot > normal_threshold)
 
 
@@ -64,15 +80,13 @@ def reproject(prev: TemporalHistory, prev_gbuf: GBufferFrame, curr_gbuf: GBuffer
     renormalizes the bilinear weights of the passing texels. Returns arrays:
     valid, color, moment1, moment2, history_len.
     """
-    curr_depth = curr_gbuf.depth.astype(np.float64)
-    curr_normal = curr_gbuf.normal.astype(np.float64)
-    curr_oid = curr_gbuf.object_id
+    center = _consistency_center(curr_gbuf.depth, curr_gbuf.normal, curr_gbuf.object_id)
     fg = curr_gbuf.foreground
 
     def consistent(flat):
-        return consistency_test(
+        return _consistent(
             gather(prev_gbuf.depth, flat), gather(prev_gbuf.normal, flat),
-            gather(prev_gbuf.object_id, flat), curr_depth, curr_normal, curr_oid,
+            gather(prev_gbuf.object_id, flat), center,
             cfg.depth_consistency, cfg.normal_consistency) & fg
 
     (color, m1, m2, hist), valid = bilinear_sample(
@@ -205,13 +219,11 @@ def _spatial_variance(curr_luma, depth, normal, oid, cfg: DenoiseConfig):
     """Luminance variance over each pixel's 7x7 window of in-bounds pixels
     that pass the consistency test against it."""
     depth_at, normal_at, oid_at = (shifted(p, _SPATIAL_RADIUS) for p in (depth, normal, oid))
-    depth = depth.astype(np.float64)
-    normal = channel_major(normal)
+    center = _consistency_center(depth, channel_major(normal), oid)
 
     def consistent(dy, dx):
-        return consistency_test(depth_at(dy, dx), normal_at(dy, dx), oid_at(dy, dx),
-                                depth, normal, oid, cfg.depth_consistency,
-                                cfg.normal_consistency)
+        return _consistent(depth_at(dy, dx), normal_at(dy, dx), oid_at(dy, dx), center,
+                           cfg.depth_consistency, cfg.normal_consistency)
 
     _mean, var = _box_moments(as_planes(curr_luma), _SPATIAL_RADIUS, accept=consistent)
     return var[:, :, 0]

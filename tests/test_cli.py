@@ -151,3 +151,15 @@ def test_scene_passes_only_the_options_given(tmp_path):
                                                        roughness=0.9)
     assert main(["scene", "--preset", "pillars", "--roughness", "0.9",
                  "--out", str(out)]) == 1
+
+
+def test_scene_reports_a_teleport_frame_without_teleport(tmp_path, capsys):
+    out = tmp_path / "scene.json"
+    assert main(["scene", "--preset", "shadow-objects", "--movement", "camera",
+                 "--teleport-frame", "5", "--out", str(out)]) == 1
+    assert "error: movement 'camera' has no teleport" in capsys.readouterr().err
+    assert not out.exists()
+    assert main(["scene", "--preset", "shadow-objects", "--movement", "light-teleport",
+                 "--teleport-frame", "5", "--out", str(out)]) == 0
+    assert json.loads(out.read_text()) == preset_scene(
+        "shadow-objects", movement="light-teleport", teleport_frame=5)

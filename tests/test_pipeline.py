@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from rtdenoise import compose, render, temporal
+from rtdenoise import compose, render, spatial, temporal
 from rtdenoise.frames import CHANNELS, DenoiseConfig, FrameSequence
 from rtdenoise.pipeline import (PRESETS, preset_config, reconstruct_positions,
                                 run_pipeline, synthesize_sequence)
@@ -243,3 +243,27 @@ def test_history_len_is_the_same_for_every_channel():
         prev_gbuf = gbuf
         assert np.array_equal(shadow.history_len, specular.history_len), f
     assert shadow.history_len.max() == 4
+
+
+@pytest.mark.parametrize("separable", [False, True])
+def test_atrous_iterations_run_through_the_module_attribute(separable, monkeypatch):
+    # a tracer wraps spatial.atrous_dense / atrous_separable and reads the tap
+    # count from `stats`: one joint call per iteration, counting both channels
+    name = "atrous_separable" if separable else "atrous_dense"
+    real = getattr(spatial, name)
+    taps = []
+
+    def probe(channel, variance, gbuf, level, cfg, stats=None):
+        result = real(channel, variance, gbuf, level, cfg, stats=stats)
+        taps.append(stats["taps"])
+        return result
+
+    monkeypatch.setattr(spatial, name, probe)
+    _scene, seq = _make_seq(frames=2)
+    cfg = DenoiseConfig(iterations=3, separable=separable)
+    _out, report = run_pipeline(seq, cfg)
+    per_channel = 32 * 32 * (10 if separable else 25)
+    assert taps == [2 * per_channel] * (2 * 3)
+    for rec in report["iterations"]:
+        assert [r["taps"] for kind in ("shadow", "specular") for r in rec[kind]] \
+            == [per_channel] * (2 * 3)

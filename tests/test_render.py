@@ -148,6 +148,19 @@ def test_preset_scene_rejects_roughness_of_fixed_materials(name):
         preset_scene(name, roughness=0.9)
 
 
+@pytest.mark.parametrize("movement", [m for m in MOVEMENTS if m != "light-teleport"])
+def test_preset_scene_rejects_teleport_frame_without_teleport(movement):
+    # only the teleport reads the frame, so elsewhere it would be ignored
+    with pytest.raises(ValueError, match=f"movement '{movement}' has no teleport"):
+        preset_scene("cubes-distance", movement=movement, teleport_frame=5)
+
+
+def test_preset_scene_teleport_frame_defaults_to_32():
+    doc = preset_scene("shadow-objects", movement="light-teleport")
+    assert doc == preset_scene("shadow-objects", movement="light-teleport", teleport_frame=32)
+    assert _keyframes(doc["light"]["center"]) == [31, 32]
+
+
 @pytest.mark.parametrize("name", ["cubes-distance", "breakfast-lite"])
 def test_preset_scene_roughness_defaults_to_0_3(name):
     assert preset_scene(name) == preset_scene(name, roughness=0.3)
@@ -200,7 +213,8 @@ def _keyframes(value):
                                            if (n, m) != ("pillars", "camera")])
 def test_movement_matrix(name, movement):
     # every preset follows the one movement rule; pillars has no moving object
-    doc = preset_scene(name, movement=movement, teleport_frame=5)
+    teleport = {"teleport_frame": 5} if movement == "light-teleport" else {}
+    doc = preset_scene(name, movement=movement, **teleport)
     cam = doc["camera"]
     keyed = {part for part, frames in [
         ("camera", _keyframes(cam["position"]) or _keyframes(cam["look_at"])),

@@ -9,10 +9,24 @@ from rtdenoise.frames import ChannelKind, DenoiseConfig, GBufferFrame
 from rtdenoise.pipeline import PRESETS, preset_config
 from rtdenoise.render import render_frame
 from rtdenoise.scenes import preset_scene, scene_from_dict
-from rtdenoise.spatial import (KERNEL_1D, atrous_dense,
-                               atrous_separable, denoise_channel, edge_weight,
+from rtdenoise.spatial import (KERNEL_1D, atrous_dense, atrous_separable, denoise_channel,
                                select_iteration_count, select_start_level)
 from rtdenoise.stencil import shifted
+
+
+def edge_weight(center: dict, tap: dict, center_variance: float,
+                cfg: DenoiseConfig, distance: float = 1.0) -> float:
+    """Scalar reference form of the edge-stopping weight; taps of the
+    background get weight 0. `distance` is the tap offset length in pixels."""
+    if tap["object_id"] == 0:
+        return 0.0
+    w_z = np.exp(-abs(center["depth"] - tap["depth"])
+                 / (cfg.sigma_z * abs(center["depth"]) * distance + spatial._EPSILON))
+    ndot = float(np.dot(center["normal"], tap["normal"]))
+    w_n = max(0.0, ndot) ** cfg.sigma_n
+    w_l = np.exp(-abs(center["luma"] - tap["luma"])
+                 / (cfg.sigma_l * np.sqrt(max(center_variance, 0.0)) + spatial._EPSILON))
+    return float(w_z * w_n * w_l)
 
 
 def _flat_gbuf(h=16, w=16, depth=5.0):
@@ -605,3 +619,85 @@ def test_driver_monotone_total_variation_on_flat_geometry():
             + np.abs(np.diff(out[:, :, 0], axis=1)).sum()
         tvs.append(tv)
     assert all(b <= a * (1 + 1e-9) for a, b in zip(tvs, tvs[1:]))
+
+
+# ---------------------------------------------------------------------------
+# joint driver: both channels of a frame in one tap loop
+
+SHADOW, SPECULAR = ChannelKind
+
+
+@pytest.mark.parametrize("separable", [False, True])
+@pytest.mark.parametrize("roughness", [0.1, 0.0])
+def test_joint_driver_gives_each_channel_its_bits_alone(separable, roughness):
+    # the shadow at 8 degrees starts at level 1 everywhere, the specular at 0
+    # or 1 per pixel; at roughness 0 the iteration counts differ per pixel too
+    scene = scene_from_dict(preset_scene("breakfast-lite", width=32, height=32,
+                                         roughness=roughness, shadow_angle=8.0,
+                                         movement="camera"))
+    gbuf, shadow, specular = render_frame(scene, 0, spp=1, seed=5)
+    cfg = DenoiseConfig(iterations=3, adaptive_start=True, ibl_adaptive_iterations=True,
+                        separable=separable)
+    assert select_start_level(SHADOW, scene.shadow_angle_deg, cfg) == 1
+    assert set(np.unique(select_start_level(SPECULAR, gbuf.roughness, cfg)[gbuf.foreground])) \
+        == {0, 1}
+    counts = select_iteration_count(gbuf.roughness, True, cfg.iterations)
+    assert set(np.unique(counts)) == ({3} if roughness else {0, 3})
+    rs = np.random.default_rng(18)
+    signals = {SHADOW: (shadow.data, rs.random((32, 32))),
+               SPECULAR: (specular.data, rs.random((32, 32)))}
+    joint = spatial.denoise_frame(signals, gbuf, cfg, shadow_angle=scene.shadow_angle_deg)
+    assert list(joint) == [SHADOW, SPECULAR]
+    for kind, (channel, variance) in signals.items():
+        want = denoise_channel(channel, variance, gbuf, cfg, kind,
+                               shadow_angle=scene.shadow_angle_deg)
+        out, feedback, records = joint[kind]
+        assert out.tobytes() == want[0].tobytes()
+        assert feedback.tobytes() == want[1].tobytes()
+        assert records == want[2] and len(records) == cfg.iterations
+
+
+@pytest.mark.parametrize("filt,taps", [(atrous_dense, 24), (atrous_separable, 8)])
+@pytest.mark.parametrize("levels", [(0, 0), (0, 1), "mixed"])
+def test_joint_iteration_weighs_the_gbuffer_once_per_level(filt, taps, levels, monkeypatch):
+    # the depth and normal stops are the channels' common factor: one
+    # evaluation per (pass, level, tap) and pixel, however many channels use it
+    rs = np.random.default_rng(19)
+    gbuf = _random_gbuf(rs, 16, 16)
+    if levels == "mixed":
+        mixed = rs.integers(0, 2, (16, 16))
+        levels = (mixed, mixed)
+    evaluated = []
+    weigh = spatial._geometry_weight
+
+    def counting(center, tap, dist, cfg, out, tmp):
+        evaluated.append(out.size)
+        return weigh(center, tap, dist, cfg, out, tmp)
+
+    monkeypatch.setattr(spatial, "_geometry_weight", counting)
+    channels = [rs.random((16, 16)), rs.random((16, 16, 3))]
+    variances = [rs.random((16, 16)), rs.random((16, 16))]
+    joint = filt(channels, variances, gbuf, list(levels), DenoiseConfig())
+    per_level = taps * 16 * 16  # non-center taps over the box, the whole frame here
+    union = np.unique(np.concatenate([np.ravel(level) for level in levels]))
+    assert sum(evaluated) == per_level * len(union)
+    monkeypatch.setattr(spatial, "_geometry_weight", weigh)
+    for got, channel, variance, level in zip(joint, channels, variances, levels):
+        want = filt(channel, variance, gbuf, level, DenoiseConfig())
+        assert got[0].tobytes() == want[0].tobytes() and got[1].tobytes() == want[1].tobytes()
+
+
+def test_row_bands_give_the_same_bits(monkeypatch):
+    # a band is a cache block of the tap loop, not a change of arithmetic
+    rs = np.random.default_rng(20)
+    gbuf = _boxed_gbuf(rs, 24, 24)
+    channel, variance = rs.random((24, 24, 3)), rs.random((24, 24))
+    level = rs.integers(0, 3, (24, 24))
+    for filt in (atrous_dense, atrous_separable):
+        want = filt(channel, variance, gbuf, level, DenoiseConfig())
+        for band in (1, 30, 100):  # one row, partial last bands, several rows
+            monkeypatch.setattr(spatial, "_BAND", band)
+            got = filt(channel, variance, gbuf, level, DenoiseConfig())
+            assert got[0].tobytes() == want[0].tobytes()
+            assert got[1].tobytes() == want[1].tobytes()
+        monkeypatch.undo()
