@@ -1,11 +1,13 @@
 """Per-frame pass orchestration and the named technique presets.
 
 Frame order is strictly sequential (the temporal stage carries state).
-Within a frame the temporal phase is one loop over `ChannelKind`, shadow
-then specular. The a-trous phase is one call of `spatial.denoise_frame`,
-which runs each iteration of both channels in one shared tap loop, so the
-G-buffer side of the edge weights is computed once per iteration and level,
-not once per channel; its first iteration feeds back into each channel's
+Within a frame each phase runs both channels, shadow then specular, in one
+call that does the G-buffer's share of the work once for both. The temporal
+phase is one call of `temporal.temporal_frame`: one reprojection and one set
+of consistency tests per frame. The a-trous phase is one call of
+`spatial.denoise_frame`, which runs each iteration of both channels in one
+shared tap loop, so the G-buffer side of the edge weights is computed once
+per iteration and level; its first iteration feeds back into each channel's
 history. Reinhard brackets the two on specular alone: forward on the raw
 samples before the temporal phase, inverse on the filtered result after the
 a-trous phase. Direct shading, composition with sky fill and the simplified
@@ -91,8 +93,7 @@ def run_pipeline(seq: FrameSequence, cfg: DenoiseConfig, dump_intermediates: boo
         spatial.check_level(cfg.iterations - 1 + cfg.adaptive_start, seq.height, seq.width)
 
     trace, frames_out, records = [], [], []
-    history = dict.fromkeys(ChannelKind)
-    prev_gbuf = prev_taa = None
+    history = prev_gbuf = prev_taa = None
 
     for f, frame in enumerate(seq.frames):
         gbuf = seq.gbuffer(f)
@@ -103,11 +104,8 @@ def run_pipeline(seq: FrameSequence, cfg: DenoiseConfig, dump_intermediates: boo
             trace.append(f"{f}:reinhard_forward")
             signal[SPECULAR] = tonemap.reinhard_forward(raw[SPECULAR], cfg.luma_multiplier)
 
-        variance = {}
-        for kind in ChannelKind:
-            trace.append(f"{f}:temporal:{kind.value}")
-            history[kind], variance[kind] = temporal.temporal_step(
-                signal[kind], gbuf, history[kind], prev_gbuf, cfg)
+        trace.extend(f"{f}:temporal:{kind.value}" for kind in ChannelKind)
+        history, variance = temporal.temporal_frame(signal, gbuf, history, prev_gbuf, cfg)
 
         trace.extend(f"{f}:atrous:{kind.value}" for kind in ChannelKind)
         den, rec = {}, {"frame": f}

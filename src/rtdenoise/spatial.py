@@ -324,11 +324,15 @@ def select_start_level(kind: ChannelKind, feature, cfg: DenoiseConfig):
 
 def select_iteration_count(roughness, ibl_adaptive: bool, default_iterations: int):
     """Iteration count per roughness when secondary shading is noise-free:
-    0 at roughness 0, at most 1 up to 0.05, otherwise `default_iterations`."""
-    r = np.asarray(roughness, dtype=np.float64)
+    0 at roughness 0, at most 1 up to 0.05, otherwise `default_iterations`.
+    Float roughness is compared in its own precision, so a material stored
+    as float32 0.05 gets at most 1; other values compare as float64."""
+    r = np.asarray(roughness)
+    if r.dtype.kind != "f":
+        r = r.astype(np.float64)
     if not ibl_adaptive:
         return np.full_like(r, default_iterations, dtype=np.int64)
-    return np.where(r <= 0.0, 0, np.where(r <= 0.05, min(1, default_iterations),
+    return np.where(r <= 0.0, 0, np.where(r <= r.dtype.type(0.05), min(1, default_iterations),
                                           default_iterations)).astype(np.int64)
 
 
@@ -350,7 +354,7 @@ def denoise_frame(signals: dict, gbuf: GBufferFrame, cfg: DenoiseConfig,
     for kind, (channel, variance) in signals.items():
         if kind is ChannelKind.INDIRECT_SPECULAR:
             feature = gbuf.roughness.astype(np.float64)
-            counts = select_iteration_count(feature, cfg.ibl_adaptive_iterations,
+            counts = select_iteration_count(gbuf.roughness, cfg.ibl_adaptive_iterations,
                                             cfg.iterations)
         else:
             if shadow_angle is None:

@@ -1,20 +1,25 @@
 """Temporal stage: backwards reprojection, accumulation and history rectification.
 
-Per frame and per channel the stage (1) samples the previous accumulated
-history through the motion vectors with a per-tap geometry consistency test,
+Per frame the stage (1) samples each channel's previous accumulated history
+through the motion vectors with a per-tap geometry consistency test,
 (2) optionally rectifies the history color against the statistics of the
 current noisy neighborhood, (3) blends it with the current sample, and
 (4) estimates per-pixel luminance variance, falling back to spatial moments
-while the history is too short to trust. The spatial moments are computed
-only where they are kept: over the short-history foreground's bounding box
+while the history is too short to trust. `temporal_frame` runs the channels
+of a frame together: the work that depends only on the G-buffer, (1)'s
+consistency tests and (4)'s short-history mask and window tests, is done
+once for all of them; (2) and (3) run per channel. `temporal_step` is its
+one-channel case. The spatial moments are computed only where they are
+kept: over the short-history foreground's bounding box
 (`stencil.bounding_box`), and not at all once every foreground history is
-long. Both neighborhood moments, the 3x3 box that bounds rectification and the 7x7
-geometry-restricted window of the spatial variance, come from one masked
-box loop (`_box_moments`) that reads its taps as slices of edge-padded
-planes, with a zero-padded mask counting in-bounds taps. The reprojection
-uses the shared bilinear sampler of `stencil`, which hands each enclosing
-texel's consistency test the texels' flat row-major indices; the test reads
-the previous depth, normal and object id at them with `stencil.gather`, one
+long. Both neighborhood moments, the 3x3 box that bounds rectification and
+the 7x7 geometry-restricted window of the spatial variance, come from one
+masked box loop (`_box_moments`) that reads its taps as slices of
+edge-padded planes, with a zero-padded mask counting in-bounds taps; one
+mask per tap serves every channel's luminance. The reprojection uses the
+shared bilinear sampler of `stencil`, which hands each enclosing texel's
+consistency test the texels' flat row-major indices; the test reads the
+previous depth, normal and object id at them with `stencil.gather`, one
 `np.take` per plane instead of 2-D fancy indexing. The sampler also
 renormalizes the passing texels' weights; the reprojection adds only the
 foreground mask and the rounding of the history length.
@@ -71,7 +76,7 @@ def _consistent(prev_depth, prev_normal, prev_oid, center, depth_threshold,
     return id_ok & depth_ok & (ndot > normal_threshold)
 
 
-def reproject(prev: TemporalHistory, prev_gbuf: GBufferFrame, curr_gbuf: GBufferFrame,
+def reproject(prev, prev_gbuf: GBufferFrame, curr_gbuf: GBufferFrame,
               cfg: DenoiseConfig) -> dict:
     """Bilinearly sample the previous history through the motion vectors.
 
@@ -79,7 +84,13 @@ def reproject(prev: TemporalHistory, prev_gbuf: GBufferFrame, curr_gbuf: GBuffer
     current pixel, and none is taken for a background pixel; the sampler
     renormalizes the bilinear weights of the passing texels. Returns arrays:
     valid, color, moment1, moment2, history_len.
+
+    `prev` is a `TemporalHistory`, or a list of histories that share the
+    history length, such as the channels of one frame: one sampling pass
+    with one test per texel serves them all, and color, moment1 and moment2
+    are then lists with one array per history.
     """
+    histories = [prev] if isinstance(prev, TemporalHistory) else prev
     center = _consistency_center(curr_gbuf.depth, curr_gbuf.normal, curr_gbuf.object_id)
     fg = curr_gbuf.foreground
 
@@ -89,39 +100,49 @@ def reproject(prev: TemporalHistory, prev_gbuf: GBufferFrame, curr_gbuf: GBuffer
             gather(prev_gbuf.object_id, flat), center,
             cfg.depth_consistency, cfg.normal_consistency) & fg
 
-    (color, m1, m2, hist), valid = bilinear_sample(
-        (prev.color, prev.moment1, prev.moment2, prev.history_len),
-        curr_gbuf.motion, accept=consistent)
+    (*means, hist), valid = bilinear_sample(
+        [a for h in histories for a in (h.color, h.moment1, h.moment2)]
+        + [histories[0].history_len], curr_gbuf.motion, accept=consistent)
     hist_len = np.where(valid, np.maximum(1, np.floor(hist + 1e-9)), 0).astype(np.int32)
-    return {"valid": valid, "color": color, "moment1": m1, "moment2": m2,
-            "history_len": hist_len}
+    tap = {"valid": valid, "color": means[0::3], "moment1": means[1::3],
+           "moment2": means[2::3], "history_len": hist_len}
+    if histories is not prev:
+        tap.update((name, tap[name][0]) for name in ("color", "moment1", "moment2"))
+    return tap
 
 
-def _box_moments(values: np.ndarray, radius: int, accept=None):
+def _box_moments(planes, radius: int, accept=None):
     """Masked mean and variance over the in-bounds (2r+1)^2 box of each pixel.
 
-    `values` is (H, W, C). A tap counts where it lies inside the image and,
-    when given, `accept(dy, dx)` (bool (H, W)) holds; the count is clamped at
-    1. Returns (mean, variance), each (H, W, C).
+    `planes` is a list of (H, W, C) arrays, each summed in its own
+    accumulators. A tap counts where it lies inside the image and, when
+    given, `accept(dy, dx)` (bool (H, W)) holds, one mask for every array;
+    the count is clamped at 1. Returns one (mean, variance) per array, each
+    (H, W, C).
     """
-    h, w, c = values.shape
-    vals_at = shifted(values, radius)
+    h, w = planes[0].shape[:2]
+    vals_at = [shifted(values, radius) for values in planes]
     inb_at = inside((h, w), radius)
     s0 = np.zeros((h, w))
-    s1 = np.zeros((h, w, c))
-    s2 = np.zeros((h, w, c))
+    s1 = [np.zeros(values.shape) for values in planes]
+    s2 = [np.zeros(values.shape) for values in planes]
     for dy in range(-radius, radius + 1):
         for dx in range(-radius, radius + 1):
             ok = inb_at(dy, dx)
             if accept is not None:
                 ok = ok & accept(dy, dx)
-            vals = vals_at(dy, dx)
             s0 += ok
-            s1 += ok[..., None] * vals
-            s2 += ok[..., None] * vals * vals
+            for tap, t1, t2 in zip(vals_at, s1, s2):
+                vals = tap(dy, dx)
+                okv = ok[..., None] * vals
+                t1 += okv
+                t2 += okv * vals
     s0 = np.maximum(s0, 1.0)[..., None]
-    mean = s1 / s0
-    return mean, np.maximum(0.0, s2 / s0 - mean * mean)
+    moments = []
+    for t1, t2 in zip(s1, s2):
+        mean = t1 / s0
+        moments.append((mean, np.maximum(0.0, t2 / s0 - mean * mean)))
+    return moments
 
 
 def rectify_history(tap_color: np.ndarray, curr_channel: np.ndarray, gamma: float,
@@ -136,7 +157,7 @@ def rectify_history(tap_color: np.ndarray, curr_channel: np.ndarray, gamma: floa
     the containment property.
     """
     tap = as_planes(tap_color)
-    mu, var = _box_moments(as_planes(curr_channel), 1)
+    [(mu, var)] = _box_moments([as_planes(curr_channel)], 1)
     sigma = np.sqrt(var)
     half = gamma * sigma
     if mode == "clamp":
@@ -202,57 +223,102 @@ def estimate_variance(history: TemporalHistory, curr_luma: np.ndarray,
     and clamped to the image, so each kept pixel sees its whole neighborhood
     and the true image border. Background pixels get 0, which is what their
     +inf depth gives them, since it fails every consistency test.
+
+    `curr_luma` and the history's moments are (H, W) for one channel, or
+    (H, W, K) for K channels that share the history length (see
+    `temporal_frame`); the variance takes their shape. The channels share
+    the short-history mask, its box and the window's consistency tests.
     """
-    temporal = np.maximum(0.0, history.moment2 - history.moment1**2)
+    lum = as_planes(curr_luma)
+    temporal = np.maximum(0.0, as_planes(history.moment2) - as_planes(history.moment1)**2)
     short = history.history_len < min_history
     keep = short & curr_gbuf.foreground
-    variance = np.where(short, 0.0, temporal)
+    variance = np.where(short[..., None], 0.0, temporal)
     box = bounding_box(keep, _SPATIAL_RADIUS)
     if box is not None:
-        spatial = _spatial_variance(curr_luma[box], curr_gbuf.depth[box],
-                                    curr_gbuf.normal[box], curr_gbuf.object_id[box], cfg)
-        variance[box] = np.where(keep[box], spatial, variance[box])
-    return variance
+        spatial = _spatial_variance([lum[box][..., k:k + 1] for k in range(lum.shape[2])],
+                                    curr_gbuf.depth[box], curr_gbuf.normal[box],
+                                    curr_gbuf.object_id[box], cfg)
+        for k, var in enumerate(spatial):
+            variance[(*box, k)] = np.where(keep[box], var, variance[(*box, k)])
+    return variance.reshape(np.shape(curr_luma))
 
 
-def _spatial_variance(curr_luma, depth, normal, oid, cfg: DenoiseConfig):
-    """Luminance variance over each pixel's 7x7 window of in-bounds pixels
-    that pass the consistency test against it."""
+def _spatial_variance(lumas, depth, normal, oid, cfg: DenoiseConfig):
+    """Each (H, W, 1) luminance's variance over each pixel's 7x7 window of
+    in-bounds pixels that pass the consistency test against it; one test per
+    tap serves every luminance. Returns a list of (H, W) variances."""
+    depth = depth.astype(np.float64)
+    normal = channel_major(normal)
     depth_at, normal_at, oid_at = (shifted(p, _SPATIAL_RADIUS) for p in (depth, normal, oid))
-    center = _consistency_center(depth, channel_major(normal), oid)
+    center = _consistency_center(depth, normal, oid)
 
     def consistent(dy, dx):
         return _consistent(depth_at(dy, dx), normal_at(dy, dx), oid_at(dy, dx), center,
                            cfg.depth_consistency, cfg.normal_consistency)
 
-    _mean, var = _box_moments(as_planes(curr_luma), _SPATIAL_RADIUS, accept=consistent)
-    return var[:, :, 0]
+    return [var[:, :, 0] for _mean, var in _box_moments(lumas, _SPATIAL_RADIUS,
+                                                        accept=consistent)]
+
+
+def _stacked(arrays) -> np.ndarray:
+    """(H, W) or (H, W, C) arrays as one (H, W, sum of C) array, laid out
+    one plane after another (see `stencil.channel_major`)."""
+    return np.moveaxis(np.concatenate([np.moveaxis(as_planes(a), -1, 0) for a in arrays]), 0, -1)
+
+
+def temporal_frame(curr_data: dict, curr_gbuf: GBufferFrame, prev: dict | None,
+                   prev_gbuf: GBufferFrame | None, cfg: DenoiseConfig):
+    """One full temporal update of each channel of a frame.
+
+    `curr_data` maps a key to a channel, (H, W) or (H, W, C); `prev` maps the
+    same keys to the previous histories, or is None on the first frame. The
+    work that follows the G-buffer alone runs once for all channels: one
+    `reproject` of their histories, whose lengths are equal, with one
+    consistency test per texel, and one `estimate_variance` of their stacked
+    histories and luminances, with one short-history mask and one set of
+    window tests. Rectification, which bounds one channel's planes jointly,
+    and accumulation run per channel. Returns (histories, variances), dicts
+    keyed like `curr_data`.
+    """
+    currs = {key: as_planes(data) for key, data in curr_data.items()}
+    if prev is None or prev_gbuf is None:
+        zero = np.zeros(curr_gbuf.depth.shape)
+        joint = {"valid": zero.astype(bool), "color": [np.zeros_like(c) for c in currs.values()],
+                 "moment1": [zero] * len(currs), "moment2": [zero] * len(currs),
+                 "history_len": zero.astype(np.int32)}
+    else:
+        joint = reproject([prev[key] for key in currs], prev_gbuf, curr_gbuf, cfg)
+    rectify = cfg.rectify_mode != "off" and np.any(joint["valid"])
+
+    histories, lumas = {}, []
+    for (key, curr), color, m1, m2 in zip(currs.items(), joint["color"], joint["moment1"],
+                                          joint["moment2"]):
+        tap = {**joint, "color": color, "moment1": m1, "moment2": m2}
+        if rectify:
+            # accumulate reads a tap only where it is valid, so the rest need no mask
+            rect, _mu, _sigma = rectify_history(color, curr, cfg.clamp_gamma, cfg.rectify_mode)
+            rm1, rm2 = rectify_moments(m1, m2, luma(rect))
+            tap.update(color=rect, moment1=rm1, moment2=rm2)
+        lumas.append(luma(curr_data[key]))
+        histories[key] = accumulate(curr, lumas[-1], tap, cfg.alpha, cfg.moments_alpha,
+                                    cap=cfg.history_cap)
+
+    hists = list(histories.values())
+    stacked = TemporalHistory(color=_stacked(h.color for h in hists),
+                              moment1=_stacked(h.moment1 for h in hists),
+                              moment2=_stacked(h.moment2 for h in hists),
+                              history_len=hists[0].history_len)
+    variance = estimate_variance(stacked, _stacked(lumas), curr_gbuf,
+                                 cfg.spatial_variance_min_history, cfg)
+    return histories, {key: variance[..., k] for k, key in enumerate(histories)}
 
 
 def temporal_step(curr_data: np.ndarray, curr_gbuf: GBufferFrame,
                   prev: TemporalHistory | None, prev_gbuf: GBufferFrame | None,
                   cfg: DenoiseConfig):
-    """One full temporal update for a channel; returns (history, variance)."""
-    curr = as_planes(curr_data)
-    curr_l = luma(curr_data)
-    h, w, c = curr.shape
-
-    if prev is None or prev_gbuf is None:
-        tap = {"valid": np.zeros((h, w), dtype=bool), "color": np.zeros((h, w, c)),
-               "moment1": np.zeros((h, w)), "moment2": np.zeros((h, w)),
-               "history_len": np.zeros((h, w), dtype=np.int32)}
-    else:
-        tap = reproject(prev, prev_gbuf, curr_gbuf, cfg)
-
-    if cfg.rectify_mode != "off" and np.any(tap["valid"]):
-        # accumulate reads a tap only where it is valid, so the rest need no mask
-        rect, _mu, _sigma = rectify_history(tap["color"], curr, cfg.clamp_gamma,
-                                            cfg.rectify_mode)
-        rm1, rm2 = rectify_moments(tap["moment1"], tap["moment2"], luma(rect))
-        tap = {**tap, "color": rect, "moment1": rm1, "moment2": rm2}
-
-    history = accumulate(curr, curr_l, tap, cfg.alpha, cfg.moments_alpha,
-                         cap=cfg.history_cap)
-    variance = estimate_variance(history, curr_l, curr_gbuf,
-                                 cfg.spatial_variance_min_history, cfg)
-    return history, variance
+    """One full temporal update for a channel, `temporal_frame` of that one
+    channel; returns (history, variance)."""
+    histories, variances = temporal_frame({0: curr_data}, curr_gbuf,
+                                          None if prev is None else {0: prev}, prev_gbuf, cfg)
+    return histories[0], variances[0]

@@ -1,9 +1,12 @@
+import inspect
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
-from rtdenoise import compose, render, spatial, temporal
-from rtdenoise.frames import CHANNELS, DenoiseConfig, FrameSequence
-from rtdenoise.pipeline import (PRESETS, preset_config, reconstruct_positions,
+from rtdenoise import compose, render, spatial, temporal, tonemap
+from rtdenoise.frames import CHANNELS, ChannelKind, DenoiseConfig, FrameSequence, TemporalHistory
+from rtdenoise.pipeline import (PRESETS, SPECULAR, preset_config, reconstruct_positions,
                                 run_pipeline, synthesize_sequence)
 from rtdenoise.scenes import preset_scene, scene_from_dict
 from rtdenoise.store import SequenceError, load_sequence, save_sequence
@@ -168,16 +171,23 @@ def test_ibl_adaptive_iterations_keep_configured_count():
 
 @pytest.fixture
 def temporal_calls(monkeypatch):
-    """The calls of `temporal.temporal_step` made while the test runs."""
+    """The calls of `temporal.temporal_frame` made while the test runs."""
     calls = []
-    step = temporal.temporal_step
+    step = temporal.temporal_frame
 
     def counted(*args, **kwargs):
         calls.append(1)
         return step(*args, **kwargs)
 
-    monkeypatch.setattr(temporal, "temporal_step", counted)
+    monkeypatch.setattr(temporal, "temporal_frame", counted)
     return calls
+
+
+def test_temporal_calls_sees_every_frame(temporal_calls):
+    # so that the checks "before any frame" below are not vacuous
+    _scene, seq = _make_seq(frames=2)
+    run_pipeline(seq, DenoiseConfig(iterations=1))
+    assert temporal_calls == [1, 1]
 
 
 def test_run_pipeline_checks_atrous_level_before_any_frame(temporal_calls):
@@ -243,6 +253,92 @@ def test_history_len_is_the_same_for_every_channel():
         prev_gbuf = gbuf
         assert np.array_equal(shadow.history_len, specular.history_len), f
     assert shadow.history_len.max() == 4
+
+
+@pytest.mark.parametrize("reinhard", [False, True])
+@pytest.mark.parametrize("rectify_mode", ["off", "clamp", "clip"])
+@pytest.mark.parametrize("name,movement", [("cubes-distance", "camera"),
+                                           ("shadow-objects", "light-teleport")])
+def test_joint_temporal_step_gives_each_channel_its_bits_alone(name, movement, rectify_mode,
+                                                               reinhard):
+    # the light teleports mid-sequence, which drives rectification
+    extra = {"teleport_frame": 2} if movement == "light-teleport" else {}
+    _scene, seq = _make_seq(name, frames=4, movement=movement, **extra)
+    cfg = DenoiseConfig(rectify_mode=rectify_mode, reinhard=reinhard)
+    rs = np.random.default_rng(7)
+    joint, alone, prev_gbuf = None, dict.fromkeys(ChannelKind), None
+    for f, frame in enumerate(seq.frames):
+        gbuf = seq.gbuffer(f)
+        signal = {kind: frame[f"{kind.value}_1spp"].astype(np.float64) for kind in ChannelKind}
+        if reinhard:
+            signal[SPECULAR] = tonemap.reinhard_forward(signal[SPECULAR], cfg.luma_multiplier)
+        joint, variance = temporal.temporal_frame(signal, gbuf, joint, prev_gbuf, cfg)
+        assert list(joint) == list(variance) == list(ChannelKind)
+        for kind in ChannelKind:
+            alone[kind], want = temporal.temporal_step(signal[kind], gbuf, alone[kind],
+                                                       prev_gbuf, cfg)
+            for field in fields(TemporalHistory):
+                got, ref = getattr(joint[kind], field.name), getattr(alone[kind], field.name)
+                assert got.dtype == ref.dtype and got.shape == ref.shape, (f, kind, field.name)
+                assert got.tobytes() == ref.tobytes(), (f, kind, field.name)
+            assert variance[kind].shape == want.shape
+            assert variance[kind].tobytes() == want.tobytes(), (f, kind)
+            # the a-trous feedback replaces the color that the next frame reprojects
+            joint[kind].color = alone[kind].color = rs.random(joint[kind].color.shape)
+        prev_gbuf = gbuf
+
+
+def test_consistency_tests_run_once_per_frame_for_both_channels(monkeypatch):
+    tests, per_frame = [], []
+    consistent, frame_step = temporal._consistent, temporal.temporal_frame
+
+    def counted(*args, **kwargs):
+        tests.append(1)
+        return consistent(*args, **kwargs)
+
+    def step(*args, **kwargs):
+        before = len(tests)
+        result = frame_step(*args, **kwargs)
+        per_frame.append(len(tests) - before)
+        return result
+
+    monkeypatch.setattr(temporal, "_consistent", counted)
+    monkeypatch.setattr(temporal, "temporal_frame", step)
+    _scene, seq = _make_seq("cubes-distance", frames=3, movement="camera")
+    run_pipeline(seq, DenoiseConfig(iterations=1, rectify_mode="clamp"))
+    # every history is shorter than 4 frames, so each frame takes the spatial
+    # variance's 7x7 window; past frame 0 the 4 bilinear texels come first
+    assert per_frame == [49, 4 + 49, 4 + 49]
+
+
+def test_temporal_passes_run_through_the_module_attribute(monkeypatch):
+    # a tracer wraps these module attributes and reads the arguments named
+    # here by the real signatures, and the reprojection's "valid"
+    calls = []
+    for name in ("reproject", "rectify_history", "estimate_variance"):
+        real = getattr(temporal, name)
+
+        def probe(*args, _real=real, _name=name, _sig=inspect.signature(real), **kwargs):
+            result = _real(*args, **kwargs)
+            calls.append((_name, _sig.bind(*args, **kwargs).arguments, result))
+            return result
+
+        monkeypatch.setattr(temporal, name, probe)
+    _scene, seq = _make_seq("cubes-distance", frames=3, movement="camera")
+    cfg = DenoiseConfig(iterations=1, rectify_mode="clamp")
+    run_pipeline(seq, cfg)
+    per_frame = ["reproject", "rectify_history", "rectify_history", "estimate_variance"]
+    assert [c[0] for c in calls] == per_frame[-1:] + per_frame * 2
+    for name, args, result in calls:
+        if name == "reproject":
+            assert args["curr_gbuf"].depth.shape == (32, 32)
+            assert result["valid"].shape == (32, 32) and result["valid"].any()
+        elif name == "estimate_variance":
+            assert args["curr_gbuf"].depth.shape == (32, 32)
+            assert args["history"].history_len.shape == (32, 32)
+            assert args["min_history"] == cfg.spatial_variance_min_history
+    widths = [args["tap_color"].shape for name, args, _r in calls if name == "rectify_history"]
+    assert widths == [(32, 32, 1), (32, 32, 3)] * 2
 
 
 @pytest.mark.parametrize("separable", [False, True])

@@ -514,6 +514,14 @@ def test_iteration_count_adaptive_keeps_configured_count():
     assert select_iteration_count(rough, True, 0).tolist() == [0, 0, 0]
 
 
+def test_iteration_count_compares_in_the_roughness_precision():
+    # float32(0.05) is 0.0500000007: a stored roughness of 0.05 is still 0.05
+    assert select_iteration_count(np.float32(0.05), True, 3) == 1
+    rough = np.array([0.0, 0.05, 0.0500001], dtype=np.float32)
+    assert select_iteration_count(rough, True, 3).tolist() == [0, 1, 3]
+    assert select_iteration_count(np.float64(np.float32(0.05)), True, 3) == 3
+
+
 def test_iteration_count_fixed_by_default():
     assert select_iteration_count(0.0, False, 4) == 4
     assert select_iteration_count(0.7, False, 2) == 2
@@ -631,7 +639,8 @@ SHADOW, SPECULAR = ChannelKind
 @pytest.mark.parametrize("roughness", [0.1, 0.0])
 def test_joint_driver_gives_each_channel_its_bits_alone(separable, roughness):
     # the shadow at 8 degrees starts at level 1 everywhere, the specular at 0
-    # or 1 per pixel; at roughness 0 the iteration counts differ per pixel too
+    # or 1 per pixel; at roughness 0 the iteration counts differ per pixel too,
+    # 1 on the table, whose roughness is clamped to 0.05
     scene = scene_from_dict(preset_scene("breakfast-lite", width=32, height=32,
                                          roughness=roughness, shadow_angle=8.0,
                                          movement="camera"))
@@ -642,7 +651,7 @@ def test_joint_driver_gives_each_channel_its_bits_alone(separable, roughness):
     assert set(np.unique(select_start_level(SPECULAR, gbuf.roughness, cfg)[gbuf.foreground])) \
         == {0, 1}
     counts = select_iteration_count(gbuf.roughness, True, cfg.iterations)
-    assert set(np.unique(counts)) == ({3} if roughness else {0, 3})
+    assert set(np.unique(counts)) == ({3} if roughness else {0, 1, 3})
     rs = np.random.default_rng(18)
     signals = {SHADOW: (shadow.data, rs.random((32, 32))),
                SPECULAR: (specular.data, rs.random((32, 32)))}

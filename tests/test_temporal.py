@@ -227,7 +227,7 @@ def _full_frame_spatial_variance(luma, gbuf):
     depth = gbuf.depth.astype(np.float64)
     normal = gbuf.normal.astype(np.float64)
     at = [shifted(p, 3) for p in (gbuf.depth, gbuf.normal, gbuf.object_id)]
-    _mean, var = _box_moments(luma[..., None], 3, accept=lambda dy, dx: consistency_test(
+    [(_mean, var)] = _box_moments([luma[..., None]], 3, accept=lambda dy, dx: consistency_test(
         *(t(dy, dx) for t in at), depth, normal, gbuf.object_id))
     return var[:, :, 0]
 
