@@ -40,12 +40,12 @@ def composite(direct: np.ndarray, shadow_denoised: np.ndarray,
 
 
 def taa(curr: np.ndarray, prev_taa: np.ndarray | None, gbuf: GBufferFrame,
-        gamma: float = 1.0, blend: float = 0.1) -> np.ndarray:
+        gamma: float = 1.0) -> np.ndarray:
     """Simplified temporal antialiasing.
 
     The previous TAA output is reprojected through the motion vectors,
     rectified by variance color clamping against the current 3x3 RGB
-    neighborhood, then blended with weight `blend` toward the current frame.
+    neighborhood, then blended with weight 0.1 toward the current frame.
     First frame (or invalid reprojection) passes the current frame through.
     No subpixel jitter is applied: the synthesizer already integrates over
     the pixel footprint through its sample stream.
@@ -55,5 +55,5 @@ def taa(curr: np.ndarray, prev_taa: np.ndarray | None, gbuf: GBufferFrame,
         return curr.copy()
     (hist,), valid = bilinear_sample((np.asarray(prev_taa, dtype=np.float64),), gbuf.motion)
     rect, _mu, _sigma = rectify_history(hist, curr, gamma, "clamp")
-    out = rect + blend * (curr - rect)
+    out = rect + 0.1 * (curr - rect)
     return np.where(valid[..., None], out, curr)

@@ -69,9 +69,8 @@ def _kf_eval(keyframes, frame: float) -> np.ndarray:
     if frame >= keyframes[-1][0]:
         return keyframes[-1][1]
     for (f0, v0), (f1, v1) in zip(keyframes, keyframes[1:]):
+        # a frame at a repeated keyframe ends the segment before it, so f1 > f0
         if f0 <= frame <= f1:
-            if f1 == f0:
-                return v1
             t = (frame - f0) / (f1 - f0)
             return v0 + t * (v1 - v0)
     return keyframes[-1][1]

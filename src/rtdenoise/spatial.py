@@ -13,10 +13,11 @@ Each pass filters the previous pass's result, and only the last updates the
 variance. The two forms are equivalent where the edge weights are uniform and
 intentionally diverge across edges, which shows up as slightly stronger blur.
 
-The driver filters one or more signals in one shared tap loop. As in SVGF,
+The driver filters a list of signals in one shared tap loop. As in SVGF,
 every signal shares the depth and normal stops and only the luminance stop
 is its own, so a frame's shadow and specular channels run through one
-iteration together (`denoise_frame`). The driver sets up an iteration's
+iteration together (`denoise_frame`), and `atrous_dense`/`atrous_separable`
+take lists of channels, variances and levels. The driver sets up an iteration's
 G-buffer side once for all its signals and passes: the checks of the
 foreground's geometry, its bounding box (`stencil.bounding_box`), the center
 depth and normals and the depth and normal planes padded with edge values
@@ -203,33 +204,32 @@ def _level_pass(offsets, step, box, geometry, gtaps, members, scratch, cfg):
                     np.copyto(dst, np.divide(num, den, out=tmp_b), where=m.mask[band])
 
 
-def _atrous(signals, gbuf: GBufferFrame, cfg: DenoiseConfig, passes, stats):
-    """One a-trous iteration of each signal, a (channel, variance, level)
-    triple, at each pixel's level, run as `passes`, a list of unit tap
-    tables, over one G-buffer setup (see the module docstring).
+def _atrous(channels, variances, gbuf: GBufferFrame, levels, cfg: DenoiseConfig, passes,
+            stats):
+    """One a-trous iteration of each channel, at each pixel's level, run as
+    `passes`, a list of unit tap tables, over one G-buffer setup (see the
+    module docstring).
 
     Each pass filters the previous pass's result; the last also returns the
     variance of the weighted mean. Each tap is a full padded plane sliced to
     the foreground's box, so a kept pixel still sees its true neighbours and
     the image border. Counts the nominal taps, the sum of the pass lengths
-    per pixel and signal, into `stats`. Returns one (channel', variance')
-    pair per signal, each in its input's shape.
+    per pixel and channel, into `stats`. Returns one (channel', variance')
+    pair per channel, each in its input's shape.
     """
-    datas = [as_planes(channel) for channel, _v, _l in signals]
-    variances = [np.asarray(variance, dtype=np.float64) for _c, variance, _l in signals]
-    for (_c, _v, level), var in zip(signals, variances):
+    datas = [as_planes(channel) for channel in channels]
+    variances = [np.asarray(variance, dtype=np.float64) for variance in variances]
+    for level, var in zip(levels, variances, strict=True):
         check_level(np.max(level), *var.shape)
     fg = gbuf.foreground
     _check_geometry(gbuf, fg)
-    outs = [(data.copy(), var.copy()) for data, var in zip(datas, variances)]
+    outs = [(data.copy(), var.copy()) for data, var in zip(datas, variances, strict=True)]
     box = bounding_box(fg)
     if box is not None:
-        levels = []
-        for _c, _v, level in signals:
-            level = np.asarray(level, dtype=np.int64)
-            levels.append(level[box] if level.ndim else level)
+        levels = [np.asarray(level, dtype=np.int64) for level in levels]
+        levels = [level[box] if level.ndim else level for level in levels]
         used = [np.unique(level) for level in levels]
-        # each signal pads its planes as far as its own top level reaches
+        # each channel pads its planes as far as its own top level reaches
         reaches = [2 * 2 ** int(u[-1]) for u in used]
         gtaps = (shifted(np.where(fg, gbuf.depth, np.inf), max(reaches)),
                  shifted(np.where(fg[..., None], gbuf.normal, 0.0), max(reaches)))
@@ -238,7 +238,7 @@ def _atrous(signals, gbuf: GBufferFrame, cfg: DenoiseConfig, passes, stats):
         neg_denoms = [-(cfg.sigma_l * np.sqrt(np.maximum(var[box], 0.0)) + _EPSILON)
                       for var in variances]
         # band-sized scratch, allocated once for every pass and level, with
-        # accumulators for as many signals as share a level
+        # accumulators for as many channels as share a level
         union = np.unique(np.concatenate(used))
         h, w = z_c.shape
         rows = min(h, max(1, _BAND // w))
@@ -248,9 +248,9 @@ def _atrous(signals, gbuf: GBufferFrame, cfg: DenoiseConfig, passes, stats):
                     for _ in range(max(sum(lv in u for u in used) for lv in union))])
         for n, offsets in enumerate(passes):
             last = n == len(passes) - 1
-            # a signal's padded planes live from its first level in the pass
-            # to its last, so signals on disjoint levels never hold both sets
-            members = [None] * len(signals)
+            # a channel's padded planes live from its first level in the pass
+            # to its last, so channels on disjoint levels never hold both sets
+            members = [None] * len(datas)
             for lv in union:
                 at = []
                 for s, (u, level) in enumerate(zip(used, levels)):
@@ -270,66 +270,67 @@ def _atrous(signals, gbuf: GBufferFrame, cfg: DenoiseConfig, passes, stats):
             np.copyto(out_var, var, where=~fg)
     if stats is not None:
         taps_per_pixel = sum(map(len, passes))
-        stats["taps"] = stats.get("taps", 0) + fg.size * taps_per_pixel * len(signals)
+        stats["taps"] = stats.get("taps", 0) + fg.size * taps_per_pixel * len(datas)
         stats["taps_per_pixel"] = taps_per_pixel
     return [(out[:, :, 0] if np.ndim(channel) == 2 else out, out_var)
-            for (out, out_var), (channel, _v, _l) in zip(outs, signals)]
+            for (out, out_var), channel in zip(outs, channels)]
 
 
-def _run_atrous(channel, variance, gbuf, level, cfg, passes, stats):
-    """One signal's iteration, or the joint one of list arguments."""
-    if isinstance(channel, list):
-        return _atrous(list(zip(channel, variance, level)), gbuf, cfg, passes, stats)
-    return _atrous([(channel, variance, level)], gbuf, cfg, passes, stats)[0]
-
-
-def atrous_dense(channel, variance, gbuf: GBufferFrame, level, cfg: DenoiseConfig,
+def atrous_dense(channels, variances, gbuf: GBufferFrame, levels, cfg: DenoiseConfig,
                  stats: dict | None = None):
-    """One dense 5x5 iteration; `level` may be a scalar or a per-pixel array.
+    """One dense 5x5 iteration of each of equal-length lists of channels,
+    variances and levels, filtered jointly over one G-buffer setup; a level
+    is a scalar or a per-pixel array.
 
-    Returns (channel', variance') where variance' carries the variance of the
-    weighted mean. Taps are clamped to the image border; the center tap always
-    participates with edge weight 1, so the output stays a convex combination.
-    Given equal-length lists of channels, variances and levels, it filters
-    them jointly over one G-buffer setup and returns a list of such pairs.
+    Returns a list of (channel', variance') pairs, where variance' carries
+    the variance of the weighted mean. Taps are clamped to the image border;
+    the center tap always participates with edge weight 1, so each output
+    stays a convex combination.
     """
-    return _run_atrous(channel, variance, gbuf, level, cfg, (_DENSE,), stats)
+    return _atrous(channels, variances, gbuf, levels, cfg, (_DENSE,), stats)
 
 
-def atrous_separable(channel, variance, gbuf: GBufferFrame, level, cfg: DenoiseConfig,
+def atrous_separable(channels, variances, gbuf: GBufferFrame, levels, cfg: DenoiseConfig,
                      stats: dict | None = None):
-    """One separable 5+5 iteration: horizontal color-only, then vertical.
+    """One separable 5+5 iteration of each channel, as `atrous_dense` takes
+    and returns them: horizontal color-only, then vertical.
 
     The variance buffer passes through the horizontal stage untouched and is
     updated only by the vertical pass, which is what makes the separable form
     blur slightly more than the dense one across edges. With per-pixel levels
     the vertical pass reads horizontal results computed at each neighbor's
-    own level. Takes lists for a joint iteration, as `atrous_dense` does.
+    own level.
     """
-    return _run_atrous(channel, variance, gbuf, level, cfg, (_ROW, _COLUMN), stats)
+    return _atrous(channels, variances, gbuf, levels, cfg, (_ROW, _COLUMN), stats)
+
+
+def _feature(values) -> np.ndarray:
+    """A material feature as an array that the selectors compare in its own
+    float precision, so that a float32 roughness stored as 0.2 is still 0.2;
+    other values compare as float64."""
+    f = np.asarray(values)
+    return f if f.dtype.kind == "f" else f.astype(np.float64)
 
 
 def select_start_level(kind: ChannelKind, feature, cfg: DenoiseConfig):
     """Starting a-trous level: 1 where the material feature predicts heavy
-    noise (specular roughness > 0.2, shadow angle > 6.0 degrees), else 0."""
-    feature = np.asarray(feature, dtype=np.float64)
+    noise (specular roughness > 0.2, shadow angle > 6.0 degrees), else 0.
+    The feature compares in its own precision (see `_feature`)."""
+    f = _feature(feature)
     if not cfg.adaptive_start:
-        return np.zeros_like(feature, dtype=np.int64)
+        return np.zeros_like(f, dtype=np.int64)
     if kind is ChannelKind.INDIRECT_SPECULAR:
-        lvl = feature > cfg.roughness_start_threshold
+        threshold = cfg.roughness_start_threshold
     else:
-        lvl = feature > cfg.shadow_angle_start_threshold
-    return lvl.astype(np.int64)
+        threshold = cfg.shadow_angle_start_threshold
+    return (f > f.dtype.type(threshold)).astype(np.int64)
 
 
 def select_iteration_count(roughness, ibl_adaptive: bool, default_iterations: int):
     """Iteration count per roughness when secondary shading is noise-free:
     0 at roughness 0, at most 1 up to 0.05, otherwise `default_iterations`.
-    Float roughness is compared in its own precision, so a material stored
-    as float32 0.05 gets at most 1; other values compare as float64."""
-    r = np.asarray(roughness)
-    if r.dtype.kind != "f":
-        r = r.astype(np.float64)
+    The roughness compares in its own precision (see `_feature`)."""
+    r = _feature(roughness)
     if not ibl_adaptive:
         return np.full_like(r, default_iterations, dtype=np.int64)
     return np.where(r <= 0.0, 0, np.where(r <= r.dtype.type(0.05), min(1, default_iterations),
@@ -353,13 +354,13 @@ def denoise_frame(signals: dict, gbuf: GBufferFrame, cfg: DenoiseConfig,
     plans = {}
     for kind, (channel, variance) in signals.items():
         if kind is ChannelKind.INDIRECT_SPECULAR:
-            feature = gbuf.roughness.astype(np.float64)
-            counts = select_iteration_count(gbuf.roughness, cfg.ibl_adaptive_iterations,
+            feature = gbuf.roughness
+            counts = select_iteration_count(feature, cfg.ibl_adaptive_iterations,
                                             cfg.iterations)
         else:
             if shadow_angle is None:
                 raise ValueError("the SHADOW kind needs shadow_angle")
-            feature = np.asarray(shadow_angle, dtype=np.float64)
+            feature = shadow_angle
             counts = np.full(gbuf.depth.shape, cfg.iterations, dtype=np.int64)
         start = select_start_level(kind, feature, cfg)
         max_count = int(counts.max()) if counts.size else 0
@@ -411,5 +412,6 @@ def denoise_channel(channel, variance, gbuf: GBufferFrame, cfg: DenoiseConfig,
                     kind: ChannelKind, shadow_angle=None):
     """Run the configured a-trous iterations for one channel: `denoise_frame`
     of that channel alone, returning its (final_channel, feedback_channel,
-    iteration_records)."""
+    iteration_records). The pipeline calls `denoise_frame`; this stays for
+    perfbench's per-layer probes."""
     return denoise_frame({kind: (channel, variance)}, gbuf, cfg, shadow_angle)[kind]

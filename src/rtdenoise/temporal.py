@@ -8,13 +8,16 @@ current noisy neighborhood, (3) blends it with the current sample, and
 while the history is too short to trust. `temporal_frame` runs the channels
 of a frame together: the work that depends only on the G-buffer, (1)'s
 consistency tests and (4)'s short-history mask and window tests, is done
-once for all of them; (2) and (3) run per channel. `temporal_step` is its
-one-channel case. The spatial moments are computed only where they are
-kept: over the short-history foreground's bounding box
-(`stencil.bounding_box`), and not at all once every foreground history is
-long. Both neighborhood moments, the 3x3 box that bounds rectification and
-the 7x7 geometry-restricted window of the spatial variance, come from one
-masked box loop (`_box_moments`) that reads its taps as slices of
+once for all of them, so `reproject` takes a list of histories and
+`estimate_variance` the channels stacked along a last axis; (2) and (3) run
+per channel. `temporal_step` is its one-channel case, which the pipeline
+does not call; it stays as a named entry point for perfbench's per-layer
+probes. The spatial moments are computed only where they are kept: over
+the short-history foreground's bounding box (`stencil.bounding_box`), and
+not at all once every foreground history is long. Both neighborhood
+moments, the 3x3 box that bounds rectification and the 7x7
+geometry-restricted window of the spatial variance, come from one masked
+box loop (`_box_moments`) that reads its taps as slices of
 edge-padded planes, with a zero-padded mask counting in-bounds taps; one
 mask per tap serves every channel's luminance. The reprojection uses the
 shared bilinear sampler of `stencil`, which hands each enclosing texel's
@@ -42,17 +45,17 @@ from .tonemap import luma
 
 
 def consistency_test(prev_depth, prev_normal, prev_oid, curr_depth, curr_normal,
-                     curr_oid, depth_threshold=DenoiseConfig.depth_consistency,
-                     normal_threshold=DenoiseConfig.normal_consistency):
+                     curr_oid):
     """Geometry agreement between a previous-frame texel and a current pixel.
 
     Accepts scalars or broadcastable arrays; true iff the object ids match,
-    relative depth differs by less than `depth_threshold` and the normals
-    agree beyond `normal_threshold`.
+    relative depth differs by less than the default `depth_consistency` and
+    the normals agree beyond the default `normal_consistency` of
+    `DenoiseConfig`.
     """
     return _consistent(prev_depth, prev_normal, prev_oid,
                        _consistency_center(curr_depth, curr_normal, curr_oid),
-                       depth_threshold, normal_threshold)
+                       DenoiseConfig.depth_consistency, DenoiseConfig.normal_consistency)
 
 
 def _consistency_center(curr_depth, curr_normal, curr_oid):
@@ -76,21 +79,18 @@ def _consistent(prev_depth, prev_normal, prev_oid, center, depth_threshold,
     return id_ok & depth_ok & (ndot > normal_threshold)
 
 
-def reproject(prev, prev_gbuf: GBufferFrame, curr_gbuf: GBufferFrame,
+def reproject(histories, prev_gbuf: GBufferFrame, curr_gbuf: GBufferFrame,
               cfg: DenoiseConfig) -> dict:
-    """Bilinearly sample the previous history through the motion vectors.
+    """Bilinearly sample the previous histories through the motion vectors.
 
-    Each of the four enclosing texels is consistency-tested against the
-    current pixel, and none is taken for a background pixel; the sampler
-    renormalizes the bilinear weights of the passing texels. Returns arrays:
-    valid, color, moment1, moment2, history_len.
-
-    `prev` is a `TemporalHistory`, or a list of histories that share the
-    history length, such as the channels of one frame: one sampling pass
-    with one test per texel serves them all, and color, moment1 and moment2
-    are then lists with one array per history.
+    `histories` is a list of `TemporalHistory` that share the history
+    length, such as the channels of one frame: one sampling pass with one
+    consistency test per texel serves them all. Each of the four enclosing
+    texels is tested against the current pixel, and none is taken for a
+    background pixel; the sampler renormalizes the bilinear weights of the
+    passing texels. Returns arrays valid and history_len, and lists color,
+    moment1 and moment2 with one array per history.
     """
-    histories = [prev] if isinstance(prev, TemporalHistory) else prev
     center = _consistency_center(curr_gbuf.depth, curr_gbuf.normal, curr_gbuf.object_id)
     fg = curr_gbuf.foreground
 
@@ -104,11 +104,8 @@ def reproject(prev, prev_gbuf: GBufferFrame, curr_gbuf: GBufferFrame,
         [a for h in histories for a in (h.color, h.moment1, h.moment2)]
         + [histories[0].history_len], curr_gbuf.motion, accept=consistent)
     hist_len = np.where(valid, np.maximum(1, np.floor(hist + 1e-9)), 0).astype(np.int32)
-    tap = {"valid": valid, "color": means[0::3], "moment1": means[1::3],
-           "moment2": means[2::3], "history_len": hist_len}
-    if histories is not prev:
-        tap.update((name, tap[name][0]) for name in ("color", "moment1", "moment2"))
-    return tap
+    return {"valid": valid, "color": means[0::3], "moment1": means[1::3],
+            "moment2": means[2::3], "history_len": hist_len}
 
 
 def _box_moments(planes, radius: int, accept=None):
@@ -213,35 +210,34 @@ _SPATIAL_RADIUS = 3  # of the spatial variance's 7x7 window
 def estimate_variance(history: TemporalHistory, curr_luma: np.ndarray,
                       curr_gbuf: GBufferFrame, min_history: int,
                       cfg: DenoiseConfig) -> np.ndarray:
-    """Per-pixel luminance variance.
+    """Per-pixel luminance variance of K channels that share the history
+    length (see `temporal_frame`): `curr_luma` and the history's moments are
+    stacked (H, W, K), and so is the result.
 
     Temporal (moment2 - moment1^2) once at least `min_history` frames have
     been integrated; otherwise spatial moments of the current luminance over
     the 7x7 neighborhood restricted to in-bounds, geometry-consistent pixels.
-    The spatial moments are computed only where they are kept: over the
-    bounding box of the short-history foreground, grown by the window radius
-    and clamped to the image, so each kept pixel sees its whole neighborhood
-    and the true image border. Background pixels get 0, which is what their
-    +inf depth gives them, since it fails every consistency test.
-
-    `curr_luma` and the history's moments are (H, W) for one channel, or
-    (H, W, K) for K channels that share the history length (see
-    `temporal_frame`); the variance takes their shape. The channels share
-    the short-history mask, its box and the window's consistency tests.
+    The channels share the short-history mask, its box and the window's
+    consistency tests. The spatial moments are computed only where they are
+    kept: over the bounding box of the short-history foreground, grown by the
+    window radius and clamped to the image, so each kept pixel sees its whole
+    neighborhood and the true image border. Background pixels get 0, which
+    is what their +inf depth gives them, since it fails every consistency
+    test.
     """
-    lum = as_planes(curr_luma)
-    temporal = np.maximum(0.0, as_planes(history.moment2) - as_planes(history.moment1)**2)
+    temporal = np.maximum(0.0, history.moment2 - history.moment1**2)
     short = history.history_len < min_history
     keep = short & curr_gbuf.foreground
     variance = np.where(short[..., None], 0.0, temporal)
     box = bounding_box(keep, _SPATIAL_RADIUS)
     if box is not None:
-        spatial = _spatial_variance([lum[box][..., k:k + 1] for k in range(lum.shape[2])],
+        spatial = _spatial_variance([curr_luma[box][..., k:k + 1]
+                                     for k in range(curr_luma.shape[2])],
                                     curr_gbuf.depth[box], curr_gbuf.normal[box],
                                     curr_gbuf.object_id[box], cfg)
         for k, var in enumerate(spatial):
             variance[(*box, k)] = np.where(keep[box], var, variance[(*box, k)])
-    return variance.reshape(np.shape(curr_luma))
+    return variance
 
 
 def _spatial_variance(lumas, depth, normal, oid, cfg: DenoiseConfig):
@@ -318,7 +314,8 @@ def temporal_step(curr_data: np.ndarray, curr_gbuf: GBufferFrame,
                   prev: TemporalHistory | None, prev_gbuf: GBufferFrame | None,
                   cfg: DenoiseConfig):
     """One full temporal update for a channel, `temporal_frame` of that one
-    channel; returns (history, variance)."""
+    channel; returns (history, variance). The pipeline calls
+    `temporal_frame`; this stays for perfbench's per-layer probes."""
     histories, variances = temporal_frame({0: curr_data}, curr_gbuf,
                                           None if prev is None else {0: prev}, prev_gbuf, cfg)
     return histories[0], variances[0]

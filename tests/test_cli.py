@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -163,3 +164,39 @@ def test_scene_reports_a_teleport_frame_without_teleport(tmp_path, capsys):
                  "--teleport-frame", "5", "--out", str(out)]) == 0
     assert json.loads(out.read_text()) == preset_scene(
         "shadow-objects", movement="light-teleport", teleport_frame=5)
+
+
+def test_denoise_config_layers_file_then_preset_then_set(workspace, tmp_path):
+    # the config file is the base, --preset overrides it and --set overrides both
+    _root, _scene, synth = workspace
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"alpha": 0.3, "iterations": 2, "rectify_mode": "clip"}))
+    report = tmp_path / "report.json"
+
+    def run(*extra):
+        assert main(["denoise", "--in", str(synth), "--out", str(tmp_path / "o"),
+                     "--config", str(config), "--report", str(report), *extra]) == 0
+        cfg = json.loads(report.read_text())["config"]
+        return cfg["alpha"], cfg["iterations"], cfg["rectify_mode"]
+
+    assert run() == (0.3, 2, "clip")
+    assert run("--preset", "svgf+rectify") == (0.3, 2, "clamp")
+    assert run("--preset", "svgf+rectify", "--set", 'rectify_mode="clip"',
+               "--set", "iterations=1") == (0.3, 1, "clip")
+
+
+def test_denoise_prints_quality_per_frame_against_a_reference(tmp_path, capsys):
+    scene = tmp_path / "scene.json"
+    assert main(["scene", "--preset", "shadow-objects", "--width", "16", "--height", "16",
+                 "--out", str(scene)]) == 0
+    synth = tmp_path / "noisy"
+    assert main(["synth", "--scene", str(scene), "--frames", "2", "--seed", "5",
+                 "--reference", "--reference-spp", "2", "--out", str(synth)]) == 0
+    capsys.readouterr()
+    assert main(["denoise", "--in", str(synth), "--out", str(tmp_path / "o"),
+                 "--set", "iterations=1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    pattern = r"frame {}: ssim=-?\d\.\d{{4}} \(noisy -?\d\.\d{{4}}\) mse=\d+\.\d{{6}}$"
+    assert [bool(re.match(pattern.format(f), line)) for f, line in enumerate(lines[:2])] \
+        == [True, True]
+    assert lines[2:] == [f"denoised 2 frame(s) -> {tmp_path / 'o'}"]

@@ -31,6 +31,11 @@ def test_level_zero_is_source():
     assert pre.num_levels == 1
 
 
+def test_prefilter_needs_a_level():
+    with pytest.raises(ValueError, match="^levels must be >= 1$"):
+        prefilter_env(np.full((8, 16, 3), 1.0), 0)
+
+
 def env_total_energy(env: np.ndarray) -> np.ndarray:
     """Solid-angle weighted energy integral, for the conservation check."""
     h, w = env.shape[:2]

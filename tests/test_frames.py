@@ -59,6 +59,21 @@ def test_missing_channel_rejected(tmp_path):
         save_sequence(seq, tmp_path / "seq")
 
 
+def test_unknown_manifest_channel_rejected():
+    seq = _tiny_seq()
+    seq.manifest["channels"].append("bogus")
+    seq.frames[0]["bogus"] = np.zeros((4, 4), dtype=np.float32)
+    with pytest.raises(SequenceError, match="^unknown channel 'bogus' in manifest$"):
+        check_sequence(seq)
+
+
+def test_run_pipeline_needs_a_scene_in_the_manifest():
+    seq = _tiny_seq()
+    check_sequence(seq)
+    with pytest.raises(ValueError, match="^sequence manifest carries no scene descriptor$"):
+        run_pipeline(seq, DenoiseConfig(iterations=0))
+
+
 def test_absent_file_reported(tmp_path):
     seq = _tiny_seq()
     save_sequence(seq, tmp_path / "seq")

@@ -57,6 +57,11 @@ def test_mse_basics():
     assert mse(np.zeros((4, 4)), np.ones((4, 4))) == 1.0
 
 
+def test_mse_dimension_mismatch():
+    with pytest.raises(ValueError, match=r"^dimension mismatch: \(4, 4\) vs \(4, 5\)$"):
+        mse(np.zeros((4, 4)), np.zeros((4, 5)))
+
+
 def test_mse_single_pixel_oracle():
     a = np.zeros((10, 10, 3))
     b = a.copy()

@@ -40,6 +40,21 @@ def test_bad_magic_and_truncation(tmp_path):
         read_pfm(path)
 
 
+@pytest.mark.parametrize("content,message", [
+    (b"", "^unexpected end of file in PFM header$"),
+    (b"Pf\n2", "^malformed PFM header in .*bad.pfm: unexpected end of file in PFM header$"),
+    (b"Pf\n2 two\n-1.0\n", "^malformed PFM header in .*bad.pfm: invalid literal"),
+    (b"Pf\n2 2\nscale\n", "^malformed PFM header in .*bad.pfm: could not convert"),
+    (b"Pf\n0 2\n-1.0\n", "^bad PFM dimensions 0x2 in .*bad.pfm$"),
+    (b"PF\n2 -1\n-1.0\n", "^bad PFM dimensions 2x-1 in .*bad.pfm$"),
+])
+def test_bad_header_rejected(tmp_path, content, message):
+    path = tmp_path / "bad.pfm"
+    path.write_bytes(content)
+    with pytest.raises(PfmError, match=message):
+        read_pfm(path)
+
+
 def test_header_larger_than_file_rejected_before_reading(tmp_path):
     # the header claims 1.2e17 bytes of payload; only 16 follow it
     path = tmp_path / "huge.pfm"

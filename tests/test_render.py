@@ -122,6 +122,10 @@ _BAD_SCENES = {
     "ground height nan": (_set(("ground", "height"), math.nan), "ground.height"),
     "box min above max": (_set(("objects", 1, "min"), [1.8, 0.9, -0.3]), "objects[1].min"),
     "sun dir zero": (_set(("env", "sun_dir"), [0, 0, 0]), "env.sun_dir"),
+    "intensity not numeric": (_set(("light", "intensity"), "bright"), "light.intensity"),
+    "vfov not numeric": (_set(("camera", "vfov_deg"), "wide"), "camera.vfov_deg"),
+    "center without keyframes": (_set(("light", "center"), {"keyframes": []}),
+                                 "light.center"),
 }
 
 
@@ -132,6 +136,53 @@ def test_scene_rejects_invalid_value_naming_the_field(case):
     edit(doc)
     with pytest.raises(ValueError, match="^" + re.escape(field) + " "):
         scene_from_dict(doc)
+
+
+# (edit of a 16x16 shadow-objects document, the whole message it raises)
+_BAD_SCENE_MESSAGES = {
+    "no objects": (_set(("objects",), []), "scene needs at least one object"),
+    "duplicate ids": (_set(("objects", 1, "id"), 2), "object ids must be unique and >= 1"),
+    "zero id": (_set(("objects", 0, "id"), 0), "object ids must be unique and >= 1"),
+    "env 4x4": (_set(("env",), {"kind": "constant", "value": 0.5, "width": 4, "height": 4}),
+                "env map must be at least 8x4"),
+    "env kind": (_set(("env",), {"kind": "cube"}), "unknown env map kind 'cube'"),
+    "object type": (_set(("objects", 0, "type"), "cone"), "unknown object type 'cone'"),
+    "no light size": (_set(("shadow_angle_deg",), None),
+                      "light needs either a radius or a scene shadow_angle_deg"),
+}
+
+
+@pytest.mark.parametrize("case", list(_BAD_SCENE_MESSAGES))
+def test_scene_rejects_invalid_document(case):
+    edit, message = _BAD_SCENE_MESSAGES[case]
+    doc = preset_scene("shadow-objects", width=16, height=16)
+    assert [o["id"] for o in doc["objects"]][:2] == [2, 3]
+    edit(doc)
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+        scene_from_dict(doc)
+
+
+def test_keyframe_repeated_frame_takes_the_segment_that_ends_there():
+    doc = preset_scene("shadow-objects", width=16, height=16)
+    doc["light"]["center"] = {"keyframes": [[0, [0.0] * 3], [5, [0.1] * 3], [5, [0.7] * 3],
+                                            [10, [1.0] * 3]]}
+    light = scene_from_dict(doc).light
+    assert light.center_at(5).tobytes() == np.full(3, 0.1).tobytes()
+    assert light.center_at(7.5).tobytes() == np.full(3, 0.7 + 0.5 * (1.0 - 0.7)).tobytes()
+
+
+def test_preset_scene_rejects_unknown_name():
+    with pytest.raises(ValueError, match=r"^unknown preset 'kitchen'; have cubes-distance, "):
+        preset_scene("kitchen")
+
+
+def test_render_frame_rejects_frame_past_the_animation():
+    doc = preset_scene("shadow-objects", width=16, height=16)
+    doc["frame_count"] = 2
+    scene = scene_from_dict(doc)
+    render_frame(scene, 1, spp=1, seed=0)
+    with pytest.raises(ValueError, match="^frame 2 beyond scene animation length 2$"):
+        render_frame(scene, 2, spp=1, seed=0)
 
 
 @pytest.mark.parametrize("name,movement", [("cubes-distance", "camrea"),

@@ -13,6 +13,8 @@ from rtdenoise.spatial import (KERNEL_1D, atrous_dense, atrous_separable, denois
                                select_iteration_count, select_start_level)
 from rtdenoise.stencil import shifted
 
+SHADOW, SPECULAR = ChannelKind
+
 
 def edge_weight(center: dict, tap: dict, center_variance: float,
                 cfg: DenoiseConfig, distance: float = 1.0) -> float:
@@ -141,6 +143,13 @@ def separable_oracle(channel, variance, gbuf, level_map, cfg):
     return (out[:, :, 0] if np.asarray(channel).ndim == 2 else out), out_var
 
 
+def _alone(filt, channel, variance, gbuf, level, cfg, stats=None):
+    """One channel's iteration through the joint form of `filt`
+    (`atrous_dense` or `atrous_separable`): lists of one, and its one pair."""
+    [pair] = filt([channel], [variance], gbuf, [level], cfg, stats=stats)
+    return pair
+
+
 def _random_gbuf(rs, h, w):
     gbuf = _flat_gbuf(h, w)
     gbuf.depth[:] = 4.0 + rs.random((h, w)).astype(np.float32)
@@ -184,7 +193,7 @@ def test_constant_channel_unchanged_variance_scaled():
     gbuf = _flat_gbuf()
     channel = np.full((16, 16), 0.7)
     variance = np.full((16, 16), 0.2)
-    out, out_var = atrous_dense(channel, variance, gbuf, 0, DenoiseConfig())
+    out, out_var = _alone(atrous_dense, channel, variance, gbuf, 0, DenoiseConfig())
     assert np.allclose(out, 0.7, atol=1e-12)
     factor = float(np.sum(KERNEL_1D**2)) ** 2  # 2D kernel energy
     assert np.allclose(out_var, 0.2 * factor, atol=1e-9)
@@ -194,7 +203,7 @@ def test_impulse_preserved_at_zero_variance():
     gbuf = _flat_gbuf()
     channel = np.zeros((16, 16))
     channel[8, 8] = 5.0
-    out, _v = atrous_dense(channel, np.zeros((16, 16)), gbuf, 0, DenoiseConfig())
+    out, _v = _alone(atrous_dense, channel, np.zeros((16, 16)), gbuf, 0, DenoiseConfig())
     assert out[8, 8] == pytest.approx(5.0, rel=1e-9)
     assert np.abs(out - channel).max() < 1e-9
 
@@ -208,7 +217,7 @@ def test_dense_matches_oracle_level0_and_1():
     cfg = DenoiseConfig()
     mixed = (rs.random((h, w)) < 0.5).astype(np.int64)  # per-pixel levels 0 and 1
     for level in (0, 1, mixed):
-        got, got_var = atrous_dense(channel, variance, gbuf, level, cfg)
+        got, got_var = _alone(atrous_dense, channel, variance, gbuf, level, cfg)
         want, want_var = dense_oracle(channel, variance, gbuf, level, cfg)
         assert np.abs(got - want).max() <= 1e-6
         assert np.abs(got_var - want_var).max() <= 1e-6
@@ -218,7 +227,8 @@ def test_output_is_convex_combination():
     rs = np.random.default_rng(1)
     gbuf = _flat_gbuf()
     channel = rs.random((16, 16))
-    out, _v = atrous_dense(channel, np.full((16, 16), 0.5), gbuf, 1, DenoiseConfig())
+    out, _v = _alone(atrous_dense, channel, np.full((16, 16), 0.5), gbuf, 1,
+                     DenoiseConfig())
     assert out.max() <= channel.max() + 1e-12
     assert out.min() >= channel.min() - 1e-12
 
@@ -226,7 +236,7 @@ def test_output_is_convex_combination():
 def test_level_overflow_rejected():
     gbuf = _flat_gbuf(8, 8)
     with pytest.raises(ValueError, match="level"):
-        atrous_dense(np.zeros((8, 8)), np.zeros((8, 8)), gbuf, 2, DenoiseConfig())
+        _alone(atrous_dense, np.zeros((8, 8)), np.zeros((8, 8)), gbuf, 2, DenoiseConfig())
 
 
 # ---------------------------------------------------------------------------
@@ -234,8 +244,8 @@ def test_level_overflow_rejected():
 
 def test_separable_constant_unchanged():
     gbuf = _flat_gbuf()
-    out, _v = atrous_separable(np.full((16, 16), 0.4), np.full((16, 16), 0.1),
-                               gbuf, 0, DenoiseConfig())
+    out, _v = _alone(atrous_separable, np.full((16, 16), 0.4), np.full((16, 16), 0.1),
+                     gbuf, 0, DenoiseConfig())
     assert np.allclose(out, 0.4, atol=1e-12)
 
 
@@ -246,8 +256,8 @@ def test_separable_equals_dense_with_uniform_weights():
     variance = rs.random((16, 16)) * 0.2
     cfg = DenoiseConfig(sigma_l=1e12)  # luminance stop effectively disabled
     for level in (0, 1):
-        d, _ = atrous_dense(channel, variance, gbuf, level, cfg)
-        s, _ = atrous_separable(channel, variance, gbuf, level, cfg)
+        d, _ = _alone(atrous_dense, channel, variance, gbuf, level, cfg)
+        s, _ = _alone(atrous_separable, channel, variance, gbuf, level, cfg)
         assert np.abs(d - s).max() <= 1e-5
 
 
@@ -259,8 +269,8 @@ def test_separable_diverges_across_luminance_edge():
     channel = (xs + ys >= 16).astype(np.float64)
     variance = np.full((16, 16), 0.25)
     cfg = DenoiseConfig()
-    d, _ = atrous_dense(channel, variance, gbuf, 0, cfg)
-    s, _ = atrous_separable(channel, variance, gbuf, 0, cfg)
+    d, _ = _alone(atrous_dense, channel, variance, gbuf, 0, cfg)
+    s, _ = _alone(atrous_separable, channel, variance, gbuf, 0, cfg)
     assert np.abs(d - s).max() > 1e-4
 
 
@@ -272,12 +282,12 @@ def test_separable_mixed_levels_match_oracle():
     variance = rs.random((h, w)) * 0.3
     cfg = DenoiseConfig()
     levels = (rs.random((h, w)) < 0.5).astype(np.int64)
-    got, got_var = atrous_separable(channel, variance, gbuf, levels, cfg)
+    got, got_var = _alone(atrous_separable, channel, variance, gbuf, levels, cfg)
     want, want_var = separable_oracle(channel, variance, gbuf, levels, cfg)
     assert np.abs(got - want).max() <= 1e-9
     assert np.abs(got_var - want_var).max() <= 1e-9
     # picking each pixel's level only after both passes is a different filter
-    both = [atrous_separable(channel, variance, gbuf, lv, cfg)[0] for lv in (0, 1)]
+    both = [_alone(atrous_separable, channel, variance, gbuf, lv, cfg)[0] for lv in (0, 1)]
     per_pass = np.where(levels[..., None] == 1, both[1], both[0])
     assert np.abs(per_pass - want).max() > 1e-6
 
@@ -309,7 +319,7 @@ def test_foreground_box_matches_oracle_and_keeps_background(filt, oracle, level)
     variance = rs.random((h, w)) * 0.3
     cfg = DenoiseConfig()
     level = rs.integers(0, 3, (h, w)) if level == "mixed" else level
-    got, got_var = filt(channel, variance, gbuf, level, cfg)
+    got, got_var = _alone(filt, channel, variance, gbuf, level, cfg)
     want, want_var = oracle(channel, variance, gbuf, np.broadcast_to(level, (h, w)), cfg)
     assert np.abs(got - want).max() <= 1e-9
     assert np.abs(got_var - want_var).max() <= 1e-9
@@ -331,7 +341,8 @@ def test_all_background_frame_returns_inputs(filt, shape):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for level in (0, rs.integers(0, 2, (8, 8))):
-            out, out_var = filt(channel, variance, gbuf, level, DenoiseConfig(), stats=stats)
+            out, out_var = _alone(filt, channel, variance, gbuf, level, DenoiseConfig(),
+                                  stats=stats)
             assert out.shape == shape
             assert out.tobytes() == channel.tobytes()
             assert out_var.tobytes() == variance.tobytes()
@@ -345,10 +356,10 @@ def test_tap_counts():
     channel = np.zeros((16, 16))
     variance = np.zeros((16, 16))
     stats = {}
-    atrous_dense(channel, variance, gbuf, 0, DenoiseConfig(), stats=stats)
+    _alone(atrous_dense, channel, variance, gbuf, 0, DenoiseConfig(), stats=stats)
     assert stats["taps"] == 16 * 16 * 25
     stats = {}
-    atrous_separable(channel, variance, gbuf, 0, DenoiseConfig(), stats=stats)
+    _alone(atrous_separable, channel, variance, gbuf, 0, DenoiseConfig(), stats=stats)
     assert stats["taps"] == 16 * 16 * 10
 
 
@@ -363,7 +374,7 @@ def test_gbuffer_planes_padded_once_per_iteration(filt, monkeypatch):
         return shifted(plane, *args, **kwargs)
 
     monkeypatch.setattr(spatial, "shifted", counting)
-    filt(np.full((16, 16), 0.3), np.full((16, 16), 0.1), gbuf, 0, DenoiseConfig())
+    _alone(filt, np.full((16, 16), 0.3), np.full((16, 16), 0.1), gbuf, 0, DenoiseConfig())
     # the padded depth plane may be a masked copy: find it by dtype and value
     assert sum(p.dtype == gbuf.depth.dtype and np.array_equal(p, gbuf.depth)
                for p in pads) == 1
@@ -380,7 +391,8 @@ def test_only_depth_and_normals_padded_from_the_gbuffer(filt, monkeypatch):
         return shifted(plane, *args, **kwargs)
 
     monkeypatch.setattr(spatial, "shifted", counting)
-    filt(np.full((16, 16), 0.3), np.full((16, 16), 0.1), _flat_gbuf(), 0, DenoiseConfig())
+    _alone(filt, np.full((16, 16), 0.3), np.full((16, 16), 0.1), _flat_gbuf(), 0,
+           DenoiseConfig())
     assert sorted(p.shape for p in pads if p.dtype != np.float64) == [(16, 16), (16, 16, 3)]
 
 
@@ -401,8 +413,8 @@ def test_nan_background_geometry_filters_like_renderer_background(filt, level):
     channel = rs.random((h, w, 3)) * 2.0
     variance = rs.random((h, w)) * 0.3
     level = rs.integers(0, 3, (h, w)) if level == "mixed" else level
-    want = filt(channel, variance, gbuf, level, DenoiseConfig())
-    got = filt(channel, variance, nan_gbuf, level, DenoiseConfig())
+    want = _alone(filt, channel, variance, gbuf, level, DenoiseConfig())
+    got = _alone(filt, channel, variance, nan_gbuf, level, DenoiseConfig())
     assert np.isfinite(want[0]).all() and np.isfinite(want[1]).all()
     assert got[0].tobytes() == want[0].tobytes()
     assert got[1].tobytes() == want[1].tobytes()
@@ -432,7 +444,7 @@ def test_driver_names_the_first_bad_foreground_pixel():
     gbuf.depth[y1, x1] = -1.0
     with pytest.raises(ValueError, match=rf"^G-buffer normal not finite at foreground "
                                          rf"pixel \({x0}, {y0}\)$"):
-        atrous_dense(specular.data, np.zeros((24, 24)), gbuf, 0, DenoiseConfig())
+        _alone(atrous_dense, specular.data, np.zeros((24, 24)), gbuf, 0, DenoiseConfig())
 
 
 @pytest.mark.parametrize("preset", list(PRESETS))
@@ -464,7 +476,7 @@ def test_weights_finite_at_largest_sigma_z_and_depth():
     channel, variance = rs.random((32, 32, 3)), rs.random((32, 32))
     with np.errstate(invalid="raise", divide="raise", over="raise"):
         for filt in (atrous_dense, atrous_separable):
-            out, out_var = filt(channel, variance, gbuf, 3, cfg)
+            out, out_var = _alone(filt, channel, variance, gbuf, 3, cfg)
             assert np.isfinite(out).all() and np.isfinite(out_var).all()
 
 
@@ -473,8 +485,8 @@ def test_separable_variance_updated_once():
     # kernel energy (single vertical update), not its square
     gbuf = _flat_gbuf()
     variance = np.full((16, 16), 0.2)
-    _, out_var = atrous_separable(np.full((16, 16), 0.7), variance, gbuf, 0,
-                                  DenoiseConfig())
+    _, out_var = _alone(atrous_separable, np.full((16, 16), 0.7), variance, gbuf, 0,
+                        DenoiseConfig())
     factor_1d = float(np.sum(KERNEL_1D**2))
     assert np.allclose(out_var, 0.2 * factor_1d, atol=1e-9)
 
@@ -482,15 +494,20 @@ def test_separable_variance_updated_once():
 # ---------------------------------------------------------------------------
 # adaptive selections
 
+# float32(0.2) is 0.2000000030: a stored roughness of 0.2 is still 0.2, as a
+# feature compares in its own precision
 @pytest.mark.parametrize("rough,expect", [(0.1, 0), (0.2, 0), (0.2 + 1e-9, 1),
-                                          (0.3, 1), (1.0, 1)])
+                                          (0.3, 1), (1.0, 1), (np.float32(0.2), 0),
+                                          (np.float32(0.2000001), 1),
+                                          (np.float64(np.float32(0.2)), 1)])
 def test_start_level_specular_threshold(rough, expect):
     cfg = DenoiseConfig(adaptive_start=True)
     assert select_start_level(ChannelKind.INDIRECT_SPECULAR, rough, cfg) == expect
 
 
 @pytest.mark.parametrize("angle,expect", [(5.0, 0), (6.0, 0), (6.0 + 1e-9, 1),
-                                          (7.0, 1), (10.0, 1)])
+                                          (7.0, 1), (10.0, 1), (np.float32(6.0), 0),
+                                          (np.nextafter(np.float32(6.0), np.float32(7.0)), 1)])
 def test_start_level_shadow_threshold(angle, expect):
     cfg = DenoiseConfig(adaptive_start=True)
     assert select_start_level(ChannelKind.SHADOW, angle, cfg) == expect
@@ -572,15 +589,17 @@ def test_driver_levels_in_order():
     assert [r["step_min"] for r in recs] == [1, 2, 4, 8]
 
 
-def test_driver_adaptive_start_shifts_all_levels():
+@pytest.mark.parametrize("roughness,steps", [(0.5, [2, 4, 8, 16]), (0.2, [1, 2, 4, 8])])
+def test_driver_adaptive_start_shifts_all_levels(roughness, steps):
+    # above the 0.2 threshold everywhere, or at it in the G-buffer's float32
     gbuf = _flat_gbuf(64, 64)
-    gbuf.roughness[:] = 0.5  # above the 0.2 threshold everywhere
+    gbuf.roughness[:] = roughness
     cfg = DenoiseConfig(iterations=4, adaptive_start=True)
     channel = np.random.default_rng(5).random((64, 64, 3))
     _out, _fb, recs = denoise_channel(channel, np.full((64, 64), 0.1), gbuf, cfg,
                                       ChannelKind.INDIRECT_SPECULAR)
-    assert [r["step_min"] for r in recs] == [2, 4, 8, 16]
-    assert [r["step_max"] for r in recs] == [2, 4, 8, 16]
+    assert [r["step_min"] for r in recs] == steps
+    assert [r["step_max"] for r in recs] == steps
 
 
 def test_driver_start1_iteration0_matches_level1_footprint():
@@ -593,7 +612,7 @@ def test_driver_start1_iteration0_matches_level1_footprint():
     cfg = DenoiseConfig(iterations=1, adaptive_start=True)
     out, _fb, _recs = denoise_channel(channel, variance, gbuf, cfg,
                                       ChannelKind.INDIRECT_SPECULAR)
-    want, _v = atrous_dense(channel, variance, gbuf, 1, cfg)
+    want, _v = _alone(atrous_dense, channel, variance, gbuf, 1, cfg)
     assert np.allclose(out, want)
 
 
@@ -622,7 +641,7 @@ def test_driver_monotone_total_variation_on_flat_geometry():
     var = variance
     tvs = []
     for level in range(4):
-        out, var = atrous_dense(out, var, gbuf, level, cfg)
+        out, var = _alone(atrous_dense, out, var, gbuf, level, cfg)
         tv = np.abs(np.diff(out[:, :, 0], axis=0)).sum() \
             + np.abs(np.diff(out[:, :, 0], axis=1)).sum()
         tvs.append(tv)
@@ -631,9 +650,6 @@ def test_driver_monotone_total_variation_on_flat_geometry():
 
 # ---------------------------------------------------------------------------
 # joint driver: both channels of a frame in one tap loop
-
-SHADOW, SPECULAR = ChannelKind
-
 
 @pytest.mark.parametrize("separable", [False, True])
 @pytest.mark.parametrize("roughness", [0.1, 0.0])
@@ -692,8 +708,18 @@ def test_joint_iteration_weighs_the_gbuffer_once_per_level(filt, taps, levels, m
     assert sum(evaluated) == per_level * len(union)
     monkeypatch.setattr(spatial, "_geometry_weight", weigh)
     for got, channel, variance, level in zip(joint, channels, variances, levels):
-        want = filt(channel, variance, gbuf, level, DenoiseConfig())
+        want = _alone(filt, channel, variance, gbuf, level, DenoiseConfig())
         assert got[0].tobytes() == want[0].tobytes() and got[1].tobytes() == want[1].tobytes()
+
+
+@pytest.mark.parametrize("filt", [atrous_dense, atrous_separable])
+def test_joint_iteration_rejects_lists_of_unequal_length(filt):
+    gbuf = _flat_gbuf()
+    plane = np.zeros((16, 16))
+    with pytest.raises(ValueError):
+        filt([plane, plane], [plane], gbuf, [0, 0], DenoiseConfig())
+    with pytest.raises(ValueError):
+        filt([plane, plane], [plane, plane], gbuf, [0], DenoiseConfig())
 
 
 def test_row_bands_give_the_same_bits(monkeypatch):
@@ -703,10 +729,10 @@ def test_row_bands_give_the_same_bits(monkeypatch):
     channel, variance = rs.random((24, 24, 3)), rs.random((24, 24))
     level = rs.integers(0, 3, (24, 24))
     for filt in (atrous_dense, atrous_separable):
-        want = filt(channel, variance, gbuf, level, DenoiseConfig())
+        want = _alone(filt, channel, variance, gbuf, level, DenoiseConfig())
         for band in (1, 30, 100):  # one row, partial last bands, several rows
             monkeypatch.setattr(spatial, "_BAND", band)
-            got = filt(channel, variance, gbuf, level, DenoiseConfig())
+            got = _alone(filt, channel, variance, gbuf, level, DenoiseConfig())
             assert got[0].tobytes() == want[0].tobytes()
             assert got[1].tobytes() == want[1].tobytes()
         monkeypatch.undo()

@@ -34,6 +34,19 @@ def _const_history(h, w, c, value, length=10):
     )
 
 
+def _reproject_one(hist, prev_gbuf, curr_gbuf, cfg):
+    """The joint reprojection of one history, as that history's own tap."""
+    tap = reproject([hist], prev_gbuf, curr_gbuf, cfg)
+    return {**tap, **{name: tap[name][0] for name in ("color", "moment1", "moment2")}}
+
+
+def _variance_one(hist, luma, gbuf, min_history, cfg):
+    """The stacked variance of one channel, its moments and luminance (H, W)."""
+    stacked = TemporalHistory(color=hist.color, moment1=hist.moment1[..., None],
+                              moment2=hist.moment2[..., None], history_len=hist.history_len)
+    return estimate_variance(stacked, luma[..., None], gbuf, min_history, cfg)[..., 0]
+
+
 # ---------------------------------------------------------------------------
 # consistency
 
@@ -59,7 +72,7 @@ def test_consistency_depth_threshold():
 def test_zero_motion_identity():
     gbuf = _flat_gbuf()
     hist = _const_history(8, 8, 1, 0.6)
-    tap = reproject(hist, gbuf, gbuf, CFG)
+    tap = _reproject_one(hist, gbuf, gbuf, CFG)
     assert tap["valid"].all()
     assert np.allclose(tap["color"], 0.6)
     assert np.all(tap["history_len"] == 10)
@@ -70,7 +83,7 @@ def test_motion_beyond_border_invalid():
     curr = _flat_gbuf()
     curr.motion[:, :, 0] = -(8 + 3)  # 3 pixels past the left edge everywhere
     hist = _const_history(8, 8, 1, 0.6)
-    tap = reproject(hist, gbuf, curr, CFG)
+    tap = _reproject_one(hist, gbuf, curr, CFG)
     assert not tap["valid"].any()
     assert np.all(tap["color"] == 0.0)
     assert np.all(tap["history_len"] == 0)
@@ -81,7 +94,7 @@ def test_half_pixel_motion_over_constant_history():
     curr = _flat_gbuf()
     curr.motion[:, :, 0] = 0.5
     hist = _const_history(8, 8, 1, 0.6)
-    tap = reproject(hist, gbuf, curr, CFG)
+    tap = _reproject_one(hist, gbuf, curr, CFG)
     interior = np.zeros((8, 8), dtype=bool)
     interior[:, :-1] = True
     assert tap["valid"][interior].all()
@@ -93,7 +106,7 @@ def test_occlusion_reset_history_len_one():
     curr = _flat_gbuf(oid=1)
     curr.object_id[3, 3] = 2  # a different object now covers this pixel
     hist = _const_history(8, 8, 1, 0.6, length=40)
-    tap = reproject(hist, prev, curr, CFG)
+    tap = _reproject_one(hist, prev, curr, CFG)
     out = accumulate(np.full((8, 8, 1), 0.9), np.full((8, 8), 0.9), tap, 0.2, 0.2)
     assert out.history_len[3, 3] == 1
     assert out.color[3, 3, 0] == pytest.approx(0.9)
@@ -157,7 +170,7 @@ def test_history_cap():
 
 def test_variance_constant_history_zero():
     hist = _const_history(8, 8, 1, 0.6, length=10)
-    var = estimate_variance(hist, np.full((8, 8), 0.6), _flat_gbuf(), 4, CFG)
+    var = _variance_one(hist, np.full((8, 8), 0.6), _flat_gbuf(), 4, CFG)
     assert np.allclose(var, 0.0)
 
 
@@ -165,7 +178,7 @@ def test_variance_moment_arithmetic():
     hist = _const_history(4, 4, 1, 0.0, length=10)
     hist.moment1[:] = 0.5
     hist.moment2[:] = 0.3
-    var = estimate_variance(hist, np.zeros((4, 4)), _flat_gbuf(4, 4), 4, CFG)
+    var = _variance_one(hist, np.zeros((4, 4)), _flat_gbuf(4, 4), 4, CFG)
     assert np.allclose(var, 0.05)
 
 
@@ -175,7 +188,7 @@ def test_variance_spatial_fallback_checkerboard():
     ys, xs = np.mgrid[0:h, 0:w]
     luma = ((xs + ys) % 2).astype(np.float64)
     hist = _const_history(h, w, 1, 0.0, length=1)  # below min_history -> spatial
-    var = estimate_variance(hist, luma, gbuf, 4, CFG)
+    var = _variance_one(hist, luma, gbuf, 4, CFG)
 
     # independent oracle: direct moments over the 7x7 in-bounds window
     y0, x0 = 8, 8
@@ -198,7 +211,7 @@ def test_variance_spatial_fallback_across_object_boundary():
     gbuf.normal[:3, 6:] = (0.0, 0.0, 1.0)
     luma = np.random.default_rng(11).random((h, w))
     hist = _const_history(h, w, 1, 0.0, length=1)  # below min_history -> spatial
-    var = estimate_variance(hist, luma, gbuf, 4, CFG)
+    var = _variance_one(hist, luma, gbuf, 4, CFG)
 
     # per-pixel loop oracle over the 7x7 window, counting consistent taps only
     depth = gbuf.depth.astype(np.float64)
@@ -262,7 +275,7 @@ def test_variance_spatial_only_where_kept_matches_full_frame(short_at):
     hist.moment2[:] = hist.moment1 ** 2 + rs.random((h, w))
     for at in short_at:
         hist.history_len[at] = 2
-    var = estimate_variance(hist, luma, gbuf, 4, CFG)
+    var = _variance_one(hist, luma, gbuf, 4, CFG)
 
     short = hist.history_len < 4
     fg = gbuf.object_id != 0
@@ -284,7 +297,7 @@ def test_variance_skips_spatial_when_only_background_is_short(monkeypatch):
     gbuf = _flat_gbuf()
     gbuf.object_id[2, 2] = 0  # the one short pixel is background
     gbuf.depth[2, 2] = np.inf
-    var = estimate_variance(hist, np.full((8, 8), 0.6), gbuf, 4, CFG)
+    var = _variance_one(hist, np.full((8, 8), 0.6), gbuf, 4, CFG)
     assert var[2, 2] == 0.0
 
 
@@ -293,7 +306,7 @@ def test_variance_never_negative():
     hist = _const_history(8, 8, 1, 0.0, length=10)
     hist.moment1[:] = rs.random((8, 8))
     hist.moment2[:] = rs.random((8, 8))  # deliberately inconsistent moments
-    var = estimate_variance(hist, rs.random((8, 8)), _flat_gbuf(), 4, CFG)
+    var = _variance_one(hist, rs.random((8, 8)), _flat_gbuf(), 4, CFG)
     assert np.all(var >= 0.0)
 
 
@@ -316,6 +329,12 @@ def test_rectify_constant_neighborhood_collapses():
     for mode in ("clamp", "clip"):
         rect, _m, _s = rectify_history(tap, curr, 1.0, mode)
         assert np.allclose(rect, 0.3)
+
+
+def test_rectify_rejects_an_unknown_mode():
+    curr = np.full((5, 5, 3), 0.3)
+    with pytest.raises(ValueError, match="^unknown rectification mode 'box'$"):
+        rectify_history(curr, curr, 1.0, "box")
 
 
 def _clip_oracle(mu, sigma, gamma, tap):
