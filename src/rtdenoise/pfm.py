@@ -33,7 +33,10 @@ def _read_token(f) -> bytes:
 def read_pfm(path) -> np.ndarray:
     """Load a PFM file as float32, shape (H, W) for `Pf` or (H, W, 3) for `PF`."""
     with open(path, "rb") as f:
-        magic = _read_token(f)
+        try:
+            magic = _read_token(f)
+        except PfmError as e:  # an empty or blank file
+            raise PfmError(f"malformed PFM header in {path}: {e}") from e
         if magic == b"PF":
             channels = 3
         elif magic == b"Pf":

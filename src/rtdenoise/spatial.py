@@ -85,7 +85,7 @@ def _geometry_weight(center, tap, dist, cfg, out, tmp):
     tmp -= _EPSILON
     out /= tmp
     np.exp(out, out=out)
-    ndot = np.maximum(0.0, dot3(n_c, n_t), out=tmp)
+    ndot = np.maximum(0.0, dot3(n_c, n_t, out=tmp), out=tmp)
     # 0 and 1 are their own powers for sigma_n > 0; most taps share a plane
     # or face away, so only the rest pay for the pow
     np.power(ndot, cfg.sigma_n, out=ndot, where=(ndot != 0.0) & (ndot != 1.0))
@@ -182,7 +182,7 @@ def _level_pass(offsets, step, box, geometry, gtaps, members, scratch, cfg):
                     wgt_b *= g_b  # (w_z * w_n) * w_l: IEEE products commute
                     wgt_b *= k
                 d_t = m.data_at(dy, dx)[box][band]
-                for acc_ch, d_ch in zip(acc, np.moveaxis(d_t, -1, 0)):
+                for acc_ch, d_ch in zip(acc, d_t.transpose(2, 0, 1)):
                     acc_ch[:hb] += np.multiply(wgt_b, d_ch, out=tmp_b)
                 acc_w[:hb] += wgt_b
                 if m.var_at is not None:
@@ -215,7 +215,7 @@ def _atrous(channels, variances, gbuf: GBufferFrame, levels, cfg: DenoiseConfig,
     the foreground's box, so a kept pixel still sees its true neighbours and
     the image border. Counts the nominal taps, the sum of the pass lengths
     per pixel and channel, into `stats`. Returns one (channel', variance')
-    pair per channel, each in its input's shape.
+    pair per channel, the channel (H, W, C).
     """
     datas = [as_planes(channel) for channel in channels]
     variances = [np.asarray(variance, dtype=np.float64) for variance in variances]
@@ -228,7 +228,10 @@ def _atrous(channels, variances, gbuf: GBufferFrame, levels, cfg: DenoiseConfig,
     if box is not None:
         levels = [np.asarray(level, dtype=np.int64) for level in levels]
         levels = [level[box] if level.ndim else level for level in levels]
-        used = [np.unique(level) for level in levels]
+        # the levels in use; a uniform map, the common case, needs two
+        # reductions instead of a sort
+        used = [np.unique(level) if level.min() != level.max() else level.reshape(-1)[:1]
+                for level in levels]
         # each channel pads its planes as far as its own top level reaches
         reaches = [2 * 2 ** int(u[-1]) for u in used]
         gtaps = (shifted(np.where(fg, gbuf.depth, np.inf), max(reaches)),
@@ -264,16 +267,17 @@ def _atrous(channels, variances, gbuf: GBufferFrame, levels, cfg: DenoiseConfig,
                         if lv == u[-1]:
                             members[s] = None
                 _level_pass(offsets, 2 ** int(lv), box, geometry, gtaps, at, scratch, cfg)
-        # background pixels keep their inputs
-        for (out, out_var), data, var in zip(outs, datas, variances):
-            np.copyto(out, data, where=~fg[..., None])
-            np.copyto(out_var, var, where=~fg)
+        # background pixels keep their inputs; outside the box no pass wrote
+        bg = ~fg[box]
+        if bg.any():
+            for (out, out_var), data, var in zip(outs, datas, variances):
+                np.copyto(out[box], data[box], where=bg[..., None])
+                np.copyto(out_var[box], var[box], where=bg)
     if stats is not None:
         taps_per_pixel = sum(map(len, passes))
         stats["taps"] = stats.get("taps", 0) + fg.size * taps_per_pixel * len(datas)
         stats["taps_per_pixel"] = taps_per_pixel
-    return [(out[:, :, 0] if np.ndim(channel) == 2 else out, out_var)
-            for (out, out_var), channel in zip(outs, channels)]
+    return outs
 
 
 def atrous_dense(channels, variances, gbuf: GBufferFrame, levels, cfg: DenoiseConfig,
@@ -282,10 +286,10 @@ def atrous_dense(channels, variances, gbuf: GBufferFrame, levels, cfg: DenoiseCo
     variances and levels, filtered jointly over one G-buffer setup; a level
     is a scalar or a per-pixel array.
 
-    Returns a list of (channel', variance') pairs, where variance' carries
-    the variance of the weighted mean. Taps are clamped to the image border;
-    the center tap always participates with edge weight 1, so each output
-    stays a convex combination.
+    Returns a list of (channel', variance') pairs, channel' (H, W, C) and
+    variance' the variance of the weighted mean. Taps are clamped to the
+    image border; the center tap always participates with edge weight 1, so
+    each output stays a convex combination.
     """
     return _atrous(channels, variances, gbuf, levels, cfg, (_DENSE,), stats)
 

@@ -27,15 +27,18 @@ def as_planes(data) -> np.ndarray:
     return arr[:, :, None] if arr.ndim == 2 else arr
 
 
-def dot3(a, b):
+def dot3(a, b, out=None):
     """Dot product over the last axis of length 3, broadcasting the rest.
 
     Adds the three products left to right, as `np.sum(a * b, axis=-1)` does,
     and like it yields +0.0 for a sum of -0.0 terms, so the two agree bit for
     bit (dtypes too, under NumPy 2's promotion rules); it skips the generic
-    reduction, which is several times slower.
+    reduction, which is several times slower. `out`, when given, is an array
+    of the result's shape that receives the sum and is returned; the first
+    product is written straight into it, so a loop that reuses one buffer
+    allocates two temporaries per call instead of three.
     """
-    out = a[..., 0] * b[..., 0]
+    out = np.multiply(a[..., 0], b[..., 0], out=out)
     out += a[..., 1] * b[..., 1]
     out += a[..., 2] * b[..., 2]
     out += 0.0

@@ -12,20 +12,28 @@ once for all of them, so `reproject` takes a list of histories and
 `estimate_variance` the channels stacked along a last axis; (2) and (3) run
 per channel. `temporal_step` is its one-channel case, which the pipeline
 does not call; it stays as a named entry point for perfbench's per-layer
-probes. The spatial moments are computed only where they are kept: over
-the short-history foreground's bounding box (`stencil.bounding_box`), and
-not at all once every foreground history is long. Both neighborhood
-moments, the 3x3 box that bounds rectification and the 7x7
-geometry-restricted window of the spatial variance, come from one masked
-box loop (`_box_moments`) that reads its taps as slices of
-edge-padded planes, with a zero-padded mask counting in-bounds taps; one
-mask per tap serves every channel's luminance. The reprojection uses the
-shared bilinear sampler of `stencil`, which hands each enclosing texel's
-consistency test the texels' flat row-major indices; the test reads the
-previous depth, normal and object id at them with `stencil.gather`, one
-`np.take` per plane instead of 2-D fancy indexing. The sampler also
-renormalizes the passing texels' weights; the reprojection adds only the
-foreground mask and the rounding of the history length.
+probes. The spatial moments are computed only where they are kept, and
+not at all once every foreground history is long. Where the short-history
+foreground fills at least a quarter of its bounding box
+(`stencil.bounding_box`, grown by the window radius), they come from the box
+form: the 7x7 geometry-restricted window over that box, one masked box loop
+(`_box_moments`) that reads its taps as slices of edge-padded planes, with a
+zero-padded mask counting in-bounds taps and one mask per tap serving every
+channel's luminance. Sparser masks, such as the disocclusions of a moving
+camera, take the gathered form: the same taps, in the same order and with
+the same consistency tests, read at the kept pixels' flat indices. Both
+forms give the same bits; the rule follows the mask, since per pixel the
+gathered form costs several times the box form. The 3x3 box that bounds
+rectification has no mask (`_unmasked_box_moments`): its loop adds
+zero-padded values and their squares into channel-major accumulators and
+allocates nothing per tap, and its in-bounds count is a row count times a
+column count. The reprojection uses the shared bilinear sampler of
+`stencil`, which hands each enclosing texel's consistency test the texels'
+flat row-major indices; the test reads the previous depth, normal and
+object id at them with `stencil.gather`, one `np.take` per plane instead
+of 2-D fancy indexing. The sampler also renormalizes the passing texels'
+weights; the reprojection adds only the foreground mask and the rounding of
+the history length.
 
 Rectification runs on the reprojected color *before* the blend, and its
 bounding box comes from the current frame's noisy channel; history length is
@@ -108,14 +116,14 @@ def reproject(histories, prev_gbuf: GBufferFrame, curr_gbuf: GBufferFrame,
             "moment2": means[2::3], "history_len": hist_len}
 
 
-def _box_moments(planes, radius: int, accept=None):
+def _box_moments(planes, radius: int, accept):
     """Masked mean and variance over the in-bounds (2r+1)^2 box of each pixel.
 
     `planes` is a list of (H, W, C) arrays, each summed in its own
-    accumulators. A tap counts where it lies inside the image and, when
-    given, `accept(dy, dx)` (bool (H, W)) holds, one mask for every array;
-    the count is clamped at 1. Returns one (mean, variance) per array, each
-    (H, W, C).
+    accumulators. A tap counts where it lies inside the image and
+    `accept(dy, dx)` (bool (H, W)) holds, one mask for every array; the
+    count is clamped at 1. Returns one (mean, variance) per array, each
+    (H, W, C) in C order.
     """
     h, w = planes[0].shape[:2]
     vals_at = [shifted(values, radius) for values in planes]
@@ -125,9 +133,7 @@ def _box_moments(planes, radius: int, accept=None):
     s2 = [np.zeros(values.shape) for values in planes]
     for dy in range(-radius, radius + 1):
         for dx in range(-radius, radius + 1):
-            ok = inb_at(dy, dx)
-            if accept is not None:
-                ok = ok & accept(dy, dx)
+            ok = inb_at(dy, dx) & accept(dy, dx)
             s0 += ok
             for tap, t1, t2 in zip(vals_at, s1, s2):
                 vals = tap(dy, dx)
@@ -135,11 +141,41 @@ def _box_moments(planes, radius: int, accept=None):
                 t1 += okv
                 t2 += okv * vals
     s0 = np.maximum(s0, 1.0)[..., None]
-    moments = []
-    for t1, t2 in zip(s1, s2):
-        mean = t1 / s0
-        moments.append((mean, np.maximum(0.0, t2 / s0 - mean * mean)))
-    return moments
+    return [_moments(s0, t1, t2) for t1, t2 in zip(s1, s2)]
+
+
+def _unmasked_box_moments(values, radius: int):
+    """Mean and variance of (H, W, C) `values` over the in-bounds (2r+1)^2
+    box of each pixel, each (H, W, C) in C order.
+
+    A tap allocates nothing: it adds zero-padded values and their squares,
+    computed once per call, into channel-major accumulators, and the
+    in-bounds count is a row count times a column count. An out-of-bounds
+    tap adds +0, where `_box_moments` adds 0 times the edge value, which is
+    a signed zero; a sum that starts at +0 never becomes -0, so with an
+    always-true mask the two agree bit for bit on finite values.
+    """
+    h, w = values.shape[:2]
+    rows, cols = (np.minimum(np.arange(n), radius) + np.minimum(np.arange(n)[::-1], radius)
+                  + 1.0 for n in (h, w))
+    value_at = shifted(values, radius, fill=0.0)
+    square_at = shifted(values * values, radius, fill=0.0)
+    sum1, sum2 = channel_major(np.zeros(values.shape)), channel_major(np.zeros(values.shape))
+    for dy in range(-radius, radius + 1):
+        for dx in range(-radius, radius + 1):
+            sum1 += value_at(dy, dx)
+            sum2 += square_at(dy, dx)
+    return _moments((rows[:, None] * cols)[..., None], sum1, sum2)
+
+
+def _moments(count, sum1, sum2):
+    """(mean, variance) from a count, a sum and a sum of squares, broadcast
+    together; both C order, whatever the sums' layout. `sum1` serves as
+    scratch."""
+    mean = np.divide(sum1, count, out=np.empty(sum1.shape))
+    var = np.divide(sum2, count, out=np.empty(sum2.shape))
+    var -= np.multiply(mean, mean, out=sum1)
+    return mean, np.maximum(0.0, var, out=var)
 
 
 def rectify_history(tap_color: np.ndarray, curr_channel: np.ndarray, gamma: float,
@@ -154,7 +190,7 @@ def rectify_history(tap_color: np.ndarray, curr_channel: np.ndarray, gamma: floa
     the containment property.
     """
     tap = as_planes(tap_color)
-    [(mu, var)] = _box_moments([as_planes(curr_channel)], 1)
+    mu, var = _unmasked_box_moments(as_planes(curr_channel), 1)
     sigma = np.sqrt(var)
     half = gamma * sigma
     if mode == "clamp":
@@ -217,20 +253,31 @@ def estimate_variance(history: TemporalHistory, curr_luma: np.ndarray,
     Temporal (moment2 - moment1^2) once at least `min_history` frames have
     been integrated; otherwise spatial moments of the current luminance over
     the 7x7 neighborhood restricted to in-bounds, geometry-consistent pixels.
-    The channels share the short-history mask, its box and the window's
-    consistency tests. The spatial moments are computed only where they are
-    kept: over the bounding box of the short-history foreground, grown by the
+    The channels share the short-history mask and the window's consistency
+    tests. The spatial moments are computed only where they are kept, in one
+    of two forms with the same bits. The box form (`_spatial_variance`)
+    filters the bounding box of the short-history foreground, grown by the
     window radius and clamped to the image, so each kept pixel sees its whole
-    neighborhood and the true image border. Background pixels get 0, which
-    is what their +inf depth gives them, since it fails every consistency
-    test.
+    neighborhood and the true image border. Where the kept pixels fill less
+    than a quarter of that box, the gathered form (`_gathered_variance`)
+    reads the window at the kept pixels alone; per pixel it costs several
+    times the box form, so a dense mask keeps the box. Background pixels get
+    0, which is what their +inf depth gives them, since it fails every
+    consistency test.
     """
     temporal = np.maximum(0.0, history.moment2 - history.moment1**2)
     short = history.history_len < min_history
     keep = short & curr_gbuf.foreground
     variance = np.where(short[..., None], 0.0, temporal)
     box = bounding_box(keep, _SPATIAL_RADIUS)
-    if box is not None:
+    if box is None:
+        return variance
+    rows, cols = box
+    if 4 * np.count_nonzero(keep) < (rows.stop - rows.start) * (cols.stop - cols.start):
+        kept = np.flatnonzero(keep)
+        variance[np.divmod(kept, keep.shape[1])] = _gathered_variance(curr_luma, curr_gbuf,
+                                                                      kept, cfg)
+    else:
         spatial = _spatial_variance([curr_luma[box][..., k:k + 1]
                                      for k in range(curr_luma.shape[2])],
                                     curr_gbuf.depth[box], curr_gbuf.normal[box],
@@ -255,6 +302,41 @@ def _spatial_variance(lumas, depth, normal, oid, cfg: DenoiseConfig):
 
     return [var[:, :, 0] for _mean, var in _box_moments(lumas, _SPATIAL_RADIUS,
                                                         accept=consistent)]
+
+
+def _gathered_variance(luma, gbuf: GBufferFrame, kept, cfg: DenoiseConfig):
+    """`_spatial_variance` of the (H, W, K) luminance at the row-major pixel
+    indices `kept` alone, (len(kept), K): each tap of the window, in the same
+    order, reads the planes, flattened once, at the kept pixels' neighbours
+    clamped to the image, and counts where the neighbour lies inside it and
+    passes the same consistency test."""
+    h, w = gbuf.depth.shape
+    depth = gbuf.depth.astype(np.float64).reshape(-1)
+    normal = np.moveaxis(gbuf.normal, -1, 0).astype(np.float64).reshape(3, -1)
+    oid = gbuf.object_id.reshape(-1)
+    lumas = np.moveaxis(luma, -1, 0).reshape(luma.shape[2], -1)
+    center = _consistency_center(depth[kept], normal[:, kept].T, oid[kept])
+    y, x = np.divmod(kept, w)
+    s0 = np.zeros(kept.shape)
+    s1 = np.zeros((lumas.shape[0], kept.size))
+    s2 = np.zeros(s1.shape)
+    for dy in range(-_SPATIAL_RADIUS, _SPATIAL_RADIUS + 1):
+        ty = y + dy
+        row_ok = (ty >= 0) & (ty < h)
+        row = np.clip(ty, 0, h - 1) * w
+        for dx in range(-_SPATIAL_RADIUS, _SPATIAL_RADIUS + 1):
+            tx = x + dx
+            flat = row + np.clip(tx, 0, w - 1)
+            ok = row_ok & (tx >= 0) & (tx < w) & _consistent(
+                depth[flat], normal[:, flat].T, oid[flat], center,
+                cfg.depth_consistency, cfg.normal_consistency)
+            s0 += ok
+            vals = lumas[:, flat]
+            okv = ok * vals
+            s1 += okv
+            s2 += okv * vals
+    _mean, var = _moments(np.maximum(s0, 1.0), s1, s2)
+    return var.T
 
 
 def _stacked(arrays) -> np.ndarray:

@@ -41,7 +41,8 @@ def test_bad_magic_and_truncation(tmp_path):
 
 
 @pytest.mark.parametrize("content,message", [
-    (b"", "^unexpected end of file in PFM header$"),
+    (b"", "^malformed PFM header in .*bad.pfm: unexpected end of file in PFM header$"),
+    (b" \n", "^malformed PFM header in .*bad.pfm: unexpected end of file in PFM header$"),
     (b"Pf\n2", "^malformed PFM header in .*bad.pfm: unexpected end of file in PFM header$"),
     (b"Pf\n2 two\n-1.0\n", "^malformed PFM header in .*bad.pfm: invalid literal"),
     (b"Pf\n2 2\nscale\n", "^malformed PFM header in .*bad.pfm: could not convert"),

@@ -145,9 +145,10 @@ def separable_oracle(channel, variance, gbuf, level_map, cfg):
 
 def _alone(filt, channel, variance, gbuf, level, cfg, stats=None):
     """One channel's iteration through the joint form of `filt`
-    (`atrous_dense` or `atrous_separable`): lists of one, and its one pair."""
-    [pair] = filt([channel], [variance], gbuf, [level], cfg, stats=stats)
-    return pair
+    (`atrous_dense` or `atrous_separable`): lists of one, its one pair, and
+    the channel in its input's shape."""
+    [(out, out_var)] = filt([channel], [variance], gbuf, [level], cfg, stats=stats)
+    return out.reshape(np.shape(channel)), out_var
 
 
 def _random_gbuf(rs, h, w):

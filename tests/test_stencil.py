@@ -31,6 +31,9 @@ def test_dot3_on_channel_major_and_sliced_views():
     b = np.pad(rs.standard_normal((9, 8, 3)).astype(np.float32), ((2, 2), (2, 2), (0, 0)))
     b = b[1:10, 3:11]
     assert dot3(a, b).tobytes() == _reference_dot(a, b).tobytes()
+    # into a view of a stale buffer, as a loop over row bands passes it
+    buf = np.full((12, 8), np.nan)[2:11]
+    assert dot3(a, b, out=buf) is buf and buf.tobytes() == _reference_dot(a, b).tobytes()
 
 
 def test_dot3_nonfinite_and_signed_zeros_as_sum():

@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from rtdenoise import temporal
 from rtdenoise.frames import DenoiseConfig, GBufferFrame, TemporalHistory
 from rtdenoise.stencil import shifted
-from rtdenoise.temporal import (_box_moments, accumulate, consistency_test,
-                                estimate_variance, rectify_history, rectify_moments,
-                                reproject, temporal_step)
+from rtdenoise.temporal import (_box_moments, _unmasked_box_moments, accumulate,
+                                consistency_test, estimate_variance, rectify_history,
+                                rectify_moments, reproject, temporal_step)
 
 CFG = DenoiseConfig()
 
@@ -301,6 +302,74 @@ def test_variance_skips_spatial_when_only_background_is_short(monkeypatch):
     assert var[2, 2] == 0.0
 
 
+def _scattered_frame(h=18, w=23):
+    """Two objects with a depth step, turned normals and a few background
+    pixels inside, so that windows straddle consistency failures; and a
+    scattered short-history mask of about one pixel in eight that touches
+    all four image borders and the corners."""
+    rs = np.random.default_rng(21)
+    gbuf = _flat_gbuf(h, w)
+    gbuf.object_id[:, w // 2:] = 2
+    gbuf.depth[h // 2:] = 9.0
+    gbuf.depth[:, :4] *= 1.0 + 0.2 * rs.random((h, 4)).astype(np.float32)
+    gbuf.normal[:5, w // 3:] = (0.0, 0.0, 1.0)
+    bg = rs.random((h, w)) < 0.05
+    gbuf.object_id[bg] = 0
+    gbuf.depth[bg] = np.inf
+    gbuf.normal[bg] = 0.0
+    short = rs.random((h, w)) < 0.12
+    short[[0, 0, -1, -1], [0, -1, 0, -1]] = True
+    short[0, 7] = short[-1, 11] = short[5, 0] = short[9, -1] = True
+    return gbuf, short
+
+
+def test_gathered_spatial_variance_equals_box_form_bit_for_bit():
+    gbuf, short = _scattered_frame()
+    fg = gbuf.object_id != 0
+    keep = short & fg
+    for edge in (keep[0], keep[-1], keep[:, 0], keep[:, -1]):
+        assert edge.any()
+    rs = np.random.default_rng(22)
+    luma = rs.random(gbuf.depth.shape + (2,))
+    luma[..., 1] *= 40.0  # the specular channel's larger range
+    kept = np.flatnonzero(keep)
+    got = temporal._gathered_variance(luma, gbuf, kept, CFG)
+    want = temporal._spatial_variance([luma[..., k:k + 1] for k in range(2)], gbuf.depth,
+                                      gbuf.normal, gbuf.object_id, CFG)
+    assert got.shape == (kept.size, 2)
+    for k in range(2):
+        assert got[:, k].tobytes() == want[k].reshape(-1)[kept].tobytes()
+    # some windows lose taps inside the image: a right neighbour fails the test
+    y, x = np.divmod(kept, gbuf.depth.shape[1])
+    right = np.minimum(x + 1, gbuf.depth.shape[1] - 1)
+    assert not consistency_test(gbuf.depth[y, right], gbuf.normal[y, right],
+                                gbuf.object_id[y, right], gbuf.depth[y, x], gbuf.normal[y, x],
+                                gbuf.object_id[y, x]).all()
+
+
+@pytest.mark.parametrize("holes,form", [(0, "box"), (1, "gathered")])
+def test_variance_form_follows_the_quarter_of_the_box_rule(holes, form, monkeypatch):
+    # a 6x6 short block grows by the window radius to a 12x12 box: 36 kept
+    # pixels fill a quarter of it, which keeps the box form; one pixel fewer,
+    # with the same box, gathers
+    h = w = 24
+    hist = _const_history(h, w, 1, 0.0, length=10)
+    hist.history_len[8:14, 8:14] = 1
+    hist.history_len[10, 10:10 + holes] = 10
+    ran = []
+    for name in ("_spatial_variance", "_gathered_variance"):
+        def record(*args, _name=name, _fn=getattr(temporal, name)):
+            ran.append(_name)
+            return _fn(*args)
+        monkeypatch.setattr(temporal, name, record)
+    gbuf = _mixed_frame(h, w)
+    luma = np.random.default_rng(23).random((h, w))
+    var = _variance_one(hist, luma, gbuf, 4, CFG)
+    assert ran == ["_spatial_variance" if form == "box" else "_gathered_variance"]
+    keep = (hist.history_len < 4) & (gbuf.object_id != 0)
+    assert var[keep].tobytes() == _full_frame_spatial_variance(luma, gbuf)[keep].tobytes()
+
+
 def test_variance_never_negative():
     rs = np.random.default_rng(0)
     hist = _const_history(8, 8, 1, 0.0, length=10)
@@ -312,6 +381,24 @@ def test_variance_never_negative():
 
 # ---------------------------------------------------------------------------
 # rectification
+
+@pytest.mark.parametrize("shape,radius", [((9, 11, 3), 1), ((9, 11, 3), 3), ((9, 11, 1), 1),
+                                          ((9, 11, 1), 3), ((2, 5, 3), 3), ((2, 5, 1), 3)])
+def test_unmasked_box_moments_equal_masked_form_bit_for_bit(shape, radius):
+    # the unmasked form adds zero-padded values where the masked form adds 0
+    # times the edge value; signed zeros and negative values included
+    rs = np.random.default_rng(24)
+    values = [rs.normal(size=shape), np.round(rs.normal(size=shape))]
+    values[1][values[1] == 0.0] = -0.0
+    assert values[0].flags.c_contiguous and np.signbit(values[1][values[1] == 0.0]).all()
+    everywhere = np.ones(shape[:2], dtype=bool)
+    got = [_unmasked_box_moments(v, radius) for v in values]
+    want = _box_moments(values, radius, accept=lambda dy, dx: everywhere)
+    for (mean, var), (want_mean, want_var) in zip(got, want, strict=True):
+        assert mean.shape == var.shape == shape
+        assert mean.tobytes() == want_mean.tobytes()
+        assert var.tobytes() == want_var.tobytes()
+
 
 def test_rectify_inside_box_unchanged():
     rs = np.random.default_rng(1)
