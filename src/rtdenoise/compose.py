@@ -39,13 +39,13 @@ def composite(direct: np.ndarray, shadow_denoised: np.ndarray,
     return np.where(fg[..., None], out, sky)
 
 
-def taa(curr: np.ndarray, prev_taa: np.ndarray | None, gbuf: GBufferFrame,
-        gamma: float = 1.0) -> np.ndarray:
+def taa(curr: np.ndarray, prev_taa: np.ndarray | None, gbuf: GBufferFrame) -> np.ndarray:
     """Simplified temporal antialiasing.
 
     The previous TAA output is reprojected through the motion vectors,
     rectified by variance color clamping against the current 3x3 RGB
-    neighborhood, then blended with weight 0.1 toward the current frame.
+    neighborhood at one standard deviation, then blended with weight 0.1
+    toward the current frame.
     First frame (or invalid reprojection) passes the current frame through.
     No subpixel jitter is applied: the synthesizer already integrates over
     the pixel footprint through its sample stream.
@@ -54,6 +54,6 @@ def taa(curr: np.ndarray, prev_taa: np.ndarray | None, gbuf: GBufferFrame,
     if prev_taa is None:
         return curr.copy()
     (hist,), valid = bilinear_sample((np.asarray(prev_taa, dtype=np.float64),), gbuf.motion)
-    rect, _mu, _sigma = rectify_history(hist, curr, gamma, "clamp")
+    rect, _mu, _sigma = rectify_history(hist, curr, 1.0, "clamp")
     out = rect + 0.1 * (curr - rect)
     return np.where(valid[..., None], out, curr)

@@ -89,11 +89,14 @@ class NoisyChannel:
 
 @dataclass
 class TemporalHistory:
-    """Accumulated color, luminance moments and integrated-frame count."""
+    """The temporal state of a frame: each channel's accumulated color and
+    luminance moments, in dicts keyed like the frame's channels, and the
+    integrated-frame count they all share. One reprojection through the
+    G-buffer serves every channel, so the count follows the geometry alone."""
 
-    color: np.ndarray        # (H, W, C)
-    moment1: np.ndarray      # (H, W)
-    moment2: np.ndarray      # (H, W)
+    color: dict              # key -> (H, W, C)
+    moment1: dict            # key -> (H, W)
+    moment2: dict            # key -> (H, W)
     history_len: np.ndarray  # (H, W) int32
 
 

@@ -3,8 +3,10 @@
 Frame order is strictly sequential (the temporal stage carries state).
 Within a frame each phase runs both channels, shadow then specular, in one
 call that does the G-buffer's share of the work once for both. The temporal
-phase is one call of `temporal.temporal_frame`: one reprojection and one set
-of consistency tests per frame. The a-trous phase is one call of
+phase is one call of `temporal.temporal_frame` on the frame's one
+`TemporalHistory`, whose channels share one history length: one
+reprojection, one set of consistency tests and one blend weight per frame.
+The a-trous phase is one call of
 `spatial.denoise_frame`, which runs each iteration of both channels in one
 shared tap loop, so the G-buffer side of the edge weights is computed once
 per iteration and level; its first iteration feeds back into each channel's
@@ -109,8 +111,8 @@ def run_pipeline(seq: FrameSequence, cfg: DenoiseConfig, dump_intermediates: boo
 
         trace.extend(f"{f}:atrous:{kind.value}" for kind in ChannelKind)
         den, rec = {}, {"frame": f}
-        for kind, (planes, history[kind].color, rec[kind.value]) in spatial.denoise_frame(
-                {kind: (history[kind].color, variance[kind]) for kind in ChannelKind}, gbuf,
+        for kind, (planes, history.color[kind], rec[kind.value]) in spatial.denoise_frame(
+                {kind: (history.color[kind], variance[kind]) for kind in ChannelKind}, gbuf,
                 cfg, shadow_angle=scene.shadow_angle_deg).items():
             den[kind] = planes.reshape(raw[kind].shape)
         records.append(rec)
@@ -134,11 +136,11 @@ def run_pipeline(seq: FrameSequence, cfg: DenoiseConfig, dump_intermediates: boo
         out.update(composite=taa_out, composite_noisy=comp_noisy)
         if dump_intermediates:
             trace.append(f"{f}:debug_dump")
-            out.update({f"debug_accum_{k.value}": history[k].color.reshape(raw[k].shape)
+            out.update({f"debug_accum_{k.value}": history.color[k].reshape(raw[k].shape)
                         for k in ChannelKind})
             out.update({f"debug_variance_{k.value}": variance[k] for k in ChannelKind})
-            # every channel shares the G-buffer's reprojection, so one length serves all
-            out.update(debug_history_len_shadow=history[SHADOW].history_len,
+            # the channels share one history length; the store format keeps its name
+            out.update(debug_history_len_shadow=history.history_len,
                        debug_composite_pre_taa=comp)
         frames_out.append({name: img.astype(np.float32) for name, img in out.items()})
 

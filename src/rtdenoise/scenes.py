@@ -52,11 +52,28 @@ def _number(value, path: str, valid, want: str) -> float:
     return v
 
 
+def _positive_int(value) -> bool:
+    """Whether `value` is an int above 0; a bool counts as no number."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value > 0
+
+
+def _keyframe(entry, path: str):
+    """A keyframe `[frame, vec3]` as (int frame, vec3); raises naming `path`
+    unless the entry is such a pair and its frame a finite integral number."""
+    if not (isinstance(entry, (list, tuple)) and len(entry) == 2):
+        raise ValueError(f"{path} {entry!r} is not a [frame, [x, y, z]] pair")
+    frame, value = entry
+    if (isinstance(frame, bool) or not isinstance(frame, (int, float, np.integer, np.floating))
+            or not math.isfinite(frame) or frame != int(frame)):
+        raise ValueError(f"{path} frame {frame!r} is not an integer")
+    return int(frame), _vec3(value, path)
+
+
 def _kf_parse(value, path: str):
     """Normalize a constant or keyframed vec3 into [(frame, vec3), ...]."""
     if isinstance(value, dict):
-        kfs = [(int(f), _vec3(v, f"{path}.keyframes[{i}]"))
-               for i, (f, v) in enumerate(value["keyframes"])]
+        kfs = [_keyframe(entry, f"{path}.keyframes[{i}]")
+               for i, entry in enumerate(value["keyframes"])]
         if not kfs:
             raise ValueError(f"{path} has an empty keyframe list")
         return sorted(kfs, key=lambda kv: kv[0])
@@ -274,11 +291,12 @@ def scene_from_dict(doc: dict) -> Scene:
         radius = dist * math.tan(math.radians(shadow_angle) / 2.0)
 
     res = doc["resolution"]
-    if not (isinstance(res, (list, tuple)) and len(res) == 2 and all(
-            isinstance(v, (int, np.integer)) and not isinstance(v, bool) and v > 0
-            for v in res)):
+    if not (isinstance(res, (list, tuple)) and len(res) == 2 and all(map(_positive_int, res))):
         raise ValueError(f"resolution {res!r} is not two positive integers")
     width, height = res
+    frame_count = doc.get("frame_count")
+    if frame_count is not None and not _positive_int(frame_count):
+        raise ValueError(f"frame_count {frame_count!r} is not a positive integer")
     scene = Scene(
         name=doc.get("name", "unnamed"),
         width=int(width), height=int(height),
@@ -294,7 +312,7 @@ def scene_from_dict(doc: dict) -> Scene:
                         radius=radius),
         shadow_angle_deg=float(shadow_angle),
         env=_build_env(doc.get("env", {"kind": "gradient"})),
-        frame_count=doc.get("frame_count"),
+        frame_count=None if frame_count is None else int(frame_count),
         raw=doc,
     )
     scene.validate()

@@ -6,15 +6,16 @@ through the motion vectors with a per-tap geometry consistency test,
 current noisy neighborhood, (3) blends it with the current sample, and
 (4) estimates per-pixel luminance variance, falling back to spatial moments
 while the history is too short to trust. `temporal_frame` runs the channels
-of a frame together: the work that depends only on the G-buffer, (1)'s
-consistency tests and (4)'s short-history mask and window tests, is done
-once for all of them, so `reproject` takes a list of histories and
-`estimate_variance` the channels stacked along a last axis; (2) and (3) run
-per channel. `temporal_step` is its one-channel case, which the pipeline
-does not call; it stays as a named entry point for perfbench's per-layer
-probes. The spatial moments are computed only where they are kept, and
-not at all once every foreground history is long. Where the short-history
-foreground fills at least a quarter of its bounding box
+of a frame together, on one `TemporalHistory`: per-channel dicts of (H, W)
+or (H, W, C) planes and the one history length they share. The work that
+depends only on the G-buffer, (1)'s consistency tests, (3)'s blend weights
+and new history length, and (4)'s short-history mask and window tests, is
+done once for all channels; (2) runs per channel. `temporal_step` is its
+one-channel case, which the pipeline does not call; it stays as a named
+entry point for perfbench's per-layer probes. The spatial moments are
+computed only where they are kept, and not at all once every foreground
+history is long. Where the short-history foreground fills at least a
+quarter of its bounding box
 (`stencil.bounding_box`, grown by the window radius), they come from the box
 form: the 7x7 geometry-restricted window over that box, one masked box loop
 (`_box_moments`) that reads its taps as slices of edge-padded planes, with a
@@ -29,11 +30,11 @@ zero-padded values and their squares into channel-major accumulators and
 allocates nothing per tap, and its in-bounds count is a row count times a
 column count. The reprojection uses the shared bilinear sampler of
 `stencil`, which hands each enclosing texel's consistency test the texels'
-flat row-major indices; the test reads the previous depth, normal and
-object id at them with `stencil.gather`, one `np.take` per plane instead
-of 2-D fancy indexing. The sampler also renormalizes the passing texels'
-weights; the reprojection adds only the foreground mask and the rounding of
-the history length.
+flat row-major indices; the test (`_consistent_at`) reads the depth, normal
+and object id at them with `stencil.gather`, one `np.take` per plane
+instead of 2-D fancy indexing, and so does the gathered spatial variance.
+The sampler also renormalizes the passing texels' weights; the reprojection
+adds only the foreground mask and the rounding of the history length.
 
 Rectification runs on the reprojected color *before* the blend, and its
 bounding box comes from the current frame's noisy channel; history length is
@@ -87,60 +88,62 @@ def _consistent(prev_depth, prev_normal, prev_oid, center, depth_threshold,
     return id_ok & depth_ok & (ndot > normal_threshold)
 
 
-def reproject(histories, prev_gbuf: GBufferFrame, curr_gbuf: GBufferFrame,
-              cfg: DenoiseConfig) -> dict:
-    """Bilinearly sample the previous histories through the motion vectors.
+def _consistent_at(gbuf: GBufferFrame, flat, center, cfg: DenoiseConfig):
+    """`_consistent` of `gbuf`'s texels at the row-major pixel indices `flat`,
+    each plane read with `stencil.gather`."""
+    return _consistent(gather(gbuf.depth, flat), gather(gbuf.normal, flat),
+                       gather(gbuf.object_id, flat), center, cfg.depth_consistency,
+                       cfg.normal_consistency)
 
-    `histories` is a list of `TemporalHistory` that share the history
-    length, such as the channels of one frame: one sampling pass with one
-    consistency test per texel serves them all. Each of the four enclosing
-    texels is tested against the current pixel, and none is taken for a
-    background pixel; the sampler renormalizes the bilinear weights of the
-    passing texels. Returns arrays valid and history_len, and lists color,
-    moment1 and moment2 with one array per history.
+
+def reproject(history: TemporalHistory, prev_gbuf: GBufferFrame, curr_gbuf: GBufferFrame,
+              cfg: DenoiseConfig) -> dict:
+    """Bilinearly sample the previous frame's history through the motion vectors.
+
+    One sampling pass with one consistency test per texel serves every
+    channel of the history. Each of the four enclosing texels is tested
+    against the current pixel, and none is taken for a background pixel;
+    the sampler renormalizes the bilinear weights of the passing texels.
+    Returns arrays valid and history_len, and dicts color, moment1 and
+    moment2 keyed like the history's channels.
     """
     center = _consistency_center(curr_gbuf.depth, curr_gbuf.normal, curr_gbuf.object_id)
     fg = curr_gbuf.foreground
-
-    def consistent(flat):
-        return _consistent(
-            gather(prev_gbuf.depth, flat), gather(prev_gbuf.normal, flat),
-            gather(prev_gbuf.object_id, flat), center,
-            cfg.depth_consistency, cfg.normal_consistency) & fg
-
+    keys = list(history.color)
+    planes = (history.color, history.moment1, history.moment2)
     (*means, hist), valid = bilinear_sample(
-        [a for h in histories for a in (h.color, h.moment1, h.moment2)]
-        + [histories[0].history_len], curr_gbuf.motion, accept=consistent)
+        [plane[key] for key in keys for plane in planes] + [history.history_len],
+        curr_gbuf.motion, accept=lambda flat: _consistent_at(prev_gbuf, flat, center, cfg) & fg)
     hist_len = np.where(valid, np.maximum(1, np.floor(hist + 1e-9)), 0).astype(np.int32)
-    return {"valid": valid, "color": means[0::3], "moment1": means[1::3],
-            "moment2": means[2::3], "history_len": hist_len}
+    return {"valid": valid, "history_len": hist_len,
+            **{name: dict(zip(keys, means[i::3]))
+               for i, name in enumerate(("color", "moment1", "moment2"))}}
 
 
 def _box_moments(planes, radius: int, accept):
     """Masked mean and variance over the in-bounds (2r+1)^2 box of each pixel.
 
-    `planes` is a list of (H, W, C) arrays, each summed in its own
-    accumulators. A tap counts where it lies inside the image and
-    `accept(dy, dx)` (bool (H, W)) holds, one mask for every array; the
-    count is clamped at 1. Returns one (mean, variance) per array, each
-    (H, W, C) in C order.
+    `planes` is a list of (H, W) arrays, each summed in its own accumulators.
+    A tap counts where it lies inside the image and `accept(dy, dx)` (bool
+    (H, W)) holds, one mask for every array; the count is clamped at 1.
+    Returns one (mean, variance) per array, each (H, W).
     """
-    h, w = planes[0].shape[:2]
+    h, w = planes[0].shape
     vals_at = [shifted(values, radius) for values in planes]
     inb_at = inside((h, w), radius)
     s0 = np.zeros((h, w))
-    s1 = [np.zeros(values.shape) for values in planes]
-    s2 = [np.zeros(values.shape) for values in planes]
+    s1 = [np.zeros((h, w)) for _values in planes]
+    s2 = [np.zeros((h, w)) for _values in planes]
     for dy in range(-radius, radius + 1):
         for dx in range(-radius, radius + 1):
             ok = inb_at(dy, dx) & accept(dy, dx)
             s0 += ok
             for tap, t1, t2 in zip(vals_at, s1, s2):
                 vals = tap(dy, dx)
-                okv = ok[..., None] * vals
+                okv = ok * vals
                 t1 += okv
                 t2 += okv * vals
-    s0 = np.maximum(s0, 1.0)[..., None]
+    s0 = np.maximum(s0, 1.0)
     return [_moments(s0, t1, t2) for t1, t2 in zip(s1, s2)]
 
 
@@ -217,25 +220,29 @@ def rectify_moments(m1: np.ndarray, m2: np.ndarray, rect_luma: np.ndarray):
     return new_m1, new_m2
 
 
-def accumulate(curr_value: np.ndarray, curr_luma: np.ndarray, tap: dict,
-               alpha: float, moments_alpha: float,
+def accumulate(curr: dict, curr_luma: dict, tap: dict, alpha: float, moments_alpha: float,
                cap: int = DenoiseConfig.history_cap) -> TemporalHistory:
-    """Exponential blend of the current sample into the reprojected history.
+    """Exponential blend of each channel's current sample into the reprojected
+    history.
 
-    While the history is short the blend degenerates to a plain running mean
-    (a = max(alpha, 1/(N+1))); invalid taps restart the history at length 1.
+    `curr` maps a key to a channel, (H, W) or (H, W, C), and `curr_luma` to
+    its (H, W) luminance; `tap` is a `reproject` result with the same keys.
+    The blend weights and the new history length follow the shared length,
+    so they are computed once for every channel. While the history is short
+    the blend degenerates to a plain running mean (a = max(alpha, 1/(N+1)));
+    invalid taps restart the history at length 1.
     """
-    curr = as_planes(curr_value)
     valid = tap["valid"]
     n = tap["history_len"].astype(np.float64)
-    a = np.maximum(alpha, 1.0 / (n + 1.0))
+    a = np.maximum(alpha, 1.0 / (n + 1.0))[..., None]
     am = np.maximum(moments_alpha, 1.0 / (n + 1.0))
-
-    color = np.where(valid[..., None],
-                     tap["color"] + a[..., None] * (curr - tap["color"]),
-                     curr)
-    m1 = np.where(valid, tap["moment1"] + am * (curr_luma - tap["moment1"]), curr_luma)
-    m2 = np.where(valid, tap["moment2"] + am * (curr_luma**2 - tap["moment2"]), curr_luma**2)
+    color, m1, m2 = {}, {}, {}
+    for key, value in curr.items():
+        c, lum = as_planes(value), curr_luma[key]
+        tc, t1, t2 = tap["color"][key], tap["moment1"][key], tap["moment2"][key]
+        color[key] = np.where(valid[..., None], tc + a * (c - tc), c)
+        m1[key] = np.where(valid, t1 + am * (lum - t1), lum)
+        m2[key] = np.where(valid, t2 + am * (lum**2 - t2), lum**2)
     length = np.where(valid, np.minimum(tap["history_len"] + 1, cap), 1).astype(np.int32)
     return TemporalHistory(color=color, moment1=m1, moment2=m2, history_len=length)
 
@@ -243,12 +250,11 @@ def accumulate(curr_value: np.ndarray, curr_luma: np.ndarray, tap: dict,
 _SPATIAL_RADIUS = 3  # of the spatial variance's 7x7 window
 
 
-def estimate_variance(history: TemporalHistory, curr_luma: np.ndarray,
-                      curr_gbuf: GBufferFrame, min_history: int,
-                      cfg: DenoiseConfig) -> np.ndarray:
-    """Per-pixel luminance variance of K channels that share the history
-    length (see `temporal_frame`): `curr_luma` and the history's moments are
-    stacked (H, W, K), and so is the result.
+def estimate_variance(history: TemporalHistory, curr_luma: dict, curr_gbuf: GBufferFrame,
+                      min_history: int, cfg: DenoiseConfig) -> dict:
+    """Per-pixel luminance variance of each channel of a frame: `curr_luma`
+    maps a key of the history's channels to its (H, W) luminance, and the
+    result maps it to its (H, W) variance.
 
     Temporal (moment2 - moment1^2) once at least `min_history` frames have
     been integrated; otherwise spatial moments of the current luminance over
@@ -265,30 +271,31 @@ def estimate_variance(history: TemporalHistory, curr_luma: np.ndarray,
     0, which is what their +inf depth gives them, since it fails every
     consistency test.
     """
-    temporal = np.maximum(0.0, history.moment2 - history.moment1**2)
     short = history.history_len < min_history
     keep = short & curr_gbuf.foreground
-    variance = np.where(short[..., None], 0.0, temporal)
+    variance = {key: np.where(short, 0.0, np.maximum(
+        0.0, history.moment2[key] - history.moment1[key]**2)) for key in curr_luma}
     box = bounding_box(keep, _SPATIAL_RADIUS)
     if box is None:
         return variance
     rows, cols = box
+    lumas = list(curr_luma.values())
     if 4 * np.count_nonzero(keep) < (rows.stop - rows.start) * (cols.stop - cols.start):
         kept = np.flatnonzero(keep)
-        variance[np.divmod(kept, keep.shape[1])] = _gathered_variance(curr_luma, curr_gbuf,
-                                                                      kept, cfg)
+        at = np.divmod(kept, keep.shape[1])
+        for var, spatial in zip(variance.values(),
+                                _gathered_variance(lumas, curr_gbuf, kept, cfg)):
+            var[at] = spatial
     else:
-        spatial = _spatial_variance([curr_luma[box][..., k:k + 1]
-                                     for k in range(curr_luma.shape[2])],
-                                    curr_gbuf.depth[box], curr_gbuf.normal[box],
-                                    curr_gbuf.object_id[box], cfg)
-        for k, var in enumerate(spatial):
-            variance[(*box, k)] = np.where(keep[box], var, variance[(*box, k)])
+        for var, spatial in zip(variance.values(), _spatial_variance(
+                [lum[box] for lum in lumas], curr_gbuf.depth[box], curr_gbuf.normal[box],
+                curr_gbuf.object_id[box], cfg)):
+            var[box] = np.where(keep[box], spatial, var[box])
     return variance
 
 
 def _spatial_variance(lumas, depth, normal, oid, cfg: DenoiseConfig):
-    """Each (H, W, 1) luminance's variance over each pixel's 7x7 window of
+    """Each (H, W) luminance's variance over each pixel's 7x7 window of
     in-bounds pixels that pass the consistency test against it; one test per
     tap serves every luminance. Returns a list of (H, W) variances."""
     depth = depth.astype(np.float64)
@@ -300,26 +307,22 @@ def _spatial_variance(lumas, depth, normal, oid, cfg: DenoiseConfig):
         return _consistent(depth_at(dy, dx), normal_at(dy, dx), oid_at(dy, dx), center,
                            cfg.depth_consistency, cfg.normal_consistency)
 
-    return [var[:, :, 0] for _mean, var in _box_moments(lumas, _SPATIAL_RADIUS,
-                                                        accept=consistent)]
+    return [var for _mean, var in _box_moments(lumas, _SPATIAL_RADIUS, accept=consistent)]
 
 
-def _gathered_variance(luma, gbuf: GBufferFrame, kept, cfg: DenoiseConfig):
-    """`_spatial_variance` of the (H, W, K) luminance at the row-major pixel
-    indices `kept` alone, (len(kept), K): each tap of the window, in the same
-    order, reads the planes, flattened once, at the kept pixels' neighbours
-    clamped to the image, and counts where the neighbour lies inside it and
-    passes the same consistency test."""
+def _gathered_variance(lumas, gbuf: GBufferFrame, kept, cfg: DenoiseConfig):
+    """`_spatial_variance` of each (H, W) luminance at the row-major pixel
+    indices `kept` alone, a list of (len(kept),) variances: each tap of the
+    window, in the same order, gathers the planes at the kept pixels'
+    neighbours clamped to the image, and counts where the neighbour lies
+    inside it and passes the same consistency test."""
     h, w = gbuf.depth.shape
-    depth = gbuf.depth.astype(np.float64).reshape(-1)
-    normal = np.moveaxis(gbuf.normal, -1, 0).astype(np.float64).reshape(3, -1)
-    oid = gbuf.object_id.reshape(-1)
-    lumas = np.moveaxis(luma, -1, 0).reshape(luma.shape[2], -1)
-    center = _consistency_center(depth[kept], normal[:, kept].T, oid[kept])
+    center = _consistency_center(gather(gbuf.depth, kept), gather(gbuf.normal, kept),
+                                 gather(gbuf.object_id, kept))
     y, x = np.divmod(kept, w)
     s0 = np.zeros(kept.shape)
-    s1 = np.zeros((lumas.shape[0], kept.size))
-    s2 = np.zeros(s1.shape)
+    s1 = [np.zeros(kept.shape) for _lum in lumas]
+    s2 = [np.zeros(kept.shape) for _lum in lumas]
     for dy in range(-_SPATIAL_RADIUS, _SPATIAL_RADIUS + 1):
         ty = y + dy
         row_ok = (ty >= 0) & (ty < h)
@@ -327,77 +330,58 @@ def _gathered_variance(luma, gbuf: GBufferFrame, kept, cfg: DenoiseConfig):
         for dx in range(-_SPATIAL_RADIUS, _SPATIAL_RADIUS + 1):
             tx = x + dx
             flat = row + np.clip(tx, 0, w - 1)
-            ok = row_ok & (tx >= 0) & (tx < w) & _consistent(
-                depth[flat], normal[:, flat].T, oid[flat], center,
-                cfg.depth_consistency, cfg.normal_consistency)
+            ok = row_ok & (tx >= 0) & (tx < w) & _consistent_at(gbuf, flat, center, cfg)
             s0 += ok
-            vals = lumas[:, flat]
-            okv = ok * vals
-            s1 += okv
-            s2 += okv * vals
-    _mean, var = _moments(np.maximum(s0, 1.0), s1, s2)
-    return var.T
+            for lum, t1, t2 in zip(lumas, s1, s2):
+                vals = gather(lum, flat)
+                okv = ok * vals
+                t1 += okv
+                t2 += okv * vals
+    count = np.maximum(s0, 1.0)
+    return [_moments(count, t1, t2)[1] for t1, t2 in zip(s1, s2)]
 
 
-def _stacked(arrays) -> np.ndarray:
-    """(H, W) or (H, W, C) arrays as one (H, W, sum of C) array, laid out
-    one plane after another (see `stencil.channel_major`)."""
-    return np.moveaxis(np.concatenate([np.moveaxis(as_planes(a), -1, 0) for a in arrays]), 0, -1)
-
-
-def temporal_frame(curr_data: dict, curr_gbuf: GBufferFrame, prev: dict | None,
+def temporal_frame(curr_data: dict, curr_gbuf: GBufferFrame, prev: TemporalHistory | None,
                    prev_gbuf: GBufferFrame | None, cfg: DenoiseConfig):
-    """One full temporal update of each channel of a frame.
+    """One full temporal update of a frame.
 
-    `curr_data` maps a key to a channel, (H, W) or (H, W, C); `prev` maps the
-    same keys to the previous histories, or is None on the first frame. The
-    work that follows the G-buffer alone runs once for all channels: one
-    `reproject` of their histories, whose lengths are equal, with one
-    consistency test per texel, and one `estimate_variance` of their stacked
-    histories and luminances, with one short-history mask and one set of
-    window tests. Rectification, which bounds one channel's planes jointly,
-    and accumulation run per channel. Returns (histories, variances), dicts
-    keyed like `curr_data`.
+    `curr_data` maps a key to a channel, (H, W) or (H, W, C); `prev` is the
+    previous frame's history with the same keys, or None on the first frame.
+    The work that follows the G-buffer alone runs once for all channels: one
+    `reproject` with one consistency test per texel, one set of blend weights
+    and one new history length in `accumulate`, and one `estimate_variance`
+    with one short-history mask and one set of window tests. Rectification,
+    which bounds one channel's planes jointly, runs per channel. Returns
+    (history, variances), the variances a dict of (H, W) planes keyed like
+    `curr_data`.
     """
-    currs = {key: as_planes(data) for key, data in curr_data.items()}
     if prev is None or prev_gbuf is None:
         zero = np.zeros(curr_gbuf.depth.shape)
-        joint = {"valid": zero.astype(bool), "color": [np.zeros_like(c) for c in currs.values()],
-                 "moment1": [zero] * len(currs), "moment2": [zero] * len(currs),
-                 "history_len": zero.astype(np.int32)}
+        tap = {"valid": zero.astype(bool), "history_len": zero.astype(np.int32),
+               "color": {key: np.zeros(as_planes(data).shape) for key, data in curr_data.items()},
+               "moment1": dict.fromkeys(curr_data, zero),
+               "moment2": dict.fromkeys(curr_data, zero)}
     else:
-        joint = reproject([prev[key] for key in currs], prev_gbuf, curr_gbuf, cfg)
-    rectify = cfg.rectify_mode != "off" and np.any(joint["valid"])
-
-    histories, lumas = {}, []
-    for (key, curr), color, m1, m2 in zip(currs.items(), joint["color"], joint["moment1"],
-                                          joint["moment2"]):
-        tap = {**joint, "color": color, "moment1": m1, "moment2": m2}
-        if rectify:
-            # accumulate reads a tap only where it is valid, so the rest need no mask
-            rect, _mu, _sigma = rectify_history(color, curr, cfg.clamp_gamma, cfg.rectify_mode)
-            rm1, rm2 = rectify_moments(m1, m2, luma(rect))
-            tap.update(color=rect, moment1=rm1, moment2=rm2)
-        lumas.append(luma(curr_data[key]))
-        histories[key] = accumulate(curr, lumas[-1], tap, cfg.alpha, cfg.moments_alpha,
-                                    cap=cfg.history_cap)
-
-    hists = list(histories.values())
-    stacked = TemporalHistory(color=_stacked(h.color for h in hists),
-                              moment1=_stacked(h.moment1 for h in hists),
-                              moment2=_stacked(h.moment2 for h in hists),
-                              history_len=hists[0].history_len)
-    variance = estimate_variance(stacked, _stacked(lumas), curr_gbuf,
-                                 cfg.spatial_variance_min_history, cfg)
-    return histories, {key: variance[..., k] for k, key in enumerate(histories)}
+        tap = reproject(prev, prev_gbuf, curr_gbuf, cfg)
+    if cfg.rectify_mode != "off" and np.any(tap["valid"]):
+        # accumulate reads a tap only where it is valid, so the rest need no mask
+        for key, data in curr_data.items():
+            rect, _mu, _sigma = rectify_history(tap["color"][key], data, cfg.clamp_gamma,
+                                                cfg.rectify_mode)
+            tap["color"][key] = rect
+            tap["moment1"][key], tap["moment2"][key] = rectify_moments(
+                tap["moment1"][key], tap["moment2"][key], luma(rect))
+    lumas = {key: luma(data) for key, data in curr_data.items()}
+    history = accumulate(curr_data, lumas, tap, cfg.alpha, cfg.moments_alpha, cap=cfg.history_cap)
+    return history, estimate_variance(history, lumas, curr_gbuf,
+                                      cfg.spatial_variance_min_history, cfg)
 
 
 def temporal_step(curr_data: np.ndarray, curr_gbuf: GBufferFrame,
                   prev: TemporalHistory | None, prev_gbuf: GBufferFrame | None,
                   cfg: DenoiseConfig):
-    """One full temporal update for a channel, `temporal_frame` of that one
-    channel; returns (history, variance). The pipeline calls
-    `temporal_frame`; this stays for perfbench's per-layer probes."""
-    histories, variances = temporal_frame({0: curr_data}, curr_gbuf,
-                                          None if prev is None else {0: prev}, prev_gbuf, cfg)
-    return histories[0], variances[0]
+    """One full temporal update of one channel: `temporal_frame` of a frame
+    whose one channel is keyed 0; returns (history, variance). The pipeline
+    calls `temporal_frame`; this stays for perfbench's per-layer probes."""
+    history, variance = temporal_frame({0: curr_data}, curr_gbuf, prev, prev_gbuf, cfg)
+    return history, variance[0]

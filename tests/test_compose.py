@@ -3,6 +3,7 @@ import pytest
 
 from rtdenoise.compose import composite, shade_direct, taa
 from rtdenoise.frames import GBufferFrame
+from rtdenoise.temporal import rectify_history
 
 
 def _gbuf(h=8, w=8, oid=1):
@@ -89,6 +90,14 @@ def test_taa_static_constant_fixed_point():
         assert np.allclose(out, 0.37, atol=1e-12)
 
 
+def _taa_oracle(hist, curr):
+    """The TAA of a reprojected history `hist`: clamped to the current 3x3
+    box at one standard deviation, then moved 0.1 toward `curr`. Also
+    returns where the clamp kept the history's component as it was."""
+    rect, _mu, _sigma = rectify_history(hist, curr, 1.0, "clamp")
+    return rect + 0.1 * (curr - rect), rect == hist
+
+
 def test_taa_half_pixel_motion_blends_neighbors():
     # every pixel samples halfway to its right neighbor in the previous
     # output; in the last column that neighbor lies outside and is dropped
@@ -97,10 +106,14 @@ def test_taa_half_pixel_motion_blends_neighbors():
     rs = np.random.default_rng(3)
     prev = rs.random((8, 8, 3))
     curr = rs.random((8, 8, 3))
-    out = taa(curr, prev, g, gamma=1e9)  # a box so wide that clamping never acts
+    out = taa(curr, prev, g)
     hist = prev.copy()
     hist[:, :-1] = 0.5 * (prev[:, :-1] + prev[:, 1:])
-    assert np.allclose(out, hist + 0.1 * (curr - hist), atol=1e-12)
+    want, kept = _taa_oracle(hist, curr)
+    assert np.allclose(out, want, atol=1e-12)
+    # the reprojected values themselves reach the output, in the last column too
+    assert kept.mean() > 0.5 and kept[:, -1].any() and kept[:, :-1].any()
+    assert not kept.all()
 
 
 def test_taa_motion_past_border_passes_current_through():
@@ -109,11 +122,14 @@ def test_taa_motion_past_border_passes_current_through():
     rs = np.random.default_rng(4)
     prev = rs.random((8, 8, 3))
     curr = rs.random((8, 8, 3))
-    out = taa(curr, prev, g, gamma=1e9)
+    out = taa(curr, prev, g)
     # columns 0-2 come from outside the previous frame: no history there
     assert np.array_equal(out[:, :3], curr[:, :3])
-    hist = prev[:, :-3]
-    assert np.allclose(out[:, 3:], hist + 0.1 * (curr[:, 3:] - hist), atol=1e-12)
+    hist = np.zeros_like(prev)
+    hist[:, 3:] = prev[:, :-3]
+    want, kept = _taa_oracle(hist, curr)
+    assert np.allclose(out[:, 3:], want[:, 3:], atol=1e-12)
+    assert kept[:, 3:].mean() > 0.5 and not kept[:, 3:].all()
     g.motion[:, :, 1] = 100.0  # every pixel leaves the image
     assert np.array_equal(taa(curr, prev, g), curr)
 

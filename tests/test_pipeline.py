@@ -1,14 +1,16 @@
+import functools
 import inspect
-from dataclasses import fields
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rtdenoise import compose, render, spatial, temporal, tonemap
-from rtdenoise.frames import CHANNELS, ChannelKind, DenoiseConfig, FrameSequence, TemporalHistory
+from rtdenoise.frames import CHANNELS, ChannelKind, DenoiseConfig, FrameSequence
 from rtdenoise.pipeline import (PRESETS, SPECULAR, preset_config, reconstruct_positions,
                                 run_pipeline, synthesize_sequence)
-from rtdenoise.scenes import preset_scene, scene_from_dict
+from rtdenoise.scenes import PRESET_NAMES, preset_scene, scene_from_dict
 from rtdenoise.store import SequenceError, load_sequence, save_sequence
 
 
@@ -144,13 +146,53 @@ def test_run_pipeline_is_causal():
     cfg = preset_config("svgf+rectify+adaptive+separable+reinhard",
                         base=DenoiseConfig(iterations=3))
     full, full_report = run_pipeline(seq, cfg)
-    for k in (1, 3):
+    for k in range(1, len(seq.frames) + 1):
         part, report = run_pipeline(FrameSequence(seq.manifest, seq.frames[:k]), cfg)
         assert report["iterations"] == full_report["iterations"][:k]
         for got, want in zip(part.frames, full.frames[:k], strict=True):
             assert got.keys() == want.keys()
             for name in got:
                 assert got[name].tobytes() == want[name].tobytes(), (k, name)
+
+
+@functools.lru_cache(maxsize=None)
+def _static_sequence(name):
+    """Three frames of the preset scene at rest, 16x16; callers do not mutate it."""
+    _scene, seq = _make_seq(name, w=16, h=16, frames=3, movement="static")
+    return seq
+
+
+@settings(deadline=None, max_examples=20)
+@given(st.sampled_from(PRESET_NAMES), st.sampled_from(list(PRESETS)),
+       st.floats(0.0, 1.0, width=32), st.lists(st.floats(0.0, 8.0, width=32), min_size=3,
+                                               max_size=3))
+def test_constant_inputs_on_static_geometry_are_a_fixed_point(name, preset, shadow, specular):
+    # every stage averages equal values, so only Reinhard's biased inverse
+    # moves the output off the input. The outputs are stored in float32, so
+    # the denoised channels are read in float64 where they are composed.
+    seq = _static_sequence(name)
+    h, w = seq.height, seq.width
+    frames = [{**frame, "shadow_1spp": np.full((h, w), shadow, dtype=np.float32),
+               "specular_1spp": np.broadcast_to(np.float32(specular), (h, w, 3)).copy()}
+              for frame in seq.frames]
+    cfg = preset_config(preset, base=DenoiseConfig(iterations=2))
+    composed, real = [], compose.composite
+
+    def spy(direct, shadow_denoised, specular_denoised, gbuf, sky):
+        composed.append((shadow_denoised, specular_denoised))
+        return real(direct, shadow_denoised, specular_denoised, gbuf, sky)
+
+    with mock.patch.object(compose, "composite", spy):
+        run_pipeline(FrameSequence(seq.manifest, frames), cfg)
+    spec = np.asarray(specular, dtype=np.float64)
+    if cfg.reinhard:
+        spec = tonemap.reinhard_inverse_paper(
+            tonemap.reinhard_forward(spec, cfg.luma_multiplier), cfg.reinhard_weight)
+    # each frame composes the denoised channels, then the noisy ones
+    assert len(composed) == 2 * len(frames)
+    for got_shadow, got_specular in composed[0::2]:
+        assert np.abs(got_shadow - np.float64(shadow)).max() <= 1e-12
+        assert np.abs(got_specular - spec).max() <= 1e-12
 
 
 def test_synth_reference_channels_present():
@@ -273,18 +315,23 @@ def test_joint_temporal_step_gives_each_channel_its_bits_alone(name, movement, r
         if reinhard:
             signal[SPECULAR] = tonemap.reinhard_forward(signal[SPECULAR], cfg.luma_multiplier)
         joint, variance = temporal.temporal_frame(signal, gbuf, joint, prev_gbuf, cfg)
-        assert list(joint) == list(variance) == list(ChannelKind)
+        assert list(variance) == list(ChannelKind)
         for kind in ChannelKind:
             alone[kind], want = temporal.temporal_step(signal[kind], gbuf, alone[kind],
                                                        prev_gbuf, cfg)
-            for field in fields(TemporalHistory):
-                got, ref = getattr(joint[kind], field.name), getattr(alone[kind], field.name)
-                assert got.dtype == ref.dtype and got.shape == ref.shape, (f, kind, field.name)
-                assert got.tobytes() == ref.tobytes(), (f, kind, field.name)
+            pairs = [(getattr(joint, name)[kind], getattr(alone[kind], name)[0], name)
+                     for name in ("color", "moment1", "moment2")]
+            # the frame's one history length is each channel's own
+            pairs.append((joint.history_len, alone[kind].history_len, "history_len"))
+            for got, ref, name in pairs:
+                assert got.dtype == ref.dtype and got.shape == ref.shape, (f, kind, name)
+                assert got.tobytes() == ref.tobytes(), (f, kind, name)
             assert variance[kind].shape == want.shape
             assert variance[kind].tobytes() == want.tobytes(), (f, kind)
             # the a-trous feedback replaces the color that the next frame reprojects
-            joint[kind].color = alone[kind].color = rs.random(joint[kind].color.shape)
+            joint.color[kind] = alone[kind].color[0] = rs.random(joint.color[kind].shape)
+        assert list(joint.color) == list(joint.moment1) == list(joint.moment2) \
+            == list(ChannelKind)
         prev_gbuf = gbuf
 
 
@@ -313,9 +360,10 @@ def test_consistency_tests_run_once_per_frame_for_both_channels(monkeypatch):
 
 def test_temporal_passes_run_through_the_module_attribute(monkeypatch):
     # a tracer wraps these module attributes and reads the arguments named
-    # here by the real signatures, and the reprojection's "valid"
+    # here by the real signatures, and the reprojection's "valid"; the frame's
+    # one history is accumulated and its variance estimated once per frame
     calls = []
-    for name in ("reproject", "rectify_history", "estimate_variance"):
+    for name in ("reproject", "rectify_history", "accumulate", "estimate_variance"):
         real = getattr(temporal, name)
 
         def probe(*args, _real=real, _name=name, _sig=inspect.signature(real), **kwargs):
@@ -327,12 +375,16 @@ def test_temporal_passes_run_through_the_module_attribute(monkeypatch):
     _scene, seq = _make_seq("cubes-distance", frames=3, movement="camera")
     cfg = DenoiseConfig(iterations=1, rectify_mode="clamp")
     run_pipeline(seq, cfg)
-    per_frame = ["reproject", "rectify_history", "rectify_history", "estimate_variance"]
-    assert [c[0] for c in calls] == per_frame[-1:] + per_frame * 2
+    per_frame = ["reproject", "rectify_history", "rectify_history", "accumulate",
+                 "estimate_variance"]
+    assert [c[0] for c in calls] == per_frame[-2:] + per_frame * 2
     for name, args, result in calls:
         if name == "reproject":
             assert args["curr_gbuf"].depth.shape == (32, 32)
             assert result["valid"].shape == (32, 32) and result["valid"].any()
+        elif name == "accumulate":
+            assert list(args["curr"]) == list(result.color) == list(ChannelKind)
+            assert result.history_len.shape == (32, 32)
         elif name == "estimate_variance":
             assert args["curr_gbuf"].depth.shape == (32, 32)
             assert args["history"].history_len.shape == (32, 32)

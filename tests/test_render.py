@@ -126,6 +126,14 @@ _BAD_SCENES = {
     "vfov not numeric": (_set(("camera", "vfov_deg"), "wide"), "camera.vfov_deg"),
     "center without keyframes": (_set(("light", "center"), {"keyframes": []}),
                                  "light.center"),
+    **{f"keyframe frame {frame!r}": (_set(("light", "center"), {"keyframes": [
+        [frame, [2.8, 7.5, 0.0]], [10, [2.8, 7.5, 1.0]]]}), "light.center.keyframes[0]")
+       for frame in (2.5, "x", "3", math.nan, math.inf, True, None, [1])},
+    **{f"keyframe entry {entry!r}": (_set(("objects", 0, "motion"), {"keyframes": [
+        [0, [0.0, 0.0, 0.0]], entry]}), "objects[0].motion.keyframes[1]")
+       for entry in ([5], [5, [0.0, 0.0, 0.0], 1], 5, {"5": [0.0, 0.0, 0.0]})},
+    **{f"frame_count {count!r}": (_set(("frame_count",), count), "frame_count")
+       for count in ("8", 2.5, 8.0, 0, -1, True)},
 }
 
 
@@ -169,6 +177,13 @@ def test_keyframe_repeated_frame_takes_the_segment_that_ends_there():
     light = scene_from_dict(doc).light
     assert light.center_at(5).tobytes() == np.full(3, 0.1).tobytes()
     assert light.center_at(7.5).tobytes() == np.full(3, 0.7 + 0.5 * (1.0 - 0.7)).tobytes()
+
+
+def test_keyframe_frame_may_be_an_integral_float():
+    doc = preset_scene("shadow-objects", width=16, height=16)
+    doc["light"]["center"] = {"keyframes": [[4.0, [1.0] * 3], [0, [0.0] * 3]]}
+    center_kf = scene_from_dict(doc).light.center_kf
+    assert [(type(f), f) for f, _v in center_kf] == [(int, 0), (int, 4)]
 
 
 def test_preset_scene_rejects_unknown_name():

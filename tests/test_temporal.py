@@ -27,25 +27,33 @@ def _flat_gbuf(h=8, w=8, depth=5.0, oid=1):
 
 
 def _const_history(h, w, c, value, length=10):
+    """The history of a frame with one channel, keyed 0."""
     return TemporalHistory(
-        color=np.full((h, w, c), value),
-        moment1=np.full((h, w), value),
-        moment2=np.full((h, w), value * value),
+        color={0: np.full((h, w, c), value)},
+        moment1={0: np.full((h, w), value)},
+        moment2={0: np.full((h, w), value * value)},
         history_len=np.full((h, w), length, dtype=np.int32),
     )
 
 
-def _reproject_one(hist, prev_gbuf, curr_gbuf, cfg):
-    """The joint reprojection of one history, as that history's own tap."""
-    tap = reproject([hist], prev_gbuf, curr_gbuf, cfg)
-    return {**tap, **{name: tap[name][0] for name in ("color", "moment1", "moment2")}}
+def _tap(valid, color, m1, m2, length):
+    """A reprojected tap of one channel, keyed 0; the moments and the length
+    are constants over `valid`'s shape."""
+    shape = np.shape(valid)
+    return {"valid": np.asarray(valid), "color": {0: np.asarray(color, dtype=np.float64)},
+            "moment1": {0: np.full(shape, m1, dtype=np.float64)},
+            "moment2": {0: np.full(shape, m2, dtype=np.float64)},
+            "history_len": np.full(shape, length, dtype=np.int32)}
+
+
+def _accumulate_one(value, tap):
+    """`accumulate` of one (H, W, 1) channel whose luminance is its one plane."""
+    return accumulate({0: value}, {0: value[:, :, 0]}, tap, 0.2, 0.2)
 
 
 def _variance_one(hist, luma, gbuf, min_history, cfg):
-    """The stacked variance of one channel, its moments and luminance (H, W)."""
-    stacked = TemporalHistory(color=hist.color, moment1=hist.moment1[..., None],
-                              moment2=hist.moment2[..., None], history_len=hist.history_len)
-    return estimate_variance(stacked, luma[..., None], gbuf, min_history, cfg)[..., 0]
+    """The variance of the one channel of `hist`, from its (H, W) luminance."""
+    return estimate_variance(hist, {0: luma}, gbuf, min_history, cfg)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -73,9 +81,9 @@ def test_consistency_depth_threshold():
 def test_zero_motion_identity():
     gbuf = _flat_gbuf()
     hist = _const_history(8, 8, 1, 0.6)
-    tap = _reproject_one(hist, gbuf, gbuf, CFG)
+    tap = reproject(hist, gbuf, gbuf, CFG)
     assert tap["valid"].all()
-    assert np.allclose(tap["color"], 0.6)
+    assert np.allclose(tap["color"][0], 0.6)
     assert np.all(tap["history_len"] == 10)
 
 
@@ -84,9 +92,9 @@ def test_motion_beyond_border_invalid():
     curr = _flat_gbuf()
     curr.motion[:, :, 0] = -(8 + 3)  # 3 pixels past the left edge everywhere
     hist = _const_history(8, 8, 1, 0.6)
-    tap = _reproject_one(hist, gbuf, curr, CFG)
+    tap = reproject(hist, gbuf, curr, CFG)
     assert not tap["valid"].any()
-    assert np.all(tap["color"] == 0.0)
+    assert np.all(tap["color"][0] == 0.0)
     assert np.all(tap["history_len"] == 0)
 
 
@@ -95,11 +103,11 @@ def test_half_pixel_motion_over_constant_history():
     curr = _flat_gbuf()
     curr.motion[:, :, 0] = 0.5
     hist = _const_history(8, 8, 1, 0.6)
-    tap = _reproject_one(hist, gbuf, curr, CFG)
+    tap = reproject(hist, gbuf, curr, CFG)
     interior = np.zeros((8, 8), dtype=bool)
     interior[:, :-1] = True
     assert tap["valid"][interior].all()
-    assert np.allclose(tap["color"][interior], 0.6)
+    assert np.allclose(tap["color"][0][interior], 0.6)
 
 
 def test_occlusion_reset_history_len_one():
@@ -107,62 +115,67 @@ def test_occlusion_reset_history_len_one():
     curr = _flat_gbuf(oid=1)
     curr.object_id[3, 3] = 2  # a different object now covers this pixel
     hist = _const_history(8, 8, 1, 0.6, length=40)
-    tap = _reproject_one(hist, prev, curr, CFG)
-    out = accumulate(np.full((8, 8, 1), 0.9), np.full((8, 8), 0.9), tap, 0.2, 0.2)
+    tap = reproject(hist, prev, curr, CFG)
+    out = _accumulate_one(np.full((8, 8, 1), 0.9), tap)
     assert out.history_len[3, 3] == 1
-    assert out.color[3, 3, 0] == pytest.approx(0.9)
+    assert out.color[0][3, 3, 0] == pytest.approx(0.9)
     assert out.history_len[0, 0] == 41
 
 
 # ---------------------------------------------------------------------------
 # accumulation
 
-def _invalid_tap(h, w, c):
-    return {"valid": np.zeros((h, w), dtype=bool), "color": np.zeros((h, w, c)),
-            "moment1": np.zeros((h, w)), "moment2": np.zeros((h, w)),
-            "history_len": np.zeros((h, w), dtype=np.int32)}
-
-
 def test_accumulate_invalid_tap():
-    out = accumulate(np.full((2, 2, 1), 0.7), np.full((2, 2), 0.7),
-                     _invalid_tap(2, 2, 1), 0.2, 0.2)
-    assert np.allclose(out.color, 0.7)
-    assert np.allclose(out.moment1, 0.7)
-    assert np.allclose(out.moment2, 0.49)
+    tap = _tap(np.zeros((2, 2), dtype=bool), np.zeros((2, 2, 1)), 0.0, 0.0, 0)
+    out = _accumulate_one(np.full((2, 2, 1), 0.7), tap)
+    assert np.allclose(out.color[0], 0.7)
+    assert np.allclose(out.moment1[0], 0.7)
+    assert np.allclose(out.moment2[0], 0.49)
     assert np.all(out.history_len == 1)
 
 
 def test_accumulate_fixed_point():
-    tap = {"valid": np.ones((2, 2), dtype=bool), "color": np.full((2, 2, 1), 0.4),
-           "moment1": np.full((2, 2), 0.4), "moment2": np.full((2, 2), 0.16),
-           "history_len": np.full((2, 2), 7, dtype=np.int32)}
-    out = accumulate(np.full((2, 2, 1), 0.4), np.full((2, 2), 0.4), tap, 0.2, 0.2)
-    assert np.allclose(out.color, 0.4)
+    tap = _tap(np.ones((2, 2), dtype=bool), np.full((2, 2, 1), 0.4), 0.4, 0.16, 7)
+    out = _accumulate_one(np.full((2, 2, 1), 0.4), tap)
+    assert np.allclose(out.color[0], 0.4)
     assert np.all(out.history_len == 8)
 
 
 def test_accumulate_lerp_arithmetic():
-    tap = {"valid": np.ones((1, 1), dtype=bool), "color": np.zeros((1, 1, 1)),
-           "moment1": np.zeros((1, 1)), "moment2": np.zeros((1, 1)),
-           "history_len": np.full((1, 1), 100, dtype=np.int32)}
-    out = accumulate(np.ones((1, 1, 1)), np.ones((1, 1)), tap, 0.2, 0.2)
-    assert out.color[0, 0, 0] == pytest.approx(0.2)
+    tap = _tap(np.ones((1, 1), dtype=bool), np.zeros((1, 1, 1)), 0.0, 0.0, 100)
+    out = _accumulate_one(np.ones((1, 1, 1)), tap)
+    assert out.color[0][0, 0, 0] == pytest.approx(0.2)
 
 
 def test_accumulate_short_history_uses_running_mean():
-    tap = {"valid": np.ones((1, 1), dtype=bool), "color": np.full((1, 1, 1), 0.5),
-           "moment1": np.full((1, 1), 0.5), "moment2": np.full((1, 1), 0.25),
-           "history_len": np.ones((1, 1), dtype=np.int32)}
-    out = accumulate(np.ones((1, 1, 1)), np.ones((1, 1)), tap, 0.2, 0.2)
+    tap = _tap(np.ones((1, 1), dtype=bool), np.full((1, 1, 1), 0.5), 0.5, 0.25, 1)
+    out = _accumulate_one(np.ones((1, 1, 1)), tap)
     # N=1: a = max(0.2, 1/2) = 0.5
-    assert out.color[0, 0, 0] == pytest.approx(0.75)
+    assert out.color[0][0, 0, 0] == pytest.approx(0.75)
+
+
+def test_accumulate_blends_each_channel_with_the_shared_weights():
+    # two channels of different widths over one history length: each gets
+    # the blend it would get alone, and the frame gets one new length
+    valid = np.array([[True, False]])
+    tap = {"valid": valid, "history_len": np.array([[1, 5]], dtype=np.int32),
+           "color": {"a": np.full((1, 2, 1), 0.5), "b": np.full((1, 2, 3), 2.0)},
+           "moment1": {"a": np.full((1, 2), 0.5), "b": np.full((1, 2), 2.0)},
+           "moment2": {"a": np.full((1, 2), 0.25), "b": np.full((1, 2), 4.0)}}
+    curr = {"a": np.ones((1, 2)), "b": np.zeros((1, 2, 3))}
+    out = accumulate(curr, {"a": np.ones((1, 2)), "b": np.zeros((1, 2))}, tap, 0.2, 0.2)
+    assert list(out.color) == ["a", "b"]
+    assert out.color["a"].shape == (1, 2, 1) and out.color["b"].shape == (1, 2, 3)
+    # valid at N=1: a = 1/2; invalid: the current sample, at length 1
+    assert np.allclose(out.color["a"][0, :, 0], [0.75, 1.0])
+    assert np.allclose(out.color["b"][0], [[1.0] * 3, [0.0] * 3])
+    assert np.allclose(out.moment2["b"][0], [2.0, 0.0])
+    assert out.history_len.tolist() == [[2, 1]]
 
 
 def test_history_cap():
-    tap = {"valid": np.ones((1, 1), dtype=bool), "color": np.full((1, 1, 1), 0.5),
-           "moment1": np.full((1, 1), 0.5), "moment2": np.full((1, 1), 0.25),
-           "history_len": np.full((1, 1), 256, dtype=np.int32)}
-    out = accumulate(np.full((1, 1, 1), 0.5), np.full((1, 1), 0.5), tap, 0.2, 0.2)
+    tap = _tap(np.ones((1, 1), dtype=bool), np.full((1, 1, 1), 0.5), 0.5, 0.25, 256)
+    out = _accumulate_one(np.full((1, 1, 1), 0.5), tap)
     assert out.history_len[0, 0] == 256
 
 
@@ -177,8 +190,8 @@ def test_variance_constant_history_zero():
 
 def test_variance_moment_arithmetic():
     hist = _const_history(4, 4, 1, 0.0, length=10)
-    hist.moment1[:] = 0.5
-    hist.moment2[:] = 0.3
+    hist.moment1[0][:] = 0.5
+    hist.moment2[0][:] = 0.3
     var = _variance_one(hist, np.zeros((4, 4)), _flat_gbuf(4, 4), 4, CFG)
     assert np.allclose(var, 0.05)
 
@@ -241,9 +254,9 @@ def _full_frame_spatial_variance(luma, gbuf):
     depth = gbuf.depth.astype(np.float64)
     normal = gbuf.normal.astype(np.float64)
     at = [shifted(p, 3) for p in (gbuf.depth, gbuf.normal, gbuf.object_id)]
-    [(_mean, var)] = _box_moments([luma[..., None]], 3, accept=lambda dy, dx: consistency_test(
+    [(_mean, var)] = _box_moments([luma], 3, accept=lambda dy, dx: consistency_test(
         *(t(dy, dx) for t in at), depth, normal, gbuf.object_id))
-    return var[:, :, 0]
+    return var
 
 
 def _mixed_frame(h=20, w=24):
@@ -272,8 +285,8 @@ def test_variance_spatial_only_where_kept_matches_full_frame(short_at):
     rs = np.random.default_rng(3)
     luma = rs.random((h, w))
     hist = _const_history(h, w, 1, 0.0, length=10)
-    hist.moment1[:] = rs.random((h, w))
-    hist.moment2[:] = hist.moment1 ** 2 + rs.random((h, w))
+    hist.moment1[0][:] = rs.random((h, w))
+    hist.moment2[0][:] = hist.moment1[0] ** 2 + rs.random((h, w))
     for at in short_at:
         hist.history_len[at] = 2
     var = _variance_one(hist, luma, gbuf, 4, CFG)
@@ -281,7 +294,7 @@ def test_variance_spatial_only_where_kept_matches_full_frame(short_at):
     short = hist.history_len < 4
     fg = gbuf.object_id != 0
     full = _full_frame_spatial_variance(luma, gbuf)
-    temporal = np.maximum(0.0, hist.moment2 - hist.moment1 ** 2)
+    temporal = np.maximum(0.0, hist.moment2[0] - hist.moment1[0] ** 2)
     assert np.array_equal(var[short & fg], full[short & fg])
     assert np.array_equal(var[~short], temporal[~short])
     assert np.all(var[short & ~fg] == 0.0)
@@ -330,15 +343,14 @@ def test_gathered_spatial_variance_equals_box_form_bit_for_bit():
     for edge in (keep[0], keep[-1], keep[:, 0], keep[:, -1]):
         assert edge.any()
     rs = np.random.default_rng(22)
-    luma = rs.random(gbuf.depth.shape + (2,))
-    luma[..., 1] *= 40.0  # the specular channel's larger range
+    lumas = [rs.random(gbuf.depth.shape), 40.0 * rs.random(gbuf.depth.shape)]
     kept = np.flatnonzero(keep)
-    got = temporal._gathered_variance(luma, gbuf, kept, CFG)
-    want = temporal._spatial_variance([luma[..., k:k + 1] for k in range(2)], gbuf.depth,
-                                      gbuf.normal, gbuf.object_id, CFG)
-    assert got.shape == (kept.size, 2)
+    got = temporal._gathered_variance(lumas, gbuf, kept, CFG)
+    want = temporal._spatial_variance(lumas, gbuf.depth, gbuf.normal, gbuf.object_id, CFG)
+    assert len(got) == len(want) == 2
     for k in range(2):
-        assert got[:, k].tobytes() == want[k].reshape(-1)[kept].tobytes()
+        assert got[k].shape == (kept.size,)
+        assert got[k].tobytes() == want[k].reshape(-1)[kept].tobytes()
     # some windows lose taps inside the image: a right neighbour fails the test
     y, x = np.divmod(kept, gbuf.depth.shape[1])
     right = np.minimum(x + 1, gbuf.depth.shape[1] - 1)
@@ -373,8 +385,8 @@ def test_variance_form_follows_the_quarter_of_the_box_rule(holes, form, monkeypa
 def test_variance_never_negative():
     rs = np.random.default_rng(0)
     hist = _const_history(8, 8, 1, 0.0, length=10)
-    hist.moment1[:] = rs.random((8, 8))
-    hist.moment2[:] = rs.random((8, 8))  # deliberately inconsistent moments
+    hist.moment1[0][:] = rs.random((8, 8))
+    hist.moment2[0][:] = rs.random((8, 8))  # deliberately inconsistent moments
     var = _variance_one(hist, rs.random((8, 8)), _flat_gbuf(), 4, CFG)
     assert np.all(var >= 0.0)
 
@@ -393,9 +405,11 @@ def test_unmasked_box_moments_equal_masked_form_bit_for_bit(shape, radius):
     assert values[0].flags.c_contiguous and np.signbit(values[1][values[1] == 0.0]).all()
     everywhere = np.ones(shape[:2], dtype=bool)
     got = [_unmasked_box_moments(v, radius) for v in values]
-    want = _box_moments(values, radius, accept=lambda dy, dx: everywhere)
-    for (mean, var), (want_mean, want_var) in zip(got, want, strict=True):
-        assert mean.shape == var.shape == shape
+    want = _box_moments([v[..., c] for v in values for c in range(shape[2])], radius,
+                        accept=lambda dy, dx: everywhere)
+    for (mean, var), (want_mean, want_var) in zip(
+            [(m[..., c], v[..., c]) for m, v in got for c in range(shape[2])], want, strict=True):
+        assert mean.shape == var.shape == shape[:2]
         assert mean.tobytes() == want_mean.tobytes()
         assert var.tobytes() == want_var.tobytes()
 
@@ -497,7 +511,7 @@ def test_temporal_step_first_frame():
     data = np.random.default_rng(3).random((8, 8))
     hist, var = temporal_step(data, gbuf, None, None, CFG)
     assert np.all(hist.history_len == 1)
-    assert np.allclose(hist.color[:, :, 0], data)
+    assert np.allclose(hist.color[0][:, :, 0], data)
     assert np.all(var >= 0.0)
 
 
@@ -510,4 +524,4 @@ def test_temporal_step_static_sequence_grows_history():
         hist, _var = temporal_step(rs.random((8, 8)), gbuf, hist, prev_gbuf, CFG)
         prev_gbuf = gbuf
     assert np.all(hist.history_len == 5)
-    assert np.all(hist.moment2 >= hist.moment1**2 - 1e-5)
+    assert np.all(hist.moment2[0] >= hist.moment1[0]**2 - 1e-5)
