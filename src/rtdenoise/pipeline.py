@@ -51,9 +51,12 @@ def preset_config(name: str, base: DenoiseConfig | None = None) -> DenoiseConfig
     return DenoiseConfig(**{**(base.to_dict() if base else {}), **PRESETS[name]})
 
 
-def reconstruct_positions(scene: Scene, frame_index: int, depth: np.ndarray) -> np.ndarray:
-    """World-space primary hit points from the linear view-space depth."""
-    origins, dirs = render.camera_rays(scene, frame_index)
+def reconstruct_positions(scene: Scene, frame_index: int, depth: np.ndarray,
+                          rays=None) -> np.ndarray:
+    """World-space primary hit points from the linear view-space depth.
+    `rays` are the frame's (origins, directions) from `render.camera_rays`,
+    traced here when not given."""
+    origins, dirs = render.camera_rays(scene, frame_index) if rays is None else rays
     _pos, fwd, _r, _u, _t = render.camera_basis(scene, frame_index)
     z = dirs @ fwd
     t = np.where(np.isfinite(depth), depth / z, 0.0)
@@ -62,11 +65,19 @@ def reconstruct_positions(scene: Scene, frame_index: int, depth: np.ndarray) -> 
 
 def lighting(scene: Scene, frame_index: int, gbuf: GBufferFrame) -> tuple:
     """Unshadowed direct light on the frame's geometry and its sky plate,
-    the inputs `compose.composite` blends the channels with: (direct, sky)."""
-    positions = reconstruct_positions(scene, frame_index, gbuf.depth.astype(np.float64))
+    the inputs `compose.composite` blends the channels with: (direct, sky).
+
+    The camera rays are traced once, for both. The sky is looked up only on
+    the background, the one place where `compose.composite` shows it, and
+    is 0 under the geometry.
+    """
+    rays = render.camera_rays(scene, frame_index)
+    positions = reconstruct_positions(scene, frame_index, gbuf.depth.astype(np.float64),
+                                      rays=rays)
     direct = compose.shade_direct(gbuf, positions, scene.light.center_at(frame_index),
                                   scene.light.intensity)
-    return direct, render.render_sky(scene, frame_index)
+    return direct, render.render_sky(scene, frame_index, dirs=rays[1],
+                                     where=~gbuf.foreground)
 
 
 def run_pipeline(seq: FrameSequence, cfg: DenoiseConfig, dump_intermediates: bool = False):

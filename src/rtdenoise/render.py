@@ -414,8 +414,18 @@ def render_frame(scene: Scene, frame_index: int, spp: int, seed: int,
 REFERENCE_SPP = 1024  # ground truth: the identical estimator at high spp
 
 
-def render_sky(scene: Scene, frame_index: int) -> np.ndarray:
-    """Environment radiance along every camera ray (the background plate)."""
-    _origins, dirs = camera_rays(scene, frame_index)
-    return sample_latlong(scene.env, dirs)
+def render_sky(scene: Scene, frame_index: int, dirs=None, where=None) -> np.ndarray:
+    """Environment radiance along every camera ray (the background plate),
+    or with a mask `where` only along the rays there, 0 elsewhere. `dirs`
+    are the frame's directions from `camera_rays`, traced here when not
+    given. Each pixel's radiance is the same either way: the masked rays
+    keep the C-order layout of the full grid."""
+    if dirs is None:
+        _origins, dirs = camera_rays(scene, frame_index)
+    if where is None:
+        return sample_latlong(scene.env, dirs)
+    flat = np.flatnonzero(where)
+    sky = np.zeros(dirs.shape)
+    sky.reshape(-1, 3)[flat] = sample_latlong(scene.env, dirs.reshape(-1, 3)[flat])
+    return sky
 

@@ -43,6 +43,24 @@ uses its result. The driver rejects a foreground pixel whose depth is not
 positive and finite or whose normal is not finite, since its weights would
 turn the frame NaN.
 
+`denoise_frame` passes one `FrameState` to every a-trous call of a frame.
+It checks the geometry and crops the box on the first call only, and it
+knows the frame's schedule of level passes from that call's levels. A tap's
+G-buffer weight depends only on its pixel offset: every call of the frame
+has the same center planes and the same edge-clamped tap planes, and the
+distance of unit offset (j, i) at step s, s * hypot(j, i), equals bit for
+bit that of (j/2, i/2) at step 2s, since the steps are powers of two and
+scaling by two is exact. So a level's taps at even unit offsets, the
+corners and edge midpoints of its outer ring, are the next level's inner
+ring. The state stores them as box planes keyed by pixel offset when a
+later pass reads them, and drops each after its last read. Four uniform
+dense iterations then evaluate 24 + 3 * 16 weights per box pixel instead of
+96, separable ones 8 + 3 * 4 instead of 32. The state also tells each call
+which channels run their last iteration: no later call reads their
+variance, so the call neither pads nor accumulates it and returns None in
+its place. A call without the state, as tests and probes make, does all of
+its own work.
+
 The start level can shift up by one where material features predict heavy
 noise (roughness over 0.2, shadow angles over 6 degrees), keeping the
 iteration count fixed; with noise-free secondary shading the iteration count
@@ -93,6 +111,13 @@ def _geometry_weight(center, tap, dist, cfg, out, tmp):
     return out
 
 
+def _foreground(gbuf: GBufferFrame):
+    """The foreground and its bounding box, after `_check_geometry`."""
+    fg = gbuf.foreground
+    _check_geometry(gbuf, fg)
+    return fg, bounding_box(fg)
+
+
 def _check_geometry(gbuf: GBufferFrame, fg) -> None:
     """Reject the first foreground pixel whose depth is not positive and
     finite or whose normal is not finite: its edge weights would spread NaN."""
@@ -114,9 +139,10 @@ _ROW = [(0, k, KERNEL_1D[k + 2], abs(k)) for k in _OFFSETS]
 
 class _Member(NamedTuple):
     """One signal's side of a level pass: its negated luminance denominator
-    over the box, its padded luminance, data and, on the last pass, variance
-    (tap(dy, dx) -> view), the box views of its outputs that the pass
-    writes, and the pixels at the pass's level (None for all)."""
+    over the box, its padded luminance, data and, on a pass that updates the
+    variance, variance (tap(dy, dx) -> view), the box views of its outputs
+    that the pass writes, and the pixels at the pass's level (None for
+    all)."""
     neg_denom: np.ndarray
     luma_at: object
     data_at: object
@@ -126,10 +152,11 @@ class _Member(NamedTuple):
     mask: np.ndarray | None = None
 
 
-def _pass_member(out, out_var, var, neg_denom, box, reach, last) -> _Member:
-    """One signal's side of a pass over its current `out`. The pass writes
-    `out` in place, so it reads only padded copies. For a one-plane signal
-    the luminance is the data, so both read one padded plane."""
+def _pass_member(out, out_var, var, neg_denom, box, reach, with_var) -> _Member:
+    """One signal's side of a pass over its current `out`, which updates
+    `out_var` from `var` if `with_var`. The pass writes `out` in place, so
+    it reads only padded copies. For a one-plane signal the luminance is the
+    data, so both read one padded plane."""
     data_at = shifted(out, reach)
     if out.shape[2] == 1:
         def luma_at(dy, dx):
@@ -138,19 +165,22 @@ def _pass_member(out, out_var, var, neg_denom, box, reach, last) -> _Member:
         # luma of the whole plane, before cropping: `@` may take another
         # BLAS path, so other rounding, on a non-contiguous view
         luma_at = shifted(luma(out), reach)
-    return _Member(neg_denom, luma_at, data_at, shifted(var, reach) if last else None,
-                   out[box], out_var[box] if last else None)
+    return _Member(neg_denom, luma_at, data_at, shifted(var, reach) if with_var else None,
+                   out[box], out_var[box] if with_var else None)
 
 
-def _level_pass(offsets, step, box, geometry, gtaps, members, scratch, cfg):
+def _level_pass(offsets, step, box, geometry, gtaps, members, scratch, cfg, read, write):
     """One pass at one step over the box for `members`, the signals that use
     this level, in row bands (see the module docstring).
 
     `geometry` is the center's (depth, sigma_z * |depth|, normal) and `gtaps`
     the padded (depth, normal) planes. `scratch` holds three band-sized
     planes and, per member, band-sized accumulators of data, weight and
-    squared weight times variance. Each member's mean, and on the last pass
-    its variance, are written into its box views where its mask holds.
+    squared weight times variance. Each member's mean, and its variance where
+    it has a `var` view, are written into its box views where its mask holds.
+    `read` and `write` map pixel offsets to box planes of w_z * w_n from a
+    frame state's store: a tap in `read` takes its weight from there, and a
+    tap in `write` computes its weight into it.
     """
     h = geometry[0].shape[0]
     (g, wgt, tmp), slots = scratch
@@ -168,8 +198,12 @@ def _level_pass(offsets, step, box, geometry, gtaps, members, scratch, cfg):
         for j, i, k, dist in offsets:
             dy, dx = j * step, i * step
             if (i, j) != (0, 0):  # the center tap's edge weight is 1
-                tap = tuple(t(dy, dx)[box][band] for t in gtaps)
-                _geometry_weight(center, tap, step * dist, cfg, g_b, tmp_b)
+                if (dy, dx) in read:
+                    gw = read[dy, dx][band]
+                else:
+                    gw = write[dy, dx][band] if (dy, dx) in write else g_b
+                    tap = tuple(t(dy, dx)[box][band] for t in gtaps)
+                    _geometry_weight(center, tap, step * dist, cfg, gw, tmp_b)
             for m, (acc, acc_w, acc_w2v) in zip(members, accs):
                 if (i, j) == (0, 0):
                     wgt_b.fill(k)
@@ -179,7 +213,7 @@ def _level_pass(offsets, step, box, geometry, gtaps, members, scratch, cfg):
                     np.abs(wgt_b, out=wgt_b)
                     wgt_b /= m.neg_denom[band]
                     np.exp(wgt_b, out=wgt_b)
-                    wgt_b *= g_b  # (w_z * w_n) * w_l: IEEE products commute
+                    wgt_b *= gw  # (w_z * w_n) * w_l: IEEE products commute
                     wgt_b *= k
                 d_t = m.data_at(dy, dx)[box][band]
                 for acc_ch, d_ch in zip(acc, d_t.transpose(2, 0, 1)):
@@ -204,27 +238,95 @@ def _level_pass(offsets, step, box, geometry, gtaps, members, scratch, cfg):
                     np.copyto(dst, np.divide(num, den, out=tmp_b), where=m.mask[band])
 
 
+class FrameState:
+    """What the a-trous calls of one frame share (see the module docstring).
+
+    `denoise_frame` makes one per frame from the iteration count of each
+    channel that runs at all, in the order of its calls' lists, and passes
+    it to every call; the first call fills it. It holds the foreground and
+    its box, checked once, and a store of G-buffer weights keyed by pixel
+    offset. It knows the frame's whole schedule of level passes, so it tells
+    each pass which stored weights are still read later and which of its
+    own outer ring to store, and each call which channels' variances a later
+    call reads.
+    """
+
+    def __init__(self, counts):
+        self.counts = list(counts)  # iterations per channel
+        self.fg = self.box = None
+        self.weights = {}  # pixel offset (dy, dx) -> box plane of w_z * w_n
+        self._calls = 0
+        self._passes = None  # per level pass of the frame: (its taps, later taps, step)
+
+    def crop(self, gbuf: GBufferFrame):
+        """The foreground and its box, computed and checked on the first call."""
+        if self.fg is None:
+            self.fg, self.box = _foreground(gbuf)
+        return self.fg, self.box
+
+    def variance_read(self) -> list:
+        """Per channel of the next call, whether a later call reads its variance."""
+        i, self._calls = self._calls, self._calls + 1
+        return [count - 1 > i for count in self.counts if count > i]
+
+    def plan(self, used, passes) -> None:
+        """Lay out the frame's level passes from the first call's levels in
+        use per channel; iteration i runs them shifted up by i."""
+        if self._passes is not None:
+            return
+        steps = []
+        for n in range(max(self.counts)):
+            union = np.unique(np.concatenate([u + n for u, c in zip(used, self.counts) if c > n]))
+            steps.extend((offsets, 2 ** int(lv)) for offsets in passes for lv in union)
+        taps = [{(j * s, i * s) for j, i, _k, _d in offsets if (j, i) != (0, 0)}
+                for offsets, s in steps]
+        later = [set()]
+        for t in reversed(taps[1:]):
+            later.append(later[-1] | t)
+        self._passes = iter(zip(taps, reversed(later), (s for _o, s in steps)))
+
+    def next_pass(self, shape):
+        """The weights the next level pass reads from the store and the new
+        planes of `shape` it writes into it, as {pixel offset: plane} each.
+        Drops what no pass from this one on reads, then adds the pass's
+        outer ring, its taps at even multiples of the step, where a later
+        pass reads it and the store lacks it."""
+        taps, later, step = next(self._passes)
+        for t in [t for t in self.weights if t not in taps and t not in later]:
+            del self.weights[t]
+        read = {t: self.weights[t] for t in taps if t in self.weights}
+        write = {(dy, dx): np.empty(shape) for dy, dx in taps & later
+                 if dy % (2 * step) == 0 and dx % (2 * step) == 0 and (dy, dx) not in read}
+        self.weights.update(write)
+        return read, write
+
+
 def _atrous(channels, variances, gbuf: GBufferFrame, levels, cfg: DenoiseConfig, passes,
-            stats):
+            stats, state):
     """One a-trous iteration of each channel, at each pixel's level, run as
     `passes`, a list of unit tap tables, over one G-buffer setup (see the
     module docstring).
 
     Each pass filters the previous pass's result; the last also returns the
-    variance of the weighted mean. Each tap is a full padded plane sliced to
-    the foreground's box, so a kept pixel still sees its true neighbours and
-    the image border. Counts the nominal taps, the sum of the pass lengths
-    per pixel and channel, into `stats`. Returns one (channel', variance')
-    pair per channel, the channel (H, W, C).
+    variance of the weighted mean, or None for a channel whose variance the
+    frame `state` says no later call reads. Each tap is a full padded plane
+    sliced to the foreground's box, so a kept pixel still sees its true
+    neighbours and the image border. Counts the nominal taps, the sum of the
+    pass lengths per pixel and channel, into `stats`. Returns one
+    (channel', variance') pair per channel, the channel (H, W, C).
     """
     datas = [as_planes(channel) for channel in channels]
     variances = [np.asarray(variance, dtype=np.float64) for variance in variances]
     for level, var in zip(levels, variances, strict=True):
         check_level(np.max(level), *var.shape)
-    fg = gbuf.foreground
-    _check_geometry(gbuf, fg)
-    outs = [(data.copy(), var.copy()) for data, var in zip(datas, variances, strict=True)]
-    box = bounding_box(fg)
+    if state is None:
+        fg, box = _foreground(gbuf)
+        var_read = [True] * len(datas)
+    else:
+        fg, box = state.crop(gbuf)
+        var_read = state.variance_read()
+    outs = [(data.copy(), var.copy() if read else None)
+            for data, var, read in zip(datas, variances, var_read, strict=True)]
     if box is not None:
         levels = [np.asarray(level, dtype=np.int64) for level in levels]
         levels = [level[box] if level.ndim else level for level in levels]
@@ -232,6 +334,8 @@ def _atrous(channels, variances, gbuf: GBufferFrame, levels, cfg: DenoiseConfig,
         # reductions instead of a sort
         used = [np.unique(level) if level.min() != level.max() else level.reshape(-1)[:1]
                 for level in levels]
+        if state is not None:
+            state.plan(used, passes)
         # each channel pads its planes as far as its own top level reaches
         reaches = [2 * 2 ** int(u[-1]) for u in used]
         gtaps = (shifted(np.where(fg, gbuf.depth, np.inf), max(reaches)),
@@ -261,18 +365,21 @@ def _atrous(channels, variances, gbuf: GBufferFrame, levels, cfg: DenoiseConfig,
                         if members[s] is None:
                             (out, out_var), var = outs[s], variances[s]
                             members[s] = _pass_member(out, out_var, var, neg_denoms[s], box,
-                                                      reaches[s], last)
+                                                      reaches[s], last and var_read[s])
                         at.append(members[s] if len(u) == 1
                                   else members[s]._replace(mask=level == lv))
                         if lv == u[-1]:
                             members[s] = None
-                _level_pass(offsets, 2 ** int(lv), box, geometry, gtaps, at, scratch, cfg)
+                read, write = ({}, {}) if state is None else state.next_pass(z_c.shape)
+                _level_pass(offsets, 2 ** int(lv), box, geometry, gtaps, at, scratch, cfg,
+                            read, write)
         # background pixels keep their inputs; outside the box no pass wrote
         bg = ~fg[box]
         if bg.any():
             for (out, out_var), data, var in zip(outs, datas, variances):
                 np.copyto(out[box], data[box], where=bg[..., None])
-                np.copyto(out_var[box], var[box], where=bg)
+                if out_var is not None:
+                    np.copyto(out_var[box], var[box], where=bg)
     if stats is not None:
         taps_per_pixel = sum(map(len, passes))
         stats["taps"] = stats.get("taps", 0) + fg.size * taps_per_pixel * len(datas)
@@ -281,7 +388,7 @@ def _atrous(channels, variances, gbuf: GBufferFrame, levels, cfg: DenoiseConfig,
 
 
 def atrous_dense(channels, variances, gbuf: GBufferFrame, levels, cfg: DenoiseConfig,
-                 stats: dict | None = None):
+                 stats: dict | None = None, *, state: FrameState | None = None):
     """One dense 5x5 iteration of each of equal-length lists of channels,
     variances and levels, filtered jointly over one G-buffer setup; a level
     is a scalar or a per-pixel array.
@@ -289,13 +396,17 @@ def atrous_dense(channels, variances, gbuf: GBufferFrame, levels, cfg: DenoiseCo
     Returns a list of (channel', variance') pairs, channel' (H, W, C) and
     variance' the variance of the weighted mean. Taps are clamped to the
     image border; the center tap always participates with edge weight 1, so
-    each output stays a convex combination.
+    each output stays a convex combination. `state` is the frame's
+    `FrameState`, shared by its iterations' calls: with it a call reads the
+    G-buffer weights an earlier level stored, instead of computing them
+    again, and a channel whose variance no later call reads gets None for
+    it. Without it the call does all its own work.
     """
-    return _atrous(channels, variances, gbuf, levels, cfg, (_DENSE,), stats)
+    return _atrous(channels, variances, gbuf, levels, cfg, (_DENSE,), stats, state)
 
 
 def atrous_separable(channels, variances, gbuf: GBufferFrame, levels, cfg: DenoiseConfig,
-                     stats: dict | None = None):
+                     stats: dict | None = None, *, state: FrameState | None = None):
     """One separable 5+5 iteration of each channel, as `atrous_dense` takes
     and returns them: horizontal color-only, then vertical.
 
@@ -303,9 +414,10 @@ def atrous_separable(channels, variances, gbuf: GBufferFrame, levels, cfg: Denoi
     updated only by the vertical pass, which is what makes the separable form
     blur slightly more than the dense one across edges. With per-pixel levels
     the vertical pass reads horizontal results computed at each neighbor's
-    own level.
+    own level. With a frame `state`, each pass reuses the weights of its
+    offsets at twice the previous level's step, as the dense form does.
     """
-    return _atrous(channels, variances, gbuf, levels, cfg, (_ROW, _COLUMN), stats)
+    return _atrous(channels, variances, gbuf, levels, cfg, (_ROW, _COLUMN), stats, state)
 
 
 def _feature(values) -> np.ndarray:
@@ -348,7 +460,9 @@ def denoise_frame(signals: dict, gbuf: GBufferFrame, cfg: DenoiseConfig,
     `signals` maps a `ChannelKind` to its (channel, variance). Iteration i
     filters a channel at level start+i, and filters every channel that has
     an iteration i in one joint call of `atrous_dense` or `atrous_separable`,
-    so they share its G-buffer setup and edge weights. The output of
+    so they share its G-buffer setup and edge weights. The calls share one
+    `FrameState`, so each level reads the weights of the previous level's
+    outer ring instead of computing them again. The output of
     iteration 0 becomes the color fed back into the temporal history (unless
     feedback is off). The SHADOW kind needs the light's `shadow_angle` in
     degrees, one scalar for the frame or a per-pixel map. Returns, per kind,
@@ -378,18 +492,21 @@ def denoise_frame(signals: dict, gbuf: GBufferFrame, cfg: DenoiseConfig,
                        "var": np.asarray(variance, dtype=np.float64)}
 
     filt = atrous_separable if cfg.separable else atrous_dense
+    state = FrameState(p["max_count"] for p in plans.values() if p["max_count"] > 0)
     for i in range(max((p["max_count"] for p in plans.values()), default=0)):
         running = [p for p in plans.values() if p["max_count"] > i]
         stats = {}
         results = filt([p["out"] for p in running], [p["var"] for p in running], gbuf,
-                       [p["start"] + i for p in running], cfg, stats=stats)
+                       [p["start"] + i for p in running], cfg, stats=stats, state=state)
         for p, (filtered, fvar) in zip(running, results):
             level = p["start"] + i
-            # pixels past their iteration count keep their state
+            # pixels past their iteration count keep their state; a channel's
+            # last iteration returns no variance
             done = p["counts"] <= i
             if done.any():
                 np.copyto(filtered, p["out"], where=done[..., None])
-                np.copyto(fvar, p["var"], where=done)
+                if fvar is not None:
+                    np.copyto(fvar, p["var"], where=done)
             p["out"], p["var"] = filtered, fvar
             p["records"].append({"iteration": i, "level_min": int(level.min()),
                                  "level_max": int(level.max()),

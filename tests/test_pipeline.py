@@ -31,7 +31,8 @@ def test_identity_configuration_reproduces_raw_composite():
     expected = compose.composite(direct, seq.frames[0]["shadow_1spp"].astype(np.float64),
                                  seq.frames[0]["specular_1spp"].astype(np.float64),
                                  gbuf, sky)
-    assert np.allclose(out.frames[0]["composite"], expected, atol=1e-6)
+    # the full sky plate and a second camera-ray trace give the same bits
+    assert np.array_equal(out.frames[0]["composite"], expected.astype(np.float32))
     assert np.array_equal(out.frames[0]["composite"], out.frames[0]["composite_noisy"])
 
 
@@ -401,8 +402,8 @@ def test_atrous_iterations_run_through_the_module_attribute(separable, monkeypat
     real = getattr(spatial, name)
     taps = []
 
-    def probe(channel, variance, gbuf, level, cfg, stats=None):
-        result = real(channel, variance, gbuf, level, cfg, stats=stats)
+    def probe(channel, variance, gbuf, level, cfg, stats=None, **kwargs):
+        result = real(channel, variance, gbuf, level, cfg, stats=stats, **kwargs)
         taps.append(stats["taps"])
         return result
 

@@ -587,6 +587,21 @@ def test_boundary_arrays_are_c_contiguous():
         assert arr.flags.c_contiguous, name
 
 
+def test_masked_sky_keeps_each_pixels_bits():
+    # the sky under the geometry is never shown, so it may be left at 0
+    scene = _scene("cubes-distance", width=20, height=16, movement="camera")
+    gbuf, _shadow, _spec = render_frame(scene, 1, spp=1, seed=1)
+    bg = ~gbuf.foreground
+    assert bg.any() and not bg.all()
+    full = render_sky(scene, 1)
+    _origins, dirs = camera_rays(scene, 1)
+    for masked in (render_sky(scene, 1, where=bg), render_sky(scene, 1, dirs=dirs, where=bg)):
+        assert masked.flags.c_contiguous
+        assert masked[bg].tobytes() == full[bg].tobytes()
+        assert not masked[~bg].any()
+    assert render_sky(scene, 1, dirs=dirs).tobytes() == full.tobytes()
+
+
 def test_lengths_match_linalg_norm():
     rs = np.random.default_rng(8)
     v = rs.normal(size=(64, 3)) * np.exp(rs.uniform(-30.0, 30.0, (64, 1)))

@@ -11,7 +11,7 @@ from rtdenoise.render import render_frame
 from rtdenoise.scenes import preset_scene, scene_from_dict
 from rtdenoise.spatial import (KERNEL_1D, atrous_dense, atrous_separable, denoise_channel,
                                select_iteration_count, select_start_level)
-from rtdenoise.stencil import shifted
+from rtdenoise.stencil import bounding_box, shifted
 
 SHADOW, SPECULAR = ChannelKind
 
@@ -737,3 +737,171 @@ def test_row_bands_give_the_same_bits(monkeypatch):
             assert got[0].tobytes() == want[0].tobytes()
             assert got[1].tobytes() == want[1].tobytes()
         monkeypatch.undo()
+
+
+# ---------------------------------------------------------------------------
+# frame state: what one frame's a-trous calls share
+
+def _stateless(monkeypatch):
+    """Route denoise_frame's calls through the filters without the frame state."""
+    for name in ("atrous_dense", "atrous_separable"):
+        real = getattr(spatial, name)
+
+        def alone(*args, _real=real, state=None, **kwargs):
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(spatial, name, alone)
+
+
+def _breakfast_frame(roughness, size=32):
+    scene = scene_from_dict(preset_scene("breakfast-lite", width=size, height=size,
+                                         roughness=roughness, shadow_angle=8.0,
+                                         movement="camera"))
+    gbuf, shadow, specular = render_frame(scene, 0, spp=1, seed=5)
+    rs = np.random.default_rng(21)
+    signals = {SHADOW: (shadow.data, rs.random((size, size))),
+               SPECULAR: (specular.data, rs.random((size, size)))}
+    return scene, gbuf, signals
+
+
+_CASES = {
+    # one level per iteration for both channels
+    "uniform": (0.1, DenoiseConfig(iterations=4)),
+    # the shadow starts at level 1, the specular at 0 or 1 per pixel
+    "mixed": (0.1, DenoiseConfig(iterations=3, adaptive_start=True)),
+    # iteration counts 0, 1 and 3 per pixel: the specular stops after one
+    "counts": (0.0, DenoiseConfig(iterations=3, adaptive_start=True,
+                                  ibl_adaptive_iterations=True)),
+}
+
+
+@pytest.mark.parametrize("separable", [False, True])
+@pytest.mark.parametrize("case", list(_CASES))
+@pytest.mark.parametrize("band", [None, 1, 30, 100])
+def test_frame_state_gives_the_bits_of_stateless_calls(separable, case, band, monkeypatch):
+    # stored weights, the skipped last variance and the one geometry check
+    # change no bit of any output, whatever the row bands
+    roughness, cfg = _CASES[case]
+    cfg = dataclasses.replace(cfg, separable=separable)
+    scene, gbuf, signals = _breakfast_frame(roughness)
+    if case == "counts":
+        counts = select_iteration_count(gbuf.roughness, True, cfg.iterations)
+        assert set(np.unique(counts)) == {0, 1, 3}
+    if band is not None:
+        monkeypatch.setattr(spatial, "_BAND", band)
+    got = spatial.denoise_frame(signals, gbuf, cfg, shadow_angle=scene.shadow_angle_deg)
+    _stateless(monkeypatch)
+    want = spatial.denoise_frame(signals, gbuf, cfg, shadow_angle=scene.shadow_angle_deg)
+    for kind in ChannelKind:
+        (out, feedback, records), (w_out, w_feedback, w_records) = got[kind], want[kind]
+        assert out.tobytes() == w_out.tobytes()
+        assert feedback.tobytes() == w_feedback.tobytes()
+        assert records == w_records
+
+
+def test_outer_ring_distances_are_the_next_levels_inner_ring():
+    # the stored weights are exact: a tap at even unit offsets has, bit for
+    # bit, the distance of the halved offset at twice the step
+    for table in (spatial._DENSE, spatial._ROW, spatial._COLUMN):
+        by_offset = {(j, i): dist for j, i, _k, dist in table}
+        for (j, i), dist in by_offset.items():
+            if j % 2 == 0 and i % 2 == 0:
+                for level in range(12):
+                    step = 2 ** level
+                    assert step * dist == (2 * step) * by_offset[j // 2, i // 2]
+
+
+@pytest.mark.parametrize("separable,mixed,per_pixel,planes", [
+    (False, False, 24 + 3 * 16, 8 + 8),
+    (True, False, 8 + 3 * 4, 2 + 2 + 2),
+    # levels {i, i + 1} in iteration i: level i + 1 reads level i's outer ring
+    # in the same call, and in the next call also its own outer ring again
+    (False, True, (24 + 16) + 2 * (8 + 16), 8 + 8),
+    (True, True, 2 * (4 + 2) + 2 * 2 * 2, 2 * (2 + 2)),
+])
+def test_frame_state_weighs_each_offset_once_per_frame(separable, mixed, per_pixel, planes,
+                                                       monkeypatch):
+    # level L's taps at even multiples of its step are level L+1's inner
+    # ring: of 4 uniform iterations, only the first computes all its taps.
+    # The store holds only outer rings that a later pass reads
+    rs = np.random.default_rng(22)
+    gbuf = _boxed_gbuf(rs, 36, 34)
+    rows, cols = bounding_box(gbuf.foreground)
+    evaluated = []
+    weigh = spatial._geometry_weight
+
+    def counting(center, tap, dist, cfg, out, tmp):
+        evaluated.append(out.size)
+        return weigh(center, tap, dist, cfg, out, tmp)
+
+    stored = []
+    next_pass = spatial.FrameState.next_pass
+
+    def recording(state, shape):
+        read_write = next_pass(state, shape)
+        stored.append(len(state.weights))
+        return read_write
+
+    monkeypatch.setattr(spatial, "_geometry_weight", counting)
+    monkeypatch.setattr(spatial.FrameState, "next_pass", recording)
+    signals = {SHADOW: (rs.random((36, 34)), rs.random((36, 34))),
+               SPECULAR: (rs.random((36, 34, 3)), rs.random((36, 34)))}
+    if mixed:
+        # the shadow starts at level 1, the specular at 0 or 1 per pixel
+        gbuf.roughness[:] = np.where(rs.random((36, 34)) < 0.5, 0.1, 0.3)
+        cfg = DenoiseConfig(iterations=3, separable=separable, adaptive_start=True)
+        spatial.denoise_frame(signals, gbuf, cfg, shadow_angle=8.0)
+    else:
+        cfg = DenoiseConfig(iterations=4, separable=separable)
+        spatial.denoise_frame(signals, gbuf, cfg, shadow_angle=2.0)
+    box_pixels = (rows.stop - rows.start) * (cols.stop - cols.start)
+    assert sum(evaluated) == per_pixel * box_pixels
+    assert max(stored) == planes
+
+
+def test_frame_state_checks_the_geometry_once_per_frame(monkeypatch):
+    checks = []
+    check = spatial._check_geometry
+
+    def counting(gbuf, fg):
+        checks.append(gbuf)
+        return check(gbuf, fg)
+
+    monkeypatch.setattr(spatial, "_check_geometry", counting)
+    scene, gbuf, signals = _breakfast_frame(0.1)
+    spatial.denoise_frame(signals, gbuf, DenoiseConfig(iterations=3),
+                          shadow_angle=scene.shadow_angle_deg)
+    assert checks == [gbuf]
+
+
+@pytest.mark.parametrize("separable", [False, True])
+def test_last_iteration_reads_no_variance(separable, monkeypatch):
+    # no later iteration reads a channel's variance after its last one, so
+    # that call pads, accumulates and returns none
+    rs = np.random.default_rng(23)
+    gbuf = _boxed_gbuf(rs, 32, 32)
+    gbuf.roughness[:] = 0.03  # one specular iteration everywhere, three of the shadow
+    signals = {SHADOW: (rs.random((32, 32)), rs.random((32, 32))),
+               SPECULAR: (rs.random((32, 32, 3)), rs.random((32, 32)))}
+    cfg = DenoiseConfig(iterations=3, separable=separable, ibl_adaptive_iterations=True)
+    name = "atrous_separable" if separable else "atrous_dense"
+    filt, level_pass = getattr(spatial, name), spatial._level_pass
+    calls = []
+
+    def recording_filter(*args, **kwargs):
+        calls.append({"var_taps": [], "results": None})
+        calls[-1]["results"] = filt(*args, **kwargs)
+        return calls[-1]["results"]
+
+    def recording_pass(offsets, step, box, geometry, gtaps, members, *args):
+        calls[-1]["var_taps"].extend(m.var_at is not None for m in members)
+        return level_pass(offsets, step, box, geometry, gtaps, members, *args)
+
+    monkeypatch.setattr(spatial, name, recording_filter)
+    monkeypatch.setattr(spatial, "_level_pass", recording_pass)
+    spatial.denoise_frame(signals, gbuf, cfg, shadow_angle=2.0)
+    assert [len(c["results"]) for c in calls] == [2, 1, 1]
+    assert [[var is None for _out, var in c["results"]] for c in calls] \
+        == [[False, True], [False], [True]]
+    assert any(calls[0]["var_taps"]) and any(calls[1]["var_taps"])
+    assert not any(calls[2]["var_taps"])
