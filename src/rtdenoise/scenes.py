@@ -6,7 +6,9 @@ constant `[x, y, z]` or `{"keyframes": [[frame, [x, y, z]], ...]}` with
 linear interpolation, clamped outside the keyframed range. The env map is
 a `gradient` sky, a `constant` or a `file`: a PFM lat-long map, a 1-channel
 one repeated to RGB, whose relative `path` resolves against the working
-directory, not the scene file's.
+directory, not the scene file's. A field that is missing, of the wrong type
+or out of range raises a `ValueError` naming its path, such as
+`objects[0].id`.
 
 Four presets mirror the usual test structure for this kind of denoiser:
 `cubes-distance` (roughness-graded reflectors), `shadow-objects` (floating
@@ -57,6 +59,23 @@ def _positive_int(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value > 0
 
 
+def _field(doc, key: str, path: str, valid, want: str):
+    """`doc[key]`, the field `path` of a scene document, or None where `doc`
+    has no such field; raises naming `path` unless `valid` holds for it."""
+    value = doc.get(key) if isinstance(doc, dict) else None
+    if not valid(value):
+        raise ValueError(f"{path} {value!r} {want}")
+    return value
+
+
+# (valid, want) of a `_field` that is an object, a non-empty list, an object id
+# or a path
+_DICT = (lambda v: isinstance(v, dict), "is not an object")
+_LIST = (lambda v: isinstance(v, list) and len(v) > 0, "is not a non-empty list")
+_ID = (_positive_int, "is not a positive integer")
+_PATH = (lambda v: isinstance(v, str), "is not a path")
+
+
 def _keyframe(entry, path: str):
     """A keyframe `[frame, vec3]` as (int frame, vec3); raises naming `path`
     unless the entry is such a pair and its frame a finite integral number."""
@@ -73,9 +92,7 @@ def _kf_parse(value, path: str):
     """Normalize a constant or keyframed vec3 into [(frame, vec3), ...]."""
     if isinstance(value, dict):
         kfs = [_keyframe(entry, f"{path}.keyframes[{i}]")
-               for i, entry in enumerate(value["keyframes"])]
-        if not kfs:
-            raise ValueError(f"{path} has an empty keyframe list")
+               for i, entry in enumerate(_field(value, "keyframes", f"{path}.keyframes", *_LIST))]
         return sorted(kfs, key=lambda kv: kv[0])
     return [(0, _vec3(value, path))]
 
@@ -154,13 +171,11 @@ class Scene:
                 self.camera_up, self.vfov_deg)
 
     def validate(self) -> None:
-        if not self.objects:
-            raise ValueError("scene needs at least one object")
         ids = [o.oid for o in self.objects]
         if self.ground is not None:
             ids.append(self.ground.oid)
-        if len(set(ids)) != len(ids) or any(i < 1 for i in ids):
-            raise ValueError("object ids must be unique and >= 1")
+        if len(set(ids)) != len(ids):
+            raise ValueError("object ids must be unique")
         if not 0 <= self.light.radius < math.inf:  # NaN fails this too
             raise ValueError(f"light.radius {self.light.radius!r} must be finite and >= 0")
         if self.env.shape[0] < 4 or self.env.shape[1] < 8:
@@ -223,7 +238,7 @@ def _build_env(spec: dict) -> np.ndarray:
         return env_gradient_sky(**args)
     if kind == "file":
         from .pfm import read_pfm
-        arr = read_pfm(spec["path"]).astype(np.float64)
+        arr = read_pfm(_field(spec, "path", "env.path", *_PATH)).astype(np.float64)
         if arr.ndim == 2:
             arr = np.repeat(arr[:, :, None], 3, axis=2)
         return arr
@@ -242,36 +257,39 @@ def _material_from(d: dict, path: str) -> Material:
 
 
 def scene_from_dict(doc: dict) -> Scene:
-    cam = doc["camera"]
+    cam = _field(doc, "camera", "camera", *_DICT)
     objects = []
-    for i, od in enumerate(doc["objects"]):
+    for i, od in enumerate(_field(doc, "objects", "objects", *_LIST)):
         path = f"objects[{i}]"
-        obj = SceneObject(kind=od["type"], oid=int(od["id"]), material=_material_from(od, path),
+        if not isinstance(od, dict):
+            raise ValueError(f"{path} {od!r} is not an object")
+        obj = SceneObject(kind=_field(od, "type", f"{path}.type", lambda v: v in ("sphere", "box"),
+                                      "is not 'sphere' or 'box'"),
+                          oid=int(_field(od, "id", f"{path}.id", *_ID)),
+                          material=_material_from(od, path),
                           motion=_kf_parse(od.get("motion", [0.0, 0.0, 0.0]), f"{path}.motion"))
-        if od["type"] == "sphere":
-            obj.center = _vec3(od["center"], f"{path}.center")
-            obj.radius = _number(od["radius"], f"{path}.radius",
+        if obj.kind == "sphere":
+            obj.center = _vec3(od.get("center"), f"{path}.center")
+            obj.radius = _number(od.get("radius"), f"{path}.radius",
                                  lambda r: 0.0 < r < math.inf, "is not finite and > 0")
-        elif od["type"] == "box":
-            obj.lo = _vec3(od["min"], f"{path}.min")
-            obj.hi = _vec3(od["max"], f"{path}.max")
+        else:
+            obj.lo = _vec3(od.get("min"), f"{path}.min")
+            obj.hi = _vec3(od.get("max"), f"{path}.max")
             if not (obj.lo < obj.hi).all():
                 raise ValueError(f"{path}.min {od['min']!r} is not below {path}.max "
                                  f"{od['max']!r} on every axis")
-        else:
-            raise ValueError(f"unknown object type {od['type']!r}")
         objects.append(obj)
 
     ground = None
     if doc.get("ground"):
-        g = doc["ground"]
+        g = _field(doc, "ground", "ground", *_DICT)
         ground = GroundPlane(height=_number(g.get("height", 0.0), "ground.height",
                                             math.isfinite, "is not finite"),
-                             oid=int(g["id"]),
+                             oid=int(_field(g, "id", "ground.id", *_ID)),
                              material=_material_from(g, "ground"))
 
-    ldoc = doc["light"]
-    center_kf = _kf_parse(ldoc["center"], "light.center")
+    ldoc = _field(doc, "light", "light", *_DICT)
+    center_kf = _kf_parse(ldoc.get("center"), "light.center")
     reference_point = _vec3(doc.get("reference_point", [0.0, 0.0, 0.0]), "reference_point")
     shadow_angle = doc.get("shadow_angle_deg")
     # the cone the light subtends at the reference receiver, fixed at frame 0
@@ -290,25 +308,23 @@ def scene_from_dict(doc: dict) -> Scene:
     else:
         radius = dist * math.tan(math.radians(shadow_angle) / 2.0)
 
-    res = doc["resolution"]
-    if not (isinstance(res, (list, tuple)) and len(res) == 2 and all(map(_positive_int, res))):
-        raise ValueError(f"resolution {res!r} is not two positive integers")
-    width, height = res
-    frame_count = doc.get("frame_count")
-    if frame_count is not None and not _positive_int(frame_count):
-        raise ValueError(f"frame_count {frame_count!r} is not a positive integer")
+    width, height = _field(doc, "resolution", "resolution", lambda r: (
+        isinstance(r, (list, tuple)) and len(r) == 2 and all(map(_positive_int, r))),
+        "is not two positive integers")
+    frame_count = _field(doc, "frame_count", "frame_count",
+                         lambda v: v is None or _positive_int(v), "is not a positive integer")
     scene = Scene(
         name=doc.get("name", "unnamed"),
         width=int(width), height=int(height),
-        camera_pos=_kf_parse(cam["position"], "camera.position"),
-        camera_look=_kf_parse(cam["look_at"], "camera.look_at"),
+        camera_pos=_kf_parse(cam.get("position"), "camera.position"),
+        camera_look=_kf_parse(cam.get("look_at"), "camera.look_at"),
         camera_up=_vec3(cam.get("up", [0.0, 1.0, 0.0]), "camera.up"),
         vfov_deg=_number(cam.get("vfov_deg", 45.0), "camera.vfov_deg",
                          lambda v: 0.0 < v < 180.0, "outside (0, 180)"),
         objects=objects,
         ground=ground,
         light=AreaLight(center_kf=center_kf,
-                        intensity=_vec3(ldoc["intensity"], "light.intensity", True),
+                        intensity=_vec3(ldoc.get("intensity"), "light.intensity", True),
                         radius=radius),
         shadow_angle_deg=float(shadow_angle),
         env=_build_env(doc.get("env", {"kind": "gradient"})),

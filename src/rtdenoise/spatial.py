@@ -43,23 +43,23 @@ uses its result. The driver rejects a foreground pixel whose depth is not
 positive and finite or whose normal is not finite, since its weights would
 turn the frame NaN.
 
-`denoise_frame` passes one `FrameState` to every a-trous call of a frame.
-It checks the geometry and crops the box on the first call only, and it
-knows the frame's schedule of level passes from that call's levels. A tap's
-G-buffer weight depends only on its pixel offset: every call of the frame
-has the same center planes and the same edge-clamped tap planes, and the
-distance of unit offset (j, i) at step s, s * hypot(j, i), equals bit for
-bit that of (j/2, i/2) at step 2s, since the steps are powers of two and
-scaling by two is exact. So a level's taps at even unit offsets, the
-corners and edge midpoints of its outer ring, are the next level's inner
-ring. The state stores them as box planes keyed by pixel offset when a
-later pass reads them, and drops each after its last read. Four uniform
-dense iterations then evaluate 24 + 3 * 16 weights per box pixel instead of
-96, separable ones 8 + 3 * 4 instead of 32. The state also tells each call
-which channels run their last iteration: no later call reads their
-variance, so the call neither pads nor accumulates it and returns None in
-its place. A call without the state, as tests and probes make, does all of
-its own work.
+Every a-trous call runs through a `FrameState`. `denoise_frame` builds one
+per frame, which checks the geometry and crops the box once, and passes it
+to every call of the frame; a call given none builds its own, as one lone
+iteration whose every variance its caller reads. The state knows the
+schedule of level passes from its first call's levels. A tap's G-buffer
+weight depends only on its pixel offset: every pass of the state has the
+same center planes and the same edge-clamped tap planes, and the distance
+of unit offset (j, i) at step s, s * hypot(j, i), equals bit for bit that
+of (j/2, i/2) at step 2s, since the steps are powers of two and scaling by
+two is exact. So a level's taps at even unit offsets, the corners and edge
+midpoints of its outer ring, are the next level's inner ring. The state
+stores them as box planes keyed by pixel offset when a later pass reads
+them, and drops each after its last read. Four uniform dense iterations
+then evaluate 24 + 3 * 16 weights per box pixel instead of 96, separable
+ones 8 + 3 * 4 instead of 32. The state also tells each call which channels
+run their last iteration: no later call reads their variance, so the call
+neither pads nor accumulates it and returns None in its place.
 
 The start level can shift up by one where material features predict heavy
 noise (roughness over 0.2, shadow angles over 6 degrees), keeping the
@@ -109,13 +109,6 @@ def _geometry_weight(center, tap, dist, cfg, out, tmp):
     np.power(ndot, cfg.sigma_n, out=ndot, where=(ndot != 0.0) & (ndot != 1.0))
     out *= ndot
     return out
-
-
-def _foreground(gbuf: GBufferFrame):
-    """The foreground and its bounding box, after `_check_geometry`."""
-    fg = gbuf.foreground
-    _check_geometry(gbuf, fg)
-    return fg, bounding_box(fg)
 
 
 def _check_geometry(gbuf: GBufferFrame, fg) -> None:
@@ -241,42 +234,45 @@ def _level_pass(offsets, step, box, geometry, gtaps, members, scratch, cfg, read
 class FrameState:
     """What the a-trous calls of one frame share (see the module docstring).
 
-    `denoise_frame` makes one per frame from the iteration count of each
-    channel that runs at all, in the order of its calls' lists, and passes
-    it to every call; the first call fills it. It holds the foreground and
-    its box, checked once, and a store of G-buffer weights keyed by pixel
-    offset. It knows the frame's whole schedule of level passes, so it tells
-    each pass which stored weights are still read later and which of its
-    own outer ring to store, and each call which channels' variances a later
-    call reads.
+    Built from the frame's G-buffer, it crops the foreground to its box and
+    checks its geometry at once, and keeps a store of G-buffer weights keyed
+    by pixel offset. `counts` is the iteration count of each channel that
+    runs at all, in the order of the calls' lists: `denoise_frame` builds
+    one state per frame with them and passes it to every call. A call made
+    without a state builds its own with no counts, as a lone call whose
+    caller reads every variance it returns. The state lays out the whole
+    schedule of level passes on the first call, so it tells each pass which
+    stored weights are still read later and which of its own outer ring to
+    store, and each call which channels' variances a later call reads.
     """
 
-    def __init__(self, counts):
-        self.counts = list(counts)  # iterations per channel
-        self.fg = self.box = None
+    def __init__(self, gbuf: GBufferFrame, counts=None):
+        self.fg = gbuf.foreground
+        _check_geometry(gbuf, self.fg)
+        self.box = bounding_box(self.fg)
+        self.counts = counts  # iterations per channel, or None for a lone call
         self.weights = {}  # pixel offset (dy, dx) -> box plane of w_z * w_n
         self._calls = 0
         self._passes = None  # per level pass of the frame: (its taps, later taps, step)
 
-    def crop(self, gbuf: GBufferFrame):
-        """The foreground and its box, computed and checked on the first call."""
-        if self.fg is None:
-            self.fg, self.box = _foreground(gbuf)
-        return self.fg, self.box
-
-    def variance_read(self) -> list:
-        """Per channel of the next call, whether a later call reads its variance."""
+    def variance_read(self, channels: int) -> list:
+        """Per channel of the next call, of `channels`, whether its variance
+        is read: by a later call, or by a lone call's caller."""
+        if self.counts is None:
+            return [True] * channels
         i, self._calls = self._calls, self._calls + 1
         return [count - 1 > i for count in self.counts if count > i]
 
     def plan(self, used, passes) -> None:
         """Lay out the frame's level passes from the first call's levels in
-        use per channel; iteration i runs them shifted up by i."""
+        use per channel; iteration i runs them shifted up by i, and a lone
+        call is one iteration."""
         if self._passes is not None:
             return
+        counts = [1] * len(used) if self.counts is None else self.counts
         steps = []
-        for n in range(max(self.counts)):
-            union = np.unique(np.concatenate([u + n for u, c in zip(used, self.counts) if c > n]))
+        for n in range(max(counts)):
+            union = np.unique(np.concatenate([u + n for u, c in zip(used, counts) if c > n]))
             steps.extend((offsets, 2 ** int(lv)) for offsets in passes for lv in union)
         taps = [{(j * s, i * s) for j, i, _k, _d in offsets if (j, i) != (0, 0)}
                 for offsets, s in steps]
@@ -319,12 +315,9 @@ def _atrous(channels, variances, gbuf: GBufferFrame, levels, cfg: DenoiseConfig,
     variances = [np.asarray(variance, dtype=np.float64) for variance in variances]
     for level, var in zip(levels, variances, strict=True):
         check_level(np.max(level), *var.shape)
-    if state is None:
-        fg, box = _foreground(gbuf)
-        var_read = [True] * len(datas)
-    else:
-        fg, box = state.crop(gbuf)
-        var_read = state.variance_read()
+    state = state or FrameState(gbuf)
+    fg, box = state.fg, state.box
+    var_read = state.variance_read(len(datas))
     outs = [(data.copy(), var.copy() if read else None)
             for data, var, read in zip(datas, variances, var_read, strict=True)]
     if box is not None:
@@ -334,8 +327,7 @@ def _atrous(channels, variances, gbuf: GBufferFrame, levels, cfg: DenoiseConfig,
         # reductions instead of a sort
         used = [np.unique(level) if level.min() != level.max() else level.reshape(-1)[:1]
                 for level in levels]
-        if state is not None:
-            state.plan(used, passes)
+        state.plan(used, passes)
         # each channel pads its planes as far as its own top level reaches
         reaches = [2 * 2 ** int(u[-1]) for u in used]
         gtaps = (shifted(np.where(fg, gbuf.depth, np.inf), max(reaches)),
@@ -370,7 +362,7 @@ def _atrous(channels, variances, gbuf: GBufferFrame, levels, cfg: DenoiseConfig,
                                   else members[s]._replace(mask=level == lv))
                         if lv == u[-1]:
                             members[s] = None
-                read, write = ({}, {}) if state is None else state.next_pass(z_c.shape)
+                read, write = state.next_pass(z_c.shape)
                 _level_pass(offsets, 2 ** int(lv), box, geometry, gtaps, at, scratch, cfg,
                             read, write)
         # background pixels keep their inputs; outside the box no pass wrote
@@ -397,10 +389,10 @@ def atrous_dense(channels, variances, gbuf: GBufferFrame, levels, cfg: DenoiseCo
     variance' the variance of the weighted mean. Taps are clamped to the
     image border; the center tap always participates with edge weight 1, so
     each output stays a convex combination. `state` is the frame's
-    `FrameState`, shared by its iterations' calls: with it a call reads the
-    G-buffer weights an earlier level stored, instead of computing them
-    again, and a channel whose variance no later call reads gets None for
-    it. Without it the call does all its own work.
+    `FrameState`, shared by its iterations' calls: a call reads the G-buffer
+    weights an earlier level stored, instead of computing them again, and a
+    channel whose variance no later call reads gets None for it. Without
+    one the call builds its own and returns every variance.
     """
     return _atrous(channels, variances, gbuf, levels, cfg, (_DENSE,), stats, state)
 
@@ -414,8 +406,8 @@ def atrous_separable(channels, variances, gbuf: GBufferFrame, levels, cfg: Denoi
     updated only by the vertical pass, which is what makes the separable form
     blur slightly more than the dense one across edges. With per-pixel levels
     the vertical pass reads horizontal results computed at each neighbor's
-    own level. With a frame `state`, each pass reuses the weights of its
-    offsets at twice the previous level's step, as the dense form does.
+    own level. Each pass reuses the weights of its offsets at twice the
+    previous level's step, as the dense form does.
     """
     return _atrous(channels, variances, gbuf, levels, cfg, (_ROW, _COLUMN), stats, state)
 
@@ -484,7 +476,7 @@ def denoise_frame(signals: dict, gbuf: GBufferFrame, cfg: DenoiseConfig,
         max_count = int(counts.max()) if counts.size else 0
         if max_count > 0:
             check_level(np.max(start) + max_count - 1, *gbuf.depth.shape)
-        # the filters never write their inputs, so the state starts as the
+        # the filters never write their inputs, so a plan starts from the
         # caller's arrays, which `_outputs` copies if no iteration replaced them
         data = as_planes(channel)
         plans[kind] = {"start": start, "counts": counts, "max_count": max_count,
@@ -492,15 +484,16 @@ def denoise_frame(signals: dict, gbuf: GBufferFrame, cfg: DenoiseConfig,
                        "var": np.asarray(variance, dtype=np.float64)}
 
     filt = atrous_separable if cfg.separable else atrous_dense
-    state = FrameState(p["max_count"] for p in plans.values() if p["max_count"] > 0)
-    for i in range(max((p["max_count"] for p in plans.values()), default=0)):
+    counts = [p["max_count"] for p in plans.values() if p["max_count"] > 0]
+    state = FrameState(gbuf, counts) if counts else None
+    for i in range(max(counts, default=0)):
         running = [p for p in plans.values() if p["max_count"] > i]
         stats = {}
         results = filt([p["out"] for p in running], [p["var"] for p in running], gbuf,
                        [p["start"] + i for p in running], cfg, stats=stats, state=state)
         for p, (filtered, fvar) in zip(running, results):
             level = p["start"] + i
-            # pixels past their iteration count keep their state; a channel's
+            # pixels past their iteration count keep their values; a channel's
             # last iteration returns no variance
             done = p["counts"] <= i
             if done.any():
@@ -533,6 +526,7 @@ def denoise_channel(channel, variance, gbuf: GBufferFrame, cfg: DenoiseConfig,
                     kind: ChannelKind, shadow_angle=None):
     """Run the configured a-trous iterations for one channel: `denoise_frame`
     of that channel alone, returning its (final_channel, feedback_channel,
-    iteration_records). The pipeline calls `denoise_frame`; this stays for
-    perfbench's per-layer probes."""
+    iteration_records). The pipeline calls `denoise_frame`; this stays only
+    because `perfbench/spans.py` binds the name, whose probe records nothing
+    while the pipeline does not call it."""
     return denoise_frame({kind: (channel, variance)}, gbuf, cfg, shadow_angle)[kind]

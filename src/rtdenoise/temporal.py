@@ -11,11 +11,11 @@ or (H, W, C) planes and the one history length they share. The work that
 depends only on the G-buffer, (1)'s consistency tests, (3)'s blend weights
 and new history length, and (4)'s short-history mask and window tests, is
 done once for all channels; (2) runs per channel. `temporal_step` is its
-one-channel case, which the pipeline does not call; it stays as a named
-entry point for perfbench's per-layer probes. The spatial moments are
-computed only where they are kept, and not at all once every foreground
-history is long. Where the short-history foreground fills at least a
-quarter of its bounding box
+one-channel case, which the pipeline does not call; it stays only because
+`perfbench/spans.py` binds the name, whose probe records nothing while the
+pipeline does not call it. The spatial moments are computed only where they
+are kept, and not at all once every foreground history is long. Where the
+short-history foreground fills at least a quarter of its bounding box
 (`stencil.bounding_box`, grown by the window radius), they come from the box
 form: the 7x7 geometry-restricted window over that box, one masked box loop
 (`_box_moments`) that reads its taps as slices of edge-padded planes, with a
@@ -53,24 +53,10 @@ from .stencil import (as_planes, bilinear_sample, bounding_box, channel_major, d
 from .tonemap import luma
 
 
-def consistency_test(prev_depth, prev_normal, prev_oid, curr_depth, curr_normal,
-                     curr_oid):
-    """Geometry agreement between a previous-frame texel and a current pixel.
-
-    Accepts scalars or broadcastable arrays; true iff the object ids match,
-    relative depth differs by less than the default `depth_consistency` and
-    the normals agree beyond the default `normal_consistency` of
-    `DenoiseConfig`.
-    """
-    return _consistent(prev_depth, prev_normal, prev_oid,
-                       _consistency_center(curr_depth, curr_normal, curr_oid),
-                       DenoiseConfig.depth_consistency, DenoiseConfig.normal_consistency)
-
-
 def _consistency_center(curr_depth, curr_normal, curr_oid):
-    """The current pixel's side of `consistency_test`, prepared once for the
-    many texels tested against it: (depth, the relative depth test's
-    denominator, normal, object id), depth and normal in float64."""
+    """The current pixel's side of the geometry consistency test, prepared
+    once for the many texels tested against it: (depth, the relative depth
+    test's denominator, normal, object id), depth and normal in float64."""
     depth = np.asarray(curr_depth, dtype=np.float64)
     return (depth, np.maximum(np.abs(depth), 1e-8), np.asarray(curr_normal, dtype=np.float64),
             np.asarray(curr_oid))
@@ -78,7 +64,11 @@ def _consistency_center(curr_depth, curr_normal, curr_oid):
 
 def _consistent(prev_depth, prev_normal, prev_oid, center, depth_threshold,
                 normal_threshold):
-    """`consistency_test` against a prepared `_consistency_center`."""
+    """Geometry agreement between previous-frame texels and the current
+    pixels of a prepared `_consistency_center`, as scalars or broadcastable
+    arrays: true iff the object ids match, the relative depth differs by
+    less than `depth_threshold` and the normals' dot product exceeds
+    `normal_threshold`."""
     depth, scale, normal, oid = center
     id_ok = np.asarray(prev_oid) == oid
     with np.errstate(invalid="ignore"):
@@ -382,6 +372,8 @@ def temporal_step(curr_data: np.ndarray, curr_gbuf: GBufferFrame,
                   cfg: DenoiseConfig):
     """One full temporal update of one channel: `temporal_frame` of a frame
     whose one channel is keyed 0; returns (history, variance). The pipeline
-    calls `temporal_frame`; this stays for perfbench's per-layer probes."""
+    calls `temporal_frame`; this stays only because `perfbench/spans.py`
+    binds the name, whose probe records nothing while the pipeline does not
+    call it."""
     history, variance = temporal_frame({0: curr_data}, curr_gbuf, prev, prev_gbuf, cfg)
     return history, variance[0]

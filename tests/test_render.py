@@ -125,7 +125,7 @@ _BAD_SCENES = {
     "intensity not numeric": (_set(("light", "intensity"), "bright"), "light.intensity"),
     "vfov not numeric": (_set(("camera", "vfov_deg"), "wide"), "camera.vfov_deg"),
     "center without keyframes": (_set(("light", "center"), {"keyframes": []}),
-                                 "light.center"),
+                                 "light.center.keyframes"),
     **{f"keyframe frame {frame!r}": (_set(("light", "center"), {"keyframes": [
         [frame, [2.8, 7.5, 0.0]], [10, [2.8, 7.5, 1.0]]]}), "light.center.keyframes[0]")
        for frame in (2.5, "x", "3", math.nan, math.inf, True, None, [1])},
@@ -146,15 +146,67 @@ def test_scene_rejects_invalid_value_naming_the_field(case):
         scene_from_dict(doc)
 
 
+def _drop(path):
+    """Edit that deletes the document field at `path`, a tuple of keys."""
+    def edit(doc):
+        *parents, last = path
+        for key in parents:
+            doc = doc[key]
+        del doc[last]
+    return edit
+
+
+# (edit of a 16x16 shadow-objects document, the message it raises): a field
+# that is missing, shown as None, of the wrong type or empty
+_BAD_FIELDS = {
+    "camera missing": (_drop(("camera",)), "camera None is not an object"),
+    "camera look_at missing": (_drop(("camera", "look_at")),
+                               "camera.look_at None is not 3 finite numbers"),
+    "object id missing": (_drop(("objects", 0, "id")),
+                          "objects[0].id None is not a positive integer"),
+    "object radius missing": (_drop(("objects", 0, "radius")),
+                              "objects[0].radius None is not finite and > 0"),
+    "light intensity missing": (_drop(("light", "intensity")),
+                                "light.intensity None is not 3 finite non-negative numbers"),
+    "ground id missing": (_drop(("ground", "id")), "ground.id None is not a positive integer"),
+    "keyframes missing": (_set(("light", "center"), {"frames": []}),
+                          "light.center.keyframes None is not a non-empty list"),
+    "env path missing": (_set(("env",), {"kind": "file"}), "env.path None is not a path"),
+    "objects not a list": (_set(("objects",), 3), "objects 3 is not a non-empty list"),
+    "no objects": (_set(("objects",), []), "objects [] is not a non-empty list"),
+    "object not an object": (_set(("objects", 0), 5), "objects[0] 5 is not an object"),
+    "ground not an object": (_set(("ground",), 5), "ground 5 is not an object"),
+    "object type missing": (_drop(("objects", 0, "type")),
+                            "objects[0].type None is not 'sphere' or 'box'"),
+    "object type cone": (_set(("objects", 0, "type"), "cone"),
+                         "objects[0].type 'cone' is not 'sphere' or 'box'"),
+    "keyframes not a list": (_set(("light", "center"), {"keyframes": 3}),
+                             "light.center.keyframes 3 is not a non-empty list"),
+    "object id 2.5": (_set(("objects", 0, "id"), 2.5),
+                      "objects[0].id 2.5 is not a positive integer"),
+    "object id 0": (_set(("objects", 0, "id"), 0), "objects[0].id 0 is not a positive integer"),
+    "object id true": (_set(("objects", 1, "id"), True),
+                       "objects[1].id True is not a positive integer"),
+    "ground id 1.9": (_set(("ground", "id"), 1.9), "ground.id 1.9 is not a positive integer"),
+}
+
+
+@pytest.mark.parametrize("case", list(_BAD_FIELDS))
+def test_scene_rejects_missing_or_mistyped_field_naming_it(case):
+    edit, message = _BAD_FIELDS[case]
+    doc = preset_scene("shadow-objects", width=16, height=16)
+    assert [o["id"] for o in doc["objects"]][:2] == [2, 3] and doc["ground"]["id"] == 1
+    edit(doc)
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+        scene_from_dict(doc)
+
+
 # (edit of a 16x16 shadow-objects document, the whole message it raises)
 _BAD_SCENE_MESSAGES = {
-    "no objects": (_set(("objects",), []), "scene needs at least one object"),
-    "duplicate ids": (_set(("objects", 1, "id"), 2), "object ids must be unique and >= 1"),
-    "zero id": (_set(("objects", 0, "id"), 0), "object ids must be unique and >= 1"),
+    "duplicate ids": (_set(("objects", 1, "id"), 2), "object ids must be unique"),
     "env 4x4": (_set(("env",), {"kind": "constant", "value": 0.5, "width": 4, "height": 4}),
                 "env map must be at least 8x4"),
     "env kind": (_set(("env",), {"kind": "cube"}), "unknown env map kind 'cube'"),
-    "object type": (_set(("objects", 0, "type"), "cone"), "unknown object type 'cone'"),
     "no light size": (_set(("shadow_angle_deg",), None),
                       "light needs either a radius or a scene shadow_angle_deg"),
 }

@@ -683,11 +683,20 @@ def test_joint_driver_gives_each_channel_its_bits_alone(separable, roughness):
         assert records == want[2] and len(records) == cfg.iterations
 
 
-@pytest.mark.parametrize("filt,taps", [(atrous_dense, 24), (atrous_separable, 8)])
-@pytest.mark.parametrize("levels", [(0, 0), (0, 1), "mixed"])
-def test_joint_iteration_weighs_the_gbuffer_once_per_level(filt, taps, levels, monkeypatch):
+@pytest.mark.parametrize("filt,levels,per_pixel", [
+    (atrous_dense, (0, 0), 24),
+    (atrous_separable, (0, 0), 2 * 4),
+    # level 1's inner ring is level 0's outer ring, read from the call's own
+    # state: 8 of its 24 taps dense, 1 of its 2 per side and pass separable
+    (atrous_dense, (0, 1), 24 + 16),
+    (atrous_separable, (0, 1), 2 * (4 + 2)),
+    (atrous_dense, "mixed", 24 + 16),
+    (atrous_separable, "mixed", 2 * (4 + 2)),
+])
+def test_joint_iteration_weighs_the_gbuffer_once_per_level(filt, levels, per_pixel,
+                                                           monkeypatch):
     # the depth and normal stops are the channels' common factor: one
-    # evaluation per (pass, level, tap) and pixel, however many channels use it
+    # evaluation per (pass, offset) and pixel, however many channels use it
     rs = np.random.default_rng(19)
     gbuf = _random_gbuf(rs, 16, 16)
     if levels == "mixed":
@@ -704,9 +713,7 @@ def test_joint_iteration_weighs_the_gbuffer_once_per_level(filt, taps, levels, m
     channels = [rs.random((16, 16)), rs.random((16, 16, 3))]
     variances = [rs.random((16, 16)), rs.random((16, 16))]
     joint = filt(channels, variances, gbuf, list(levels), DenoiseConfig())
-    per_level = taps * 16 * 16  # non-center taps over the box, the whole frame here
-    union = np.unique(np.concatenate([np.ravel(level) for level in levels]))
-    assert sum(evaluated) == per_level * len(union)
+    assert sum(evaluated) == per_pixel * 16 * 16  # the box is the whole frame here
     monkeypatch.setattr(spatial, "_geometry_weight", weigh)
     for got, channel, variance, level in zip(joint, channels, variances, levels):
         want = _alone(filt, channel, variance, gbuf, level, DenoiseConfig())
@@ -742,8 +749,9 @@ def test_row_bands_give_the_same_bits(monkeypatch):
 # ---------------------------------------------------------------------------
 # frame state: what one frame's a-trous calls share
 
-def _stateless(monkeypatch):
-    """Route denoise_frame's calls through the filters without the frame state."""
+def _lone_calls(monkeypatch):
+    """Route denoise_frame's calls through the filters as lone calls, each
+    without the frame's state."""
     for name in ("atrous_dense", "atrous_separable"):
         real = getattr(spatial, name)
 
@@ -778,7 +786,7 @@ _CASES = {
 @pytest.mark.parametrize("separable", [False, True])
 @pytest.mark.parametrize("case", list(_CASES))
 @pytest.mark.parametrize("band", [None, 1, 30, 100])
-def test_frame_state_gives_the_bits_of_stateless_calls(separable, case, band, monkeypatch):
+def test_frame_state_gives_the_bits_of_lone_calls(separable, case, band, monkeypatch):
     # stored weights, the skipped last variance and the one geometry check
     # change no bit of any output, whatever the row bands
     roughness, cfg = _CASES[case]
@@ -790,7 +798,7 @@ def test_frame_state_gives_the_bits_of_stateless_calls(separable, case, band, mo
     if band is not None:
         monkeypatch.setattr(spatial, "_BAND", band)
     got = spatial.denoise_frame(signals, gbuf, cfg, shadow_angle=scene.shadow_angle_deg)
-    _stateless(monkeypatch)
+    _lone_calls(monkeypatch)
     want = spatial.denoise_frame(signals, gbuf, cfg, shadow_angle=scene.shadow_angle_deg)
     for kind in ChannelKind:
         (out, feedback, records), (w_out, w_feedback, w_records) = got[kind], want[kind]
@@ -872,6 +880,39 @@ def test_frame_state_checks_the_geometry_once_per_frame(monkeypatch):
     spatial.denoise_frame(signals, gbuf, DenoiseConfig(iterations=3),
                           shadow_angle=scene.shadow_angle_deg)
     assert checks == [gbuf]
+    # a lone call checks it once too, however many levels it runs
+    checks.clear()
+    (shadow, variance), (specular, _var) = signals[SHADOW], signals[SPECULAR]
+    for filt in (atrous_dense, atrous_separable):
+        filt([shadow, specular], [variance, variance], gbuf, [0, 1], DenoiseConfig())
+    assert checks == [gbuf, gbuf]
+    # and a frame without an iteration builds no state
+    checks.clear()
+    spatial.denoise_frame(signals, gbuf, DenoiseConfig(iterations=0),
+                          shadow_angle=scene.shadow_angle_deg)
+    assert checks == []
+
+
+@pytest.mark.parametrize("filt", [atrous_dense, atrous_separable])
+def test_lone_call_returns_every_channels_variance(filt):
+    # a lone call's caller reads every variance it returns: each is the one
+    # a frame's state gives when a later iteration reads it
+    rs = np.random.default_rng(24)
+    gbuf = _boxed_gbuf(rs, 24, 24)
+    channels = [rs.random((24, 24)), rs.random((24, 24, 3))]
+    variances = [rs.random((24, 24)), rs.random((24, 24))]
+    levels = [0, rs.integers(0, 2, (24, 24))]
+    lone = filt(channels, variances, gbuf, levels, DenoiseConfig())
+    framed = filt(channels, variances, gbuf, levels, DenoiseConfig(),
+                  state=spatial.FrameState(gbuf, [2, 2]))
+    assert len(lone) == len(framed) == 2
+    for (out, var), (f_out, f_var) in zip(lone, framed):
+        assert var is not None and var.shape == (24, 24)
+        assert out.tobytes() == f_out.tobytes() and var.tobytes() == f_var.tobytes()
+    # where no later iteration reads them, a frame's call returns none
+    last = filt(channels, variances, gbuf, levels, DenoiseConfig(),
+                state=spatial.FrameState(gbuf, [1, 1]))
+    assert [var is None for _out, var in last] == [True, True]
 
 
 @pytest.mark.parametrize("separable", [False, True])

@@ -5,9 +5,9 @@ from hypothesis import given, settings, strategies as st
 from rtdenoise import temporal
 from rtdenoise.frames import DenoiseConfig, GBufferFrame, TemporalHistory
 from rtdenoise.stencil import shifted
-from rtdenoise.temporal import (_box_moments, _unmasked_box_moments, accumulate,
-                                consistency_test, estimate_variance, rectify_history,
-                                rectify_moments, reproject, temporal_step)
+from rtdenoise.temporal import (_box_moments, _consistency_center, _consistent,
+                                _unmasked_box_moments, accumulate, estimate_variance,
+                                rectify_history, rectify_moments, reproject, temporal_step)
 
 CFG = DenoiseConfig()
 
@@ -51,6 +51,15 @@ def _accumulate_one(value, tap):
     return accumulate({0: value}, {0: value[:, :, 0]}, tap, 0.2, 0.2)
 
 
+def _consistency_test(prev_depth, prev_normal, prev_oid, curr_depth, curr_normal, curr_oid):
+    """The geometry consistency test of a previous-frame texel against a
+    current pixel, scalars or broadcastable arrays, at `DenoiseConfig`'s
+    default thresholds."""
+    return _consistent(prev_depth, prev_normal, prev_oid,
+                       _consistency_center(curr_depth, curr_normal, curr_oid),
+                       DenoiseConfig.depth_consistency, DenoiseConfig.normal_consistency)
+
+
 def _variance_one(hist, luma, gbuf, min_history, cfg):
     """The variance of the one channel of `hist`, from its (H, W) luminance."""
     return estimate_variance(hist, {0: luma}, gbuf, min_history, cfg)[0]
@@ -61,18 +70,18 @@ def _variance_one(hist, luma, gbuf, min_history, cfg):
 
 def test_consistency_identical_true():
     n = np.array([0.0, 1.0, 0.0])
-    assert consistency_test(5.0, n, 1, 5.0, n, 1)
+    assert _consistency_test(5.0, n, 1, 5.0, n, 1)
 
 
 def test_consistency_id_mismatch():
     n = np.array([0.0, 1.0, 0.0])
-    assert not consistency_test(5.0, n, 3, 5.0, n, 5)
+    assert not _consistency_test(5.0, n, 3, 5.0, n, 5)
 
 
 def test_consistency_depth_threshold():
     n = np.array([0.0, 1.0, 0.0])
-    assert not consistency_test(10.0, n, 1, 11.5, n, 1)  # 15% relative, over 10%
-    assert consistency_test(10.0, n, 1, 10.5, n, 1)
+    assert not _consistency_test(10.0, n, 1, 11.5, n, 1)  # 15% relative, over 10%
+    assert _consistency_test(10.0, n, 1, 10.5, n, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +263,7 @@ def _full_frame_spatial_variance(luma, gbuf):
     depth = gbuf.depth.astype(np.float64)
     normal = gbuf.normal.astype(np.float64)
     at = [shifted(p, 3) for p in (gbuf.depth, gbuf.normal, gbuf.object_id)]
-    [(_mean, var)] = _box_moments([luma], 3, accept=lambda dy, dx: consistency_test(
+    [(_mean, var)] = _box_moments([luma], 3, accept=lambda dy, dx: _consistency_test(
         *(t(dy, dx) for t in at), depth, normal, gbuf.object_id))
     return var
 
@@ -354,7 +363,7 @@ def test_gathered_spatial_variance_equals_box_form_bit_for_bit():
     # some windows lose taps inside the image: a right neighbour fails the test
     y, x = np.divmod(kept, gbuf.depth.shape[1])
     right = np.minimum(x + 1, gbuf.depth.shape[1] - 1)
-    assert not consistency_test(gbuf.depth[y, right], gbuf.normal[y, right],
+    assert not _consistency_test(gbuf.depth[y, right], gbuf.normal[y, right],
                                 gbuf.object_id[y, right], gbuf.depth[y, x], gbuf.normal[y, x],
                                 gbuf.object_id[y, x]).all()
 
