@@ -8,7 +8,9 @@ a `gradient` sky, a `constant` or a `file`: a PFM lat-long map, a 1-channel
 one repeated to RGB, whose relative `path` resolves against the working
 directory, not the scene file's. A field that is missing, of the wrong type
 or out of range raises a `ValueError` naming its path, such as
-`objects[0].id`.
+`objects[0].id`. Only the env map's `width`, `height`, `value`, `scale` and
+`sun_cos` go to its builder as given; the map it builds must be at least 8x4
+texels of finite, non-negative radiance.
 
 Four presets mirror the usual test structure for this kind of denoiser:
 `cubes-distance` (roughness-graded reflectors), `shadow-objects` (floating
@@ -43,10 +45,11 @@ def _vec3(value, path: str, nonnegative: bool = False) -> np.ndarray:
 
 
 def _number(value, path: str, valid, want: str) -> float:
-    """`value` as a float; raises naming the field `path` unless `valid` holds
-    for it. NaN fails every comparison, so a range test rejects it too."""
+    """`value` as a float; raises naming the field `path` unless it is a number
+    and `valid` holds for it. A bool or a string counts as no number, and NaN
+    fails every comparison, so a range test rejects it too."""
     try:
-        v = float(value)
+        v = math.nan if isinstance(value, (bool, str)) else float(value)
     except (TypeError, ValueError):
         v = math.nan
     if not valid(v):
@@ -71,7 +74,7 @@ def _field(doc, key: str, path: str, valid, want: str):
 # (valid, want) of a `_field` that is an object, a non-empty list, an object id
 # or a path
 _DICT = (lambda v: isinstance(v, dict), "is not an object")
-_LIST = (lambda v: isinstance(v, list) and len(v) > 0, "is not a non-empty list")
+_LIST = (lambda v: isinstance(v, (list, tuple)) and len(v) > 0, "is not a non-empty list")
 _ID = (_positive_int, "is not a positive integer")
 _PATH = (lambda v: isinstance(v, str), "is not a path")
 
@@ -176,8 +179,6 @@ class Scene:
             ids.append(self.ground.oid)
         if len(set(ids)) != len(ids):
             raise ValueError("object ids must be unique")
-        if not 0 <= self.light.radius < math.inf:  # NaN fails this too
-            raise ValueError(f"light.radius {self.light.radius!r} must be finite and >= 0")
         if self.env.shape[0] < 4 or self.env.shape[1] < 8:
             raise ValueError("env map must be at least 8x4")
         bad = ~((self.env >= 0) & (self.env < math.inf)).all(axis=2)  # NaN too
@@ -299,13 +300,14 @@ def scene_from_dict(doc: dict) -> Scene:
         if shadow_angle is not None:
             raise ValueError("light.radius and shadow_angle_deg both given; the one "
                              "sets the other, so give only one")
-        radius = float(ldoc["radius"])
+        radius = _number(ldoc["radius"], "light.radius", lambda r: 0.0 <= r < math.inf,
+                         "must be finite and >= 0")
         shadow_angle = math.degrees(2.0 * math.atan2(radius, dist))
     elif shadow_angle is None:
         raise ValueError("light needs either a radius or a scene shadow_angle_deg")
-    elif not 0.0 <= shadow_angle < 180.0:  # NaN fails this too
-        raise ValueError(f"shadow_angle_deg {shadow_angle!r} outside [0, 180)")
     else:
+        shadow_angle = _number(shadow_angle, "shadow_angle_deg", lambda a: 0.0 <= a < 180.0,
+                               "outside [0, 180)")
         radius = dist * math.tan(math.radians(shadow_angle) / 2.0)
 
     width, height = _field(doc, "resolution", "resolution", lambda r: (
@@ -326,8 +328,9 @@ def scene_from_dict(doc: dict) -> Scene:
         light=AreaLight(center_kf=center_kf,
                         intensity=_vec3(ldoc.get("intensity"), "light.intensity", True),
                         radius=radius),
-        shadow_angle_deg=float(shadow_angle),
-        env=_build_env(doc.get("env", {"kind": "gradient"})),
+        shadow_angle_deg=shadow_angle,
+        env=_build_env(_field(doc, "env", "env", lambda v: v is None or isinstance(v, dict),
+                              "is not an object") or {}),
         frame_count=None if frame_count is None else int(frame_count),
         raw=doc,
     )

@@ -156,6 +156,14 @@ def _drop(path):
     return edit
 
 
+def _light_radius(value):
+    """Edit that sizes the light by `light.radius` = `value`, not the shadow angle."""
+    def edit(doc):
+        del doc["shadow_angle_deg"]
+        doc["light"]["radius"] = value
+    return edit
+
+
 # (edit of a 16x16 shadow-objects document, the message it raises): a field
 # that is missing, shown as None, of the wrong type or empty
 _BAD_FIELDS = {
@@ -188,6 +196,13 @@ _BAD_FIELDS = {
     "object id true": (_set(("objects", 1, "id"), True),
                        "objects[1].id True is not a positive integer"),
     "ground id 1.9": (_set(("ground", "id"), 1.9), "ground.id 1.9 is not a positive integer"),
+    "env not an object": (_set(("env",), 5), "env 5 is not an object"),
+    **{f"light radius {radius!r}": (_light_radius(radius),
+                                    f"light.radius {radius!r} must be finite and >= 0")
+       for radius in ("big", "1", [1], True)},
+    **{f"shadow angle {angle!r}": (_set(("shadow_angle_deg",), angle),
+                                   f"shadow_angle_deg {angle!r} outside [0, 180)")
+       for angle in ("x", "4", [4.0], True)},
 }
 
 
@@ -220,6 +235,16 @@ def test_scene_rejects_invalid_document(case):
     edit(doc)
     with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
         scene_from_dict(doc)
+
+
+def test_scene_takes_tuples_where_it_takes_lists():
+    doc = preset_scene("shadow-objects", width=16, height=16, movement="light-teleport")
+    want = scene_from_dict(doc)
+    doc["objects"] = tuple(doc["objects"])
+    doc["light"]["center"]["keyframes"] = tuple(doc["light"]["center"]["keyframes"])
+    got = scene_from_dict(doc)
+    assert [o.oid for o in got.objects] == [o.oid for o in want.objects]
+    assert repr(got.light.center_kf) == repr(want.light.center_kf)
 
 
 def test_keyframe_repeated_frame_takes_the_segment_that_ends_there():

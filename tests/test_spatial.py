@@ -151,6 +151,19 @@ def _alone(filt, channel, variance, gbuf, level, cfg, stats=None):
     return out.reshape(np.shape(channel)), out_var
 
 
+def _every_weight(monkeypatch):
+    """Make every level pass compute all its G-buffer weights: the state
+    still lays out its passes, but hands none a stored weight or a plane to
+    store."""
+    next_pass = spatial.FrameState.next_pass
+
+    def computing(self, shape):
+        next_pass(self, shape)
+        return {}, {}
+
+    monkeypatch.setattr(spatial.FrameState, "next_pass", computing)
+
+
 def _random_gbuf(rs, h, w):
     gbuf = _flat_gbuf(h, w)
     gbuf.depth[:] = 4.0 + rs.random((h, w)).astype(np.float32)
@@ -715,9 +728,17 @@ def test_joint_iteration_weighs_the_gbuffer_once_per_level(filt, levels, per_pix
     joint = filt(channels, variances, gbuf, list(levels), DenoiseConfig())
     assert sum(evaluated) == per_pixel * 16 * 16  # the box is the whole frame here
     monkeypatch.setattr(spatial, "_geometry_weight", weigh)
+    _every_weight(monkeypatch)
     for got, channel, variance, level in zip(joint, channels, variances, levels):
         want = _alone(filt, channel, variance, gbuf, level, DenoiseConfig())
         assert got[0].tobytes() == want[0].tobytes() and got[1].tobytes() == want[1].tobytes()
+        if filt is atrous_dense and np.ndim(level) == 2:
+            # a dense pixel's result depends only on its own level, so the
+            # one-level calls, merged per pixel, give the mixed call's bits
+            at = [_alone(filt, channel, variance, gbuf, lv, DenoiseConfig()) for lv in (0, 1)]
+            for part, at0, at1 in zip(got, *at):
+                pick = level.reshape(level.shape + (1,) * (at0.ndim - 2)) == 1
+                assert part.tobytes() == np.where(pick, at1, at0).tobytes()
 
 
 @pytest.mark.parametrize("filt", [atrous_dense, atrous_separable])
@@ -751,7 +772,8 @@ def test_row_bands_give_the_same_bits(monkeypatch):
 
 def _lone_calls(monkeypatch):
     """Route denoise_frame's calls through the filters as lone calls, each
-    without the frame's state."""
+    without the frame's state, that compute every weight."""
+    _every_weight(monkeypatch)
     for name in ("atrous_dense", "atrous_separable"):
         real = getattr(spatial, name)
 
@@ -788,7 +810,8 @@ _CASES = {
 @pytest.mark.parametrize("band", [None, 1, 30, 100])
 def test_frame_state_gives_the_bits_of_lone_calls(separable, case, band, monkeypatch):
     # stored weights, the skipped last variance and the one geometry check
-    # change no bit of any output, whatever the row bands
+    # change no bit of any output, whatever the row bands: the reference
+    # computes every weight, mixed levels' reused inner rings too
     roughness, cfg = _CASES[case]
     cfg = dataclasses.replace(cfg, separable=separable)
     scene, gbuf, signals = _breakfast_frame(roughness)
