@@ -175,6 +175,8 @@ class DenoiseConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "DenoiseConfig":
+        if not isinstance(d, dict):
+            raise ValueError(f"a DenoiseConfig must be a JSON object, got {type(d).__name__}")
         known = {k: v for k, v in d.items() if k in cls.__dataclass_fields__}
         unknown = set(d) - set(known)
         if unknown:
@@ -258,6 +260,7 @@ def validate_frame(frame: dict, width: int, height: int) -> list:
     # channel, what its bad values are, and its bad pixels
     ranges = (("depth", "not positive and finite on geometry",
                lambda a: fg & ~((a > 0) & (a < np.inf))),
+              ("object_id", "negative", lambda a: a < 0),
               ("roughness", "outside [0, 1]", lambda a: (a < 0) | (a > 1)),
               ("shadow_1spp", "outside [0, 1]", lambda a: np.isfinite(a) & ((a < 0) | (a > 1))),
               ("specular_1spp", "negative", lambda a: (np.isfinite(a) & (a < 0)).any(axis=2)))

@@ -2,12 +2,17 @@
 
 `shifted` serves every fixed-offset loop: a plane is padded once per pass,
 with its edge values (which is exactly clamp-to-border indexing) or with a
-constant, and each tap is a slice view of the padded plane. `bilinear_sample`
-is the one reprojection footprint, of the temporal filter and of the TAA,
-whose offsets differ per pixel: it turns each enclosing texel's clamped
-(row, column) into one flat row-major index and fetches every plane with
-`gather`, an `np.take` over the plane's pixels, which costs a fraction of
-2-D fancy indexing `plane[yc, xc]` and returns the same values. It returns
+constant, and each tap is a slice view of the padded plane. `clamped` is the
+one clamp-to-border rule for pixels read by index: it turns a (row, column)
+into one flat row-major index and says whether it lies in the image, and
+`gather`, an `np.take` over a plane's pixels, reads the plane there at a
+fraction of the cost of 2-D fancy indexing `plane[yc, xc]`, with the same
+values. `window` hands a masked window loop its taps as (inside, values), in
+one of two forms with the same values: over every pixel, as views of planes
+padded once by `shifted`, or at given pixels alone, `gather`ed at the
+`clamped` neighbours. `bilinear_sample` is the one reprojection footprint,
+of the temporal filter and of the TAA, whose offsets differ per pixel: it
+reads each enclosing texel at its `clamped` index with `gather`. It returns
 each plane's mean over the accepted texels and where that mean is valid (a
 weight total above 1e-8), 0 elsewhere. `bounding_box` crops a pass to the
 pixels it keeps. `dot3` is the one dot product of 3-vectors, for normals and
@@ -86,11 +91,6 @@ def shifted(plane: np.ndarray, reach: int, fill=None):
     return lambda dy, dx: padded[reach + dy:reach + dy + h, reach + dx:reach + dx + w]
 
 
-def inside(shape, reach: int):
-    """tap(dy, dx) -> bool (H, W): whether pixel + (dy, dx) lies in the image."""
-    return shifted(np.ones(shape, dtype=bool), reach, fill=False)
-
-
 def gather(plane: np.ndarray, flat: np.ndarray) -> np.ndarray:
     """plane[flat // W, flat % W] for row-major pixel indices `flat`: the
     pixels of (H, W) or (H, W, ...) `plane` at those indices, shaped
@@ -99,12 +99,47 @@ def gather(plane: np.ndarray, flat: np.ndarray) -> np.ndarray:
     return np.take(plane.reshape((h * w,) + plane.shape[2:]), flat, axis=0)
 
 
+def clamped(shape, ys, xs):
+    """(flat, inside) of the pixels at rows `ys` and columns `xs`, arrays of
+    one shape, of an image of (H, W) `shape`: each pixel's row-major index
+    with its row and column clamped to the border, and whether it lies in
+    the image."""
+    h, w = shape[:2]
+    inside = (ys >= 0) & (ys < h) & (xs >= 0) & (xs < w)
+    return np.clip(ys, 0, h - 1) * w + np.clip(xs, 0, w - 1), inside
+
+
+def window(planes, reach: int, at=None):
+    """tap(dy, dx) -> (inside, values) over a window of `planes`, each (H, W)
+    or (H, W, ...): whether pixel + (dy, dx) lies in the image, and each
+    plane read there clamped to the border; |dy|, |dx| <= reach.
+
+    With no `at`, a tap covers every pixel: `inside` is (H, W) and each value
+    a view of the plane padded once (`shifted`). With `at`, row-major pixel
+    indices, a tap covers those pixels alone, each plane read with `gather`
+    at the `clamped` neighbours, so `inside` has the shape of `at`. Both
+    forms read the same values.
+    """
+    h, w = planes[0].shape[:2]
+    if at is None:
+        inside = shifted(np.ones((h, w), dtype=bool), reach, fill=False)
+        taps = [shifted(plane, reach) for plane in planes]
+        return lambda dy, dx: (inside(dy, dx), [tap(dy, dx) for tap in taps])
+    y, x = np.divmod(at, w)
+
+    def tap(dy, dx):
+        flat, inside = clamped((h, w), y + dy, x + dx)
+        return inside, [gather(plane, flat) for plane in planes]
+
+    return tap
+
+
 def bilinear_sample(planes, motion: np.ndarray, accept=None):
     """Bilinearly sample each plane at pixel + motion; returns (means, valid).
 
     Each of the four enclosing texels has its bilinear weight, or 0 where it
     lies outside the image or `accept(flat)` is false, where `flat` holds the
-    texels' clamped row-major indices, to read planes with `gather`. `valid`
+    texels' `clamped` row-major indices, to read planes with `gather`. `valid`
     marks the pixels whose weight total exceeds 1e-8; there each mean is the
     plane's weighted sum over that total, elsewhere it is 0.
     """
@@ -119,11 +154,8 @@ def bilinear_sample(planes, motion: np.ndarray, accept=None):
     wsum = np.zeros((h, w))
     for dy in (0, 1):
         for dx in (0, 1):
-            xt = x0 + dx
-            yt = y0 + dy
             weight = (fx if dx else 1.0 - fx) * (fy if dy else 1.0 - fy)
-            ok = (xt >= 0) & (xt < w) & (yt >= 0) & (yt < h)
-            flat = np.clip(yt, 0, h - 1) * w + np.clip(xt, 0, w - 1)
+            flat, ok = clamped((h, w), y0 + dy, x0 + dx)
             if accept is not None:
                 ok = ok & accept(flat)
             tw = weight * ok

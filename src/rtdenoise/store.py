@@ -41,10 +41,16 @@ def _to_disk(name: str, arr: np.ndarray) -> np.ndarray:
     return data.astype(np.float32, copy=False)
 
 
-def _from_disk(name: str, arr: np.ndarray) -> np.ndarray:
+def _from_disk(name: str, arr: np.ndarray, frame: int) -> np.ndarray:
     if name == "motion":
         return arr[:, :, :2].copy()
     if name == "object_id":
+        # NaN fails every comparison; what passes casts to int32 exactly
+        bad = ~((arr >= 0) & (arr < 2.0**31) & (np.floor(arr) == arr))
+        if np.any(bad):
+            y, x = np.argwhere(bad)[0]
+            raise SequenceError(f"channel 'object_id' of frame {frame} holds {arr[y, x]} at "
+                                f"pixel ({x}, {y}), expected an integer in [0, 2^31)")
         return arr.astype(np.int32)
     return arr
 
@@ -112,7 +118,7 @@ def load_sequence(path) -> FrameSequence:
                 raise SequenceError(f"channel '{name}' of frame {i} has on-disk shape "
                                     f"{arr.shape}, expected {want} for a {width}x{height} "
                                     "manifest")
-            frame[name] = _from_disk(name, arr)
+            frame[name] = _from_disk(name, arr, i)
         frames.append(frame)
     seq = FrameSequence(manifest=manifest, frames=frames)
     check_sequence(seq)

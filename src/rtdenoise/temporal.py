@@ -13,28 +13,27 @@ and new history length, and (4)'s short-history mask and window tests, is
 done once for all channels; (2) runs per channel. `temporal_step` is its
 one-channel case, which the pipeline does not call; it stays only because
 `perfbench/spans.py` binds the name, whose probe records nothing while the
-pipeline does not call it. The spatial moments are computed only where they
-are kept, and not at all once every foreground history is long. Where the
-short-history foreground fills at least a quarter of its bounding box
-(`stencil.bounding_box`, grown by the window radius), they come from the box
-form: the 7x7 geometry-restricted window over that box, one masked box loop
-(`_box_moments`) that reads its taps as slices of edge-padded planes, with a
-zero-padded mask counting in-bounds taps and one mask per tap serving every
-channel's luminance. Sparser masks, such as the disocclusions of a moving
-camera, take the gathered form: the same taps, in the same order and with
-the same consistency tests, read at the kept pixels' flat indices. Both
-forms give the same bits; the rule follows the mask, since per pixel the
-gathered form costs several times the box form. The 3x3 box that bounds
-rectification has no mask (`_unmasked_box_moments`): its loop adds
-zero-padded values and their squares into channel-major accumulators and
-allocates nothing per tap, and its in-bounds count is a row count times a
-column count. The reprojection uses the shared bilinear sampler of
+pipeline does not call it.
+
+The spatial moments are computed only where they are kept, and not at all
+once every foreground history is long, by one masked window loop
+(`_window_moments`) that reads its 7x7 taps from one of two
+`stencil.window` readers, each tap's one consistency mask serving every
+channel's luminance. Where the short-history foreground fills at least a
+quarter of its bounding box (`stencil.bounding_box`, grown by the window
+radius), the window covers that box through planes padded once; sparser
+masks, such as the disocclusions of a moving camera, gather the same taps
+at the kept pixels alone, which per pixel costs several times as much.
+Both readers clamp to the border alike and give the same bits. The 3x3 box
+that bounds rectification has no mask (`_unmasked_box_moments`): its loop
+adds zero-padded values and their squares into channel-major accumulators
+and allocates nothing per tap, and its in-bounds count is a row count times
+a column count. The reprojection uses the shared bilinear sampler of
 `stencil`, which hands each enclosing texel's consistency test the texels'
-flat row-major indices; the test (`_consistent_at`) reads the depth, normal
-and object id at them with `stencil.gather`, one `np.take` per plane
-instead of 2-D fancy indexing, and so does the gathered spatial variance.
-The sampler also renormalizes the passing texels' weights; the reprojection
-adds only the foreground mask and the rounding of the history length.
+flat row-major indices, where the test reads the depth, normal and object
+id with `stencil.gather`; the sampler also renormalizes the passing texels'
+weights, and the reprojection adds only the foreground mask and the
+rounding of the history length.
 
 Rectification runs on the reprojected color *before* the blend, and its
 bounding box comes from the current frame's noisy channel; history length is
@@ -49,7 +48,7 @@ import numpy as np
 
 from .frames import DenoiseConfig, GBufferFrame, TemporalHistory
 from .stencil import (as_planes, bilinear_sample, bounding_box, channel_major, dot3, gather,
-                      inside, shifted)
+                      shifted, window)
 from .tonemap import luma
 
 
@@ -78,14 +77,6 @@ def _consistent(prev_depth, prev_normal, prev_oid, center, depth_threshold,
     return id_ok & depth_ok & (ndot > normal_threshold)
 
 
-def _consistent_at(gbuf: GBufferFrame, flat, center, cfg: DenoiseConfig):
-    """`_consistent` of `gbuf`'s texels at the row-major pixel indices `flat`,
-    each plane read with `stencil.gather`."""
-    return _consistent(gather(gbuf.depth, flat), gather(gbuf.normal, flat),
-                       gather(gbuf.object_id, flat), center, cfg.depth_consistency,
-                       cfg.normal_consistency)
-
-
 def reproject(history: TemporalHistory, prev_gbuf: GBufferFrame, curr_gbuf: GBufferFrame,
               cfg: DenoiseConfig) -> dict:
     """Bilinearly sample the previous frame's history through the motion vectors.
@@ -101,35 +92,37 @@ def reproject(history: TemporalHistory, prev_gbuf: GBufferFrame, curr_gbuf: GBuf
     fg = curr_gbuf.foreground
     keys = list(history.color)
     planes = (history.color, history.moment1, history.moment2)
+
+    def accept(flat):
+        return _consistent(gather(prev_gbuf.depth, flat), gather(prev_gbuf.normal, flat),
+                           gather(prev_gbuf.object_id, flat), center, cfg.depth_consistency,
+                           cfg.normal_consistency) & fg
+
     (*means, hist), valid = bilinear_sample(
         [plane[key] for key in keys for plane in planes] + [history.history_len],
-        curr_gbuf.motion, accept=lambda flat: _consistent_at(prev_gbuf, flat, center, cfg) & fg)
+        curr_gbuf.motion, accept=accept)
     hist_len = np.where(valid, np.maximum(1, np.floor(hist + 1e-9)), 0).astype(np.int32)
     return {"valid": valid, "history_len": hist_len,
             **{name: dict(zip(keys, means[i::3]))
                for i, name in enumerate(("color", "moment1", "moment2"))}}
 
 
-def _box_moments(planes, radius: int, accept):
-    """Masked mean and variance over the in-bounds (2r+1)^2 box of each pixel.
+def _window_moments(tap, radius: int, planes: int, shape):
+    """Masked mean and variance over the (2r+1)^2 window of each pixel.
 
-    `planes` is a list of (H, W) arrays, each summed in its own accumulators.
-    A tap counts where it lies inside the image and `accept(dy, dx)` (bool
-    (H, W)) holds, one mask for every array; the count is clamped at 1.
-    Returns one (mean, variance) per array, each (H, W).
+    `tap(dy, dx)` returns (mask, values): a bool array of `shape`, where the
+    tap counts, and `planes` arrays of `shape`, each summed in its own
+    accumulators under that one mask; the count is clamped at 1. Returns one
+    (mean, variance) per plane, each of `shape`.
     """
-    h, w = planes[0].shape
-    vals_at = [shifted(values, radius) for values in planes]
-    inb_at = inside((h, w), radius)
-    s0 = np.zeros((h, w))
-    s1 = [np.zeros((h, w)) for _values in planes]
-    s2 = [np.zeros((h, w)) for _values in planes]
+    s0 = np.zeros(shape)
+    s1 = [np.zeros(shape) for _plane in range(planes)]
+    s2 = [np.zeros(shape) for _plane in range(planes)]
     for dy in range(-radius, radius + 1):
         for dx in range(-radius, radius + 1):
-            ok = inb_at(dy, dx) & accept(dy, dx)
+            ok, values = tap(dy, dx)
             s0 += ok
-            for tap, t1, t2 in zip(vals_at, s1, s2):
-                vals = tap(dy, dx)
+            for vals, t1, t2 in zip(values, s1, s2, strict=True):
                 okv = ok * vals
                 t1 += okv
                 t2 += okv * vals
@@ -144,9 +137,10 @@ def _unmasked_box_moments(values, radius: int):
     A tap allocates nothing: it adds zero-padded values and their squares,
     computed once per call, into channel-major accumulators, and the
     in-bounds count is a row count times a column count. An out-of-bounds
-    tap adds +0, where `_box_moments` adds 0 times the edge value, which is
-    a signed zero; a sum that starts at +0 never becomes -0, so with an
-    always-true mask the two agree bit for bit on finite values.
+    tap adds +0, where `_window_moments` over `stencil.window`'s padded form
+    adds 0 times the edge value, which is a signed zero; a sum that starts
+    at +0 never becomes -0, so with an always-true mask the two agree bit
+    for bit on finite values.
     """
     h, w = values.shape[:2]
     rows, cols = (np.minimum(np.arange(n), radius) + np.minimum(np.arange(n)[::-1], radius)
@@ -250,16 +244,16 @@ def estimate_variance(history: TemporalHistory, curr_luma: dict, curr_gbuf: GBuf
     been integrated; otherwise spatial moments of the current luminance over
     the 7x7 neighborhood restricted to in-bounds, geometry-consistent pixels.
     The channels share the short-history mask and the window's consistency
-    tests. The spatial moments are computed only where they are kept, in one
-    of two forms with the same bits. The box form (`_spatial_variance`)
-    filters the bounding box of the short-history foreground, grown by the
-    window radius and clamped to the image, so each kept pixel sees its whole
-    neighborhood and the true image border. Where the kept pixels fill less
-    than a quarter of that box, the gathered form (`_gathered_variance`)
-    reads the window at the kept pixels alone; per pixel it costs several
-    times the box form, so a dense mask keeps the box. Background pixels get
-    0, which is what their +inf depth gives them, since it fails every
-    consistency test.
+    tests. The spatial moments are computed only where they are kept, by
+    `_spatial_variance` over one of two `stencil.window` forms with the
+    same bits. The padded form covers the bounding box of the
+    short-history foreground, grown by the window radius and clamped to the
+    image, so each kept pixel sees its whole neighborhood and the true image
+    border. Where the kept pixels fill less than a quarter of that box, the
+    gathered form reads the window at the kept pixels alone; per pixel it
+    costs several times the padded form, so a dense mask keeps the box.
+    Background pixels get 0, which is what their +inf depth gives them,
+    since it fails every consistency test.
     """
     short = history.history_len < min_history
     keep = short & curr_gbuf.foreground
@@ -271,64 +265,37 @@ def estimate_variance(history: TemporalHistory, curr_luma: dict, curr_gbuf: GBuf
     rows, cols = box
     lumas = list(curr_luma.values())
     if 4 * np.count_nonzero(keep) < (rows.stop - rows.start) * (cols.stop - cols.start):
+        # the full C-order planes, which `gather` reads without a copy
         kept = np.flatnonzero(keep)
-        at = np.divmod(kept, keep.shape[1])
-        for var, spatial in zip(variance.values(),
-                                _gathered_variance(lumas, curr_gbuf, kept, cfg)):
-            var[at] = spatial
+        tap = window([curr_gbuf.depth, curr_gbuf.normal, curr_gbuf.object_id, *lumas],
+                     _SPATIAL_RADIUS, at=kept)
+        for var, spatial in zip(variance.values(), _spatial_variance(tap, cfg)):
+            np.put(var, kept, spatial)
     else:
-        for var, spatial in zip(variance.values(), _spatial_variance(
-                [lum[box] for lum in lumas], curr_gbuf.depth[box], curr_gbuf.normal[box],
-                curr_gbuf.object_id[box], cfg)):
+        tap = window([curr_gbuf.depth[box].astype(np.float64),
+                      channel_major(curr_gbuf.normal[box]), curr_gbuf.object_id[box],
+                      *(lum[box] for lum in lumas)], _SPATIAL_RADIUS)
+        for var, spatial in zip(variance.values(), _spatial_variance(tap, cfg)):
             var[box] = np.where(keep[box], spatial, var[box])
     return variance
 
 
-def _spatial_variance(lumas, depth, normal, oid, cfg: DenoiseConfig):
-    """Each (H, W) luminance's variance over each pixel's 7x7 window of
-    in-bounds pixels that pass the consistency test against it; one test per
-    tap serves every luminance. Returns a list of (H, W) variances."""
-    depth = depth.astype(np.float64)
-    normal = channel_major(normal)
-    depth_at, normal_at, oid_at = (shifted(p, _SPATIAL_RADIUS) for p in (depth, normal, oid))
+def _spatial_variance(tap, cfg: DenoiseConfig):
+    """Each luminance's variance over the window of `tap`, a `stencil.window`
+    over (depth, normal, object id, *luminances), counting the in-bounds taps
+    that pass the consistency test against the window's center; one test
+    per tap serves every luminance. Returns a list of variances, one per
+    luminance, each of the shape the window covers."""
+    _inside, (depth, normal, oid, *lumas) = tap(0, 0)
     center = _consistency_center(depth, normal, oid)
 
     def consistent(dy, dx):
-        return _consistent(depth_at(dy, dx), normal_at(dy, dx), oid_at(dy, dx), center,
-                           cfg.depth_consistency, cfg.normal_consistency)
+        ok, (depth, normal, oid, *lumas) = tap(dy, dx)
+        return ok & _consistent(depth, normal, oid, center, cfg.depth_consistency,
+                                cfg.normal_consistency), lumas
 
-    return [var for _mean, var in _box_moments(lumas, _SPATIAL_RADIUS, accept=consistent)]
-
-
-def _gathered_variance(lumas, gbuf: GBufferFrame, kept, cfg: DenoiseConfig):
-    """`_spatial_variance` of each (H, W) luminance at the row-major pixel
-    indices `kept` alone, a list of (len(kept),) variances: each tap of the
-    window, in the same order, gathers the planes at the kept pixels'
-    neighbours clamped to the image, and counts where the neighbour lies
-    inside it and passes the same consistency test."""
-    h, w = gbuf.depth.shape
-    center = _consistency_center(gather(gbuf.depth, kept), gather(gbuf.normal, kept),
-                                 gather(gbuf.object_id, kept))
-    y, x = np.divmod(kept, w)
-    s0 = np.zeros(kept.shape)
-    s1 = [np.zeros(kept.shape) for _lum in lumas]
-    s2 = [np.zeros(kept.shape) for _lum in lumas]
-    for dy in range(-_SPATIAL_RADIUS, _SPATIAL_RADIUS + 1):
-        ty = y + dy
-        row_ok = (ty >= 0) & (ty < h)
-        row = np.clip(ty, 0, h - 1) * w
-        for dx in range(-_SPATIAL_RADIUS, _SPATIAL_RADIUS + 1):
-            tx = x + dx
-            flat = row + np.clip(tx, 0, w - 1)
-            ok = row_ok & (tx >= 0) & (tx < w) & _consistent_at(gbuf, flat, center, cfg)
-            s0 += ok
-            for lum, t1, t2 in zip(lumas, s1, s2):
-                vals = gather(lum, flat)
-                okv = ok * vals
-                t1 += okv
-                t2 += okv * vals
-    count = np.maximum(s0, 1.0)
-    return [_moments(count, t1, t2)[1] for t1, t2 in zip(s1, s2)]
+    return [var for _mean, var in
+            _window_moments(consistent, _SPATIAL_RADIUS, len(lumas), depth.shape)]
 
 
 def temporal_frame(curr_data: dict, curr_gbuf: GBufferFrame, prev: TemporalHistory | None,

@@ -185,6 +185,17 @@ def test_denoise_config_layers_file_then_preset_then_set(workspace, tmp_path):
                "--set", "iterations=1") == (0.3, 1, "clip")
 
 
+def test_denoise_names_a_config_file_that_holds_no_object(workspace, tmp_path, capsys):
+    _root, _scene, synth = workspace
+    config = tmp_path / "config.json"
+    config.write_text("[1, 2]")
+    assert main(["denoise", "--in", str(synth), "--out", str(tmp_path / "o"),
+                 "--config", str(config)]) == 1
+    assert capsys.readouterr().err == ("error: a DenoiseConfig must be a JSON object, "
+                                       "got list\n")
+    assert not (tmp_path / "o").exists()
+
+
 def test_denoise_prints_quality_per_frame_against_a_reference(tmp_path, capsys):
     scene = tmp_path / "scene.json"
     assert main(["scene", "--preset", "shadow-objects", "--width", "16", "--height", "16",

@@ -164,6 +164,28 @@ def test_validate_frame_rejects_float_object_id(tmp_path):
         save_sequence(seq, tmp_path / "seq")
 
 
+@pytest.mark.parametrize("stored", [np.nan, np.inf, 2.5, 1e10, -3.0])
+def test_load_rejects_stored_object_id_that_is_no_id(tmp_path, stored):
+    # a stored id used to be cast to int32 unchecked: NaN and 1e10 loaded as
+    # -2147483648, 2.5 as 2, and -3 as it was
+    save_sequence(_tiny_seq(frames=2), tmp_path / "seq")
+    ids = np.ones((4, 4), dtype=np.float32)
+    ids[1, 2] = stored
+    write_pfm(tmp_path / "seq" / "frame_0001" / "object_id.pfm", ids)
+    with pytest.raises(SequenceError, match=re.escape(
+            f"channel 'object_id' of frame 1 holds {np.float32(stored)} at pixel (2, 1), "
+            "expected an integer in [0, 2^31)")):
+        load_sequence(tmp_path / "seq")
+
+
+def test_validate_frame_rejects_negative_object_id(tmp_path):
+    seq = _tiny_seq()
+    seq.frames[0]["object_id"][3, 1] = -3
+    assert validate_frame(seq.frames[0], 4, 4) == ["channel 'object_id' negative at pixel (1, 3)"]
+    with pytest.raises(SequenceError, match="frame 0 .*'object_id' negative at pixel"):
+        save_sequence(seq, tmp_path / "seq")
+
+
 def _edit_manifest(root, edit):
     path = root / "manifest.json"
     manifest = json.loads(path.read_text())
@@ -247,6 +269,11 @@ def test_config_validation():
             DenoiseConfig(**bad).validate()
     with pytest.raises(ValueError, match="unknown"):
         DenoiseConfig.from_dict({"alpha": 0.5, "bogus": 1})
+    # a config file holding no object used to fail with a bare AttributeError
+    for bad, kind in (([1, 2], "list"), ("fast", "str"), (None, "NoneType"), (3, "int")):
+        with pytest.raises(ValueError, match=f"^a DenoiseConfig must be a JSON object, "
+                                             f"got {kind}$"):
+            DenoiseConfig.from_dict(bad)
     # each value must have its default's type; a float field also takes an int
     DenoiseConfig(alpha=1, sigma_n=64).validate()
     for name, bad in (("separable", "no"), ("adaptive_start", 1), ("iterations", 2.5),

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from rtdenoise.stencil import (bilinear_sample, bounding_box, channel_major, dot3, gather, put3,
-                               shifted, take3)
+from rtdenoise.stencil import (bilinear_sample, bounding_box, channel_major, clamped, dot3,
+                               gather, put3, shifted, take3, window)
 
 
 def _reference_dot(a, b):
@@ -63,6 +63,53 @@ def test_shifted_multichannel_taps_clamp_to_border():
         for dx in (-1, 0, 2):
             want = plane[np.clip(ys + dy, 0, 4), np.clip(xs + dx, 0, 6)]
             assert np.array_equal(tap(dy, dx), want)
+
+
+def test_clamped_matches_loop_oracle():
+    rs = np.random.default_rng(13)
+    h, w = 5, 7
+    ys, xs = rs.integers(-4, h + 4, (6, 9)), rs.integers(-4, w + 4, (6, 9))
+    flat, inside = clamped((h, w, 3), ys, xs)
+    assert flat.shape == inside.shape == ys.shape
+    for (i, j), y in np.ndenumerate(ys):
+        x = xs[i, j]
+        assert flat[i, j] == min(max(y, 0), h - 1) * w + min(max(x, 0), w - 1)
+        assert inside[i, j] == (0 <= y < h and 0 <= x < w)
+    assert inside.any() and not inside.all()
+
+
+def _edge_pixels(h, w):
+    """Row-major indices of every border pixel, the corners among them,
+    and of a few inside, in no particular order."""
+    edge = np.zeros((h, w), dtype=bool)
+    edge[[0, -1]] = edge[:, [0, -1]] = True
+    edge[h // 2, w // 2] = True
+    return np.random.default_rng(14).permutation(np.flatnonzero(edge))
+
+
+@pytest.mark.parametrize("reach", [1, 3])
+@pytest.mark.parametrize("channels", [None, 3])
+@pytest.mark.parametrize("size", [(6, 9), (2, 5)])
+def test_window_at_pixels_equals_padded_form_bit_for_bit(size, channels, reach):
+    rs = np.random.default_rng(15)
+    h, w = size
+    shape = size if channels is None else size + (channels,)
+    planes = [rs.standard_normal(shape), rs.standard_normal(size).astype(np.float32),
+              rs.integers(0, 4, size).astype(np.int32)]
+    at = _edge_pixels(h, w)
+    padded, gathered = window(planes, reach), window(planes, reach, at=at)
+    ys, xs = np.divmod(at, w)
+    for dy in range(-reach, reach + 1):
+        for dx in range(-reach, reach + 1):
+            want_inside, want = padded(dy, dx)
+            got_inside, got = gathered(dy, dx)
+            assert want_inside.shape == size and got_inside.shape == at.shape
+            assert got_inside.tobytes() == want_inside[ys, xs].tobytes()
+            assert len(got) == len(want) == len(planes)
+            for g, p in zip(got, want):
+                assert g.dtype == p.dtype and g.tobytes() == p[ys, xs].tobytes()
+    # the window reaches past every border of the image
+    assert not padded(-reach, -reach)[0][0, 0] and not padded(reach, reach)[0][-1, -1]
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64, np.int32, bool])

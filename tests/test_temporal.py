@@ -4,10 +4,11 @@ from hypothesis import given, settings, strategies as st
 
 from rtdenoise import temporal
 from rtdenoise.frames import DenoiseConfig, GBufferFrame, TemporalHistory
-from rtdenoise.stencil import shifted
-from rtdenoise.temporal import (_box_moments, _consistency_center, _consistent,
-                                _unmasked_box_moments, accumulate, estimate_variance,
-                                rectify_history, rectify_moments, reproject, temporal_step)
+from rtdenoise.stencil import channel_major, window
+from rtdenoise.temporal import (_consistency_center, _consistent, _spatial_variance,
+                                _unmasked_box_moments, _window_moments, accumulate,
+                                estimate_variance, rectify_history, rectify_moments, reproject,
+                                temporal_step)
 
 CFG = DenoiseConfig()
 
@@ -262,9 +263,13 @@ def _full_frame_spatial_variance(luma, gbuf):
     """The 7x7 spatial variance of every pixel of the frame, with no box."""
     depth = gbuf.depth.astype(np.float64)
     normal = gbuf.normal.astype(np.float64)
-    at = [shifted(p, 3) for p in (gbuf.depth, gbuf.normal, gbuf.object_id)]
-    [(_mean, var)] = _box_moments([luma], 3, accept=lambda dy, dx: _consistency_test(
-        *(t(dy, dx) for t in at), depth, normal, gbuf.object_id))
+    tap = window([gbuf.depth, gbuf.normal, gbuf.object_id, luma], 3)
+
+    def masked(dy, dx):
+        inside, (*geometry, values) = tap(dy, dx)
+        return inside & _consistency_test(*geometry, depth, normal, gbuf.object_id), [values]
+
+    [(_mean, var)] = _window_moments(masked, 3, 1, luma.shape)
     return var
 
 
@@ -314,7 +319,7 @@ def test_variance_skips_spatial_when_only_background_is_short(monkeypatch):
     def fail(*_args, **_kwargs):
         raise AssertionError("spatial moments computed with no short foreground")
 
-    monkeypatch.setattr("rtdenoise.temporal._box_moments", fail)
+    monkeypatch.setattr("rtdenoise.temporal._window_moments", fail)
     hist = _const_history(8, 8, 1, 0.6, length=10)
     hist.history_len[2, 2] = 1
     gbuf = _flat_gbuf()
@@ -354,8 +359,10 @@ def test_gathered_spatial_variance_equals_box_form_bit_for_bit():
     rs = np.random.default_rng(22)
     lumas = [rs.random(gbuf.depth.shape), 40.0 * rs.random(gbuf.depth.shape)]
     kept = np.flatnonzero(keep)
-    got = temporal._gathered_variance(lumas, gbuf, kept, CFG)
-    want = temporal._spatial_variance(lumas, gbuf.depth, gbuf.normal, gbuf.object_id, CFG)
+    got = _spatial_variance(window([gbuf.depth, gbuf.normal, gbuf.object_id, *lumas], 3,
+                                   at=kept), CFG)
+    want = _spatial_variance(window([gbuf.depth.astype(np.float64), channel_major(gbuf.normal),
+                                     gbuf.object_id, *lumas], 3), CFG)
     assert len(got) == len(want) == 2
     for k in range(2):
         assert got[k].shape == (kept.size,)
@@ -378,15 +385,16 @@ def test_variance_form_follows_the_quarter_of_the_box_rule(holes, form, monkeypa
     hist.history_len[8:14, 8:14] = 1
     hist.history_len[10, 10:10 + holes] = 10
     ran = []
-    for name in ("_spatial_variance", "_gathered_variance"):
-        def record(*args, _name=name, _fn=getattr(temporal, name)):
-            ran.append(_name)
-            return _fn(*args)
-        monkeypatch.setattr(temporal, name, record)
+
+    def record(planes, reach, at=None, _window=temporal.window):
+        ran.append("box" if at is None else "gathered")
+        return _window(planes, reach, at=at)
+
+    monkeypatch.setattr(temporal, "window", record)
     gbuf = _mixed_frame(h, w)
     luma = np.random.default_rng(23).random((h, w))
     var = _variance_one(hist, luma, gbuf, 4, CFG)
-    assert ran == ["_spatial_variance" if form == "box" else "_gathered_variance"]
+    assert ran == [form]
     keep = (hist.history_len < 4) & (gbuf.object_id != 0)
     assert var[keep].tobytes() == _full_frame_spatial_variance(luma, gbuf)[keep].tobytes()
 
@@ -412,10 +420,9 @@ def test_unmasked_box_moments_equal_masked_form_bit_for_bit(shape, radius):
     values = [rs.normal(size=shape), np.round(rs.normal(size=shape))]
     values[1][values[1] == 0.0] = -0.0
     assert values[0].flags.c_contiguous and np.signbit(values[1][values[1] == 0.0]).all()
-    everywhere = np.ones(shape[:2], dtype=bool)
     got = [_unmasked_box_moments(v, radius) for v in values]
-    want = _box_moments([v[..., c] for v in values for c in range(shape[2])], radius,
-                        accept=lambda dy, dx: everywhere)
+    planes = [v[..., c] for v in values for c in range(shape[2])]
+    want = _window_moments(window(planes, radius), radius, len(planes), shape[:2])
     for (mean, var), (want_mean, want_var) in zip(
             [(m[..., c], v[..., c]) for m, v in got for c in range(shape[2])], want, strict=True):
         assert mean.shape == var.shape == shape[:2]
