@@ -84,7 +84,6 @@ class NoisyChannel:
 
     kind: ChannelKind
     data: np.ndarray  # (H, W) for SHADOW, (H, W, 3) for INDIRECT_SPECULAR
-    spp: int = 1
 
 
 @dataclass

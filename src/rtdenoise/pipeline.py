@@ -54,12 +54,10 @@ def preset_config(name: str, base: DenoiseConfig | None = None) -> DenoiseConfig
 def reconstruct_positions(scene: Scene, frame_index: int, depth: np.ndarray,
                           rays=None) -> np.ndarray:
     """World-space primary hit points from the linear view-space depth.
-    `rays` are the frame's (origins, directions) from `render.camera_rays`,
-    traced here when not given."""
-    origins, dirs = render.camera_rays(scene, frame_index) if rays is None else rays
-    _pos, fwd, _r, _u, _t = render.camera_basis(scene, frame_index)
-    z = dirs @ fwd
-    t = np.where(np.isfinite(depth), depth / z, 0.0)
+    `rays` are the frame's (origins, directions, view cosines) from
+    `render.camera_rays`, traced here when not given."""
+    origins, dirs, cos = render.camera_rays(scene, frame_index) if rays is None else rays
+    t = np.where(np.isfinite(depth), depth / cos, 0.0)
     return origins + dirs * t[..., None]
 
 
@@ -183,11 +181,15 @@ def run_pipeline(seq: FrameSequence, cfg: DenoiseConfig, dump_intermediates: boo
 def synthesize_sequence(scene: Scene, frames: int, spp: int, seed: int,
                         ibl_secondary: bool = False, reference: bool = False,
                         reference_spp: int = render.REFERENCE_SPP) -> FrameSequence:
-    """Render a sequence of G-buffers and noisy channels (plus references)."""
+    """Render a sequence of G-buffers and noisy channels (plus references).
+    A count below 1 is rejected before any frame is rendered."""
+    if frames < 1:
+        raise ValueError(f"frames must be >= 1, got {frames}")
+    if reference and reference_spp < 1:
+        raise ValueError(f"reference_spp must be >= 1, got {reference_spp}")
     prefiltered = prefilter_env(scene.env, ENV_LEVELS) if ibl_secondary else None
 
     out = []
-    channels = None
     for f in range(frames):
         gbuf, *noisy = render.render_frame(scene, f, spp, seed, prefiltered=prefiltered)
         frame = {**{g.name: getattr(gbuf, g.name) for g in fields(gbuf)},
@@ -201,14 +203,12 @@ def synthesize_sequence(scene: Scene, frames: int, spp: int, seed: int,
             ref = compose.composite(direct, *(ch.data.astype(np.float64) for ch in refs),
                                     gbuf, sky)
             frame["reference"] = ref.astype(np.float32)
-        if channels is None:
-            channels = sorted(frame.keys())
         out.append(frame)
 
     manifest = {
         "width": scene.width,
         "height": scene.height,
-        "channels": channels or [],
+        "channels": sorted(out[0]),
         "scene": scene.raw,
         "seed": seed,
         "spp": spp,

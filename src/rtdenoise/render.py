@@ -93,7 +93,10 @@ def camera_basis(scene: Scene, frame: float):
 
 
 def camera_rays(scene: Scene, frame: float):
-    """Primary ray origins and unit directions, shape (H, W, 3) each."""
+    """Primary ray origins and unit directions, shape (H, W, 3) each, and
+    each ray's cosine to the view axis, (H, W): the factor that turns a
+    distance along the ray into view-space depth. The cosine is `dirs @ fwd`
+    on the C-order directions."""
     pos, fwd, right, cam_up, tan_half = camera_basis(scene, frame)
     w, h = scene.width, scene.height
     aspect = w / h
@@ -104,7 +107,7 @@ def camera_rays(scene: Scene, frame: float):
             + ndc_y[:, None, None] * tan_half * cam_up)
     dirs = _normalize(dirs)
     origins = np.broadcast_to(pos, dirs.shape).copy()
-    return origins, dirs
+    return origins, dirs, dirs @ fwd
 
 
 def project_to_pixel(points: np.ndarray, scene: Scene, frame: float):
@@ -305,9 +308,7 @@ def render_frame(scene: Scene, frame_index: int, spp: int, seed: int,
                          f"{scene.frame_count}")
 
     h, w = scene.height, scene.width
-    origins, dirs = camera_rays(scene, frame_index)
-    _pos, fwd, _r, _u, _th = camera_basis(scene, frame_index)
-    along_fwd = dirs @ fwd  # on the C-order rays, before they are replaced
+    origins, dirs, along_fwd = camera_rays(scene, frame_index)
     origins, dirs = channel_major(origins), channel_major(dirs)
     t, oid, normal, albedo, rough, emissive = trace_nearest(origins, dirs, scene, frame_index)
     fg = oid != 0
@@ -406,9 +407,9 @@ def render_frame(scene: Scene, frame_index: int, spp: int, seed: int,
     put3(specular, pix, spec / spp)
 
     return (gbuf,
-            NoisyChannel(ChannelKind.SHADOW, shadow.reshape(h, w).astype(np.float32), spp),
+            NoisyChannel(ChannelKind.SHADOW, shadow.reshape(h, w).astype(np.float32)),
             NoisyChannel(ChannelKind.INDIRECT_SPECULAR,
-                         specular.reshape(h, w, 3).astype(np.float32), spp))
+                         specular.reshape(h, w, 3).astype(np.float32)))
 
 
 REFERENCE_SPP = 1024  # ground truth: the identical estimator at high spp
@@ -421,7 +422,7 @@ def render_sky(scene: Scene, frame_index: int, dirs=None, where=None) -> np.ndar
     given. Each pixel's radiance is the same either way: the masked rays
     keep the C-order layout of the full grid."""
     if dirs is None:
-        _origins, dirs = camera_rays(scene, frame_index)
+        _origins, dirs, _cos = camera_rays(scene, frame_index)
     if where is None:
         return sample_latlong(scene.env, dirs)
     flat = np.flatnonzero(where)

@@ -46,18 +46,19 @@ def _vec3(value, path: str, nonnegative: bool = False) -> np.ndarray:
 
 def _number(value, path: str, valid, want: str) -> float:
     """`value` as a float; raises naming the field `path` unless it is a number
-    and `valid` holds for it. A bool or a string counts as no number, and NaN
-    fails every comparison, so a range test rejects it too."""
+    and `valid` holds for it. A bool or a string counts as no number, nor does
+    an int too large for a float, and NaN fails every comparison, so a range
+    test rejects it too."""
     try:
         v = math.nan if isinstance(value, (bool, str)) else float(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         v = math.nan
     if not valid(v):
         raise ValueError(f"{path} {value!r} {want}")
     return v
 
 
-def _positive_int(value) -> bool:
+def positive_int(value) -> bool:
     """Whether `value` is an int above 0; a bool counts as no number."""
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value > 0
 
@@ -75,7 +76,7 @@ def _field(doc, key: str, path: str, valid, want: str):
 # or a path
 _DICT = (lambda v: isinstance(v, dict), "is not an object")
 _LIST = (lambda v: isinstance(v, (list, tuple)) and len(v) > 0, "is not a non-empty list")
-_ID = (_positive_int, "is not a positive integer")
+_ID = (positive_int, "is not a positive integer")
 _PATH = (lambda v: isinstance(v, str), "is not a path")
 
 
@@ -85,10 +86,8 @@ def _keyframe(entry, path: str):
     if not (isinstance(entry, (list, tuple)) and len(entry) == 2):
         raise ValueError(f"{path} {entry!r} is not a [frame, [x, y, z]] pair")
     frame, value = entry
-    if (isinstance(frame, bool) or not isinstance(frame, (int, float, np.integer, np.floating))
-            or not math.isfinite(frame) or frame != int(frame)):
-        raise ValueError(f"{path} frame {frame!r} is not an integer")
-    return int(frame), _vec3(value, path)
+    return int(_number(frame, f"{path} frame", lambda f: math.isfinite(f) and f == int(f),
+                       "is not an integer")), _vec3(value, path)
 
 
 def _kf_parse(value, path: str):
@@ -154,7 +153,6 @@ class AreaLight:
 
 @dataclass
 class Scene:
-    name: str
     width: int
     height: int
     camera_pos: list      # keyframes
@@ -199,7 +197,7 @@ class Scene:
 # ---------------------------------------------------------------------------
 # environment maps
 
-def env_constant(value, width=16, height=8) -> np.ndarray:
+def env_constant(value=(0.5, 0.5, 0.5), width=16, height=8) -> np.ndarray:
     return np.broadcast_to(np.asarray(value, dtype=np.float64),
                            (height, width, 3)).copy()
 
@@ -227,8 +225,7 @@ def env_gradient_sky(width=32, height=16, scale=1.0, sun_dir=(0.4, 0.65, -0.3),
 def _build_env(spec: dict) -> np.ndarray:
     kind = spec.get("kind", "gradient")
     if kind == "constant":
-        return env_constant(spec.get("value", [0.5, 0.5, 0.5]),
-                            spec.get("width", 16), spec.get("height", 8))
+        return env_constant(**{k: spec[k] for k in ("value", "width", "height") if k in spec})
     if kind == "gradient":
         keys = ("width", "height", "scale", "sun_dir", "sun_intensity", "sun_cos")
         args = {k: spec[k] for k in keys if k in spec}
@@ -311,12 +308,11 @@ def scene_from_dict(doc: dict) -> Scene:
         radius = dist * math.tan(math.radians(shadow_angle) / 2.0)
 
     width, height = _field(doc, "resolution", "resolution", lambda r: (
-        isinstance(r, (list, tuple)) and len(r) == 2 and all(map(_positive_int, r))),
+        isinstance(r, (list, tuple)) and len(r) == 2 and all(map(positive_int, r))),
         "is not two positive integers")
     frame_count = _field(doc, "frame_count", "frame_count",
-                         lambda v: v is None or _positive_int(v), "is not a positive integer")
+                         lambda v: v is None or positive_int(v), "is not a positive integer")
     scene = Scene(
-        name=doc.get("name", "unnamed"),
         width=int(width), height=int(height),
         camera_pos=_kf_parse(cam.get("position"), "camera.position"),
         camera_look=_kf_parse(cam.get("look_at"), "camera.look_at"),
@@ -449,7 +445,9 @@ def preset_scene(name: str, width=96, height=96, roughness=None, shadow_angle=4.
     has no camera path. `roughness` grades the materials of `cubes-distance`
     and `breakfast-lite` (default 0.3); the other presets have fixed
     materials and reject it. `teleport_frame` is the first frame after the
-    light's jump (default 32); only `light-teleport` takes it.
+    light's jump (default 32); only `light-teleport` takes it. The document
+    is checked by `scene_from_dict`, so an option that makes it invalid
+    raises here, naming its field.
     """
     unavailable = ValueError(f"movement {movement!r} not available for preset {name!r}; "
                              f"have {', '.join(MOVEMENTS)} (pillars: no camera)")
@@ -484,4 +482,5 @@ def preset_scene(name: str, width=96, height=96, roughness=None, shadow_angle=4.
         teleport_frame = 32 if teleport_frame is None else teleport_frame
         doc["light"]["center"] = _path(doc["light"]["center"], light,
                                        teleport_frame - 1, teleport_frame)
+    scene_from_dict(doc)
     return doc

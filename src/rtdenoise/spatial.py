@@ -17,11 +17,13 @@ The driver filters a list of signals in one shared tap loop. As in SVGF,
 every signal shares the depth and normal stops and only the luminance stop
 is its own, so a frame's shadow and specular channels run through one
 iteration together (`denoise_frame`), and `atrous_dense`/`atrous_separable`
-take lists of channels, variances and levels. The driver sets up an iteration's
-G-buffer side once for all its signals and passes: the checks of the
-foreground's geometry, its bounding box (`stencil.bounding_box`), the center
-depth and normals and the depth and normal planes padded with edge values
-(`stencil.shifted`), which is clamp-to-border indexing. Those planes hold
+take lists of channels, variances and levels. The G-buffer side is set up
+in two places. Once per frame, the `FrameState` (below) checks the
+foreground's geometry and finds its bounding box (`stencil.bounding_box`).
+Once per call, that is per iteration, the driver builds what all its
+signals and passes share: the center depth and normals, the depth and
+normal planes padded with edge values (`stencil.shifted`), which is
+clamp-to-border indexing, and the band-sized scratch. The padded planes hold
 +inf depth and zero normals on the background, so a background tap's weight
 is exp(-inf) = 0 by construction; background centers filter at depth 0, so
 their results stay finite. Each signal adds its cropped level map, the
@@ -39,9 +41,9 @@ writes its results straight into the box of each signal's output. Only the
 foreground's bounding box is filtered. That is exact too: every pixel
 outside the box is background, whose result is replaced by its input
 anyway, and its taps weigh 0, so the separable form's vertical pass never
-uses its result. The driver rejects a foreground pixel whose depth is not
-positive and finite or whose normal is not finite, since its weights would
-turn the frame NaN.
+uses its result. The frame state rejects a foreground pixel whose depth is
+not positive and finite or whose normal is not finite, since its weights
+would turn the frame NaN.
 
 Every a-trous call runs through a `FrameState`. `denoise_frame` builds one
 per frame, which checks the geometry and crops the box once, and passes it
@@ -434,15 +436,16 @@ def select_start_level(kind: ChannelKind, feature, cfg: DenoiseConfig):
     return (f > f.dtype.type(threshold)).astype(np.int64)
 
 
-def select_iteration_count(roughness, ibl_adaptive: bool, default_iterations: int):
-    """Iteration count per roughness when secondary shading is noise-free:
-    0 at roughness 0, at most 1 up to 0.05, otherwise `default_iterations`.
-    The roughness compares in its own precision (see `_feature`)."""
+def select_iteration_count(roughness, cfg: DenoiseConfig):
+    """Iteration count per roughness: `cfg.iterations`, except when secondary
+    shading is noise-free (`cfg.ibl_adaptive_iterations`): then 0 at
+    roughness 0 and at most 1 up to 0.05. The roughness compares in its own
+    precision (see `_feature`)."""
     r = _feature(roughness)
-    if not ibl_adaptive:
-        return np.full_like(r, default_iterations, dtype=np.int64)
-    return np.where(r <= 0.0, 0, np.where(r <= r.dtype.type(0.05), min(1, default_iterations),
-                                          default_iterations)).astype(np.int64)
+    if not cfg.ibl_adaptive_iterations:
+        return np.full_like(r, cfg.iterations, dtype=np.int64)
+    return np.where(r <= 0.0, 0, np.where(r <= r.dtype.type(0.05), min(1, cfg.iterations),
+                                          cfg.iterations)).astype(np.int64)
 
 
 def denoise_frame(signals: dict, gbuf: GBufferFrame, cfg: DenoiseConfig,
@@ -465,8 +468,7 @@ def denoise_frame(signals: dict, gbuf: GBufferFrame, cfg: DenoiseConfig,
     for kind, (channel, variance) in signals.items():
         if kind is ChannelKind.INDIRECT_SPECULAR:
             feature = gbuf.roughness
-            counts = select_iteration_count(feature, cfg.ibl_adaptive_iterations,
-                                            cfg.iterations)
+            counts = select_iteration_count(feature, cfg)
         else:
             if shadow_angle is None:
                 raise ValueError("the SHADOW kind needs shadow_angle")

@@ -12,6 +12,7 @@ import numpy as np
 
 from .frames import CHANNELS, FORMAT_VERSION, FrameSequence, validate_frame
 from .pfm import read_pfm, write_pfm
+from .scenes import positive_int
 
 
 class SequenceError(ValueError):
@@ -22,10 +23,23 @@ _REQUIRED_KEYS = ("format_version", "width", "height", "channels", "frame_count"
 _SHAPE_KEYS = ("width", "height", "channels")  # what a sequence in memory needs
 
 
-def _check_keys(manifest: dict, keys, where: str) -> None:
+def _check_manifest(manifest: dict, keys, where: str) -> None:
+    """Raise a `SequenceError` naming the first bad key and its value unless
+    the manifest is an object holding every key of `keys`, its `width`,
+    `height` and, where given, `frame_count` are ints above 0 (a bool or a
+    float is none), and its `channels` are a list of distinct names."""
+    if not isinstance(manifest, dict):
+        raise SequenceError(f"{where} {manifest!r} is not a JSON object")
     missing = [k for k in keys if k not in manifest]
     if missing:
         raise SequenceError(f"{where} lacks required keys: {', '.join(missing)}")
+    for key in ("width", "height", "frame_count"):
+        if key in manifest and not positive_int(manifest[key]):
+            raise SequenceError(f"{where} {key} {manifest[key]!r} is not an integer above 0")
+    channels = manifest["channels"]
+    if not (isinstance(channels, list) and all(isinstance(c, str) for c in channels)
+            and len(set(channels)) == len(channels)):
+        raise SequenceError(f"{where} channels {channels!r} is not a list of distinct names")
 
 
 def _frame_dir(index: int) -> str:
@@ -57,7 +71,7 @@ def _from_disk(name: str, arr: np.ndarray, frame: int) -> np.ndarray:
 
 def check_sequence(seq: FrameSequence) -> None:
     """Re-validate a sequence against the frame/-manifest invariants; raises."""
-    _check_keys(seq.manifest, _SHAPE_KEYS, "sequence manifest")
+    _check_manifest(seq.manifest, _SHAPE_KEYS, "sequence manifest")
     if not seq.frames:
         raise SequenceError("empty sequence")
     channels = seq.channels
@@ -98,13 +112,13 @@ def load_sequence(path) -> FrameSequence:
         raise SequenceError(f"missing manifest: {manifest_path}")
     with open(manifest_path) as f:
         manifest = json.load(f)
-    _check_keys(manifest, _REQUIRED_KEYS, f"manifest {manifest_path}")
+    _check_manifest(manifest, _REQUIRED_KEYS, f"manifest {manifest_path}")
     if manifest["format_version"] != FORMAT_VERSION:
         raise SequenceError(f"manifest {manifest_path} has format_version "
                             f"{manifest['format_version']!r}; this version reads {FORMAT_VERSION}")
-    width, height = int(manifest["width"]), int(manifest["height"])
+    width, height = manifest["width"], manifest["height"]
     frames = []
-    for i in range(int(manifest["frame_count"])):
+    for i in range(manifest["frame_count"]):
         frame = {}
         for name in manifest["channels"]:
             fpath = root / _frame_dir(i) / f"{name}.pfm"

@@ -119,13 +119,30 @@ def test_denoise_names_missing_input_channels(workspace, tmp_path, capsys):
     assert "depth" in err and "shadow_1spp" in err
 
 
-@pytest.mark.parametrize("flags", [["--spp", "0"], ["--reference", "--reference-spp", "0"]])
+@pytest.mark.parametrize("flags", [["--spp", "0"], ["--reference", "--reference-spp", "0"],
+                                   ["--frames", "0"]])
 def test_synth_rejects_spp_below_one(workspace, tmp_path, capsys, flags):
     _root, scene, _synth = workspace
     out = tmp_path / "zero"
     assert main(["synth", "--scene", str(scene), "--frames", "1", "--out", str(out)]
                 + flags) == 1
-    assert "error: spp must be >= 1, got 0" in capsys.readouterr().err
+    # the message names the parameter of the flag set to 0
+    name = flags[-2].removeprefix("--").replace("-", "_")
+    assert f"error: {name} must be >= 1, got 0\n" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags,message", [
+    (["--preset", "shadow-objects", "--width", "0"],
+     "resolution [0, 96] is not two positive integers"),
+    (["--preset", "shadow-objects", "--shadow-angle", "200"],
+     "shadow_angle_deg 200.0 outside [0, 180)"),
+    (["--preset", "cubes-distance", "--roughness", "2"],
+     "objects[0].roughness 2.0 outside [0, 1]")])
+def test_scene_rejects_options_its_loader_would_reject(tmp_path, capsys, flags, message):
+    out = tmp_path / "scene.json"
+    assert main(["scene", *flags, "--out", str(out)]) == 1
+    assert f"error: {message}" in capsys.readouterr().err
     assert not out.exists()
 
 

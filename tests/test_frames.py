@@ -222,6 +222,46 @@ def test_in_memory_manifest_missing_keys_named(tmp_path, entry, keys):
     assert not (tmp_path / "seq").exists()
 
 
+_CHANNELS = sorted(_tiny_frame())
+# (key, bad value, what the message says of it)
+_BAD_MANIFEST_VALUES = [
+    *((key, value, "is not an integer above 0") for key, value in (
+        ("width", 4.5), ("width", 4.0), ("width", True), ("height", 0), ("height", "4"),
+        ("frame_count", 1.5), ("frame_count", "1"), ("frame_count", 0),
+        ("frame_count", False))),
+    *(("channels", value, "is not a list of distinct names") for value in (
+        "depth", _CHANNELS + ["depth"], _CHANNELS + [3], {"depth": 1})),
+]
+
+
+@pytest.mark.parametrize("key,value,want", _BAD_MANIFEST_VALUES)
+def test_load_rejects_manifest_values_of_the_wrong_type(tmp_path, key, value, want):
+    # unchecked, such a value loads truncated (width 4.5 as 4, frame_count
+    # "1" as 1) or fails later under another name (channels "depth" as d.pfm)
+    save_sequence(_tiny_seq(), tmp_path / "seq")
+    _edit_manifest(tmp_path / "seq", lambda m: m.update({key: value}))
+    with pytest.raises(SequenceError, match=re.escape(f"{key} {value!r} {want}")):
+        load_sequence(tmp_path / "seq")
+
+
+@pytest.mark.parametrize("entry", list(_ENTRY_POINTS))
+@pytest.mark.parametrize("key,value,want", _BAD_MANIFEST_VALUES)
+def test_in_memory_manifest_values_checked(tmp_path, entry, key, value, want):
+    seq = _tiny_seq()
+    seq.manifest[key] = value
+    with pytest.raises(SequenceError,
+                       match=re.escape(f"sequence manifest {key} {value!r} {want}")):
+        _ENTRY_POINTS[entry](seq, tmp_path)
+    assert not (tmp_path / "seq").exists()
+
+
+@pytest.mark.parametrize("manifest", [5, "width height channels", [1, 2]])
+def test_load_rejects_a_manifest_that_is_no_object(tmp_path, manifest):
+    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(SequenceError, match=re.escape(f"{manifest!r} is not a JSON object")):
+        load_sequence(tmp_path)
+
+
 def test_manifest_of_other_format_version_rejected(tmp_path):
     save_sequence(_tiny_seq(), tmp_path / "seq")
     _edit_manifest(tmp_path / "seq", lambda m: m.update(format_version=1))

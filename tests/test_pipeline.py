@@ -83,6 +83,19 @@ def test_synthesize_sequence_rejects_spp_below_one(spp, reference_spp):
                             reference_spp=reference_spp)
 
 
+@pytest.mark.parametrize("count,name", [(0, "frames"), (-2, "frames"), (0, "reference_spp")])
+def test_synthesize_sequence_rejects_counts_before_rendering(monkeypatch, count, name):
+    scene = scene_from_dict(preset_scene("shadow-objects", width=8, height=8))
+
+    def render_frame(*args, **kwargs):
+        raise AssertionError("a frame was rendered")
+
+    monkeypatch.setattr(render, "render_frame", render_frame)
+    args = {"frames": 2, "spp": 1, "seed": 0, "reference": True, "reference_spp": 4}
+    with pytest.raises(ValueError, match=f"^{name} must be >= 1, got {count}$"):
+        synthesize_sequence(scene, **{**args, name: count})
+
+
 def test_quality_report_uses_reference():
     scene = scene_from_dict(preset_scene("shadow-objects", width=32, height=32))
     seq = synthesize_sequence(scene, frames=1, spp=1, seed=0, reference=True,

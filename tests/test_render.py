@@ -60,9 +60,13 @@ def test_scene_rejects_light_radius_and_shadow_angle_together():
 
 @pytest.mark.parametrize("angle", [math.nan, math.inf, -1.0, 180.0, 200.0])
 def test_scene_rejects_shadow_angle_out_of_range(angle):
-    doc = preset_scene("shadow-objects", width=24, height=24, shadow_angle=angle)
+    doc = preset_scene("shadow-objects", width=24, height=24)
+    doc["shadow_angle_deg"] = angle
     with pytest.raises(ValueError, match=r"shadow_angle_deg .* outside \[0, 180\)"):
         scene_from_dict(doc)
+    # the preset checks its own document
+    with pytest.raises(ValueError, match=r"shadow_angle_deg .* outside \[0, 180\)"):
+        preset_scene("shadow-objects", width=24, height=24, shadow_angle=angle)
 
 
 @pytest.mark.parametrize("radius", [math.nan, math.inf, -0.5])
@@ -124,11 +128,14 @@ _BAD_SCENES = {
     "sun dir zero": (_set(("env", "sun_dir"), [0, 0, 0]), "env.sun_dir"),
     "intensity not numeric": (_set(("light", "intensity"), "bright"), "light.intensity"),
     "vfov not numeric": (_set(("camera", "vfov_deg"), "wide"), "camera.vfov_deg"),
+    "vfov beyond float": (_set(("camera", "vfov_deg"), 10**400), "camera.vfov_deg"),
     "center without keyframes": (_set(("light", "center"), {"keyframes": []}),
                                  "light.center.keyframes"),
     **{f"keyframe frame {frame!r}": (_set(("light", "center"), {"keyframes": [
         [frame, [2.8, 7.5, 0.0]], [10, [2.8, 7.5, 1.0]]]}), "light.center.keyframes[0]")
        for frame in (2.5, "x", "3", math.nan, math.inf, True, None, [1])},
+    "keyframe frame beyond float": (_set(("light", "center"), {"keyframes": [
+        [10**400, [2.8, 7.5, 0.0]], [10, [2.8, 7.5, 1.0]]]}), "light.center.keyframes[0]"),
     **{f"keyframe entry {entry!r}": (_set(("objects", 0, "motion"), {"keyframes": [
         [0, [0.0, 0.0, 0.0]], entry]}), "objects[0].motion.keyframes[1]")
        for entry in ([5], [5, [0.0, 0.0, 0.0], 1], 5, {"5": [0.0, 0.0, 0.0]})},
@@ -414,7 +421,7 @@ def _full_frame_channels(scene, frame, spp, seed, prefiltered=None, sample_offse
     # reference: the sample loops over every pixel, each bounce shaded both
     # ways and one of the two kept
     h, w = scene.height, scene.width
-    origins, dirs = (channel_major(a) for a in camera_rays(scene, frame))
+    origins, dirs = (channel_major(a) for a in camera_rays(scene, frame)[:2])
     t, oid, normal, _alb, rough, _emis = trace_nearest(origins, dirs, scene, frame)
     fg = oid != 0
     origin = origins + dirs * np.where(fg, t, 0.0)[..., None] + normal * render._EPS
@@ -659,9 +666,18 @@ def test_boundary_arrays_are_c_contiguous():
                                       prefiltered=prefilter_env(scene.env, 3))
     arrays = {f.name: getattr(gbuf, f.name) for f in fields(gbuf)}
     arrays.update(shadow=shadow.data, specular=spec.data, sky=render_sky(scene, 2),
-                  **dict(zip(("origins", "dirs"), camera_rays(scene, 2))))
+                  **dict(zip(("origins", "dirs", "cos"), camera_rays(scene, 2), strict=True)))
     for name, arr in arrays.items():
         assert arr.flags.c_contiguous, name
+
+
+def test_camera_rays_carry_their_view_cosine():
+    # the factor between ray distance and depth, taken on the C-order rays
+    scene = _scene("cubes-distance", width=12, height=10, movement="camera")
+    _origins, dirs, cos = camera_rays(scene, 3)
+    _pos, fwd, _r, _u, _t = camera_basis(scene, 3)
+    assert cos.shape == (10, 12)
+    assert cos.tobytes() == (dirs @ fwd).tobytes()
 
 
 def test_masked_sky_keeps_each_pixels_bits():
@@ -671,7 +687,7 @@ def test_masked_sky_keeps_each_pixels_bits():
     bg = ~gbuf.foreground
     assert bg.any() and not bg.all()
     full = render_sky(scene, 1)
-    _origins, dirs = camera_rays(scene, 1)
+    _origins, dirs, _cos = camera_rays(scene, 1)
     for masked in (render_sky(scene, 1, where=bg), render_sky(scene, 1, dirs=dirs, where=bg)):
         assert masked.flags.c_contiguous
         assert masked[bg].tobytes() == full[bg].tobytes()
@@ -730,7 +746,7 @@ def test_full_umbra_is_black():
     gbuf, shadow, _spec = render_frame(scene, 0, spp=8, seed=3)
 
     # reconstruct the center pixel's hit point and verify full containment
-    origins, dirs = camera_rays(scene, 0)
+    origins, dirs, _cos = camera_rays(scene, 0)
     _pos, fwd, _r, _u, _t = camera_basis(scene, 0)
     y, x = 4, 4
     assert gbuf.object_id[y, x] == 1  # ground under the occluder

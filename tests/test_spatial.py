@@ -533,29 +533,33 @@ def test_start_level_disabled():
     assert select_start_level(ChannelKind.SHADOW, 45.0, cfg) == 0
 
 
+def _iteration_config(ibl_adaptive, iterations):
+    return DenoiseConfig(ibl_adaptive_iterations=ibl_adaptive, iterations=iterations)
+
+
 @pytest.mark.parametrize("rough,expect", [(0.0, 0), (0.03, 1), (0.05, 1),
                                           (0.06, 4), (1.0, 4)])
 def test_iteration_count_adaptive(rough, expect):
-    assert select_iteration_count(rough, True, 4) == expect
+    assert select_iteration_count(rough, _iteration_config(True, 4)) == expect
 
 
 def test_iteration_count_adaptive_keeps_configured_count():
     rough = np.array([0.0, 0.03, 0.5])
-    assert select_iteration_count(rough, True, 2).tolist() == [0, 1, 2]
-    assert select_iteration_count(rough, True, 0).tolist() == [0, 0, 0]
+    assert select_iteration_count(rough, _iteration_config(True, 2)).tolist() == [0, 1, 2]
+    assert select_iteration_count(rough, _iteration_config(True, 0)).tolist() == [0, 0, 0]
 
 
 def test_iteration_count_compares_in_the_roughness_precision():
     # float32(0.05) is 0.0500000007: a stored roughness of 0.05 is still 0.05
-    assert select_iteration_count(np.float32(0.05), True, 3) == 1
+    assert select_iteration_count(np.float32(0.05), _iteration_config(True, 3)) == 1
     rough = np.array([0.0, 0.05, 0.0500001], dtype=np.float32)
-    assert select_iteration_count(rough, True, 3).tolist() == [0, 1, 3]
-    assert select_iteration_count(np.float64(np.float32(0.05)), True, 3) == 3
+    assert select_iteration_count(rough, _iteration_config(True, 3)).tolist() == [0, 1, 3]
+    assert select_iteration_count(np.float64(np.float32(0.05)), _iteration_config(True, 3)) == 3
 
 
 def test_iteration_count_fixed_by_default():
-    assert select_iteration_count(0.0, False, 4) == 4
-    assert select_iteration_count(0.7, False, 2) == 2
+    assert select_iteration_count(0.0, _iteration_config(False, 4)) == 4
+    assert select_iteration_count(0.7, _iteration_config(False, 2)) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -680,7 +684,7 @@ def test_joint_driver_gives_each_channel_its_bits_alone(separable, roughness):
     assert select_start_level(SHADOW, scene.shadow_angle_deg, cfg) == 1
     assert set(np.unique(select_start_level(SPECULAR, gbuf.roughness, cfg)[gbuf.foreground])) \
         == {0, 1}
-    counts = select_iteration_count(gbuf.roughness, True, cfg.iterations)
+    counts = select_iteration_count(gbuf.roughness, cfg)
     assert set(np.unique(counts)) == ({3} if roughness else {0, 1, 3})
     rs = np.random.default_rng(18)
     signals = {SHADOW: (shadow.data, rs.random((32, 32))),
@@ -816,7 +820,7 @@ def test_frame_state_gives_the_bits_of_lone_calls(separable, case, band, monkeyp
     cfg = dataclasses.replace(cfg, separable=separable)
     scene, gbuf, signals = _breakfast_frame(roughness)
     if case == "counts":
-        counts = select_iteration_count(gbuf.roughness, True, cfg.iterations)
+        counts = select_iteration_count(gbuf.roughness, cfg)
         assert set(np.unique(counts)) == {0, 1, 3}
     if band is not None:
         monkeypatch.setattr(spatial, "_BAND", band)

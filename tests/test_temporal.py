@@ -47,9 +47,9 @@ def _tap(valid, color, m1, m2, length):
             "history_len": np.full(shape, length, dtype=np.int32)}
 
 
-def _accumulate_one(value, tap):
+def _accumulate_one(value, tap, cfg=CFG):
     """`accumulate` of one (H, W, 1) channel whose luminance is its one plane."""
-    return accumulate({0: value}, {0: value[:, :, 0]}, tap, 0.2, 0.2)
+    return accumulate({0: value}, {0: value[:, :, 0]}, tap, cfg)
 
 
 def _consistency_test(prev_depth, prev_normal, prev_oid, curr_depth, curr_normal, curr_oid):
@@ -57,8 +57,7 @@ def _consistency_test(prev_depth, prev_normal, prev_oid, curr_depth, curr_normal
     current pixel, scalars or broadcastable arrays, at `DenoiseConfig`'s
     default thresholds."""
     return _consistent(prev_depth, prev_normal, prev_oid,
-                       _consistency_center(curr_depth, curr_normal, curr_oid),
-                       DenoiseConfig.depth_consistency, DenoiseConfig.normal_consistency)
+                       _consistency_center(curr_depth, curr_normal, curr_oid), CFG)
 
 
 def _variance_one(hist, luma, gbuf, min_history, cfg):
@@ -132,6 +131,23 @@ def test_occlusion_reset_history_len_one():
     assert out.history_len[0, 0] == 41
 
 
+def test_reproject_reads_the_depth_threshold_of_its_config():
+    # a relative depth difference of 0.3: over the default 0.1, under 0.5
+    prev, curr = _flat_gbuf(depth=6.5), _flat_gbuf(depth=5.0)
+    hist = _const_history(8, 8, 1, 0.6)
+    assert not reproject(hist, prev, curr, CFG)["valid"].any()
+    assert reproject(hist, prev, curr, DenoiseConfig(depth_consistency=0.5))["valid"].all()
+
+
+def test_reproject_reads_the_normal_threshold_of_its_config():
+    # normals at a dot product of 0.8: under the default 0.9, over 0.7
+    prev, curr = _flat_gbuf(), _flat_gbuf()
+    prev.normal[:] = [0.0, 0.8, 0.6]
+    hist = _const_history(8, 8, 1, 0.6)
+    assert not reproject(hist, prev, curr, CFG)["valid"].any()
+    assert reproject(hist, prev, curr, DenoiseConfig(normal_consistency=0.7))["valid"].all()
+
+
 # ---------------------------------------------------------------------------
 # accumulation
 
@@ -173,7 +189,7 @@ def test_accumulate_blends_each_channel_with_the_shared_weights():
            "moment1": {"a": np.full((1, 2), 0.5), "b": np.full((1, 2), 2.0)},
            "moment2": {"a": np.full((1, 2), 0.25), "b": np.full((1, 2), 4.0)}}
     curr = {"a": np.ones((1, 2)), "b": np.zeros((1, 2, 3))}
-    out = accumulate(curr, {"a": np.ones((1, 2)), "b": np.zeros((1, 2))}, tap, 0.2, 0.2)
+    out = accumulate(curr, {"a": np.ones((1, 2)), "b": np.zeros((1, 2))}, tap, CFG)
     assert list(out.color) == ["a", "b"]
     assert out.color["a"].shape == (1, 2, 1) and out.color["b"].shape == (1, 2, 3)
     # valid at N=1: a = 1/2; invalid: the current sample, at length 1
@@ -187,6 +203,21 @@ def test_history_cap():
     tap = _tap(np.ones((1, 1), dtype=bool), np.full((1, 1, 1), 0.5), 0.5, 0.25, 256)
     out = _accumulate_one(np.full((1, 1, 1), 0.5), tap)
     assert out.history_len[0, 0] == 256
+
+
+def test_history_cap_read_from_the_config():
+    tap = _tap(np.ones((1, 1), dtype=bool), np.full((1, 1, 1), 0.5), 0.5, 0.25, 10)
+    out = _accumulate_one(np.full((1, 1, 1), 0.5), tap, DenoiseConfig(history_cap=3))
+    assert out.history_len[0, 0] == 3
+
+
+def test_color_and_moments_blend_with_their_own_weights():
+    # a long history, so each blend weight is its config value
+    tap = _tap(np.ones((1, 1), dtype=bool), np.zeros((1, 1, 1)), 0.0, 0.0, 100)
+    out = _accumulate_one(np.ones((1, 1, 1)), tap, DenoiseConfig(alpha=0.5, moments_alpha=0.1))
+    assert out.color[0][0, 0, 0] == pytest.approx(0.5)
+    assert out.moment1[0][0, 0] == pytest.approx(0.1)
+    assert out.moment2[0][0, 0] == pytest.approx(0.1)
 
 
 # ---------------------------------------------------------------------------
