@@ -445,9 +445,9 @@ def preset_scene(name: str, width=96, height=96, roughness=None, shadow_angle=4.
     has no camera path. `roughness` grades the materials of `cubes-distance`
     and `breakfast-lite` (default 0.3); the other presets have fixed
     materials and reject it. `teleport_frame` is the first frame after the
-    light's jump (default 32); only `light-teleport` takes it. The document
-    is checked by `scene_from_dict`, so an option that makes it invalid
-    raises here, naming its field.
+    light's jump, a positive int (default 32); only `light-teleport` takes
+    it. The document is checked by `scene_from_dict`, so an option that
+    makes it invalid raises here, naming its field.
     """
     unavailable = ValueError(f"movement {movement!r} not available for preset {name!r}; "
                              f"have {', '.join(MOVEMENTS)} (pillars: no camera)")
@@ -456,6 +456,9 @@ def preset_scene(name: str, width=96, height=96, roughness=None, shadow_angle=4.
     if teleport_frame is not None and movement != "light-teleport":
         raise ValueError(f"movement {movement!r} has no teleport and takes no "
                          f"teleport_frame; light-teleport does")
+    if teleport_frame is not None and not positive_int(teleport_frame):
+        # the light would already stand where it jumps to on frame 0
+        raise ValueError(f"teleport_frame {teleport_frame!r} is not a positive integer")
     if name not in _PRESETS:
         raise ValueError(f"unknown preset {name!r}; have {', '.join(PRESET_NAMES)}")
     graded = {} if roughness is None else {"roughness": roughness}

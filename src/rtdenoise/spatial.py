@@ -45,28 +45,31 @@ uses its result. The frame state rejects a foreground pixel whose depth is
 not positive and finite or whose normal is not finite, since its weights
 would turn the frame NaN.
 
-Every a-trous call runs through a `FrameState`. `denoise_frame` builds one
-per frame, which checks the geometry and crops the box once, and passes it
-to every call of the frame; a call given none builds its own, as one lone
-iteration whose every variance its caller reads. The state knows the
-schedule of level passes from its first call's levels. A tap's G-buffer
-weight depends only on its pixel offset: every pass of the state has the
-same center planes and the same edge-clamped tap planes, and the distance
-of unit offset (j, i) at step s, s * hypot(j, i), equals bit for bit that
-of (j/2, i/2) at step 2s, since the steps are powers of two and scaling by
-two is exact. So a level's taps at even unit offsets, the corners and edge
-midpoints of its outer ring, are the next level's inner ring. The state
-stores them as box planes keyed by pixel offset when a later pass reads
-them, and drops each after its last read. Four uniform dense iterations
-then evaluate 24 + 3 * 16 weights per box pixel instead of 96, separable
-ones 8 + 3 * 4 instead of 32. The state also tells each call which channels
-run their last iteration: no later call reads their variance, so the call
-neither pads nor accumulates it and returns None in its place.
+Every a-trous call runs through a `FrameState`, built whole from each
+channel's start level and iteration count and the form's passes.
+`denoise_frame` builds one per frame from `select_schedule`'s plans and
+passes it to every call of the frame; a call given none builds its own, as
+one lone iteration whose every variance its caller reads. The state checks
+the top levels and the geometry and crops the box once, and lays out the
+frame's calls, each channel's levels in use and the schedule of level passes
+before the first call. A tap's G-buffer weight depends only on its pixel
+offset: every pass of the state has the same center planes and the same
+edge-clamped tap planes, and the distance of unit offset (j, i) at step s,
+s * hypot(j, i), equals bit for bit that of (j/2, i/2) at step 2s, since the
+steps are powers of two and scaling by two is exact. So a level's taps at
+even unit offsets, the corners and edge midpoints of its outer ring, are the
+next level's inner ring. The state stores them as box planes keyed by pixel
+offset when a later pass reads them, and drops each after its last read.
+Four uniform dense iterations then evaluate 24 + 3 * 16 weights per box
+pixel instead of 96, separable ones 8 + 3 * 4 instead of 32. The state also
+tells each call which channels run their last iteration: no later call reads
+their variance, so the call neither pads nor accumulates it and returns None
+in its place.
 
-The start level can shift up by one where material features predict heavy
-noise (roughness over 0.2, shadow angles over 6 degrees), keeping the
-iteration count fixed; with noise-free secondary shading the iteration count
-itself adapts to roughness.
+`select_schedule` plans each channel per pixel: the start level shifts up by
+one where material features predict heavy noise (roughness over 0.2, shadow
+angles over 6 degrees), keeping the iteration count fixed; with noise-free
+secondary shading the iteration count itself adapts to roughness.
 """
 
 from __future__ import annotations
@@ -233,55 +236,66 @@ def _level_pass(offsets, step, box, geometry, gtaps, members, scratch, cfg, read
                     np.copyto(dst, np.divide(num, den, out=tmp_b), where=m.mask[band])
 
 
+class _Call(NamedTuple):
+    """One a-trous call of a frame: the indices of the channels it filters,
+    each one's sorted levels in use over the box and whether its variance is
+    read after the call, and the union of those levels."""
+    running: list
+    used: list
+    var_read: list
+    union: np.ndarray
+
+
 class FrameState:
     """What the a-trous calls of one frame share (see the module docstring).
 
-    Built from the frame's G-buffer, it crops the foreground to its box and
-    checks its geometry at once, and keeps a store of G-buffer weights keyed
-    by pixel offset. `counts` is the iteration count of each channel that
-    runs at all, in the order of the calls' lists: `denoise_frame` builds
-    one state per frame with them and passes it to every call. A call made
-    without a state builds its own with no counts, as a lone call whose
-    caller reads every variance it returns. The state lays out the whole
-    schedule of level passes on the first call, so it tells each pass which
-    stored weights are still read later and which of its own outer ring to
-    store, and each call which channels' variances a later call reads.
+    Built whole from the frame's G-buffer, each channel's start level and
+    iteration count (a scalar or a per-pixel map each) and the form's
+    `passes`, it checks each channel's top level and the foreground's
+    geometry, crops the foreground to its box, and lays out the frame's
+    calls and level passes at once. Call i filters each channel that runs
+    more than i iterations anywhere, at its start level + i; its variance
+    is read after the call if the channel runs another. `counts=None` marks
+    a lone call: one iteration, and its caller reads every variance.
+    `denoise_frame` builds one state per frame and passes it to every call,
+    and a call made without a state builds its own. The state tells each
+    call its `_Call` (`pending`), and each pass which stored weights are
+    still read later and which of its own outer ring to store. The store
+    keeps G-buffer weights keyed by pixel offset.
     """
 
-    def __init__(self, gbuf: GBufferFrame, counts=None):
+    def __init__(self, gbuf: GBufferFrame, starts, counts, passes):
+        runs = ([1] * len(starts) if counts is None
+                else [int(np.max(count, initial=0)) for count in counts])
         self.fg = gbuf.foreground
-        _check_geometry(gbuf, self.fg)
         self.box = bounding_box(self.fg)
-        self.counts = counts  # iterations per channel, or None for a lone call
-        self.weights = {}  # pixel offset (dy, dx) -> box plane of w_z * w_n
-        self._calls = 0
-        self._passes = None  # per level pass of the frame: (its taps, later taps, step)
-
-    def variance_read(self, channels: int) -> list:
-        """Per channel of the next call, of `channels`, whether its variance
-        is read: by a later call, or by a lone call's caller."""
-        if self.counts is None:
-            return [True] * channels
-        i, self._calls = self._calls, self._calls + 1
-        return [count - 1 > i for count in self.counts if count > i]
-
-    def plan(self, used, passes) -> None:
-        """Lay out the frame's level passes from the first call's levels in
-        use per channel; iteration i runs them shifted up by i, and a lone
-        call is one iteration."""
-        if self._passes is not None:
-            return
-        counts = [1] * len(used) if self.counts is None else self.counts
-        steps = []
-        for n in range(max(counts)):
-            union = np.unique(np.concatenate([u + n for u, c in zip(used, counts) if c > n]))
+        used = []  # per channel, its sorted start levels over the box
+        for start, n in zip(starts, runs, strict=True):
+            start = np.asarray(start, dtype=np.int64)
+            if n > 0:
+                check_level(start.max() + n - 1, *gbuf.depth.shape)
+            if start.ndim and self.box is not None:
+                start = start[self.box]
+            # a uniform map, the common case, needs two reductions instead of a sort
+            used.append(np.unique(start) if start.min() != start.max() else start.reshape(-1)[:1])
+        self.calls, steps = [], []
+        for i in range(max(runs, default=0)):
+            running = [s for s, n in enumerate(runs) if n > i]
+            at = [used[s] + i for s in running]
+            union = np.unique(np.concatenate(at))
+            self.calls.append(_Call(running, at, [counts is None or runs[s] - 1 > i
+                                                  for s in running], union))
             steps.extend((offsets, 2 ** int(lv)) for offsets in passes for lv in union)
+        if self.calls:
+            _check_geometry(gbuf, self.fg)
+        self.pending = iter(self.calls)
         taps = [{(j * s, i * s) for j, i, _k, _d in offsets if (j, i) != (0, 0)}
                 for offsets, s in steps]
         later = [set()]
         for t in reversed(taps[1:]):
             later.append(later[-1] | t)
         self._passes = iter(zip(taps, reversed(later), (s for _o, s in steps)))
+        self.weights = {}  # pixel offset (dy, dx) -> box plane of w_z * w_n
 
     def next_pass(self, shape):
         """The weights the next level pass reads from the store and the new
@@ -305,9 +319,11 @@ def _atrous(channels, variances, gbuf: GBufferFrame, levels, cfg: DenoiseConfig,
     `passes`, a list of unit tap tables, over one G-buffer setup (see the
     module docstring).
 
-    Each pass filters the previous pass's result; the last also returns the
-    variance of the weighted mean, or None for a channel whose variance the
-    frame `state` says no later call reads. Each tap is a full padded plane
+    The call's levels in use and which variances are read come from the
+    frame `state`'s next call; a call given none builds a lone one from
+    `levels`. Each pass filters the previous pass's result; the last also
+    returns the variance of the weighted mean, or None for a channel whose
+    variance no later call reads. Each tap is a full padded plane
     sliced to the foreground's box, so a kept pixel still sees its true
     neighbours and the image border. Counts the nominal taps, the sum of the
     pass lengths per pixel and channel, into `stats`. Returns one
@@ -315,21 +331,14 @@ def _atrous(channels, variances, gbuf: GBufferFrame, levels, cfg: DenoiseConfig,
     """
     datas = [as_planes(channel) for channel in channels]
     variances = [np.asarray(variance, dtype=np.float64) for variance in variances]
-    for level, var in zip(levels, variances, strict=True):
-        check_level(np.max(level), *var.shape)
-    state = state or FrameState(gbuf)
+    state = state or FrameState(gbuf, levels, None, passes)
     fg, box = state.fg, state.box
-    var_read = state.variance_read(len(datas))
+    _running, used, var_read, union = next(state.pending)
     outs = [(data.copy(), var.copy() if read else None)
             for data, var, read in zip(datas, variances, var_read, strict=True)]
     if box is not None:
         levels = [np.asarray(level, dtype=np.int64) for level in levels]
         levels = [level[box] if level.ndim else level for level in levels]
-        # the levels in use; a uniform map, the common case, needs two
-        # reductions instead of a sort
-        used = [np.unique(level) if level.min() != level.max() else level.reshape(-1)[:1]
-                for level in levels]
-        state.plan(used, passes)
         # each channel pads its planes as far as its own top level reaches
         reaches = [2 * 2 ** int(u[-1]) for u in used]
         gtaps = (shifted(np.where(fg, gbuf.depth, np.inf), max(reaches)),
@@ -340,7 +349,6 @@ def _atrous(channels, variances, gbuf: GBufferFrame, levels, cfg: DenoiseConfig,
                       for var in variances]
         # band-sized scratch, allocated once for every pass and level, with
         # accumulators for as many channels as share a level
-        union = np.unique(np.concatenate(used))
         h, w = z_c.shape
         rows = min(h, max(1, _BAND // w))
         planes = max(data.shape[2] for data in datas)
@@ -414,106 +422,88 @@ def atrous_separable(channels, variances, gbuf: GBufferFrame, levels, cfg: Denoi
     return _atrous(channels, variances, gbuf, levels, cfg, (_ROW, _COLUMN), stats, state)
 
 
-def _feature(values) -> np.ndarray:
-    """A material feature as an array that the selectors compare in its own
-    float precision, so that a float32 roughness stored as 0.2 is still 0.2;
-    other values compare as float64."""
-    f = np.asarray(values)
-    return f if f.dtype.kind == "f" else f.astype(np.float64)
+def select_schedule(kind: ChannelKind, feature, cfg: DenoiseConfig):
+    """A channel's a-trous plan from its material feature, the specular
+    roughness or the shadow angle in degrees: (start level, iteration
+    count), each per pixel for a feature map and 0-d for a scalar.
 
-
-def select_start_level(kind: ChannelKind, feature, cfg: DenoiseConfig):
-    """Starting a-trous level: 1 where the material feature predicts heavy
-    noise (specular roughness > 0.2, shadow angle > 6.0 degrees), else 0.
-    The feature compares in its own precision (see `_feature`)."""
-    f = _feature(feature)
-    if not cfg.adaptive_start:
-        return np.zeros_like(f, dtype=np.int64)
-    if kind is ChannelKind.INDIRECT_SPECULAR:
-        threshold = cfg.roughness_start_threshold
-    else:
-        threshold = cfg.shadow_angle_start_threshold
-    return (f > f.dtype.type(threshold)).astype(np.int64)
-
-
-def select_iteration_count(roughness, cfg: DenoiseConfig):
-    """Iteration count per roughness: `cfg.iterations`, except when secondary
-    shading is noise-free (`cfg.ibl_adaptive_iterations`): then 0 at
-    roughness 0 and at most 1 up to 0.05. The roughness compares in its own
-    precision (see `_feature`)."""
-    r = _feature(roughness)
-    if not cfg.ibl_adaptive_iterations:
-        return np.full_like(r, cfg.iterations, dtype=np.int64)
-    return np.where(r <= 0.0, 0, np.where(r <= r.dtype.type(0.05), min(1, cfg.iterations),
-                                          cfg.iterations)).astype(np.int64)
+    Under `cfg.adaptive_start` the start is 1 where the feature predicts
+    heavy noise (roughness over `roughness_start_threshold`, angle over
+    `shadow_angle_start_threshold`), else 0. The count is `cfg.iterations`,
+    except for the specular when secondary shading is noise-free
+    (`cfg.ibl_adaptive_iterations`): then 0 at roughness 0 and at most 1 up
+    to 0.05. A float feature compares in its own precision, so that a
+    float32 roughness stored as 0.2 is still 0.2; others compare as float64.
+    """
+    f = np.asarray(feature)
+    f = f if f.dtype.kind == "f" else f.astype(np.float64)
+    specular = kind is ChannelKind.INDIRECT_SPECULAR
+    threshold = cfg.roughness_start_threshold if specular else cfg.shadow_angle_start_threshold
+    start = ((f > f.dtype.type(threshold)) & cfg.adaptive_start).astype(np.int64)
+    count = np.asarray(cfg.iterations, dtype=np.int64)
+    if specular and cfg.ibl_adaptive_iterations:
+        count = np.where(f <= 0.0, 0, np.where(f <= f.dtype.type(0.05), min(1, cfg.iterations),
+                                               count)).astype(np.int64)
+    return start, count
 
 
 def denoise_frame(signals: dict, gbuf: GBufferFrame, cfg: DenoiseConfig,
                   shadow_angle=None) -> dict:
     """Run the configured a-trous iterations for each channel of one frame.
 
-    `signals` maps a `ChannelKind` to its (channel, variance). Iteration i
-    filters a channel at level start+i, and filters every channel that has
-    an iteration i in one joint call of `atrous_dense` or `atrous_separable`,
-    so they share its G-buffer setup and edge weights. The calls share one
-    `FrameState`, so each level reads the weights of the previous level's
-    outer ring instead of computing them again. The output of
-    iteration 0 becomes the color fed back into the temporal history (unless
-    feedback is off). The SHADOW kind needs the light's `shadow_angle` in
-    degrees, one scalar for the frame or a per-pixel map. Returns, per kind,
-    (final_channel, feedback_channel, iteration_records), channels (H, W, C)
-    even for an (H, W) input.
+    `signals` maps a `ChannelKind` to its (channel, variance). Each channel's
+    start level and iteration count come from `select_schedule`, and the
+    frame's `FrameState` is built whole from them. Iteration i filters a
+    channel at level start+i, and filters every channel that has an
+    iteration i in one joint call of `atrous_dense` or `atrous_separable`,
+    so they share its G-buffer setup and edge weights; a pixel past its own
+    count keeps its value. Through the shared state each level reads the
+    weights of the previous level's outer ring instead of computing them
+    again. The output of iteration 0 becomes the color fed back into the
+    temporal history (unless feedback is off). The SHADOW kind needs the
+    light's `shadow_angle` in degrees, one scalar for the frame or a
+    per-pixel map. Returns, per kind, (final_channel, feedback_channel,
+    iteration_records), channels (H, W, C) even for an (H, W) input.
     """
-    plans = {}
-    for kind, (channel, variance) in signals.items():
-        if kind is ChannelKind.INDIRECT_SPECULAR:
-            feature = gbuf.roughness
-            counts = select_iteration_count(feature, cfg)
-        else:
-            if shadow_angle is None:
-                raise ValueError("the SHADOW kind needs shadow_angle")
-            feature = shadow_angle
-            counts = np.full(gbuf.depth.shape, cfg.iterations, dtype=np.int64)
-        start = select_start_level(kind, feature, cfg)
-        max_count = int(counts.max()) if counts.size else 0
-        if max_count > 0:
-            check_level(np.max(start) + max_count - 1, *gbuf.depth.shape)
-        # the filters never write their inputs, so a plan starts from the
-        # caller's arrays, which `_outputs` copies if no iteration replaced them
-        data = as_planes(channel)
-        plans[kind] = {"start": start, "counts": counts, "max_count": max_count,
-                       "data": data, "out": data, "feedback": None, "records": [],
-                       "var": np.asarray(variance, dtype=np.float64)}
+    if ChannelKind.SHADOW in signals and shadow_angle is None:
+        raise ValueError("the SHADOW kind needs shadow_angle")
+    plans = [select_schedule(kind, gbuf.roughness if kind is ChannelKind.INDIRECT_SPECULAR
+                             else shadow_angle, cfg) for kind in signals]
+    starts = [start for start, _count in plans]
+    counts = [count for _start, count in plans]
+    # the filters never write their inputs, so the outputs start as the
+    # caller's arrays, which `_outputs` copies if no iteration replaced them
+    datas = [as_planes(channel) for channel, _variance in signals.values()]
+    variances = [np.asarray(variance, dtype=np.float64) for _channel, variance in signals.values()]
+    outs, feedbacks, records = list(datas), [None] * len(datas), [[] for _ in datas]
 
-    filt = atrous_separable if cfg.separable else atrous_dense
-    counts = [p["max_count"] for p in plans.values() if p["max_count"] > 0]
-    state = FrameState(gbuf, counts) if counts else None
-    for i in range(max(counts, default=0)):
-        running = [p for p in plans.values() if p["max_count"] > i]
+    filt, passes = ((atrous_separable, (_ROW, _COLUMN)) if cfg.separable
+                    else (atrous_dense, (_DENSE,)))
+    state = FrameState(gbuf, starts, counts, passes)
+    for i, call in enumerate(state.calls):
         stats = {}
-        results = filt([p["out"] for p in running], [p["var"] for p in running], gbuf,
-                       [p["start"] + i for p in running], cfg, stats=stats, state=state)
-        for p, (filtered, fvar) in zip(running, results):
-            level = p["start"] + i
+        results = filt([outs[s] for s in call.running], [variances[s] for s in call.running],
+                       gbuf, [starts[s] + i for s in call.running], cfg, stats=stats,
+                       state=state)
+        for s, (filtered, fvar) in zip(call.running, results):
             # pixels past their iteration count keep their values; a channel's
             # last iteration returns no variance
-            done = p["counts"] <= i
+            done = counts[s] <= i
             if done.any():
-                np.copyto(filtered, p["out"], where=done[..., None])
+                np.copyto(filtered, outs[s], where=done[..., None])
                 if fvar is not None:
-                    np.copyto(fvar, p["var"], where=done)
-            p["out"], p["var"] = filtered, fvar
-            p["records"].append({"iteration": i, "level_min": int(level.min()),
-                                 "level_max": int(level.max()),
-                                 "step_min": int(2 ** level.min()),
-                                 "step_max": int(2 ** level.max()),
-                                 "taps": gbuf.depth.size * stats["taps_per_pixel"],
-                                 "taps_per_pixel": stats["taps_per_pixel"]})
+                    np.copyto(fvar, variances[s], where=done)
+            outs[s], variances[s] = filtered, fvar
+            low, high = int(starts[s].min()) + i, int(starts[s].max()) + i
+            records[s].append({"iteration": i, "level_min": low, "level_max": high,
+                               "step_min": 2 ** low, "step_max": 2 ** high,
+                               "taps": gbuf.depth.size * stats["taps_per_pixel"],
+                               "taps_per_pixel": stats["taps_per_pixel"]})
             if i == 0 and cfg.feedback == "first_iteration":
-                p["feedback"] = p["out"]  # later iterations replace, not write, it
+                feedbacks[s] = filtered  # later iterations replace, not write, it
 
-    return {kind: _outputs(p["data"], p["out"], p["feedback"], p["records"])
-            for kind, p in plans.items()}
+    return {kind: _outputs(*outputs)
+            for kind, outputs in zip(signals, zip(datas, outs, feedbacks, records))}
 
 
 def _outputs(data, out, feedback, records):

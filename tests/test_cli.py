@@ -183,6 +183,15 @@ def test_scene_reports_a_teleport_frame_without_teleport(tmp_path, capsys):
         "shadow-objects", movement="light-teleport", teleport_frame=5)
 
 
+@pytest.mark.parametrize("frame", ["0", "-3"])
+def test_scene_rejects_a_teleport_frame_below_1(tmp_path, capsys, frame):
+    out = tmp_path / "scene.json"
+    assert main(["scene", "--preset", "shadow-objects", "--movement", "light-teleport",
+                 "--teleport-frame", frame, "--out", str(out)]) == 1
+    assert f"error: teleport_frame {frame} is not a positive integer" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_denoise_config_layers_file_then_preset_then_set(workspace, tmp_path):
     # the config file is the base, --preset overrides it and --set overrides both
     _root, _scene, synth = workspace

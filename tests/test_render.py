@@ -311,6 +311,24 @@ def test_preset_scene_teleport_frame_defaults_to_32():
     assert _keyframes(doc["light"]["center"]) == [31, 32]
 
 
+@pytest.mark.parametrize("frame", [0, -3, True, 2.0, "5"])
+def test_preset_scene_rejects_a_teleport_frame_that_is_no_positive_int(frame):
+    # the light's path runs from frame teleport_frame - 1, so below 1 the
+    # light stands where it jumps to from frame 0 on: no teleport at all
+    with pytest.raises(ValueError, match="^" + re.escape(
+            f"teleport_frame {frame!r} is not a positive integer") + "$"):
+        preset_scene("shadow-objects", width=16, height=16, movement="light-teleport",
+                     teleport_frame=frame)
+
+
+def test_preset_scene_teleport_frame_1_jumps_after_frame_0():
+    doc = preset_scene("shadow-objects", width=16, height=16, movement="light-teleport",
+                       teleport_frame=np.int64(1))
+    light = scene_from_dict(doc).light
+    assert not np.array_equal(light.center_at(0), light.center_at(1))
+    assert np.array_equal(light.center_at(1), light.center_at(2))
+
+
 @pytest.mark.parametrize("name", ["cubes-distance", "breakfast-lite"])
 def test_preset_scene_roughness_defaults_to_0_3(name):
     assert preset_scene(name) == preset_scene(name, roughness=0.3)

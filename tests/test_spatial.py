@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from rtdenoise import spatial
 from rtdenoise.frames import ChannelKind, DenoiseConfig, GBufferFrame
@@ -10,7 +11,7 @@ from rtdenoise.pipeline import PRESETS, preset_config
 from rtdenoise.render import render_frame
 from rtdenoise.scenes import preset_scene, scene_from_dict
 from rtdenoise.spatial import (KERNEL_1D, atrous_dense, atrous_separable, denoise_channel,
-                               select_iteration_count, select_start_level)
+                               select_schedule)
 from rtdenoise.stencil import bounding_box, shifted
 
 SHADOW, SPECULAR = ChannelKind
@@ -516,7 +517,7 @@ def test_separable_variance_updated_once():
                                           (np.float64(np.float32(0.2)), 1)])
 def test_start_level_specular_threshold(rough, expect):
     cfg = DenoiseConfig(adaptive_start=True)
-    assert select_start_level(ChannelKind.INDIRECT_SPECULAR, rough, cfg) == expect
+    assert select_schedule(ChannelKind.INDIRECT_SPECULAR, rough, cfg)[0] == expect
 
 
 @pytest.mark.parametrize("angle,expect", [(5.0, 0), (6.0, 0), (6.0 + 1e-9, 1),
@@ -524,13 +525,13 @@ def test_start_level_specular_threshold(rough, expect):
                                           (np.nextafter(np.float32(6.0), np.float32(7.0)), 1)])
 def test_start_level_shadow_threshold(angle, expect):
     cfg = DenoiseConfig(adaptive_start=True)
-    assert select_start_level(ChannelKind.SHADOW, angle, cfg) == expect
+    assert select_schedule(ChannelKind.SHADOW, angle, cfg)[0] == expect
 
 
 def test_start_level_disabled():
     cfg = DenoiseConfig(adaptive_start=False)
-    assert select_start_level(ChannelKind.INDIRECT_SPECULAR, 0.9, cfg) == 0
-    assert select_start_level(ChannelKind.SHADOW, 45.0, cfg) == 0
+    assert select_schedule(ChannelKind.INDIRECT_SPECULAR, 0.9, cfg)[0] == 0
+    assert select_schedule(ChannelKind.SHADOW, 45.0, cfg)[0] == 0
 
 
 def _iteration_config(ibl_adaptive, iterations):
@@ -540,26 +541,27 @@ def _iteration_config(ibl_adaptive, iterations):
 @pytest.mark.parametrize("rough,expect", [(0.0, 0), (0.03, 1), (0.05, 1),
                                           (0.06, 4), (1.0, 4)])
 def test_iteration_count_adaptive(rough, expect):
-    assert select_iteration_count(rough, _iteration_config(True, 4)) == expect
+    assert select_schedule(SPECULAR, rough, _iteration_config(True, 4))[1] == expect
 
 
 def test_iteration_count_adaptive_keeps_configured_count():
     rough = np.array([0.0, 0.03, 0.5])
-    assert select_iteration_count(rough, _iteration_config(True, 2)).tolist() == [0, 1, 2]
-    assert select_iteration_count(rough, _iteration_config(True, 0)).tolist() == [0, 0, 0]
+    assert select_schedule(SPECULAR, rough, _iteration_config(True, 2))[1].tolist() == [0, 1, 2]
+    assert select_schedule(SPECULAR, rough, _iteration_config(True, 0))[1].tolist() == [0, 0, 0]
 
 
 def test_iteration_count_compares_in_the_roughness_precision():
     # float32(0.05) is 0.0500000007: a stored roughness of 0.05 is still 0.05
-    assert select_iteration_count(np.float32(0.05), _iteration_config(True, 3)) == 1
+    assert select_schedule(SPECULAR, np.float32(0.05), _iteration_config(True, 3))[1] == 1
     rough = np.array([0.0, 0.05, 0.0500001], dtype=np.float32)
-    assert select_iteration_count(rough, _iteration_config(True, 3)).tolist() == [0, 1, 3]
-    assert select_iteration_count(np.float64(np.float32(0.05)), _iteration_config(True, 3)) == 3
+    assert select_schedule(SPECULAR, rough, _iteration_config(True, 3))[1].tolist() == [0, 1, 3]
+    cfg = _iteration_config(True, 3)
+    assert select_schedule(SPECULAR, np.float64(np.float32(0.05)), cfg)[1] == 3
 
 
 def test_iteration_count_fixed_by_default():
-    assert select_iteration_count(0.0, _iteration_config(False, 4)) == 4
-    assert select_iteration_count(0.7, _iteration_config(False, 2)) == 2
+    assert select_schedule(SPECULAR, 0.0, _iteration_config(False, 4))[1] == 4
+    assert select_schedule(SPECULAR, 0.7, _iteration_config(False, 2))[1] == 2
 
 
 # ---------------------------------------------------------------------------
@@ -681,10 +683,10 @@ def test_joint_driver_gives_each_channel_its_bits_alone(separable, roughness):
     gbuf, shadow, specular = render_frame(scene, 0, spp=1, seed=5)
     cfg = DenoiseConfig(iterations=3, adaptive_start=True, ibl_adaptive_iterations=True,
                         separable=separable)
-    assert select_start_level(SHADOW, scene.shadow_angle_deg, cfg) == 1
-    assert set(np.unique(select_start_level(SPECULAR, gbuf.roughness, cfg)[gbuf.foreground])) \
+    assert select_schedule(SHADOW, scene.shadow_angle_deg, cfg)[0] == 1
+    assert set(np.unique(select_schedule(SPECULAR, gbuf.roughness, cfg)[0][gbuf.foreground])) \
         == {0, 1}
-    counts = select_iteration_count(gbuf.roughness, cfg)
+    counts = select_schedule(SPECULAR, gbuf.roughness, cfg)[1]
     assert set(np.unique(counts)) == ({3} if roughness else {0, 1, 3})
     rs = np.random.default_rng(18)
     signals = {SHADOW: (shadow.data, rs.random((32, 32))),
@@ -820,13 +822,47 @@ def test_frame_state_gives_the_bits_of_lone_calls(separable, case, band, monkeyp
     cfg = dataclasses.replace(cfg, separable=separable)
     scene, gbuf, signals = _breakfast_frame(roughness)
     if case == "counts":
-        counts = select_iteration_count(gbuf.roughness, cfg)
+        counts = select_schedule(SPECULAR, gbuf.roughness, cfg)[1]
         assert set(np.unique(counts)) == {0, 1, 3}
     if band is not None:
         monkeypatch.setattr(spatial, "_BAND", band)
     got = spatial.denoise_frame(signals, gbuf, cfg, shadow_angle=scene.shadow_angle_deg)
     _lone_calls(monkeypatch)
     want = spatial.denoise_frame(signals, gbuf, cfg, shadow_angle=scene.shadow_angle_deg)
+    for kind in ChannelKind:
+        (out, feedback, records), (w_out, w_feedback, w_records) = got[kind], want[kind]
+        assert out.tobytes() == w_out.tobytes()
+        assert feedback.tobytes() == w_feedback.tobytes()
+        assert records == w_records
+
+
+_ROUGHNESS = (0.0, 0.03, 0.1, 0.3)
+
+
+@settings(deadline=None, max_examples=25)
+@given(seed=st.integers(0, 2**32 - 1), roughness=st.sets(st.sampled_from(_ROUGHNESS), min_size=1),
+       angle=st.sampled_from([2.0, 8.0, "per pixel"]), iterations=st.integers(0, 3),
+       separable=st.booleans())
+# roughness 0 everywhere: the specular runs no iteration while the shadow runs
+@example(seed=0, roughness={0.0}, angle=8.0, iterations=2, separable=False)
+def test_frame_state_gives_the_bits_of_lone_calls_for_any_schedule(seed, roughness, angle,
+                                                                   iterations, separable):
+    # per-pixel start levels and iteration counts, per channel, as
+    # `select_schedule` plans them. A start of 1 and 3 iterations reach
+    # level 3, which `check_level` rejects at 16x16 but not at 24x24
+    rs = np.random.default_rng(seed)
+    gbuf = _boxed_gbuf(rs, 24, 24)
+    gbuf.roughness[:] = rs.choice(sorted(roughness), (24, 24))
+    if angle == "per pixel":
+        angle = rs.choice([2.0, 8.0], (24, 24))
+    signals = {SHADOW: (rs.random((24, 24)), rs.random((24, 24))),
+               SPECULAR: (rs.random((24, 24, 3)), rs.random((24, 24)))}
+    cfg = DenoiseConfig(iterations=iterations, separable=separable, adaptive_start=True,
+                        ibl_adaptive_iterations=True)
+    got = spatial.denoise_frame(signals, gbuf, cfg, shadow_angle=angle)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        _lone_calls(monkeypatch)
+        want = spatial.denoise_frame(signals, gbuf, cfg, shadow_angle=angle)
     for kind in ChannelKind:
         (out, feedback, records), (w_out, w_feedback, w_records) = got[kind], want[kind]
         assert out.tobytes() == w_out.tobytes()
@@ -929,16 +965,17 @@ def test_lone_call_returns_every_channels_variance(filt):
     channels = [rs.random((24, 24)), rs.random((24, 24, 3))]
     variances = [rs.random((24, 24)), rs.random((24, 24))]
     levels = [0, rs.integers(0, 2, (24, 24))]
+    passes = (spatial._DENSE,) if filt is atrous_dense else (spatial._ROW, spatial._COLUMN)
     lone = filt(channels, variances, gbuf, levels, DenoiseConfig())
     framed = filt(channels, variances, gbuf, levels, DenoiseConfig(),
-                  state=spatial.FrameState(gbuf, [2, 2]))
+                  state=spatial.FrameState(gbuf, levels, [2, 2], passes))
     assert len(lone) == len(framed) == 2
     for (out, var), (f_out, f_var) in zip(lone, framed):
         assert var is not None and var.shape == (24, 24)
         assert out.tobytes() == f_out.tobytes() and var.tobytes() == f_var.tobytes()
     # where no later iteration reads them, a frame's call returns none
     last = filt(channels, variances, gbuf, levels, DenoiseConfig(),
-                state=spatial.FrameState(gbuf, [1, 1]))
+                state=spatial.FrameState(gbuf, levels, [1, 1], passes))
     assert [var is None for _out, var in last] == [True, True]
 
 

@@ -15,12 +15,18 @@ benchmark workloads at their own size and frame count, and the five presets
 on 6-frame 48x48 cubes-distance/camera, shadow-objects/light-teleport and
 breakfast-lite/lights-objects, cubes-distance and breakfast-lite at roughness
 0.1. breakfast-lite runs per-pixel a-trous levels under adaptive start, which
-neither workload does. Every case runs on seed 3, so two runs' outputs compare
-line for line.
+neither workload does. Last, breakfast-lite/lights-objects at roughness 0.0
+is synthesized with IBL secondaries and denoised under the two adaptive
+presets without Reinhard, with `ibl_adaptive_iterations`: its specular runs
+per-pixel iteration counts {0, 1, 4} (the sphere at roughness 0, the table
+clamped to 0.05), so these cases cover the pixels that stop before the
+channel's last iteration. Every case runs on seed 3, so two runs' outputs
+compare line for line.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -40,6 +46,8 @@ SIZE, FRAMES, REFERENCE_SPP, SEED = 48, 6, 4, 3
 # (scene, movement, roughness or None for fixed materials)
 SCENES = (("cubes-distance", "camera", 0.1), ("shadow-objects", "light-teleport", None),
           ("breakfast-lite", "lights-objects", 0.1))
+# the presets run with `ibl_adaptive_iterations` on noise-free IBL secondaries
+IBL_PRESETS = ("svgf+rectify+adaptive", "svgf+rectify+adaptive+separable")
 
 
 def _sha(data: bytes) -> str:
@@ -63,6 +71,15 @@ def cases():
                 pipeline.synthesize_sequence(scene_from_dict(doc), FRAMES, 1, SEED,
                                              reference=True, reference_spp=REFERENCE_SPP),
                 harness.denoise_config(preset, SIZE))
+    ibl_doc = preset_scene("breakfast-lite", width=SIZE, height=SIZE,
+                           movement="lights-objects", roughness=0.0)
+    for preset in IBL_PRESETS:
+        yield f"breakfast-lite/lights-objects/ibl-roughness-0/{preset}", lambda preset=preset: (
+            pipeline.synthesize_sequence(scene_from_dict(ibl_doc), FRAMES, 1, SEED,
+                                         ibl_secondary=True, reference=True,
+                                         reference_spp=REFERENCE_SPP),
+            dataclasses.replace(harness.denoise_config(preset, SIZE),
+                                ibl_adaptive_iterations=True))
 
 
 def main() -> int:
