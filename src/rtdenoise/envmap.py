@@ -4,7 +4,9 @@ Level k of a prefiltered map is the spherical convolution of the source
 against a normalized cosine-power lobe with exponent e_k = max(1, 2/r_k^2 - 2)
 where r_k = k / (levels - 1); level 0 is the source itself. The convolution
 is a direct sum over source texels weighted by solid angle, which keeps it
-exact, order-independent and BLAS-free (maps are low resolution).
+exact, order-independent and BLAS-free. So it takes O(N^2) time per level
+for N texels, and is meant for low-resolution maps: it runs in blocks of
+output texels, so its memory stays O(N) beyond the map's own.
 
 Lookups (`sample_latlong`, `PrefilteredEnvMap.sample`) gather each map
 channel with `stencil.gather` at flat row-major texel indices and weight it
@@ -72,17 +74,29 @@ def sample_latlong(env: np.ndarray, dirs: np.ndarray) -> np.ndarray:
     return out
 
 
+_BLOCK = 1 << 18  # about this many weights per block of output texels
+
+
 def _convolve_cosine_power(env: np.ndarray, exponent: float) -> np.ndarray:
+    """Convolve `env` with the normalized lobe, about `_BLOCK` / N of its N
+    output texels at a time, so a block's temporaries take O(`_BLOCK`). Each
+    output texel sums over all N source texels in the same order whatever
+    the block, so the result does not depend on the block size."""
     h, w = env.shape[:2]
     dirs = latlong_directions(w, h).reshape(-1, 3)
     omega = latlong_solid_angles(w, h).reshape(-1)
     flat = env.reshape(-1, 3)
-    # cos matrix by explicit outer products: deterministic, no BLAS reductions
-    cos = (np.multiply.outer(dirs[:, 0], dirs[:, 0])
-           + np.multiply.outer(dirs[:, 1], dirs[:, 1])
-           + np.multiply.outer(dirs[:, 2], dirs[:, 2]))
-    wgt = np.clip(cos, 0.0, None) ** exponent * omega[None, :]
-    out = (wgt[:, :, None] * flat[None, :, :]).sum(axis=1) / wgt.sum(axis=1)[:, None]
+    rows = max(1, _BLOCK // len(dirs))
+    out = np.empty_like(flat)
+    for start in range(0, len(dirs), rows):
+        block = dirs[start:start + rows]
+        # cos matrix by explicit outer products: deterministic, no BLAS reductions
+        cos = (np.multiply.outer(block[:, 0], dirs[:, 0])
+               + np.multiply.outer(block[:, 1], dirs[:, 1])
+               + np.multiply.outer(block[:, 2], dirs[:, 2]))
+        wgt = np.clip(cos, 0.0, None) ** exponent * omega[None, :]
+        out[start:start + rows] = ((wgt[:, :, None] * flat[None, :, :]).sum(axis=1)
+                                   / wgt.sum(axis=1)[:, None])
     return out.reshape(h, w, 3)
 
 

@@ -182,11 +182,12 @@ def synthesize_sequence(scene: Scene, frames: int, spp: int, seed: int,
                         ibl_secondary: bool = False, reference: bool = False,
                         reference_spp: int = render.REFERENCE_SPP) -> FrameSequence:
     """Render a sequence of G-buffers and noisy channels (plus references).
-    A count below 1 is rejected before any frame is rendered."""
-    if frames < 1:
-        raise ValueError(f"frames must be >= 1, got {frames}")
-    if reference and reference_spp < 1:
-        raise ValueError(f"reference_spp must be >= 1, got {reference_spp}")
+    A count that is no int >= 1, a seed that is no int and more frames than
+    the scene's `frame_count` are rejected before any frame is rendered."""
+    render.check_counts(seed, frames=frames, spp=spp,
+                        **({"reference_spp": reference_spp} if reference else {}))
+    if scene.frame_count is not None and frames > scene.frame_count:
+        raise ValueError(f"frames {frames} beyond scene animation length {scene.frame_count}")
     prefiltered = prefilter_env(scene.env, ENV_LEVELS) if ibl_secondary else None
 
     out = []

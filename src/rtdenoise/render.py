@@ -1,4 +1,4 @@
-"""Deterministic mini path tracer for spheres, boxes and a ground plane.
+"""Deterministic mini path tracer for a ground plane, spheres and boxes.
 
 Plays the role of the rasterized G-buffer plus the 1spp shadow and indirect
 specular ray tracers, and of the high-spp ground-truth renderer. Everything
@@ -6,28 +6,32 @@ is vectorized over rays and all randomness comes from the counter-based
 stream in `rng`, keyed per pixel, so images are bit-identical for fixed
 (scene, frame, spp, seed) regardless of scheduling or of which pixels share
 an array. Both scene queries, the nearest hit and the occlusion test, walk
-one list of surfaces (`_surfaces`: the ground plane, then each sphere and box
-placed at the frame); a query's inverse ray directions are computed once and
-shared by all its boxes.
+one list of surfaces, the scene's objects in order (`_surfaces`: the ground
+plane first, where there is one, then each sphere and box placed at the
+frame); a query's inverse ray directions are computed once and shared by all
+its boxes.
 
 `render_frame` traces the primary rays of the whole pixel grid, which give
 the G-buffer (`trace_nearest` owns its background values: +inf distance,
 so depth, zero normal, albedo and emissive, and roughness 1), and then
 spends rays only where a result is kept:
-- the shadow loop and the specular loop run over the samples on flat arrays
-  of the foreground pixels (`pix`, gathered by `stencil.take3`); background
-  pixels trace no ray and get shadow 1 and specular 0 when the loops'
-  results are scattered back (`stencil.put3`);
+- one loop runs over the samples on flat arrays of the foreground pixels
+  (`pix`, gathered by `stencil.take3`). Each sample draws its four uniforms,
+  traces its shadow ray to a point on the light and then its specular
+  bounce, and adds to the visibility and the specular sums. Background
+  pixels trace no ray and get shadow 1 and specular 0 when the sums are
+  scattered back (`stencil.put3`);
 - each specular bounce is split by its nearest hit: the shadowed direct light
   (`_direct_at`, with its `occluded` query) and the prefiltered environment
   term run on the bounce rays that hit geometry, the environment lookup
   (`sample_latlong`) on those that miss.
 
-What does not depend on the sample is computed once per frame and shared by
-every iteration: the foreground pixels' shadow-ray origins, normals and RNG
-key prefix (`rng.pixel_key`, continued per sample by `rng.sample_uniform`),
-the light's center, and for the specular lobe the mirror directions, their
-orthonormal basis and the exponent's power 1 / (e + 1).
+What does not depend on the sample is computed once per frame, before the
+loop: the foreground pixels' ray origins (shared by the shadow ray and the
+bounce), normals and RNG key prefix (`rng.pixel_key`, continued per sample
+by `rng.sample_uniform`), the light's center, and for the specular lobe the
+mirror directions, their orthonormal basis and the exponent's power
+1 / (e + 1).
 
 Inside `render_frame` every per-ray 3-vector is channel-major: shape
 (..., 3), but each component one contiguous plane (`stencil.channel_major`,
@@ -50,11 +54,11 @@ import numpy as np
 from . import rng
 from .envmap import PrefilteredEnvMap, lobe_exponent, sample_latlong
 from .frames import ChannelKind, GBufferFrame, NoisyChannel
-from .scenes import Scene
+from .scenes import Scene, integer, positive_int
 from .stencil import channel_major, dot3, put3, take3
 
 _EPS = 1e-4
-_UP = np.array([0.0, 1.0, 0.0])  # the ground's normal
+_UP = np.array([0.0, 1.0, 0.0])  # a plane's normal
 
 
 def _length(v: np.ndarray) -> np.ndarray:
@@ -177,19 +181,19 @@ def _intersect_plane(origins, dirs, height):
 
 
 def _surfaces(origins, dirs, scene: Scene, frame: float):
-    """Yield (t, oid, material, normal_fn) for the ground, then each object.
+    """Yield (t, oid, material, normal_fn) for each of the scene's surfaces,
+    in its order: the ground plane, where there is one, first.
 
     `t` is the per-ray hit distance (inf on a miss) and `normal_fn(points)`
-    the surface normal at hit points; objects are placed at `frame`.
+    the surface normal at hit points; spheres and boxes are placed at `frame`.
     """
     inv_dirs = None
-    if scene.ground is not None:
-        g = scene.ground
-        yield (_intersect_plane(origins, dirs, g.height), g.oid, g.material,
-               lambda pts: _UP)
     for obj in scene.objects:
         off = obj.offset_at(frame)
-        if obj.kind == "sphere":
+        if obj.kind == "plane":
+            yield (_intersect_plane(origins, dirs, obj.height), obj.oid, obj.material,
+                   lambda pts: _UP)
+        elif obj.kind == "sphere":
             c = obj.center + off
             yield (_intersect_sphere(origins, dirs, c, obj.radius), obj.oid,
                    obj.material, lambda pts, c=c: _normalize(pts - c))
@@ -288,6 +292,16 @@ def _direct_at(points, normals, albedo, emissive, scene, frame, light_center):
     return emissive + albedo / np.pi * falloff * (cos * vis)[..., None]
 
 
+def check_counts(seed, **counts) -> None:
+    """Raise a ValueError naming the first of `counts` that is no int >= 1, or
+    a `seed` that is no int; a bool or a float counts as neither."""
+    for name, value in counts.items():
+        if not positive_int(value):
+            raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+    if not integer(seed):
+        raise ValueError(f"seed must be an integer, got {seed!r}")
+
+
 def render_frame(scene: Scene, frame_index: int, spp: int, seed: int,
                  prefiltered: PrefilteredEnvMap | None = None,
                  sample_offset: int = 0):
@@ -301,8 +315,7 @@ def render_frame(scene: Scene, frame_index: int, spp: int, seed: int,
     their albedo, adds to their direct light. Without one they get direct
     light only.
     """
-    if spp < 1:
-        raise ValueError(f"spp must be >= 1, got {spp}")
+    check_counts(seed, spp=spp)
     if scene.frame_count is not None and frame_index >= scene.frame_count:
         raise ValueError(f"frame {frame_index} beyond scene animation length "
                          f"{scene.frame_count}")
@@ -316,14 +329,14 @@ def render_frame(scene: Scene, frame_index: int, spp: int, seed: int,
     depth = t * along_fwd  # +inf on a miss, as every ray points ahead
     hit_p = origins + dirs * np.where(fg, t, 0.0)[..., None]
 
-    # analytic motion: move the hit point back by the object's frame-to-frame
-    # offset, then project into the previous frame's camera. When neither the
-    # camera nor the object moved the answer is analytically zero, so the
-    # projection round-trip (and its float noise) is skipped outright.
-    motion = np.zeros((h, w, 2))
-    cam_static = all(np.array_equal(a, b) for a, b in
-                     zip(scene.camera_at(frame_index), scene.camera_at(frame_index - 1)))
-    moved = np.zeros((h, w), dtype=bool)
+    # analytic motion: move the hit point back by its object's frame-to-frame
+    # offset, then project into the previous frame's camera. A foreground
+    # pixel has moved where the camera or its object did; elsewhere the answer
+    # is analytically zero, so the projection round trip (and its float noise)
+    # is not taken there.
+    cam_moved = not all(np.array_equal(a, b) for a, b in
+                        zip(scene.camera_at(frame_index), scene.camera_at(frame_index - 1)))
+    moved = np.full((h, w), cam_moved)
     prev_p = hit_p.copy(order="C")  # `project_to_pixel` applies `@` to it
     for obj in scene.objects:
         delta = obj.offset_at(frame_index) - obj.offset_at(frame_index - 1)
@@ -331,15 +344,13 @@ def render_frame(scene: Scene, frame_index: int, spp: int, seed: int,
             sel = oid == obj.oid
             prev_p[sel] -= delta
             moved |= sel
-    needs_projection = fg & (moved | (not cam_static))
-    if np.any(needs_projection):
+    moved &= fg
+    motion = np.zeros((h, w, 2))
+    if moved.any():
         px, py, in_front = project_to_pixel(prev_p, scene, frame_index - 1)
-        xs = np.arange(w)[None, :]
-        ys = np.arange(h)[:, None]
-        mx = np.where(in_front, px - xs, 1e9)
-        my = np.where(in_front, py - ys, 1e9)
-        motion[..., 0] = np.where(needs_projection, mx, 0.0)
-        motion[..., 1] = np.where(needs_projection, my, 0.0)
+        offsets = np.stack([px - np.arange(w), py - np.arange(h)[:, None]], axis=-1)
+        offsets[~in_front] = 1e9
+        motion = np.where(moved[..., None], offsets, 0.0)
 
     gbuf = GBufferFrame(
         depth=depth.astype(np.float32),
@@ -351,28 +362,13 @@ def render_frame(scene: Scene, frame_index: int, spp: int, seed: int,
         emissive=emissive.astype(np.float32, order="C"),
     )
 
-    # the sample loops run over the foreground pixels only, flat; `pix` holds
+    # the sample loop runs over the foreground pixels only, flat; `pix` holds
     # their row-major indices and scatters the results back
     pix = np.flatnonzero(fg)
     key = rng.pixel_key(seed, frame_index, pix % w, pix // w)
     light_c = scene.light.center_at(frame_index)
-    radius = scene.light.radius
     normal = take3(normal, pix)
-    shadow_origin = take3(hit_p, pix) + normal * _EPS
-
-    visible = np.zeros(pix.size)
-    for s in range(sample_offset, sample_offset + spp):
-        u1 = rng.sample_uniform(key, s, 0)
-        u2 = rng.sample_uniform(key, s, 1)
-        point = light_c + radius * _sphere_point(u1, u2)
-        to_l = point - shadow_origin
-        dist = _length(to_l)
-        ldir = to_l / np.maximum(dist, 1e-12)[..., None]
-        blocked = occluded(shadow_origin, ldir, dist - _EPS, scene, frame_index)
-        visible += 1.0 - blocked
-    shadow = np.ones(h * w)
-    shadow[pix] = visible / spp
-
+    origin = take3(hit_p, pix) + normal * _EPS
     dirs = take3(dirs, pix)
     mirror = _normalize(dirs - 2.0 * dot3(dirs, normal)[..., None] * normal)
     exponent = lobe_exponent(np.take(rough, pix))
@@ -380,15 +376,19 @@ def render_frame(scene: Scene, frame_index: int, spp: int, seed: int,
     onb = _onb(mirror)
     power = 1.0 / (np.where(is_mirror, 1.0, exponent) + 1.0)
 
+    visible = np.zeros(pix.size)
     spec = _planar(pix.shape, zeros=True)
     for s in range(sample_offset, sample_offset + spp):
-        u1 = rng.sample_uniform(key, s, 2)
-        u2 = rng.sample_uniform(key, s, 3)
-        lobe = _phong_lobe(mirror, onb, power, u1, u2)
-        lobe = np.where(is_mirror[..., None], mirror, lobe)
-        above = dot3(lobe, normal) > 0.0
+        u0, u1, u2, u3 = (rng.sample_uniform(key, s, d) for d in range(4))
+        # the shadow ray, toward a uniform point on the light's sphere
+        to_l = light_c + scene.light.radius * _sphere_point(u0, u1) - origin
+        dist = _length(to_l)
+        ldir = to_l / np.maximum(dist, 1e-12)[..., None]
+        visible += 1.0 - occluded(origin, ldir, dist - _EPS, scene, frame_index)
 
-        t2, oid2, n2, alb2, rough2, emis2 = trace_nearest(shadow_origin, lobe, scene, frame_index)
+        # the bounce, along a sample of the specular lobe
+        lobe = np.where(is_mirror[..., None], mirror, _phong_lobe(mirror, onb, power, u2, u3))
+        t2, oid2, n2, alb2, rough2, emis2 = trace_nearest(origin, lobe, scene, frame_index)
         hit2 = oid2 != 0
         radiance = _planar(pix.shape)
         miss = np.flatnonzero(~hit2)
@@ -396,13 +396,15 @@ def render_frame(scene: Scene, frame_index: int, spp: int, seed: int,
         hits = np.flatnonzero(hit2)
         if hits.size:
             lobe2, n2, alb2 = take3(lobe, hits), take3(n2, hits), take3(alb2, hits)
-            p2 = take3(shadow_origin, hits) + lobe2 * np.take(t2, hits)[..., None]
+            p2 = take3(origin, hits) + lobe2 * np.take(t2, hits)[..., None]
             lit = _direct_at(p2, n2, alb2, take3(emis2, hits), scene, frame_index, light_c)
             if prefiltered is not None:
                 refl2 = lobe2 - 2.0 * dot3(lobe2, n2)[..., None] * n2
                 lit = lit + alb2 * prefiltered.sample(_normalize(refl2), np.take(rough2, hits))
             put3(radiance, hits, lit)
-        spec += radiance * above[..., None]
+        spec += radiance * (dot3(lobe, normal) > 0.0)[..., None]
+    shadow = np.ones(h * w)
+    shadow[pix] = visible / spp
     specular = np.zeros((h * w, 3))
     put3(specular, pix, spec / spp)
 

@@ -8,9 +8,9 @@ a `gradient` sky, a `constant` or a `file`: a PFM lat-long map, a 1-channel
 one repeated to RGB, whose relative `path` resolves against the working
 directory, not the scene file's. A field that is missing, of the wrong type
 or out of range raises a `ValueError` naming its path, such as
-`objects[0].id`. Only the env map's `width`, `height`, `value`, `scale` and
-`sun_cos` go to its builder as given; the map it builds must be at least 8x4
-texels of finite, non-negative radiance.
+`objects[0].id` or `env.width`. A built env map may have at most 2^20
+texels, checked before it is allocated, and every env map must be at least
+8x4 texels of finite, non-negative radiance.
 
 Four presets mirror the usual test structure for this kind of denoiser:
 `cubes-distance` (roughness-graded reflectors), `shadow-objects` (floating
@@ -58,9 +58,14 @@ def _number(value, path: str, valid, want: str) -> float:
     return v
 
 
+def integer(value) -> bool:
+    """Whether `value` is an int; a bool counts as no number."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def positive_int(value) -> bool:
     """Whether `value` is an int above 0; a bool counts as no number."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value > 0
+    return integer(value) and value > 0
 
 
 def _field(doc, key: str, path: str, valid, want: str):
@@ -72,12 +77,14 @@ def _field(doc, key: str, path: str, valid, want: str):
     return value
 
 
-# (valid, want) of a `_field` that is an object, a non-empty list, an object id
-# or a path
+# (valid, want) of a `_field` that is an object, a non-empty list, a positive
+# integer (an object id, an env map's size) or a path, and of a `_number` that
+# is finite and not negative
 _DICT = (lambda v: isinstance(v, dict), "is not an object")
 _LIST = (lambda v: isinstance(v, (list, tuple)) and len(v) > 0, "is not a non-empty list")
-_ID = (positive_int, "is not a positive integer")
+_POSITIVE = (positive_int, "is not a positive integer")
 _PATH = (lambda v: isinstance(v, str), "is not a path")
+_NONNEGATIVE = (lambda v: 0.0 <= v < math.inf, "is not finite and >= 0")
 
 
 def _keyframe(entry, path: str):
@@ -121,9 +128,10 @@ class Material:
 
 @dataclass
 class SceneObject:
-    kind: str  # sphere | box
+    kind: str  # plane | sphere | box
     oid: int
     material: Material
+    height: float = 0.0           # plane: y = height, normal +y
     center: np.ndarray = None     # sphere
     radius: float = 0.0           # sphere
     lo: np.ndarray = None         # box
@@ -132,13 +140,6 @@ class SceneObject:
 
     def offset_at(self, frame: float) -> np.ndarray:
         return _kf_eval(self.motion, frame)
-
-
-@dataclass
-class GroundPlane:
-    height: float
-    oid: int
-    material: Material
 
 
 @dataclass
@@ -159,8 +160,7 @@ class Scene:
     camera_look: list     # keyframes
     camera_up: np.ndarray
     vfov_deg: float
-    objects: list
-    ground: GroundPlane
+    objects: list         # SceneObject; the document's ground, a plane, first
     light: AreaLight
     shadow_angle_deg: float
     env: np.ndarray       # (He, We, 3) lat-long radiance
@@ -173,8 +173,6 @@ class Scene:
 
     def validate(self) -> None:
         ids = [o.oid for o in self.objects]
-        if self.ground is not None:
-            ids.append(self.ground.oid)
         if len(set(ids)) != len(ids):
             raise ValueError("object ids must be unique")
         if self.env.shape[0] < 4 or self.env.shape[1] < 8:
@@ -197,7 +195,16 @@ class Scene:
 # ---------------------------------------------------------------------------
 # environment maps
 
+_ENV_TEXELS = 1 << 20  # the most texels a built map may have
+
+
+def _check_env_size(width: int, height: int) -> None:
+    if width * height > _ENV_TEXELS:  # before the map is allocated
+        raise ValueError(f"env map {width}x{height} has more than {_ENV_TEXELS} texels")
+
+
 def env_constant(value=(0.5, 0.5, 0.5), width=16, height=8) -> np.ndarray:
+    _check_env_size(width, height)
     return np.broadcast_to(np.asarray(value, dtype=np.float64),
                            (height, width, 3)).copy()
 
@@ -207,6 +214,7 @@ def env_gradient_sky(width=32, height=16, scale=1.0, sun_dir=(0.4, 0.65, -0.3),
     """Zenith-to-horizon gradient with a dark lower hemisphere and a sun blob."""
     from .envmap import latlong_directions
 
+    _check_env_size(width, height)
     dirs = latlong_directions(width, height)
     up = dirs[:, :, 1]
     zenith = np.array([0.25, 0.45, 0.90]) * scale
@@ -223,24 +231,34 @@ def env_gradient_sky(width=32, height=16, scale=1.0, sun_dir=(0.4, 0.65, -0.3),
 
 
 def _build_env(spec: dict) -> np.ndarray:
+    """The map of an `env` document; each field given is read by its path."""
     kind = spec.get("kind", "gradient")
-    if kind == "constant":
-        return env_constant(**{k: spec[k] for k in ("value", "width", "height") if k in spec})
-    if kind == "gradient":
-        keys = ("width", "height", "scale", "sun_dir", "sun_intensity", "sun_cos")
-        args = {k: spec[k] for k in keys if k in spec}
-        if "sun_intensity" in args:  # an inf would be masked to NaN off the sun
-            args["sun_intensity"] = _vec3(args["sun_intensity"], "env.sun_intensity", True)
-        if "sun_dir" in args and not _vec3(args["sun_dir"], "env.sun_dir").any():
-            raise ValueError(f"env.sun_dir {args['sun_dir']!r} is the zero vector")
-        return env_gradient_sky(**args)
     if kind == "file":
         from .pfm import read_pfm
         arr = read_pfm(_field(spec, "path", "env.path", *_PATH)).astype(np.float64)
         if arr.ndim == 2:
             arr = np.repeat(arr[:, :, None], 3, axis=2)
         return arr
-    raise ValueError(f"unknown env map kind {kind!r}")
+    if kind not in ("constant", "gradient"):
+        raise ValueError(f"unknown env map kind {kind!r}")
+    args = {k: _field(spec, k, f"env.{k}", *_POSITIVE) for k in ("width", "height") if k in spec}
+    if kind == "constant":
+        if "value" in spec:  # one radiance for all three channels, or three
+            value = spec["value"]
+            args["value"] = (_vec3(value, "env.value", True) if isinstance(value, (list, tuple))
+                             else _number(value, "env.value", *_NONNEGATIVE))
+        return env_constant(**args)
+    if "scale" in spec:
+        args["scale"] = _number(spec["scale"], "env.scale", *_NONNEGATIVE)
+    if "sun_cos" in spec:
+        args["sun_cos"] = _number(spec["sun_cos"], "env.sun_cos", math.isfinite, "is not finite")
+    if "sun_intensity" in spec:  # an inf would be masked to NaN off the sun
+        args["sun_intensity"] = _vec3(spec["sun_intensity"], "env.sun_intensity", True)
+    if "sun_dir" in spec:
+        args["sun_dir"] = _vec3(spec["sun_dir"], "env.sun_dir")
+        if not args["sun_dir"].any():
+            raise ValueError(f"env.sun_dir {spec['sun_dir']!r} is the zero vector")
+    return env_gradient_sky(**args)
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +281,7 @@ def scene_from_dict(doc: dict) -> Scene:
             raise ValueError(f"{path} {od!r} is not an object")
         obj = SceneObject(kind=_field(od, "type", f"{path}.type", lambda v: v in ("sphere", "box"),
                                       "is not 'sphere' or 'box'"),
-                          oid=int(_field(od, "id", f"{path}.id", *_ID)),
+                          oid=int(_field(od, "id", f"{path}.id", *_POSITIVE)),
                           material=_material_from(od, path),
                           motion=_kf_parse(od.get("motion", [0.0, 0.0, 0.0]), f"{path}.motion"))
         if obj.kind == "sphere":
@@ -277,14 +295,12 @@ def scene_from_dict(doc: dict) -> Scene:
                 raise ValueError(f"{path}.min {od['min']!r} is not below {path}.max "
                                  f"{od['max']!r} on every axis")
         objects.append(obj)
-
-    ground = None
-    if doc.get("ground"):
+    if doc.get("ground"):  # the first surface
         g = _field(doc, "ground", "ground", *_DICT)
-        ground = GroundPlane(height=_number(g.get("height", 0.0), "ground.height",
-                                            math.isfinite, "is not finite"),
-                             oid=int(_field(g, "id", "ground.id", *_ID)),
-                             material=_material_from(g, "ground"))
+        height = _number(g.get("height", 0.0), "ground.height", math.isfinite, "is not finite")
+        oid = int(_field(g, "id", "ground.id", *_POSITIVE))
+        objects.insert(0, SceneObject(kind="plane", oid=oid, material=_material_from(g, "ground"),
+                                      height=height))
 
     ldoc = _field(doc, "light", "light", *_DICT)
     center_kf = _kf_parse(ldoc.get("center"), "light.center")
@@ -320,7 +336,6 @@ def scene_from_dict(doc: dict) -> Scene:
         vfov_deg=_number(cam.get("vfov_deg", 45.0), "camera.vfov_deg",
                          lambda v: 0.0 < v < 180.0, "outside (0, 180)"),
         objects=objects,
-        ground=ground,
         light=AreaLight(center_kf=center_kf,
                         intensity=_vec3(ldoc.get("intensity"), "light.intensity", True),
                         radius=radius),

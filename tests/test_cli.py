@@ -128,7 +128,7 @@ def test_synth_rejects_spp_below_one(workspace, tmp_path, capsys, flags):
                 + flags) == 1
     # the message names the parameter of the flag set to 0
     name = flags[-2].removeprefix("--").replace("-", "_")
-    assert f"error: {name} must be >= 1, got 0\n" in capsys.readouterr().err
+    assert f"error: {name} must be an integer >= 1, got 0\n" in capsys.readouterr().err
     assert not out.exists()
 
 

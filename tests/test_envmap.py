@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from rtdenoise import envmap
 from rtdenoise.envmap import (latlong_directions, latlong_solid_angles,
                               lobe_exponent, prefilter_env, sample_latlong)
 from rtdenoise.stencil import channel_major
@@ -34,6 +37,32 @@ def test_level_zero_is_source():
 def test_prefilter_needs_a_level():
     with pytest.raises(ValueError, match="^levels must be >= 1$"):
         prefilter_env(np.full((8, 16, 3), 1.0), 0)
+
+
+@pytest.mark.parametrize("rows", [1, 7, 64, 799])
+@pytest.mark.parametrize("roughness", [0.25, 1.0])
+def test_blocked_convolution_equals_one_block(monkeypatch, rows, roughness):
+    # a 40x20 map is 800 texels: 7, 64 and 799 rows leave a short last block
+    rs = np.random.default_rng(4)
+    env = rs.random((20, 40, 3)) * 3.0
+    exponent = lobe_exponent(roughness)
+    monkeypatch.setattr(envmap, "_BLOCK", 800 * 800)
+    one_block = envmap._convolve_cosine_power(env, exponent)
+    monkeypatch.setattr(envmap, "_BLOCK", rows * 800)
+    blocked = envmap._convolve_cosine_power(env, exponent)
+    assert blocked.tobytes() == one_block.tobytes()
+
+
+def test_prefilter_memory_is_not_quadratic_in_the_texels():
+    # the unblocked sum took 160 MB here: N x N weights and N x N x 3 products
+    env = np.random.default_rng(5).random((32, 64, 3))
+    tracemalloc.start()
+    try:
+        prefilter_env(env, 5)
+        _size, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
 
 
 def env_total_energy(env: np.ndarray) -> np.ndarray:

@@ -1,5 +1,6 @@
 import functools
 import inspect
+import re
 from unittest import mock
 
 import numpy as np
@@ -78,12 +79,16 @@ def test_presets_accumulate_techniques():
 @pytest.mark.parametrize("spp,reference_spp", [(0, 4), (1, 0)])
 def test_synthesize_sequence_rejects_spp_below_one(spp, reference_spp):
     scene = scene_from_dict(preset_scene("shadow-objects", width=8, height=8))
-    with pytest.raises(ValueError, match="spp must be >= 1, got 0"):
+    with pytest.raises(ValueError, match="spp must be an integer >= 1, got 0"):
         synthesize_sequence(scene, frames=1, spp=spp, seed=0, reference=True,
                             reference_spp=reference_spp)
 
 
-@pytest.mark.parametrize("count,name", [(0, "frames"), (-2, "frames"), (0, "reference_spp")])
+@pytest.mark.parametrize("count,name", [
+    (0, "frames"), (-2, "frames"), (0, "reference_spp"),
+    # a bool would count as 1 frame or sample, a float fail inside numpy
+    *[(count, name) for name in ("frames", "spp", "reference_spp")
+      for count in (True, 2.5, 2.0, "2")]])
 def test_synthesize_sequence_rejects_counts_before_rendering(monkeypatch, count, name):
     scene = scene_from_dict(preset_scene("shadow-objects", width=8, height=8))
 
@@ -92,8 +97,43 @@ def test_synthesize_sequence_rejects_counts_before_rendering(monkeypatch, count,
 
     monkeypatch.setattr(render, "render_frame", render_frame)
     args = {"frames": 2, "spp": 1, "seed": 0, "reference": True, "reference_spp": 4}
-    with pytest.raises(ValueError, match=f"^{name} must be >= 1, got {count}$"):
+    with pytest.raises(ValueError, match="^" + re.escape(
+            f"{name} must be an integer >= 1, got {count!r}") + "$"):
         synthesize_sequence(scene, **{**args, name: count})
+
+
+@pytest.mark.parametrize("seed", [2.5, 2.0, True, False, None, "3"])
+def test_synthesize_sequence_rejects_a_seed_that_is_no_int(monkeypatch, seed):
+    # the RNG would key on a float's int part while the manifest kept the float
+    scene = scene_from_dict(preset_scene("shadow-objects", width=8, height=8))
+    monkeypatch.setattr(render, "render_frame", None)  # nothing may be rendered
+    with pytest.raises(ValueError, match="^" + re.escape(
+            f"seed must be an integer, got {seed!r}") + "$"):
+        synthesize_sequence(scene, frames=2, spp=1, seed=seed)
+
+
+def test_synthesize_sequence_rejects_frames_past_the_animation_before_rendering(monkeypatch):
+    doc = preset_scene("shadow-objects", width=16, height=16)
+    doc["frame_count"] = 2
+    scene = scene_from_dict(doc)
+    calls = []
+    real = render.render_frame
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(render, "render_frame", counted)
+    with pytest.raises(ValueError, match="^frames 4 beyond scene animation length 2$"):
+        synthesize_sequence(scene, frames=4, spp=1, seed=0, reference=True, reference_spp=4)
+    assert calls == []
+
+
+def test_synthesize_sequence_renders_every_frame_of_the_animation():
+    doc = preset_scene("shadow-objects", width=8, height=8)
+    doc["frame_count"] = 2
+    seq = synthesize_sequence(scene_from_dict(doc), frames=2, spp=1, seed=0)
+    assert len(seq.frames) == 2
 
 
 def test_quality_report_uses_reference():

@@ -6,7 +6,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from rtdenoise import render, rng
+from rtdenoise import render, rng, scenes
 from rtdenoise.envmap import lobe_exponent, prefilter_env, sample_latlong
 from rtdenoise.frames import validate_frame
 from rtdenoise.pfm import write_pfm
@@ -108,9 +108,10 @@ _BAD_SCENES = {
         [0, [0, 4.2, 7.5]], [4, [0, 4.2]]]}), "camera.position.keyframes[1]"),
     "radius nan": (_set(("objects", 0, "radius"), math.nan), "objects[0].radius"),
     "radius negative": (_set(("objects", 0, "radius"), -1.0), "objects[0].radius"),
-    "env constant nan": (_set(("env",), {"kind": "constant", "value": math.nan}), "env"),
-    "env constant negative": (_set(("env",), {"kind": "constant", "value": -0.5}), "env"),
-    "env scale negative": (_set(("env", "scale"), -1.0), "env"),
+    "env constant nan": (_set(("env",), {"kind": "constant", "value": math.nan}), "env.value"),
+    "env constant negative": (_set(("env",), {"kind": "constant", "value": -0.5}),
+                              "env.value"),
+    "env scale negative": (_set(("env", "scale"), -1.0), "env.scale"),
     "env sun inf": (_set(("env", "sun_intensity"), [math.inf, 1.0, 1.0]),
                     "env.sun_intensity"),
     "intensity nan": (_set(("light", "intensity"), [math.nan, 1.0, 1.0]), "light.intensity"),
@@ -204,6 +205,20 @@ _BAD_FIELDS = {
                        "objects[1].id True is not a positive integer"),
     "ground id 1.9": (_set(("ground", "id"), 1.9), "ground.id 1.9 is not a positive integer"),
     "env not an object": (_set(("env",), 5), "env 5 is not an object"),
+    **{f"env {kind} {key} {value!r}": (_set(("env",), {"kind": kind, key: value}),
+                                       f"env.{key} {value!r} is not a positive integer")
+       for kind in ("constant", "gradient") for key in ("width", "height")
+       for value in (2.5, True, 0, "16", None)},
+    "env scale 'x'": (_set(("env", "scale"), "x"), "env.scale 'x' is not finite and >= 0"),
+    "env scale inf": (_set(("env", "scale"), math.inf), "env.scale inf is not finite and >= 0"),
+    "env sun_cos [1, 2]": (_set(("env", "sun_cos"), [1, 2]), "env.sun_cos [1, 2] is not finite"),
+    "env sun_cos nan": (_set(("env", "sun_cos"), math.nan), "env.sun_cos nan is not finite"),
+    "env value [1, 2]": (_set(("env",), {"kind": "constant", "value": [1, 2]}),
+                         "env.value [1, 2] is not 3 finite non-negative numbers"),
+    "env value 'x'": (_set(("env",), {"kind": "constant", "value": "x"}),
+                      "env.value 'x' is not finite and >= 0"),
+    "env value [1, -1, 1]": (_set(("env",), {"kind": "constant", "value": [1, -1, 1]}),
+                             "env.value [1, -1, 1] is not 3 finite non-negative numbers"),
     **{f"light radius {radius!r}": (_light_radius(radius),
                                     f"light.radius {radius!r} must be finite and >= 0")
        for radius in ("big", "1", [1], True)},
@@ -229,9 +244,20 @@ _BAD_SCENE_MESSAGES = {
     "env 4x4": (_set(("env",), {"kind": "constant", "value": 0.5, "width": 4, "height": 4}),
                 "env map must be at least 8x4"),
     "env kind": (_set(("env",), {"kind": "cube"}), "unknown env map kind 'cube'"),
+    # 16 texels over the cap: were it not checked, the map would take ~25 MB
+    **{f"env {kind} over the cap": (_set(("env",), {"kind": kind, "width": 65537, "height": 16}),
+                                    "env map 65537x16 has more than 1048576 texels")
+       for kind in ("constant", "gradient")},
     "no light size": (_set(("shadow_angle_deg",), None),
                       "light needs either a radius or a scene shadow_angle_deg"),
 }
+
+
+@pytest.mark.parametrize("width,height", [(1025, 1024), (10**9, 16), (1, 2**20 + 1)])
+def test_env_size_over_the_cap_is_rejected_by_the_check_alone(width, height):
+    scenes._check_env_size(1024, 1024)  # 2^20 texels pass
+    with pytest.raises(ValueError, match=f"^env map {width}x{height} has more than 1048576 "):
+        scenes._check_env_size(width, height)
 
 
 @pytest.mark.parametrize("case", list(_BAD_SCENE_MESSAGES))
@@ -425,15 +451,25 @@ def test_mirror_lobe_seed_independent():
     assert np.array_equal(spec1.data, spec2.data)
 
 
-@pytest.mark.parametrize("spp", [0, -2])
+@pytest.mark.parametrize("spp", [0, -2, True, 2.5, 1.0])
 def test_render_frame_rejects_spp_below_one(spp):
-    # spp = 0 would divide the sample sums by zero into all-NaN channels
-    with pytest.raises(ValueError, match=rf"spp must be >= 1, got {spp}"):
+    # spp = 0 would divide the sample sums by zero into all-NaN channels; a
+    # bool or a float is no count
+    with pytest.raises(ValueError, match="^" + re.escape(
+            f"spp must be an integer >= 1, got {spp!r}") + "$"):
         render_frame(_scene(width=8, height=8), 0, spp, seed=0)
 
 
+@pytest.mark.parametrize("seed", [2.5, True])
+def test_render_frame_rejects_a_seed_that_is_no_int(monkeypatch, seed):
+    monkeypatch.setattr(render, "trace_nearest", None)  # nothing may be traced
+    with pytest.raises(ValueError, match="^" + re.escape(
+            f"seed must be an integer, got {seed!r}") + "$"):
+        render_frame(_scene(width=8, height=8), 0, spp=1, seed=seed)
+
+
 # ---------------------------------------------------------------------------
-# the sample loops trace only the foreground pixels and split each bounce
+# the sample loop traces only the foreground pixels and split each bounce
 
 def _full_frame_channels(scene, frame, spp, seed, prefiltered=None, sample_offset=0):
     # reference: the sample loops over every pixel, each bounce shaded both
@@ -518,22 +554,24 @@ def test_rays_traced_only_where_kept(monkeypatch):
     gbuf, _shadow, _spec = render_frame(scene, 5, spp=spp, seed=2)
     n_fg = np.count_nonzero(gbuf.object_id)
     assert 0 < n_fg < 24 * 20
-    assert [(c[0], c[1]) for c in calls[:1 + spp]] == (
-        [("trace_nearest", (20, 24))] + [("occluded", (n_fg,))] * spp)
-    bounces = iter(calls[1 + spp:])
+    assert (calls[0][0], calls[0][1]) == ("trace_nearest", (20, 24))
+    # per sample: its shadow ray, its bounce, then the bounce hits' direct light
+    rest = iter(calls[1:])
     hits = []
-    for name, shape, out in bounces:
+    for name, shape, _out in rest:
+        assert name == "occluded" and shape == (n_fg,)
+        name, shape, out = next(rest)
         assert name == "trace_nearest" and shape == (n_fg,)
         hits.append(np.count_nonzero(out[1]))
         if hits[-1]:
-            name, shape, _out = next(bounces)
+            name, shape, _out = next(rest)
             assert name == "occluded" and shape == (hits[-1],)
     assert len(hits) == spp
     assert all(0 < n < n_fg for n in hits)  # bounces both hit and miss
 
 
 def test_all_sky_frame():
-    # no foreground pixel: the sample loops trace nothing and warn of nothing
+    # no foreground pixel: the sample loop traces nothing and warns of nothing
     doc = {"name": "sky", "resolution": [10, 8],
            "camera": {"position": [0.0, 1.0, 0.0], "look_at": [0.0, 2.0, -1.0],
                       "vfov_deg": 50.0},

@@ -1,6 +1,6 @@
 """The tools that check a change: `tools/loc.py` counts code lines and
-`tools/digests.py` lists the cases whose outputs it digests. Each is loaded
-by its path, as it is run; no test runs the digests themselves."""
+`tools/digests.py` lists the inputs and cases whose outputs it digests. Each
+is loaded by its path, as it is run; no test runs the digests themselves."""
 
 import importlib.util
 import json
@@ -55,7 +55,9 @@ def g():
 
 
 def test_digest_cases_have_unique_names_and_cover_the_benchmark_workloads():
-    names = [name for name, _make in _tool("digests").cases()]
-    assert len(names) == len(set(names))
+    inputs = list(_tool("digests").inputs())
+    input_names = [name for name, _synthesize, _cases in inputs]
+    names = [name for _input, _synthesize, cases in inputs for name in cases]
+    assert len(input_names) == len(set(input_names)) and len(names) == len(set(names))
     workloads = json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]
     assert {workload["name"] for workload in workloads} <= set(names)
