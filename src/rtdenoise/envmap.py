@@ -6,11 +6,17 @@ where r_k = k / (levels - 1); level 0 is the source itself. The convolution
 is a direct sum over source texels weighted by solid angle, which keeps it
 exact, order-independent and BLAS-free. So it takes O(N^2) time per level
 for N texels, and is meant for low-resolution maps: it runs in blocks of
-output texels, so its memory stays O(N) beyond the map's own.
+output texels, so its memory stays O(N) beyond the map's own, and
+`prefilter_env` rejects a map of more than `_PREFILTER_TEXELS` = 2^13 texels
+(128x64, whose 5 levels took 13 s on a 2-vCPU Xeon guest, about 16x the
+time of a map of half its width and height); a larger map is to be
+downsampled first.
 
 Lookups (`sample_latlong`, `PrefilteredEnvMap.sample`) gather each map
 channel with `stencil.gather` at flat row-major texel indices and weight it
-as one plane. Their output has the layout of the directions: channel-major
+as one plane. A prefiltered lookup is one weighted sum over the levels,
+each level looked up only at the directions whose roughness lies next to
+it. Their output has the layout of the directions: channel-major
 directions from the renderer give channel-major radiance, C-order ones
 (`render.render_sky`) C-order radiance.
 """
@@ -122,38 +128,47 @@ class PrefilteredEnvMap:
 
     def sample(self, dirs: np.ndarray, roughness) -> np.ndarray:
         """Lookup with linear interpolation across the roughness grid; one
-        roughness per direction. Each direction reads the two levels around
-        its roughness, and a level is looked up only at the directions that
-        read it."""
+        roughness per direction, at level l0 + t with 0 <= t < 1.
+
+        The result is one weighted sum over the levels, in order: each level
+        adds (1 - t) times its value at the directions whose level l0 it is,
+        and t times its value at those whose level l0 + 1 it is, so a level
+        is looked up only at the directions that read it. The sum starts at
+        +0 and radiance is >= 0, so it is level l0's value times (1 - t) plus
+        level l0 + 1's times t, bit for bit. At the top level, which has no
+        level above it, and at the grid's roughness values t is 0."""
         n = self.num_levels
         d = np.asarray(dirs, dtype=np.float64)
         level_f = np.clip(np.asarray(roughness, dtype=np.float64), 0.0, 1.0) * (n - 1)
         l0 = np.floor(level_f).astype(np.int64)
         t = (level_f - l0).reshape(-1)
-        # the values of levels l0 and l1 = min(l0 + 1, n - 1), one row per
-        # channel over the flat directions
-        lo = np.empty((3, t.size))
-        hi = np.empty((3, t.size))
+        total = np.zeros((3, t.size))  # one row per channel over the flat directions
         for k, level in enumerate(self.levels):
             at0, at1 = np.flatnonzero(l0 == k), np.flatnonzero(l0 == k - 1)
-            if at0.size or at1.size:
-                values = sample_latlong(level, take3(d, np.concatenate([at0, at1])))
-                for c in range(3):
-                    lo[c, at0] = values[:at0.size, c]
-                    hi[c, at1] = values[at0.size:, c]
-        top = np.flatnonzero(l0 == n - 1)  # l1 == l0 there
-        hi[:, top] = lo[:, top]
+            at, weight = np.concatenate([at0, at1]), np.concatenate([1 - t[at0], t[at1]])
+            values = sample_latlong(level, take3(d, at))
+            for c in range(3):
+                total[c, at] += values[:, c] * weight
         out = np.empty_like(d)
         for c in range(3):
-            out[..., c] = (lo[c] * (1 - t) + hi[c] * t).reshape(d.shape[:-1])
+            out[..., c] = total[c].reshape(d.shape[:-1])
         return out
 
 
+_PREFILTER_TEXELS = 1 << 13  # the most texels a prefiltered map may have: 128x64
+
+
 def prefilter_env(env: np.ndarray, levels: int) -> PrefilteredEnvMap:
-    """Build the prefiltered stack; level 0 is the source map unchanged."""
+    """Build the prefiltered stack; level 0 is the source map unchanged. A map
+    of more than `_PREFILTER_TEXELS` texels is rejected before any
+    convolution."""
     if levels < 1:
         raise ValueError("levels must be >= 1")
     env = np.asarray(env, dtype=np.float64)
+    h, w = env.shape[:2]
+    if h * w > _PREFILTER_TEXELS:
+        raise ValueError(f"env map {w}x{h} has {h * w} texels, more than the {_PREFILTER_TEXELS} "
+                         "(128x64) a prefiltered map may have; downsample the map")
     stack = [env.copy()]
     for k in range(1, levels):
         r_k = k / (levels - 1)

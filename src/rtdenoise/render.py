@@ -187,7 +187,8 @@ def _surfaces(origins, dirs, scene: Scene, frame: float):
     `t` is the per-ray hit distance (inf on a miss) and `normal_fn(points)`
     the surface normal at hit points; spheres and boxes are placed at `frame`.
     """
-    inv_dirs = None
+    with np.errstate(divide="ignore"):
+        inv_dirs = 1.0 / dirs
     for obj in scene.objects:
         off = obj.offset_at(frame)
         if obj.kind == "plane":
@@ -199,9 +200,6 @@ def _surfaces(origins, dirs, scene: Scene, frame: float):
                    obj.material, lambda pts, c=c: _normalize(pts - c))
         else:
             lo, hi = obj.lo + off, obj.hi + off
-            if inv_dirs is None:
-                with np.errstate(divide="ignore"):
-                    inv_dirs = 1.0 / dirs
             yield (_intersect_box(origins, inv_dirs, lo, hi), obj.oid, obj.material,
                    lambda pts, lo=lo, hi=hi: _box_normal(pts, lo, hi))
 
@@ -313,9 +311,14 @@ def render_frame(scene: Scene, frame_index: int, spp: int, seed: int,
     turns on image-based lighting of secondary hits: the environment along
     their mirror direction, prefiltered at their roughness and weighted by
     their albedo, adds to their direct light. Without one they get direct
-    light only.
+    light only. A count that is no int >= 1, a seed that is no int and an
+    index (`frame_index`, `sample_offset`) that is no int >= 0 are rejected
+    before any ray is traced.
     """
     check_counts(seed, spp=spp)
+    for name, index in (("frame_index", frame_index), ("sample_offset", sample_offset)):
+        if not (integer(index) and index >= 0):  # a bool or a float is no index
+            raise ValueError(f"{name} must be an integer >= 0, got {index!r}")
     if scene.frame_count is not None and frame_index >= scene.frame_count:
         raise ValueError(f"frame {frame_index} beyond scene animation length "
                          f"{scene.frame_count}")
@@ -394,14 +397,13 @@ def render_frame(scene: Scene, frame_index: int, spp: int, seed: int,
         miss = np.flatnonzero(~hit2)
         put3(radiance, miss, sample_latlong(scene.env, take3(lobe, miss)))
         hits = np.flatnonzero(hit2)
-        if hits.size:
-            lobe2, n2, alb2 = take3(lobe, hits), take3(n2, hits), take3(alb2, hits)
-            p2 = take3(origin, hits) + lobe2 * np.take(t2, hits)[..., None]
-            lit = _direct_at(p2, n2, alb2, take3(emis2, hits), scene, frame_index, light_c)
-            if prefiltered is not None:
-                refl2 = lobe2 - 2.0 * dot3(lobe2, n2)[..., None] * n2
-                lit = lit + alb2 * prefiltered.sample(_normalize(refl2), np.take(rough2, hits))
-            put3(radiance, hits, lit)
+        lobe2, n2, alb2 = take3(lobe, hits), take3(n2, hits), take3(alb2, hits)
+        p2 = take3(origin, hits) + lobe2 * np.take(t2, hits)[..., None]
+        lit = _direct_at(p2, n2, alb2, take3(emis2, hits), scene, frame_index, light_c)
+        if prefiltered is not None:
+            refl2 = lobe2 - 2.0 * dot3(lobe2, n2)[..., None] * n2
+            lit = lit + alb2 * prefiltered.sample(_normalize(refl2), np.take(rough2, hits))
+        put3(radiance, hits, lit)
         spec += radiance * (dot3(lobe, normal) > 0.0)[..., None]
     shadow = np.ones(h * w)
     shadow[pix] = visible / spp

@@ -5,9 +5,12 @@ through the motion vectors with a per-tap geometry consistency test,
 (2) optionally rectifies the history color against the statistics of the
 current noisy neighborhood, (3) blends it with the current sample, and
 (4) estimates per-pixel luminance variance, falling back to spatial moments
-while the history is too short to trust. `temporal_frame` runs the channels
-of a frame together, on one `TemporalHistory`: per-channel dicts of (H, W)
-or (H, W, C) planes and the one history length they share. The work that
+while the history is too short to trust. On the first frame there is
+nothing to reproject: (1) and (2) are skipped, (3) gets no tap, and every
+history starts at its sample, by the restart rule of a disoccluded pixel.
+`temporal_frame` runs the channels of a frame together, on one
+`TemporalHistory`: per-channel dicts of (H, W) or (H, W, C) planes and the
+one history length they share. The work that
 depends only on the G-buffer, (1)'s consistency tests, (3)'s blend weights
 and new history length, and (4)'s short-history mask and window tests, is
 done once for all channels; (2) runs per channel. `temporal_step` is its
@@ -76,6 +79,9 @@ def _consistent(prev_depth, prev_normal, prev_oid, center, cfg: DenoiseConfig):
     return id_ok & depth_ok & (ndot > cfg.normal_consistency)
 
 
+_PLANES = ("color", "moment1", "moment2")  # a history's per-channel planes
+
+
 def reproject(history: TemporalHistory, prev_gbuf: GBufferFrame, curr_gbuf: GBufferFrame,
               cfg: DenoiseConfig) -> dict:
     """Bilinearly sample the previous frame's history through the motion vectors.
@@ -90,19 +96,17 @@ def reproject(history: TemporalHistory, prev_gbuf: GBufferFrame, curr_gbuf: GBuf
     center = _consistency_center(curr_gbuf.depth, curr_gbuf.normal, curr_gbuf.object_id)
     fg = curr_gbuf.foreground
     keys = list(history.color)
-    planes = (history.color, history.moment1, history.moment2)
 
     def accept(flat):
         return _consistent(gather(prev_gbuf.depth, flat), gather(prev_gbuf.normal, flat),
                            gather(prev_gbuf.object_id, flat), center, cfg) & fg
 
     (*means, hist), valid = bilinear_sample(
-        [plane[key] for key in keys for plane in planes] + [history.history_len],
-        curr_gbuf.motion, accept=accept)
+        [getattr(history, name)[key] for key in keys for name in _PLANES]
+        + [history.history_len], curr_gbuf.motion, accept=accept)
     hist_len = np.where(valid, np.maximum(1, np.floor(hist + 1e-9)), 0).astype(np.int32)
     return {"valid": valid, "history_len": hist_len,
-            **{name: dict(zip(keys, means[i::3]))
-               for i, name in enumerate(("color", "moment1", "moment2"))}}
+            **{name: dict(zip(keys, means[i::len(_PLANES)])) for i, name in enumerate(_PLANES)}}
 
 
 def _window_moments(tap, radius: int, planes: int, shape):
@@ -209,19 +213,28 @@ def rectify_moments(m1: np.ndarray, m2: np.ndarray, rect_luma: np.ndarray):
     return new_m1, new_m2
 
 
-def accumulate(curr: dict, curr_luma: dict, tap: dict, cfg: DenoiseConfig) -> TemporalHistory:
+def accumulate(curr: dict, curr_luma: dict, tap: dict | None,
+               cfg: DenoiseConfig) -> TemporalHistory:
     """Exponential blend of each channel's current sample into the reprojected
     history.
 
     `curr` maps a key to a channel, (H, W) or (H, W, C), and `curr_luma` to
-    its (H, W) luminance; `tap` is a `reproject` result with the same keys.
-    The blend weights and the new history length follow the shared length,
-    so they are computed once for every channel. While the history is short
-    the blend degenerates to a plain running mean (a = max(alpha, 1/(N+1)),
-    with `cfg.alpha` for the color and `cfg.moments_alpha` for the moments);
-    invalid taps restart the history at length 1, and it never grows past
-    `cfg.history_cap`.
+    its (H, W) luminance; `tap` is a `reproject` result with the same keys,
+    or None on the first frame. The blend weights and the new history length
+    follow the shared length, so they are computed once for every channel.
+    While the history is short the blend degenerates to a plain running mean
+    (a = max(alpha, 1/(N+1)), with `cfg.alpha` for the color and
+    `cfg.moments_alpha` for the moments); invalid taps restart the history
+    at length 1, and it never grows past `cfg.history_cap`. With no tap
+    every pixel restarts: each history starts at its sample, as float64
+    planes, with the luminance and its square as moments and length 1.
     """
+    if tap is None:
+        return TemporalHistory(
+            color={key: as_planes(value).copy() for key, value in curr.items()},
+            moment1={key: lum.copy() for key, lum in curr_luma.items()},
+            moment2={key: lum**2 for key, lum in curr_luma.items()},
+            history_len=np.ones(next(iter(curr_luma.values())).shape, dtype=np.int32))
     valid = tap["valid"]
     n = tap["history_len"].astype(np.float64)
     a = np.maximum(cfg.alpha, 1.0 / (n + 1.0))[..., None]
@@ -309,7 +322,8 @@ def temporal_frame(curr_data: dict, curr_gbuf: GBufferFrame, prev: TemporalHisto
     """One full temporal update of a frame.
 
     `curr_data` maps a key to a channel, (H, W) or (H, W, C); `prev` is the
-    previous frame's history with the same keys, or None on the first frame.
+    previous frame's history with the same keys, or None on the first frame,
+    where nothing is reprojected or rectified and `accumulate` gets no tap.
     The work that follows the G-buffer alone runs once for all channels: one
     `reproject` with one consistency test per texel, one set of blend weights
     and one new history length in `accumulate`, and one `estimate_variance`
@@ -318,15 +332,8 @@ def temporal_frame(curr_data: dict, curr_gbuf: GBufferFrame, prev: TemporalHisto
     (history, variances), the variances a dict of (H, W) planes keyed like
     `curr_data`.
     """
-    if prev is None or prev_gbuf is None:
-        zero = np.zeros(curr_gbuf.depth.shape)
-        tap = {"valid": zero.astype(bool), "history_len": zero.astype(np.int32),
-               "color": {key: np.zeros(as_planes(data).shape) for key, data in curr_data.items()},
-               "moment1": dict.fromkeys(curr_data, zero),
-               "moment2": dict.fromkeys(curr_data, zero)}
-    else:
-        tap = reproject(prev, prev_gbuf, curr_gbuf, cfg)
-    if cfg.rectify_mode != "off" and np.any(tap["valid"]):
+    tap = None if prev is None or prev_gbuf is None else reproject(prev, prev_gbuf, curr_gbuf, cfg)
+    if tap is not None and cfg.rectify_mode != "off" and np.any(tap["valid"]):
         # accumulate reads a tap only where it is valid, so the rest need no mask
         for key, data in curr_data.items():
             rect, _mu, _sigma = rectify_history(tap["color"][key], data, cfg.clamp_gamma,

@@ -6,7 +6,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from rtdenoise import envmap, render
 from rtdenoise.cli import main
+from rtdenoise.pfm import write_pfm
 from rtdenoise.scenes import preset_scene
 from rtdenoise.store import SequenceError, load_sequence
 
@@ -95,6 +97,26 @@ def test_error_paths_nonzero_exit(tmp_path, capsys):
     assert main(["denoise", "--in", str(tmp_path / "nothing"),
                  "--out", str(tmp_path / "y")]) == 1
     assert main(["eval", "--a", str(tmp_path / "a"), "--b", str(tmp_path / "b")]) == 1
+
+
+def test_synth_ibl_rejects_a_map_over_the_prefilter_cap(tmp_path, capsys, monkeypatch):
+    # prefiltering takes time quadratic in the texels: a 256x64 map is
+    # turned away before any convolution and before any frame is rendered
+    def fail(*args):
+        raise AssertionError("convolved or rendered")
+
+    monkeypatch.setattr(envmap, "_convolve_cosine_power", fail)
+    monkeypatch.setattr(render, "render_frame", fail)
+    write_pfm(tmp_path / "env.pfm", np.full((64, 256, 3), 0.5, dtype=np.float32))
+    doc = preset_scene("shadow-objects", width=16, height=16)
+    doc["env"] = {"kind": "file", "path": str(tmp_path / "env.pfm")}
+    (tmp_path / "scene.json").write_text(json.dumps(doc))
+    assert main(["synth", "--scene", str(tmp_path / "scene.json"), "--frames", "1",
+                 "--ibl", "--out", str(tmp_path / "x")]) == 1
+    assert capsys.readouterr().err == (
+        "error: env map 256x64 has 16384 texels, more than the 8192 (128x64) a "
+        "prefiltered map may have; downsample the map\n")
+    assert not (tmp_path / "x").exists()
 
 
 def test_debug_flag_reraises(tmp_path, capsys):

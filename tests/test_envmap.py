@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from rtdenoise import envmap
 from rtdenoise.envmap import (latlong_directions, latlong_solid_angles,
                               lobe_exponent, prefilter_env, sample_latlong)
-from rtdenoise.stencil import channel_major
+from rtdenoise.stencil import channel_major, take3
 
 
 def test_solid_angles_cover_sphere():
@@ -223,3 +224,80 @@ def test_prefiltered_sample_matches_all_levels(planar):
         got = pre.sample(d, r)
         want = _sample_all_levels(pre, d, r)
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def _sample_lo_hi(pre, dirs, roughness):
+    # the lookup as written before it became one weighted sum: the two levels
+    # gathered into separate arrays, the top level copied into the upper one
+    n = pre.num_levels
+    d = np.asarray(dirs, dtype=np.float64)
+    level_f = np.clip(np.asarray(roughness, dtype=np.float64), 0.0, 1.0) * (n - 1)
+    l0 = np.floor(level_f).astype(np.int64)
+    t = (level_f - l0).reshape(-1)
+    lo = np.empty((3, t.size))
+    hi = np.empty((3, t.size))
+    for k, level in enumerate(pre.levels):
+        at0, at1 = np.flatnonzero(l0 == k), np.flatnonzero(l0 == k - 1)
+        if at0.size or at1.size:
+            values = sample_latlong(level, take3(d, np.concatenate([at0, at1])))
+            for c in range(3):
+                lo[c, at0] = values[:at0.size, c]
+                hi[c, at1] = values[at0.size:, c]
+    top = np.flatnonzero(l0 == n - 1)
+    hi[:, top] = lo[:, top]
+    out = np.empty_like(d)
+    for c in range(3):
+        out[..., c] = (lo[c] * (1 - t) + hi[c] * t).reshape(d.shape[:-1])
+    return out
+
+
+@pytest.mark.parametrize("planar", [False, True])
+@pytest.mark.parametrize("levels", [1, 2, 5])
+def test_prefiltered_sample_equals_the_two_level_formula(planar, levels):
+    env = np.random.default_rng(9).random((16, 32, 3)) * 4.0
+    pre = prefilter_env(env, levels)
+    d = _lookup_dirs()
+    if planar:
+        d = channel_major(d)
+    grid = [k / (levels - 1) for k in range(levels)] if levels > 1 else []
+    # exactly on the grid, where t is 0, its ends among them; the top level,
+    # whose t is 0 too; and values between the levels and past both ends
+    uniform = [np.full((8, 8), r) for r in (0.0, *grid, 1.0, 0.3)]
+    mixed = np.random.default_rng(10).uniform(-0.2, 1.2, (8, 8))
+    mixed.reshape(-1)[:len(grid) + 2] = [0.0, *grid, 1.0]
+    for r in (*uniform, mixed):
+        got = pre.sample(d, r)
+        want = _sample_lo_hi(pre, d, r)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+        assert (got[..., 0].flags.c_contiguous if planar else got.flags.c_contiguous)
+
+
+def test_prefiltered_sample_of_no_direction():
+    pre = prefilter_env(np.random.default_rng(11).random((8, 16, 3)), 3)
+    for d in (np.zeros((0, 3)), channel_major(np.zeros((0, 1, 3)))):
+        got = pre.sample(d, np.zeros(d.shape[:-1]))
+        assert got.shape == d.shape and got.dtype == np.float64
+
+
+@pytest.mark.parametrize("levels", [1, 5])
+def test_prefilter_rejects_a_map_over_the_texel_cap(monkeypatch, levels):
+    # 256x64 is 16384 texels; at 5 levels 128x64 already took 13 s, 16x per
+    # doubling of the side, so a larger map is turned away before any work
+    def convolve(*args):
+        raise AssertionError("convolved a map over the cap")
+
+    monkeypatch.setattr(envmap, "_convolve_cosine_power", convolve)
+    with pytest.raises(ValueError, match="^" + re.escape(
+            "env map 256x64 has 16384 texels, more than the 8192 (128x64) a prefiltered "
+            "map may have; downsample the map") + "$"):
+        prefilter_env(np.ones((64, 256, 3)), levels)
+
+
+def test_prefilter_takes_a_map_at_the_texel_cap(monkeypatch):
+    calls = []
+    monkeypatch.setattr(envmap, "_convolve_cosine_power",
+                        lambda env, exponent: calls.append(env.shape) or env)
+    assert envmap._PREFILTER_TEXELS == 128 * 64
+    pre = prefilter_env(np.ones((64, 128, 3)), 3)
+    assert pre.num_levels == 3 and calls == [(64, 128, 3)] * 2

@@ -11,8 +11,8 @@ from rtdenoise import compose, render, spatial, temporal, tonemap
 from rtdenoise.frames import CHANNELS, ChannelKind, DenoiseConfig, FrameSequence
 from rtdenoise.pipeline import (PRESETS, SPECULAR, preset_config, reconstruct_positions,
                                 run_pipeline, synthesize_sequence)
-from rtdenoise.scenes import PRESET_NAMES, preset_scene, scene_from_dict
-from rtdenoise.store import SequenceError, load_sequence, save_sequence
+from rtdenoise.scenes import MOVEMENTS, PRESET_NAMES, preset_scene, scene_from_dict
+from rtdenoise.store import SequenceError, check_sequence, load_sequence, save_sequence
 
 
 def _make_seq(name="shadow-objects", w=32, h=32, frames=2, seed=3, **kw):
@@ -247,6 +247,44 @@ def test_constant_inputs_on_static_geometry_are_a_fixed_point(name, preset, shad
     for got_shadow, got_specular in composed[0::2]:
         assert np.abs(got_shadow - np.float64(shadow)).max() <= 1e-12
         assert np.abs(got_specular - spec).max() <= 1e-12
+
+
+_SCENE_CASES = [(name, movement) for name in PRESET_NAMES for movement in MOVEMENTS
+                if (name, movement) != ("pillars", "camera")]
+
+
+@settings(deadline=None, max_examples=20)
+@given(case=st.sampled_from(_SCENE_CASES), seed=st.integers(0, 2**31 - 1),
+       ibl=st.booleans(), noise_seed=st.none() | st.integers(0, 2**32 - 1),
+       preset=st.sampled_from(list(PRESETS)), iterations=st.integers(0, 3),
+       rectify_mode=st.sampled_from(["off", "clamp", "clip"]),
+       feedback=st.sampled_from(["first_iteration", "none"]),
+       ibl_adaptive_iterations=st.booleans(), dump=st.booleans())
+def test_every_output_is_finite_and_valid(case, seed, ibl, noise_seed, preset, iterations,
+                                          rectify_mode, feedback, ibl_adaptive_iterations,
+                                          dump):
+    name, movement = case
+    teleport = {"teleport_frame": 2} if movement == "light-teleport" else {}
+    scene = scene_from_dict(preset_scene(name, width=32, height=32, movement=movement,
+                                         **teleport))
+    seq = synthesize_sequence(scene, frames=3, spp=1, seed=seed, ibl_secondary=ibl)
+    if noise_seed is not None:
+        # any in-range 1 spp input: visibility in [0, 1], and specular with a
+        # heavy tail up to 1e4
+        rs = np.random.default_rng(noise_seed)
+        for frame in seq.frames:
+            frame["shadow_1spp"] = rs.random((32, 32)).astype(np.float32)
+            frame["specular_1spp"] = np.minimum(rs.pareto(0.5, (32, 32, 3)),
+                                                1e4).astype(np.float32)
+    cfg = DenoiseConfig(**{**preset_config(preset).to_dict(), "iterations": iterations,
+                           "rectify_mode": rectify_mode, "feedback": feedback,
+                           "ibl_adaptive_iterations": ibl_adaptive_iterations})
+    out, _report = run_pipeline(seq, cfg, dump_intermediates=dump)
+    check_sequence(out)
+    assert len(out.frames) == 3
+    for f, frame in enumerate(out.frames):
+        for channel, img in frame.items():
+            assert np.all(np.isfinite(img)), (f, channel)
 
 
 def test_synth_reference_channels_present():

@@ -460,6 +460,29 @@ def test_render_frame_rejects_spp_below_one(spp):
         render_frame(_scene(width=8, height=8), 0, spp, seed=0)
 
 
+@pytest.mark.parametrize("name", ["frame_index", "sample_offset"])
+@pytest.mark.parametrize("value", [1.5, 1.0, True, False, -1, np.float64(2.0)])
+def test_render_frame_rejects_an_index_that_is_no_int_at_least_0(monkeypatch, name, value):
+    # frame 1.5 would place the geometry between frames while the RNG keys on
+    # frame 1, and a reference at sample offset -1 would reuse the sample 0 of
+    # the input it grades
+    scene = _scene("shadow-objects", width=16, height=16, movement="lights-objects")
+    monkeypatch.setattr(render, "trace_nearest", None)  # nothing may be traced
+    monkeypatch.setattr(render, "camera_rays", None)
+    with pytest.raises(ValueError, match="^" + re.escape(
+            f"{name} must be an integer >= 0, got {value!r}") + "$"):
+        render_frame(scene, **{"frame_index": 1, "sample_offset": 0, name: value},
+                     spp=1, seed=0)
+
+
+def test_render_frame_takes_numpy_integer_indices():
+    scene = _scene("shadow-objects", width=8, height=8, movement="lights-objects")
+    want = render_frame(scene, 1, spp=1, seed=3, sample_offset=2)
+    got = render_frame(scene, np.int64(1), spp=1, seed=3, sample_offset=np.int32(2))
+    for a, b in zip(_frame_dict(*want).values(), _frame_dict(*got).values()):
+        assert a.tobytes() == b.tobytes()
+
+
 @pytest.mark.parametrize("seed", [2.5, True])
 def test_render_frame_rejects_a_seed_that_is_no_int(monkeypatch, seed):
     monkeypatch.setattr(render, "trace_nearest", None)  # nothing may be traced
@@ -563,9 +586,8 @@ def test_rays_traced_only_where_kept(monkeypatch):
         name, shape, out = next(rest)
         assert name == "trace_nearest" and shape == (n_fg,)
         hits.append(np.count_nonzero(out[1]))
-        if hits[-1]:
-            name, shape, _out = next(rest)
-            assert name == "occluded" and shape == (hits[-1],)
+        name, shape, _out = next(rest)
+        assert name == "occluded" and shape == (hits[-1],)
     assert len(hits) == spp
     assert all(0 < n < n_fg for n in hits)  # bounces both hit and miss
 
@@ -591,6 +613,34 @@ def test_all_sky_frame():
     assert spec.data.shape == (8, 10, 3) and np.all(spec.data == 0.0)
     assert not np.signbit(spec.data).any()
     assert shadow.data.flags.c_contiguous and spec.data.flags.c_contiguous
+
+
+def test_frame_whose_bounces_all_miss(monkeypatch):
+    # a mirror ground seen from above, its one sphere hidden below it: every
+    # primary ray hits the ground and every bounce leaves to the sky, so each
+    # query on the bounce hits, IBL's lookup among them, runs on no ray
+    doc = {"name": "mirror-floor", "resolution": [24, 24],
+           "camera": {"position": [0.0, 6.0, 0.0], "look_at": [0.3, 0.0, -0.4],
+                      "vfov_deg": 40.0},
+           "objects": [{"type": "sphere", "center": [0.0, -50.0, 0.0], "radius": 1.0,
+                        "id": 2}],
+           "ground": {"height": 0.0, "albedo": [0.5, 0.5, 0.5], "roughness": 0.0, "id": 1},
+           "light": {"center": [0.0, 8.0, 0.0], "radius": 0.5,
+                     "intensity": [30.0, 30.0, 30.0]},
+           "env": {"kind": "gradient"}}
+    scene = scene_from_dict(doc)
+    calls = []
+    _spy(monkeypatch, "trace_nearest", calls)
+    gbuf, _shadow, spec = render_frame(scene, 0, spp=1, seed=4,
+                                       prefiltered=prefilter_env(scene.env, 3))
+    hit_counts = [np.count_nonzero(out[1]) for _name, _shape, out in calls]
+    assert hit_counts == [24 * 24, 0]  # the primary rays, then the one bounce
+    assert np.all(gbuf.object_id == 1)
+    _origins, dirs, _cos = camera_rays(scene, 0)
+    up = np.array([0.0, 1.0, 0.0])
+    mirror = render._normalize(dirs - 2.0 * dot3(dirs, up)[..., None] * up)
+    want = sample_latlong(scene.env, mirror).astype(np.float32)
+    assert spec.data.tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -4,11 +4,12 @@ from hypothesis import given, settings, strategies as st
 
 from rtdenoise import temporal
 from rtdenoise.frames import DenoiseConfig, GBufferFrame, TemporalHistory
-from rtdenoise.stencil import channel_major, window
+from rtdenoise.stencil import as_planes, channel_major, window
 from rtdenoise.temporal import (_consistency_center, _consistent, _spatial_variance,
                                 _unmasked_box_moments, _window_moments, accumulate,
                                 estimate_variance, rectify_history, rectify_moments, reproject,
                                 temporal_step)
+from rtdenoise.tonemap import luma
 
 CFG = DenoiseConfig()
 
@@ -197,6 +198,38 @@ def test_accumulate_blends_each_channel_with_the_shared_weights():
     assert np.allclose(out.color["b"][0], [[1.0] * 3, [0.0] * 3])
     assert np.allclose(out.moment2["b"][0], [2.0, 0.0])
     assert out.history_len.tolist() == [[2, 1]]
+
+
+def _first_frame_tap(curr):
+    # the all-invalid tap that the first frame once made up, which makes
+    # `accumulate` restart every pixel
+    zero = np.zeros(next(iter(curr.values())).shape[:2])
+    return {"valid": zero.astype(bool), "history_len": zero.astype(np.int32),
+            "color": {key: np.zeros(as_planes(data).shape) for key, data in curr.items()},
+            "moment1": dict.fromkeys(curr, zero), "moment2": dict.fromkeys(curr, zero)}
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_accumulate_without_a_tap_equals_an_all_invalid_tap(dtype):
+    rs = np.random.default_rng(12)
+    curr = {"shadow": rs.random((6, 7)).astype(dtype),
+            "specular": (rs.random((6, 7, 3)) * 50.0).astype(dtype)}
+    lumas = {key: luma(data) for key, data in curr.items()}
+    got = accumulate(curr, lumas, None, CFG)
+    want = accumulate(curr, lumas, _first_frame_tap(curr), CFG)
+    for name in ("color", "moment1", "moment2"):
+        got_planes, want_planes = getattr(got, name), getattr(want, name)
+        assert list(got_planes) == list(want_planes) == ["shadow", "specular"]
+        for key, plane in want_planes.items():
+            assert got_planes[key].dtype == plane.dtype == np.float64
+            assert got_planes[key].shape == plane.shape
+            assert got_planes[key].tobytes() == plane.tobytes()
+            # the history owns its planes
+            assert not any(np.shares_memory(got_planes[key], a)
+                           for a in (*curr.values(), *lumas.values()))
+    assert got.history_len.dtype == want.history_len.dtype == np.int32
+    assert got.history_len.shape == want.history_len.shape == (6, 7)
+    assert got.history_len.tobytes() == want.history_len.tobytes()
 
 
 def test_history_cap():
