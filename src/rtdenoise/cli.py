@@ -15,7 +15,7 @@ from .frames import DenoiseConfig
 from .metrics import mse, ssim, write_report
 from .pipeline import PRESETS, preset_config, run_pipeline, synthesize_sequence
 from .render import REFERENCE_SPP
-from .scenes import MOVEMENTS, PRESET_NAMES, load_scene, preset_scene
+from .scenes import MOVEMENTS, PRESET_NAMES, load_scene, preset_scene, read_json
 from .store import load_sequence, save_sequence
 
 
@@ -47,8 +47,7 @@ def _cmd_synth(args) -> int:
 def _load_config(args) -> DenoiseConfig:
     cfg = DenoiseConfig()
     if args.config:
-        with open(args.config) as f:
-            cfg = DenoiseConfig.from_dict(json.load(f))
+        cfg = DenoiseConfig.from_dict(read_json(args.config))
     if getattr(args, "preset", None):
         cfg = preset_config(args.preset, base=cfg)
     for item in getattr(args, "set", None) or []:

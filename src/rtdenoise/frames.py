@@ -21,6 +21,9 @@ import numpy as np
 from .stencil import dot3
 
 FORMAT_VERSION = 2
+# the largest object id: channels are stored as float32, which holds every
+# integer up to 2^24 exactly, but not 2^24 + 1
+MAX_OBJECT_ID = 2**24
 
 
 class ChannelKind(Enum):
@@ -105,6 +108,11 @@ def _ranged(default, lo, hi=math.inf, open_lo=False, open_hi=False):
                  metadata={"range": (lo, hi, open_lo, open_hi or hi == math.inf)})
 
 
+def _choice(default, *others):
+    """A string config field valid as `default` or one of `others`."""
+    return field(default=default, metadata={"choices": (default, *others)})
+
+
 @dataclass(frozen=True)
 class DenoiseConfig:
     """Every tunable of the denoising pipeline.
@@ -113,16 +121,17 @@ class DenoiseConfig:
     them open; the two adaptive-start thresholds and the Reinhard symbols are
     the documented values of the corresponding techniques. Each field takes
     values of its default's type (a float field also takes an int). Each
-    numeric field declares its valid range, which excludes values that would
-    silently switch a stage off (such as a consistency test no reprojection
-    can pass). A config is checked when it is built and cannot be changed
-    afterwards, so every instance is valid.
+    string field declares its choices (`_choice`), and each numeric field its
+    valid range (`_ranged`), which excludes values that would silently switch
+    a stage off (such as a consistency test no reprojection can pass). A
+    config is checked when it is built and cannot be changed afterwards, so
+    every instance is valid.
     """
 
     alpha: float = _ranged(0.2, 0.0, 1.0, open_lo=True)
     moments_alpha: float = _ranged(0.2, 0.0, 1.0, open_lo=True)
     clamp_gamma: float = _ranged(1.0, 0.0, open_lo=True)
-    rectify_mode: str = "off"  # off | clamp | clip
+    rectify_mode: str = _choice("off", "clamp", "clip")
     # at 1e3 the depth stop is already ~1 between neighbours; the bound keeps
     # sigma_z * |depth| * tap distance finite, so every edge weight is too
     sigma_z: float = _ranged(1.0, 0.0, 1e3, open_lo=True)
@@ -138,15 +147,12 @@ class DenoiseConfig:
     reinhard_weight: float = _ranged(1.0, 0.0)
     ibl_adaptive_iterations: bool = False
     spatial_variance_min_history: int = _ranged(4, 1)
-    feedback: str = "first_iteration"  # first_iteration | none
+    feedback: str = _choice("first_iteration", "none")
     depth_consistency: float = _ranged(0.1, 0.0, open_lo=True)
     normal_consistency: float = _ranged(0.9, -1.0, 1.0, open_hi=True)
     history_cap: int = _ranged(256, 1)
 
     def __post_init__(self):
-        self.validate()
-
-    def validate(self) -> None:
         problems = []
         for f in fields(self):
             v = getattr(self, f.name)
@@ -156,16 +162,14 @@ class DenoiseConfig:
                     or (isinstance(v, bool) and want is not bool)):
                 problems.append(f"{f.name} {v!r} is not a {want.__name__}")
                 continue
-            if "range" not in f.metadata:
-                continue
-            lo, hi, open_lo, open_hi = f.metadata["range"]
-            if not ((lo < v if open_lo else lo <= v) and (v < hi if open_hi else v <= hi)):
-                problems.append(f"{f.name} {v!r} outside {'(' if open_lo else '['}{lo}, "
-                                f"{hi}{')' if open_hi else ']'}")
-        if self.rectify_mode not in ("off", "clamp", "clip"):
-            problems.append(f"rectify_mode {self.rectify_mode!r} not one of off/clamp/clip")
-        if self.feedback not in ("first_iteration", "none"):
-            problems.append(f"feedback {self.feedback!r} not one of first_iteration/none")
+            choices, bounds = f.metadata.get("choices"), f.metadata.get("range")
+            if choices and v not in choices:
+                problems.append(f"{f.name} {v!r} not one of {'/'.join(choices)}")
+            elif bounds:
+                lo, hi, open_lo, open_hi = bounds
+                if not ((lo < v if open_lo else lo <= v) and (v < hi if open_hi else v <= hi)):
+                    problems.append(f"{f.name} {v!r} outside {'(' if open_lo else '['}{lo}, "
+                                    f"{hi}{')' if open_hi else ']'}")
         if problems:
             raise ValueError("invalid DenoiseConfig: " + "; ".join(problems))
 
@@ -260,6 +264,7 @@ def validate_frame(frame: dict, width: int, height: int) -> list:
     ranges = (("depth", "not positive and finite on geometry",
                lambda a: fg & ~((a > 0) & (a < np.inf))),
               ("object_id", "negative", lambda a: a < 0),
+              ("object_id", f"above {MAX_OBJECT_ID}", lambda a: a > MAX_OBJECT_ID),
               ("roughness", "outside [0, 1]", lambda a: (a < 0) | (a > 1)),
               ("shadow_1spp", "outside [0, 1]", lambda a: np.isfinite(a) & ((a < 0) | (a > 1))),
               ("specular_1spp", "negative", lambda a: (np.isfinite(a) & (a < 0)).any(axis=2)))

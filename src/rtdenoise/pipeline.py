@@ -84,9 +84,11 @@ def run_pipeline(seq: FrameSequence, cfg: DenoiseConfig, dump_intermediates: boo
     The input must carry the G-buffer and each kind's `<kind>_1spp` channel.
     The scene, including the shadow angle that picks the shadow channel's
     adaptive start level, comes from the manifest's descriptor and must match
-    the sequence's resolution. The report carries the pass trace, per-frame
-    metrics against the `reference` channel when the input provides one, and
-    the per-iteration a-trous records (steps and tap counts).
+    the sequence's resolution, and its camera must have a view basis at
+    every frame (`Scene.camera_at`), checked before any frame is denoised.
+    The report carries the pass trace, per-frame metrics against the
+    `reference` channel when the input provides one, and the per-iteration
+    a-trous records (steps and tap counts).
     """
     check_sequence(seq)
     needed = [g.name for g in fields(GBufferFrame)] + [f"{k.value}_1spp" for k in ChannelKind]
@@ -99,6 +101,8 @@ def run_pipeline(seq: FrameSequence, cfg: DenoiseConfig, dump_intermediates: boo
     if (scene.width, scene.height) != (seq.width, seq.height):
         raise ValueError(f"scene resolution {scene.width}x{scene.height} differs from "
                          f"the sequence's {seq.width}x{seq.height}")
+    for f in range(len(seq.frames)):
+        scene.camera_at(f)
     if cfg.iterations > 0:
         # the last iteration's level, one higher where adaptive start shifts it
         spatial.check_level(cfg.iterations - 1 + cfg.adaptive_start, seq.height, seq.width)
@@ -182,12 +186,15 @@ def synthesize_sequence(scene: Scene, frames: int, spp: int, seed: int,
                         ibl_secondary: bool = False, reference: bool = False,
                         reference_spp: int = render.REFERENCE_SPP) -> FrameSequence:
     """Render a sequence of G-buffers and noisy channels (plus references).
-    A count that is no int >= 1, a seed that is no int and more frames than
-    the scene's `frame_count` are rejected before any frame is rendered."""
+    A count that is no int >= 1, a seed that is no int, more frames than
+    the scene's `frame_count` and a frame whose camera has no view basis
+    (`Scene.camera_at`) are rejected before any frame is rendered."""
     render.check_counts(seed, frames=frames, spp=spp,
                         **({"reference_spp": reference_spp} if reference else {}))
     if scene.frame_count is not None and frames > scene.frame_count:
         raise ValueError(f"frames {frames} beyond scene animation length {scene.frame_count}")
+    for f in range(frames):
+        scene.camera_at(f)
     prefiltered = prefilter_env(scene.env, ENV_LEVELS) if ibl_secondary else None
 
     out = []

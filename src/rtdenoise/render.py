@@ -47,28 +47,16 @@ and `render_sky`, and for every array `render_frame` returns.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from . import rng
 from .envmap import PrefilteredEnvMap, lobe_exponent, sample_latlong
 from .frames import ChannelKind, GBufferFrame, NoisyChannel
 from .scenes import Scene, integer, positive_int
-from .stencil import channel_major, dot3, put3, take3
+from .stencil import channel_major, dot3, length, normalize, put3, take3
 
 _EPS = 1e-4
 _UP = np.array([0.0, 1.0, 0.0])  # a plane's normal
-
-
-def _length(v: np.ndarray) -> np.ndarray:
-    """Euclidean length over the last axis, bit for bit `np.linalg.norm(v,
-    axis=-1)` (the square root of the left-to-right sum of squares)."""
-    return np.sqrt(dot3(v, v))
-
-
-def _normalize(v: np.ndarray) -> np.ndarray:
-    return v / np.maximum(_length(v)[..., None], 1e-12)
 
 
 def _planar(shape, zeros: bool = False) -> np.ndarray:
@@ -87,21 +75,12 @@ def _cross(a, b):
                                  a0 * b1 - a1 * b0]), 0, -1)
 
 
-def camera_basis(scene: Scene, frame: float):
-    pos, look, up, vfov = scene.camera_at(frame)
-    fwd = _normalize(look - pos)
-    right = _normalize(np.cross(fwd, up))
-    cam_up = np.cross(right, fwd)
-    tan_half = math.tan(math.radians(vfov) / 2.0)
-    return pos, fwd, right, cam_up, tan_half
-
-
 def camera_rays(scene: Scene, frame: float):
     """Primary ray origins and unit directions, shape (H, W, 3) each, and
     each ray's cosine to the view axis, (H, W): the factor that turns a
     distance along the ray into view-space depth. The cosine is `dirs @ fwd`
     on the C-order directions."""
-    pos, fwd, right, cam_up, tan_half = camera_basis(scene, frame)
+    pos, fwd, right, cam_up, tan_half = scene.camera_at(frame)
     w, h = scene.width, scene.height
     aspect = w / h
     ndc_x = (np.arange(w) + 0.5) / w * 2.0 - 1.0
@@ -109,14 +88,14 @@ def camera_rays(scene: Scene, frame: float):
     dirs = (fwd
             + ndc_x[None, :, None] * (aspect * tan_half) * right
             + ndc_y[:, None, None] * tan_half * cam_up)
-    dirs = _normalize(dirs)
+    dirs = normalize(dirs)
     origins = np.broadcast_to(pos, dirs.shape).copy()
     return origins, dirs, dirs @ fwd
 
 
 def project_to_pixel(points: np.ndarray, scene: Scene, frame: float):
     """Project world points into the frame's image; returns (px, py, in_front)."""
-    pos, fwd, right, cam_up, tan_half = camera_basis(scene, frame)
+    pos, fwd, right, cam_up, tan_half = scene.camera_at(frame)
     w, h = scene.width, scene.height
     aspect = w / h
     d = points - pos
@@ -197,7 +176,7 @@ def _surfaces(origins, dirs, scene: Scene, frame: float):
         elif obj.kind == "sphere":
             c = obj.center + off
             yield (_intersect_sphere(origins, dirs, c, obj.radius), obj.oid,
-                   obj.material, lambda pts, c=c: _normalize(pts - c))
+                   obj.material, lambda pts, c=c: normalize(pts - c))
         else:
             lo, hi = obj.lo + off, obj.hi + off
             yield (_intersect_box(origins, inv_dirs, lo, hi), obj.oid, obj.material,
@@ -256,7 +235,7 @@ def _onb(axis):
     helper = np.where(np.abs(axis[..., 1:2]) < 0.9,
                       np.array([0.0, 1.0, 0.0]),
                       np.array([1.0, 0.0, 0.0]))
-    t1 = _normalize(_cross(axis, helper))
+    t1 = normalize(_cross(axis, helper))
     t2 = _cross(axis, t1)
     return t1, t2
 
@@ -280,7 +259,7 @@ def _phong_lobe(mirror, onb, power, u1, u2):
 def _direct_at(points, normals, albedo, emissive, scene, frame, light_center):
     """Deterministic shading used at secondary hits: emissive + shadowed direct."""
     to_l = light_center - points
-    dist = _length(to_l)
+    dist = length(to_l)
     ldir = to_l / np.maximum(dist, 1e-12)[..., None]
     cos = np.maximum(0.0, dot3(normals, ldir))
     vis = ~occluded(points + normals * _EPS, ldir, dist - 2 * _EPS, scene, frame)
@@ -311,9 +290,10 @@ def render_frame(scene: Scene, frame_index: int, spp: int, seed: int,
     turns on image-based lighting of secondary hits: the environment along
     their mirror direction, prefiltered at their roughness and weighted by
     their albedo, adds to their direct light. Without one they get direct
-    light only. A count that is no int >= 1, a seed that is no int and an
-    index (`frame_index`, `sample_offset`) that is no int >= 0 are rejected
-    before any ray is traced.
+    light only. A count that is no int >= 1, a seed that is no int, an
+    index (`frame_index`, `sample_offset`) that is no int >= 0 and a frame
+    whose camera has no view basis (`Scene.camera_at`) are rejected before
+    any ray is traced.
     """
     check_counts(seed, spp=spp)
     for name, index in (("frame_index", frame_index), ("sample_offset", sample_offset)):
@@ -373,7 +353,7 @@ def render_frame(scene: Scene, frame_index: int, spp: int, seed: int,
     normal = take3(normal, pix)
     origin = take3(hit_p, pix) + normal * _EPS
     dirs = take3(dirs, pix)
-    mirror = _normalize(dirs - 2.0 * dot3(dirs, normal)[..., None] * normal)
+    mirror = normalize(dirs - 2.0 * dot3(dirs, normal)[..., None] * normal)
     exponent = lobe_exponent(np.take(rough, pix))
     is_mirror = ~(exponent < np.inf)
     onb = _onb(mirror)
@@ -385,7 +365,7 @@ def render_frame(scene: Scene, frame_index: int, spp: int, seed: int,
         u0, u1, u2, u3 = (rng.sample_uniform(key, s, d) for d in range(4))
         # the shadow ray, toward a uniform point on the light's sphere
         to_l = light_c + scene.light.radius * _sphere_point(u0, u1) - origin
-        dist = _length(to_l)
+        dist = length(to_l)
         ldir = to_l / np.maximum(dist, 1e-12)[..., None]
         visible += 1.0 - occluded(origin, ldir, dist - _EPS, scene, frame_index)
 
@@ -402,7 +382,7 @@ def render_frame(scene: Scene, frame_index: int, spp: int, seed: int,
         lit = _direct_at(p2, n2, alb2, take3(emis2, hits), scene, frame_index, light_c)
         if prefiltered is not None:
             refl2 = lobe2 - 2.0 * dot3(lobe2, n2)[..., None] * n2
-            lit = lit + alb2 * prefiltered.sample(_normalize(refl2), np.take(rough2, hits))
+            lit = lit + alb2 * prefiltered.sample(normalize(refl2), np.take(rough2, hits))
         put3(radiance, hits, lit)
         spec += radiance * (dot3(lobe, normal) > 0.0)[..., None]
     shadow = np.ones(h * w)

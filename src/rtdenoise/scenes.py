@@ -8,9 +8,12 @@ a `gradient` sky, a `constant` or a `file`: a PFM lat-long map, a 1-channel
 one repeated to RGB, whose relative `path` resolves against the working
 directory, not the scene file's. A field that is missing, of the wrong type
 or out of range raises a `ValueError` naming its path, such as
-`objects[0].id` or `env.width`. A built env map may have at most 2^20
-texels, checked before it is allocated, and every env map must be at least
-8x4 texels of finite, non-negative radiance.
+`objects[0].id` or `env.width`. Object ids are unique and at most
+`frames.MAX_OBJECT_ID`. A built env map may have at most 2^20 texels,
+checked before it is allocated, and every env map must be at least 8x4
+texels of finite, non-negative radiance. `Scene.camera_at` checks the
+camera at the frame it is asked for, and a scene is built only if its
+camera passes at every keyframe.
 
 Four presets mirror the usual test structure for this kind of denoiser:
 `cubes-distance` (roughness-graded reflectors), `shadow-objects` (floating
@@ -29,6 +32,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .frames import MAX_OBJECT_ID
+from .stencil import normalize
 
 
 def _vec3(value, path: str, nonnegative: bool = False) -> np.ndarray:
@@ -85,6 +91,20 @@ _LIST = (lambda v: isinstance(v, (list, tuple)) and len(v) > 0, "is not a non-em
 _POSITIVE = (positive_int, "is not a positive integer")
 _PATH = (lambda v: isinstance(v, str), "is not a path")
 _NONNEGATIVE = (lambda v: 0.0 <= v < math.inf, "is not finite and >= 0")
+
+
+def _object_id(doc, path: str, seen: set) -> int:
+    """The `id` of an object or ground document, the field `path`: a positive
+    integer of at most `MAX_OBJECT_ID`, the G-buffer's bound, and none of the
+    ids in `seen`, to which it is added."""
+    oid = int(_field(doc, "id", path, *_POSITIVE))
+    if oid > MAX_OBJECT_ID:
+        raise ValueError(f"{path} {oid!r} is above {MAX_OBJECT_ID}, the largest id a "
+                         "frame stores exactly")
+    if oid in seen:
+        raise ValueError("object ids must be unique")
+    seen.add(oid)
+    return oid
 
 
 def _keyframe(entry, path: str):
@@ -168,28 +188,22 @@ class Scene:
     raw: dict = None
 
     def camera_at(self, frame: float):
-        return (_kf_eval(self.camera_pos, frame), _kf_eval(self.camera_look, frame),
-                self.camera_up, self.vfov_deg)
-
-    def validate(self) -> None:
-        ids = [o.oid for o in self.objects]
-        if len(set(ids)) != len(ids):
-            raise ValueError("object ids must be unique")
-        if self.env.shape[0] < 4 or self.env.shape[1] < 8:
-            raise ValueError("env map must be at least 8x4")
-        bad = ~((self.env >= 0) & (self.env < math.inf)).all(axis=2)  # NaN too
-        if bad.any():
-            y, x = np.argwhere(bad)[0]
-            raise ValueError(f"env radiance at texel ({x}, {y}) is not finite and >= 0")
-        for f in sorted({f for f, _v in self.camera_pos + self.camera_look}):
-            pos, look, up, _vfov = self.camera_at(f)
-            view = look - pos
-            if not view.any():
-                raise ValueError(f"camera.look_at equals camera.position at frame {f}")
-            if (np.linalg.norm(np.cross(view, up))
-                    <= 1e-9 * np.linalg.norm(view) * np.linalg.norm(up)):
-                raise ValueError(f"camera.up {up.tolist()} is parallel to the view "
-                                 f"direction at frame {f}")
+        """The camera's basis at `frame`: (position, forward, right, up,
+        tan(vfov / 2)), the three directions unit vectors. Raises naming
+        `camera.look_at` or `camera.up` and the frame where the view has no
+        basis: the look-at point on the position, or `up` along the view."""
+        pos = _kf_eval(self.camera_pos, frame)
+        view = _kf_eval(self.camera_look, frame) - pos
+        up = self.camera_up
+        if not view.any():
+            raise ValueError(f"camera.look_at equals camera.position at frame {frame}")
+        if (np.linalg.norm(np.cross(view, up))
+                <= 1e-9 * np.linalg.norm(view) * np.linalg.norm(up)):
+            raise ValueError(f"camera.up {up.tolist()} is parallel to the view "
+                             f"direction at frame {frame}")
+        fwd = normalize(view)
+        right = normalize(np.cross(fwd, up))
+        return pos, fwd, right, np.cross(right, fwd), math.tan(math.radians(self.vfov_deg) / 2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +245,21 @@ def env_gradient_sky(width=32, height=16, scale=1.0, sun_dir=(0.4, 0.65, -0.3),
 
 
 def _build_env(spec: dict) -> np.ndarray:
-    """The map of an `env` document; each field given is read by its path."""
+    """The map of an `env` document, of any kind: at least 8x4 texels of
+    finite, non-negative radiance."""
+    env = _env_map(spec)
+    if env.shape[0] < 4 or env.shape[1] < 8:
+        raise ValueError("env map must be at least 8x4")
+    bad = ~((env >= 0) & (env < math.inf)).all(axis=2)  # NaN too
+    if bad.any():
+        y, x = np.argwhere(bad)[0]
+        raise ValueError(f"env radiance at texel ({x}, {y}) is not finite and >= 0")
+    return env
+
+
+def _env_map(spec: dict) -> np.ndarray:
+    """The map of an `env` document, unchecked; each field given is read by
+    its path."""
     kind = spec.get("kind", "gradient")
     if kind == "file":
         from .pfm import read_pfm
@@ -274,14 +302,14 @@ def _material_from(d: dict, path: str) -> Material:
 
 def scene_from_dict(doc: dict) -> Scene:
     cam = _field(doc, "camera", "camera", *_DICT)
-    objects = []
+    objects, ids = [], set()
     for i, od in enumerate(_field(doc, "objects", "objects", *_LIST)):
         path = f"objects[{i}]"
         if not isinstance(od, dict):
             raise ValueError(f"{path} {od!r} is not an object")
         obj = SceneObject(kind=_field(od, "type", f"{path}.type", lambda v: v in ("sphere", "box"),
                                       "is not 'sphere' or 'box'"),
-                          oid=int(_field(od, "id", f"{path}.id", *_POSITIVE)),
+                          oid=_object_id(od, f"{path}.id", ids),
                           material=_material_from(od, path),
                           motion=_kf_parse(od.get("motion", [0.0, 0.0, 0.0]), f"{path}.motion"))
         if obj.kind == "sphere":
@@ -298,7 +326,7 @@ def scene_from_dict(doc: dict) -> Scene:
     if doc.get("ground"):  # the first surface
         g = _field(doc, "ground", "ground", *_DICT)
         height = _number(g.get("height", 0.0), "ground.height", math.isfinite, "is not finite")
-        oid = int(_field(g, "id", "ground.id", *_POSITIVE))
+        oid = _object_id(g, "ground.id", ids)
         objects.insert(0, SceneObject(kind="plane", oid=oid, material=_material_from(g, "ground"),
                                       height=height))
 
@@ -345,13 +373,23 @@ def scene_from_dict(doc: dict) -> Scene:
         frame_count=None if frame_count is None else int(frame_count),
         raw=doc,
     )
-    scene.validate()
+    for f in sorted({f for f, _v in scene.camera_pos + scene.camera_look}):
+        scene.camera_at(f)
     return scene
 
 
-def load_scene(path) -> Scene:
+def read_json(path, error=ValueError):
+    """The JSON document in the file at `path`; raises `error` naming the path,
+    with the parser's message, where the file holds no JSON."""
     with open(path) as f:
-        return scene_from_dict(json.load(f))
+        try:
+            return json.load(f)
+        except ValueError as e:  # malformed JSON, or bytes that decode to no text
+            raise error(f"{path} is not JSON ({e})") from None
+
+
+def load_scene(path) -> Scene:
+    return scene_from_dict(read_json(path))
 
 
 # ---------------------------------------------------------------------------

@@ -16,9 +16,10 @@ reads each enclosing texel at its `clamped` index with `gather`. It returns
 each plane's mean over the accepted texels and where that mean is valid (a
 weight total above 1e-8), 0 elsewhere. `bounding_box` crops a pass to the
 pixels it keeps. `dot3` is the one dot product of 3-vectors, for normals and
-directions; `take3` compacts 3-vectors to flat indices one component plane
-at a time, and `put3` scatters them back, for the renderer's and the env
-map's ray lists.
+directions, and `length` and `normalize` are built on it, for the scene's
+camera and the renderer's rays alike. `take3` compacts 3-vectors to flat
+indices one component plane at a time, and `put3` scatters them back, for
+the renderer's and the env map's ray lists.
 """
 
 from __future__ import annotations
@@ -48,6 +49,16 @@ def dot3(a, b, out=None):
     out += a[..., 2] * b[..., 2]
     out += 0.0
     return out
+
+
+def length(v: np.ndarray) -> np.ndarray:
+    """Euclidean length over the last axis, bit for bit `np.linalg.norm(v,
+    axis=-1)` (the square root of the left-to-right sum of squares)."""
+    return np.sqrt(dot3(v, v))
+
+
+def normalize(v: np.ndarray) -> np.ndarray:
+    return v / np.maximum(length(v)[..., None], 1e-12)
 
 
 def channel_major(arr) -> np.ndarray:

@@ -10,9 +10,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .frames import CHANNELS, FORMAT_VERSION, FrameSequence, validate_frame
+from .frames import CHANNELS, FORMAT_VERSION, MAX_OBJECT_ID, FrameSequence, validate_frame
 from .pfm import read_pfm, write_pfm
-from .scenes import positive_int
+from .scenes import positive_int, read_json
 
 
 class SequenceError(ValueError):
@@ -60,11 +60,12 @@ def _from_disk(name: str, arr: np.ndarray, frame: int) -> np.ndarray:
         return arr[:, :, :2].copy()
     if name == "object_id":
         # NaN fails every comparison; what passes casts to int32 exactly
-        bad = ~((arr >= 0) & (arr < 2.0**31) & (np.floor(arr) == arr))
+        bad = ~((arr >= 0) & (arr <= MAX_OBJECT_ID) & (np.floor(arr) == arr))
         if np.any(bad):
             y, x = np.argwhere(bad)[0]
             raise SequenceError(f"channel 'object_id' of frame {frame} holds {arr[y, x]} at "
-                                f"pixel ({x}, {y}), expected an integer in [0, 2^31)")
+                                f"pixel ({x}, {y}), expected an integer in "
+                                f"[0, {MAX_OBJECT_ID}]")
         return arr.astype(np.int32)
     return arr
 
@@ -110,8 +111,7 @@ def load_sequence(path) -> FrameSequence:
     manifest_path = root / "manifest.json"
     if not manifest_path.exists():
         raise SequenceError(f"missing manifest: {manifest_path}")
-    with open(manifest_path) as f:
-        manifest = json.load(f)
+    manifest = read_json(manifest_path, SequenceError)
     _check_manifest(manifest, _REQUIRED_KEYS, f"manifest {manifest_path}")
     if manifest["format_version"] != FORMAT_VERSION:
         raise SequenceError(f"manifest {manifest_path} has format_version "

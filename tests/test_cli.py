@@ -259,3 +259,25 @@ def test_denoise_prints_quality_per_frame_against_a_reference(tmp_path, capsys):
     assert [bool(re.match(pattern.format(f), line)) for f, line in enumerate(lines[:2])] \
         == [True, True]
     assert lines[2:] == [f"denoised 2 frame(s) -> {tmp_path / 'o'}"]
+
+
+@pytest.mark.parametrize("command", ["eval --a", "eval --b", "synth --scene",
+                                     "denoise --config"])
+def test_a_file_that_holds_no_json_is_named(workspace, tmp_path, capsys, command):
+    # the parser's message alone used to be printed, naming no file
+    _root, _scene, synth = workspace
+    bad = tmp_path / "bad"
+    bad.mkdir()
+    path = bad / "manifest.json" if command.startswith("eval") else bad / "input.json"
+    path.write_text("{not json")
+    given = {"eval --a": ["eval", "--a", str(bad), "--b", str(synth)],
+             "eval --b": ["eval", "--a", str(synth), "--b", str(bad)],
+             "synth --scene": ["synth", "--scene", str(path), "--frames", "1",
+                               "--out", str(tmp_path / "o")],
+             "denoise --config": ["denoise", "--in", str(synth), "--config", str(path),
+                                  "--out", str(tmp_path / "o")]}[command]
+    assert main(given) == 1
+    assert capsys.readouterr().err == (
+        f"error: {path} is not JSON (Expecting property name enclosed in double quotes: "
+        "line 1 column 2 (char 1))\n")
+    assert not (tmp_path / "o").exists()

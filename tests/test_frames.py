@@ -164,18 +164,35 @@ def test_validate_frame_rejects_float_object_id(tmp_path):
         save_sequence(seq, tmp_path / "seq")
 
 
-@pytest.mark.parametrize("stored", [np.nan, np.inf, 2.5, 1e10, -3.0])
+@pytest.mark.parametrize("stored", [np.nan, np.inf, 2.5, 1e10, -3.0, 2.0**24 + 2])
 def test_load_rejects_stored_object_id_that_is_no_id(tmp_path, stored):
     # a stored id used to be cast to int32 unchecked: NaN and 1e10 loaded as
-    # -2147483648, 2.5 as 2, and -3 as it was
+    # -2147483648, 2.5 as 2, and -3 as it was. Above 2^24 a float32 no longer
+    # holds every integer, so two ids there may have been stored as one
     save_sequence(_tiny_seq(frames=2), tmp_path / "seq")
     ids = np.ones((4, 4), dtype=np.float32)
     ids[1, 2] = stored
     write_pfm(tmp_path / "seq" / "frame_0001" / "object_id.pfm", ids)
     with pytest.raises(SequenceError, match=re.escape(
             f"channel 'object_id' of frame 1 holds {np.float32(stored)} at pixel (2, 1), "
-            "expected an integer in [0, 2^31)")):
+            "expected an integer in [0, 16777216]")):
         load_sequence(tmp_path / "seq")
+
+
+def test_object_ids_up_to_2_to_the_24_round_trip_and_larger_ones_are_refused(tmp_path):
+    # float32 holds every integer up to 2^24, but 2^24 + 1 used to be saved,
+    # and loaded as 2^24, merged with the object of that id
+    seq = _tiny_seq()
+    seq.frames[0]["object_id"][0, :2] = [2**24 - 1, 2**24]
+    save_sequence(seq, tmp_path / "seq")
+    back = load_sequence(tmp_path / "seq").frames[0]["object_id"]
+    assert back.tobytes() == seq.frames[0]["object_id"].tobytes()
+    seq.frames[0]["object_id"][3, 1] = 2**24 + 1
+    assert validate_frame(seq.frames[0], 4, 4) == [
+        "channel 'object_id' above 16777216 at pixel (1, 3)"]
+    with pytest.raises(SequenceError, match="frame 0 .*'object_id' above 16777216 at pixel"):
+        save_sequence(seq, tmp_path / "over")
+    assert not (tmp_path / "over").exists()
 
 
 def test_validate_frame_rejects_negative_object_id(tmp_path):
@@ -294,19 +311,19 @@ def test_config_sigma_z_bounded():
 
 
 def test_config_validation():
-    DenoiseConfig().validate()
+    DenoiseConfig()
     with pytest.raises(ValueError, match="alpha"):
-        DenoiseConfig(alpha=0.0).validate()
+        DenoiseConfig(alpha=0.0)
     with pytest.raises(ValueError, match="iterations"):
-        DenoiseConfig(iterations=9).validate()
+        DenoiseConfig(iterations=9)
     with pytest.raises(ValueError, match="rectify_mode"):
-        DenoiseConfig(rectify_mode="sometimes").validate()
+        DenoiseConfig(rectify_mode="sometimes")
     # values that would silently switch the temporal stage off
     for bad in ({"history_cap": 0}, {"depth_consistency": 0.0},
                 {"depth_consistency": -1.0}, {"normal_consistency": 1.0},
                 {"normal_consistency": 2.0}):
         with pytest.raises(ValueError, match=next(iter(bad))):
-            DenoiseConfig(**bad).validate()
+            DenoiseConfig(**bad)
     with pytest.raises(ValueError, match="unknown"):
         DenoiseConfig.from_dict({"alpha": 0.5, "bogus": 1})
     # a config file holding no object used to fail with a bare AttributeError
@@ -315,11 +332,11 @@ def test_config_validation():
                                              f"got {kind}$"):
             DenoiseConfig.from_dict(bad)
     # each value must have its default's type; a float field also takes an int
-    DenoiseConfig(alpha=1, sigma_n=64).validate()
+    DenoiseConfig(alpha=1, sigma_n=64)
     for name, bad in (("separable", "no"), ("adaptive_start", 1), ("iterations", 2.5),
                       ("iterations", True), ("history_cap", 4.0), ("sigma_n", "x"),
                       ("alpha", False), ("rectify_mode", 3), ("feedback", None)):
         with pytest.raises(ValueError, match=f"{name} {bad!r} is not a "):
-            DenoiseConfig(**{name: bad}).validate()
+            DenoiseConfig(**{name: bad})
         with pytest.raises(ValueError, match=name):
             DenoiseConfig.from_dict({name: bad})

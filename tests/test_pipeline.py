@@ -331,6 +331,41 @@ def test_run_pipeline_checks_atrous_level_before_any_frame(temporal_calls):
     assert temporal_calls == []
 
 
+# a camera path with a view basis at its keyframes, frames 0 and 2, but none
+# at frame 1, and the message naming the fault there
+_CAMERA_WITHOUT_BASIS_AT_FRAME_1 = {
+    # position and look-at trade places and meet halfway: a depth plane of NaN
+    "look_at at position": ({"position": {"keyframes": [[0, [0, 2, 6]], [2, [0, 2, -6]]]},
+                             "look_at": {"keyframes": [[0, [0, 2, -6]], [2, [0, 2, 6]]]}},
+                            "camera.look_at equals camera.position at frame 1"),
+    # the view sweeps through `up`: every pixel rendered along one ray
+    "view along up": ({"position": [0, 2, 0],
+                       "look_at": {"keyframes": [[0, [-1, 3, 0]], [2, [1, 3, 0]]]}},
+                      "camera.up [0.0, 1.0, 0.0] is parallel to the view direction at frame 1"),
+}
+
+
+@pytest.mark.parametrize("case", list(_CAMERA_WITHOUT_BASIS_AT_FRAME_1))
+def test_camera_is_checked_at_every_frame_before_any_work(temporal_calls, monkeypatch, case):
+    camera, message = _CAMERA_WITHOUT_BASIS_AT_FRAME_1[case]
+    doc = preset_scene("shadow-objects", width=16, height=16)
+    doc["camera"].update(camera)
+    scene = scene_from_dict(doc)  # its keyframes pass
+    render.render_frame(scene, 0, 1, 0)
+    match = "^" + re.escape(message) + "$"
+    with pytest.raises(ValueError, match=match):
+        render.render_frame(scene, 1, 1, 0)
+
+    _scene, seq = _make_seq(w=16, h=16, frames=2)
+    seq.manifest["scene"] = doc
+    with pytest.raises(ValueError, match=match):
+        run_pipeline(seq, DenoiseConfig(iterations=1))
+    assert temporal_calls == []
+    monkeypatch.setattr(render, "render_frame", None)  # nothing may be rendered
+    with pytest.raises(ValueError, match=match):
+        synthesize_sequence(scene, frames=2, spp=1, seed=0)
+
+
 def test_ibl_secondary_adds_to_specular_only():
     scene = scene_from_dict(preset_scene("cubes-distance", width=16, height=16,
                                          roughness=0.0))

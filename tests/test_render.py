@@ -10,10 +10,10 @@ from rtdenoise import render, rng, scenes
 from rtdenoise.envmap import lobe_exponent, prefilter_env, sample_latlong
 from rtdenoise.frames import validate_frame
 from rtdenoise.pfm import write_pfm
-from rtdenoise.render import (REFERENCE_SPP, camera_basis, camera_rays,
-                              occluded, render_frame, render_sky, trace_nearest)
+from rtdenoise.render import (REFERENCE_SPP, camera_rays, occluded, render_frame, render_sky,
+                              trace_nearest)
 from rtdenoise.scenes import MOVEMENTS, PRESET_NAMES, preset_scene, scene_from_dict
-from rtdenoise.stencil import channel_major, dot3
+from rtdenoise.stencil import channel_major, dot3, length, normalize
 
 
 def _scene(name="shadow-objects", **kw):
@@ -241,6 +241,15 @@ def test_scene_rejects_missing_or_mistyped_field_naming_it(case):
 # (edit of a 16x16 shadow-objects document, the whole message it raises)
 _BAD_SCENE_MESSAGES = {
     "duplicate ids": (_set(("objects", 1, "id"), 2), "object ids must be unique"),
+    "duplicate ground id": (_set(("ground", "id"), 3), "object ids must be unique"),
+    # a frame stores ids as float32, where 2^24 + 1 reads as 2^24; 2^31 used
+    # to end rendering with a bare OverflowError
+    "id above 2^24": (_set(("objects", 1, "id"), 2**24 + 1),
+                      "objects[1].id 16777217 is above 16777216, the largest id a frame "
+                      "stores exactly"),
+    "ground id 2^31": (_set(("ground", "id"), 2**31),
+                       "ground.id 2147483648 is above 16777216, the largest id a frame "
+                       "stores exactly"),
     "env 4x4": (_set(("env",), {"kind": "constant", "value": 0.5, "width": 4, "height": 4}),
                 "env map must be at least 8x4"),
     "env kind": (_set(("env",), {"kind": "cube"}), "unknown env map kind 'cube'"),
@@ -510,11 +519,11 @@ def _full_frame_channels(scene, frame, spp, seed, prefiltered=None, sample_offse
         point = light_c + scene.light.radius * render._sphere_point(
             rng.sample_uniform(key, s, 0), rng.sample_uniform(key, s, 1))
         to_l = point - origin
-        dist = render._length(to_l)
+        dist = length(to_l)
         ldir = to_l / np.maximum(dist, 1e-12)[..., None]
         visible += 1.0 - occluded(origin, ldir, dist - render._EPS, scene, frame)
     mirror = dirs - 2.0 * dot3(dirs, normal)[..., None] * normal
-    mirror = np.where(fg[..., None], render._normalize(mirror), dirs)
+    mirror = np.where(fg[..., None], normalize(mirror), dirs)
     exponent = lobe_exponent(rough)
     is_mirror = ~(exponent < np.inf)
     onb = render._onb(mirror)
@@ -530,7 +539,7 @@ def _full_frame_channels(scene, frame, spp, seed, prefiltered=None, sample_offse
         lit = render._direct_at(p2, n2, alb2, emis2, scene, frame, light_c)
         if prefiltered is not None:
             refl2 = lobe - 2.0 * dot3(lobe, n2)[..., None] * n2
-            lit = lit + alb2 * prefiltered.sample(render._normalize(refl2), rough2)
+            lit = lit + alb2 * prefiltered.sample(normalize(refl2), rough2)
         radiance = np.where(hit2[..., None], lit, sample_latlong(scene.env, lobe))
         spec += radiance * (dot3(lobe, normal) > 0.0)[..., None]
     return (np.where(fg, visible / spp, 1.0).astype(np.float32),
@@ -638,7 +647,7 @@ def test_frame_whose_bounces_all_miss(monkeypatch):
     assert np.all(gbuf.object_id == 1)
     _origins, dirs, _cos = camera_rays(scene, 0)
     up = np.array([0.0, 1.0, 0.0])
-    mirror = render._normalize(dirs - 2.0 * dot3(dirs, up)[..., None] * up)
+    mirror = normalize(dirs - 2.0 * dot3(dirs, up)[..., None] * up)
     want = sample_latlong(scene.env, mirror).astype(np.float32)
     assert spec.data.tobytes() == want.tobytes()
 
@@ -781,7 +790,7 @@ def test_camera_rays_carry_their_view_cosine():
     # the factor between ray distance and depth, taken on the C-order rays
     scene = _scene("cubes-distance", width=12, height=10, movement="camera")
     _origins, dirs, cos = camera_rays(scene, 3)
-    _pos, fwd, _r, _u, _t = camera_basis(scene, 3)
+    _pos, fwd, _r, _u, _t = scene.camera_at(3)
     assert cos.shape == (10, 12)
     assert cos.tobytes() == (dirs @ fwd).tobytes()
 
@@ -810,9 +819,9 @@ def test_lengths_match_linalg_norm():
              np.array([1.0, 2.0, 0.0]) - v]  # a (3,) operand broadcast, as the light sites do
     for x in cases:
         want = np.linalg.norm(x, axis=-1)
-        assert render._length(x).tobytes() == want.tobytes()
+        assert length(x).tobytes() == want.tobytes()
         unit = x / np.maximum(np.linalg.norm(x, axis=-1, keepdims=True), 1e-12)
-        got = render._normalize(x)
+        got = normalize(x)
         assert got.shape == unit.shape and got.tobytes() == unit.tobytes()
 
 
@@ -853,7 +862,7 @@ def test_full_umbra_is_black():
 
     # reconstruct the center pixel's hit point and verify full containment
     origins, dirs, _cos = camera_rays(scene, 0)
-    _pos, fwd, _r, _u, _t = camera_basis(scene, 0)
+    _pos, fwd, _r, _u, _t = scene.camera_at(0)
     y, x = 4, 4
     assert gbuf.object_id[y, x] == 1  # ground under the occluder
     t = gbuf.depth[y, x] / (dirs[y, x] @ fwd)
