@@ -84,8 +84,10 @@ def run_pipeline(seq: FrameSequence, cfg: DenoiseConfig, dump_intermediates: boo
     The input must carry the G-buffer and each kind's `<kind>_1spp` channel.
     The scene, including the shadow angle that picks the shadow channel's
     adaptive start level, comes from the manifest's descriptor and must match
-    the sequence's resolution, and its camera must have a view basis at
-    every frame (`Scene.camera_at`), checked before any frame is denoised.
+    the sequence's resolution. `Scene.camera_at` is asked for every frame
+    before any frame is denoised, so a sequence longer than the scene's
+    `frame_count`, or a frame whose camera has no view basis, is rejected
+    then.
     The report carries the pass trace, per-frame metrics against the
     `reference` channel when the input provides one, and the per-iteration
     a-trous records (steps and tap counts).
@@ -186,13 +188,12 @@ def synthesize_sequence(scene: Scene, frames: int, spp: int, seed: int,
                         ibl_secondary: bool = False, reference: bool = False,
                         reference_spp: int = render.REFERENCE_SPP) -> FrameSequence:
     """Render a sequence of G-buffers and noisy channels (plus references).
-    A count that is no int >= 1, a seed that is no int, more frames than
-    the scene's `frame_count` and a frame whose camera has no view basis
-    (`Scene.camera_at`) are rejected before any frame is rendered."""
+    A count that is no int >= 1 and a seed that is no int in [-2^63, 2^63)
+    (`render.check_counts`) are rejected before any frame is rendered. So is
+    a frame at or past the scene's `frame_count` or whose camera has no view
+    basis: `Scene.camera_at` is asked for every frame first."""
     render.check_counts(seed, frames=frames, spp=spp,
                         **({"reference_spp": reference_spp} if reference else {}))
-    if scene.frame_count is not None and frames > scene.frame_count:
-        raise ValueError(f"frames {frames} beyond scene animation length {scene.frame_count}")
     for f in range(frames):
         scene.camera_at(f)
     prefiltered = prefilter_env(scene.env, ENV_LEVELS) if ibl_secondary else None

@@ -271,12 +271,15 @@ def _direct_at(points, normals, albedo, emissive, scene, frame, light_center):
 
 def check_counts(seed, **counts) -> None:
     """Raise a ValueError naming the first of `counts` that is no int >= 1, or
-    a `seed` that is no int; a bool or a float counts as neither."""
+    a `seed` that is no int in [-2^63, 2^63), the int64 range the RNG keys
+    on; a bool or a float counts as neither."""
     for name, value in counts.items():
         if not positive_int(value):
             raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
     if not integer(seed):
         raise ValueError(f"seed must be an integer, got {seed!r}")
+    if not -rng.KEY_LIMIT <= seed < rng.KEY_LIMIT:
+        raise ValueError(f"seed must lie in [-2^63, 2^63), got {seed!r}")
 
 
 def render_frame(scene: Scene, frame_index: int, spp: int, seed: int,
@@ -290,18 +293,22 @@ def render_frame(scene: Scene, frame_index: int, spp: int, seed: int,
     turns on image-based lighting of secondary hits: the environment along
     their mirror direction, prefiltered at their roughness and weighted by
     their albedo, adds to their direct light. Without one they get direct
-    light only. A count that is no int >= 1, a seed that is no int, an
-    index (`frame_index`, `sample_offset`) that is no int >= 0 and a frame
-    whose camera has no view basis (`Scene.camera_at`) are rejected before
-    any ray is traced.
+    light only. These are rejected before any ray is traced, each by name:
+    a count that is no int >= 1; a seed that is no int or lies outside
+    [-2^63, 2^63), the RNG's key range; an index (`frame_index`,
+    `sample_offset`) that is no int >= 0, and a `frame_index` or last sample
+    index (`sample_offset + spp - 1`) of 2^63 or more. A frame at or past the
+    scene's `frame_count` or whose camera has no view basis is rejected by
+    `Scene.camera_at`, the first step of the render.
     """
     check_counts(seed, spp=spp)
     for name, index in (("frame_index", frame_index), ("sample_offset", sample_offset)):
         if not (integer(index) and index >= 0):  # a bool or a float is no index
             raise ValueError(f"{name} must be an integer >= 0, got {index!r}")
-    if scene.frame_count is not None and frame_index >= scene.frame_count:
-        raise ValueError(f"frame {frame_index} beyond scene animation length "
-                         f"{scene.frame_count}")
+    last_sample = int(sample_offset) + int(spp) - 1  # no numpy int overflow
+    for name, index in (("frame_index", frame_index), ("sample_offset + spp - 1", last_sample)):
+        if index >= rng.KEY_LIMIT:  # the RNG keys on the frame and each sample
+            raise ValueError(f"{name} must be below 2^63, got {index!r}")
 
     h, w = scene.height, scene.width
     origins, dirs, along_fwd = camera_rays(scene, frame_index)

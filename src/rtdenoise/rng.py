@@ -16,6 +16,8 @@ _MUL2 = np.uint64(0x94D049BB133111EB)
 
 _INV_2_53 = 1.0 / float(1 << 53)
 
+KEY_LIMIT = 1 << 63  # keys are folded as int64s: each lies in [-KEY_LIMIT, KEY_LIMIT)
+
 
 def _mix(z: np.ndarray) -> np.ndarray:
     """SplitMix64 finalizer; uint64 in, well-scrambled uint64 out."""

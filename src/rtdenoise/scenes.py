@@ -9,11 +9,19 @@ one repeated to RGB, whose relative `path` resolves against the working
 directory, not the scene file's. A field that is missing, of the wrong type
 or out of range raises a `ValueError` naming its path, such as
 `objects[0].id` or `env.width`. Object ids are unique and at most
-`frames.MAX_OBJECT_ID`. A built env map may have at most 2^20 texels,
-checked before it is allocated, and every env map must be at least 8x4
-texels of finite, non-negative radiance. `Scene.camera_at` checks the
-camera at the frame it is asked for, and a scene is built only if its
-camera passes at every keyframe.
+`frames.MAX_OBJECT_ID`. One reader, `_build_env`, reads every env map
+field by its path, a field not given taking its kind's default
+(`_ENV_DEFAULTS`, the one place each default is stated). A built map may
+have at most 2^20 texels, checked once, after its fields and before it is
+allocated, and every env map must be at least 8x4 texels of finite,
+non-negative radiance.
+
+`Scene.camera_at(frame)` owns the frame range: at or past the document's
+optional `frame_count` it raises `frame {f} beyond scene animation length
+{n}`, and elsewhere it returns the camera at that frame or raises where the
+view has no basis. Whatever renders, shades or projects a frame asks it for
+the camera, so each such caller gets both checks. A scene is built only if
+its camera has a basis at every keyframe, including one past `frame_count`.
 
 Four presets mirror the usual test structure for this kind of denoiser:
 `cubes-distance` (roughness-graded reflectors), `shadow-objects` (floating
@@ -33,7 +41,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .envmap import latlong_directions
 from .frames import MAX_OBJECT_ID
+from .pfm import read_pfm
 from .stencil import normalize
 
 
@@ -188,6 +198,13 @@ class Scene:
     raw: dict = None
 
     def camera_at(self, frame: float):
+        """The camera's basis at `frame` (`_basis`); raises at or past the
+        scene's `frame_count`, a frame of no animation."""
+        if self.frame_count is not None and frame >= self.frame_count:
+            raise ValueError(f"frame {frame} beyond scene animation length {self.frame_count}")
+        return self._basis(frame)
+
+    def _basis(self, frame: float):
         """The camera's basis at `frame`: (position, forward, right, up,
         tan(vfov / 2)), the three directions unit vectors. Raises naming
         `camera.look_at` or `camera.up` and the frame where the view has no
@@ -210,25 +227,16 @@ class Scene:
 # environment maps
 
 _ENV_TEXELS = 1 << 20  # the most texels a built map may have
+# the fields of each built kind of map, at their defaults
+_ENV_DEFAULTS = {
+    "constant": {"width": 16, "height": 8, "value": (0.5, 0.5, 0.5)},
+    "gradient": {"width": 32, "height": 16, "scale": 1.0, "sun_cos": 0.985,
+                 "sun_intensity": (24.0, 22.0, 18.0), "sun_dir": (0.4, 0.65, -0.3)},
+}
 
 
-def _check_env_size(width: int, height: int) -> None:
-    if width * height > _ENV_TEXELS:  # before the map is allocated
-        raise ValueError(f"env map {width}x{height} has more than {_ENV_TEXELS} texels")
-
-
-def env_constant(value=(0.5, 0.5, 0.5), width=16, height=8) -> np.ndarray:
-    _check_env_size(width, height)
-    return np.broadcast_to(np.asarray(value, dtype=np.float64),
-                           (height, width, 3)).copy()
-
-
-def env_gradient_sky(width=32, height=16, scale=1.0, sun_dir=(0.4, 0.65, -0.3),
-                     sun_intensity=(24.0, 22.0, 18.0), sun_cos=0.985) -> np.ndarray:
+def _gradient_sky(width, height, scale, sun_cos, sun_intensity, sun_dir) -> np.ndarray:
     """Zenith-to-horizon gradient with a dark lower hemisphere and a sun blob."""
-    from .envmap import latlong_directions
-
-    _check_env_size(width, height)
     dirs = latlong_directions(width, height)
     up = dirs[:, :, 1]
     zenith = np.array([0.25, 0.45, 0.90]) * scale
@@ -237,17 +245,41 @@ def env_gradient_sky(width=32, height=16, scale=1.0, sun_dir=(0.4, 0.65, -0.3),
     t = np.clip(up, 0.0, 1.0)[..., None]
     sky = horizon * (1 - t) + zenith * t
     img = np.where(up[..., None] >= 0.0, sky, below)
-    sd = np.asarray(sun_dir, dtype=np.float64)
-    sd = sd / np.linalg.norm(sd)
-    cos = dirs @ sd
-    img = img + (cos[..., None] > sun_cos) * np.asarray(sun_intensity)
-    return img
+    cos = dirs @ (sun_dir / np.linalg.norm(sun_dir))
+    return img + (cos[..., None] > sun_cos) * sun_intensity
 
 
 def _build_env(spec: dict) -> np.ndarray:
     """The map of an `env` document, of any kind: at least 8x4 texels of
-    finite, non-negative radiance."""
-    env = _env_map(spec)
+    finite, non-negative radiance. Each field is read by its path, a field
+    not given takes its kind's default (`_ENV_DEFAULTS`), and a built map's
+    size is checked against the cap before it is allocated."""
+    kind = spec.get("kind", "gradient")
+    if kind == "file":
+        env = read_pfm(_field(spec, "path", "env.path", *_PATH)).astype(np.float64)
+        if env.ndim == 2:
+            env = np.repeat(env[:, :, None], 3, axis=2)
+    elif kind not in tuple(_ENV_DEFAULTS):  # a list or a dict as well
+        raise ValueError(f"unknown env map kind {kind!r}")
+    else:
+        doc = {**_ENV_DEFAULTS[kind], **spec}
+        width, height = (_field(doc, k, f"env.{k}", *_POSITIVE) for k in ("width", "height"))
+        if kind == "constant":  # one radiance for all three channels, or three
+            value = doc["value"]
+            value = (_vec3(value, "env.value", True) if isinstance(value, (list, tuple))
+                     else _number(value, "env.value", *_NONNEGATIVE))
+        else:
+            scale = _number(doc["scale"], "env.scale", *_NONNEGATIVE)
+            sun_cos = _number(doc["sun_cos"], "env.sun_cos", math.isfinite, "is not finite")
+            # an inf would be masked to NaN off the sun
+            sun_intensity = _vec3(doc["sun_intensity"], "env.sun_intensity", True)
+            sun_dir = _vec3(doc["sun_dir"], "env.sun_dir")
+            if not sun_dir.any():
+                raise ValueError(f"env.sun_dir {doc['sun_dir']!r} is the zero vector")
+        if width * height > _ENV_TEXELS:
+            raise ValueError(f"env map {width}x{height} has more than {_ENV_TEXELS} texels")
+        env = (np.broadcast_to(value, (height, width, 3)).copy() if kind == "constant"
+               else _gradient_sky(width, height, scale, sun_cos, sun_intensity, sun_dir))
     if env.shape[0] < 4 or env.shape[1] < 8:
         raise ValueError("env map must be at least 8x4")
     bad = ~((env >= 0) & (env < math.inf)).all(axis=2)  # NaN too
@@ -255,38 +287,6 @@ def _build_env(spec: dict) -> np.ndarray:
         y, x = np.argwhere(bad)[0]
         raise ValueError(f"env radiance at texel ({x}, {y}) is not finite and >= 0")
     return env
-
-
-def _env_map(spec: dict) -> np.ndarray:
-    """The map of an `env` document, unchecked; each field given is read by
-    its path."""
-    kind = spec.get("kind", "gradient")
-    if kind == "file":
-        from .pfm import read_pfm
-        arr = read_pfm(_field(spec, "path", "env.path", *_PATH)).astype(np.float64)
-        if arr.ndim == 2:
-            arr = np.repeat(arr[:, :, None], 3, axis=2)
-        return arr
-    if kind not in ("constant", "gradient"):
-        raise ValueError(f"unknown env map kind {kind!r}")
-    args = {k: _field(spec, k, f"env.{k}", *_POSITIVE) for k in ("width", "height") if k in spec}
-    if kind == "constant":
-        if "value" in spec:  # one radiance for all three channels, or three
-            value = spec["value"]
-            args["value"] = (_vec3(value, "env.value", True) if isinstance(value, (list, tuple))
-                             else _number(value, "env.value", *_NONNEGATIVE))
-        return env_constant(**args)
-    if "scale" in spec:
-        args["scale"] = _number(spec["scale"], "env.scale", *_NONNEGATIVE)
-    if "sun_cos" in spec:
-        args["sun_cos"] = _number(spec["sun_cos"], "env.sun_cos", math.isfinite, "is not finite")
-    if "sun_intensity" in spec:  # an inf would be masked to NaN off the sun
-        args["sun_intensity"] = _vec3(spec["sun_intensity"], "env.sun_intensity", True)
-    if "sun_dir" in spec:
-        args["sun_dir"] = _vec3(spec["sun_dir"], "env.sun_dir")
-        if not args["sun_dir"].any():
-            raise ValueError(f"env.sun_dir {spec['sun_dir']!r} is the zero vector")
-    return env_gradient_sky(**args)
 
 
 # ---------------------------------------------------------------------------
@@ -374,7 +374,7 @@ def scene_from_dict(doc: dict) -> Scene:
         raw=doc,
     )
     for f in sorted({f for f, _v in scene.camera_pos + scene.camera_look}):
-        scene.camera_at(f)
+        scene._basis(f)  # a keyframe may lie past the animation
     return scene
 
 

@@ -99,6 +99,16 @@ def test_error_paths_nonzero_exit(tmp_path, capsys):
     assert main(["eval", "--a", str(tmp_path / "a"), "--b", str(tmp_path / "b")]) == 1
 
 
+def test_synth_rejects_a_seed_past_the_rng_key_range(workspace, tmp_path, capsys):
+    # 2^63 used to wrap to -2^63 and write that seed's sequence
+    _root, scene, _synth = workspace
+    assert main(["synth", "--scene", str(scene), "--frames", "1", "--seed",
+                 "9223372036854775808", "--out", str(tmp_path / "x")]) == 1
+    assert capsys.readouterr().err == (
+        "error: seed must lie in [-2^63, 2^63), got 9223372036854775808\n")
+    assert not (tmp_path / "x").exists()
+
+
 def test_synth_ibl_rejects_a_map_over_the_prefilter_cap(tmp_path, capsys, monkeypatch):
     # prefiltering takes time quadratic in the texels: a 256x64 map is
     # turned away before any convolution and before any frame is rendered

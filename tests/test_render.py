@@ -1,12 +1,13 @@
 import math
 import re
+import tracemalloc
 import warnings
 from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from rtdenoise import render, rng, scenes
+from rtdenoise import render, rng
 from rtdenoise.envmap import lobe_exponent, prefilter_env, sample_latlong
 from rtdenoise.frames import validate_frame
 from rtdenoise.pfm import write_pfm
@@ -253,6 +254,8 @@ _BAD_SCENE_MESSAGES = {
     "env 4x4": (_set(("env",), {"kind": "constant", "value": 0.5, "width": 4, "height": 4}),
                 "env map must be at least 8x4"),
     "env kind": (_set(("env",), {"kind": "cube"}), "unknown env map kind 'cube'"),
+    # no key of the kinds' defaults, and unhashable
+    "env kind []": (_set(("env",), {"kind": []}), "unknown env map kind []"),
     # 16 texels over the cap: were it not checked, the map would take ~25 MB
     **{f"env {kind} over the cap": (_set(("env",), {"kind": kind, "width": 65537, "height": 16}),
                                     "env map 65537x16 has more than 1048576 texels")
@@ -264,9 +267,21 @@ _BAD_SCENE_MESSAGES = {
 
 @pytest.mark.parametrize("width,height", [(1025, 1024), (10**9, 16), (1, 2**20 + 1)])
 def test_env_size_over_the_cap_is_rejected_by_the_check_alone(width, height):
-    scenes._check_env_size(1024, 1024)  # 2^20 texels pass
-    with pytest.raises(ValueError, match=f"^env map {width}x{height} has more than 1048576 "):
-        scenes._check_env_size(width, height)
+    doc = preset_scene("shadow-objects", width=16, height=16)
+    for kind in ("constant", "gradient"):
+        doc["env"] = {"kind": kind, "width": 1024, "height": 1024}
+        assert scene_from_dict(doc).env.shape == (1024, 1024, 3)  # 2^20 texels pass
+        doc["env"].update(width=width, height=height)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError,
+                               match=f"^env map {width}x{height} has more than 1048576 "):
+                scene_from_dict(doc)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # raised before the map is allocated: one of 1025x1024 texels is 24 MiB
+        assert peak < 1 << 20, (kind, peak)
 
 
 @pytest.mark.parametrize("case", list(_BAD_SCENE_MESSAGES))
@@ -498,6 +513,50 @@ def test_render_frame_rejects_a_seed_that_is_no_int(monkeypatch, seed):
     with pytest.raises(ValueError, match="^" + re.escape(
             f"seed must be an integer, got {seed!r}") + "$"):
         render_frame(_scene(width=8, height=8), 0, spp=1, seed=seed)
+
+
+@pytest.mark.parametrize("index", [{"seed": -2**63}, {"seed": 2**63 - 1},
+                                   {"frame_index": 2**63 - 1}, {"sample_offset": 2**63 - 1}])
+def test_render_frame_takes_each_end_of_the_rng_key_range(index):
+    args = {"frame_index": 0, "spp": 1, "seed": 0, **index}
+    _gbuf, shadow, spec = render_frame(_scene(width=8, height=8), **args)
+    assert np.isfinite(shadow.data).all() and np.isfinite(spec.data).all()
+
+
+# (arguments of `render_frame` past the RNG's int64 keys, the whole message):
+# a seed of 2^63 used to wrap to -2^63 and render that seed's frame bit for
+# bit, and a key of 2^64 to end in a bare OverflowError
+_PAST_THE_KEY_RANGE = {
+    "seed 2^63": ({"seed": 2**63},
+                  "seed must lie in [-2^63, 2^63), got 9223372036854775808"),
+    "seed 2^64": ({"seed": 2**64},
+                  "seed must lie in [-2^63, 2^63), got 18446744073709551616"),
+    "seed -2^63 - 1": ({"seed": -2**63 - 1},
+                       "seed must lie in [-2^63, 2^63), got -9223372036854775809"),
+    "frame_index 2^63": ({"frame_index": 2**63},
+                         "frame_index must be below 2^63, got 9223372036854775808"),
+    "frame_index 2^64": ({"frame_index": 2**64},
+                         "frame_index must be below 2^63, got 18446744073709551616"),
+    "sample_offset 2^64": ({"sample_offset": 2**64},
+                           "sample_offset + spp - 1 must be below 2^63, got "
+                           "18446744073709551616"),
+    "last sample 2^63": ({"sample_offset": 2**63 - 1, "spp": 2},
+                         "sample_offset + spp - 1 must be below 2^63, got "
+                         "9223372036854775808"),
+    "numpy last sample 2^63": ({"sample_offset": np.int64(2**63 - 1), "spp": np.int64(2)},
+                               "sample_offset + spp - 1 must be below 2^63, got "
+                               "9223372036854775808"),
+}
+
+
+@pytest.mark.parametrize("case", list(_PAST_THE_KEY_RANGE))
+def test_render_frame_rejects_a_key_past_the_rng_range_before_any_work(monkeypatch, case):
+    edit, message = _PAST_THE_KEY_RANGE[case]
+    monkeypatch.setattr(render, "trace_nearest", None)  # nothing may be traced
+    monkeypatch.setattr(render, "camera_rays", None)
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+        render_frame(_scene(width=8, height=8), **{"frame_index": 0, "spp": 1, "seed": 0,
+                                                   **edit})
 
 
 # ---------------------------------------------------------------------------
