@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass, field, fields
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -211,20 +212,104 @@ class FrameSequence:
         return GBufferFrame(**{f.name: frame[f.name] for f in fields(GBufferFrame)})
 
 
-def _first_bad_pixel(mask: np.ndarray) -> tuple:
-    ys, xs = np.nonzero(mask)
-    return int(xs[0]), int(ys[0])
+class _Bound(NamedTuple):
+    """A value rule: each value of `channel` that the rule binds lies in
+    [`lo`, `hi`], an open end excluding its value. It `binds` "every" value,
+    every value on "geometry", the "finite" values or the "numbers" (all but
+    NaN), so a NaN breaks the first two kinds; a value it leaves unbound is
+    another rule's to report. `what` names a bad value in the message."""
+
+    channel: str
+    what: str
+    lo: float
+    hi: float
+    open_lo: bool = False
+    open_hi: bool = False
+    binds: str = "numbers"
+
+
+def _within(b: _Bound, lo, hi):
+    """Whether `lo` clears `b`'s lower end and `hi` its upper end: given two
+    planes, per pixel; given a plane's least and greatest value, for all of
+    it. A NaN clears neither."""
+    return ((lo > b.lo if b.open_lo else lo >= b.lo)
+            & (hi < b.hi if b.open_hi else hi <= b.hi))
+
+
+def _extremes(a: np.ndarray, where=True):
+    """`a`'s least and greatest value at `where`: both are NaN if one there
+    is (min and max propagate it), and over no value the dtype's ends as
+    (greatest, least), which clear every bound. None for a dtype that is no
+    float, integer or bool."""
+    kind = a.dtype.kind
+    if kind == "f":
+        top, bottom = np.inf, -np.inf
+    elif kind in "iu":
+        top, bottom = np.iinfo(a.dtype).max, np.iinfo(a.dtype).min
+    elif kind == "b":
+        top, bottom = True, False
+    else:
+        return None
+    return a.min(where=where, initial=top), a.max(where=where, initial=bottom)
+
+
+# which of a plane's values a bound binds, given the plane and the geometry
+_BINDS = {"every": lambda a, fg: True, "geometry": lambda a, fg: fg,
+          "finite": lambda a, fg: np.isfinite(a), "numbers": lambda a, fg: ~np.isnan(a)}
+
+
+def _bad_pixels(b: _Bound, a: np.ndarray, fg, ends) -> np.ndarray | None:
+    """The (H, W) mask of pixels where `a` breaks `b`, or None where `ends`,
+    the `_extremes` of the values `b` binds or of more, show that none does:
+    only a failed reduction pays for the per-pixel mask."""
+    if ends is not None and _within(b, *ends):
+        return None
+    bad = _BINDS[b.binds](a, fg) & ~_within(b, a, a)
+    return bad.reshape(a.shape[0], a.shape[1], -1).any(axis=2)
+
+
+def _first_bad_pixel(bad: np.ndarray) -> tuple:
+    """(x, y) of the first True pixel in row-major order, or None."""
+    if bad is None or not bad.any():
+        return None
+    y, x = np.unravel_index(np.argmax(bad), bad.shape)
+    return int(x), int(y)
+
+
+# a unit normal, |n| within 1e-4 of 1, is |n|^2 in [(1 - 1e-4)^2, (1 + 1e-4)^2]
+# = [1 - 1.9999e-4, 1 + 2.0001e-4]. Summed in float32, the three squares are
+# within gamma_3 * |n|^2 of the exact |n|^2 (gamma_3 = 3u / (1 - 3u) ~ 1.8e-7
+# for u = 2^-24; less in float64), and rounding 1 -+ 1.9e-4 to float32 moves
+# it by at most 6e-8. So a squared length within 1.9e-4 of 1, this bound, is
+# a unit normal by the float64 rule; one outside is left to that rule.
+_UNIT_SQUARED = _Bound("normal", "not unit length", 1 - 1.9e-4, 1 + 1.9e-4, binds="geometry")
+
+# every channel's value rule, in the order its messages come
+_BOUNDS = (
+    _Bound("depth", "not positive and finite on geometry", 0, math.inf, True, True, "geometry"),
+    _Bound("object_id", "negative", 0, math.inf),
+    _Bound("object_id", f"above {MAX_OBJECT_ID}", -math.inf, MAX_OBJECT_ID),
+    _Bound("roughness", "outside [0, 1]", 0, 1),
+    _Bound("shadow_1spp", "outside [0, 1]", 0, 1, binds="finite"),
+    _Bound("specular_1spp", "negative", 0, math.inf, binds="finite"),
+)
 
 
 def validate_frame(frame: dict, width: int, height: int) -> list:
     """Collect every violated frame invariant; an empty list means valid.
 
     Never raises: a violation is reported as one message naming the channel
-    and, for a bad value, an example pixel. Value rules apply only to
-    channels of the right shape.
+    and, for a bad value, an example pixel: the first in row-major order.
+    Value rules apply only to channels of the right shape. Each value rule
+    is a bound on its channel (`_Bound`), decided from the plane's min and
+    max (over the geometry for a rule on it); only a bound that fails, or a
+    plane those cannot decide, builds the per-pixel mask that names the
+    pixel. NaN propagates through both reductions, so it always takes the
+    mask. A normal is first held to its squared length in its own float
+    type (`_UNIT_SQUARED`), and only on failure to the float64 rule.
     """
     violations = []
-    shaped = {}
+    shaped, ends = {}, {}
     for name, arr in frame.items():
         arity = CHANNELS.get(name)
         if arity is None:  # a channel outside the table: any arity, the frame's size
@@ -234,13 +319,12 @@ def validate_frame(frame: dict, width: int, height: int) -> list:
         if got != want:
             violations.append(f"channel '{name}' has shape {arr.shape}, expected {want}")
             continue
-        shaped[name] = arr
-        bad = ~np.isfinite(arr)
-        if name == "depth":
-            bad = bad & ~np.isposinf(arr)  # +inf marks background misses
-        if np.any(bad):
-            x, y = _first_bad_pixel(bad.reshape(height, width, -1).any(axis=2))
-            violations.append(f"non-finite value in channel '{name}' at pixel ({x}, {y})")
+        shaped[name], ends[name] = arr, _extremes(arr)
+        # every value is finite, but +inf marks a background depth
+        finite = _Bound(name, "non-finite", -math.inf, math.inf, True, name != "depth", "every")
+        bad = _first_bad_pixel(_bad_pixels(finite, arr, fg=None, ends=ends[name]))
+        if bad:
+            violations.append(f"non-finite value in channel '{name}' at pixel {bad}")
 
     oid = shaped.get("object_id")
     fg = np.zeros((height, width), dtype=bool)  # without ids, no pixel is geometry
@@ -252,29 +336,24 @@ def validate_frame(frame: dict, width: int, height: int) -> list:
 
     normal = shaped.get("normal")
     if normal is not None:
-        n = normal.astype(np.float64)
-        norms = np.sqrt(dot3(n, n))
-        bad = fg & (np.abs(norms - 1.0) > 1e-4)
-        if np.any(bad):
-            x, y = _first_bad_pixel(bad)
-            violations.append(
-                f"channel 'normal' not unit length at pixel ({x}, {y}): |n| = {norms[y, x]:.6f}")
+        n = normal.astype(np.promote_types(normal.dtype, np.float32), copy=False)
+        squared = _extremes(dot3(n, n), fg)
+        if squared is None or not _within(_UNIT_SQUARED, *squared):
+            n = normal.astype(np.float64)
+            norms = np.sqrt(dot3(n, n))
+            bad = _first_bad_pixel(fg & (np.abs(norms - 1.0) > 1e-4))
+            if bad:
+                x, y = bad
+                violations.append(f"channel 'normal' not unit length at pixel {bad}: "
+                                  f"|n| = {norms[y, x]:.6f}")
 
-    # channel, what its bad values are, and its bad pixels
-    ranges = (("depth", "not positive and finite on geometry",
-               lambda a: fg & ~((a > 0) & (a < np.inf))),
-              ("object_id", "negative", lambda a: a < 0),
-              ("object_id", f"above {MAX_OBJECT_ID}", lambda a: a > MAX_OBJECT_ID),
-              ("roughness", "outside [0, 1]", lambda a: (a < 0) | (a > 1)),
-              ("shadow_1spp", "outside [0, 1]", lambda a: np.isfinite(a) & ((a < 0) | (a > 1))),
-              ("specular_1spp", "negative", lambda a: (np.isfinite(a) & (a < 0)).any(axis=2)))
-    for name, what, bad_at in ranges:
-        arr = shaped.get(name)
+    for b in _BOUNDS:
+        arr = shaped.get(b.channel)
         if arr is None:
             continue
-        bad = bad_at(arr)
-        if np.any(bad):
-            x, y = _first_bad_pixel(bad)
-            violations.append(f"channel '{name}' {what} at pixel ({x}, {y})")
+        on = _extremes(arr, fg) if b.binds == "geometry" else ends[b.channel]
+        bad = _first_bad_pixel(_bad_pixels(b, arr, fg, on))
+        if bad:
+            violations.append(f"channel '{b.channel}' {b.what} at pixel {bad}")
 
     return violations

@@ -22,7 +22,7 @@ from dataclasses import fields
 
 import numpy as np
 
-from . import compose, metrics, render, spatial, temporal, tonemap
+from . import compose, metrics, render, rng, spatial, temporal, tonemap
 from .envmap import prefilter_env
 from .frames import ChannelKind, DenoiseConfig, FrameSequence, GBufferFrame
 from .scenes import Scene, scene_from_dict
@@ -190,10 +190,16 @@ def synthesize_sequence(scene: Scene, frames: int, spp: int, seed: int,
     """Render a sequence of G-buffers and noisy channels (plus references).
     A count that is no int >= 1 and a seed that is no int in [-2^63, 2^63)
     (`render.check_counts`) are rejected before any frame is rendered. So is
-    a frame at or past the scene's `frame_count` or whose camera has no view
-    basis: `Scene.camera_at` is asked for every frame first."""
+    a reference whose last sample index, `spp + reference_spp - 1`, is 2^63
+    or more, as the RNG keys on it, and a frame at or past the scene's
+    `frame_count` or whose camera has no view basis: `Scene.camera_at` is
+    asked for every frame first."""
     render.check_counts(seed, frames=frames, spp=spp,
                         **({"reference_spp": reference_spp} if reference else {}))
+    # summed as Python ints, which cannot overflow
+    if reference and int(spp) + int(reference_spp) - 1 >= rng.KEY_LIMIT:
+        raise ValueError("the reference's last sample index spp + reference_spp - 1 must be "
+                         f"below 2^63, got spp {spp} and reference_spp {reference_spp}")
     for f in range(frames):
         scene.camera_at(f)
     prefiltered = prefilter_env(scene.env, ENV_LEVELS) if ibl_secondary else None

@@ -56,22 +56,33 @@ def _to_disk(name: str, arr: np.ndarray) -> np.ndarray:
 
 
 def _from_disk(name: str, arr: np.ndarray, frame: int) -> np.ndarray:
+    """The in-memory form of a channel read from disk: motion drops its
+    padding component, and an object id plane becomes int32 once its min
+    and max lie in [0, MAX_OBJECT_ID] (a NaN fails both) and the cast gives
+    every value back. Only a plane that fails builds the per-pixel mask
+    that names its first bad pixel in the `SequenceError`."""
     if name == "motion":
         return arr[:, :, :2].copy()
     if name == "object_id":
+        if 0 <= arr.min() and arr.max() <= MAX_OBJECT_ID:
+            ids = arr.astype(np.int32)
+            if np.array_equal(ids, arr):
+                return ids
         # NaN fails every comparison; what passes casts to int32 exactly
         bad = ~((arr >= 0) & (arr <= MAX_OBJECT_ID) & (np.floor(arr) == arr))
-        if np.any(bad):
-            y, x = np.argwhere(bad)[0]
-            raise SequenceError(f"channel 'object_id' of frame {frame} holds {arr[y, x]} at "
-                                f"pixel ({x}, {y}), expected an integer in "
-                                f"[0, {MAX_OBJECT_ID}]")
-        return arr.astype(np.int32)
+        y, x = np.argwhere(bad)[0]
+        raise SequenceError(f"channel 'object_id' of frame {frame} holds {arr[y, x]} at "
+                            f"pixel ({x}, {y}), expected an integer in "
+                            f"[0, {MAX_OBJECT_ID}]")
     return arr
 
 
 def check_sequence(seq: FrameSequence) -> None:
-    """Re-validate a sequence against the frame/-manifest invariants; raises."""
+    """Re-validate a sequence against the frame/-manifest invariants; raises
+    a `SequenceError` naming the first frame that breaks one, with every
+    message `validate_frame` gives it. `validate_frame` decides each value
+    rule from the plane's min and max, and builds the rule's per-pixel mask
+    only to name a bad pixel."""
     _check_manifest(seq.manifest, _SHAPE_KEYS, "sequence manifest")
     if not seq.frames:
         raise SequenceError("empty sequence")
@@ -106,7 +117,10 @@ def save_sequence(seq: FrameSequence, path) -> None:
 
 
 def load_sequence(path) -> FrameSequence:
-    """Load and re-validate a sequence directory; float payloads are bit-exact."""
+    """Load and re-validate a sequence directory; float payloads are bit-exact.
+    Each object id plane is checked as it is cast (`_from_disk`), then the
+    whole sequence by `check_sequence`. Both decide from plane reductions
+    and build a per-pixel mask only to name a bad pixel."""
     root = Path(path)
     manifest_path = root / "manifest.json"
     if not manifest_path.exists():

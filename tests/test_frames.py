@@ -4,8 +4,10 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from rtdenoise.frames import DenoiseConfig, FrameSequence, validate_frame
+from rtdenoise.frames import (CHANNELS, MAX_OBJECT_ID, DenoiseConfig, FrameSequence,
+                              validate_frame)
 from rtdenoise.pfm import write_pfm
 from rtdenoise.pipeline import run_pipeline, synthesize_sequence
 from rtdenoise.scenes import preset_scene, scene_from_dict
@@ -340,3 +342,172 @@ def test_config_validation():
             DenoiseConfig(**{name: bad})
         with pytest.raises(ValueError, match=name):
             DenoiseConfig.from_dict({name: bad})
+
+
+def _mask_oracle(frame: dict, width: int, height: int) -> list:
+    """`validate_frame` as a per-pixel mask for every rule, on every frame:
+    the reference the reduction-first checks must agree with, message for
+    message and in order."""
+    def first_bad_pixel(mask):
+        ys, xs = np.nonzero(mask)
+        return int(xs[0]), int(ys[0])
+
+    violations = []
+    shaped = {}
+    for name, arr in frame.items():
+        arity = CHANNELS.get(name)
+        if arity is None:
+            got, want = arr.shape[:2], (height, width)
+        else:
+            got, want = arr.shape, (height, width) if arity == 1 else (height, width, arity)
+        if got != want:
+            violations.append(f"channel '{name}' has shape {arr.shape}, expected {want}")
+            continue
+        shaped[name] = arr
+        bad = ~np.isfinite(arr)
+        if name == "depth":
+            bad = bad & ~np.isposinf(arr)
+        if np.any(bad):
+            x, y = first_bad_pixel(bad.reshape(height, width, -1).any(axis=2))
+            violations.append(f"non-finite value in channel '{name}' at pixel ({x}, {y})")
+
+    oid = shaped.get("object_id")
+    fg = np.zeros((height, width), dtype=bool)
+    if oid is not None:
+        if not np.issubdtype(oid.dtype, np.integer):
+            violations.append(f"channel 'object_id' has dtype {oid.dtype}, "
+                              "expected an integer type")
+        fg = oid != 0
+
+    normal = shaped.get("normal")
+    if normal is not None:
+        n = normal.astype(np.float64)
+        norms = np.sqrt(np.sum(n * n, axis=-1))
+        bad = fg & (np.abs(norms - 1.0) > 1e-4)
+        if np.any(bad):
+            x, y = first_bad_pixel(bad)
+            violations.append(
+                f"channel 'normal' not unit length at pixel ({x}, {y}): |n| = {norms[y, x]:.6f}")
+
+    ranges = (("depth", "not positive and finite on geometry",
+               lambda a: fg & ~((a > 0) & (a < np.inf))),
+              ("object_id", "negative", lambda a: a < 0),
+              ("object_id", f"above {MAX_OBJECT_ID}", lambda a: a > MAX_OBJECT_ID),
+              ("roughness", "outside [0, 1]", lambda a: (a < 0) | (a > 1)),
+              ("shadow_1spp", "outside [0, 1]", lambda a: np.isfinite(a) & ((a < 0) | (a > 1))),
+              ("specular_1spp", "negative", lambda a: (np.isfinite(a) & (a < 0)).any(axis=2)))
+    for name, what, bad_at in ranges:
+        arr = shaped.get(name)
+        if arr is None:
+            continue
+        bad = bad_at(arr)
+        if np.any(bad):
+            x, y = first_bad_pixel(bad)
+            violations.append(f"channel '{name}' {what} at pixel ({x}, {y})")
+    return violations
+
+
+def _random_frame(rng, h, w):
+    """A valid frame as the renderer makes one, with a channel outside the
+    table: background pixels of id 0 and +inf depth, unit normals on the
+    geometry, and the ranged channels' own ends among their values."""
+    fg = rng.random((h, w)) < 0.7
+    normal = rng.normal(size=(h, w, 3))
+    normal /= np.linalg.norm(normal, axis=-1, keepdims=True)
+    frame = {
+        "depth": np.where(fg, rng.uniform(0.1, 20.0, (h, w)), np.inf),
+        "normal": normal * fg[..., None],
+        "motion": rng.normal(0.0, 3.0, (h, w, 2)),
+        "object_id": np.where(fg, rng.integers(1, 6, (h, w)), 0).astype(np.int32),
+        "albedo": rng.random((h, w, 3)),
+        "roughness": rng.choice([0.0, 0.3, 1.0], (h, w)),
+        "emissive": rng.exponential(size=(h, w, 3)),
+        "shadow_1spp": rng.choice([0.0, 0.5, 1.0], (h, w)),
+        "specular_1spp": rng.exponential(size=(h, w, 3)) * (rng.random((h, w, 3)) < 0.8),
+        "shadow_ref": rng.random((h, w)),
+        "reference": rng.random((h, w, 3)),
+        "mask": rng.random((h, w, 2)),
+    }
+    return {k: v if k == "object_id" else v.astype(np.float32) for k, v in frame.items()}
+
+
+# per channel, values that break its own rule, beside NaN and +-inf
+_OUT_OF_RANGE = {
+    "depth": [0.0, -1.0, -0.0],
+    "roughness": [-0.25, 1.5],
+    "shadow_1spp": [-0.25, 1.0000001],
+    "specular_1spp": [-0.25, -1e-30],
+}
+# factors on a normal's length, on both sides of the 1e-4 tolerance and of
+# the fast test's 1.9e-4 margin on its square
+_NORMAL_SCALES = [0.0, 0.5, 1 - 1.2e-4, 1 - 1e-4 - 1e-6, 1 - 1e-4 + 1e-6, 1 - 0.9e-4,
+                  1 + 0.9e-4, 1 + 1e-4 - 1e-6, 1 + 1e-4 + 1e-6, 1 + 1.2e-4, 2.0]
+
+
+@settings(deadline=None, max_examples=300)
+@given(seed=st.integers(0, 2**32 - 1), h=st.integers(1, 5), w=st.integers(1, 5),
+       float_ids=st.booleans(), data=st.data())
+def test_validate_frame_reports_what_the_per_pixel_masks_report(seed, h, w, float_ids, data):
+    frame = _random_frame(np.random.default_rng(seed), h, w)
+    pixel = st.tuples(st.integers(0, h - 1), st.integers(0, w - 1))
+    for _ in range(data.draw(st.integers(0, 4), label="faults")):
+        name = data.draw(st.sampled_from(sorted(frame)), label="channel")
+        arr = frame[name]
+        y, x = data.draw(pixel, label="pixel")
+        if name == "object_id":
+            arr[y, x] = data.draw(st.sampled_from([0, 3, -3, MAX_OBJECT_ID, MAX_OBJECT_ID + 1]))
+        elif name == "normal" and data.draw(st.booleans(), label="rescale"):
+            arr[y, x] *= np.float32(data.draw(st.sampled_from(_NORMAL_SCALES), label="scale"))
+        else:
+            at = (y, x) if arr.ndim == 2 else (y, x, data.draw(st.integers(0, arr.shape[2] - 1)))
+            arr[at] = data.draw(st.sampled_from(
+                [np.nan, np.inf, -np.inf, *_OUT_OF_RANGE.get(name, [])]), label="value")
+    if float_ids:
+        frame["object_id"] = frame["object_id"].astype(np.float32)
+    assert validate_frame(frame, w, h) == _mask_oracle(frame, w, h)
+
+
+def _one_normal(n):
+    frame = _tiny_frame()
+    frame["normal"][2, 1] = n
+    return frame
+
+
+@pytest.mark.parametrize("direction", [(0.0, 1.0, 0.0), (0.6, 0.0, -0.8), (0.48, 0.6, 0.64)])
+@pytest.mark.parametrize("side", [1, -1])
+def test_normal_length_tolerance_is_the_float64_one(direction, side):
+    # just inside |n| - 1 = +-1e-4 the squared length misses the fast test's
+    # margin, so the float64 rule decides; just outside it fails
+    delta = 1e-6
+    for off, want_ok in ((1e-4 - delta, True), (1e-4 + delta, False)):
+        n = (np.array(direction) * (1 + side * off)).astype(np.float32)
+        length = np.sqrt(np.sum(n.astype(np.float64) ** 2))
+        assert abs(side * (length - 1) - off) < delta / 4  # float32 rounding moved it little
+        out = validate_frame(_one_normal(n), 4, 4)
+        assert out == ([] if want_ok else [
+            f"channel 'normal' not unit length at pixel (1, 2): |n| = {length:.6f}"])
+
+
+def test_nan_roughness_is_only_non_finite():
+    frame = _tiny_frame()
+    frame["roughness"][1, 3] = np.nan
+    nonfinite = "non-finite value in channel 'roughness' at pixel (3, 1)"
+    assert validate_frame(frame, 4, 4) == [nonfinite]
+    frame["roughness"][1, 3] = np.inf  # +inf is both
+    assert validate_frame(frame, 4, 4) == [nonfinite,
+                                           "channel 'roughness' outside [0, 1] at pixel (3, 1)"]
+
+
+def test_synthesized_sequence_round_trips_every_channel_bytes_and_dtype(tmp_path):
+    scene = scene_from_dict(preset_scene("shadow-objects", width=48, height=48))
+    seq = synthesize_sequence(scene, frames=2, spp=1, seed=7, reference=True, reference_spp=2)
+    save_sequence(seq, tmp_path / "seq")
+    back = load_sequence(tmp_path / "seq")
+    assert back.channels == seq.channels
+    assert back.frames[0]["object_id"].dtype == np.int32
+    assert back.frames[0]["motion"].shape == (48, 48, 2)
+    for want, got in zip(seq.frames, back.frames, strict=True):
+        for name in seq.channels:
+            assert got[name].dtype == want[name].dtype, name
+            assert got[name].shape == want[name].shape, name
+            assert got[name].tobytes() == want[name].tobytes(), name

@@ -129,6 +129,38 @@ def test_synthesize_sequence_rejects_frames_past_the_animation_before_rendering(
     assert calls == []
 
 
+class _Rendered(Exception):
+    """Raised by a stand-in `render_frame`: the checks let the first render start."""
+
+
+@pytest.mark.parametrize("spp,reference_spp,rejected", [
+    (2, 2**63 - 1, True), (1, 2**63, True), (1, 2**63 - 1, False), (2**62, 2**62, False)])
+def test_synthesize_sequence_checks_the_reference_sample_range_before_rendering(
+        monkeypatch, spp, reference_spp, rejected):
+    # the reference's samples follow the input's, so its last index is
+    # spp + reference_spp - 1; it used to be checked only in the reference's
+    # own render, after frame 0's input had rendered, naming neither count
+    scene = scene_from_dict(preset_scene("shadow-objects", width=8, height=8))
+    calls = []
+
+    def render_frame(*args, **kwargs):
+        calls.append(args)
+        raise _Rendered
+
+    monkeypatch.setattr(render, "render_frame", render_frame)
+    args = {"frames": 1, "spp": spp, "seed": 0, "reference": True, "reference_spp": reference_spp}
+    if rejected:
+        with pytest.raises(ValueError, match="^" + re.escape(
+                "the reference's last sample index spp + reference_spp - 1 must be below 2^63, "
+                f"got spp {spp} and reference_spp {reference_spp}") + "$"):
+            synthesize_sequence(scene, **args)
+        assert calls == []
+    else:
+        with pytest.raises(_Rendered):
+            synthesize_sequence(scene, **args)
+        assert len(calls) == 1
+
+
 def test_run_pipeline_rejects_frames_past_the_animation_before_any_frame(temporal_calls):
     # the manifest's scene says the sequence is shorter than it is
     _scene, seq = _make_seq(w=16, h=16, frames=3, movement="lights-objects")
