@@ -36,14 +36,29 @@ for each tap computes the G-buffer weight w_z * w_n once, then each signal's
 (w_z * w_n) * w_l and sums. That is one signal's product in its own order,
 so a joint iteration gives each signal the bits it gets alone. The tap loop
 runs over row bands of at most `_BAND` pixels, with band-sized scratch
-planes, allocated once per iteration, that stay in a core's L2 cache. A pass
-writes its results straight into the box of each signal's output. Only the
-foreground's bounding box is filtered. That is exact too: every pixel
-outside the box is background, whose result is replaced by its input
-anyway, and its taps weigh 0, so the separable form's vertical pass never
-uses its result. The frame state rejects a foreground pixel whose depth is
-not positive and finite or whose normal is not finite, since its weights
-would turn the frame NaN.
+planes, allocated once per iteration, that stay in a core's L2 cache; it
+allocates nothing band-sized per tap. A pass writes its results straight
+into the box of each signal's output. Only the foreground's bounding box
+is filtered. That is exact too: every pixel outside the box is background,
+whose result is replaced by its input anyway, and its taps weigh 0, so the
+separable form's vertical pass never uses its result. The frame state
+rejects a foreground pixel whose depth is not positive and finite or whose
+normal is not finite, since its weights would turn the frame NaN.
+
+Within a pass every pixel is independent of every other, which is why SVGF
+runs a pass as one GPU dispatch. Where the box holds at least
+`_SPLIT_PIXELS` pixels and the process may run on two CPUs, each level pass
+therefore runs the box's rows as two contiguous halves: the top half on the
+calling thread, the bottom half on a thread started for that pass and joined
+before it returns, each in its own row bands with its own scratch. numpy's
+loops release the GIL, so the halves overlap. The outputs are the serial
+pass's bit for bit, by construction. Each half writes only its own rows of
+the outputs and of the stored weights. Every read is of padded copies made
+before the pass, or of stored weights written by an earlier pass, which was
+joined before this one began; so the separable form's vertical pass reads
+the horizontal results only after both halves have made them. And each
+pixel sums its taps in the same order on either thread. Below that size, or
+on one CPU, the same code runs the box as one half.
 
 Every a-trous call runs through a `FrameState`, built whole from each
 channel's start level and iteration count and the form's passes.
@@ -74,6 +89,8 @@ secondary shading the iteration count itself adapts to roughness.
 
 from __future__ import annotations
 
+import os
+import threading
 from typing import NamedTuple
 
 import numpy as np
@@ -86,6 +103,14 @@ KERNEL_1D = np.array([1.0 / 16, 1.0 / 4, 3.0 / 8, 1.0 / 4, 1.0 / 16])
 _OFFSETS = (-2, -1, 0, 1, 2)
 _EPSILON = 1e-8  # keeps the depth and luminance stops finite at zero spread
 _BAND = 32768  # pixels per row band of the tap loop: 256 KB per scratch plane
+# Box pixels from which a level pass runs as two row halves on two CPUs. Split
+# time over serial time of `denoise_frame` on cubes-distance/camera, median of
+# 9 alternations, 2 CPUs (x86-64, numpy 2.4, one BLAS thread), by box pixels:
+# `svgf` 12.8k 1.58, 20k 1.18, 24k 1.06, 29k 0.97, 34k 0.81, 39k 0.76 and
+# 51k 0.70; the separable full stack 12.8k 1.63, 29k 1.06, 34k 0.94 and 51k
+# 0.85. Below ~30k the thread start and the GIL hand-offs cost more than the
+# second CPU gains.
+_SPLIT_PIXELS = 32768
 
 
 def check_level(top, height: int, width: int) -> None:
@@ -94,13 +119,16 @@ def check_level(top, height: int, width: int) -> None:
         raise ValueError(f"a-trous level {top} too large for {width}x{height}")
 
 
-def _geometry_weight(center, tap, dist, cfg, out, tmp):
+def _geometry_weight(center, tap, dist, cfg, out, scratch):
     """The G-buffer half of the edge weight, w_z * w_n, for one tap, written
-    into `out` with `tmp` as scratch. `center` is (depth, sigma_z * |depth|,
-    normal); `tap` is (depth, normal), with +inf depth on the background,
-    whose weight is thus 0 by construction."""
+    into `out`. `center` is (depth, sigma_z * |depth|, normal); `tap` is
+    (depth, normal), with +inf depth on the background, whose weight is thus
+    0 by construction. `scratch` is two float planes and then two bool
+    planes of `out`'s shape, the bool ones free to share the second float
+    plane's bytes, so the call allocates nothing."""
     z_c, sz_c, n_c = center
     z_t, n_t = tap
+    tmp, prod, keep, other = scratch
     np.subtract(z_c, z_t, out=out)
     np.abs(out, out=out)
     # the negated denominator: x / -y == -(x / y) exactly
@@ -108,10 +136,12 @@ def _geometry_weight(center, tap, dist, cfg, out, tmp):
     tmp -= _EPSILON
     out /= tmp
     np.exp(out, out=out)
-    ndot = np.maximum(0.0, dot3(n_c, n_t, out=tmp), out=tmp)
+    ndot = np.maximum(0.0, dot3(n_c, n_t, out=tmp, scratch=prod), out=tmp)
     # 0 and 1 are their own powers for sigma_n > 0; most taps share a plane
     # or face away, so only the rest pay for the pow
-    np.power(ndot, cfg.sigma_n, out=ndot, where=(ndot != 0.0) & (ndot != 1.0))
+    np.not_equal(ndot, 0.0, out=keep)
+    keep &= np.not_equal(ndot, 1.0, out=other)
+    np.power(ndot, cfg.sigma_n, out=ndot, where=keep)
     out *= ndot
     return out
 
@@ -167,28 +197,76 @@ def _pass_member(out, out_var, var, neg_denom, box, reach, with_var) -> _Member:
                    out[box], out_var[box] if with_var else None)
 
 
-def _level_pass(offsets, step, box, geometry, gtaps, members, scratch, cfg, read, write):
+def _level_pass(offsets, step, box, geometry, gtaps, members, halves, cfg, read, write):
     """One pass at one step over the box for `members`, the signals that use
-    this level, in row bands (see the module docstring).
+    this level, as one or two row halves (see the module docstring).
 
     `geometry` is the center's (depth, sigma_z * |depth|, normal) and `gtaps`
-    the padded (depth, normal) planes. `scratch` holds three band-sized
-    planes and, per member, band-sized accumulators of data, weight and
-    squared weight times variance. Each member's mean, and its variance where
+    the padded (depth, normal) planes. `halves` holds one or two (rows,
+    scratch) pairs, contiguous row ranges that cover the box, each with its
+    own band scratch (see `_rows`). Each member's mean, and its variance where
     it has a `var` view, are written into its box views where its mask holds.
     `read` and `write` map pixel offsets to box planes of w_z * w_n from a
     frame state's store: a tap in `read` takes its weight from there, and a
     tap in `write` computes its weight into it.
+
+    Given two halves, the pass runs the top one on the calling thread and the
+    bottom one on a thread of its own, under the caller's floating-point error
+    settings (`np.geterr` and `np.geterrcall`, read on the calling thread, so
+    that a caller's `np.errstate` holds in both halves on numpy 1 and 2), and
+    joins it before it returns, re-raising what it raised. The
+    halves' results are the serial pass's bits: each half writes only its
+    own rows of the members' box views and of the `write` planes; every read
+    is of padded copies made before the pass or of planes an earlier, joined
+    pass wrote; and each pixel sums its taps in the same order on either
+    thread. The worker calls no function that `perfbench/spans.py` probes,
+    whose tracer keeps one stack of open spans for all threads.
     """
-    h = geometry[0].shape[0]
+    def run(rows, scratch):
+        _rows(rows, offsets, step, box, geometry, gtaps, members, scratch, cfg, read, write)
+
+    if len(halves) == 1:
+        run(*halves[0])
+        return
+    top, bottom = halves
+    errors, call = np.geterr(), np.geterrcall()
+    raised = []
+
+    def run_bottom():
+        try:
+            with np.errstate(call=call, **errors):
+                run(*bottom)
+        except BaseException as e:  # re-raised on the calling thread
+            raised.append(e)
+
+    worker = threading.Thread(target=run_bottom)
+    worker.start()
+    try:
+        run(*top)
+    finally:
+        worker.join()
+    if raised:
+        raise raised[0]
+
+
+def _rows(rows, offsets, step, box, geometry, gtaps, members, scratch, cfg, read, write):
+    """The box rows `rows` of a `_level_pass`, in row bands. `scratch` holds
+    three band-sized planes and, per member, band-sized accumulators of data,
+    weight and squared weight times variance, so that the tap loop allocates
+    nothing band-sized."""
     (g, wgt, tmp), slots = scratch
-    rows = g.shape[0]
+    band_rows, w = g.shape
     accs = [(acc[:m.mean.shape[2]], acc_w, acc_w2v)
             for m, (acc, acc_w, acc_w2v) in zip(members, slots)]
-    for r0 in range(0, h, rows):
-        band = slice(r0, min(r0 + rows, h))
+    for r0 in range(rows.start, rows.stop, band_rows):
+        band = slice(r0, min(r0 + band_rows, rows.stop))
         hb = band.stop - r0
         g_b, wgt_b, tmp_b = g[:hb], wgt[:hb], tmp[:hb]
+        # the G-buffer weight's two bool planes are bytes of the weight plane,
+        # which no one reads between the normal dot and the luminance stop;
+        # two bool planes of their own raised peak RSS by ~0.5 MB at 128²
+        masks = wgt_b.view(bool)
+        weight_scratch = (tmp_b, wgt_b, masks[:, :w], masks[:, w:2 * w])
         center = tuple(c[band] for c in geometry)
         for bufs in accs:
             for buf in bufs:
@@ -201,7 +279,7 @@ def _level_pass(offsets, step, box, geometry, gtaps, members, scratch, cfg, read
                 else:
                     gw = write[dy, dx][band] if (dy, dx) in write else g_b
                     tap = tuple(t(dy, dx)[box][band] for t in gtaps)
-                    _geometry_weight(center, tap, step * dist, cfg, gw, tmp_b)
+                    _geometry_weight(center, tap, step * dist, cfg, gw, weight_scratch)
             for m, (acc, acc_w, acc_w2v) in zip(members, accs):
                 if (i, j) == (0, 0):
                     wgt_b.fill(k)
@@ -234,6 +312,22 @@ def _level_pass(offsets, step, box, geometry, gtaps, members, scratch, cfg, read
                     np.divide(num, den, out=dst)
                 else:
                     np.copyto(dst, np.divide(num, den, out=tmp_b), where=m.mask[band])
+
+
+def _scratch(rows, w, planes, slots):
+    """One half's band scratch for `_rows`, `rows` by `w`: three planes, and
+    `slots` accumulator triples of `planes` data planes."""
+    return (tuple(np.empty((rows, w)) for _ in range(3)),
+            [(np.empty((planes, rows, w)), np.empty((rows, w)), np.empty((rows, w)))
+             for _ in range(slots)])
+
+
+def _cpus() -> int:
+    """How many CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # a platform without affinity masks
+        return os.cpu_count() or 1
 
 
 class _Call(NamedTuple):
@@ -347,14 +441,15 @@ def _atrous(channels, variances, gbuf: GBufferFrame, levels, cfg: DenoiseConfig,
         geometry = (z_c, cfg.sigma_z * np.abs(z_c), channel_major(gtaps[1](0, 0)[box]))
         neg_denoms = [-(cfg.sigma_l * np.sqrt(np.maximum(var[box], 0.0)) + _EPSILON)
                       for var in variances]
-        # band-sized scratch, allocated once for every pass and level, with
+        # the box's rows as one half, or two where the split pays, each with
+        # band-sized scratch allocated once for every pass and level, and
         # accumulators for as many channels as share a level
         h, w = z_c.shape
-        rows = min(h, max(1, _BAND // w))
+        cuts = [0, (h + 1) // 2, h] if h * w >= _SPLIT_PIXELS and _cpus() > 1 else [0, h]
         planes = max(data.shape[2] for data in datas)
-        scratch = (tuple(np.empty((rows, w)) for _ in range(3)),
-                   [(np.empty((planes, rows, w)), np.empty((rows, w)), np.empty((rows, w)))
-                    for _ in range(max(sum(lv in u for u in used) for lv in union))])
+        slots = max(sum(lv in u for u in used) for lv in union)
+        halves = [(slice(a, b), _scratch(max(1, min(b - a, _BAND // w)), w, planes, slots))
+                  for a, b in zip(cuts, cuts[1:])]
         for n, offsets in enumerate(passes):
             last = n == len(passes) - 1
             # a channel's padded planes live from its first level in the pass
@@ -373,7 +468,7 @@ def _atrous(channels, variances, gbuf: GBufferFrame, levels, cfg: DenoiseConfig,
                         if lv == u[-1]:
                             members[s] = None
                 read, write = state.next_pass(z_c.shape)
-                _level_pass(offsets, 2 ** int(lv), box, geometry, gtaps, at, scratch, cfg,
+                _level_pass(offsets, 2 ** int(lv), box, geometry, gtaps, at, halves, cfg,
                             read, write)
         # background pixels keep their inputs; outside the box no pass wrote
         bg = ~fg[box]

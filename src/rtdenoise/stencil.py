@@ -33,7 +33,7 @@ def as_planes(data) -> np.ndarray:
     return arr[:, :, None] if arr.ndim == 2 else arr
 
 
-def dot3(a, b, out=None):
+def dot3(a, b, out=None, scratch=None):
     """Dot product over the last axis of length 3, broadcasting the rest.
 
     Adds the three products left to right, as `np.sum(a * b, axis=-1)` does,
@@ -41,12 +41,13 @@ def dot3(a, b, out=None):
     bit (dtypes too, under NumPy 2's promotion rules); it skips the generic
     reduction, which is several times slower. `out`, when given, is an array
     of the result's shape that receives the sum and is returned; the first
-    product is written straight into it, so a loop that reuses one buffer
-    allocates two temporaries per call instead of three.
+    product is written straight into it. `scratch`, another such array,
+    receives the second and third products, so a loop that reuses both
+    buffers allocates nothing per call.
     """
     out = np.multiply(a[..., 0], b[..., 0], out=out)
-    out += a[..., 1] * b[..., 1]
-    out += a[..., 2] * b[..., 2]
+    out += np.multiply(a[..., 1], b[..., 1], out=scratch)
+    out += np.multiply(a[..., 2], b[..., 2], out=scratch)
     out += 0.0
     return out
 

@@ -1,4 +1,6 @@
 import dataclasses
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -724,9 +726,9 @@ def test_joint_iteration_weighs_the_gbuffer_once_per_level(filt, levels, per_pix
     evaluated = []
     weigh = spatial._geometry_weight
 
-    def counting(center, tap, dist, cfg, out, tmp):
+    def counting(center, tap, dist, cfg, out, scratch):
         evaluated.append(out.size)
-        return weigh(center, tap, dist, cfg, out, tmp)
+        return weigh(center, tap, dist, cfg, out, scratch)
 
     monkeypatch.setattr(spatial, "_geometry_weight", counting)
     channels = [rs.random((16, 16)), rs.random((16, 16, 3))]
@@ -789,6 +791,28 @@ def _lone_calls(monkeypatch):
         monkeypatch.setattr(spatial, name, alone)
 
 
+def _force_split(monkeypatch) -> list:
+    """Make every level pass run as two row halves, as on two CPUs, whatever
+    the box's size and this machine's CPUs; returns the list that each worker
+    thread started is appended to."""
+    started = []
+
+    class Recorded(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(spatial, "_SPLIT_PIXELS", 0)
+    monkeypatch.setattr(spatial.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(spatial.threading, "Thread", Recorded)
+    return started
+
+
+def _serial(monkeypatch) -> None:
+    """Make every level pass run as one half."""
+    monkeypatch.setattr(spatial, "_SPLIT_PIXELS", np.inf)
+
+
 def _breakfast_frame(roughness, size=32):
     scene = scene_from_dict(preset_scene("breakfast-lite", width=size, height=size,
                                          roughness=roughness, shadow_angle=8.0,
@@ -811,13 +835,10 @@ _CASES = {
 }
 
 
-@pytest.mark.parametrize("separable", [False, True])
-@pytest.mark.parametrize("case", list(_CASES))
-@pytest.mark.parametrize("band", [None, 1, 30, 100])
-def test_frame_state_gives_the_bits_of_lone_calls(separable, case, band, monkeypatch):
-    # stored weights, the skipped last variance and the one geometry check
-    # change no bit of any output, whatever the row bands: the reference
-    # computes every weight, mixed levels' reused inner rings too
+def _frame_against_lone_calls(separable, case, band, split, monkeypatch):
+    """Check that `denoise_frame` on a `_CASES` frame, through its frame
+    state and with row bands of `band` pixels, and as two row halves if
+    `split`, gives the bits of serial lone calls that compute every weight."""
     roughness, cfg = _CASES[case]
     cfg = dataclasses.replace(cfg, separable=separable)
     scene, gbuf, signals = _breakfast_frame(roughness)
@@ -826,7 +847,10 @@ def test_frame_state_gives_the_bits_of_lone_calls(separable, case, band, monkeyp
         assert set(np.unique(counts)) == {0, 1, 3}
     if band is not None:
         monkeypatch.setattr(spatial, "_BAND", band)
+    started = _force_split(monkeypatch) if split else []
     got = spatial.denoise_frame(signals, gbuf, cfg, shadow_angle=scene.shadow_angle_deg)
+    assert bool(started) == split and not any(worker.is_alive() for worker in started)
+    _serial(monkeypatch)
     _lone_calls(monkeypatch)
     want = spatial.denoise_frame(signals, gbuf, cfg, shadow_angle=scene.shadow_angle_deg)
     for kind in ChannelKind:
@@ -836,20 +860,41 @@ def test_frame_state_gives_the_bits_of_lone_calls(separable, case, band, monkeyp
         assert records == w_records
 
 
+@pytest.mark.parametrize("separable", [False, True])
+@pytest.mark.parametrize("case", list(_CASES))
+@pytest.mark.parametrize("band", [None, 1, 30, 100])
+def test_frame_state_gives_the_bits_of_lone_calls(separable, case, band, monkeypatch):
+    # stored weights, the skipped last variance and the one geometry check
+    # change no bit of any output, whatever the row bands: the reference
+    # computes every weight, mixed levels' reused inner rings too
+    _frame_against_lone_calls(separable, case, band, False, monkeypatch)
+
+
+@pytest.mark.parametrize("separable", [False, True])
+@pytest.mark.parametrize("case", list(_CASES))
+@pytest.mark.parametrize("band", [None, 1, 30])
+def test_split_gives_the_bits_of_lone_calls(separable, case, band, monkeypatch):
+    # nor does the split into row halves: each half writes only its own rows
+    # and reads only what the pass's start fixed
+    _frame_against_lone_calls(separable, case, band, True, monkeypatch)
+
+
 _ROUGHNESS = (0.0, 0.03, 0.1, 0.3)
 
 
 @settings(deadline=None, max_examples=25)
 @given(seed=st.integers(0, 2**32 - 1), roughness=st.sets(st.sampled_from(_ROUGHNESS), min_size=1),
        angle=st.sampled_from([2.0, 8.0, "per pixel"]), iterations=st.integers(0, 3),
-       separable=st.booleans())
+       separable=st.booleans(), split=st.booleans())
 # roughness 0 everywhere: the specular runs no iteration while the shadow runs
-@example(seed=0, roughness={0.0}, angle=8.0, iterations=2, separable=False)
+@example(seed=0, roughness={0.0}, angle=8.0, iterations=2, separable=False, split=True)
 def test_frame_state_gives_the_bits_of_lone_calls_for_any_schedule(seed, roughness, angle,
-                                                                   iterations, separable):
+                                                                   iterations, separable, split):
     # per-pixel start levels and iteration counts, per channel, as
     # `select_schedule` plans them. A start of 1 and 3 iterations reach
-    # level 3, which `check_level` rejects at 16x16 but not at 24x24
+    # level 3, which `check_level` rejects at 16x16 but not at 24x24. With
+    # `split`, the frame's passes run as two row halves; the lone calls never
+    # split.
     rs = np.random.default_rng(seed)
     gbuf = _boxed_gbuf(rs, 24, 24)
     gbuf.roughness[:] = rs.choice(sorted(roughness), (24, 24))
@@ -859,8 +904,12 @@ def test_frame_state_gives_the_bits_of_lone_calls_for_any_schedule(seed, roughne
                SPECULAR: (rs.random((24, 24, 3)), rs.random((24, 24)))}
     cfg = DenoiseConfig(iterations=iterations, separable=separable, adaptive_start=True,
                         ibl_adaptive_iterations=True)
-    got = spatial.denoise_frame(signals, gbuf, cfg, shadow_angle=angle)
     with pytest.MonkeyPatch.context() as monkeypatch:
+        if split:
+            _force_split(monkeypatch)
+        got = spatial.denoise_frame(signals, gbuf, cfg, shadow_angle=angle)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        _serial(monkeypatch)
         _lone_calls(monkeypatch)
         want = spatial.denoise_frame(signals, gbuf, cfg, shadow_angle=angle)
     for kind in ChannelKind:
@@ -901,9 +950,9 @@ def test_frame_state_weighs_each_offset_once_per_frame(separable, mixed, per_pix
     evaluated = []
     weigh = spatial._geometry_weight
 
-    def counting(center, tap, dist, cfg, out, tmp):
+    def counting(center, tap, dist, cfg, out, scratch):
         evaluated.append(out.size)
-        return weigh(center, tap, dist, cfg, out, tmp)
+        return weigh(center, tap, dist, cfg, out, scratch)
 
     stored = []
     next_pass = spatial.FrameState.next_pass
@@ -1010,3 +1059,111 @@ def test_last_iteration_reads_no_variance(separable, monkeypatch):
         == [[False, True], [False], [True]]
     assert any(calls[0]["var_taps"]) and any(calls[1]["var_taps"])
     assert not any(calls[2]["var_taps"])
+
+
+# ---------------------------------------------------------------------------
+# two row halves on two threads
+
+@pytest.mark.parametrize("filt", [atrous_dense, atrous_separable])
+@pytest.mark.parametrize("rows", [1, 2, 7, 23])
+def test_split_gives_the_serial_bits_for_any_box_height(filt, rows, monkeypatch):
+    # odd heights give halves of unequal size; a one-row box leaves the
+    # bottom half empty
+    rs = np.random.default_rng(25)
+    gbuf = _boxed_gbuf(rs, 26, 24)
+    cut = gbuf.object_id.copy()
+    cut[3 + rows:] = 0
+    gbuf = dataclasses.replace(gbuf, object_id=cut, depth=np.where(cut == 0, np.inf, gbuf.depth),
+                               normal=np.where(cut[..., None] == 0, 0.0, gbuf.normal))
+    box_rows, _cols = bounding_box(gbuf.foreground)
+    assert box_rows.stop - box_rows.start == rows
+    channels = [rs.random((26, 24)), rs.random((26, 24, 3))]
+    variances = [rs.random((26, 24)), rs.random((26, 24))]
+    levels = [1, rs.integers(0, 3, (26, 24))]
+    _serial(monkeypatch)
+    want = filt(channels, variances, gbuf, levels, DenoiseConfig())
+    started = _force_split(monkeypatch)
+    got = filt(channels, variances, gbuf, levels, DenoiseConfig())
+    assert started
+    for (out, var), (w_out, w_var) in zip(got, want, strict=True):
+        assert out.tobytes() == w_out.tobytes() and var.tobytes() == w_var.tobytes()
+
+
+def test_split_gives_the_serial_bits_under_frequent_thread_switches(monkeypatch):
+    # a switch every microsecond interleaves the halves' numpy calls as
+    # finely as the interpreter allows; a write to the other half's rows, or
+    # a read of them before the pass joined, would show as a changed bit
+    rs = np.random.default_rng(28)
+    gbuf = _boxed_gbuf(rs, 40, 32)
+    channels = [rs.random((40, 32)), rs.random((40, 32, 3))]
+    variances = [rs.random((40, 32)), rs.random((40, 32))]
+    levels = [rs.integers(0, 3, (40, 32)), 1]
+    _serial(monkeypatch)
+    monkeypatch.setattr(spatial, "_BAND", 64)  # two rows per band
+    for filt in (atrous_dense, atrous_separable):
+        want = filt(channels, variances, gbuf, levels, DenoiseConfig())
+        with pytest.MonkeyPatch.context() as split:
+            started = _force_split(split)
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                got = filt(channels, variances, gbuf, levels, DenoiseConfig())
+            finally:
+                sys.setswitchinterval(interval)
+        assert started
+        for (out, var), (w_out, w_var) in zip(got, want, strict=True):
+            assert out.tobytes() == w_out.tobytes() and var.tobytes() == w_var.tobytes()
+
+
+def test_split_reraises_the_bottom_halfs_exception_and_leaves_no_thread(monkeypatch):
+    started = _force_split(monkeypatch)
+    caller, before = threading.current_thread(), threading.active_count()
+    weigh = spatial._geometry_weight
+
+    def failing(*args):
+        if threading.current_thread() is not caller:
+            raise RuntimeError("bottom half")
+        return weigh(*args)
+
+    monkeypatch.setattr(spatial, "_geometry_weight", failing)
+    rs = np.random.default_rng(26)
+    gbuf = _boxed_gbuf(rs, 24, 24)
+    with pytest.raises(RuntimeError, match="bottom half"):
+        _alone(atrous_dense, rs.random((24, 24)), rs.random((24, 24)), gbuf, 0,
+               DenoiseConfig())
+    assert len(started) == 1 and threading.active_count() == before
+
+
+@pytest.mark.parametrize("filt", [atrous_dense, atrous_separable])
+def test_split_raises_a_fault_of_the_bottom_rows_under_the_callers_errstate(filt, monkeypatch):
+    # luminance differences of +-1.7e308 overflow in the last rows alone,
+    # which the top half's taps never reach: only the worker thread meets
+    # the fault, and it runs under the caller's error state
+    gbuf = _flat_gbuf(32, 16)
+    channel = np.full((32, 16), 0.5)
+    channel[28:, 0::2], channel[28:, 1::2] = 1.7e308, -1.7e308
+    variance = np.full((32, 16), 0.1)
+    started = _force_split(monkeypatch)
+    with np.errstate(over="raise"):
+        with pytest.raises(FloatingPointError):
+            _alone(filt, channel, variance, gbuf, 0, DenoiseConfig())
+    assert started
+    with np.errstate(all="ignore"):  # neither raises nor warns
+        _alone(filt, channel, variance, gbuf, 0, DenoiseConfig())
+    faults = []
+    with np.errstate(all="call", call=lambda kind, flag: faults.append(kind)):
+        _alone(filt, channel, variance, gbuf, 0, DenoiseConfig())
+    assert "overflow" in faults
+    channel[28:] = 0.5  # the same call without the fault is clean
+    with np.errstate(all="raise"):
+        _alone(filt, channel, variance, gbuf, 0, DenoiseConfig())
+
+
+def test_one_cpu_starts_no_thread(monkeypatch):
+    started = _force_split(monkeypatch)
+    monkeypatch.setattr(spatial.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    rs = np.random.default_rng(27)
+    gbuf = _boxed_gbuf(rs, 24, 24)
+    for filt in (atrous_dense, atrous_separable):
+        _alone(filt, rs.random((24, 24)), rs.random((24, 24)), gbuf, 0, DenoiseConfig())
+    assert started == []

@@ -34,6 +34,10 @@ def test_dot3_on_channel_major_and_sliced_views():
     # into a view of a stale buffer, as a loop over row bands passes it
     buf = np.full((12, 8), np.nan)[2:11]
     assert dot3(a, b, out=buf) is buf and buf.tobytes() == _reference_dot(a, b).tobytes()
+    # and with the second and third products through a stale scratch view too
+    buf[:], scratch = np.nan, np.full((12, 8), np.nan)[1:10]
+    assert dot3(a, b, out=buf, scratch=scratch) is buf
+    assert buf.tobytes() == _reference_dot(a, b).tobytes()
 
 
 def test_dot3_nonfinite_and_signed_zeros_as_sum():

@@ -5,6 +5,7 @@ moves no digest of a symmetric scene and few reference scores."""
 import numpy as np
 import pytest
 
+from rtdenoise import spatial
 from rtdenoise.frames import FrameSequence
 from rtdenoise.pipeline import PRESETS, preset_config, run_pipeline, synthesize_sequence
 from rtdenoise.scenes import preset_scene, scene_from_dict
@@ -57,3 +58,77 @@ def test_flip_relation_catches_a_motion_sign_fault(sequences):
     out, _report = run_pipeline(_flipped(seq, _X, signed=False), cfg)
     assert not np.array_equal(out.frames[-1]["shadow_denoised"],
                               np.flip(base.frames[-1]["shadow_denoised"], _X))
+
+
+def _transposed(seq: FrameSequence) -> FrameSequence:
+    """`seq` with its image axes swapped: every channel transposed, and the
+    motion's x and y components swapped."""
+    frames = []
+    for frame in seq.frames:
+        out = {name: np.swapaxes(arr, 0, 1).copy() for name, arr in frame.items()}
+        out["motion"] = out["motion"][..., ::-1].copy()
+        frames.append(out)
+    return FrameSequence(manifest=seq.manifest, frames=frames)
+
+
+@pytest.mark.parametrize("split", [False, True])
+@pytest.mark.parametrize("preset", ["svgf", "svgf+rectify"])
+@pytest.mark.parametrize("name,movement", _SCENES)
+def test_dense_denoiser_is_transpose_symmetric(sequences, name, movement, preset, split,
+                                               monkeypatch):
+    # the dense kernel is symmetric in x and y; the separable form filters
+    # rows first, so it is not. A transposed frame puts the a-trous row
+    # halves where the columns were: a half that reads or writes the other
+    # half's rows breaks the relation
+    if split:  # every level pass as two row halves, as on two CPUs
+        monkeypatch.setattr(spatial, "_SPLIT_PIXELS", 0)
+        monkeypatch.setattr(spatial.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    seq, cfg = sequences[name, movement], preset_config(preset)
+    base, _report = run_pipeline(seq, cfg)
+    out, _report = run_pipeline(_transposed(seq), cfg)
+    for f, (want, got) in enumerate(zip(base.frames, out.frames, strict=True)):
+        for channel in _DENOISED:
+            assert np.array_equal(got[channel], np.swapaxes(want[channel], 0, 1)), (f, channel)
+
+
+def _exposed(seq: FrameSequence, k: float) -> FrameSequence:
+    """`seq` with its 1 spp specular input scaled by `k`."""
+    frames = [dict(frame, specular_1spp=frame["specular_1spp"] * np.float32(k))
+              for frame in seq.frames]
+    return FrameSequence(manifest=seq.manifest, frames=frames)
+
+
+def _exposure_errors(seq: FrameSequence, preset: str, k: float = 4.0):
+    """Per frame, the largest |specular(k x input) - k x specular(input)| in
+    float32 spacings of the frame's largest k x specular, and whether the
+    shadow output kept its bits."""
+    cfg = preset_config(preset)
+    base, _report = run_pipeline(seq, cfg)
+    out, _report = run_pipeline(_exposed(seq, k), cfg)
+    errors = []
+    for want, got in zip(base.frames, out.frames, strict=True):
+        scaled = np.float32(k) * want["specular_denoised"]
+        gap = np.abs(got["specular_denoised"].astype(np.float64) - scaled)
+        errors.append((float(gap.max() / np.spacing(np.abs(scaled).max())),
+                       np.array_equal(got["shadow_denoised"], want["shadow_denoised"])))
+    return errors
+
+
+@pytest.mark.parametrize("preset", [p for p in PRESETS if not preset_config(p).reinhard])
+@pytest.mark.parametrize("name,movement", _SCENES)
+def test_specular_output_scales_with_its_input(sequences, name, movement, preset):
+    # every stage is linear in the signal, but for the luminance stop's
+    # epsilon, so 4 x the input gives 4 x the output within float32
+    # rounding (at most 2 spacings of the frame's largest value here). The
+    # shadow, filtered jointly, keeps its own bits
+    for f, (spacings, shadow_kept) in enumerate(_exposure_errors(sequences[name, movement],
+                                                                 preset)):
+        assert spacings <= 2.0 and shadow_kept, (f, spacings)
+
+
+def test_reinhard_breaks_the_exposure_relation(sequences):
+    # x / (1 + x) compresses by design, so 4 x the input is no longer 4 x
+    # the output: millions of spacings off, not a rounding
+    errors = _exposure_errors(sequences["cubes-distance", "camera"],
+                              "svgf+rectify+adaptive+separable+reinhard")
+    assert max(spacings for spacings, _kept in errors) > 1e4

@@ -1,10 +1,13 @@
-"""The tools that check a change: `tools/loc.py` counts code lines and
-`tools/digests.py` lists the inputs and cases whose outputs it digests. Each
-is loaded by its path, as it is run; no test runs the digests themselves."""
+"""The tools that check a change: `tools/loc.py` counts code lines,
+`tools/digests.py` lists the inputs and cases whose outputs it digests, and
+`tools/abpairs.py` summarizes benchmark pairs. Each is loaded by its path,
+as it is run; no test runs the digests or the benchmark themselves."""
 
 import importlib.util
 import json
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -61,3 +64,24 @@ def test_digest_cases_have_unique_names_and_cover_the_benchmark_workloads():
     assert len(input_names) == len(set(input_names)) and len(names) == len(set(names))
     workloads = json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]
     assert {workload["name"] for workload in workloads} <= set(names)
+
+
+def _runs(values):
+    return [{"metrics": {"t": {"value": v}, "q": {"value": v}}} for v in values]
+
+
+def test_abpairs_summary_reads_each_metric_the_way_it_is_better():
+    summarize = _tool("abpairs").summarize
+    spec = [{"name": "t", "better": "lower", "bound": 0.25},
+            {"name": "q", "better": "higher", "bound": 0.06}]
+    # the head's times are 20% lower in every pair: a gain for the lower-is-
+    # better metric, and a loss beyond its bound for the higher-is-better one
+    result = summarize(_runs([10.0, 11.0, 10.5, 10.2]), _runs([8.0, 8.8, 8.4, 8.16]), spec)
+    t, q = result["t"], result["q"]
+    assert t["median_ratio"] == pytest.approx(0.8) and t["range"] == pytest.approx([0.8, 0.8])
+    assert t["head_wins"] == 4 and t["gain_claimable"] and not t["leaves_bound"]
+    assert q["head_wins"] == 0 and not q["gain_claimable"] and q["leaves_bound"]
+    assert t["base_quartiles"][1] == pytest.approx(10.35)
+    # a gain smaller than the distance between the base's quartiles is no gain
+    noisy = summarize(_runs([10.0, 12.0, 10.0, 12.0]), _runs([9.9, 11.9, 9.9, 11.9]), spec)
+    assert noisy["t"]["head_wins"] == 4 and not noisy["t"]["gain_claimable"]
