@@ -457,7 +457,8 @@ def test_validate_frame_reports_what_the_per_pixel_masks_report(seed, h, w, floa
         if name == "object_id":
             arr[y, x] = data.draw(st.sampled_from([0, 3, -3, MAX_OBJECT_ID, MAX_OBJECT_ID + 1]))
         elif name == "normal" and data.draw(st.booleans(), label="rescale"):
-            arr[y, x] *= np.float32(data.draw(st.sampled_from(_NORMAL_SCALES), label="scale"))
+            with np.errstate(invalid="ignore"):  # a NaN from inf * 0 is a fault like the rest
+                arr[y, x] *= np.float32(data.draw(st.sampled_from(_NORMAL_SCALES), label="scale"))
         else:
             at = (y, x) if arr.ndim == 2 else (y, x, data.draw(st.integers(0, arr.shape[2] - 1)))
             arr[at] = data.draw(st.sampled_from(
