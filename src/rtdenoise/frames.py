@@ -151,7 +151,7 @@ class DenoiseConfig:
     feedback: str = _choice("first_iteration", "none")
     depth_consistency: float = _ranged(0.1, 0.0, open_lo=True)
     normal_consistency: float = _ranged(0.9, -1.0, 1.0, open_hi=True)
-    history_cap: int = _ranged(256, 1)
+    history_cap: int = _ranged(256, 1, 2**31 - 1)  # the int32 history length holds it
 
     def __post_init__(self):
         problems = []

@@ -89,8 +89,9 @@ def run_pipeline(seq: FrameSequence, cfg: DenoiseConfig, dump_intermediates: boo
     `frame_count`, or a frame whose camera has no view basis, is rejected
     then.
     The report carries the pass trace, per-frame metrics against the
-    `reference` channel when the input provides one, and the per-iteration
-    a-trous records (steps and tap counts).
+    `reference` channel when the input provides one, each frame graded in
+    its own iteration of the frame loop, and the per-iteration a-trous
+    records (steps and tap counts).
     """
     check_sequence(seq)
     needed = [g.name for g in fields(GBufferFrame)] + [f"{k.value}_1spp" for k in ChannelKind]
@@ -109,7 +110,7 @@ def run_pipeline(seq: FrameSequence, cfg: DenoiseConfig, dump_intermediates: boo
         # the last iteration's level, one higher where adaptive start shifts it
         spatial.check_level(cfg.iterations - 1 + cfg.adaptive_start, seq.height, seq.width)
 
-    trace, frames_out, records = [], [], []
+    trace, frames_out, records, quality = [], [], [], []
     history = prev_gbuf = prev_taa = None
 
     for f, frame in enumerate(seq.frames):
@@ -157,11 +158,9 @@ def run_pipeline(seq: FrameSequence, cfg: DenoiseConfig, dump_intermediates: boo
             # the channels share one history length; the store format keeps its name
             out.update(debug_history_len_shadow=history.history_len,
                        debug_composite_pre_taa=comp)
-        frames_out.append({name: img.astype(np.float32) for name, img in out.items()})
-
-    quality = []
-    for f, (frame, out) in enumerate(zip(seq.frames, frames_out)):
-        if "reference" in frame:
+        out = {name: img.astype(np.float32) for name, img in out.items()}
+        frames_out.append(out)
+        if "reference" in frame:  # graded as it is stored, in float32
             ref = frame["reference"]
             quality.append({"frame": f,
                             "ssim": metrics.ssim(out["composite"], ref),

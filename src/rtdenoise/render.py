@@ -410,13 +410,12 @@ def render_sky(scene: Scene, frame_index: int, dirs=None, where=None) -> np.ndar
     """Environment radiance along every camera ray (the background plate),
     or with a mask `where` only along the rays there, 0 elsewhere. `dirs`
     are the frame's directions from `camera_rays`, traced here when not
-    given. Each pixel's radiance is the same either way: the masked rays
-    keep the C-order layout of the full grid."""
+    given. A call without `where` takes the same path over every ray, and
+    each pixel's radiance is the same either way: the masked rays keep the
+    C-order layout of the full grid."""
     if dirs is None:
         _origins, dirs, _cos = camera_rays(scene, frame_index)
-    if where is None:
-        return sample_latlong(scene.env, dirs)
-    flat = np.flatnonzero(where)
+    flat = np.flatnonzero(np.ones(dirs.shape[:2], dtype=bool) if where is None else where)
     sky = np.zeros(dirs.shape)
     sky.reshape(-1, 3)[flat] = sample_latlong(scene.env, dirs.reshape(-1, 3)[flat])
     return sky

@@ -48,17 +48,18 @@ normal is not finite, since its weights would turn the frame NaN.
 Within a pass every pixel is independent of every other, which is why SVGF
 runs a pass as one GPU dispatch. Where the box holds at least
 `_SPLIT_PIXELS` pixels and the process may run on two CPUs, each level pass
-therefore runs the box's rows as two contiguous halves: the top half on the
-calling thread, the bottom half on a thread started for that pass and joined
-before it returns, each in its own row bands with its own scratch. numpy's
+therefore runs the box's rows as two contiguous halves; otherwise as one.
+One code path runs either: the top half on the calling thread, and each half
+after it on a worker thread started for that pass and joined before it
+returns, each half in its own row bands with its own scratch. numpy's
 loops release the GIL, so the halves overlap. The outputs are the serial
 pass's bit for bit, by construction. Each half writes only its own rows of
 the outputs and of the stored weights. Every read is of padded copies made
 before the pass, or of stored weights written by an earlier pass, which was
 joined before this one began; so the separable form's vertical pass reads
 the horizontal results only after both halves have made them. And each
-pixel sums its taps in the same order on either thread. Below that size, or
-on one CPU, the same code runs the box as one half.
+pixel sums its taps in the same order on any thread. Below that size, or
+on one CPU, the same code runs the box as one half and starts no thread.
 
 Every a-trous call runs through a `FrameState`, built whole from each
 channel's start level and iteration count and the form's passes.
@@ -183,17 +184,11 @@ class _Member(NamedTuple):
 def _pass_member(out, out_var, var, neg_denom, box, reach, with_var) -> _Member:
     """One signal's side of a pass over its current `out`, which updates
     `out_var` from `var` if `with_var`. The pass writes `out` in place, so
-    it reads only padded copies. For a one-plane signal the luminance is the
-    data, so both read one padded plane."""
-    data_at = shifted(out, reach)
-    if out.shape[2] == 1:
-        def luma_at(dy, dx):
-            return data_at(dy, dx)[..., 0]
-    else:
-        # luma of the whole plane, before cropping: `@` may take another
-        # BLAS path, so other rounding, on a non-contiguous view
-        luma_at = shifted(luma(out), reach)
-    return _Member(neg_denom, luma_at, data_at, shifted(var, reach) if with_var else None,
+    it reads only padded copies."""
+    # luma of the whole plane, before cropping: `@` may take another BLAS
+    # path, so other rounding, on a non-contiguous view
+    return _Member(neg_denom, shifted(luma(out), reach), shifted(out, reach),
+                   shifted(var, reach) if with_var else None,
                    out[box], out_var[box] if with_var else None)
 
 
@@ -210,41 +205,42 @@ def _level_pass(offsets, step, box, geometry, gtaps, members, halves, cfg, read,
     frame state's store: a tap in `read` takes its weight from there, and a
     tap in `write` computes its weight into it.
 
-    Given two halves, the pass runs the top one on the calling thread and the
-    bottom one on a thread of its own, under the caller's floating-point error
-    settings (`np.geterr` and `np.geterrcall`, read on the calling thread, so
-    that a caller's `np.errstate` holds in both halves on numpy 1 and 2), and
-    joins it before it returns, re-raising what it raised. The
-    halves' results are the serial pass's bits: each half writes only its
-    own rows of the members' box views and of the `write` planes; every read
-    is of padded copies made before the pass or of planes an earlier, joined
-    pass wrote; and each pixel sums its taps in the same order on either
-    thread. The worker calls no function that `perfbench/spans.py` probes,
-    whose tracer keeps one stack of open spans for all threads.
+    The pass runs the top half on the calling thread and starts a worker
+    thread for each half after it, none for one half. A worker runs under the
+    caller's floating-point error settings (`np.geterr` and `np.geterrcall`,
+    read on the calling thread, since a new thread starts with numpy's
+    default error state), so that a caller's `np.errstate` holds in every
+    half; the pass joins each worker before it returns, re-raising what it
+    raised. The halves' results are the serial pass's bits: each half writes
+    only its own rows of the members' box views and of the `write` planes;
+    every read is of padded copies made before the pass or of planes an
+    earlier, joined pass wrote; and each pixel sums its taps in the same
+    order on any thread. A worker calls no function that
+    `perfbench/spans.py` probes, whose tracer keeps one stack of open spans
+    for all threads.
     """
     def run(rows, scratch):
         _rows(rows, offsets, step, box, geometry, gtaps, members, scratch, cfg, read, write)
 
-    if len(halves) == 1:
-        run(*halves[0])
-        return
-    top, bottom = halves
+    top, *bottom = halves
     errors, call = np.geterr(), np.geterrcall()
     raised = []
 
-    def run_bottom():
+    def run_worker(half):
         try:
             with np.errstate(call=call, **errors):
-                run(*bottom)
+                run(*half)
         except BaseException as e:  # re-raised on the calling thread
             raised.append(e)
 
-    worker = threading.Thread(target=run_bottom)
-    worker.start()
+    workers = [threading.Thread(target=run_worker, args=(half,)) for half in bottom]
+    for worker in workers:
+        worker.start()
     try:
         run(*top)
     finally:
-        worker.join()
+        for worker in workers:
+            worker.join()
     if raised:
         raise raised[0]
 

@@ -153,11 +153,17 @@ def bilinear_sample(planes, motion: np.ndarray, accept=None):
     lies outside the image or `accept(flat)` is false, where `flat` holds the
     texels' `clamped` row-major indices, to read planes with `gather`. `valid`
     marks the pixels whose weight total exceeds 1e-8; there each mean is the
-    plane's weighted sum over that total, elsewhere it is 0.
+    plane's weighted sum over that total, elsewhere it is 0. Any finite
+    motion is taken: a position outside [-1, W] x [-1, H] reads as the
+    nearest point of that range, where no texel inside the image has a
+    nonzero weight either.
     """
     h, w = motion.shape[:2]
     px = np.arange(w)[None, :] + motion[:, :, 0].astype(np.float64)
     py = np.arange(h)[:, None] + motion[:, :, 1].astype(np.float64)
+    # clipped, any finite position floors to an int64
+    np.clip(px, -1.0, w, out=px)
+    np.clip(py, -1.0, h, out=py)
     x0 = np.floor(px).astype(np.int64)
     y0 = np.floor(py).astype(np.int64)
     fx = px - x0

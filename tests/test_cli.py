@@ -190,6 +190,17 @@ def test_bad_set_names_key_and_value(workspace, tmp_path, capsys, item, names):
         assert name in err
 
 
+def test_denoise_rejects_a_history_cap_past_int32_by_name(workspace, tmp_path, capsys):
+    # it used to denoise frame 0, then fail on frame 1 with a bare int32
+    # overflow that named no field
+    _root, _scene, synth = workspace
+    out = tmp_path / "o"
+    assert main(["denoise", "--in", str(synth), "--out", str(out),
+                 "--set", "history_cap=3000000000"]) == 1
+    assert "history_cap 3000000000 outside [1, 2147483647]" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_scene_passes_only_the_options_given(tmp_path):
     # preset_scene owns every default, so the CLI's document is its own
     out = tmp_path / "scene.json"

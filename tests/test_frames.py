@@ -304,6 +304,15 @@ def test_config_is_valid_by_construction():
     assert cfg.history_cap == 256
 
 
+def test_config_bounds_history_cap_by_the_int32_history_length():
+    # a larger cap used to fail mid-run, in the first blend, with a bare
+    # int32 overflow that named no field
+    assert DenoiseConfig(history_cap=2**31 - 1).history_cap == 2**31 - 1
+    for bad in (2**31, 3_000_000_000):
+        with pytest.raises(ValueError, match=rf"history_cap {bad} outside \[1, 2147483647\]"):
+            DenoiseConfig(history_cap=bad)
+
+
 def test_config_sigma_z_bounded():
     # at 1e3 the depth stop is ~1 already; above, sigma_z * |z| could overflow
     assert DenoiseConfig(sigma_z=1e3).sigma_z == 1e3

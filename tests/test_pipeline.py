@@ -615,3 +615,35 @@ def test_rectification_cuts_the_shadow_error_after_a_light_teleport(seed):
                         for o, i in zip(out.frames[4:], seq.frames[4:])]
     for frame, (plain, rectified) in enumerate(zip(errors["svgf"], errors["svgf+rectify"]), 4):
         assert plain >= 1.3 * rectified, (frame, plain, rectified)
+
+
+def _channel_bits(seq: FrameSequence) -> list:
+    return [{name: img.tobytes() for name, img in frame.items()} for frame in seq.frames]
+
+
+def test_history_cap_at_the_int32_limit_runs():
+    # the largest cap the int32 history length holds; three frames never
+    # reach the default cap either, so the outputs are the default's
+    _scene, seq = _make_seq(frames=3, movement="camera")
+    runs = [run_pipeline(seq, DenoiseConfig(iterations=2, history_cap=cap),
+                         dump_intermediates=True)[0] for cap in (2**31 - 1, 256)]
+    assert _channel_bits(runs[0]) == _channel_bits(runs[1])
+
+
+@pytest.mark.parametrize("far", [(1e19, 0.0), (0.0, -1e30), (3.4e38, 0.0)])
+def test_motion_past_int64_reads_as_off_image(far):
+    # finite motion this far used to overflow the bilinear sampler's int64
+    # cast, which warns `invalid`; any motion off the image, like 1e9 pixels,
+    # reads no history, so the outputs keep the bits of that case
+    _scene, seq = _make_seq(frames=3, movement="camera")
+    y, x = np.argwhere(seq.gbuffer(1).foreground)[0]
+
+    def run(motion):
+        frames = [dict(frame) for frame in seq.frames]
+        for f in (1, 2):
+            frames[f]["motion"] = frames[f]["motion"].copy()
+            frames[f]["motion"][y, x] = motion
+        seq_far = FrameSequence(manifest=seq.manifest, frames=frames)
+        return run_pipeline(seq_far, preset_config("svgf+rectify"), dump_intermediates=True)[0]
+
+    assert _channel_bits(run(far)) == _channel_bits(run((1e9, 0.0)))
