@@ -18,16 +18,18 @@ every signal shares the depth and normal stops and only the luminance stop
 is its own, so a frame's shadow and specular channels run through one
 iteration together (`denoise_frame`), and `atrous_dense`/`atrous_separable`
 take lists of channels, variances and levels. The G-buffer side is set up
-in two places. Once per frame, the `FrameState` (below) checks the
-foreground's geometry and finds its bounding box (`stencil.bounding_box`).
-Once per call, that is per iteration, the driver builds what all its
-signals and passes share: the center depth and normals, the depth and
-normal planes padded with edge values (`stencil.shifted`), which is
-clamp-to-border indexing, and the band-sized scratch. The padded planes hold
+once per frame, by the `FrameState` (below): it checks the foreground's
+geometry and finds its bounding box (`stencil.bounding_box`), and at the
+frame's first call it builds what all its calls, signals and passes share:
+the center depth and normals, the depth and normal planes padded with edge
+values (`stencil.shifted`) as far as the frame's top level reaches, which is
+clamp-to-border indexing, and the band-sized scratch. A plane padded further
+than a tap reaches reads the same values. The padded planes hold
 +inf depth and zero normals on the background, so a background tap's weight
 is exp(-inf) = 0 by construction; background centers filter at depth 0, so
 their results stay finite. Each signal adds its cropped level map, the
-luminance stop's denominator and, per pass, its luminance and data taps.
+luminance stop's denominator and, per pass, its luminance and data taps,
+padded into buffers the state also owns for the frame (see `FrameState`).
 
 A per-pixel level map runs one uniform pass per level in use and keeps each
 pixel's result at its own level; a pixel's result depends only on its own
@@ -36,7 +38,7 @@ for each tap computes the G-buffer weight w_z * w_n once, then each signal's
 (w_z * w_n) * w_l and sums. That is one signal's product in its own order,
 so a joint iteration gives each signal the bits it gets alone. The tap loop
 runs over row bands of at most `_BAND` pixels, with band-sized scratch
-planes, allocated once per iteration, that stay in a core's L2 cache; it
+planes, allocated once per frame, that stay in a core's L2 cache; it
 allocates nothing band-sized per tap. A pass writes its results straight
 into the box of each signal's output. Only the foreground's bounding box
 is filtered. That is exact too: every pixel outside the box is background,
@@ -97,7 +99,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .frames import ChannelKind, DenoiseConfig, GBufferFrame
-from .stencil import as_planes, bounding_box, channel_major, dot3, shifted
+from .stencil import as_planes, bounding_box, channel_major, dot3, padded_empty, shifted
 from .tonemap import luma
 
 KERNEL_1D = np.array([1.0 / 16, 1.0 / 4, 3.0 / 8, 1.0 / 4, 1.0 / 16])
@@ -181,14 +183,17 @@ class _Member(NamedTuple):
     mask: np.ndarray | None = None
 
 
-def _pass_member(out, out_var, var, neg_denom, box, reach, with_var) -> _Member:
+def _pass_member(out, out_var, var, neg_denom, box, reach, with_var, slot) -> _Member:
     """One signal's side of a pass over its current `out`, which updates
     `out_var` from `var` if `with_var`. The pass writes `out` in place, so
-    it reads only padded copies."""
+    it reads only padded copies, made into `slot`'s luminance, data and
+    variance buffers (see `FrameState.take_slot`)."""
+    luma_buf, data_buf, var_buf = slot
     # luma of the whole plane, before cropping: `@` may take another BLAS
     # path, so other rounding, on a non-contiguous view
-    return _Member(neg_denom, shifted(luma(out), reach), shifted(out, reach),
-                   shifted(var, reach) if with_var else None,
+    return _Member(neg_denom, shifted(luma(out), reach, into=luma_buf),
+                   shifted(out, reach, into=data_buf[..., :out.shape[2]]),
+                   shifted(var, reach, into=var_buf) if with_var else None,
                    out[box], out_var[box] if with_var else None)
 
 
@@ -349,9 +354,21 @@ class FrameState:
     a lone call: one iteration, and its caller reads every variance.
     `denoise_frame` builds one state per frame and passes it to every call,
     and a call made without a state builds its own. The state tells each
-    call its `_Call` (`pending`), and each pass which stored weights are
+    call its `_Call` (`next_call`), and each pass which stored weights are
     still read later and which of its own outer ring to store. The store
-    keeps G-buffer weights keyed by pixel offset.
+    keeps G-buffer weights keyed by pixel offset, and the planes it drops
+    are recycled for the ones it adds.
+
+    The state also owns the frame's a-trous working set, so that its calls
+    allocate no plane but their outputs and their luminance stops: the
+    G-buffer setup and each half's band scratch, built at the frame's first
+    call (`working_set`), and the member slots, each a padded luminance,
+    data and variance buffer that a pass refills in place
+    (`take_slot`). A channel holds a slot from its first level in a pass to
+    its last, so channels on disjoint levels share one. Everything is sized
+    for the frame's top level, largest plane count and most channels at one
+    level, and lives as long as the state: one frame, so that it never
+    stacks on the stages that run between frames.
     """
 
     def __init__(self, gbuf: GBufferFrame, starts, counts, passes):
@@ -378,7 +395,7 @@ class FrameState:
             steps.extend((offsets, 2 ** int(lv)) for offsets in passes for lv in union)
         if self.calls:
             _check_geometry(gbuf, self.fg)
-        self.pending = iter(self.calls)
+        self._pending = iter(self.calls)
         taps = [{(j * s, i * s) for j, i, _k, _d in offsets if (j, i) != (0, 0)}
                 for offsets, s in steps]
         later = [set()]
@@ -386,28 +403,86 @@ class FrameState:
             later.append(later[-1] | t)
         self._passes = iter(zip(taps, reversed(later), (s for _o, s in steps)))
         self.weights = {}  # pixel offset (dy, dx) -> box plane of w_z * w_n
+        # the frame's top reach and most channels at one level in a call
+        self._reach = max((2 * 2 ** int(u[-1]) for call in self.calls for u in call.used),
+                         default=0)
+        self._sharing = max((sum(lv in u for u in call.used)
+                           for call in self.calls for lv in call.union), default=0)
+        self._work = None
+        self._idle = []  # member slots no channel of the running pass holds
 
     def next_pass(self, shape):
         """The weights the next level pass reads from the store and the new
         planes of `shape` it writes into it, as {pixel offset: plane} each.
         Drops what no pass from this one on reads, then adds the pass's
         outer ring, its taps at even multiples of the step, where a later
-        pass reads it and the store lacks it."""
+        pass reads it and the store lacks it, into dropped planes where
+        there are any."""
         taps, later, step = next(self._passes)
-        for t in [t for t in self.weights if t not in taps and t not in later]:
-            del self.weights[t]
+        dropped = [self.weights.pop(t) for t in list(self.weights)
+                   if t not in taps and t not in later]
         read = {t: self.weights[t] for t in taps if t in self.weights}
-        write = {(dy, dx): np.empty(shape) for dy, dx in taps & later
+        write = {(dy, dx): dropped.pop() if dropped else np.empty(shape)
+                 for dy, dx in taps & later
                  if dy % (2 * step) == 0 and dx % (2 * step) == 0 and (dy, dx) not in read}
         self.weights.update(write)
         return read, write
+
+    def working_set(self, gbuf: GBufferFrame, cfg: DenoiseConfig, planes: int):
+        """(geometry, gtaps, halves) of `_level_pass`, built at the first
+        call of the frame, whose channels have at most `planes` data planes:
+        the center's (depth, sigma_z * |depth|, normal) over the box, the
+        depth and normal planes padded as far as the frame's top level
+        reaches, and the box's rows as one half, or two where the split pays,
+        each with its band scratch for as many channels as share a level."""
+        if self._work is None:
+            fg, box = self.fg, self.box
+            gtaps = (shifted(np.where(fg, gbuf.depth, np.inf), self._reach),
+                     shifted(np.where(fg[..., None], gbuf.normal, 0.0), self._reach))
+            z_c = np.where(fg[box], gbuf.depth[box], 0.0).astype(np.float64)
+            geometry = (z_c, cfg.sigma_z * np.abs(z_c), channel_major(gtaps[1](0, 0)[box]))
+            h, w = z_c.shape
+            cuts = [0, (h + 1) // 2, h] if h * w >= _SPLIT_PIXELS and _cpus() > 1 else [0, h]
+            halves = [(slice(a, b), _scratch(max(1, min(b - a, _BAND // w)), w, planes,
+                                             self._sharing))
+                      for a, b in zip(cuts, cuts[1:])]
+            self._work = geometry, gtaps, halves
+        return self._work
+
+    def next_call(self) -> _Call:
+        """The next call's `_Call`. A call that reads no variance is the
+        frame's last, so the slots drop their variance buffers."""
+        call = next(self._pending)
+        if not any(call.var_read):
+            for slot in self._idle:
+                slot[2] = None
+        return call
+
+    def take_slot(self, planes: int, with_var: bool) -> list:
+        """A member slot, [luminance, data, variance] buffers of the whole
+        frame padded as far as its top level reaches: one that a pass gave
+        back, or a new one. The data buffer is made anew where it holds fewer
+        than `planes` planes, and the variance buffer when `with_var` first
+        asks for it."""
+        shape, reach = self.fg.shape, self._reach
+        slot = self._idle.pop() if self._idle else [padded_empty(shape, reach), None, None]
+        if slot[1] is None or slot[1].shape[2] < planes:
+            slot[1] = padded_empty(shape + (planes,), reach)
+        if with_var and slot[2] is None:
+            slot[2] = padded_empty(shape, reach)
+        return slot
+
+    def give_slot(self, slot: list) -> None:
+        """Return a slot whose channel's pass has run its last level; the
+        last one returned is the next one taken."""
+        self._idle.append(slot)
 
 
 def _atrous(channels, variances, gbuf: GBufferFrame, levels, cfg: DenoiseConfig, passes,
             stats, state):
     """One a-trous iteration of each channel, at each pixel's level, run as
-    `passes`, a list of unit tap tables, over one G-buffer setup (see the
-    module docstring).
+    `passes`, a list of unit tap tables, over the frame's G-buffer setup
+    (see the module docstring).
 
     The call's levels in use and which variances are read come from the
     frame `state`'s next call; a call given none builds a lone one from
@@ -423,7 +498,7 @@ def _atrous(channels, variances, gbuf: GBufferFrame, levels, cfg: DenoiseConfig,
     variances = [np.asarray(variance, dtype=np.float64) for variance in variances]
     state = state or FrameState(gbuf, levels, None, passes)
     fg, box = state.fg, state.box
-    _running, used, var_read, union = next(state.pending)
+    _running, used, var_read, union = state.next_call()
     outs = [(data.copy(), var.copy() if read else None)
             for data, var, read in zip(datas, variances, var_read, strict=True)]
     if box is not None:
@@ -431,41 +506,36 @@ def _atrous(channels, variances, gbuf: GBufferFrame, levels, cfg: DenoiseConfig,
         levels = [level[box] if level.ndim else level for level in levels]
         # each channel pads its planes as far as its own top level reaches
         reaches = [2 * 2 ** int(u[-1]) for u in used]
-        gtaps = (shifted(np.where(fg, gbuf.depth, np.inf), max(reaches)),
-                 shifted(np.where(fg[..., None], gbuf.normal, 0.0), max(reaches)))
-        z_c = np.where(fg[box], gbuf.depth[box], 0.0).astype(np.float64)
-        geometry = (z_c, cfg.sigma_z * np.abs(z_c), channel_major(gtaps[1](0, 0)[box]))
+        geometry, gtaps, halves = state.working_set(gbuf, cfg,
+                                                    max(data.shape[2] for data in datas))
         neg_denoms = [-(cfg.sigma_l * np.sqrt(np.maximum(var[box], 0.0)) + _EPSILON)
                       for var in variances]
-        # the box's rows as one half, or two where the split pays, each with
-        # band-sized scratch allocated once for every pass and level, and
-        # accumulators for as many channels as share a level
-        h, w = z_c.shape
-        cuts = [0, (h + 1) // 2, h] if h * w >= _SPLIT_PIXELS and _cpus() > 1 else [0, h]
-        planes = max(data.shape[2] for data in datas)
-        slots = max(sum(lv in u for u in used) for lv in union)
-        halves = [(slice(a, b), _scratch(max(1, min(b - a, _BAND // w)), w, planes, slots))
-                  for a, b in zip(cuts, cuts[1:])]
         for n, offsets in enumerate(passes):
             last = n == len(passes) - 1
-            # a channel's padded planes live from its first level in the pass
-            # to its last, so channels on disjoint levels never hold both sets
-            members = [None] * len(datas)
+            # a channel holds a slot from its first level in the pass to its
+            # last, so channels on disjoint levels share one
+            members, slots = [None] * len(datas), [None] * len(datas)
             for lv in union:
-                at = []
+                at, done = [], []
                 for s, (u, level) in enumerate(zip(used, levels)):
                     if lv in u:
                         if members[s] is None:
                             (out, out_var), var = outs[s], variances[s]
+                            with_var = last and var_read[s]
+                            slots[s] = state.take_slot(out.shape[2], with_var)
                             members[s] = _pass_member(out, out_var, var, neg_denoms[s], box,
-                                                      reaches[s], last and var_read[s])
+                                                      reaches[s], with_var, slots[s])
                         at.append(members[s] if len(u) == 1
                                   else members[s]._replace(mask=level == lv))
                         if lv == u[-1]:
-                            members[s] = None
-                read, write = state.next_pass(z_c.shape)
+                            done.append(s)
+                read, write = state.next_pass(geometry[0].shape)
                 _level_pass(offsets, 2 ** int(lv), box, geometry, gtaps, at, halves, cfg,
                             read, write)
+                # in reverse, so that channels that end together take back their slots
+                for s in reversed(done):
+                    state.give_slot(slots[s])
+                    members[s] = None
         # background pixels keep their inputs; outside the box no pass wrote
         bg = ~fg[box]
         if bg.any():

@@ -2,8 +2,9 @@
 
 `shifted` serves every fixed-offset loop: a plane is padded once per pass,
 with its edge values (which is exactly clamp-to-border indexing) or with a
-constant, and each tap is a slice view of the padded plane. `clamped` is the
-one clamp-to-border rule for pixels read by index: it turns a (row, column)
+constant, by slice assignments into a new buffer or one the caller keeps
+(`padded_empty`), and each tap is a slice view of the padded plane.
+`clamped` is the one clamp-to-border rule for pixels read by index: it turns a (row, column)
 into one flat row-major index and says whether it lies in the image, and
 `gather`, an `np.take` over a plane's pixels, reads the plane there at a
 fraction of the cost of 2-D fancy indexing `plane[yc, xc]`, with the same
@@ -84,22 +85,42 @@ def put3(dst, flat, src) -> None:
         dst[..., k].reshape(-1)[flat] = src[..., k]
 
 
-def shifted(plane: np.ndarray, reach: int, fill=None):
+def padded_empty(shape, reach: int, dtype=np.float64) -> np.ndarray:
+    """An uninitialized plane of (H, W, ...) `shape` padded by `reach` on each
+    side, channel-major (see `channel_major`): a buffer for `shifted(into=)`."""
+    h, w = shape[:2]
+    planes = np.empty(tuple(shape[2:]) + (h + 2 * reach, w + 2 * reach), dtype=dtype)
+    return np.moveaxis(planes, (-2, -1), (0, 1))
+
+
+def shifted(plane: np.ndarray, reach: int, fill=None, into=None):
     """Pad `plane` by `reach` pixels and return tap(dy, dx) -> (H, W, ...) view.
 
     The view at pixel (y, x) reads plane[y + dy, x + dx], clamped to the border
     (or `fill` outside it when given); |dy|, |dx| <= reach. Trailing channels
     are padded as one plane each (the layout of `channel_major`), which keeps
-    broadcasting a weight over them fast.
+    broadcasting a weight over them fast. The padded copy is written into
+    `into` when given, a buffer of the plane's dtype padded at least as far on
+    each side (`padded_empty`), and else into a new one: the interior first,
+    then the edge columns of the interior rows, then the edge rows, each a
+    slice assignment, so a caller that refills one buffer pass after pass
+    allocates nothing.
     """
     h, w = plane.shape[:2]
-    planes = np.moveaxis(plane, (0, 1), (-2, -1))
-    widths = ((0, 0),) * (plane.ndim - 2) + ((reach, reach),) * 2
+    if into is None:
+        into = padded_empty(plane.shape, reach, plane.dtype)
+    y0, x0 = (into.shape[0] - h) // 2 - reach, (into.shape[1] - w) // 2 - reach
+    padded = into[y0:y0 + h + 2 * reach, x0:x0 + w + 2 * reach]
+    rows, cols = slice(reach, reach + h), slice(reach, reach + w)
+    padded[rows, cols] = plane
     if fill is None:
-        padded = np.pad(planes, widths, mode="edge")
+        padded[rows, :reach] = padded[rows, reach:reach + 1]
+        padded[rows, reach + w:] = padded[rows, reach + w - 1:reach + w]
+        padded[:reach] = padded[reach:reach + 1]
+        padded[reach + h:] = padded[reach + h - 1:reach + h]
     else:
-        padded = np.pad(planes, widths, mode="constant", constant_values=fill)
-    padded = np.moveaxis(padded, (-2, -1), (0, 1))
+        padded[rows, :reach] = padded[rows, reach + w:] = fill
+        padded[:reach] = padded[reach + h:] = fill
     return lambda dy, dx: padded[reach + dy:reach + dy + h, reach + dx:reach + dx + w]
 
 

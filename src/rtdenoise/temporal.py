@@ -19,15 +19,16 @@ one-channel case, which the pipeline does not call; it stays only because
 pipeline does not call it.
 
 The spatial moments are computed only where they are kept, and not at all
-once every foreground history is long, by one masked window loop
-(`_window_moments`) that reads its 7x7 taps from one of two
-`stencil.window` readers, each tap's one consistency mask serving every
-channel's luminance. Where the short-history foreground fills at least a
-quarter of its bounding box (`stencil.bounding_box`, grown by the window
-radius), the window covers that box through planes padded once; sparser
-masks, such as the disocclusions of a moving camera, gather the same taps
-at the kept pixels alone, which per pixel costs several times as much.
-Both readers clamp to the border alike and give the same bits. The 3x3 box
+once every foreground history is long, by a masked window loop that reads
+its 7x7 taps from one of two `stencil.window` readers, each tap's one
+consistency mask serving every channel's luminance. Where the short-history
+foreground fills at least a quarter of its bounding box
+(`stencil.bounding_box`, grown by the window radius), the window covers
+that box through planes padded once, and the loop runs over row bands with
+scratch allocated once (`_box_spatial_variance`); sparser masks, such as the
+disocclusions of a moving camera, gather the same taps at the kept pixels
+alone, which per pixel costs several times as much (`_window_moments`).
+Both readers clamp to the border alike and both loops give the same bits. The 3x3 box
 that bounds rectification has no mask (`_unmasked_box_moments`): its loop
 adds zero-padded values and their squares into channel-major accumulators
 and allocates nothing per tap, and its in-bounds count is a row count times
@@ -64,19 +65,22 @@ def _consistency_center(curr_depth, curr_normal, curr_oid):
             np.asarray(curr_oid))
 
 
-def _consistent(prev_depth, prev_normal, prev_oid, center, cfg: DenoiseConfig):
+def _consistent(prev_depth, prev_normal, prev_oid, center, cfg: DenoiseConfig, scratch=None):
     """Geometry agreement between previous-frame texels and the current
     pixels of a prepared `_consistency_center`, as scalars or broadcastable
     arrays: true iff the object ids match, the relative depth differs by
     less than `cfg.depth_consistency` and the normals' dot product exceeds
-    `cfg.normal_consistency`."""
+    `cfg.normal_consistency`. `scratch`, when given, is two bool and two
+    float64 arrays of the result's shape; the result is written into the
+    first, and the call allocates nothing."""
     depth, scale, normal, oid = center
-    id_ok = np.asarray(prev_oid) == oid
-    with np.errstate(invalid="ignore"):
-        rel = np.abs(np.asarray(prev_depth, dtype=np.float64) - depth) / scale
-        depth_ok = rel < cfg.depth_consistency
-    ndot = dot3(np.asarray(prev_normal, dtype=np.float64), normal)
-    return id_ok & depth_ok & (ndot > cfg.normal_consistency)
+    out, test, tmp, prod = scratch or (None,) * 4
+    ok = np.equal(prev_oid, oid, out=out)
+    with np.errstate(invalid="ignore"):  # the background's inf - inf
+        rel = np.divide(np.abs(np.subtract(prev_depth, depth, out=tmp), out=tmp), scale, out=tmp)
+        ok = np.logical_and(ok, np.less(rel, cfg.depth_consistency, out=test), out=out)
+    ndot = dot3(np.asarray(prev_normal), normal, out=tmp, scratch=prod)
+    return np.logical_and(ok, np.greater(ndot, cfg.normal_consistency, out=test), out=out)
 
 
 _PLANES = ("color", "moment1", "moment2")  # a history's per-channel planes
@@ -252,6 +256,11 @@ def accumulate(curr: dict, curr_luma: dict, tap: dict | None,
 
 
 _SPATIAL_RADIUS = 3  # of the spatial variance's 7x7 window
+# pixels per row band of the box spatial variance, 256 KB per scratch plane,
+# as in the a-trous; on frame 0 of both benchmark workloads (2-vCPU x86-64,
+# numpy 2.4) bands of 8k to 64k pixels timed within 4% of each other, 4k
+# pixels 10-25% slower
+_BAND = 32768
 
 
 def estimate_variance(history: TemporalHistory, curr_luma: dict, curr_gbuf: GBufferFrame,
@@ -264,9 +273,9 @@ def estimate_variance(history: TemporalHistory, curr_luma: dict, curr_gbuf: GBuf
     been integrated; otherwise spatial moments of the current luminance over
     the 7x7 neighborhood restricted to in-bounds, geometry-consistent pixels.
     The channels share the short-history mask and the window's consistency
-    tests. The spatial moments are computed only where they are kept, by
-    `_spatial_variance` over one of two `stencil.window` forms with the
-    same bits. The padded form covers the bounding box of the
+    tests. The spatial moments are computed only where they are kept, over
+    one of two `stencil.window` forms with the same bits. The padded form,
+    run in row bands by `_box_spatial_variance`, covers the bounding box of the
     short-history foreground, grown by the window radius and clamped to the
     image, so each kept pixel sees its whole neighborhood and the true image
     border. Where the kept pixels fill less than a quarter of that box, the
@@ -295,7 +304,8 @@ def estimate_variance(history: TemporalHistory, curr_luma: dict, curr_gbuf: GBuf
         tap = window([curr_gbuf.depth[box].astype(np.float64),
                       channel_major(curr_gbuf.normal[box]), curr_gbuf.object_id[box],
                       *(lum[box] for lum in lumas)], _SPATIAL_RADIUS)
-        for var, spatial in zip(variance.values(), _spatial_variance(tap, cfg)):
+        shape = (rows.stop - rows.start, cols.stop - cols.start)
+        for var, spatial in zip(variance.values(), _box_spatial_variance(tap, shape, cfg)):
             var[box] = np.where(keep[box], spatial, var[box])
     return variance
 
@@ -315,6 +325,49 @@ def _spatial_variance(tap, cfg: DenoiseConfig):
 
     return [var for _mean, var in
             _window_moments(consistent, _SPATIAL_RADIUS, len(lumas), depth.shape)]
+
+
+def _box_spatial_variance(tap, shape, cfg: DenoiseConfig):
+    """`_spatial_variance` of the padded form of `stencil.window` over an
+    (H, W) box, bit for bit, run over row bands of at most `_BAND` pixels:
+    each band takes every tap in turn, with band scratch allocated once per
+    call, so that a tap's consistency test and moment sums stay in cache
+    and allocate nothing. Each pixel adds its taps in the same order as in
+    `_window_moments`, and its moments are the same expressions."""
+    h, w = shape
+    _inside, (depth, normal, oid, *lumas) = tap(0, 0)
+    center = _consistency_center(depth, normal, oid)
+    variances = [np.empty(shape) for _lum in lumas]
+    rows = max(1, min(h, _BAND // w))
+    bools = [np.empty((rows, w), dtype=bool) for _ in range(2)]
+    floats = [np.empty((rows, w)) for _ in range(3 + 2 * len(lumas))]
+    for r0 in range(0, h, rows):
+        band = slice(r0, min(r0 + rows, h))
+        hb = band.stop - r0
+        ok, test, tmp, prod, count, *sums = (b[:hb] for b in bools + floats)
+        sums = list(zip(sums[::2], sums[1::2]))  # per luminance, its sum and sum of squares
+        center_b = tuple(c[band] for c in center)
+        for buf in (count, *sum(sums, ())):
+            buf.fill(0.0)
+        for dy in range(-_SPATIAL_RADIUS, _SPATIAL_RADIUS + 1):
+            for dx in range(-_SPATIAL_RADIUS, _SPATIAL_RADIUS + 1):
+                inside, (t_depth, t_normal, t_oid, *t_lumas) = tap(dy, dx)
+                _consistent(t_depth[band], t_normal[band], t_oid[band], center_b, cfg,
+                            (ok, test, tmp, prod))
+                ok &= inside[band]
+                count += ok
+                for lum, (s1, s2) in zip(t_lumas, sums):
+                    okv = np.multiply(ok, lum[band], out=tmp)
+                    s1 += okv
+                    s2 += np.multiply(okv, lum[band], out=okv)
+        np.maximum(count, 1.0, out=count)
+        # `_moments`, one band at a time
+        for var, (s1, s2) in zip(variances, sums):
+            mean = np.divide(s1, count, out=tmp)
+            var_b = np.divide(s2, count, out=var[band])
+            var_b -= np.multiply(mean, mean, out=s1)
+            np.maximum(0.0, var_b, out=var_b)
+    return variances
 
 
 def temporal_frame(curr_data: dict, curr_gbuf: GBufferFrame, prev: TemporalHistory | None,

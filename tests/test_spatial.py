@@ -397,6 +397,79 @@ def test_gbuffer_planes_padded_once_per_iteration(filt, monkeypatch):
                for p in pads) == 1
 
 
+def _recording_pads(monkeypatch):
+    """Record each `spatial.shifted` call as (a-trous call index, plane,
+    whether it wrote into a given buffer)."""
+    pads, calls = [], []
+    atrous = spatial._atrous
+
+    def counting_call(*args, **kwargs):
+        calls.append(None)
+        return atrous(*args, **kwargs)
+
+    def counting(plane, *args, **kwargs):
+        pads.append((len(calls) - 1, plane, kwargs.get("into") is not None))
+        return shifted(plane, *args, **kwargs)
+
+    monkeypatch.setattr(spatial, "_atrous", counting_call)
+    monkeypatch.setattr(spatial, "shifted", counting)
+    return pads, calls
+
+
+def _two_channel_frame(rs, h=24, w=24):
+    gbuf = _boxed_gbuf(rs, h, w)
+    return gbuf, {SHADOW: (rs.random((h, w)), rs.random((h, w))),
+                  SPECULAR: (rs.random((h, w, 3)), rs.random((h, w)))}
+
+
+@pytest.mark.parametrize("separable", [False, True])
+@pytest.mark.parametrize("iterations", [1, 4])
+def test_gbuffer_planes_padded_once_per_frame(separable, iterations, monkeypatch):
+    # the G-buffer setup is the frame's, shared by every iteration's call
+    gbuf, signals = _two_channel_frame(np.random.default_rng(25), 36, 36)
+    pads, calls = _recording_pads(monkeypatch)
+    spatial.denoise_frame(signals, gbuf, DenoiseConfig(iterations=iterations,
+                                                       separable=separable), shadow_angle=2.0)
+    assert len(calls) == iterations
+    masked_depth = np.where(gbuf.foreground, gbuf.depth, np.inf)
+    assert sum(p.dtype == gbuf.depth.dtype and np.array_equal(p, masked_depth)
+               for _call, p, _into in pads) == 1
+
+
+@pytest.mark.parametrize("separable", [False, True])
+def test_frame_pads_into_its_own_buffers_after_its_first_call(separable, monkeypatch):
+    # the frame's first call builds its working set; every later pad is
+    # written into a buffer the frame state already holds
+    gbuf, signals = _two_channel_frame(np.random.default_rng(26), 36, 36)
+    pads, calls = _recording_pads(monkeypatch)
+    spatial.denoise_frame(signals, gbuf, DenoiseConfig(iterations=4, separable=separable),
+                          shadow_angle=2.0)
+    assert len(calls) == 4
+    assert [call for call, _p, into in pads if not into] != []
+    assert [call for call, _p, into in pads if not into and call > 0] == []
+    assert {call for call, _p, _into in pads} == {0, 1, 2, 3}
+
+
+@pytest.mark.parametrize("separable", [False, True])
+@pytest.mark.parametrize("iterations", [1, 4])
+def test_frame_outputs_share_no_memory(separable, iterations):
+    # the frame state's buffers are reused pass after pass: no final or
+    # feedback may be one of them, an input or another frame's output
+    rs = np.random.default_rng(27)
+    gbuf, signals = _two_channel_frame(rs)
+    _gbuf, next_signals = _two_channel_frame(rs)
+    cfg = DenoiseConfig(iterations=iterations, separable=separable)
+    outputs = []
+    for frame in (signals, next_signals):
+        result = spatial.denoise_frame(frame, gbuf, cfg, shadow_angle=2.0)
+        outputs += [a for final, feedback, _records in result.values() for a in (final, feedback)]
+    inputs = [a for frame in (signals, next_signals) for pair in frame.values() for a in pair]
+    assert len(outputs) == 8
+    for i, a in enumerate(outputs):
+        for b in outputs[i + 1:] + inputs:
+            assert not np.shares_memory(a, b)
+
+
 @pytest.mark.parametrize("filt", [atrous_dense, atrous_separable])
 def test_only_depth_and_normals_padded_from_the_gbuffer(filt, monkeypatch):
     # the background is encoded in those two planes, so no foreground plane is

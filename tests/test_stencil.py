@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rtdenoise.stencil import (bilinear_sample, bounding_box, channel_major, clamped, dot3,
-                               gather, put3, shifted, take3, window)
+                               gather, padded_empty, put3, shifted, take3, window)
 
 
 def _reference_dot(a, b):
@@ -67,6 +68,63 @@ def test_shifted_multichannel_taps_clamp_to_border():
         for dx in (-1, 0, 2):
             want = plane[np.clip(ys + dy, 0, 4), np.clip(xs + dx, 0, 6)]
             assert np.array_equal(tap(dy, dx), want)
+
+
+def _np_pad_shifted(plane, reach, fill=None):
+    """`shifted` through `np.pad`, its earlier form: the oracle of the
+    slicing form."""
+    h, w = plane.shape[:2]
+    planes = np.moveaxis(plane, (0, 1), (-2, -1))
+    widths = ((0, 0),) * (plane.ndim - 2) + ((reach, reach),) * 2
+    if fill is None:
+        padded = np.pad(planes, widths, mode="edge")
+    else:
+        padded = np.pad(planes, widths, mode="constant", constant_values=fill)
+    padded = np.moveaxis(padded, (-2, -1), (0, 1))
+    return lambda dy, dx: padded[reach + dy:reach + dy + h, reach + dx:reach + dx + w]
+
+
+def _axis_order(view):
+    """The axes of `view` longer than 1, from the smallest stride up."""
+    return sorted((stride, axis) for axis, (n, stride) in enumerate(zip(view.shape, view.strides))
+                  if n > 1)
+
+
+@settings(deadline=None, max_examples=150)
+@given(h=st.integers(1, 6), w=st.integers(1, 6), channels=st.sampled_from([None, 1, 2, 3]),
+       dtype=st.sampled_from([np.float32, np.float64, bool]),
+       layout=st.sampled_from(["C", "channel-major"]), extra_reach=st.integers(0, 3),
+       fill=st.sampled_from([None, 0.0, False]), into_extra=st.sampled_from([None, 0, 1, 3]),
+       seed=st.integers(0, 2**32 - 1))
+def test_shifted_equals_np_pad_form(h, w, channels, dtype, layout, extra_reach, fill,
+                                    into_extra, seed):
+    # reach from 0 to past the plane's height; values with signed zeros and
+    # infinities; an `into` buffer padded as far or further, holding garbage
+    rs = np.random.default_rng(seed)
+    reach = rs.integers(0, h + extra_reach + 1)
+    shape = (h, w) if channels is None else (h, w, channels)
+    plane = rs.normal(size=shape)
+    plane[rs.random(shape) < 0.2] = -0.0
+    plane[rs.random(shape) < 0.1] = np.inf
+    plane = (plane > 0 if dtype is bool else plane).astype(dtype)
+    if layout == "channel-major" and channels is not None:
+        plane = np.moveaxis(np.moveaxis(plane, -1, 0).copy(), 0, -1)
+    into = None
+    if into_extra is not None:
+        into = padded_empty(shape, reach + into_extra, dtype)
+        into[...] = True if dtype is bool else np.nan
+    got, want = shifted(plane, reach, fill, into=into), _np_pad_shifted(plane, reach, fill)
+    # np.pad lays a Fortran-contiguous, not C-contiguous input out in Fortran
+    # order: a C-order plane of one row or column and more than one channel,
+    # seen channels first; there the slicing form stays channel-major
+    fortran = np.moveaxis(plane, (0, 1), (-2, -1)).flags.fnc
+    for dy in range(-reach, reach + 1):
+        for dx in range(-reach, reach + 1):
+            g, want_tap = got(dy, dx), want(dy, dx)
+            assert g.shape == want_tap.shape and g.dtype == want_tap.dtype
+            assert g.tobytes() == want_tap.tobytes()
+            if not fortran:
+                assert [a for _s, a in _axis_order(g)] == [a for _s, a in _axis_order(want_tap)]
 
 
 def test_clamped_matches_loop_oracle():

@@ -439,6 +439,23 @@ def test_gathered_spatial_variance_equals_box_form_bit_for_bit():
                                 gbuf.object_id[y, x]).all()
 
 
+@pytest.mark.parametrize("band", [1, 23, 3 * 23, 3 * 23 + 5, 18 * 23, 10**6])
+def test_banded_box_spatial_variance_equals_one_pass_bit_for_bit(band, monkeypatch):
+    # bands of one row, of several rows with a short last band, and of the
+    # whole box; the background's inf - inf raises no warning in any band
+    gbuf, _short = _scattered_frame()
+    rs = np.random.default_rng(28)
+    lumas = [rs.random(gbuf.depth.shape), 40.0 * rs.random(gbuf.depth.shape)]
+    planes = [gbuf.depth.astype(np.float64), channel_major(gbuf.normal), gbuf.object_id, *lumas]
+    want = _spatial_variance(window(planes, 3), CFG)
+    monkeypatch.setattr(temporal, "_BAND", band)
+    with np.errstate(all="raise"):
+        got = temporal._box_spatial_variance(window(planes, 3), gbuf.depth.shape, CFG)
+    assert len(got) == len(want) == 2
+    for g, v in zip(got, want):
+        assert g.shape == gbuf.depth.shape and g.tobytes() == v.tobytes()
+
+
 @pytest.mark.parametrize("holes,form", [(0, "box"), (1, "gathered")])
 def test_variance_form_follows_the_quarter_of_the_box_rule(holes, form, monkeypatch):
     # a 6x6 short block grows by the window radius to a 12x12 box: 36 kept
