@@ -360,7 +360,7 @@ class FrameState:
     are recycled for the ones it adds.
 
     The state also owns the frame's a-trous working set, so that its calls
-    allocate no plane but their outputs and their luminance stops: the
+    allocate no padded plane, scratch or stored weight but their first: the
     G-buffer setup and each half's band scratch, built at the frame's first
     call (`working_set`), and the member slots, each a padded luminance,
     data and variance buffer that a pass refills in place

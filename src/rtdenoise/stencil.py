@@ -4,23 +4,23 @@
 with its edge values (which is exactly clamp-to-border indexing) or with a
 constant, by slice assignments into a new buffer or one the caller keeps
 (`padded_empty`), and each tap is a slice view of the padded plane.
-`clamped` is the one clamp-to-border rule for pixels read by index: it turns a (row, column)
-into one flat row-major index and says whether it lies in the image, and
-`gather`, an `np.take` over a plane's pixels, reads the plane there at a
-fraction of the cost of 2-D fancy indexing `plane[yc, xc]`, with the same
-values. `window` hands a masked window loop its taps as (inside, values), in
-one of two forms with the same values: over every pixel, as views of planes
-padded once by `shifted`, or at given pixels alone, `gather`ed at the
-`clamped` neighbours. `bilinear_sample` is the one reprojection footprint,
-of the temporal filter and of the TAA, whose offsets differ per pixel: it
-reads each enclosing texel at its `clamped` index with `gather`. It returns
-each plane's mean over the accepted texels and where that mean is valid (a
-weight total above 1e-8), 0 elsewhere. `bounding_box` crops a pass to the
-pixels it keeps. `dot3` is the one dot product of 3-vectors, for normals and
-directions, and `length` and `normalize` are built on it, for the scene's
-camera and the renderer's rays alike. `take3` compacts 3-vectors to flat
-indices one component plane at a time, and `put3` scatters them back, for
-the renderer's and the env map's ray lists.
+`clamped` is the one clamp-to-border rule for pixels read by index: it turns
+a (row, column) into one flat row-major index and says whether it lies in
+the image, and `gather`, an `np.take` over a plane's pixels, reads the plane
+there at a fraction of the cost of 2-D fancy indexing `plane[yc, xc]`, with
+the same values. `window` hands a masked window loop its taps as (inside,
+values), in one of two forms with the same values: over every pixel, as
+views of planes padded once by `shifted`, or at given pixels alone,
+`gather`ed at the `clamped` neighbours. `bilinear_sample` is the one
+reprojection footprint, of the temporal filter and of the TAA, whose offsets
+differ per pixel: it reads each enclosing texel at its `clamped` index with
+`gather`. It returns each plane's mean over the accepted texels and where
+that mean is valid (a weight total above 1e-8), 0 elsewhere. `bounding_box`
+crops a pass to the pixels it keeps. `dot3` is the one dot product of
+3-vectors, for normals and directions, and `length` and `normalize` are
+built on it, for the scene's camera and the renderer's rays alike. `take3`
+compacts 3-vectors to flat indices one component plane at a time, and `put3`
+scatters them back, for the renderer's and the env map's ray lists.
 """
 
 from __future__ import annotations

@@ -28,11 +28,11 @@ that box through planes padded once, and the loop runs over row bands with
 scratch allocated once (`_box_spatial_variance`); sparser masks, such as the
 disocclusions of a moving camera, gather the same taps at the kept pixels
 alone, which per pixel costs several times as much (`_window_moments`).
-Both readers clamp to the border alike and both loops give the same bits. The 3x3 box
-that bounds rectification has no mask (`_unmasked_box_moments`): its loop
-adds zero-padded values and their squares into channel-major accumulators
-and allocates nothing per tap, and its in-bounds count is a row count times
-a column count. The reprojection uses the shared bilinear sampler of
+Both readers clamp to the border alike and both loops give the same bits.
+The 3x3 box that bounds rectification has no mask (`_unmasked_box_moments`):
+its loop adds zero-padded values and their squares into channel-major
+accumulators and allocates nothing per tap, and its in-bounds count is a row
+count times a column count. The reprojection uses the shared bilinear sampler of
 `stencil`, which hands each enclosing texel's consistency test the texels'
 flat row-major indices, where the test reads the depth, normal and object
 id with `stencil.gather`; the sampler also renormalizes the passing texels'
@@ -275,10 +275,10 @@ def estimate_variance(history: TemporalHistory, curr_luma: dict, curr_gbuf: GBuf
     The channels share the short-history mask and the window's consistency
     tests. The spatial moments are computed only where they are kept, over
     one of two `stencil.window` forms with the same bits. The padded form,
-    run in row bands by `_box_spatial_variance`, covers the bounding box of the
-    short-history foreground, grown by the window radius and clamped to the
-    image, so each kept pixel sees its whole neighborhood and the true image
-    border. Where the kept pixels fill less than a quarter of that box, the
+    run in row bands by `_box_spatial_variance`, covers the bounding box of
+    the short-history foreground, grown by the window radius and clamped to
+    the image, so each kept pixel sees its whole neighborhood and the true
+    image border. Where the kept pixels fill less than a quarter of that box, the
     gathered form reads the window at the kept pixels alone; per pixel it
     costs several times the padded form, so a dense mask keeps the box.
     Background pixels get 0, which is what their +inf depth gives them,
@@ -345,9 +345,8 @@ def _box_spatial_variance(tap, shape, cfg: DenoiseConfig):
         band = slice(r0, min(r0 + rows, h))
         hb = band.stop - r0
         ok, test, tmp, prod, count, *sums = (b[:hb] for b in bools + floats)
-        sums = list(zip(sums[::2], sums[1::2]))  # per luminance, its sum and sum of squares
         center_b = tuple(c[band] for c in center)
-        for buf in (count, *sum(sums, ())):
+        for buf in (count, *sums):
             buf.fill(0.0)
         for dy in range(-_SPATIAL_RADIUS, _SPATIAL_RADIUS + 1):
             for dx in range(-_SPATIAL_RADIUS, _SPATIAL_RADIUS + 1):
@@ -356,13 +355,13 @@ def _box_spatial_variance(tap, shape, cfg: DenoiseConfig):
                             (ok, test, tmp, prod))
                 ok &= inside[band]
                 count += ok
-                for lum, (s1, s2) in zip(t_lumas, sums):
+                for lum, s1, s2 in zip(t_lumas, sums[::2], sums[1::2]):
                     okv = np.multiply(ok, lum[band], out=tmp)
                     s1 += okv
                     s2 += np.multiply(okv, lum[band], out=okv)
         np.maximum(count, 1.0, out=count)
         # `_moments`, one band at a time
-        for var, (s1, s2) in zip(variances, sums):
+        for var, s1, s2 in zip(variances, sums[::2], sums[1::2]):
             mean = np.divide(s1, count, out=tmp)
             var_b = np.divide(s2, count, out=var[band])
             var_b -= np.multiply(mean, mean, out=s1)
