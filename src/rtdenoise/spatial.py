@@ -37,7 +37,7 @@ step, so this is exact. Each level runs over the signals that use it, and
 for each tap computes the G-buffer weight w_z * w_n once, then each signal's
 (w_z * w_n) * w_l and sums. That is one signal's product in its own order,
 so a joint iteration gives each signal the bits it gets alone. The tap loop
-runs over row bands of at most `_BAND` pixels, with band-sized scratch
+runs over row bands of at most `BAND` pixels, with band-sized scratch
 planes, allocated once per frame, that stay in a core's L2 cache; it
 allocates nothing band-sized per tap. A pass writes its results straight
 into the box of each signal's output. Only the foreground's bounding box
@@ -99,13 +99,12 @@ from typing import NamedTuple
 import numpy as np
 
 from .frames import ChannelKind, DenoiseConfig, GBufferFrame
-from .stencil import as_planes, bounding_box, channel_major, dot3, padded_empty, shifted
+from .stencil import BAND, as_planes, bounding_box, channel_major, dot3, padded_empty, shifted
 from .tonemap import luma
 
 KERNEL_1D = np.array([1.0 / 16, 1.0 / 4, 3.0 / 8, 1.0 / 4, 1.0 / 16])
 _OFFSETS = (-2, -1, 0, 1, 2)
 _EPSILON = 1e-8  # keeps the depth and luminance stops finite at zero spread
-_BAND = 32768  # pixels per row band of the tap loop: 256 KB per scratch plane
 # Box pixels from which a level pass runs as two row halves on two CPUs. Split
 # time over serial time of `denoise_frame` on cubes-distance/camera, median of
 # 9 alternations, 2 CPUs (x86-64, numpy 2.4, one BLAS thread), by box pixels:
@@ -183,16 +182,16 @@ class _Member(NamedTuple):
     mask: np.ndarray | None = None
 
 
-def _pass_member(out, out_var, var, neg_denom, box, reach, with_var, slot) -> _Member:
+def _pass_member(out, out_var, var, neg_denom, box, reach, with_var, buffers) -> _Member:
     """One signal's side of a pass over its current `out`, which updates
     `out_var` from `var` if `with_var`. The pass writes `out` in place, so
-    it reads only padded copies, made into `slot`'s luminance, data and
-    variance buffers (see `FrameState.take_slot`)."""
-    luma_buf, data_buf, var_buf = slot
+    it reads only padded copies, made into the signal's luminance, data and
+    variance `buffers` (see `FrameState.buffers`)."""
+    luma_buf, data_buf, var_buf = buffers
     # luma of the whole plane, before cropping: `@` may take another BLAS
     # path, so other rounding, on a non-contiguous view
     return _Member(neg_denom, shifted(luma(out), reach, into=luma_buf),
-                   shifted(out, reach, into=data_buf[..., :out.shape[2]]),
+                   shifted(out, reach, into=data_buf),
                    shifted(var, reach, into=var_buf) if with_var else None,
                    out[box], out_var[box] if with_var else None)
 
@@ -354,7 +353,7 @@ class FrameState:
     a lone call: one iteration, and its caller reads every variance.
     `denoise_frame` builds one state per frame and passes it to every call,
     and a call made without a state builds its own. The state tells each
-    call its `_Call` (`next_call`), and each pass which stored weights are
+    call its `_Call` (`pending`), and each pass which stored weights are
     still read later and which of its own outer ring to store. The store
     keeps G-buffer weights keyed by pixel offset, and the planes it drops
     are recycled for the ones it adds.
@@ -362,13 +361,11 @@ class FrameState:
     The state also owns the frame's a-trous working set, so that its calls
     allocate no padded plane, scratch or stored weight but their first: the
     G-buffer setup and each half's band scratch, built at the frame's first
-    call (`working_set`), and the member slots, each a padded luminance,
-    data and variance buffer that a pass refills in place
-    (`take_slot`). A channel holds a slot from its first level in a pass to
-    its last, so channels on disjoint levels share one. Everything is sized
-    for the frame's top level, largest plane count and most channels at one
-    level, and lives as long as the state: one frame, so that it never
-    stacks on the stages that run between frames.
+    call (`working_set`), and each channel's padded luminance, data and
+    variance buffers, which every pass refills in place (`buffers`).
+    Everything is sized for the frame's top level, largest plane count and
+    most channels at one level, and lives as long as the state: one frame,
+    so that it never stacks on the stages that run between frames.
     """
 
     def __init__(self, gbuf: GBufferFrame, starts, counts, passes):
@@ -395,7 +392,7 @@ class FrameState:
             steps.extend((offsets, 2 ** int(lv)) for offsets in passes for lv in union)
         if self.calls:
             _check_geometry(gbuf, self.fg)
-        self._pending = iter(self.calls)
+        self.pending = iter(self.calls)
         taps = [{(j * s, i * s) for j, i, _k, _d in offsets if (j, i) != (0, 0)}
                 for offsets, s in steps]
         later = [set()]
@@ -409,7 +406,7 @@ class FrameState:
         self._sharing = max((sum(lv in u for u in call.used)
                            for call in self.calls for lv in call.union), default=0)
         self._work = None
-        self._idle = []  # member slots no channel of the running pass holds
+        self._buffers = {}  # channel -> its padded [luminance, data, variance]
 
     def next_pass(self, shape):
         """The weights the next level pass reads from the store and the new
@@ -443,39 +440,25 @@ class FrameState:
             geometry = (z_c, cfg.sigma_z * np.abs(z_c), channel_major(gtaps[1](0, 0)[box]))
             h, w = z_c.shape
             cuts = [0, (h + 1) // 2, h] if h * w >= _SPLIT_PIXELS and _cpus() > 1 else [0, h]
-            halves = [(slice(a, b), _scratch(max(1, min(b - a, _BAND // w)), w, planes,
+            halves = [(slice(a, b), _scratch(max(1, min(b - a, BAND // w)), w, planes,
                                              self._sharing))
                       for a, b in zip(cuts, cuts[1:])]
             self._work = geometry, gtaps, halves
         return self._work
 
-    def next_call(self) -> _Call:
-        """The next call's `_Call`. A call that reads no variance is the
-        frame's last, so the slots drop their variance buffers."""
-        call = next(self._pending)
-        if not any(call.var_read):
-            for slot in self._idle:
-                slot[2] = None
-        return call
-
-    def take_slot(self, planes: int, with_var: bool) -> list:
-        """A member slot, [luminance, data, variance] buffers of the whole
-        frame padded as far as its top level reaches: one that a pass gave
-        back, or a new one. The data buffer is made anew where it holds fewer
-        than `planes` planes, and the variance buffer when `with_var` first
-        asks for it."""
+    def buffers(self, channel: int, planes: int, with_var: bool) -> list:
+        """[luminance, data, variance] buffers of the frame's `channel`, its
+        `planes` data planes, padded as far as the frame's top level reaches:
+        made at its first pass, the variance buffer once `with_var` asks for
+        it."""
         shape, reach = self.fg.shape, self._reach
-        slot = self._idle.pop() if self._idle else [padded_empty(shape, reach), None, None]
-        if slot[1] is None or slot[1].shape[2] < planes:
-            slot[1] = padded_empty(shape + (planes,), reach)
-        if with_var and slot[2] is None:
-            slot[2] = padded_empty(shape, reach)
-        return slot
-
-    def give_slot(self, slot: list) -> None:
-        """Return a slot whose channel's pass has run its last level; the
-        last one returned is the next one taken."""
-        self._idle.append(slot)
+        if channel not in self._buffers:
+            self._buffers[channel] = [padded_empty(shape, reach),
+                                      padded_empty(shape + (planes,), reach), None]
+        bufs = self._buffers[channel]
+        if with_var and bufs[2] is None:
+            bufs[2] = padded_empty(shape, reach)
+        return bufs
 
 
 def _atrous(channels, variances, gbuf: GBufferFrame, levels, cfg: DenoiseConfig, passes,
@@ -498,7 +481,7 @@ def _atrous(channels, variances, gbuf: GBufferFrame, levels, cfg: DenoiseConfig,
     variances = [np.asarray(variance, dtype=np.float64) for variance in variances]
     state = state or FrameState(gbuf, levels, None, passes)
     fg, box = state.fg, state.box
-    _running, used, var_read, union = state.next_call()
+    running, used, var_read, union = next(state.pending)
     outs = [(data.copy(), var.copy() if read else None)
             for data, var, read in zip(datas, variances, var_read, strict=True)]
     if box is not None:
@@ -512,30 +495,23 @@ def _atrous(channels, variances, gbuf: GBufferFrame, levels, cfg: DenoiseConfig,
                       for var in variances]
         for n, offsets in enumerate(passes):
             last = n == len(passes) - 1
-            # a channel holds a slot from its first level in the pass to its
-            # last, so channels on disjoint levels share one
-            members, slots = [None] * len(datas), [None] * len(datas)
+            # a channel's padded planes are made at its first level in the pass
+            members = [None] * len(datas)
             for lv in union:
-                at, done = [], []
+                at = []
                 for s, (u, level) in enumerate(zip(used, levels)):
                     if lv in u:
                         if members[s] is None:
                             (out, out_var), var = outs[s], variances[s]
                             with_var = last and var_read[s]
-                            slots[s] = state.take_slot(out.shape[2], with_var)
-                            members[s] = _pass_member(out, out_var, var, neg_denoms[s], box,
-                                                      reaches[s], with_var, slots[s])
+                            members[s] = _pass_member(
+                                out, out_var, var, neg_denoms[s], box, reaches[s], with_var,
+                                state.buffers(running[s], out.shape[2], with_var))
                         at.append(members[s] if len(u) == 1
                                   else members[s]._replace(mask=level == lv))
-                        if lv == u[-1]:
-                            done.append(s)
                 read, write = state.next_pass(geometry[0].shape)
                 _level_pass(offsets, 2 ** int(lv), box, geometry, gtaps, at, halves, cfg,
                             read, write)
-                # in reverse, so that channels that end together take back their slots
-                for s in reversed(done):
-                    state.give_slot(slots[s])
-                    members[s] = None
         # background pixels keep their inputs; outside the box no pass wrote
         bg = ~fg[box]
         if bg.any():

@@ -27,6 +27,12 @@ from __future__ import annotations
 
 import numpy as np
 
+# pixels per row band of a banded tap loop, the a-trous and the spatial
+# variance: 256 KB per float64 scratch plane, which stays in a core's L2
+# cache. On frame 0 of both benchmark workloads (2-vCPU x86-64, numpy 2.4),
+# the spatial variance in bands of 8k to 64k pixels timed within 4% of
+# each other, and in 4k-pixel bands 10-25% slower.
+BAND = 32768
 
 def as_planes(data) -> np.ndarray:
     """float64 (H, W, C) view of an (H, W) or (H, W, C) image."""

@@ -19,16 +19,16 @@ one-channel case, which the pipeline does not call; it stays only because
 pipeline does not call it.
 
 The spatial moments are computed only where they are kept, and not at all
-once every foreground history is long, by a masked window loop that reads
-its 7x7 taps from one of two `stencil.window` readers, each tap's one
-consistency mask serving every channel's luminance. Where the short-history
+once every foreground history is long, by one masked window loop
+(`_spatial_variance`) that reads its 7x7 taps from one of two
+`stencil.window` readers, each tap's one consistency mask serving every
+channel's luminance, and allocates nothing per tap. Where the short-history
 foreground fills at least a quarter of its bounding box
 (`stencil.bounding_box`, grown by the window radius), the window covers
-that box through planes padded once, and the loop runs over row bands with
-scratch allocated once (`_box_spatial_variance`); sparser masks, such as the
-disocclusions of a moving camera, gather the same taps at the kept pixels
-alone, which per pixel costs several times as much (`_window_moments`).
-Both readers clamp to the border alike and both loops give the same bits.
+that box through planes padded once, and the loop runs over its row bands;
+sparser masks, such as the disocclusions of a moving camera, gather the same
+taps at the kept pixels alone, which per pixel costs several times as much.
+Both readers clamp to the border alike, so both give the same bits.
 The 3x3 box that bounds rectification has no mask (`_unmasked_box_moments`):
 its loop adds zero-padded values and their squares into channel-major
 accumulators and allocates nothing per tap, and its in-bounds count is a row
@@ -51,8 +51,8 @@ from __future__ import annotations
 import numpy as np
 
 from .frames import DenoiseConfig, GBufferFrame, TemporalHistory
-from .stencil import (as_planes, bilinear_sample, bounding_box, channel_major, dot3, gather,
-                      shifted, window)
+from .stencil import (BAND, as_planes, bilinear_sample, bounding_box, channel_major, dot3,
+                      gather, shifted, window)
 from .tonemap import luma
 
 
@@ -113,29 +113,6 @@ def reproject(history: TemporalHistory, prev_gbuf: GBufferFrame, curr_gbuf: GBuf
             **{name: dict(zip(keys, means[i::len(_PLANES)])) for i, name in enumerate(_PLANES)}}
 
 
-def _window_moments(tap, radius: int, planes: int, shape):
-    """Masked mean and variance over the (2r+1)^2 window of each pixel.
-
-    `tap(dy, dx)` returns (mask, values): a bool array of `shape`, where the
-    tap counts, and `planes` arrays of `shape`, each summed in its own
-    accumulators under that one mask; the count is clamped at 1. Returns one
-    (mean, variance) per plane, each of `shape`.
-    """
-    s0 = np.zeros(shape)
-    s1 = [np.zeros(shape) for _plane in range(planes)]
-    s2 = [np.zeros(shape) for _plane in range(planes)]
-    for dy in range(-radius, radius + 1):
-        for dx in range(-radius, radius + 1):
-            ok, values = tap(dy, dx)
-            s0 += ok
-            for vals, t1, t2 in zip(values, s1, s2, strict=True):
-                okv = ok * vals
-                t1 += okv
-                t2 += okv * vals
-    s0 = np.maximum(s0, 1.0)
-    return [_moments(s0, t1, t2) for t1, t2 in zip(s1, s2)]
-
-
 def _unmasked_box_moments(values, radius: int):
     """Mean and variance of (H, W, C) `values` over the in-bounds (2r+1)^2
     box of each pixel, each (H, W, C) in C order.
@@ -143,14 +120,14 @@ def _unmasked_box_moments(values, radius: int):
     A tap allocates nothing: it adds zero-padded values and their squares,
     computed once per call, into channel-major accumulators, and the
     in-bounds count is a row count times a column count. An out-of-bounds
-    tap adds +0, where `_window_moments` over `stencil.window`'s padded form
-    adds 0 times the edge value, which is a signed zero; a sum that starts
-    at +0 never becomes -0, so with an always-true mask the two agree bit
-    for bit on finite values.
+    tap adds +0, where a masked window loop over `stencil.window`'s padded
+    form adds 0 times the edge value, which is a signed zero; a sum that
+    starts at +0 never becomes -0, so with an always-true mask the two agree
+    bit for bit on finite values.
 
-    It stays beside `_window_moments` for speed alone. Routed through that
-    loop over `stencil.window`'s padded form, `rectify_history` gave the
-    same bits but took, min of 30 calls on a 2-vCPU Intel Xeon: 2.3 ms
+    It stays apart from the masked loop for speed alone. Routed through a
+    masked loop over `stencil.window`'s padded form, `rectify_history` gave
+    the same bits but took, min of 30 calls on a 2-vCPU Intel Xeon: 2.3 ms
     instead of 1.0-1.4 on a 128x128 one-plane box, 23.5-29.0 instead of
     15.7-22.5 on a 256x256 three-plane box, and 7.0-9.1 instead of 3.9-5.6
     on a 256x256 one-plane box even with preallocated scratch.
@@ -168,12 +145,14 @@ def _unmasked_box_moments(values, radius: int):
     return _moments((rows[:, None] * cols)[..., None], sum1, sum2)
 
 
-def _moments(count, sum1, sum2):
+def _moments(count, sum1, sum2, out=None):
     """(mean, variance) from a count, a sum and a sum of squares, broadcast
-    together; both C order, whatever the sums' layout. `sum1` serves as
+    together; both C order, whatever the sums' layout, or written into
+    `out`, a (mean, variance) pair of the sums' shape. `sum1` serves as
     scratch."""
-    mean = np.divide(sum1, count, out=np.empty(sum1.shape))
-    var = np.divide(sum2, count, out=np.empty(sum2.shape))
+    mean, var = out or (np.empty(sum1.shape), np.empty(sum2.shape))
+    np.divide(sum1, count, out=mean)
+    np.divide(sum2, count, out=var)
     var -= np.multiply(mean, mean, out=sum1)
     return mean, np.maximum(0.0, var, out=var)
 
@@ -256,11 +235,6 @@ def accumulate(curr: dict, curr_luma: dict, tap: dict | None,
 
 
 _SPATIAL_RADIUS = 3  # of the spatial variance's 7x7 window
-# pixels per row band of the box spatial variance, 256 KB per scratch plane,
-# as in the a-trous; on frame 0 of both benchmark workloads (2-vCPU x86-64,
-# numpy 2.4) bands of 8k to 64k pixels timed within 4% of each other, 4k
-# pixels 10-25% slower
-_BAND = 32768
 
 
 def estimate_variance(history: TemporalHistory, curr_luma: dict, curr_gbuf: GBufferFrame,
@@ -275,7 +249,7 @@ def estimate_variance(history: TemporalHistory, curr_luma: dict, curr_gbuf: GBuf
     The channels share the short-history mask and the window's consistency
     tests. The spatial moments are computed only where they are kept, over
     one of two `stencil.window` forms with the same bits. The padded form,
-    run in row bands by `_box_spatial_variance`, covers the bounding box of
+    run in row bands (`_spatial_variance`), covers the bounding box of
     the short-history foreground, grown by the window radius and clamped to
     the image, so each kept pixel sees its whole neighborhood and the true
     image border. Where the kept pixels fill less than a quarter of that box, the
@@ -298,51 +272,41 @@ def estimate_variance(history: TemporalHistory, curr_luma: dict, curr_gbuf: GBuf
         kept = np.flatnonzero(keep)
         tap = window([curr_gbuf.depth, curr_gbuf.normal, curr_gbuf.object_id, *lumas],
                      _SPATIAL_RADIUS, at=kept)
-        for var, spatial in zip(variance.values(), _spatial_variance(tap, cfg)):
+        for var, spatial in zip(variance.values(), _spatial_variance(tap, kept.shape, cfg)):
             np.put(var, kept, spatial)
     else:
         tap = window([curr_gbuf.depth[box].astype(np.float64),
                       channel_major(curr_gbuf.normal[box]), curr_gbuf.object_id[box],
                       *(lum[box] for lum in lumas)], _SPATIAL_RADIUS)
         shape = (rows.stop - rows.start, cols.stop - cols.start)
-        for var, spatial in zip(variance.values(), _box_spatial_variance(tap, shape, cfg)):
+        for var, spatial in zip(variance.values(), _spatial_variance(tap, shape, cfg)):
             var[box] = np.where(keep[box], spatial, var[box])
     return variance
 
 
-def _spatial_variance(tap, cfg: DenoiseConfig):
+def _spatial_variance(tap, shape, cfg: DenoiseConfig):
     """Each luminance's variance over the window of `tap`, a `stencil.window`
-    over (depth, normal, object id, *luminances), counting the in-bounds taps
-    that pass the consistency test against the window's center; one test
-    per tap serves every luminance. Returns a list of variances, one per
-    luminance, each of the shape the window covers."""
-    _inside, (depth, normal, oid, *lumas) = tap(0, 0)
-    center = _consistency_center(depth, normal, oid)
+    over (depth, normal, object id, *luminances) that covers pixels of
+    `shape`: (H, W) for the padded form, (n,) for the gathered one. A tap
+    counts where it lies in the image and passes the consistency test
+    against the window's center; one test per tap serves every luminance,
+    and the count is clamped at 1. Returns a list of variances, one per
+    luminance, each of `shape`.
 
-    def consistent(dy, dx):
-        ok, (depth, normal, oid, *lumas) = tap(dy, dx)
-        return ok & _consistent(depth, normal, oid, center, cfg), lumas
-
-    return [var for _mean, var in
-            _window_moments(consistent, _SPATIAL_RADIUS, len(lumas), depth.shape)]
-
-
-def _box_spatial_variance(tap, shape, cfg: DenoiseConfig):
-    """`_spatial_variance` of the padded form of `stencil.window` over an
-    (H, W) box, bit for bit, run over row bands of at most `_BAND` pixels:
-    each band takes every tap in turn, with band scratch allocated once per
-    call, so that a tap's consistency test and moment sums stay in cache
-    and allocate nothing. Each pixel adds its taps in the same order as in
-    `_window_moments`, and its moments are the same expressions."""
-    h, w = shape
+    The padded form runs over row bands of at most `BAND` pixels, each band
+    taking every tap in turn, so that a tap's test and sums stay in cache;
+    the gathered form, whose taps gather at every pixel, runs as one band.
+    The band scratch is allocated once per call, so a tap allocates nothing
+    but the gathered form's gathers."""
     _inside, (depth, normal, oid, *lumas) = tap(0, 0)
     center = _consistency_center(depth, normal, oid)
     variances = [np.empty(shape) for _lum in lumas]
-    rows = max(1, min(h, _BAND // w))
-    bools = [np.empty((rows, w), dtype=bool) for _ in range(2)]
-    floats = [np.empty((rows, w)) for _ in range(3 + 2 * len(lumas))]
-    for r0 in range(0, h, rows):
-        band = slice(r0, min(r0 + rows, h))
+    rows = max(1, min(shape[0], BAND // shape[1])) if len(shape) == 2 else shape[0]
+    band_shape = (rows,) + tuple(shape[1:])
+    bools = [np.empty(band_shape, dtype=bool) for _ in range(2)]
+    floats = [np.empty(band_shape) for _ in range(3 + 2 * len(lumas))]
+    for r0 in range(0, shape[0], rows):
+        band = slice(r0, min(r0 + rows, shape[0]))
         hb = band.stop - r0
         ok, test, tmp, prod, count, *sums = (b[:hb] for b in bools + floats)
         center_b = tuple(c[band] for c in center)
@@ -356,16 +320,13 @@ def _box_spatial_variance(tap, shape, cfg: DenoiseConfig):
                 ok &= inside[band]
                 count += ok
                 for lum, s1, s2 in zip(t_lumas, sums[::2], sums[1::2]):
-                    okv = np.multiply(ok, lum[band], out=tmp)
+                    lum = lum[band]
+                    okv = np.multiply(ok, lum, out=tmp)
                     s1 += okv
-                    s2 += np.multiply(okv, lum[band], out=okv)
+                    s2 += np.multiply(okv, lum, out=okv)
         np.maximum(count, 1.0, out=count)
-        # `_moments`, one band at a time
         for var, s1, s2 in zip(variances, sums[::2], sums[1::2]):
-            mean = np.divide(s1, count, out=tmp)
-            var_b = np.divide(s2, count, out=var[band])
-            var_b -= np.multiply(mean, mean, out=s1)
-            np.maximum(0.0, var_b, out=var_b)
+            _moments(count, s1, s2, out=(tmp, var[band]))
     return variances
 
 

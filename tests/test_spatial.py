@@ -841,7 +841,7 @@ def test_row_bands_give_the_same_bits(monkeypatch):
     for filt in (atrous_dense, atrous_separable):
         want = _alone(filt, channel, variance, gbuf, level, DenoiseConfig())
         for band in (1, 30, 100):  # one row, partial last bands, several rows
-            monkeypatch.setattr(spatial, "_BAND", band)
+            monkeypatch.setattr(spatial, "BAND", band)
             got = _alone(filt, channel, variance, gbuf, level, DenoiseConfig())
             assert got[0].tobytes() == want[0].tobytes()
             assert got[1].tobytes() == want[1].tobytes()
@@ -919,7 +919,7 @@ def _frame_against_lone_calls(separable, case, band, split, monkeypatch):
         counts = select_schedule(SPECULAR, gbuf.roughness, cfg)[1]
         assert set(np.unique(counts)) == {0, 1, 3}
     if band is not None:
-        monkeypatch.setattr(spatial, "_BAND", band)
+        monkeypatch.setattr(spatial, "BAND", band)
     started = _force_split(monkeypatch) if split else []
     got = spatial.denoise_frame(signals, gbuf, cfg, shadow_angle=scene.shadow_angle_deg)
     assert bool(started) == split and not any(worker.is_alive() for worker in started)
@@ -1172,7 +1172,7 @@ def test_split_gives_the_serial_bits_under_frequent_thread_switches(monkeypatch)
     variances = [rs.random((40, 32)), rs.random((40, 32))]
     levels = [rs.integers(0, 3, (40, 32)), 1]
     _serial(monkeypatch)
-    monkeypatch.setattr(spatial, "_BAND", 64)  # two rows per band
+    monkeypatch.setattr(spatial, "BAND", 64)  # two rows per band
     for filt in (atrous_dense, atrous_separable):
         want = filt(channels, variances, gbuf, levels, DenoiseConfig())
         with pytest.MonkeyPatch.context() as split:

@@ -5,8 +5,8 @@ from hypothesis import given, settings, strategies as st
 from rtdenoise import temporal
 from rtdenoise.frames import DenoiseConfig, GBufferFrame, TemporalHistory
 from rtdenoise.stencil import as_planes, channel_major, window
-from rtdenoise.temporal import (_consistency_center, _consistent, _spatial_variance,
-                                _unmasked_box_moments, _window_moments, accumulate,
+from rtdenoise.temporal import (_SPATIAL_RADIUS, _consistency_center, _consistent, _moments,
+                                _spatial_variance, _unmasked_box_moments, accumulate,
                                 estimate_variance, rectify_history, rectify_moments, reproject,
                                 temporal_step)
 from rtdenoise.tonemap import luma
@@ -323,6 +323,41 @@ def test_variance_spatial_fallback_across_object_boundary():
     assert rejected > 0
 
 
+def _window_moments(tap, radius: int, planes: int, shape):
+    """Masked mean and variance over the (2r+1)^2 window of each pixel, the
+    plain form that the banded loop of `temporal._spatial_variance` must
+    equal bit for bit: `tap(dy, dx)` returns (mask, values), a bool array of
+    `shape` and `planes` value arrays of `shape`, each summed in its own
+    accumulators under that one mask over the whole shape at once; the count
+    is clamped at 1. Returns one (mean, variance) per plane."""
+    s0 = np.zeros(shape)
+    s1 = [np.zeros(shape) for _plane in range(planes)]
+    s2 = [np.zeros(shape) for _plane in range(planes)]
+    for dy in range(-radius, radius + 1):
+        for dx in range(-radius, radius + 1):
+            ok, values = tap(dy, dx)
+            s0 += ok
+            for vals, t1, t2 in zip(values, s1, s2, strict=True):
+                okv = ok * vals
+                t1 += okv
+                t2 += okv * vals
+    s0 = np.maximum(s0, 1.0)
+    return [_moments(s0, t1, t2) for t1, t2 in zip(s1, s2)]
+
+
+def _one_pass_spatial_variance(tap, cfg):
+    """`temporal._spatial_variance` through `_window_moments`, unbanded."""
+    _inside, (depth, normal, oid, *lumas) = tap(0, 0)
+    center = _consistency_center(depth, normal, oid)
+
+    def consistent(dy, dx):
+        ok, (depth, normal, oid, *lumas) = tap(dy, dx)
+        return ok & _consistent(depth, normal, oid, center, cfg), lumas
+
+    return [var for _mean, var in
+            _window_moments(consistent, _SPATIAL_RADIUS, len(lumas), depth.shape)]
+
+
 def _full_frame_spatial_variance(luma, gbuf):
     """The 7x7 spatial variance of every pixel of the frame, with no box."""
     depth = gbuf.depth.astype(np.float64)
@@ -383,7 +418,7 @@ def test_variance_skips_spatial_when_only_background_is_short(monkeypatch):
     def fail(*_args, **_kwargs):
         raise AssertionError("spatial moments computed with no short foreground")
 
-    monkeypatch.setattr("rtdenoise.temporal._window_moments", fail)
+    monkeypatch.setattr("rtdenoise.temporal._spatial_variance", fail)
     hist = _const_history(8, 8, 1, 0.6, length=10)
     hist.history_len[2, 2] = 1
     gbuf = _flat_gbuf()
@@ -423,14 +458,15 @@ def test_gathered_spatial_variance_equals_box_form_bit_for_bit():
     rs = np.random.default_rng(22)
     lumas = [rs.random(gbuf.depth.shape), 40.0 * rs.random(gbuf.depth.shape)]
     kept = np.flatnonzero(keep)
-    got = _spatial_variance(window([gbuf.depth, gbuf.normal, gbuf.object_id, *lumas], 3,
-                                   at=kept), CFG)
+    gathered = window([gbuf.depth, gbuf.normal, gbuf.object_id, *lumas], 3, at=kept)
+    got = _spatial_variance(gathered, kept.shape, CFG)
     want = _spatial_variance(window([gbuf.depth.astype(np.float64), channel_major(gbuf.normal),
-                                     gbuf.object_id, *lumas], 3), CFG)
-    assert len(got) == len(want) == 2
+                                     gbuf.object_id, *lumas], 3), gbuf.depth.shape, CFG)
+    oracle = _one_pass_spatial_variance(gathered, CFG)
+    assert len(got) == len(want) == len(oracle) == 2
     for k in range(2):
         assert got[k].shape == (kept.size,)
-        assert got[k].tobytes() == want[k].reshape(-1)[kept].tobytes()
+        assert got[k].tobytes() == want[k].reshape(-1)[kept].tobytes() == oracle[k].tobytes()
     # some windows lose taps inside the image: a right neighbour fails the test
     y, x = np.divmod(kept, gbuf.depth.shape[1])
     right = np.minimum(x + 1, gbuf.depth.shape[1] - 1)
@@ -447,10 +483,10 @@ def test_banded_box_spatial_variance_equals_one_pass_bit_for_bit(band, monkeypat
     rs = np.random.default_rng(28)
     lumas = [rs.random(gbuf.depth.shape), 40.0 * rs.random(gbuf.depth.shape)]
     planes = [gbuf.depth.astype(np.float64), channel_major(gbuf.normal), gbuf.object_id, *lumas]
-    want = _spatial_variance(window(planes, 3), CFG)
-    monkeypatch.setattr(temporal, "_BAND", band)
+    want = _one_pass_spatial_variance(window(planes, 3), CFG)
+    monkeypatch.setattr(temporal, "BAND", band)
     with np.errstate(all="raise"):
-        got = temporal._box_spatial_variance(window(planes, 3), gbuf.depth.shape, CFG)
+        got = _spatial_variance(window(planes, 3), gbuf.depth.shape, CFG)
     assert len(got) == len(want) == 2
     for g, v in zip(got, want):
         assert g.shape == gbuf.depth.shape and g.tobytes() == v.tobytes()

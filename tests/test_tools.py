@@ -85,12 +85,3 @@ def test_abpairs_summary_reads_each_metric_the_way_it_is_better():
     # a gain smaller than the distance between the base's quartiles is no gain
     noisy = summarize(_runs([10.0, 12.0, 10.0, 12.0]), _runs([9.9, 11.9, 9.9, 11.9]), spec)
     assert noisy["t"]["head_wins"] == 4 and not noisy["t"]["gain_claimable"]
-
-
-def test_abpairs_selects_workloads_in_the_spec_order():
-    select = _tool("abpairs").select_workloads
-    spec = {"workloads": [{"name": "a"}, {"name": "b"}, {"name": "c"}]}
-    assert select(spec, None) == ["a", "b", "c"]
-    assert select(spec, ["c", "a"]) == ["a", "c"]
-    with pytest.raises(ValueError, match="no workload d in BENCHMARK.json"):
-        select(spec, ["a", "d"])

@@ -1,15 +1,13 @@
 #!/usr/bin/env python3
 """Alternating A/B pairs of the benchmark between two revisions.
 
-    python3 tools/abpairs.py BASE HEAD [--pairs 10] [--workloads NAME ...] [--out PATH]
+    python3 tools/abpairs.py BASE HEAD [--pairs 10] [--out PATH]
 
 BASE and HEAD are git revisions of this repository. Each is exported with
 `git archive` into its own temporary directory, so both sides are made the
 same way, from committed files alone.
 
-For each workload of HEAD's `BENCHMARK.json`, or of those `--workloads`
-names (for sizing a change; a claimed gain runs them all), in the file's
-order, the benchmark command runs on
+For each workload of HEAD's `BENCHMARK.json`, the benchmark command runs on
 the two sides in turn for that file's `run_seconds`, N pairs of runs, the
 first side alternating from pair to pair; pair i runs both sides on seed i.
 For each end-to-end metric the report gives each side's median and
@@ -120,24 +118,11 @@ def checks(base: Path, head: Path) -> dict:
     return out
 
 
-def select_workloads(spec: dict, names) -> list:
-    """The names of `spec`'s workloads that are in `names`, in the spec's
-    order; all of them when `names` is None. An unknown name is an error."""
-    known = [workload["name"] for workload in spec["workloads"]]
-    unknown = sorted(set(names or ()) - set(known))
-    if unknown:
-        raise ValueError(f"no workload {', '.join(unknown)} in BENCHMARK.json "
-                         f"(it has {', '.join(known)})")
-    return [name for name in known if names is None or name in names]
-
-
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("base")
     p.add_argument("head")
     p.add_argument("--pairs", type=int, default=10)
-    p.add_argument("--workloads", nargs="+", metavar="NAME",
-                   help="run only these workloads of BENCHMARK.json (default: all)")
     p.add_argument("--out", type=Path)
     args = p.parse_args(argv)
 
@@ -148,13 +133,9 @@ def main(argv=None) -> int:
         export(base_sha, base)
         export(head_sha, head)
         spec = json.loads((head / "BENCHMARK.json").read_text())
-        try:
-            workloads = select_workloads(spec, args.workloads)
-        except ValueError as e:
-            p.error(str(e))
         seconds = spec["run_seconds"]
         results = {}
-        for workload in workloads:
+        for workload in (w["name"] for w in spec["workloads"]):
             runs = {"base": [], "head": []}
             for i in range(args.pairs):
                 order = ("base", "head") if i % 2 == 0 else ("head", "base")
@@ -170,7 +151,6 @@ def main(argv=None) -> int:
                 "metrics": summarize(runs["base"], runs["head"], spec["end_to_end"])}
         report = {"base": base_sha, "head": head_sha,
                   "pairs": args.pairs, "seconds": seconds, "command": spec["command"],
-                  "workloads_run": workloads,
                   "machine": {"platform": platform.platform(), "python": platform.python_version(),
                               "cpus": os.cpu_count(),
                               "affinity": (len(os.sched_getaffinity(0))
